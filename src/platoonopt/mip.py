@@ -163,7 +163,10 @@ class LpSolution:
 
 @dataclass
 class MipSolution:
-    status: str                 # optimal | feasible | infeasible | time_limit
+    # optimal | feasible | infeasible | time_limit | node_limit.  A limit
+    # that stops the search with an incumbent gives feasible (gap above
+    # rel_gap) or optimal; without one it gives time_limit or node_limit.
+    status: str
     objective: float | None
     x: np.ndarray | None
     bound: float | None
@@ -172,6 +175,9 @@ class MipSolution:
     wall_time: float
     cuts_added: int = 0
     root_bound: float | None = None
+    # (basis, vstatus) of the final root LP in standard form; a valid
+    # ``root_start`` for a model with the same rows, columns and bounds
+    root_basis: tuple | None = None
 
     def value(self, j: int) -> float:
         return float(self.x[j])
@@ -314,13 +320,18 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
               node_limit: int | None = None,
               root_cut_hook=None,
               cut_rounds: int = DEFAULT_CUT_ROUNDS,
-              initial_solution=None) -> MipSolution:
+              initial_solution=None, root_start=None) -> MipSolution:
     """Branch and bound with best-bound node selection.
 
     ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
     invoked repeatedly on fractional root relaxations until it returns no
     cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
     ``initial_solution`` seeds the incumbent (it must be feasible).
+    ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
+    an earlier solve of a model that differs only in its objective.  A start
+    that does not fit is ignored (see ``simplex.solve``).  A node limit
+    stops the search with status ``node_limit``, or ``feasible``/``optimal``
+    by the gap when an incumbent exists.
     """
     model.validate()
     t0 = time.perf_counter()
@@ -337,7 +348,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         incumbent_x = np.asarray(initial_solution, dtype=float)
 
     cuts_added = 0
-    root = solve_lp(work)
+    root = solve_lp(work, start=root_start)
     rounds = 0
     while (root.status == "optimal" and root_cut_hook is not None
            and rounds < cut_rounds and _fractional(root.x, int_idx)):
@@ -357,6 +368,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         return MipSolution("infeasible", None, None, None, None, 1, wall(),
                            cuts_added)
     root_bound = root.objective
+    root_basis = (root.basis, root.vstatus) if root.basis is not None else None
 
     def slack(inc):
         return rel_gap * max(abs(inc), 1e-10)
@@ -372,7 +384,10 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     a_std, b_std, c_std, lo_std, hi_std, recover, sign, reformed = sf
     nv = work.num_vars
 
-    def node_lp(overrides, start):
+    # Node LPs run cold.  A child tightens the bound of a variable that is
+    # fractional, hence basic, in its parent's LP, so the parent basis is
+    # primal infeasible for the child and a phase-2 warm start is refused.
+    def node_lp(overrides):
         lo = lo_std.copy()
         hi = hi_std.copy()
         for j, (l, u) in overrides.items():
@@ -380,22 +395,21 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             hi[j] = min(hi[j], u)
             if lo[j] > hi[j] + 1e-15:
                 return LpSolution("infeasible", None, None)
-        res = simplex.solve(a_std, b_std, c_std, lo, hi, start=start)
+        res = simplex.solve(a_std, b_std, c_std, lo, hi)
         if res.status != "optimal":
             return LpSolution(res.status, None, None)
         return LpSolution("optimal", sign * res.objective + work.obj_constant,
-                          recover(res.x), basis=res.basis, vstatus=res.vstatus,
-                          is_vertex=not reformed)
+                          recover(res.x), is_vertex=not reformed)
 
     nodes = 1
     counter = 0
     heap: list = []
     pruned_bounds: list[float] = []
 
-    def push(bound, overrides, start):
+    def push(bound, overrides):
         nonlocal counter
         key = bound if minimize else -bound
-        heapq.heappush(heap, (key, counter, bound, overrides, start))
+        heapq.heappush(heap, (key, counter, bound, overrides))
         counter += 1
 
     frac = _fractional(root.x, int_idx)
@@ -403,13 +417,14 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         if incumbent is None or better(root.objective, incumbent):
             incumbent, incumbent_x = root.objective, root.x.copy()
         return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           0.0, nodes, wall(), cuts_added, root_bound)
+                           0.0, nodes, wall(), cuts_added, root_bound,
+                           root_basis)
     if cutoff(root.objective, incumbent):
         return MipSolution("optimal", incumbent, incumbent_x, root.objective,
                            abs(incumbent - root.objective)
                            / max(abs(incumbent), 1e-10),
-                           nodes, wall(), cuts_added, root_bound)
-    push(root.objective, {}, None)
+                           nodes, wall(), cuts_added, root_bound, root_basis)
+    push(root.objective, {})
     first = True
 
     status = "optimal"
@@ -418,9 +433,9 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             status = "time_limit"
             break
         if node_limit is not None and nodes >= node_limit:
-            status = "time_limit"
+            status = "node_limit"
             break
-        key, cnt, bound, overrides, start = heapq.heappop(heap)
+        key, cnt, bound, overrides = heapq.heappop(heap)
         if cutoff(bound, incumbent):
             pruned_bounds.append(bound)
             continue
@@ -428,7 +443,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             lp = root
             first = False
         else:
-            lp = node_lp(overrides, start)
+            lp = node_lp(overrides)
             nodes += 1
         if lp.status != "optimal":
             continue
@@ -456,9 +471,8 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         up[jbest] = (float(np.ceil(xj)),
                      up.get(jbest, (work.variables[jbest].lb,
                                     work.variables[jbest].ub))[1])
-        warm = (lp.basis, lp.vstatus) if lp.basis is not None else None
-        push(lp.objective, down, warm)
-        push(lp.objective, up, warm)
+        push(lp.objective, down)
+        push(lp.objective, up)
 
     # Final bound: best over open and cutoff-pruned nodes plus the incumbent.
     open_bounds = [entry[2] for entry in heap] + pruned_bounds
@@ -467,18 +481,18 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             bnd = min(open_bounds) if minimize else max(open_bounds)
         else:
             bnd = root_bound
-        st = "time_limit" if status == "time_limit" else "infeasible"
+        st = "infeasible" if status == "optimal" else status
         return MipSolution(st, None, None, bnd, None, nodes, wall(),
-                           cuts_added, root_bound)
+                           cuts_added, root_bound, root_basis)
     if open_bounds:
         bnd = min(open_bounds + [incumbent]) if minimize \
             else max(open_bounds + [incumbent])
     else:
         bnd = incumbent
     g = abs(incumbent - bnd) / max(abs(incumbent), 1e-10)
-    st = "feasible" if (status == "time_limit" and g > rel_gap) else "optimal"
+    st = "feasible" if (status != "optimal" and g > rel_gap) else "optimal"
     return MipSolution(st, incumbent, incumbent_x, bnd, g, nodes, wall(),
-                       cuts_added, root_bound)
+                       cuts_added, root_bound, root_basis)
 
 
 # ---------------------------------------------------------------------------

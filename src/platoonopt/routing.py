@@ -164,7 +164,9 @@ def _restricted_shortest_time(net: RoadNetwork, allowed: set, o, d) -> float:
 
 def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
               iteration: int = 1) -> RdpModelHandle:
-    """Assemble the routing MILP for one heuristic iteration."""
+    """Assemble the routing MILP, priced from ``costs``.  The structure does
+    not depend on the costs: later iterations re-price it with
+    ``set_rdp_costs``."""
     net = inst.network
     cand = {m.id: netmodel.candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
@@ -190,17 +192,6 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
         y_col[e] = model.add_var(f"y_{e[0]}_{e[1]}", kind=mip.BINARY)
         yp_col[e] = model.add_var(f"yp_{e[0]}_{e[1]}", kind=mip.BINARY)
         w_col[e] = model.add_var(f"w_{e[0]}_{e[1]}", lb=0.0)
-
-    explored = costs.explored
-    obj: dict[int, float] = {}
-    for (v, e), col in x_col.items():
-        obj[col] = costs.cost(v, e)
-    for e in edge_vehicles:
-        if e not in explored:
-            c = costs.base[e]
-            obj[yp_col[e]] = -inst.sigma_l * c
-            obj[w_col[e]] = -inst.sigma_f * c
-    model.set_objective(obj, sense="min")
 
     # Flow balance over each vehicle's candidate subgraph.
     for m in inst.missions:
@@ -240,8 +231,29 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
         row[yp_col[e]] = -1.0
         model.add_constraint(row, ">=", 0.0, name=f"hull_{e}")
 
-    return RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
-                          edge_vehicles, costs, inst, iteration)
+    handle = RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
+                            edge_vehicles, costs, inst, iteration)
+    set_rdp_costs(handle, costs, iteration)
+    return handle
+
+
+def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable,
+                  iteration: int) -> None:
+    """Re-price a routing model for another iteration.  Only the objective
+    depends on the cost table; columns, rows and bounds stay as built, so
+    the previous iteration's LP basis remains primal feasible."""
+    inst = handle.instance
+    obj: dict[int, float] = {}
+    for (v, e), col in handle.x_col.items():
+        obj[col] = costs.cost(v, e)
+    for e in handle.edge_vehicles:
+        if e not in costs.explored:
+            c = costs.base[e]
+            obj[handle.yp_col[e]] = -inst.sigma_l * c
+            obj[handle.w_col[e]] = -inst.sigma_f * c
+    handle.model.set_objective(obj, sense="min")
+    handle.costs = costs
+    handle.iteration = iteration
 
 
 def extract_route_assignment(handle: RdpModelHandle,

@@ -206,7 +206,8 @@ def _solve_iteration_sp(routes, inst, opts):
         hook = _cuts.make_disjunctive_hook(handle)
     sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
                         time_limit_s=opts.per_solve_time_s,
-                        root_cut_hook=hook)
+                        root_cut_hook=hook,
+                        initial_solution=scheduling.solo_schedule(handle))
     if sol.status not in ("optimal", "feasible"):
         raise SubproblemFailure(f"scheduling solve ended {sol.status}")
     config = scheduling.extract_platoons(handle, sol)
@@ -256,7 +257,10 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     consecutively, some assignment has been seen ``freq_threshold`` times,
     or a limit is hit.  Returns the best realized solution; when the limit
     stops the loop before any iteration completes, that is the
-    ``no_coordination`` baseline with ``iterations == 0``."""
+    ``no_coordination`` baseline with ``iterations == 0``.
+
+    The routing model is built once; each later iteration re-prices it and
+    warm-starts its root LP from the previous iteration's root basis."""
     opts = opts or RshmOptions()
     inst.validate()
     state = RshmState(inst)
@@ -267,6 +271,8 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     termination = None
     n = 1
     prev_routes = None
+    handle = None
+    root_start = None
     while True:
         if opts.iter_cap is not None and n > opts.iter_cap:
             termination = "iter_cap"
@@ -277,12 +283,17 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         t_iter = time.perf_counter()
         costs = state.tables[n]
         try:
-            handle = routing.build_rdp(inst, costs, iteration=n)
+            if handle is None:
+                handle = routing.build_rdp(inst, costs, iteration=n)
+            else:
+                routing.set_rdp_costs(handle, costs, n)
             rdp_sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
                                     time_limit_s=opts.per_solve_time_s,
-                                    initial_solution=routing.initial_solution(handle))
+                                    initial_solution=routing.initial_solution(handle),
+                                    root_start=root_start)
             if rdp_sol.status not in ("optimal", "feasible"):
                 raise SubproblemFailure(f"routing solve ended {rdp_sol.status}")
+            root_start = rdp_sol.root_basis
             routes = routing.extract_route_assignment(handle, rdp_sol)
             platoons, _config, sp_sol = _solve_iteration_sp(routes, inst, opts)
         except (mip.ModelError, NumericalFailure) as exc:

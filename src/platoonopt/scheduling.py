@@ -385,6 +385,19 @@ class PlatoonConfiguration:
         return total
 
 
+def solo_schedule(handle: SpModelHandle) -> np.ndarray:
+    """Model-space values of the schedule with no platoons: every vehicle
+    leaves at the start of its window and drives alone.  Always feasible
+    (the big-M values cover every pair of window times), with zero savings,
+    so it is an incumbent that lets a timed-out solve end ``feasible``."""
+    x = np.zeros(handle.model.num_vars)
+    for v, col in handle.dep_col.items():
+        x[col] = handle.model.variables[col].lb
+    for (v, node), col in handle.t_col.items():
+        x[col] = x[handle.dep_col[v]] + handle.prefix[(v, node)]
+    return x
+
+
 def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
     """Decode leader/follower variables, auditing the structure rules."""
     if sol.x is None:

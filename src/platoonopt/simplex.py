@@ -2,9 +2,9 @@
 
 Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data.
 The basis inverse is kept as a sparse LU factorization plus a product-form
-eta file, refreshed periodically.  Pivoting is deterministic: Dantzig
-pricing with lowest-index tie-breaking, falling back to Bland's rule when
-stalling is detected.
+eta file, refactorized every ``refresh`` pivots.  Pivoting is deterministic:
+Dantzig pricing with lowest-index tie-breaking, falling back to Bland's rule
+when stalling is detected.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import scipy.sparse.linalg as spla
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-8
-ETA_REFRESH = 64
+ETA_REFRESH = 64        # pivots between refactorizations
+SAFE_ETA_REFRESH = 8    # the same, for the last rung of the recovery ladder
 STALL_LIMIT = 60
 
 AT_LOWER, AT_UPPER, IS_BASIC = 0, 1, 2
@@ -62,6 +63,11 @@ class _Factor:
 
 
 class SimplexResult:
+    """Outcome of one solve.  ``x`` and ``vstatus`` have one entry per
+    column of ``A``; ``basis`` has one per row and may hold indices
+    ``n..n+m-1``: the artificial column of row ``i`` (index ``n + i``) stays
+    basic at zero when phase 1 ends degenerate.  ``(basis, vstatus)`` is a
+    valid ``start`` for a later solve on the same ``A``."""
     __slots__ = ("status", "x", "basis", "vstatus", "objective", "iterations")
 
     def __init__(self, status, x, basis, vstatus, objective, iterations):
@@ -78,20 +84,32 @@ def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
           start: tuple[np.ndarray, np.ndarray] | None = None,
           max_iter: int | None = None) -> SimplexResult:
     """Two-phase solve.  All lower bounds must be finite (callers split or
-    shift free variables).  ``start`` is an optional (basis, vstatus) pair
-    used for warm starting; it is ignored if primal-infeasible.
+    shift free variables).  ``start`` is an optional (basis, vstatus) pair,
+    as returned on an earlier result for the same ``A``, used for a
+    phase-2-only warm start.  Its basis may hold artificial indices
+    ``n..n+m-1``; those columns come back as identity columns fixed at
+    zero.  A start of the wrong shape, one that is not primal feasible
+    under the current bounds, or one whose phase 2 fails numerically is
+    ignored, and the solve runs cold.
+
+    Numerical failures climb a recovery ladder: the solve as asked, then a
+    cold solve under Bland's rule, then a cold solve that refactorizes every
+    ``SAFE_ETA_REFRESH`` pivots.
     """
-    for attempt, bland_from_start in enumerate((False, True)):
+    rungs = ((start, False, ETA_REFRESH), (None, True, ETA_REFRESH),
+             (None, False, SAFE_ETA_REFRESH))
+    for k, (warm, bland, refresh) in enumerate(rungs):
         try:
-            return _solve_once(a_csc, b, c, lo, hi, start if attempt == 0 else None,
-                               max_iter, bland_from_start)
+            return _solve_once(a_csc, b, c, lo, hi, warm, max_iter, bland,
+                               refresh)
         except NumericalFailure:
-            if attempt == 1:
+            if k == len(rungs) - 1:
                 raise
     raise NumericalFailure("unreachable")
 
 
-def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere):
+def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
+                refresh):
     m, n = a_csc.shape
     if max_iter is None:
         max_iter = 50000 + 200 * m
@@ -106,7 +124,11 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere):
                              vstatus, float(c @ x), 0)
 
     if start is not None:
-        res = _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere)
+        try:
+            res = _try_warm(a_csc, b, c, lo, hi, start, max_iter,
+                            bland_everywhere, refresh)
+        except NumericalFailure:
+            res = None
         if res is not None:
             return res
 
@@ -125,7 +147,7 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere):
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     state = _State(a_ext, b, lo_ext, hi_ext, basis, vstatus_ext, x_ext)
-    it1 = _iterate(state, c1, max_iter, bland_everywhere)
+    it1 = _iterate(state, c1, max_iter, bland_everywhere, refresh)
     if it1 is None:
         raise NumericalFailure("phase 1 iteration limit")
     phase1_obj = float(c1 @ state.x)
@@ -136,7 +158,7 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere):
     state.hi[n:] = 0.0
     state.x[n:] = np.where(state.vstatus[n:] == IS_BASIC, state.x[n:], 0.0)
     c2 = np.concatenate([c, np.zeros(m)])
-    it2 = _iterate(state, c2, max_iter, bland_everywhere)
+    it2 = _iterate(state, c2, max_iter, bland_everywhere, refresh)
     if it2 is None:
         raise NumericalFailure("phase 2 iteration limit")
     if state.unbounded:
@@ -146,11 +168,19 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere):
                          float(c @ xs), it1 + it2)
 
 
-def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland):
-    """Phase-2-only attempt from a previous basis; None if not primal feasible."""
+def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
+    """Phase-2-only attempt from a previous basis; None if the start does
+    not fit ``A`` or is not primal feasible.  Each artificial index in the
+    basis gets its identity column back, fixed at ``[0, 0]``, so it can
+    only leave; the other artificials are not needed."""
     basis, vstatus = start
     m, n = a_csc.shape
-    if len(basis) != m or len(vstatus) != n or (len(basis) and basis.max() >= n):
+    if len(basis) != m or len(vstatus) != n:
+        return None
+    if basis.min() < 0 or basis.max() >= n + m:
+        return None
+    if not np.array_equal(np.flatnonzero(vstatus == IS_BASIC),
+                          np.sort(basis[basis < n])):
         return None
     vstatus = vstatus.copy()
     x = np.where(vstatus == AT_UPPER, hi, lo)
@@ -161,24 +191,42 @@ def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland):
     vstatus[bad] = AT_LOWER
     if not np.all(np.isfinite(x[np.setdiff1d(np.arange(n), basis)])):
         return None
+    # Artificial k (row art_rows[k]) becomes column n + k.
+    basis = basis.copy()
+    is_art = basis >= n
+    art_rows = basis[is_art] - n
+    k = len(art_rows)
+    a = a_csc
+    if k:
+        art = sp.csc_matrix((np.ones(k), (art_rows, np.arange(k))), shape=(m, k))
+        a = sp.hstack([a_csc, art], format="csc")
+        basis[is_art] = n + np.arange(k)
+    c_w = np.concatenate([c, np.zeros(k)])
+    lo_w = np.concatenate([lo, np.zeros(k)])
+    hi_w = np.concatenate([hi, np.zeros(k)])
+    x = np.concatenate([x, np.zeros(k)])
+    vstatus = np.concatenate([vstatus, np.full(k, IS_BASIC, dtype=np.int8)])
     x[basis] = 0.0
     try:
-        factor = _Factor(a_csc, basis)
+        factor = _Factor(a, basis)
     except NumericalFailure:
         return None
-    xb = factor.ftran(b - a_csc @ x)
-    if np.any(xb < lo[basis] - FEAS_TOL) or np.any(xb > hi[basis] + FEAS_TOL):
+    xb = factor.ftran(b - a @ x)
+    if np.any(xb < lo_w[basis] - FEAS_TOL) or np.any(xb > hi_w[basis] + FEAS_TOL):
         return None
     x[basis] = xb
-    state = _State(a_csc, b, lo.copy(), hi.copy(), basis.copy(), vstatus, x,
-                   factor=factor)
-    it = _iterate(state, c, max_iter, bland)
+    state = _State(a, b, lo_w, hi_w, basis, vstatus, x, factor=factor)
+    it = _iterate(state, c_w, max_iter, bland, refresh)
     if it is None:
         raise NumericalFailure("warm phase 2 iteration limit")
     if state.unbounded:
         return SimplexResult("unbounded", None, None, None, None, it)
-    return SimplexResult("optimal", state.x, state.basis.copy(), state.vstatus.copy(),
-                         float(c @ state.x), it)
+    out = state.basis.copy()
+    still = out >= n
+    out[still] = n + art_rows[out[still] - n]
+    xs = state.x[:n]
+    return SimplexResult("optimal", xs, out, state.vstatus[:n].copy(),
+                         float(c @ xs), it)
 
 
 class _State:
@@ -207,13 +255,14 @@ class _State:
         return v
 
 
-def _iterate(state, c, max_iter, bland_everywhere):
-    """Run pivots until optimal/unbounded. Returns iteration count, or None
+def _iterate(state, c, max_iter, bland_everywhere, refresh):
+    """Run pivots until optimal/unbounded, refactorizing once more than
+    ``refresh`` eta updates have piled up.  Returns iteration count, or None
     if the iteration limit was hit."""
     state.unbounded = False
     stall = 0
     for it in range(max_iter):
-        if state.factor.age > ETA_REFRESH:
+        if state.factor.age > refresh:
             state.refresh()
         y = state.factor.btran(c[state.basis])
         z = c - state.at @ y

@@ -251,6 +251,49 @@ def test_root_cut_hook_rounds():
     assert s.cuts_added == 1
 
 
+def _branching_knapsack():
+    # LP optimum x1 = 2/3, x2 = 1: the root is fractional
+    m = mip.LinearModel()
+    a = m.add_var("x1", kind=mip.BINARY)
+    b = m.add_var("x2", kind=mip.BINARY)
+    m.add_constraint({a: 3, b: 2}, "<=", 4)
+    m.set_objective({a: 5, b: 4}, sense="max")
+    return m
+
+
+def test_node_limit_reported_as_node_limit():
+    m = _branching_knapsack()
+    s = mip.solve_mip(m, node_limit=1)
+    assert s.status == "node_limit"
+    assert s.objective is None and s.x is None
+    assert s.nodes == 1
+    assert s.bound == pytest.approx(s.root_bound)
+    assert s.root_bound == pytest.approx(5 * 2 / 3 + 4)
+
+
+def test_node_limit_with_incumbent_keeps_gap_logic():
+    m = _branching_knapsack()
+    s = mip.solve_mip(m, node_limit=1, initial_solution=[0.0, 1.0])
+    assert s.status == "feasible"          # gap above rel_gap
+    assert s.objective == pytest.approx(4.0)
+    assert s.gap == pytest.approx((5 * 2 / 3 + 4 - 4) / 4)
+    full = mip.solve_mip(m, node_limit=100)
+    assert full.status == "optimal" and full.objective == pytest.approx(5.0)
+
+
+def test_root_basis_warm_starts_a_repriced_model():
+    m = _branching_knapsack()
+    first = mip.solve_mip(m)
+    basis, vstatus = first.root_basis
+    assert len(basis) == m.num_constraints
+    m.set_objective({0: 4, 1: 5}, sense="max")
+    warm = mip.solve_mip(m, root_start=first.root_basis)
+    cold = mip.solve_mip(m)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective)
+    assert np.array_equal(warm.x, cold.x)
+
+
 # ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------

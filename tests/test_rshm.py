@@ -202,6 +202,18 @@ class TestRun:
         assert res.z_hat == res.fuel_baseline()
         assert res.saving_rate() == 0.0
 
+    def test_timed_out_schedule_keeps_the_loop_going(self):
+        # per-solve limit 0: this instance's scheduling root LP is
+        # fractional, so the solve stops at once and keeps its no-platoon
+        # incumbent instead of failing the run
+        grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 6, seed=2)
+        res = rshm.run(inst, RshmOptions(iter_cap=1, per_solve_time_s=0.0))
+        assert res.termination == "iter_cap"
+        assert res.iterations == 1
+        assert res.z_hat == pytest.approx(res.routes.total_cost())
+        assert res.departures == {m.id: m.t_earliest for m in inst.missions}
+
     def test_baseline_keeps_time_windows(self):
         # the fuel-cheap direct edge is too slow for the window; the
         # baseline takes the fast detour through node 3 instead
@@ -231,6 +243,51 @@ class TestRun:
             val = routing.presumed_objective(rec.routes, table_next,
                                              inst)
             assert val == pytest.approx(rec.z, abs=1e-6)
+
+
+class TestIncrementalRouting:
+    """The loop builds the routing model once and warm-starts each root LP
+    from the previous iteration's basis; a cold solve from scratch of every
+    iteration's cost table must give the routes the loop used."""
+
+    def test_each_iteration_matches_a_cold_rebuild(self, small_grid):
+        opts = RshmOptions(iter_cap=8)
+        for seed in (0, 1, 2):
+            inst = nm.generate_two_cluster(small_grid, 4, seed=seed)
+            res = rshm.run(inst, opts)
+            state = res.state
+            assert state.iterations >= 2
+            for n, rec in state.records.items():
+                h = routing.build_rdp(inst, state.tables[n], iteration=n)
+                sol = mip.solve_mip(
+                    h.model, rel_gap=opts.rel_gap,
+                    initial_solution=routing.initial_solution(h))
+                assert sol.status == "optimal"
+                assert routing.extract_route_assignment(h, sol) == rec.routes
+
+    def test_model_built_once_and_root_warm_started(self, small_grid,
+                                                    monkeypatch):
+        builds, starts = [], []
+        build, solve = routing.build_rdp, mip.solve_mip
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        def recording_solve(model, **kwargs):
+            if model.name == "rdp":
+                starts.append(kwargs.get("root_start"))
+            return solve(model, **kwargs)
+
+        monkeypatch.setattr(routing, "build_rdp", counting_build)
+        monkeypatch.setattr(mip, "solve_mip", recording_solve)
+        inst = nm.generate_two_cluster(small_grid, 4, seed=1)
+        res = rshm.run(inst, RshmOptions(iter_cap=8))
+        assert res.iterations >= 2
+        assert len(builds) == 1
+        assert len(starts) == res.iterations
+        assert starts[0] is None
+        assert all(s is not None for s in starts[1:])
 
 
 class TestGapBound:

@@ -205,6 +205,30 @@ class TestBuildSp:
         assert s1.objective == pytest.approx(s2.objective, abs=1e-9)
 
 
+class TestSoloSchedule:
+    @pytest.mark.parametrize("keep_time_vars", [False, True])
+    def test_feasible_alone_at_earliest(self, appendix_example, keep_time_vars):
+        ex = appendix_example
+        h = sched.build_sp(ex["contracted"], ex["params"], ex["bounds"],
+                           sched.CutOptions(star_partition=True,
+                                            keep_time_vars=keep_time_vars))
+        x = sched.solo_schedule(h)
+        assert mip.check_solution(h.model, x) == 0.0
+        cfg = sched.extract_platoons(h, mip.LpSolution("optimal", 0.0, x))
+        assert cfg.departures == {m.id: m.t_earliest for m in ex["missions"]}
+        assert all(followers == () for plist in cfg.platoons.values()
+                   for _leader, followers in plist)
+
+    def test_timed_out_solve_ends_feasible(self, appendix_example):
+        h = appendix_example["handle"]
+        bare = mip.solve_mip(h.model, time_limit_s=0.0)
+        assert bare.status == "time_limit" and bare.x is None
+        sol = mip.solve_mip(h.model, time_limit_s=0.0,
+                            initial_solution=sched.solo_schedule(h))
+        assert sol.status == "feasible"
+        assert sol.objective == 0.0
+
+
 class TestExtractPlatoons:
     def test_leader_with_two_followers_size(self):
         # three vehicles, one shared edge, all platoonable

@@ -12,9 +12,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import mip, netmodel, oracle, routing, rshm, scheduling
+from . import cuts, mip, netmodel, routing, rshm, scheduling
 from .rshm import SavingsParams
 
 EXIT_OK = 0
@@ -124,34 +122,11 @@ def cmd_solve_sp(args) -> int:
             return EXIT_INFEASIBLE if sol.status == "infeasible" else EXIT_LIMIT
         assignment = routing.extract_route_assignment(handle, sol)
     params = SavingsParams.from_instance(inst)
-    if args.contract == "on":
-        contracted = scheduling.contract(assignment, assignment.edge_times,
-                                         assignment.edge_costs)
-    else:
-        contracted = rshm.uncontracted(assignment)
-    bounds = scheduling.time_bounds(contracted, inst.missions)
-
     cut_log: list = []
-    report = None
-    if args.out_bounds or args.cuts != "none":
-        from . import cuts as cuts_mod
-        report = cuts_mod.bound_improvement_report(contracted, params, bounds)
-    opts = scheduling.CutOptions(
-        star_partition=args.cuts in ("star", "star+disj", "star+disj+facets"),
-        size_facets=args.cuts == "star+disj+facets")
-    sp_handle = scheduling.build_sp(contracted, params, bounds, opts)
-    hook = None
-    if args.cuts in ("star+disj", "star+disj+facets"):
-        from . import cuts as cuts_mod
-        hook = cuts_mod.make_disjunctive_hook(sp_handle, log=cut_log)
-    sol = mip.solve_mip(sp_handle.model, rel_gap=args.gap,
-                        time_limit_s=args.time_limit, root_cut_hook=hook)
-    if sol.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if sol.status not in ("optimal", "feasible"):
-        return EXIT_LIMIT
-    config = scheduling.extract_platoons(sp_handle, sol)
-    expanded = scheduling.expand_platoons(config, contracted)
+    result = scheduling.solve_schedule(
+        assignment, inst, args.cuts, merge_edges=args.contract == "on",
+        rel_gap=args.gap, time_limit_s=args.time_limit, cut_log=cut_log)
+    sol, expanded = result.solution, result.platoons
     total = scheduling.total_fuel(assignment, expanded,
                                   inst.network.fuel_table(), params)
     print(f"savings={sol.objective:.4f} total_fuel={total:.4f} "
@@ -165,11 +140,14 @@ def cmd_solve_sp(args) -> int:
                     "followers": list(followers)}
                    for e in sorted(expanded.platoons)
                    for leader, followers in expanded.platoons[e] if followers],
-               "total_fuel": total, "savings": sol.objective}
+               "total_fuel": total, "savings": sol.objective,
+               "status": sol.status}
         with open(args.out_schedule, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    if args.out_bounds and report is not None:
+    if args.out_bounds:
+        report = cuts.bound_improvement_report(
+            result.handle.contracted, params, result.handle.bounds)
         bd0 = report["lp_bound_plain"]
         bd1 = report["lp_bound_disj"]
         bd2 = report["lp_bound_disj_star"]
@@ -182,14 +160,16 @@ def cmd_solve_sp(args) -> int:
                      _fmt(report["time_disj_cut_s"]), report["n_disjunctive"],
                      report["n_star_rows"], _fmt(imp1), _fmt(imp2)]])
     if args.cut_log:
-        rows = []
-        bound = report["lp_bound_plain"] if report else ""
-        for rnd, dc in enumerate(report["disj_cuts"] if report else cut_log, 1):
-            rows.append([rnd, "disjunctive", _fmt(dc.violation),
-                         len(dc.cut.coeffs), _fmt(bound), ""])
+        # a cut's bound after is the next cut's bound before; after the
+        # last cut it is the final root bound
+        afters = [before for before, _dc in cut_log[1:]] + [sol.root_bound]
         _write_csv(args.cut_log,
                    ["round", "source", "violation", "nnz", "bound_before",
-                    "bound_after"], rows)
+                    "bound_after"],
+                   [[rnd, "disjunctive", _fmt(dc.violation), len(dc.cut.coeffs),
+                     _fmt(before), _fmt(after)]
+                    for rnd, ((before, dc), after)
+                    in enumerate(zip(cut_log, afters), 1)])
     return EXIT_OK if sol.status == "optimal" else EXIT_LIMIT
 
 
@@ -312,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--routes", help="routes JSON (default: solve routing first)")
     s.add_argument("--contract", choices=["on", "off"], default="on")
-    s.add_argument("--cuts", choices=["none", "star", "star+disj",
-                                      "star+disj+facets"], default="none")
+    s.add_argument("--cuts", choices=list(scheduling.CUT_MODES),
+                   default="none")
     s.add_argument("--out-schedule")
     s.add_argument("--out-bounds")
     s.add_argument("--cut-log")
@@ -326,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--per-solve", type=float, default=600.0)
     h.add_argument("--total", type=float, default=3600.0)
     h.add_argument("--iter-cap", type=int, default=None)
-    h.add_argument("--cuts", choices=["none", "star", "star+disj",
-                                      "star+disj+facets"], default="star")
+    h.add_argument("--cuts", choices=list(scheduling.CUT_MODES),
+                   default=scheduling.DEFAULT_CUT_MODE)
     h.add_argument("--gap", type=float, default=1e-4)
     h.add_argument("--out")
     h.add_argument("--trace")

@@ -19,6 +19,7 @@ from .scheduling import SpModelHandle
 FRAC_TOL = 1e-6
 ACTIVE_TOL = 1e-7
 MIN_VIOLATION = 1e-7
+SIZE_FACET_CAP = 200
 
 
 class AssemblyError(Exception):
@@ -54,7 +55,7 @@ def star_partition_constraints(vehicles):
     return rows
 
 
-def platoon_size_facets(vehicles, max_platoon: int, cap: int = 200,
+def platoon_size_facets(vehicles, max_platoon: int, cap: int = SIZE_FACET_CAP,
                         lp_point: dict | None = None):
     """Size-cap facets: over any lambda+1 vehicles, at most lambda-1
     follower links.  Subsets beyond ``cap`` are ranked by violation at
@@ -407,14 +408,15 @@ def separate_disjunctive(point, handle: SpModelHandle,
 
 
 def make_disjunctive_hook(handle: SpModelHandle, log: list | None = None):
-    """Root-cut hook for the MIP solver: one disjunctive cut per round."""
+    """Root-cut hook for the MIP solver: one disjunctive cut per round.
+    ``log`` receives ``(root bound before the cut, DisjunctiveCut)``."""
 
     def hook(lp_solution):
         found = separate_disjunctive(lp_solution, handle)
         if found is None:
             return []
         if log is not None:
-            log.append(found)
+            log.append((lp_solution.objective, found))
         return [found.cut]
 
     return hook

@@ -326,7 +326,8 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
     invoked repeatedly on fractional root relaxations until it returns no
     cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
-    ``initial_solution`` seeds the incumbent (it must be feasible).
+    ``initial_solution`` seeds the incumbent (it must be feasible); a root
+    LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
     an earlier solve of a model that differs only in its objective.  A start
     that does not fit is ignored (see ``simplex.solve``).  A node limit
@@ -361,6 +362,9 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         rounds += 1
         root = solve_lp(work)
 
+    if root.status == "infeasible" and incumbent is not None:
+        raise NumericalFailure("root LP reported infeasible, but the "
+                               "initial solution is feasible")
     if root.status in ("infeasible", "unbounded"):
         if incumbent is not None:
             return MipSolution("optimal", incumbent, incumbent_x, incumbent,

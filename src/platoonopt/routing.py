@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mip, netmodel
-from .netmodel import ProblemInstance, RoadNetwork
+from .netmodel import ProblemInstance
 
 
 class InfeasibleMission(Exception):
@@ -141,27 +141,6 @@ def hull_inequalities(edge: tuple, vehicles: list[int]):
     return rows
 
 
-def _restricted_shortest_time(net: RoadNetwork, allowed: set, o, d) -> float:
-    dist = {o: 0.0}
-    heap = [(0.0, o)]
-    done = set()
-    while heap:
-        t, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == d:
-            return t
-        for e in net.out_adj[u]:
-            if e.key not in allowed or e.head in done:
-                continue
-            nt = t + e.time
-            if e.head not in dist or nt < dist[e.head]:
-                dist[e.head] = nt
-                heapq.heappush(heap, (nt, e.head))
-    return np.inf
-
-
 def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
               iteration: int = 1) -> RdpModelHandle:
     """Assemble the routing MILP, priced from ``costs``.  The structure does
@@ -171,8 +150,8 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
     cand = {m.id: netmodel.candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
     for m in inst.missions:
-        t_min = _restricted_shortest_time(net, cand[m.id], m.origin, m.dest)
-        if t_min > m.t_latest - m.t_earliest + 1e-9:
+        nodes = _fastest_path(net, cand[m.id], m)
+        if nodes is None or not _fits_window(net, nodes, m):
             raise InfeasibleMission(
                 f"vehicle {m.id}: no time-feasible path in its candidate set")
 
@@ -337,6 +316,18 @@ def _greedy_path(net, allowed, o, d, weight_of):
     return tuple(reversed(nodes))
 
 
+def _fastest_path(net, allowed, m):
+    """Time-shortest path of mission ``m`` over the candidate edges."""
+    return _greedy_path(net, allowed, m.origin, m.dest,
+                        lambda e: net.edge(*e).time)
+
+
+def _fits_window(net, nodes, m) -> bool:
+    t = sum(net.edge(nodes[i], nodes[i + 1]).time
+            for i in range(len(nodes) - 1))
+    return t <= m.t_latest - m.t_earliest + 1e-9
+
+
 def greedy_assignment(inst: ProblemInstance, costs: EdgeCostTable,
                       candidates: dict[int, set]) -> RouteAssignment:
     """Sequential marginal-cost routing used to seed the MILP incumbent.
@@ -361,19 +352,13 @@ def greedy_assignment(inst: ProblemInstance, costs: EdgeCostTable,
                 w -= inst.sigma_l * costs.base[e]
             return max(w, 1e-12)
 
-        def window_ok(nodes):
-            t = sum(net.edge(nodes[i], nodes[i + 1]).time
-                    for i in range(len(nodes) - 1))
-            return t <= m.t_latest - m.t_earliest + 1e-9
-
         nodes = _greedy_path(net, candidates[m.id], m.origin, m.dest, weight)
-        if nodes is not None and not window_ok(nodes):
+        if nodes is not None and not _fits_window(net, nodes, m):
             nodes = None
         if nodes is None:
             # Time-shortest candidate path; build_rdp guarantees one fits.
-            nodes = _greedy_path(net, candidates[m.id], m.origin, m.dest,
-                                 lambda e: net.edge(*e).time)
-            if nodes is None or not window_ok(nodes):
+            nodes = _fastest_path(net, candidates[m.id], m)
+            if nodes is None or not _fits_window(net, nodes, m):
                 raise InfeasibleMission(
                     f"vehicle {m.id}: no window-feasible candidate path")
         routes[m.id] = nodes

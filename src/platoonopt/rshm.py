@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import mip, netmodel, routing, scheduling
 from .routing import EdgeCostTable, RouteAssignment
-from .scheduling import CutOptions, PlatoonConfiguration
+from .scheduling import PlatoonConfiguration
 from .simplex import NumericalFailure
 
 
@@ -156,8 +156,7 @@ class RshmOptions:
     per_solve_time_s: float = 600.0
     total_time_s: float = 3600.0
     iter_cap: int | None = None
-    sp_cuts: str = "none"      # none | star | star+disj | star+disj+facets
-    contract: bool = True
+    sp_cuts: str = scheduling.DEFAULT_CUT_MODE   # a key of scheduling.CUT_MODES
     rel_gap: float = 1e-4
 
 
@@ -185,52 +184,6 @@ class RshmResult:
     def saving_rate(self) -> float:
         base = self.fuel_baseline()
         return (base - self.z_hat) / base if base else 0.0
-
-
-def _solve_iteration_sp(routes, inst, opts):
-    """Contract, build, and solve the scheduling problem for fixed routes."""
-    params = SavingsParams.from_instance(inst)
-    if opts.contract:
-        contracted = scheduling.contract(routes, routes.edge_times,
-                                         routes.edge_costs)
-    else:
-        contracted = uncontracted(routes)
-    bounds = scheduling.time_bounds(contracted, inst.missions)
-    cut_opts = CutOptions(
-        star_partition=opts.sp_cuts in ("star", "star+disj", "star+disj+facets"),
-        size_facets=opts.sp_cuts == "star+disj+facets")
-    handle = scheduling.build_sp(contracted, params, bounds, cut_opts)
-    hook = None
-    if opts.sp_cuts in ("star+disj", "star+disj+facets"):
-        from . import cuts as _cuts
-        hook = _cuts.make_disjunctive_hook(handle)
-    sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
-                        time_limit_s=opts.per_solve_time_s,
-                        root_cut_hook=hook,
-                        initial_solution=scheduling.solo_schedule(handle))
-    if sol.status not in ("optimal", "feasible"):
-        raise SubproblemFailure(f"scheduling solve ended {sol.status}")
-    config = scheduling.extract_platoons(handle, sol)
-    expanded = scheduling.expand_platoons(config, contracted)
-    return expanded, config, sol
-
-
-def uncontracted(routes) -> scheduling.ContractedRoutes:
-    """Wrap raw routes in the contracted container without merging."""
-    sigs = {e: frozenset(vs) for e, vs in routes.vehicles_by_edge().items()}
-    cedges = {}
-    out = {}
-    for v in routes.vehicles:
-        lst = []
-        for e in routes.edges(v):
-            if e not in cedges:
-                cedges[e] = scheduling.CEdge(e[0], e[1], 0,
-                                             routes.edge_times[e],
-                                             routes.edge_costs[e],
-                                             sigs[e], (e,))
-            lst.append(cedges[e])
-        out[v] = lst
-    return scheduling.ContractedRoutes(out)
 
 
 def no_coordination(inst) -> tuple[RouteAssignment, PlatoonConfiguration]:
@@ -263,6 +216,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     warm-starts its root LP from the previous iteration's root basis."""
     opts = opts or RshmOptions()
     inst.validate()
+    scheduling.cut_mode(opts.sp_cuts)   # an unknown mode fails here
     state = RshmState(inst)
     params = state.params
     fuel = inst.network.fuel_table()
@@ -295,7 +249,9 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
                 raise SubproblemFailure(f"routing solve ended {rdp_sol.status}")
             root_start = rdp_sol.root_basis
             routes = routing.extract_route_assignment(handle, rdp_sol)
-            platoons, _config, sp_sol = _solve_iteration_sp(routes, inst, opts)
+            platoons = scheduling.solve_schedule(
+                routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap,
+                time_limit_s=opts.per_solve_time_s).platoons
         except (mip.ModelError, NumericalFailure) as exc:
             raise SubproblemFailure(f"iteration {n}: {exc}") from exc
         z = scheduling.total_fuel(routes, platoons, fuel, params)

@@ -5,7 +5,8 @@ visits, prunes vehicle pairs whose time windows cannot overlap, contracts
 consecutive edges shared by identical vehicle sets, and builds the
 departure-time/platooning MILP (maximizing fuel savings).  By default the
 interior arrival-time variables are substituted out, so the only continuous
-decision per vehicle is its departure time.
+decision per vehicle is its departure time.  ``solve_schedule`` runs the
+whole pipeline for one set of routes.
 """
 
 from __future__ import annotations
@@ -32,8 +33,27 @@ class InconsistentPlatoon(Exception):
 class CutOptions:
     star_partition: bool = False
     size_facets: bool = False
-    size_facet_cap: int = 200
     keep_time_vars: bool = False
+
+
+# Cut mode -> (star-partition rows, size facets, disjunctive root cuts).
+CUT_MODES = {
+    "none": (False, False, False),
+    "star": (True, False, False),
+    "star+disj": (True, False, True),
+    "star+disj+facets": (True, True, True),
+}
+DEFAULT_CUT_MODE = "star"
+
+
+def cut_mode(mode: str) -> tuple[CutOptions, bool]:
+    """Model options of a cut mode, and whether it separates disjunctive
+    cuts at the root; raises ValueError on an unknown mode."""
+    if mode not in CUT_MODES:
+        raise ValueError(f"unknown cut mode {mode!r}; "
+                         f"expected one of {', '.join(CUT_MODES)}")
+    star, facets, disjunctive = CUT_MODES[mode]
+    return CutOptions(star_partition=star, size_facets=facets), disjunctive
 
 
 @dataclass
@@ -199,6 +219,15 @@ def contract(routes, times: dict, costs: dict) -> ContractedRoutes:
                              for v in work})
 
 
+def uncontracted(routes) -> ContractedRoutes:
+    """Wrap raw routes in the contracted container without merging."""
+    cedges = {e: CEdge(e[0], e[1], 0, routes.edge_times[e],
+                       routes.edge_costs[e], frozenset(vs), (e,))
+              for e, vs in routes.vehicles_by_edge().items()}
+    return ContractedRoutes({v: [cedges[e] for e in routes.edges(v)]
+                             for v in routes.vehicles})
+
+
 @dataclass
 class SpModelHandle:
     model: mip.LinearModel
@@ -233,7 +262,8 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
              cut_options: CutOptions | None = None) -> SpModelHandle:
     """Assemble the scheduling MILP (a maximization of fuel savings).
 
-    ``params`` carries sigma_l, sigma_f and max_platoon attributes.
+    ``params`` carries sigma_l, sigma_f and max_platoon attributes (a
+    ``ProblemInstance`` does).
     """
     opts = cut_options or CutOptions()
     big_m, pruned = platoonable_and_bigM(contracted, bounds)
@@ -338,22 +368,18 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     if opts.star_partition or opts.size_facets:
         from . import cuts as _cuts
         for key, vs in shared_edges.items():
+            families = []
             if opts.star_partition:
-                for coeffs, sense, rhs in _cuts.star_partition_constraints(vs):
-                    row = {f_col[(u, v, key)]: c for (u, v), c in coeffs.items()
-                           if (u, v, key) in f_col}
-                    if row:
-                        model.add_constraint(row, sense, rhs,
-                                             name=f"star_{key}")
-            if opts.size_facets and len(vs) >= lam + 1:
-                rows = _cuts.platoon_size_facets(vs, lam,
-                                                 cap=opts.size_facet_cap)
+                families.append(("star", _cuts.star_partition_constraints(vs)))
+            if opts.size_facets:
+                families.append(("facet", _cuts.platoon_size_facets(vs, lam)))
+            for tag, rows in families:
                 for coeffs, sense, rhs in rows:
                     row = {f_col[(u, v, key)]: c for (u, v), c in coeffs.items()
                            if (u, v, key) in f_col}
                     if row:
                         model.add_constraint(row, sense, rhs,
-                                             name=f"facet_{key}")
+                                             name=f"{tag}_{key}")
 
     return SpModelHandle(model, dep_col, f_col, l_col, t_col, big_m, pruned,
                          contracted, bounds, params.sigma_l, params.sigma_f,
@@ -456,6 +482,44 @@ def expand_platoons(config: PlatoonConfiguration,
         for orig in contracted.cedges[key].original:
             out[orig] = list(plist)
     return PlatoonConfiguration(out, dict(config.departures))
+
+
+@dataclass
+class Schedule:
+    """A solved scheduling problem: its model, the solver's answer, and the
+    platoons it realizes on the original edges."""
+    handle: SpModelHandle
+    solution: mip.MipSolution
+    platoons: PlatoonConfiguration
+
+
+def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
+                   rel_gap: float = mip.DEFAULT_REL_GAP,
+                   time_limit_s: float | None = None,
+                   cut_log: list | None = None) -> Schedule:
+    """Schedule fixed routes: contract them (unless ``merge_edges`` is
+    False), bound their times, build the model with the rows of cut mode
+    ``cuts`` (see ``CUT_MODES``), and solve it from the no-platoon
+    incumbent, so a solve stopped by ``time_limit_s`` ends ``feasible``.
+    ``inst`` supplies the missions and the savings parameters.
+    ``cut_log`` receives ``(bound before, cut)`` for each disjunctive cut
+    the root rounds add."""
+    cut_options, disjunctive = cut_mode(cuts)
+    if merge_edges:
+        contracted = contract(routes, routes.edge_times, routes.edge_costs)
+    else:
+        contracted = uncontracted(routes)
+    bounds = time_bounds(contracted, inst.missions)
+    handle = build_sp(contracted, inst, bounds, cut_options)
+    hook = None
+    if disjunctive:
+        from . import cuts as _cuts
+        hook = _cuts.make_disjunctive_hook(handle, log=cut_log)
+    sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
+                        time_limit_s=time_limit_s, root_cut_hook=hook,
+                        initial_solution=solo_schedule(handle))
+    config = extract_platoons(handle, sol)
+    return Schedule(handle, sol, expand_platoons(config, contracted))
 
 
 def total_fuel(routes, platoons: PlatoonConfiguration, edge_costs: dict,

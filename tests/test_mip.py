@@ -229,6 +229,21 @@ def test_initial_solution_seeds_incumbent():
         mip.solve_mip(m, initial_solution=[1.0, 1.0])  # violates the row
 
 
+def test_infeasible_root_with_feasible_seed_raises(monkeypatch):
+    # a checked seed proves the LP feasible, so an "infeasible" root is an
+    # engine failure, not a solve that may report the seed as optimal
+    m = mip.LinearModel()
+    a = m.add_var("x1", kind=mip.BINARY)
+    b = m.add_var("x2", kind=mip.BINARY)
+    m.add_constraint({a: 3, b: 2}, "<=", 4)
+    m.set_objective({a: 5, b: 4}, sense="max")
+    monkeypatch.setattr(mip, "solve_lp", lambda model, **kw:
+                        mip.LpSolution("infeasible", None, None))
+    with pytest.raises(mip.NumericalFailure, match="infeasible"):
+        mip.solve_mip(m, initial_solution=[1.0, 0.0])
+    assert mip.solve_mip(m).status == "infeasible"
+
+
 def test_root_cut_hook_rounds():
     # hook is called on fractional roots and its cuts are applied
     m = mip.LinearModel()

@@ -202,6 +202,21 @@ def test_rdp_value_is_lower_bound_on_cvpp(small_grid):
         assert sol.objective <= z_star + 1e-6
 
 
+@pytest.mark.parametrize("generator", [nm.generate_two_cluster,
+                                       nm.generate_distributed])
+def test_rdp_value_equals_presumed_routing_optimum(small_grid, generator):
+    # the routing model's optimum is the presumed fuel of the best route
+    # combination, found here by enumerating every combination
+    for seed in range(6):
+        inst = generator(small_grid, 3, seed=seed)
+        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        sol = mip.solve_mip(h.model, rel_gap=1e-4,
+                            initial_solution=routing.initial_solution(h))
+        z_oracle, _routes = oracle.presumed_routing_optimum(inst)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(z_oracle, rel=1e-4)
+
+
 def test_greedy_assignment_feasible(small_grid):
     inst = nm.generate_distributed(small_grid, 6, seed=2)
     h = routing.build_rdp(inst, EdgeCostTable.initial(inst))

@@ -203,16 +203,28 @@ class TestRun:
         assert res.saving_rate() == 0.0
 
     def test_timed_out_schedule_keeps_the_loop_going(self):
-        # per-solve limit 0: this instance's scheduling root LP is
-        # fractional, so the solve stops at once and keeps its no-platoon
-        # incumbent instead of failing the run
+        # per-solve limit 0: without star rows this instance's scheduling
+        # root LP is fractional, so the solve stops at once and keeps its
+        # no-platoon incumbent instead of failing the run
         grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
         inst = nm.generate_two_cluster(grid, 6, seed=2)
-        res = rshm.run(inst, RshmOptions(iter_cap=1, per_solve_time_s=0.0))
+        res = rshm.run(inst, RshmOptions(iter_cap=1, per_solve_time_s=0.0,
+                                         sp_cuts="none"))
         assert res.termination == "iter_cap"
         assert res.iterations == 1
         assert res.z_hat == pytest.approx(res.routes.total_cost())
         assert res.departures == {m.id: m.t_earliest for m in inst.missions}
+
+    def test_unknown_cut_mode_fails_before_iteration_one(self, monkeypatch):
+        def no_routing(*args, **kwargs):
+            raise AssertionError("iteration 1 started")
+
+        monkeypatch.setattr(routing, "build_rdp", no_routing)
+        with pytest.raises(ValueError, match="'stars'"):
+            rshm.run(shared_edge_instance(), RshmOptions(sp_cuts="stars"))
+
+    def test_default_cut_mode_is_star(self):
+        assert RshmOptions().sp_cuts == "star"
 
     def test_baseline_keeps_time_windows(self):
         # the fuel-cheap direct edge is too slow for the window; the

@@ -6,7 +6,8 @@ import pytest
 from platoonopt import mip, netmodel as nm, oracle, routing, scheduling as sched
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import RouteAssignment
-from platoonopt.rshm import SavingsParams, uncontracted
+from platoonopt.rshm import SavingsParams
+from platoonopt.scheduling import uncontracted
 
 from conftest import shared_edge_instance
 
@@ -227,6 +228,42 @@ class TestSoloSchedule:
                             initial_solution=sched.solo_schedule(h))
         assert sol.status == "feasible"
         assert sol.objective == 0.0
+
+
+class TestSolveSchedule:
+    def test_cut_modes_and_contraction_keep_the_optimum(self, small_grid):
+        for seed in range(4):
+            inst = nm.generate_two_cluster(small_grid, 4, seed=seed)
+            ra = _solved_assignment(inst)
+            con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+            plain = mip.solve_mip(sched.build_sp(
+                con, inst, sched.time_bounds(con, inst.missions)).model)
+            fuel = inst.network.fuel_table()
+            for mode in sched.CUT_MODES:
+                for merge in (True, False):
+                    res = sched.solve_schedule(ra, inst, mode,
+                                               merge_edges=merge)
+                    assert res.solution.status == "optimal"
+                    assert res.solution.objective == pytest.approx(
+                        plain.objective, abs=1e-6)
+                    assert sched.total_fuel(ra, res.platoons, fuel, inst) == \
+                        pytest.approx(ra.total_cost() - plain.objective)
+
+    def test_cut_log_receives_the_root_cuts(self):
+        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 8, seed=0)
+        ra = routing.shortest_path_assignment(inst)
+        log = []
+        res = sched.solve_schedule(ra, inst, "star+disj", cut_log=log)
+        assert len(log) == res.solution.cuts_added > 0
+        bounds = [before for before, _cut in log] + [res.solution.root_bound]
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+
+    def test_unknown_cut_mode_raises(self):
+        inst = shared_edge_instance()
+        with pytest.raises(ValueError, match="unknown cut mode"):
+            sched.solve_schedule(routing.shortest_path_assignment(inst),
+                                 inst, "disj")
 
 
 class TestExtractPlatoons:

@@ -3,7 +3,10 @@
 The LP relaxations are solved by the embedded simplex in ``simplex.py``;
 branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
-called with every fractional root LP solution.
+called with every fractional root LP solution.  Each root LP after a cut
+round restarts from the previous one's basis with the new rows' slacks basic
+(:func:`extend_start`), and each node LP from its parent's optimal basis;
+the dual simplex repairs the violated cut or branching bound.
 """
 
 from __future__ import annotations
@@ -163,9 +166,11 @@ class LpSolution:
 
 @dataclass
 class MipSolution:
-    # optimal | feasible | infeasible | time_limit | node_limit.  A limit
-    # that stops the search with an incumbent gives feasible (gap above
-    # rel_gap) or optimal; without one it gives time_limit or node_limit.
+    # optimal | feasible | infeasible | unbounded | time_limit | node_limit.
+    # A limit that stops the search with an incumbent gives feasible (gap
+    # above rel_gap) or optimal; without one it gives time_limit or
+    # node_limit.  unbounded: the root relaxation is unbounded, and so is
+    # the MILP whenever it has a feasible point (rational data).
     status: str
     objective: float | None
     x: np.ndarray | None
@@ -286,6 +291,35 @@ def solve_lp(model: LinearModel, bounds_override: dict | None = None,
                       is_vertex=not reformed)
 
 
+def extend_start(start, model: LinearModel, n_rows: int):
+    """Start for the LP of ``model`` built from ``start``, the (basis,
+    vstatus) of the LP of its first ``n_rows`` rows.  Each row added since
+    joins the basis through its slack column, or through its artificial
+    column for an equality row.  The reduced costs do not change, so an
+    optimal start stays dual feasible, and a violated new row is repaired
+    by the dual simplex.  None when the column layout moves with the rows
+    (a free variable's split column sits after the slacks)."""
+    if any(np.isinf(v.lb) and np.isinf(v.ub) for v in model.variables):
+        return None
+    basis, vstatus = start
+    senses = [con.sense for con in model.constraints]
+    n_old = model.num_vars + sum(s != EQ for s in senses[:n_rows])
+    n_new = model.num_vars + sum(s != EQ for s in senses)
+    added = []
+    col = n_old
+    for i in range(n_rows, len(senses)):
+        if senses[i] == EQ:
+            added.append(n_new + i)
+        else:
+            added.append(col)
+            col += 1
+    basis = np.concatenate([np.where(basis >= n_old, basis + n_new - n_old, basis),
+                            np.array(added, dtype=np.int64)])
+    vstatus = np.concatenate([vstatus, np.full(n_new - n_old, simplex.IS_BASIC,
+                                               dtype=np.int8)])
+    return basis, vstatus
+
+
 def _fractional(x, int_idx):
     out = []
     for j in int_idx:
@@ -326,13 +360,19 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
     invoked repeatedly on fractional root relaxations until it returns no
     cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
+    Each root LP after a cut round restarts from the previous root basis
+    (see :func:`extend_start`), and each node LP from its parent's optimal
+    basis; both children of a node share that one start.  The simplex runs
+    the dual simplex from such a start, and cold only when the start does
+    not fit.
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
     an earlier solve of a model that differs only in its objective.  A start
     that does not fit is ignored (see ``simplex.solve``).  A node limit
     stops the search with status ``node_limit``, or ``feasible``/``optimal``
-    by the gap when an incumbent exists.
+    by the gap when an incumbent exists.  An unbounded root relaxation gives
+    status ``unbounded``, with or without an incumbent.
     """
     model.validate()
     t0 = time.perf_counter()
@@ -356,20 +396,19 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         cuts = root_cut_hook(root)
         if not cuts:
             break
+        n_rows = work.num_constraints
         for cut in cuts:
             work.add_cut(cut)
         cuts_added += len(cuts)
         rounds += 1
-        root = solve_lp(work)
+        root = solve_lp(work, start=extend_start((root.basis, root.vstatus),
+                                                 work, n_rows))
 
     if root.status == "infeasible" and incumbent is not None:
         raise NumericalFailure("root LP reported infeasible, but the "
                                "initial solution is feasible")
     if root.status in ("infeasible", "unbounded"):
-        if incumbent is not None:
-            return MipSolution("optimal", incumbent, incumbent_x, incumbent,
-                               0.0, 1, wall(), cuts_added)
-        return MipSolution("infeasible", None, None, None, None, 1, wall(),
+        return MipSolution(root.status, None, None, None, None, 1, wall(),
                            cuts_added)
     root_bound = root.objective
     root_basis = (root.basis, root.vstatus) if root.basis is not None else None
@@ -388,10 +427,11 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     a_std, b_std, c_std, lo_std, hi_std, recover, sign, reformed = sf
     nv = work.num_vars
 
-    # Node LPs run cold.  A child tightens the bound of a variable that is
-    # fractional, hence basic, in its parent's LP, so the parent basis is
-    # primal infeasible for the child and a phase-2 warm start is refused.
-    def node_lp(overrides):
+    # A child tightens the bound of a variable that is fractional, hence
+    # basic, in its parent's LP: the parent's optimal basis stays dual
+    # feasible but is primal infeasible, so the node LP runs the dual simplex
+    # from it.
+    def node_lp(overrides, start):
         lo = lo_std.copy()
         hi = hi_std.copy()
         for j, (l, u) in overrides.items():
@@ -399,21 +439,22 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             hi[j] = min(hi[j], u)
             if lo[j] > hi[j] + 1e-15:
                 return LpSolution("infeasible", None, None)
-        res = simplex.solve(a_std, b_std, c_std, lo, hi)
+        res = simplex.solve(a_std, b_std, c_std, lo, hi, start=start)
         if res.status != "optimal":
             return LpSolution(res.status, None, None)
         return LpSolution("optimal", sign * res.objective + work.obj_constant,
-                          recover(res.x), is_vertex=not reformed)
+                          recover(res.x), basis=res.basis,
+                          vstatus=res.vstatus, is_vertex=not reformed)
 
     nodes = 1
     counter = 0
     heap: list = []
     pruned_bounds: list[float] = []
 
-    def push(bound, overrides):
+    def push(bound, overrides, start):
         nonlocal counter
         key = bound if minimize else -bound
-        heapq.heappush(heap, (key, counter, bound, overrides))
+        heapq.heappush(heap, (key, counter, bound, overrides, start))
         counter += 1
 
     frac = _fractional(root.x, int_idx)
@@ -428,7 +469,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
                            abs(incumbent - root.objective)
                            / max(abs(incumbent), 1e-10),
                            nodes, wall(), cuts_added, root_bound, root_basis)
-    push(root.objective, {})
+    push(root.objective, {}, None)
     first = True
 
     status = "optimal"
@@ -439,7 +480,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         if node_limit is not None and nodes >= node_limit:
             status = "node_limit"
             break
-        key, cnt, bound, overrides = heapq.heappop(heap)
+        key, cnt, bound, overrides, start = heapq.heappop(heap)
         if cutoff(bound, incumbent):
             pruned_bounds.append(bound)
             continue
@@ -447,7 +488,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             lp = root
             first = False
         else:
-            lp = node_lp(overrides)
+            lp = node_lp(overrides, start)
             nodes += 1
         if lp.status != "optimal":
             continue
@@ -475,8 +516,9 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         up[jbest] = (float(np.ceil(xj)),
                      up.get(jbest, (work.variables[jbest].lb,
                                     work.variables[jbest].ub))[1])
-        push(lp.objective, down)
-        push(lp.objective, up)
+        start = (lp.basis, lp.vstatus)
+        push(lp.objective, down, start)
+        push(lp.objective, up, start)
 
     # Final bound: best over open and cutoff-pruned nodes plus the incumbent.
     open_bounds = [entry[2] for entry in heap] + pruned_bounds

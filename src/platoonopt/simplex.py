@@ -2,9 +2,14 @@
 
 Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data.
 The basis inverse is kept as a sparse LU factorization plus a product-form
-eta file, refactorized every ``refresh`` pivots.  Pivoting is deterministic:
-Dantzig pricing with lowest-index tie-breaking, falling back to Bland's rule
-when stalling is detected.
+eta file, refactorized every ``refresh`` pivots.  A cold solve runs the
+primal simplex in two phases.  A solve given an earlier basis re-optimizes
+from it: with the primal simplex (phase 2 only) when the basis is primal
+feasible, or with the dual simplex when it is dual feasible but not primal
+feasible, as after a branching bound or an added cut.  Pivoting is
+deterministic: Dantzig pricing (primal) or the largest bound violation
+(dual) with lowest-index tie-breaking, falling back to Bland's rule when
+stalling is detected.
 """
 
 from __future__ import annotations
@@ -67,30 +72,40 @@ class SimplexResult:
     column of ``A``; ``basis`` has one per row and may hold indices
     ``n..n+m-1``: the artificial column of row ``i`` (index ``n + i``) stays
     basic at zero when phase 1 ends degenerate.  ``(basis, vstatus)`` is a
-    valid ``start`` for a later solve on the same ``A``."""
-    __slots__ = ("status", "x", "basis", "vstatus", "objective", "iterations")
+    valid ``start`` for a later solve on the same ``A``.  ``warm`` tells
+    whether the result was reached from the given start (False when there
+    was none or it was refused and the solve ran cold)."""
+    __slots__ = ("status", "x", "basis", "vstatus", "objective", "iterations",
+                 "warm")
 
-    def __init__(self, status, x, basis, vstatus, objective, iterations):
+    def __init__(self, status, x, basis, vstatus, objective, iterations,
+                 warm=False):
         self.status = status  # 'optimal' | 'infeasible' | 'unbounded'
         self.x = x
         self.basis = basis
         self.vstatus = vstatus
         self.objective = objective
         self.iterations = iterations
+        self.warm = warm
 
 
 def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
           lo: np.ndarray, hi: np.ndarray,
           start: tuple[np.ndarray, np.ndarray] | None = None,
           max_iter: int | None = None) -> SimplexResult:
-    """Two-phase solve.  All lower bounds must be finite (callers split or
-    shift free variables).  ``start`` is an optional (basis, vstatus) pair,
-    as returned on an earlier result for the same ``A``, used for a
-    phase-2-only warm start.  Its basis may hold artificial indices
-    ``n..n+m-1``; those columns come back as identity columns fixed at
-    zero.  A start of the wrong shape, one that is not primal feasible
-    under the current bounds, or one whose phase 2 fails numerically is
-    ignored, and the solve runs cold.
+    """Solve from ``start`` if it fits, else cold in two phases.  All lower
+    bounds must be finite (callers split or shift free variables).
+
+    ``start`` is an optional (basis, vstatus) pair, as returned on an
+    earlier result for the same ``A``; ``b``, ``c`` and the bounds may
+    differ.  Its basis may hold artificial indices ``n..n+m-1``; those
+    columns come back as identity columns fixed at zero.  A start that is
+    primal feasible under the current bounds runs primal phase 2.  One that
+    is not, but is dual feasible once boxed nonbasics with a wrong-sign
+    reduced cost sit at their other bound, runs the dual simplex and then
+    phase 2.  A start of the wrong shape, one that is neither, or one whose
+    warm run fails numerically or hits the iteration limit is ignored, and
+    the solve runs cold.  ``SimplexResult.warm`` tells which happened.
 
     Numerical failures climb a recovery ladder: the solve as asked, then a
     cold solve under Bland's rule, then a cold solve that refactorizes every
@@ -169,10 +184,12 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
 
 
 def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
-    """Phase-2-only attempt from a previous basis; None if the start does
-    not fit ``A`` or is not primal feasible.  Each artificial index in the
-    basis gets its identity column back, fixed at ``[0, 0]``, so it can
-    only leave; the other artificials are not needed."""
+    """Re-optimize from a previous basis; None if the start does not fit
+    ``A`` or is neither primal nor dual feasible.  A primal feasible start
+    runs phase 2 alone; a dual feasible one runs the dual simplex first.
+    Each artificial index in the basis gets its identity column back, fixed
+    at ``[0, 0]``, so it can only leave; the other artificials are not
+    needed."""
     basis, vstatus = start
     m, n = a_csc.shape
     if len(basis) != m or len(vstatus) != n:
@@ -206,27 +223,53 @@ def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
     hi_w = np.concatenate([hi, np.zeros(k)])
     x = np.concatenate([x, np.zeros(k)])
     vstatus = np.concatenate([vstatus, np.full(k, IS_BASIC, dtype=np.int8)])
-    x[basis] = 0.0
     try:
         factor = _Factor(a, basis)
     except NumericalFailure:
         return None
-    xb = factor.ftran(b - a @ x)
-    if np.any(xb < lo_w[basis] - FEAS_TOL) or np.any(xb > hi_w[basis] + FEAS_TOL):
-        return None
-    x[basis] = xb
     state = _State(a, b, lo_w, hi_w, basis, vstatus, x, factor=factor)
-    it = _iterate(state, c_w, max_iter, bland, refresh)
-    if it is None:
+    state.solve_basics()
+    it = 0
+    if state.violations().max(initial=0.0) > FEAS_TOL:
+        if not _flip_to_dual_feasible(state, c_w):
+            return None
+        it = _dual_iterate(state, c_w, max_iter, bland, refresh)
+        if it is None:
+            raise NumericalFailure("dual simplex iteration limit")
+        if state.infeasible:
+            return SimplexResult("infeasible", None, None, None, None, it,
+                                 warm=True)
+    it2 = _iterate(state, c_w, max_iter, bland, refresh)
+    if it2 is None:
         raise NumericalFailure("warm phase 2 iteration limit")
     if state.unbounded:
-        return SimplexResult("unbounded", None, None, None, None, it)
+        return SimplexResult("unbounded", None, None, None, None, it + it2,
+                             warm=True)
     out = state.basis.copy()
     still = out >= n
     out[still] = n + art_rows[out[still] - n]
     xs = state.x[:n]
     return SimplexResult("optimal", xs, out, state.vstatus[:n].copy(),
-                         float(c @ xs), it)
+                         float(c @ xs), it + it2, warm=True)
+
+
+def _flip_to_dual_feasible(state, c):
+    """Move each boxed nonbasic whose reduced cost has the wrong sign to its
+    other bound.  False if an unboxed one has the wrong sign: the basis is
+    then not dual feasible."""
+    d = state.reduced_costs(c)
+    low = (state.vstatus == AT_LOWER) & (d < -OPT_TOL)
+    up = (state.vstatus == AT_UPPER) & (d > OPT_TOL)
+    if np.any(low & ~np.isfinite(state.hi)):
+        return False
+    if not (low.any() or up.any()):
+        return True
+    state.vstatus[low] = AT_UPPER
+    state.x[low] = state.hi[low]
+    state.vstatus[up] = AT_LOWER
+    state.x[up] = state.lo[up]
+    state.solve_basics()
+    return True
 
 
 class _State:
@@ -241,12 +284,25 @@ class _State:
         self.x = x
         self.factor = factor or _Factor(a_csc, basis)
         self.unbounded = False
+        self.infeasible = False
 
     def refresh(self):
         self.factor = _Factor(self.a, self.basis)
+        self.solve_basics()
+
+    def solve_basics(self):
+        """Basic values from the nonbasic ones: x_B = B^-1 (b - N x_N)."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
         self.x[self.basis] = self.factor.ftran(self.b - self.a @ xn)
+
+    def violations(self):
+        """Distance of each basic value outside its bounds (<= 0 inside)."""
+        xb = self.x[self.basis]
+        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
+
+    def reduced_costs(self, c):
+        return c - self.at @ self.factor.btran(c[self.basis])
 
     def column(self, j):
         v = np.zeros(self.a.shape[0])
@@ -264,8 +320,7 @@ def _iterate(state, c, max_iter, bland_everywhere, refresh):
     for it in range(max_iter):
         if state.factor.age > refresh:
             state.refresh()
-        y = state.factor.btran(c[state.basis])
-        z = c - state.at @ y
+        z = state.reduced_costs(c)
         nb_low = (state.vstatus == AT_LOWER) & (z < -OPT_TOL)
         nb_up = (state.vstatus == AT_UPPER) & (z > OPT_TOL)
         cand = np.where(nb_low | nb_up)[0]
@@ -316,4 +371,75 @@ def _iterate(state, c, max_iter, bland_everywhere, refresh):
         state.basis[leave] = e
         state.vstatus[e] = IS_BASIC
         state.factor.push(leave, d)
+    return None
+
+
+def _dual_iterate(state, c, max_iter, bland_everywhere, refresh):
+    """Dual simplex from a dual feasible basis until every basic value is
+    within its bounds.  The leaving row has the largest bound violation;
+    the entering column passes a two-pass (Harris) ratio test that keeps
+    reduced costs within ``OPT_TOL`` of their signs and prefers large
+    pivots.  Returns the iteration count, or None at the iteration limit.
+    A violated row that no nonbasic column can repair proves the LP
+    infeasible and sets ``state.infeasible``."""
+    state.infeasible = False
+    m = state.a.shape[0]
+    movable = state.lo < state.hi
+    stall = 0
+    for it in range(max_iter):
+        if state.factor.age > refresh:
+            state.refresh()
+        viol = state.violations()
+        bland = bland_everywhere or stall > STALL_LIMIT
+        if bland:
+            rows = np.flatnonzero(viol > FEAS_TOL)
+            if rows.size == 0:
+                return it
+            r = int(rows[np.argmin(state.basis[rows])])
+        else:
+            r = int(np.argmax(viol))
+            if viol[r] <= FEAS_TOL:
+                return it
+        p = int(state.basis[r])
+        s = 1.0 if state.x[p] < state.lo[p] else -1.0   # +1: p rises to lo
+        unit = np.zeros(m)
+        unit[r] = 1.0
+        alpha = state.at @ state.factor.btran(unit)      # row r of B^-1 A
+        sig = np.where(state.vstatus == AT_LOWER, 1.0, -1.0)
+        cand = np.flatnonzero((state.vstatus != IS_BASIC) & movable
+                              & (s * sig * alpha < -PIVOT_TOL))
+        if cand.size == 0:
+            if state.factor.age:
+                state.refresh()
+                continue
+            state.infeasible = True
+            return it
+        d = state.reduced_costs(c)
+        dj = np.maximum(sig[cand] * d[cand], 0.0)
+        aj = np.abs(alpha[cand])
+        ratio = dj / aj
+        if bland:
+            ties = np.flatnonzero(ratio <= ratio.min() + 1e-12)
+            pick = int(ties[0])
+        else:
+            ties = np.flatnonzero(ratio <= ((dj + OPT_TOL) / aj).min())
+            pick = int(ties[np.argmax(aj[ties])])
+        q = int(cand[pick])
+        stall = stall + 1 if ratio[pick] < 1e-12 else 0
+
+        col = state.factor.ftran(state.column(q))
+        if abs(col[r] - alpha[q]) > 1e-6 * max(1.0, abs(col[r])):
+            if state.factor.age:
+                state.refresh()
+                continue
+            raise NumericalFailure("dual simplex pivot mismatch")
+        target = state.lo[p] if s > 0 else state.hi[p]
+        delta = (state.x[p] - target) / col[r]
+        state.x[state.basis] -= col * delta
+        state.x[q] += delta
+        state.x[p] = target
+        state.vstatus[p] = AT_LOWER if s > 0 else AT_UPPER
+        state.basis[r] = q
+        state.vstatus[q] = IS_BASIC
+        state.factor.push(r, col)
     return None

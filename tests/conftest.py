@@ -4,7 +4,7 @@ hand-built instances with known optima."""
 import numpy as np
 import pytest
 
-from platoonopt import mip, netmodel as nm, scheduling as sched
+from platoonopt import mip, netmodel as nm, routing, scheduling as sched
 from platoonopt.netmodel import Edge, Node, RoadNetwork, VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
@@ -45,6 +45,19 @@ def shared_edge_instance(edge_cost=10.0, sigma_l=0.02, sigma_f=0.1,
     inst = nm.ProblemInstance(net, missions, sigma_l, sigma_f, max_platoon)
     inst.validate()
     return inst
+
+
+def branching_sp_model():
+    """Scheduling model of a 6x6 two-cluster instance with 14 vehicles on
+    fuel-shortest routes: 72 columns, 161 rows, a fractional root LP, and a
+    branch and bound of about 20 nodes."""
+    grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
+    inst = nm.generate_two_cluster(grid, 14, seed=1)
+    ra = routing.shortest_path_assignment(inst)
+    contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    bounds = sched.time_bounds(contracted, inst.missions)
+    return sched.build_sp(contracted, SavingsParams.from_instance(inst),
+                          bounds).model
 
 
 @pytest.fixture

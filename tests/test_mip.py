@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from platoonopt import mip
+from platoonopt import mip, simplex
+
+from conftest import branching_sp_model
 
 
 def tableau_simplex(c, A, b):
@@ -296,6 +298,79 @@ def test_node_limit_with_incumbent_keeps_gap_logic():
     assert full.status == "optimal" and full.objective == pytest.approx(5.0)
 
 
+def _unbounded_milp():
+    # max x  s.t.  x - y <= 2.5, x integer >= 0, y >= 0: the relaxation
+    # and the MILP are unbounded.
+    m = mip.LinearModel()
+    x = m.add_var("x", kind=mip.INTEGER)
+    y = m.add_var("y")
+    m.add_constraint({x: 1, y: -1}, "<=", 2.5)
+    m.set_objective({x: 1}, sense="max")
+    return m
+
+
+@pytest.mark.parametrize("seed", [None, [0.0, 0.0]])
+def test_unbounded_root_reported_as_unbounded(seed):
+    s = mip.solve_mip(_unbounded_milp(), initial_solution=seed)
+    assert s.status == "unbounded"
+    assert s.objective is None and s.x is None and s.gap is None
+
+
+def _spy_on_simplex(monkeypatch):
+    """Record (start given, result, cold result) for every LP solve."""
+    calls = []
+    solve = simplex.solve
+
+    def spy(a, b, c, lo, hi, start=None, **kw):
+        res = solve(a, b, c, lo, hi, start=start, **kw)
+        calls.append((start is not None, res, solve(a, b, c, lo, hi, **kw)))
+        return res
+
+    monkeypatch.setattr(simplex, "solve", spy)
+    return calls
+
+
+def _same_lp_answer(res, cold):
+    assert res.status == cold.status
+    if cold.status == "optimal":
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+
+def test_node_lps_restart_from_their_parent_basis(monkeypatch):
+    model = branching_sp_model()
+    plain = mip.solve_mip(model)
+    calls = _spy_on_simplex(monkeypatch)
+    sol = mip.solve_mip(model)
+    assert sol.status == "optimal" and sol.nodes >= 10
+    assert sol.objective == pytest.approx(plain.objective)
+    (root_started, _root, _cold), *nodes = calls
+    assert not root_started
+    assert len(nodes) == sol.nodes - 1
+    for started, res, cold in nodes:
+        assert started and res.warm
+        _same_lp_answer(res, cold)
+    assert sum(res.iterations for _, res, _ in nodes) < \
+        sum(cold.iterations for _, _, cold in nodes)
+
+
+def test_cut_rounds_restart_from_the_previous_root(monkeypatch):
+    m = mip.LinearModel()
+    x = m.add_var("x", kind=mip.BINARY)
+    y = m.add_var("y", kind=mip.BINARY)
+    m.add_constraint({x: 2, y: 2}, "<=", 3)
+    m.set_objective({x: 1, y: 1}, sense="max")
+    cuts = [mip.Cut({x: 1.0, y: 1.0}, "<=", 1.2, tag="hull"),
+            mip.Cut({x: 1.0, y: 1.0}, "<=", 1.0, tag="hull")]
+    calls = _spy_on_simplex(monkeypatch)
+    s = mip.solve_mip(m, root_cut_hook=lambda lp: [cuts.pop(0)] if cuts else [])
+    assert s.status == "optimal" and s.objective == pytest.approx(1.0)
+    assert s.cuts_added == 2 and s.nodes == 1
+    assert [started for started, _, _ in calls] == [False, True, True]
+    for _, res, cold in calls[1:]:
+        assert res.warm
+        _same_lp_answer(res, cold)
+
+
 def test_root_basis_warm_starts_a_repriced_model():
     m = _branching_knapsack()
     first = mip.solve_mip(m)
@@ -362,7 +437,79 @@ def test_writer_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.skip(reason="no external MILP solver in this environment; "
-                         "round-trip check is documented as optional")
-def test_mps_external_roundtrip():
-    pass
+def _read_mps(text):
+    """Small reader for the fixed-format MPS that ``write_model`` emits.
+    Names hold no blanks, so fields are split on whitespace.  Columns
+    between INTORG and INTEND markers are integer, BV makes one binary, and
+    the N row is minimized (the writer negates a maximization)."""
+    model = mip.LinearModel("read")
+    senses = {"L": mip.LE, "G": mip.GE, "E": mip.EQ}
+    rows, coeffs, rhs, cols = {}, {}, {}, {}
+    obj_row = None
+    section, integral = None, False
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line.split()[0]
+            continue
+        f = line.split()
+        if section == "ROWS":
+            if f[0] == "N":
+                obj_row = f[1]
+            else:
+                rows[f[1]] = senses[f[0]]
+            coeffs[f[1]] = {}
+        elif section == "COLUMNS":
+            if f[1] == "'MARKER'":
+                integral = f[2] == "'INTORG'"
+                continue
+            if f[0] not in cols:
+                cols[f[0]] = model.add_var(
+                    f[0], kind=mip.INTEGER if integral else mip.CONTINUOUS)
+            for row, val in zip(f[1::2], f[2::2]):
+                coeffs[row][cols[f[0]]] = float(val)
+        elif section == "RHS":
+            for row, val in zip(f[1::2], f[2::2]):
+                rhs[row] = float(val)
+        elif section == "BOUNDS":
+            var = model.variables[cols[f[2]]]
+            if f[0] == "BV":
+                var.kind, var.lb, var.ub = mip.BINARY, 0.0, 1.0
+            elif f[0] == "MI":
+                var.lb = -np.inf
+            elif f[0] in ("LO", "LI"):
+                var.lb = float(f[3])
+            elif f[0] in ("UP", "UI"):
+                var.ub = float(f[3])
+    for name, sense in rows.items():
+        model.add_constraint(coeffs[name], sense, rhs.get(name, 0.0), name=name)
+    model.set_objective(coeffs[obj_row], sense="min")
+    return model
+
+
+def test_mps_roundtrip(tmp_path):
+    # Binary, bounded integer, boxed continuous and upper-bounded-only
+    # columns; <=, == and >= rows; a maximization.
+    m = mip.LinearModel("rt")
+    x1 = m.add_var("x1", kind=mip.BINARY)
+    x2 = m.add_var("x2", kind=mip.BINARY)
+    n = m.add_var("n", 0.0, 3.0, kind=mip.INTEGER)
+    w = m.add_var("w", -2.0, 5.0)
+    v = m.add_var("v", -np.inf, 4.0)
+    m.add_constraint({x1: 3, x2: 2, n: 1}, "<=", 4.5, name="cap")
+    m.add_constraint({x1: 1, w: -1}, "==", 0, name="link")
+    m.add_constraint({n: 1, v: 1}, ">=", 1, name="cover")
+    m.set_objective({x1: 5, x2: 4, n: 3, w: 0.5, v: -1}, sense="max")
+    path = tmp_path / "rt.mps"
+    mip.write_model(m, "MPS", str(path))
+    back = _read_mps(path.read_text())
+
+    assert [(u.name, u.kind, u.lb, u.ub) for u in back.variables] == \
+        [(u.name, u.kind, u.lb, u.ub) for u in m.variables]
+    assert [(c.coeffs, c.sense, c.rhs) for c in back.constraints] == \
+        [(c.coeffs, c.sense, c.rhs) for c in m.constraints]
+    assert back.obj_coeffs == {j: -c for j, c in m.obj_coeffs.items()}
+    orig, read = mip.solve_mip(m), mip.solve_mip(back)
+    assert orig.status == read.status == "optimal"
+    assert orig.objective == pytest.approx(11.0)
+    assert read.objective == pytest.approx(-orig.objective)
+    mip.check_solution(m, read.x)

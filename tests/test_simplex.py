@@ -1,13 +1,19 @@
 """Simplex engine: warm starts from earlier bases (including bases that keep
-artificial columns) and the numerical recovery ladder."""
+artificial columns), dual simplex restarts after branching bounds and added
+rows, and the numerical recovery ladder."""
 
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from platoonopt import mip, netmodel as nm, routing, rshm, simplex
+
+from conftest import branching_sp_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,7 +98,8 @@ class TestWarmStart:
             assert np.array_equal(warm.x, cold.x)
 
     def test_primal_infeasible_start_falls_back_to_cold(self):
-        # Fix a basic variable away from its value, as branching does.
+        # Fix a basic variable away from its value, as branching does, and
+        # price by a new objective, so the start is not dual feasible either.
         a, b, lo, hi, c1, c2 = _small_rdp()
         first = simplex.solve(a, b, c1, lo, hi)
         n = a.shape[1]
@@ -105,6 +112,147 @@ class TestWarmStart:
         assert warm.status == cold.status
         assert warm.objective == cold.objective
         assert warm.iterations == cold.iterations
+        assert not warm.warm
+
+
+def _rdp_model():
+    """First-iteration routing model of the 4-vehicle instance of
+    ``_small_rdp``."""
+    grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
+    inst = nm.generate_two_cluster(grid, 4, seed=0)
+    state = rshm.run(inst, rshm.RshmOptions(iter_cap=1)).state
+    return routing.build_rdp(inst, state.tables[1]).model
+
+
+@functools.lru_cache(maxsize=None)
+def _root(name):
+    """(model, cold root LP result, basic integer columns).  Both roots end
+    phase 1 degenerate, so their bases keep artificial columns."""
+    model = {"sp": branching_sp_model, "rdp": _rdp_model}[name]()
+    a, b, c, lo, hi, *_ = mip._standard_form(model)
+    root = simplex.solve(a, b, c, lo, hi)
+    assert root.status == "optimal"
+    assert root.basis.max() >= a.shape[1]
+    ints = set(model.integer_indices())
+    return model, root, sorted(int(j) for j in root.basis if j in ints)
+
+
+def _branch(model, x, j, up):
+    """Child bounds of column ``j``: above or below its root value ``x[j]``
+    (one unit beyond it when it is integral)."""
+    v = model.variables[j]
+    if up:
+        return min(v.ub, np.floor(x[j]) + 1.0), v.ub
+    return v.lb, max(v.lb, np.ceil(x[j]) - 1.0)
+
+
+def _warm_and_cold(model, root, overrides, rows=()):
+    """Solve the child (``model`` with ``overrides`` and the appended rows)
+    from the root's basis and cold; returns (A, b, lo, hi, warm, cold)."""
+    child = model.copy()
+    for coeffs, rhs in rows:
+        child.add_constraint(coeffs, ">=", rhs)
+    a, b, c, lo, hi, *_ = mip._standard_form(child, overrides)
+    start = mip.extend_start((root.basis, root.vstatus), child,
+                             model.num_constraints)
+    warm = simplex.solve(a, b, c, lo, hi, start=start)
+    cold = simplex.solve(a, b, c, lo, hi)
+    return a, b, lo, hi, warm, cold
+
+
+@st.composite
+def _children(draw):
+    """A root (scheduling or routing), up to two branching bounds on its
+    basic integer columns, and up to two appended ``>=`` rows that cut the
+    root point off by ``excess`` (the largest make the child infeasible)."""
+    name = draw(st.sampled_from(["sp", "rdp"]))
+    model, _root_lp, basic = _root(name)
+    cols = draw(st.lists(st.sampled_from(basic), max_size=2, unique=True))
+    ups = draw(st.lists(st.booleans(), min_size=len(cols), max_size=len(cols)))
+    terms = st.lists(st.tuples(st.sampled_from(range(model.num_vars)),
+                               st.integers(1, 3)),
+                     min_size=1, max_size=4, unique_by=lambda t: t[0])
+    rows = draw(st.lists(st.tuples(terms, st.sampled_from([0.01, 0.1, 0.5, 50.0])),
+                         max_size=2))
+    assume(cols or rows)
+    return name, list(zip(cols, ups)), rows
+
+
+class TestDualRestart:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_children())
+    def test_child_from_root_basis_matches_cold(self, child):
+        name, branches, rows = child
+        model, root, _ = _root(name)
+        x = root.x
+        overrides = {j: _branch(model, x, j, up) for j, up in branches}
+        cut_rows = [(dict(terms), sum(v * x[j] for j, v in terms) + excess)
+                    for terms, excess in rows]
+        a, b, lo, hi, warm, cold = _warm_and_cold(model, root, overrides,
+                                                  cut_rows)
+        event(f"{name}: child {cold.status}")
+        assert warm.warm
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                                   abs=1e-9)
+            assert np.abs(a @ warm.x - b).max() <= simplex.FEAS_TOL
+            assert np.all(warm.x >= lo - simplex.FEAS_TOL)
+            assert np.all(warm.x <= hi + simplex.FEAS_TOL)
+
+    def test_infeasible_children_are_proved_from_the_root_basis(self):
+        # Every up branch of the scheduling root; many have no feasible point.
+        model, root, basic = _root("sp")
+        statuses = []
+        for j in basic:
+            overrides = {j: _branch(model, root.x, j, True)}
+            *_, warm, cold = _warm_and_cold(model, root, overrides)
+            assert warm.warm and warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       rel=1e-9, abs=1e-9)
+            statuses.append(cold.status)
+        assert "infeasible" in statuses and "optimal" in statuses
+
+    def test_wrong_sign_boxed_columns_flip_before_the_dual(self):
+        # min c.x, x1 + x2 + x3 = 1.5, 0 <= x <= 1.  The first optimum has
+        # x1 at its upper bound and x2 = 0.5 basic.  Reversing the prices
+        # and fixing x2 at 0 leaves x1 (at upper) and x3 (at lower) with
+        # wrong-sign reduced costs; both are boxed, so they flip and the
+        # dual simplex repairs x2.
+        a = sp.csc_matrix(np.ones((1, 3)))
+        b, lo, hi = np.array([1.5]), np.zeros(3), np.ones(3)
+        first = simplex.solve(a, b, np.array([1.0, 2.0, 3.0]), lo, hi)
+        assert list(first.basis) == [1] and first.vstatus[0] == simplex.AT_UPPER
+        c2, hi2 = np.array([3.0, 2.0, 1.0]), np.array([1.0, 0.0, 1.0])
+        warm = simplex.solve(a, b, c2, lo, hi2, start=(first.basis, first.vstatus))
+        cold = simplex.solve(a, b, c2, lo, hi2)
+        assert warm.warm and warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert np.allclose(warm.x, [0.5, 0.0, 1.0])
+
+    def test_extended_start_covers_equality_rows(self):
+        # An appended equality row has no slack: its artificial column
+        # carries the violation into the start and the dual simplex drives
+        # it out.
+        m = mip.LinearModel()
+        x = m.add_var("x", 0.0, 4.0)
+        y = m.add_var("y", 0.0, 4.0)
+        m.add_constraint({x: 1.0, y: 2.0}, "<=", 6.0)
+        m.set_objective({x: 1.0, y: 1.0}, sense="max")
+        first = mip.solve_lp(m)
+        n_rows = m.num_constraints
+        m.add_constraint({x: 1.0, y: -1.0}, "==", 1.0)
+        m.add_constraint({y: 1.0}, ">=", 1.5)
+        start = mip.extend_start((first.basis, first.vstatus), m, n_rows)
+        a, b, c, lo, hi, *_ = mip._standard_form(m)
+        assert len(start[0]) == a.shape[0] and len(start[1]) == a.shape[1]
+        assert a.shape[1] + 1 in start[0]       # artificial of the equality
+        warm = simplex.solve(a, b, c, lo, hi, start=start)
+        cold = simplex.solve(a, b, c, lo, hi)
+        assert warm.warm and warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
 
 
 class TestRecovery:

@@ -105,11 +105,36 @@ def cmd_solve_rdp(args) -> int:
 
 
 def _routes_from_file(inst, path) -> routing.RouteAssignment:
+    """Routes JSON ``{"routes": {vehicle: [node, ...]}}``, checked against
+    the instance: one route per mission, each a simple path from the
+    mission's origin to its destination along edges of the network.  Raises
+    ``netmodel.ValidationError`` naming the first vehicle that breaks a
+    rule."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     routes = {int(v): tuple(nodes) for v, nodes in doc["routes"].items()}
+    missions = {m.id: m for m in inst.missions}
+    for v in sorted(set(missions) ^ set(routes)):
+        problem = ("has no route in the routes file" if v in missions
+                   else "has a route but no mission in the instance")
+        raise netmodel.ValidationError(f"vehicle {v} {problem}")
     net = inst.network
-    return routing.RouteAssignment(routes, net.time_table(), net.fuel_table())
+    for v, nodes in sorted(routes.items()):
+        m = missions[v]
+        if not nodes or nodes[0] != m.origin or nodes[-1] != m.dest:
+            raise netmodel.ValidationError(
+                f"vehicle {v}: route must run from node {m.origin} "
+                f"to node {m.dest}")
+        for hop in zip(nodes, nodes[1:]):
+            if hop not in net.edges:
+                raise netmodel.ValidationError(
+                    f"vehicle {v}: route uses {hop}, not an edge of the "
+                    f"network")
+    try:
+        return routing.RouteAssignment(routes, net.time_table(),
+                                       net.fuel_table())
+    except routing.NonPathSolution as exc:
+        raise netmodel.ValidationError(str(exc)) from exc
 
 
 def cmd_solve_sp(args) -> int:

@@ -3,10 +3,13 @@
 The LP relaxations are solved by the embedded simplex in ``simplex.py``;
 branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
-called with every fractional root LP solution.  Each root LP after a cut
-round restarts from the previous one's basis with the new rows' slacks basic
-(:func:`extend_start`), and each node LP from its parent's optimal basis;
-the dual simplex repairs the violated cut or branching bound.
+called with every fractional root LP solution.  The first root LP starts
+from a given basis, or else from a basis built at the seeded incumbent
+(:func:`seed_start`), and cold only without either.  Each root LP after a
+cut round restarts from the previous one's basis with the new rows' slacks
+basic (:func:`extend_start`), and each node LP from its parent's optimal
+basis; the dual simplex repairs the violated cut or branching bound.  The
+standard form is built once per root LP, and the last one serves the nodes.
 """
 
 from __future__ import annotations
@@ -281,14 +284,70 @@ def solve_lp(model: LinearModel, bounds_override: dict | None = None,
     sf = _standard_form(model, bounds_override)
     if sf is None:
         return LpSolution("infeasible", None, None)
-    a, b, c, lo, hi, recover, sign, reformed = sf
-    res = simplex.solve(a, b, c, lo, hi, start=start)
+    return _solve_standard(sf, model.obj_constant, start=start)
+
+
+def _solve_standard(sf, obj_constant: float, lo=None, hi=None,
+                    start=None) -> LpSolution:
+    """Solve the standard form ``sf``, optionally under other column bounds
+    ``lo``/``hi``, and map the answer back to the model's columns."""
+    a, b, c, lo_sf, hi_sf, recover, sign, reformed = sf
+    res = simplex.solve(a, b, c, lo_sf if lo is None else lo,
+                        hi_sf if hi is None else hi, start=start)
     if res.status != "optimal":
         return LpSolution(res.status, None, None)
-    x = recover(res.x)
-    obj = sign * res.objective + model.obj_constant
-    return LpSolution("optimal", obj, x, basis=res.basis, vstatus=res.vstatus,
+    return LpSolution("optimal", sign * res.objective + obj_constant,
+                      recover(res.x), basis=res.basis, vstatus=res.vstatus,
                       is_vertex=not reformed)
+
+
+def seed_start(sf, point) -> tuple | None:
+    """Start ``(basis, vstatus)`` for the standard form ``sf`` at ``point``,
+    a feasible point of the model in its own columns.  A column at a bound
+    is nonbasic at that bound.  Each row is basic in its slack, or, for an
+    equality row, in its artificial column (index ``n + i``), which stays at
+    zero.  A column strictly inside its bounds replaces the slack (or the
+    artificial) of its only row, which must be zero at the point.  None when
+    there is no such start: a model with shifted or split columns, a point
+    outside its bounds or rows, or an interior column in several rows or
+    sharing its row with another one.  ``simplex.solve`` still checks the
+    start and ignores one that does not fit."""
+    a, b, _c, lo, hi, _recover, _sign, reformed = sf
+    if reformed:
+        return None
+    m, n = a.shape
+    x = np.asarray(point, dtype=float)
+    nv = len(x)
+    lo_x, hi_x = lo[:nv], hi[:nv]
+    if np.any(x < lo_x - FEAS_TOL) or np.any(x > hi_x + FEAS_TOL):
+        return None
+    at_lo = np.abs(x - lo_x) <= FEAS_TOL
+    at_hi = ~at_lo & (np.abs(x - hi_x) <= FEAS_TOL)
+    resid = b - a[:, :nv] @ np.where(at_lo, lo_x, np.where(at_hi, hi_x, x))
+    # Slack column k has one entry, in row srow[k]: its value is resid / coef.
+    srow = a.indices[a.indptr[nv:n]]
+    row_value = resid.copy()
+    row_value[srow] = resid[srow] / a.data[a.indptr[nv:n]]
+    basis = n + np.arange(m, dtype=np.int64)
+    basis[srow] = np.arange(nv, n)
+    eq = basis >= n
+    if (np.any(row_value[~eq] < -FEAS_TOL)
+            or np.any(np.abs(row_value[eq]) > FEAS_TOL)):
+        return None
+    vstatus = np.full(n, simplex.IS_BASIC, dtype=np.int8)
+    vstatus[:nv] = np.where(at_hi, simplex.AT_UPPER, simplex.AT_LOWER)
+    for j in np.flatnonzero(~(at_lo | at_hi)):
+        s, e = a.indptr[j], a.indptr[j + 1]
+        if e - s != 1:
+            return None
+        i = a.indices[s]
+        if basis[i] < nv or abs(row_value[i]) > FEAS_TOL:
+            return None
+        if basis[i] < n:
+            vstatus[basis[i]] = simplex.AT_LOWER
+        basis[i] = j
+        vstatus[j] = simplex.IS_BASIC
+    return basis, vstatus
 
 
 def extend_start(start, model: LinearModel, n_rows: int):
@@ -368,8 +427,11 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
-    an earlier solve of a model that differs only in its objective.  A start
-    that does not fit is ignored (see ``simplex.solve``).  A node limit
+    an earlier solve of a model that differs only in its objective.  Without
+    one, the first root LP starts from ``initial_solution`` when
+    :func:`seed_start` can turn it into a basis, so phase 2 runs from the
+    seed's vertex.  A start that does not fit is ignored (see
+    ``simplex.solve``).  A node limit
     stops the search with status ``node_limit``, or ``feasible``/``optimal``
     by the gap when an incumbent exists.  An unbounded root relaxation gives
     status ``unbounded``, with or without an incumbent.
@@ -389,7 +451,11 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         incumbent_x = np.asarray(initial_solution, dtype=float)
 
     cuts_added = 0
-    root = solve_lp(work, start=root_start)
+    sf = _standard_form(work)
+    start = root_start
+    if start is None and incumbent_x is not None:
+        start = seed_start(sf, incumbent_x)
+    root = _solve_standard(sf, work.obj_constant, start=start)
     rounds = 0
     while (root.status == "optimal" and root_cut_hook is not None
            and rounds < cut_rounds and _fractional(root.x, int_idx)):
@@ -401,8 +467,10 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             work.add_cut(cut)
         cuts_added += len(cuts)
         rounds += 1
-        root = solve_lp(work, start=extend_start((root.basis, root.vstatus),
-                                                 work, n_rows))
+        sf = _standard_form(work)
+        root = _solve_standard(sf, work.obj_constant,
+                               start=extend_start((root.basis, root.vstatus),
+                                                  work, n_rows))
 
     if root.status == "infeasible" and incumbent is not None:
         raise NumericalFailure("root LP reported infeasible, but the "
@@ -422,15 +490,13 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         return (bound >= inc - slack(inc)) if minimize \
             else (bound <= inc + slack(inc))
 
-    # Standard form is prepared once; nodes only patch variable bounds.
-    sf = _standard_form(work)
-    a_std, b_std, c_std, lo_std, hi_std, recover, sign, reformed = sf
-    nv = work.num_vars
+    # The final root's standard form serves every node; nodes only patch
+    # variable bounds.  A child tightens the bound of a variable that is
+    # fractional, hence basic, in its parent's LP: the parent's optimal
+    # basis stays dual feasible but is primal infeasible, so the node LP
+    # runs the dual simplex from it.
+    lo_std, hi_std = sf[3], sf[4]
 
-    # A child tightens the bound of a variable that is fractional, hence
-    # basic, in its parent's LP: the parent's optimal basis stays dual
-    # feasible but is primal infeasible, so the node LP runs the dual simplex
-    # from it.
     def node_lp(overrides, start):
         lo = lo_std.copy()
         hi = hi_std.copy()
@@ -439,12 +505,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             hi[j] = min(hi[j], u)
             if lo[j] > hi[j] + 1e-15:
                 return LpSolution("infeasible", None, None)
-        res = simplex.solve(a_std, b_std, c_std, lo, hi, start=start)
-        if res.status != "optimal":
-            return LpSolution(res.status, None, None)
-        return LpSolution("optimal", sign * res.objective + work.obj_constant,
-                          recover(res.x), basis=res.basis,
-                          vstatus=res.vstatus, is_vertex=not reformed)
+        return _solve_standard(sf, work.obj_constant, lo, hi, start=start)
 
     nodes = 1
     counter = 0

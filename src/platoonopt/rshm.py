@@ -75,6 +75,10 @@ class RshmState:
         self.records: dict[int, IterationRecord] = {}
         self.tables: dict[int, EdgeCostTable] = {1: EdgeCostTable.initial(inst)}
         self.explored: set = set()
+        # per iteration: each vehicle's route edges, and the platoons (as
+        # vehicle sets) on each edge it scheduled
+        self.route_edges: dict[int, dict[int, frozenset]] = {}
+        self.platoon_sets: dict[int, dict[tuple, set]] = {}
         self.routes_freq: dict[str, int] = {}
         self.best_z = float("inf")
         self.best: IterationRecord | None = None
@@ -86,6 +90,10 @@ class RshmState:
     def record(self, rec: IterationRecord) -> None:
         self.records[rec.index] = rec
         self.explored |= rec.routes.all_edges()
+        self.route_edges[rec.index] = {v: frozenset(rec.routes.edges(v))
+                                       for v in rec.routes.routes}
+        self.platoon_sets[rec.index] = {e: rec.platoons.platoon_sets(e)
+                                        for e in rec.platoons.platoons}
         key = rec.routes.key()
         self.routes_freq[key] = self.routes_freq.get(key, 0) + 1
         if rec.z < self.best_z:
@@ -96,6 +104,9 @@ class RshmState:
         return max(self.routes_freq.values(), default=0)
 
 
+_NO_PLATOONS = frozenset()
+
+
 def similarity_index(state: RshmState, n: int, v: int, edge) -> int | None:
     """Largest earlier iteration whose platoon configuration on ``edge``
     matches iteration ``n``'s, with ``v`` assigned to the edge right after.
@@ -103,13 +114,12 @@ def similarity_index(state: RshmState, n: int, v: int, edge) -> int | None:
     whose successor does not route ``v`` at all never qualifies."""
     if n < 3 or n not in state.records:
         return None
-    target = state.records[n].platoons.platoon_sets(edge)
+    target = state.platoon_sets[n].get(edge, _NO_PLATOONS)
     for k in range(n - 2, 0, -1):
-        nxt = state.records.get(k + 1)
-        if (nxt is None or v not in nxt.routes.routes
-                or edge not in nxt.routes.edges(v)):
+        nxt = state.route_edges.get(k + 1)
+        if nxt is None or edge not in nxt.get(v, ()):
             continue
-        if state.records[k].platoons.platoon_sets(edge) == target:
+        if state.platoon_sets[k].get(edge, _NO_PLATOONS) == target:
             return k
     return None
 
@@ -127,7 +137,7 @@ def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
     explored = frozenset(state.explored)
     adjusted: dict[tuple, float] = {}
     vehicles = [m.id for m in state.instance.missions]
-    on_route = {v: set(rec.routes.edges(v)) for v in vehicles}
+    on_route = state.route_edges[n]
     for e in sorted(explored):
         cost = base[e]
         for v in vehicles:

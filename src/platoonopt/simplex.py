@@ -3,8 +3,11 @@
 Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data.
 The basis inverse is kept as a sparse LU factorization plus a product-form
 eta file, refactorized every ``refresh`` pivots.  A cold solve runs the
-primal simplex in two phases.  A solve given an earlier basis re-optimizes
-from it: with the primal simplex (phase 2 only) when the basis is primal
+primal simplex in two phases from a crash basis: each row starts basic in
+a singleton column (a slack, say) that can absorb its residual within that
+column's bounds, and only the other rows on an artificial column.  A solve
+given an earlier basis, or one built from a known point, re-optimizes from
+it: with the primal simplex (phase 2 only) when the basis is primal
 feasible, or with the dual simplex when it is dual feasible but not primal
 feasible, as after a branching bound or an added cut.  Pivoting is
 deterministic: Dantzig pricing (primal) or the largest bound violation
@@ -93,8 +96,9 @@ def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
           lo: np.ndarray, hi: np.ndarray,
           start: tuple[np.ndarray, np.ndarray] | None = None,
           max_iter: int | None = None) -> SimplexResult:
-    """Solve from ``start`` if it fits, else cold in two phases.  All lower
-    bounds must be finite (callers split or shift free variables).
+    """Solve from ``start`` if it fits, else cold in two phases from a crash
+    basis (see ``_solve_once``).  All lower bounds must be finite (callers
+    split or shift free variables).
 
     ``start`` is an optional (basis, vstatus) pair, as returned on an
     earlier result for the same ``A``; ``b``, ``c`` and the bounds may
@@ -125,6 +129,13 @@ def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
 
 def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
                 refresh):
+    """One solve: from ``start`` when ``_try_warm`` accepts it, else cold.
+    The cold path puts every structural at its lower bound and starts from
+    the crash basis of ``_crash``: a row whose residual a singleton column
+    absorbs within that column's bounds has that column basic, and every
+    other row its artificial column.  Phase 1 minimizes the sum of the
+    artificials, phase 2 the objective with the artificials fixed at
+    zero."""
     m, n = a_csc.shape
     if max_iter is None:
         max_iter = 50000 + 200 * m
@@ -147,18 +158,27 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
         if res is not None:
             return res
 
-    # Phase 1: artificial column per row, structurals at their lower bound.
+    # Phase 1 from the crash basis; a crashed row's artificial is fixed at
+    # zero.  Every basic column has one nonzero, in its own row, so the
+    # basis is a permuted diagonal and cannot be singular.
     vstatus = np.full(n, AT_LOWER, dtype=np.int8)
     x = lo.copy()
     resid = b - a_csc @ x
+    rows, cols, step = _crash(a_csc, resid, lo, hi)
+    x[cols] += step
+    resid[rows] = 0.0
+    vstatus[cols] = IS_BASIC
     sign = np.where(resid >= 0.0, 1.0, -1.0)
     art = sp.diags(sign).tocsc()
     a_ext = sp.hstack([a_csc, art], format="csc")
     lo_ext = np.concatenate([lo, np.zeros(m)])
     hi_ext = np.concatenate([hi, np.full(m, np.inf)])
+    hi_ext[n + rows] = 0.0
     x_ext = np.concatenate([x, np.abs(resid)])
     vstatus_ext = np.concatenate([vstatus, np.full(m, IS_BASIC, dtype=np.int8)])
+    vstatus_ext[n + rows] = AT_LOWER
     basis = np.arange(n, n + m, dtype=np.int64)
+    basis[rows] = cols
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     state = _State(a_ext, b, lo_ext, hi_ext, basis, vstatus_ext, x_ext)
@@ -181,6 +201,25 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
     xs = state.x[:n]
     return SimplexResult("optimal", xs, state.basis.copy(), state.vstatus[:n].copy(),
                          float(c @ xs), it1 + it2)
+
+
+def _crash(a_csc, resid, lo, hi):
+    """Crash basis columns for the cold start, from the residual ``b - A lo``.
+    A column with a single nonzero ``a[i, j]`` can take row ``i``'s residual
+    when the value it then needs, ``lo[j] + resid[i] / a[i, j]``, lies within
+    its bounds; each row takes the lowest-index such column.  Returns the
+    crashed rows, their columns and each column's step above its lower
+    bound."""
+    single = np.flatnonzero(np.diff(a_csc.indptr) == 1)
+    pos = a_csc.indptr[single]
+    keep = np.abs(a_csc.data[pos]) > PIVOT_TOL    # no stored zeros
+    single, pos = single[keep], pos[keep]
+    coef = a_csc.data[pos]
+    row = a_csc.indices[pos]
+    step = resid[row] / coef
+    fits = (step >= 0.0) & (step <= hi[single] - lo[single])
+    rows, first = np.unique(row[fits], return_index=True)
+    return rows, single[fits][first], step[fits][first]
 
 
 def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):

@@ -75,6 +75,63 @@ class TestSolveSpCommand:
         assert doc["departures"] == {str(m.id): m.t_earliest
                                      for m in inst.missions}
 
+    def _bad_routes(self, tmp_path, cluster, edit):
+        """Run ``solve-sp`` on the cluster's routes after ``edit(inst,
+        routes)`` changed them in place; returns its exit code."""
+        inst, inst_path, routes_path = cluster
+        with open(routes_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        routes = {int(v): r for v, r in doc["routes"].items()}
+        edit(inst, routes)
+        bad = tmp_path / "bad_routes.json"
+        bad.write_text(json.dumps({"routes": {str(v): r for v, r
+                                              in routes.items()}}),
+                       encoding="utf-8")
+        return cli.main(["solve-sp", "--instance", inst_path,
+                         "--routes", str(bad)])
+
+    def test_routes_file_must_cover_every_mission(self, tmp_path, cluster,
+                                                  capsys):
+        code = self._bad_routes(tmp_path, cluster,
+                                lambda inst, routes: routes.pop(3))
+        assert code == cli.EXIT_USAGE
+        assert "vehicle 3 has no route" in capsys.readouterr().err
+
+    def test_routes_file_must_not_add_vehicles(self, tmp_path, cluster,
+                                               capsys):
+        def extra(inst, routes):
+            routes[len(inst.missions) + 1] = routes[1]
+        code = self._bad_routes(tmp_path, cluster, extra)
+        assert code == cli.EXIT_USAGE
+        assert "vehicle 7 has a route but no mission" in capsys.readouterr().err
+
+    def test_route_must_join_origin_and_destination(self, tmp_path, cluster,
+                                                    capsys):
+        def truncate(inst, routes):
+            routes[2] = routes[2][:-1]
+        code = self._bad_routes(tmp_path, cluster, truncate)
+        assert code == cli.EXIT_USAGE
+        assert "vehicle 2: route must run from" in capsys.readouterr().err
+
+    def test_route_hops_must_be_edges(self, tmp_path, cluster, capsys):
+        def jump(inst, routes):
+            o, d = routes[4][0], routes[4][-1]
+            far = next(n for n in sorted(inst.network.nodes)
+                       if n not in (o, d) and (o, n) not in inst.network.edges)
+            routes[4] = [o, far, d]
+        code = self._bad_routes(tmp_path, cluster, jump)
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "vehicle 4: route uses" in err and "not an edge" in err
+
+    def test_route_must_be_a_simple_path(self, tmp_path, cluster, capsys):
+        def loop(inst, routes):
+            r = routes[5]
+            routes[5] = [r[0], r[1], r[0], *r[1:]]
+        code = self._bad_routes(tmp_path, cluster, loop)
+        assert code == cli.EXIT_USAGE
+        assert "vehicle 5: repeated node" in capsys.readouterr().err
+
     def test_bounds_are_ordered(self, tmp_path, cluster):
         _inst, inst_path, routes_path = cluster
         out, bounds = tmp_path / "schedule.json", tmp_path / "bounds.csv"
@@ -93,8 +150,8 @@ class TestSolveSpCommand:
     def test_cut_log_lists_the_solve_cuts(self, tmp_path, monkeypatch):
         # on fuel-shortest routes this instance's root takes three
         # disjunctive cuts; without --out-bounds no bound report is built
-        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
-        inst = nm.generate_two_cluster(grid, 8, seed=0)
+        grid = nm.make_grid_network(7, 7, spacing_km=40, jitter=0.25, seed=5)
+        inst = nm.generate_two_cluster(grid, 8, seed=3)
         inst_path, routes_path = _routes_file(
             tmp_path, inst, routing.shortest_path_assignment(inst))
 

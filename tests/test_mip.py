@@ -239,8 +239,9 @@ def test_infeasible_root_with_feasible_seed_raises(monkeypatch):
     b = m.add_var("x2", kind=mip.BINARY)
     m.add_constraint({a: 3, b: 2}, "<=", 4)
     m.set_objective({a: 5, b: 4}, sense="max")
-    monkeypatch.setattr(mip, "solve_lp", lambda model, **kw:
-                        mip.LpSolution("infeasible", None, None))
+    monkeypatch.setattr(simplex, "solve", lambda *args, **kw:
+                        simplex.SimplexResult("infeasible", None, None, None,
+                                              None, 0))
     with pytest.raises(mip.NumericalFailure, match="infeasible"):
         mip.solve_mip(m, initial_solution=[1.0, 0.0])
     assert mip.solve_mip(m).status == "infeasible"

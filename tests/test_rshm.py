@@ -98,6 +98,36 @@ class TestSimilarityIndex:
         state = _state_with_history(inst, recs)
         assert similarity_index(state, 3, 1, (3, 4)) is None
 
+    def test_indexed_lookup_matches_a_rescan_of_the_records(self):
+        # The state's per-iteration route edges and platoon sets give the
+        # answer of the definition: rescan every earlier record.
+        def rescan(state, n, v, edge):
+            if n < 3 or n not in state.records:
+                return None
+            target = state.records[n].platoons.platoon_sets(edge)
+            for k in range(n - 2, 0, -1):
+                nxt = state.records.get(k + 1)
+                if (nxt is None or v not in nxt.routes.routes
+                        or edge not in nxt.routes.edges(v)):
+                    continue
+                if state.records[k].platoons.platoon_sets(edge) == target:
+                    return k
+            return None
+
+        grid = nm.make_grid_network(5, 5, spacing_km=40, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 6, seed=0)
+        state = rshm.run(inst, RshmOptions(iter_cap=15,
+                                           freq_threshold=99)).state
+        assert state.iterations >= 10
+        hits = 0
+        for n in state.records:
+            for e in sorted(state.explored):
+                for m in inst.missions:
+                    k = similarity_index(state, n, m.id, e)
+                    assert k == rescan(state, n, m.id, e)
+                    hits += k is not None
+        assert hits > 0
+
 
 class TestCostTable:
     def test_trivial_platoon_restores_base(self):

@@ -1,6 +1,7 @@
-"""Simplex engine: warm starts from earlier bases (including bases that keep
-artificial columns), dual simplex restarts after branching bounds and added
-rows, and the numerical recovery ladder."""
+"""Simplex engine: the cold start's crash basis (checked against HiGHS),
+root starts built from a seed point, warm starts from earlier bases
+(including bases that keep artificial columns), dual simplex restarts after
+branching bounds and added rows, and the numerical recovery ladder."""
 
 import functools
 from pathlib import Path
@@ -126,13 +127,16 @@ def _rdp_model():
 
 @functools.lru_cache(maxsize=None)
 def _root(name):
-    """(model, cold root LP result, basic integer columns).  Both roots end
-    phase 1 degenerate, so their bases keep artificial columns."""
+    """(model, cold root LP result, basic integer columns).  The routing
+    root ends phase 1 degenerate on its flow rows, so its basis keeps
+    artificial columns; the scheduling model has no equality rows, and its
+    crash basis leaves none."""
     model = {"sp": branching_sp_model, "rdp": _rdp_model}[name]()
     a, b, c, lo, hi, *_ = mip._standard_form(model)
     root = simplex.solve(a, b, c, lo, hi)
     assert root.status == "optimal"
-    assert root.basis.max() >= a.shape[1]
+    if name == "rdp":
+        assert root.basis.max() >= a.shape[1]
     ints = set(model.integer_indices())
     return model, root, sorted(int(j) for j in root.basis if j in ints)
 
@@ -253,6 +257,168 @@ class TestDualRestart:
         cold = simplex.solve(a, b, c, lo, hi)
         assert warm.warm and warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+@st.composite
+def _bounded_lps(draw):
+    """A small LP with finite column bounds and mixed ``<=``/``>=``/``==``
+    rows of small integer coefficients (about half of them zero)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    coef = st.one_of(st.just(0), st.integers(-3, 3))
+    a = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    senses = draw(st.lists(st.sampled_from(["<=", ">=", "=="]),
+                           min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    lo = draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))
+    width = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return a, senses, rhs, lo, [l + w for l, w in zip(lo, width)], c
+
+
+class TestColdStart:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_bounded_lps())
+    def test_cold_solve_matches_highs(self, lp):
+        from scipy.optimize import linprog
+
+        a, senses, rhs, lo, hi, c = lp
+        model = mip.LinearModel()
+        cols = [model.add_var(f"x{j}", l, u)
+                for j, (l, u) in enumerate(zip(lo, hi))]
+        for row, sense, r in zip(a, senses, rhs):
+            model.add_constraint(dict(zip(cols, row)), sense, r)
+        model.set_objective(dict(zip(cols, c)))
+        a_s, b_s, c_s, lo_s, hi_s, *_ = mip._standard_form(model)
+        ours = simplex.solve(a_s, b_s, c_s, lo_s, hi_s)
+
+        # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: negate ">=" rows
+        flip = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+        eq = np.array([s == "==" for s in senses])
+        b = np.array(rhs, dtype=float)
+        ref = linprog(c, A_ub=(a * flip[:, None])[~eq], b_ub=(b * flip)[~eq],
+                      A_eq=a[eq], b_eq=b[eq], bounds=list(zip(lo, hi)),
+                      method="highs")
+        event(f"{ours.status} in {ours.iterations} pivots")
+        assert ref.status in (0, 2)
+        assert ours.status == ("optimal" if ref.status == 0 else "infeasible")
+        if ref.status == 0:
+            assert ours.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+            assert np.abs(a_s @ ours.x - b_s).max() <= simplex.FEAS_TOL
+
+    def test_slack_basis_solves_without_pivots(self):
+        # A x <= b with b >= 0 and c >= 0: every slack absorbs its row at
+        # the lower bounds, which are optimal.
+        model = mip.LinearModel()
+        cols = [model.add_var(f"x{j}", 0.0, 5.0) for j in range(4)]
+        rows = [[1, 2, 0, -1], [0, 1, 3, 1], [2, -1, 1, 0]]
+        for row, r in zip(rows, [4.0, 0.0, 7.0]):
+            model.add_constraint(dict(zip(cols, row)), "<=", r)
+        model.set_objective(dict(zip(cols, [1.0, 0.0, 2.0, 3.0])))
+        a, b, c, lo, hi, *_ = mip._standard_form(model)
+        res = simplex.solve(a, b, c, lo, hi)
+        assert res.status == "optimal" and res.iterations == 0
+        assert res.objective == 0.0
+        assert np.array_equal(res.x[:4], np.zeros(4))
+
+    def test_crash_leaves_out_a_slack_that_cannot_absorb(self):
+        # x1 + x2 >= 2 at x = 0 would need its surplus at -2: that row
+        # starts on its artificial column, the other on its slack.
+        a = sp.csc_matrix(np.array([[1.0, 1.0, -1.0, 0.0],
+                                    [1.0, -1.0, 0.0, 1.0]]))
+        b, lo = np.array([2.0, 1.0]), np.zeros(4)
+        hi = np.full(4, np.inf)
+        rows, cols, step = simplex._crash(a, b - a @ lo, lo, hi)
+        assert list(rows) == [1] and list(cols) == [3] and list(step) == [1.0]
+        res = simplex.solve(a, b, np.array([1.0, 2.0, 0.0, 0.0]), lo, hi)
+        # x1 - x2 <= 1 caps x1 at 1.5 when x2 = 0.5
+        assert res.status == "optimal" and res.objective == pytest.approx(2.5)
+        assert np.allclose(res.x[:2], [1.5, 0.5])
+
+
+def _rdp_with_seed(seed=0):
+    """First-iteration routing model of a 4-vehicle instance and the greedy
+    point the heuristic seeds it with."""
+    grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
+    inst = nm.generate_two_cluster(grid, 4, seed=seed)
+    handle = routing.build_rdp(inst, routing.EdgeCostTable.initial(inst))
+    return handle.model, routing.initial_solution(handle)
+
+
+def _record_solves(monkeypatch):
+    """Results of every ``simplex.solve`` call from here on, in order."""
+    results = []
+    solve = simplex.solve
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    return results
+
+
+class TestSeedStart:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rdp_root_solves_from_the_seed(self, seed, monkeypatch):
+        model, point = _rdp_with_seed(seed)
+        cold_root = mip.solve_lp(model)
+        start = mip.seed_start(mip._standard_form(model), point)
+        nv = model.num_vars
+        # the seed's w columns (vehicles on an edge, minus one) are interior
+        assert start is not None and np.any(start[0] < nv)
+        results = _record_solves(monkeypatch)
+        sol = mip.solve_mip(model, initial_solution=point)
+        root = results[0]
+        assert root.warm
+        assert sol.root_bound == pytest.approx(cold_root.objective, rel=1e-9)
+        monkeypatch.undo()
+        assert sol.objective == pytest.approx(mip.solve_mip(model).objective,
+                                              rel=1e-9)
+
+    def test_point_breaking_a_row_gives_no_start(self):
+        model, point = _rdp_with_seed()
+        sf = mip._standard_form(model)
+        broken = point.copy()
+        broken[np.flatnonzero(point == 1.0)[0]] = 0.0   # leaves a flow row
+        assert mip.seed_start(sf, broken) is None
+        with pytest.raises(mip.ModelError):
+            mip.check_solution(model, broken)
+
+    def test_interior_column_in_several_rows_gives_no_start(self, monkeypatch):
+        # y = 2.5 lies strictly inside [0, 4] and sits in both rows; the
+        # first row's slack is zero at the point.
+        m = mip.LinearModel()
+        x = m.add_var("x", 0.0, 4.0, kind=mip.INTEGER)
+        y = m.add_var("y", 0.0, 4.0)
+        m.add_constraint({x: 1.0, y: 2.0}, "<=", 5.0)
+        m.add_constraint({x: 1.0, y: -1.0}, ">=", -3.0)
+        m.set_objective({x: 3.0, y: 2.0}, sense="max")
+        point = [0.0, 2.5]
+        assert mip.seed_start(mip._standard_form(m), point) is None
+        results = _record_solves(monkeypatch)
+        seeded = mip.solve_mip(m, initial_solution=point)
+        assert not results[0].warm
+        monkeypatch.undo()
+        plain = mip.solve_mip(m)
+        assert seeded.status == plain.status == "optimal"
+        assert seeded.objective == pytest.approx(plain.objective, abs=1e-12)
+        assert seeded.root_bound == pytest.approx(plain.root_bound, abs=1e-12)
+
+    def test_interior_columns_sharing_a_row_give_no_start(self):
+        m = mip.LinearModel()
+        x = m.add_var("x", 0.0, 4.0)
+        y = m.add_var("y", 0.0, 4.0)
+        m.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0)
+        m.set_objective({x: 1.0, y: 1.0}, sense="max")
+        sf = mip._standard_form(m)
+        assert mip.seed_start(sf, [1.0, 2.0]) is None
+        # an interior column cannot replace a slack that is not zero
+        assert mip.seed_start(sf, [1.0, 0.0]) is None
+        # one interior column takes the place of the row's zero slack
+        basis, vstatus = mip.seed_start(sf, [3.0, 0.0])
+        assert list(basis) == [0] and vstatus[2] == simplex.AT_LOWER
 
 
 class TestRecovery:

@@ -427,7 +427,8 @@ def bound_improvement_report(contracted, params, bounds,
                              rounds: int = 20) -> dict:
     """Root-relaxation bounds: plain, after disjunctive cuts, after adding
     the star rows as well (maximization: lower is tighter).  Each LP after
-    a cut restarts from the previous basis (see ``mip.extend_start``)."""
+    a cut restarts from the previous basis with the cut's slack basic (see
+    ``mip.extend_start``); the two plain LPs start cold."""
     from . import scheduling as sched
     t0 = time.perf_counter()
     plain = sched.build_sp(contracted, params, bounds)
@@ -444,10 +445,9 @@ def bound_improvement_report(contracted, params, bounds,
         if found is None:
             break
         disj.append(found)
-        n_rows = work.num_constraints
         work.add_cut(found.cut)
         lp = mip.solve_lp(work, start=mip.extend_start((lp.basis, lp.vstatus),
-                                                       work, n_rows))
+                                                       1))
     bd1 = lp.objective if lp.status == "optimal" else bd0
     cut_time = time.perf_counter() - t0
 

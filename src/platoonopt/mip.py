@@ -1,15 +1,18 @@
 """Generic MILP layer: model container, LP solve, branch and bound, export.
 
-The LP relaxations are solved by the embedded simplex in ``simplex.py``;
-branch and bound uses best-bound node selection, most-fractional branching
-(ties to the lowest variable index), and an optional root cut hook that is
-called with every fractional root LP solution.  The first root LP starts
-from a given basis, or else from a basis built at the seeded incumbent
-(:func:`seed_start`), and cold only without either.  Each root LP after a
-cut round restarts from the previous one's basis with the new rows' slacks
-basic (:func:`extend_start`), and each node LP from its parent's optimal
-basis; the dual simplex repairs the violated cut or branching bound.  The
-standard form is built once per root LP, and the last one serves the nodes.
+The LP relaxations are solved by the embedded simplex in ``simplex.py``
+on a standard form (:func:`_standard_form`) that gives every row a slack
+column, last, so a basis is always a set of its columns and appending rows
+moves none.  Branch and bound uses best-bound node selection,
+most-fractional branching (ties to the lowest variable index), and an
+optional root cut hook that is called with every fractional root LP
+solution.  The first root LP starts from a given basis, or else from a
+basis built at the seeded incumbent (:func:`seed_start`), and cold only
+without either.  Each root LP after a cut round restarts from the previous
+one's basis with the new rows' slacks basic (:func:`extend_start`), and
+each node LP from its parent's optimal basis; the dual simplex repairs the
+violated cut or branching bound.  The standard form is built once per root
+LP, and the last one serves the nodes.
 """
 
 from __future__ import annotations
@@ -191,19 +194,25 @@ class MipSolution:
         return float(self.x[j])
 
 
-def _standard_form(model: LinearModel, bounds_override=None):
-    """Rows to equalities with slacks; free/upper-only columns made lower-bounded.
+def _standard_form(model: LinearModel):
+    """Equality form ``A x = b, lo <= x <= hi`` of the model's LP relaxation.
 
-    Returns (A, b, c, lo, hi, recover) where recover(x_internal) -> x_user.
+    The columns are the model's own, then the negative part of each free
+    column, then one slack per row: the slack of row ``i`` is column
+    ``n - m + i``.  A ``<=`` row's slack has coefficient +1 and a ``>=``
+    row's -1, both in ``[0, inf)``; an ``==`` row's slack has +1 and is
+    fixed at ``[0, 0]``.  This is the layout ``simplex.solve`` requires,
+    and appending rows never moves a column.  A column with only an upper
+    bound is negated, so every column has a finite lower bound.
+
+    Returns (A, b, c, lo, hi, recover, sign, reformed): ``recover(x)``
+    maps a standard-form point to the model's columns, ``sign`` is -1 for
+    a maximization (``c`` is then negated), and ``reformed`` tells whether
+    any column was negated or split.
     """
-    nv = model.num_vars
+    nv, m = model.num_vars, model.num_constraints
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
-    if bounds_override:
-        for j, (l, u) in bounds_override.items():
-            lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
-            if lo[j] > hi[j] + 1e-15:
-                return None  # trivially infeasible
     c = np.zeros(nv)
     for j, v in model.obj_coeffs.items():
         c[j] = v
@@ -213,78 +222,43 @@ def _standard_form(model: LinearModel, bounds_override=None):
         sign = -1.0
 
     rows, cols, vals = [], [], []
-    b = np.zeros(model.num_constraints)
-    ncols = nv
-    slack_lo, slack_hi, slack_c = [], [], []
+    b = np.zeros(m)
     for i, con in enumerate(model.constraints):
-        for j, v in con.coeffs.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
+        rows.extend([i] * len(con.coeffs))
+        cols.extend(con.coeffs)
+        vals.extend(con.coeffs.values())
         b[i] = con.rhs
-        if con.sense == LE:
-            rows.append(i); cols.append(ncols); vals.append(1.0)
-            slack_lo.append(0.0); slack_hi.append(np.inf); slack_c.append(0.0)
-            ncols += 1
-        elif con.sense == GE:
-            rows.append(i); cols.append(ncols); vals.append(-1.0)
-            slack_lo.append(0.0); slack_hi.append(np.inf); slack_c.append(0.0)
-            ncols += 1
-
-    lo_full = np.concatenate([lo, slack_lo])
-    hi_full = np.concatenate([hi, slack_hi])
-    c_full = np.concatenate([c, slack_c])
-
-    # Shift or split columns with infinite lower bound so every column has a
-    # finite lower bound (the engine starts nonbasics at lo).
-    negate = []   # lb=-inf, ub finite: x -> -x
-    splits = []   # fully free: x -> x+ - x-
-    extra_cols = []
-    for j in range(ncols):
-        if np.isinf(lo_full[j]) and lo_full[j] < 0:
-            if np.isfinite(hi_full[j]):
-                negate.append(j)
-            else:
-                splits.append(j)
-    a = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(model.num_constraints, ncols)).tocsc()
-    if negate:
-        neg = np.ones(ncols)
-        neg[negate] = -1.0
-        a = a @ sp.diags(neg)
-        new_lo = lo_full.copy()
-        new_hi = hi_full.copy()
-        new_lo[negate] = -hi_full[negate]
-        new_hi[negate] = np.inf
-        lo_full, hi_full = new_lo, new_hi
-        c_full = c_full * neg
-    if splits:
-        a = sp.hstack([a, -a[:, splits]], format="csc")
-        c_full = np.concatenate([c_full, -c_full[splits]])
-        lo_full = np.concatenate([lo_full, np.zeros(len(splits))])
-        hi_full = np.concatenate([hi_full, np.full(len(splits), np.inf)])
-        lo_full[splits] = 0.0
-        extra_cols = splits
+    # lb = -inf with a finite ub: x -> -x.  Fully free: x -> x+ - x-.
+    down = np.isneginf(lo)
+    flip = np.where(down & np.isfinite(hi), -1.0, 1.0)
+    splits = np.flatnonzero(down & np.isposinf(hi))
+    k = splits.size
+    a = sp.coo_matrix((flip[cols] * vals, (rows, cols)), shape=(m, nv)).tocsc()
+    senses = np.array([con.sense for con in model.constraints], dtype=object)
+    slack = sp.diags(np.where(senses == GE, -1.0, 1.0))
+    a = sp.hstack([a, -a[:, splits], slack], format="csc")
+    c = np.concatenate([c * flip, -c[splits], np.zeros(m)])
+    lo, hi = np.where(flip < 0, -hi, lo), np.where(flip < 0, np.inf, hi)
+    lo[splits] = 0.0
+    lo = np.concatenate([lo, np.zeros(k + m)])
+    hi = np.concatenate([hi, np.full(k, np.inf),
+                         np.where(senses == EQ, 0.0, np.inf)])
 
     def recover(x_int: np.ndarray) -> np.ndarray:
-        x = x_int[:ncols].copy()
-        if negate:
-            x[negate] = -x[negate]
-        for k, j in enumerate(extra_cols):
-            x[j] = x_int[j] - x_int[ncols + k]
-        return x[:nv]
+        x = x_int[:nv] * flip
+        x[splits] -= x_int[nv:nv + k]
+        return x
 
-    return a.tocsc(), b, c_full, lo_full, hi_full, recover, sign, bool(splits or negate)
+    return a, b, c, lo, hi, recover, sign, bool(k or np.any(flip < 0))
 
 
-def solve_lp(model: LinearModel, bounds_override: dict | None = None,
-             start=None) -> LpSolution:
-    """Solve the LP relaxation (integrality ignored) to a basic solution."""
+def solve_lp(model: LinearModel, start=None) -> LpSolution:
+    """Solve the LP relaxation (integrality ignored) to a basic solution.
+    ``start`` is an optional (basis, vstatus) of the standard form (see
+    ``simplex.solve``)."""
     model.validate()
-    sf = _standard_form(model, bounds_override)
-    if sf is None:
-        return LpSolution("infeasible", None, None)
-    return _solve_standard(sf, model.obj_constant, start=start)
+    return _solve_standard(_standard_form(model), model.obj_constant,
+                           start=start)
 
 
 def _solve_standard(sf, obj_constant: float, lo=None, hi=None,
@@ -304,36 +278,32 @@ def _solve_standard(sf, obj_constant: float, lo=None, hi=None,
 def seed_start(sf, point) -> tuple | None:
     """Start ``(basis, vstatus)`` for the standard form ``sf`` at ``point``,
     a feasible point of the model in its own columns.  A column at a bound
-    is nonbasic at that bound.  Each row is basic in its slack, or, for an
-    equality row, in its artificial column (index ``n + i``), which stays at
-    zero.  A column strictly inside its bounds replaces the slack (or the
-    artificial) of its only row, which must be zero at the point.  None when
-    there is no such start: a model with shifted or split columns, a point
-    outside its bounds or rows, or an interior column in several rows or
-    sharing its row with another one.  ``simplex.solve`` still checks the
-    start and ignores one that does not fit."""
+    is nonbasic at that bound, and every row is basic in its slack (an
+    ``==`` row's fixed slack is basic at zero).  A column strictly inside
+    its bounds replaces the slack of its only row, which must be zero at
+    the point.  None when there is no such start: a model with negated or
+    split columns, a point outside its bounds or rows, or an interior
+    column in several rows or sharing its row with another one.
+    ``simplex.solve`` still checks the start and ignores one that does not
+    fit."""
     a, b, _c, lo, hi, _recover, _sign, reformed = sf
     if reformed:
         return None
     m, n = a.shape
+    nv = n - m
     x = np.asarray(point, dtype=float)
-    nv = len(x)
     lo_x, hi_x = lo[:nv], hi[:nv]
     if np.any(x < lo_x - FEAS_TOL) or np.any(x > hi_x + FEAS_TOL):
         return None
     at_lo = np.abs(x - lo_x) <= FEAS_TOL
     at_hi = ~at_lo & (np.abs(x - hi_x) <= FEAS_TOL)
     resid = b - a[:, :nv] @ np.where(at_lo, lo_x, np.where(at_hi, hi_x, x))
-    # Slack column k has one entry, in row srow[k]: its value is resid / coef.
-    srow = a.indices[a.indptr[nv:n]]
-    row_value = resid.copy()
-    row_value[srow] = resid[srow] / a.data[a.indptr[nv:n]]
-    basis = n + np.arange(m, dtype=np.int64)
-    basis[srow] = np.arange(nv, n)
-    eq = basis >= n
-    if (np.any(row_value[~eq] < -FEAS_TOL)
-            or np.any(np.abs(row_value[eq]) > FEAS_TOL)):
+    # The slack of row i is column nv + i, with its one entry in row i.
+    value = resid / a.data[a.indptr[nv:n]]
+    if (np.any(value < lo[nv:] - FEAS_TOL)
+            or np.any(value > hi[nv:] + FEAS_TOL)):
         return None
+    basis = np.arange(nv, n, dtype=np.int64)
     vstatus = np.full(n, simplex.IS_BASIC, dtype=np.int8)
     vstatus[:nv] = np.where(at_hi, simplex.AT_UPPER, simplex.AT_LOWER)
     for j in np.flatnonzero(~(at_lo | at_hi)):
@@ -341,42 +311,26 @@ def seed_start(sf, point) -> tuple | None:
         if e - s != 1:
             return None
         i = a.indices[s]
-        if basis[i] < nv or abs(row_value[i]) > FEAS_TOL:
+        if basis[i] < nv or abs(value[i]) > FEAS_TOL:
             return None
-        if basis[i] < n:
-            vstatus[basis[i]] = simplex.AT_LOWER
+        vstatus[basis[i]] = simplex.AT_LOWER
         basis[i] = j
         vstatus[j] = simplex.IS_BASIC
     return basis, vstatus
 
 
-def extend_start(start, model: LinearModel, n_rows: int):
-    """Start for the LP of ``model`` built from ``start``, the (basis,
-    vstatus) of the LP of its first ``n_rows`` rows.  Each row added since
-    joins the basis through its slack column, or through its artificial
-    column for an equality row.  The reduced costs do not change, so an
+def extend_start(start, k: int):
+    """Start for the LP of a model after ``k`` rows were appended, from
+    ``start``, the (basis, vstatus) of the LP before.  The appended rows'
+    slacks are the last ``k`` columns of the new standard form and join the
+    basis; no other column moves.  The reduced costs do not change, so an
     optimal start stays dual feasible, and a violated new row is repaired
-    by the dual simplex.  None when the column layout moves with the rows
-    (a free variable's split column sits after the slacks)."""
-    if any(np.isinf(v.lb) and np.isinf(v.ub) for v in model.variables):
-        return None
+    by the dual simplex."""
     basis, vstatus = start
-    senses = [con.sense for con in model.constraints]
-    n_old = model.num_vars + sum(s != EQ for s in senses[:n_rows])
-    n_new = model.num_vars + sum(s != EQ for s in senses)
-    added = []
-    col = n_old
-    for i in range(n_rows, len(senses)):
-        if senses[i] == EQ:
-            added.append(n_new + i)
-        else:
-            added.append(col)
-            col += 1
-    basis = np.concatenate([np.where(basis >= n_old, basis + n_new - n_old, basis),
-                            np.array(added, dtype=np.int64)])
-    vstatus = np.concatenate([vstatus, np.full(n_new - n_old, simplex.IS_BASIC,
-                                               dtype=np.int8)])
-    return basis, vstatus
+    n = len(vstatus) + k
+    return (np.concatenate([basis, np.arange(n - k, n, dtype=np.int64)]),
+            np.concatenate([vstatus, np.full(k, simplex.IS_BASIC,
+                                             dtype=np.int8)]))
 
 
 def _fractional(x, int_idx):
@@ -420,10 +374,10 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     invoked repeatedly on fractional root relaxations until it returns no
     cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
     Each root LP after a cut round restarts from the previous root basis
-    (see :func:`extend_start`), and each node LP from its parent's optimal
-    basis; both children of a node share that one start.  The simplex runs
-    the dual simplex from such a start, and cold only when the start does
-    not fit.
+    with the cuts' slacks basic (see :func:`extend_start`), and each node
+    LP from its parent's optimal basis under the node's column bounds; both
+    children of a node share that one start.  The simplex runs the dual
+    simplex from such a start, and cold only when the start does not fit.
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
@@ -431,10 +385,10 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     one, the first root LP starts from ``initial_solution`` when
     :func:`seed_start` can turn it into a basis, so phase 2 runs from the
     seed's vertex.  A start that does not fit is ignored (see
-    ``simplex.solve``).  A node limit
-    stops the search with status ``node_limit``, or ``feasible``/``optimal``
-    by the gap when an incumbent exists.  An unbounded root relaxation gives
-    status ``unbounded``, with or without an incumbent.
+    ``simplex.solve``).  A node limit stops the search with status
+    ``node_limit``, or ``feasible``/``optimal`` by the gap when an incumbent
+    exists.  An unbounded root relaxation gives status ``unbounded``, with
+    or without an incumbent.
     """
     model.validate()
     t0 = time.perf_counter()
@@ -462,7 +416,6 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         cuts = root_cut_hook(root)
         if not cuts:
             break
-        n_rows = work.num_constraints
         for cut in cuts:
             work.add_cut(cut)
         cuts_added += len(cuts)
@@ -470,7 +423,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         sf = _standard_form(work)
         root = _solve_standard(sf, work.obj_constant,
                                start=extend_start((root.basis, root.vstatus),
-                                                  work, n_rows))
+                                                  len(cuts)))
 
     if root.status == "infeasible" and incumbent is not None:
         raise NumericalFailure("root LP reported infeasible, but the "

@@ -72,6 +72,9 @@ class RoadNetwork:
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
         if len(self.nodes) != len(nodes):
             raise ValidationError("duplicate node ids")
+        for n in nodes:
+            if not (math.isfinite(n.x) and math.isfinite(n.y)):
+                raise ValidationError(f"node {n.id} needs finite coordinates")
         self.edges: dict[tuple, Edge] = {}
         self.out_adj: dict[int, list[Edge]] = {n.id: [] for n in nodes}
         self.in_adj: dict[int, list[Edge]] = {n.id: [] for n in nodes}
@@ -80,6 +83,9 @@ class RoadNetwork:
                 raise ValidationError(f"edge {e.key} endpoint missing from node set")
             if e.tail == e.head:
                 raise ValidationError(f"self-loop at node {e.tail}")
+            if not all(map(math.isfinite, (e.length, e.time, e.fuel))):
+                raise ValidationError(
+                    f"edge {e.key} needs finite length, time and fuel")
             if e.fuel <= 0 or e.time <= 0:
                 raise ValidationError(f"edge {e.key} needs positive fuel and time")
             if e.key in self.edges:
@@ -125,6 +131,7 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        # The comparisons below are all false on NaN, so NaN fails them too.
         if not (0 < self.sigma_l < self.sigma_f < 1):
             raise ValidationError("sigma ordering: need 0 < sigma_l < sigma_f < 1")
         if self.max_platoon < 2:
@@ -133,6 +140,8 @@ class ProblemInstance:
         if ids != list(range(1, len(ids) + 1)):
             raise ValidationError("vehicle ids must be 1..n with no gaps")
         for m in self.missions:
+            if not (math.isfinite(m.t_earliest) and math.isfinite(m.t_latest)):
+                raise ValidationError(f"vehicle {m.id}: time window must be finite")
             if m.origin == m.dest:
                 raise ValidationError(f"vehicle {m.id}: origin equals destination")
             sp = shortest_path(self.network, m.origin, m.dest, weight="time")
@@ -457,7 +466,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                                float(need(params, "sigma_f", "params")),
                                int(need(params, "lambda", "params")),
                                meta=doc.get("meta", {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
     if vehicles:
         inst.validate()

@@ -113,31 +113,23 @@ class RdpModelHandle:
 
 
 def hull_inequalities(edge: tuple, vehicles: list[int]):
-    """Linear system describing the per-edge routing polytope.
+    """Rows of the per-edge routing polytope, as ``build_rdp`` emits them.
 
-    Rows are (coeffs, sense, rhs) with coefficient keys ('x', v), 'y', 'yp'
-    and 'w'.  For fewer than three vehicles only the base rows are emitted
-    (the convex-hull representation is only established beyond that size).
+    Rows are (coeffs, sense, rhs, name) with coefficient keys ('x', v),
+    'y', 'yp' and 'w'.  The 0/1 bounds of x, y and y' and w >= 0 are
+    column bounds, not rows.  The last row, sum x >= y + y', is valid for
+    any vehicle count (y' = 1 forces sum x >= 2 >= y + y'; otherwise
+    sum x >= y by the w row) and facet-defining from three vehicles up.
     """
     vehicles = sorted(vehicles)
-    rows = []
     sx = {("x", v): 1.0 for v in vehicles}
-    rows.append((dict(sx, yp=-2.0), ">=", 0.0))                 # sum x >= 2y'
-    for v in vehicles:
-        rows.append(({("x", v): 1.0, "y": -1.0}, "<=", 0.0))    # x_v <= y
-    rows.append(({"y": 1.0, "yp": -1.0}, ">=", 0.0))            # y >= y'
-    rows.append((dict({("x", v): -1.0 for v in vehicles}, w=1.0, y=1.0),
-                 "<=", 0.0))                                    # w - sum x + y <= 0
-    if len(vehicles) >= 3:
-        rows.append((dict(sx, y=-1.0, yp=-1.0), ">=", 0.0))     # sum x >= y + y'
-    for v in vehicles:
-        rows.append(({("x", v): 1.0}, "<=", 1.0))
-        rows.append(({("x", v): 1.0}, ">=", 0.0))
-    rows.append(({"y": 1.0}, "<=", 1.0))
-    rows.append(({"y": 1.0}, ">=", 0.0))
-    rows.append(({"yp": 1.0}, "<=", 1.0))
-    rows.append(({"yp": 1.0}, ">=", 0.0))
-    rows.append(({"w": 1.0}, ">=", 0.0))
+    rows = [(dict(sx, yp=-2.0), ">=", 0.0, f"pair_{edge}"),
+            (dict({("x", v): -1.0 for v in vehicles}, w=1.0, y=1.0),
+             "<=", 0.0, f"count_{edge}")]
+    rows += [({("x", v): 1.0, "y": -1.0}, "<=", 0.0, f"used_{v}_{edge}")
+             for v in vehicles]
+    rows.append(({"yp": 1.0, "y": -1.0}, "<=", 0.0, f"pairused_{edge}"))
+    rows.append((dict(sx, y=-1.0, yp=-1.0), ">=", 0.0, f"hull_{edge}"))
     return rows
 
 
@@ -190,25 +182,11 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
                              name=f"window_{m.id}")
 
     for e, vs in edge_vehicles.items():
-        xs = {x_col[(v, e)]: 1.0 for v in vs}
-        row = dict(xs)
-        row[yp_col[e]] = -2.0
-        model.add_constraint(row, ">=", 0.0, name=f"pair_{e}")
-        row = {c: -1.0 for c in xs}
-        row[w_col[e]] = 1.0
-        row[y_col[e]] = row.get(y_col[e], 0.0) + 1.0
-        model.add_constraint(row, "<=", 0.0, name=f"count_{e}")
-        for v in vs:
-            model.add_constraint({x_col[(v, e)]: 1.0, y_col[e]: -1.0},
-                                 "<=", 0.0, name=f"used_{v}_{e}")
-        model.add_constraint({yp_col[e]: 1.0, y_col[e]: -1.0}, "<=", 0.0,
-                             name=f"pairused_{e}")
-        # Valid for any vehicle count (y'=1 forces sum x >= 2 >= y + y';
-        # otherwise sum x >= y via the w row); facet-defining from 3 up.
-        row = dict(xs)
-        row[y_col[e]] = -1.0
-        row[yp_col[e]] = -1.0
-        model.add_constraint(row, ">=", 0.0, name=f"hull_{e}")
+        col = {("x", v): x_col[(v, e)] for v in vs}
+        col.update(y=y_col[e], yp=yp_col[e], w=w_col[e])
+        for coeffs, sense, rhs, name in hull_inequalities(e, vs):
+            model.add_constraint({col[k]: c for k, c in coeffs.items()},
+                                 sense, rhs, name=name)
 
     handle = RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
                             edge_vehicles, costs, inst, iteration)

@@ -1,18 +1,23 @@
 """Bounded-variable revised simplex engine.
 
-Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data.
-The basis inverse is kept as a sparse LU factorization plus a product-form
-eta file, refactorized every ``refresh`` pivots.  A cold solve runs the
-primal simplex in two phases from a crash basis: each row starts basic in
-a singleton column (a slack, say) that can absorb its residual within that
-column's bounds, and only the other rows on an artificial column.  A solve
+Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data, where the
+last ``m`` columns of ``A`` are the rows' slacks: column ``n - m + i`` has
+its one nonzero in row ``i`` (an equality row's slack is fixed at zero).
+A basis is a set of columns of ``A``; artificial columns exist only inside
+a cold solve's phase 1.  The basis inverse is a sparse LU factorization
+plus a product-form eta file, refactorized every ``refresh`` pivots.  A
+cold solve runs the primal simplex in two phases from a crash basis: each
+row starts basic in a singleton column (a slack, say) that can absorb its
+residual within that column's bounds, and only the other rows on an
+artificial column; an artificial still basic at the end gives way to its
+row's slack.  A solve
 given an earlier basis, or one built from a known point, re-optimizes from
 it: with the primal simplex (phase 2 only) when the basis is primal
 feasible, or with the dual simplex when it is dual feasible but not primal
 feasible, as after a branching bound or an added cut.  Pivoting is
 deterministic: Dantzig pricing (primal) or the largest bound violation
 (dual) with lowest-index tie-breaking, falling back to Bland's rule when
-stalling is detected.
+stalling is detected.  A fixed column (``lo == hi``) never enters.
 """
 
 from __future__ import annotations
@@ -72,12 +77,12 @@ class _Factor:
 
 class SimplexResult:
     """Outcome of one solve.  ``x`` and ``vstatus`` have one entry per
-    column of ``A``; ``basis`` has one per row and may hold indices
-    ``n..n+m-1``: the artificial column of row ``i`` (index ``n + i``) stays
-    basic at zero when phase 1 ends degenerate.  ``(basis, vstatus)`` is a
-    valid ``start`` for a later solve on the same ``A``.  ``warm`` tells
-    whether the result was reached from the given start (False when there
-    was none or it was refused and the solve ran cold)."""
+    column of ``A``; ``basis`` has one per row, each a column of ``A``
+    (below ``n``): a row whose phase 1 ended degenerate is basic in its
+    slack, at zero.  ``(basis, vstatus)`` is a valid ``start`` for a later
+    solve on the same ``A``.  ``warm`` tells whether the result was reached
+    from the given start (False when there was none or it was refused and
+    the solve ran cold)."""
     __slots__ = ("status", "x", "basis", "vstatus", "objective", "iterations",
                  "warm")
 
@@ -98,23 +103,26 @@ def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
           max_iter: int | None = None) -> SimplexResult:
     """Solve from ``start`` if it fits, else cold in two phases from a crash
     basis (see ``_solve_once``).  All lower bounds must be finite (callers
-    split or shift free variables).
+    split or shift free variables).  The last ``m`` columns of ``A`` must
+    be the rows' slacks: column ``n - m + i`` has one nonzero, in row
+    ``i``; ``ValueError`` otherwise.  The result's basis holds no index
+    ``>= n``, and a fixed column (``lo == hi``) never enters the basis.
 
     ``start`` is an optional (basis, vstatus) pair, as returned on an
     earlier result for the same ``A``; ``b``, ``c`` and the bounds may
-    differ.  Its basis may hold artificial indices ``n..n+m-1``; those
-    columns come back as identity columns fixed at zero.  A start that is
-    primal feasible under the current bounds runs primal phase 2.  One that
-    is not, but is dual feasible once boxed nonbasics with a wrong-sign
-    reduced cost sit at their other bound, runs the dual simplex and then
-    phase 2.  A start of the wrong shape, one that is neither, or one whose
-    warm run fails numerically or hits the iteration limit is ignored, and
-    the solve runs cold.  ``SimplexResult.warm`` tells which happened.
+    differ.  A start that is primal feasible under the current bounds runs
+    primal phase 2.  One that is not, but is dual feasible once boxed
+    nonbasics with a wrong-sign reduced cost sit at their other bound, runs
+    the dual simplex and then phase 2.  A start of the wrong shape, one
+    that is neither, or one whose warm run fails numerically or hits the
+    iteration limit is ignored, and the solve runs cold.
+    ``SimplexResult.warm`` tells which happened.
 
     Numerical failures climb a recovery ladder: the solve as asked, then a
     cold solve under Bland's rule, then a cold solve that refactorizes every
     ``SAFE_ETA_REFRESH`` pivots.
     """
+    _check_slacks(a_csc)
     rungs = ((start, False, ETA_REFRESH), (None, True, ETA_REFRESH),
              (None, False, SAFE_ETA_REFRESH))
     for k, (warm, bland, refresh) in enumerate(rungs):
@@ -127,6 +135,16 @@ def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
     raise NumericalFailure("unreachable")
 
 
+def _check_slacks(a_csc):
+    """``ValueError`` unless column ``n - m + i`` of ``A`` has its one
+    nonzero in row ``i``, for every row ``i``."""
+    m, n = a_csc.shape
+    ptr = a_csc.indptr[max(n - m, 0):]
+    if (m > n or np.any(np.diff(ptr) != 1) or not np.all(a_csc.data[ptr[:-1]])
+            or np.any(a_csc.indices[ptr[:-1]] != np.arange(m))):
+        raise ValueError("the last m columns of A must be the rows' slacks")
+
+
 def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
                 refresh):
     """One solve: from ``start`` when ``_try_warm`` accepts it, else cold.
@@ -135,7 +153,9 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
     absorbs within that column's bounds has that column basic, and every
     other row its artificial column.  Phase 1 minimizes the sum of the
     artificials, phase 2 the objective with the artificials fixed at
-    zero."""
+    zero.  An artificial still basic (at zero) after phase 2 is swapped for
+    its row's slack, which is nonbasic at zero: both are multiples of the
+    same unit column, so the point and the basis's rank do not change."""
     m, n = a_csc.shape
     if max_iter is None:
         max_iter = 50000 + 200 * m
@@ -198,8 +218,10 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
         raise NumericalFailure("phase 2 iteration limit")
     if state.unbounded:
         return SimplexResult("unbounded", None, None, None, None, it1 + it2)
+    state.basis[state.basis >= n] -= m   # artificial n + i -> slack n - m + i
+    state.vstatus[state.basis] = IS_BASIC
     xs = state.x[:n]
-    return SimplexResult("optimal", xs, state.basis.copy(), state.vstatus[:n].copy(),
+    return SimplexResult("optimal", xs, state.basis, state.vstatus[:n].copy(),
                          float(c @ xs), it1 + it2)
 
 
@@ -224,19 +246,16 @@ def _crash(a_csc, resid, lo, hi):
 
 def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
     """Re-optimize from a previous basis; None if the start does not fit
-    ``A`` or is neither primal nor dual feasible.  A primal feasible start
-    runs phase 2 alone; a dual feasible one runs the dual simplex first.
-    Each artificial index in the basis gets its identity column back, fixed
-    at ``[0, 0]``, so it can only leave; the other artificials are not
-    needed."""
+    ``A`` (an index ``>= n`` included) or is neither primal nor dual
+    feasible.  A primal feasible start runs phase 2 alone; a dual feasible
+    one runs the dual simplex first."""
     basis, vstatus = start
     m, n = a_csc.shape
     if len(basis) != m or len(vstatus) != n:
         return None
-    if basis.min() < 0 or basis.max() >= n + m:
+    if basis.min() < 0 or basis.max() >= n:
         return None
-    if not np.array_equal(np.flatnonzero(vstatus == IS_BASIC),
-                          np.sort(basis[basis < n])):
+    if not np.array_equal(np.flatnonzero(vstatus == IS_BASIC), np.sort(basis)):
         return None
     vstatus = vstatus.copy()
     x = np.where(vstatus == AT_UPPER, hi, lo)
@@ -247,49 +266,31 @@ def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
     vstatus[bad] = AT_LOWER
     if not np.all(np.isfinite(x[np.setdiff1d(np.arange(n), basis)])):
         return None
-    # Artificial k (row art_rows[k]) becomes column n + k.
     basis = basis.copy()
-    is_art = basis >= n
-    art_rows = basis[is_art] - n
-    k = len(art_rows)
-    a = a_csc
-    if k:
-        art = sp.csc_matrix((np.ones(k), (art_rows, np.arange(k))), shape=(m, k))
-        a = sp.hstack([a_csc, art], format="csc")
-        basis[is_art] = n + np.arange(k)
-    c_w = np.concatenate([c, np.zeros(k)])
-    lo_w = np.concatenate([lo, np.zeros(k)])
-    hi_w = np.concatenate([hi, np.zeros(k)])
-    x = np.concatenate([x, np.zeros(k)])
-    vstatus = np.concatenate([vstatus, np.full(k, IS_BASIC, dtype=np.int8)])
     try:
-        factor = _Factor(a, basis)
+        factor = _Factor(a_csc, basis)
     except NumericalFailure:
         return None
-    state = _State(a, b, lo_w, hi_w, basis, vstatus, x, factor=factor)
+    state = _State(a_csc, b, lo, hi, basis, vstatus, x, factor=factor)
     state.solve_basics()
     it = 0
     if state.violations().max(initial=0.0) > FEAS_TOL:
-        if not _flip_to_dual_feasible(state, c_w):
+        if not _flip_to_dual_feasible(state, c):
             return None
-        it = _dual_iterate(state, c_w, max_iter, bland, refresh)
+        it = _dual_iterate(state, c, max_iter, bland, refresh)
         if it is None:
             raise NumericalFailure("dual simplex iteration limit")
         if state.infeasible:
             return SimplexResult("infeasible", None, None, None, None, it,
                                  warm=True)
-    it2 = _iterate(state, c_w, max_iter, bland, refresh)
+    it2 = _iterate(state, c, max_iter, bland, refresh)
     if it2 is None:
         raise NumericalFailure("warm phase 2 iteration limit")
     if state.unbounded:
         return SimplexResult("unbounded", None, None, None, None, it + it2,
                              warm=True)
-    out = state.basis.copy()
-    still = out >= n
-    out[still] = n + art_rows[out[still] - n]
-    xs = state.x[:n]
-    return SimplexResult("optimal", xs, out, state.vstatus[:n].copy(),
-                         float(c @ xs), it + it2, warm=True)
+    return SimplexResult("optimal", state.x, state.basis, state.vstatus,
+                         float(c @ state.x), it + it2, warm=True)
 
 
 def _flip_to_dual_feasible(state, c):
@@ -352,9 +353,10 @@ class _State:
 
 def _iterate(state, c, max_iter, bland_everywhere, refresh):
     """Run pivots until optimal/unbounded, refactorizing once more than
-    ``refresh`` eta updates have piled up.  Returns iteration count, or None
-    if the iteration limit was hit."""
+    ``refresh`` eta updates have piled up.  A fixed column never enters.
+    Returns iteration count, or None if the iteration limit was hit."""
     state.unbounded = False
+    movable = state.lo < state.hi
     stall = 0
     for it in range(max_iter):
         if state.factor.age > refresh:
@@ -362,7 +364,7 @@ def _iterate(state, c, max_iter, bland_everywhere, refresh):
         z = state.reduced_costs(c)
         nb_low = (state.vstatus == AT_LOWER) & (z < -OPT_TOL)
         nb_up = (state.vstatus == AT_UPPER) & (z > OPT_TOL)
-        cand = np.where(nb_low | nb_up)[0]
+        cand = np.flatnonzero((nb_low | nb_up) & movable)
         if cand.size == 0:
             return it
         if bland_everywhere or stall > STALL_LIMIT:

@@ -33,6 +33,17 @@ class TestRshmCommand:
         assert code == cli.EXIT_LIMIT
 
 
+    def test_non_finite_instance_exits_with_usage_code(self, tmp_path,
+                                                       capsys):
+        doc = nm.instance_to_dict(shared_edge_instance())
+        doc["vehicles"][0]["t_latest"] = float("inf")
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["rshm", "--instance", str(inst_path),
+                         "--iter-cap", "2"])
+        assert code == cli.EXIT_USAGE
+        assert "time window must be finite" in capsys.readouterr().err
+
 def _routes_file(tmp_path, inst, routes=None):
     """Save ``inst`` and its routes (default: iteration-1 routing optimum,
     written by ``solve-rdp``); return both paths."""
@@ -151,7 +162,7 @@ class TestSolveSpCommand:
         # on fuel-shortest routes this instance's root takes three
         # disjunctive cuts; without --out-bounds no bound report is built
         grid = nm.make_grid_network(7, 7, spacing_km=40, jitter=0.25, seed=5)
-        inst = nm.generate_two_cluster(grid, 8, seed=3)
+        inst = nm.generate_two_cluster(grid, 10, seed=2)
         inst_path, routes_path = _routes_file(
             tmp_path, inst, routing.shortest_path_assignment(inst))
 

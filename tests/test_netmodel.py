@@ -219,6 +219,41 @@ def test_load_rejects_bad_sigma(tmp_path, two_node_net):
         nm.load_instance(path)
 
 
+NON_FINITE_FIELDS = [("nodes", "x"), ("nodes", "y"), ("edges", "length"),
+                     ("edges", "time"), ("edges", "fuel"),
+                     ("vehicles", "t_earliest"), ("vehicles", "t_latest"),
+                     ("params", "sigma_l"), ("params", "sigma_f")]
+
+
+def _write_with(tmp_path, net, section, key, value):
+    """Instance file of one mission on ``net`` with ``value`` in the first
+    entry of ``section`` under ``key``."""
+    doc = nm.instance_to_dict(
+        nm.ProblemInstance(net, [VehicleMission(1, 1, 2, 0.0, 1.0)]))
+    (doc[section] if section == "params" else doc[section][0])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))   # writes NaN / Infinity, as json reads
+    return path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("section,key", NON_FINITE_FIELDS,
+                         ids=[f"{s}.{k}" for s, k in NON_FINITE_FIELDS])
+def test_load_rejects_non_finite_numbers(tmp_path, two_node_net, section,
+                                         key, value):
+    path = _write_with(tmp_path, two_node_net, section, key, value)
+    with pytest.raises(nm.ValidationError):
+        nm.load_instance(path)
+
+
+def test_load_rejects_infinite_platoon_cap(tmp_path, two_node_net):
+    path = _write_with(tmp_path, two_node_net, "params", "lambda",
+                       float("inf"))
+    with pytest.raises(nm.ParseError):
+        nm.load_instance(path)
+
+
 def test_load_parse_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

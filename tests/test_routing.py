@@ -13,7 +13,7 @@ from conftest import make_net, shared_edge_instance
 
 
 def _eval_row(row, assign):
-    coeffs, sense, rhs = row
+    coeffs, sense, rhs, _name = row
     lhs = sum(c * assign[k] for k, c in coeffs.items())
     if sense == "<=":
         return lhs <= rhs + 1e-9
@@ -47,15 +47,6 @@ class TestHullInequalities:
                 assign = _point(vehicles, pt[:nv], pt[nv], pt[nv + 1], pt[nv + 2])
                 assert all(_eval_row(r, assign) for r in rows)
 
-    def test_small_sets_skip_facet_row(self):
-        rows2 = routing.hull_inequalities((1, 2), [1, 2])
-        for coeffs, sense, rhs in rows2:
-            keys = set(coeffs)
-            # the facet row mentions both y and y' with the x block
-            assert not ({"y", "yp"} <= keys and ("x", 1) in keys)
-        rows3 = routing.hull_inequalities((1, 2), [1, 2, 3])
-        assert any({"y", "yp"} <= set(c) and ("x", 1) in c for c, _s, _r in rows3)
-
     def test_random_objectives_yield_integral_vertices(self):
         rng = np.random.default_rng(99)
         for nv in (3, 4, 5):
@@ -77,7 +68,7 @@ def _hull_lp(vehicles, rows, rng):
     cols["y"] = model.add_var("y", 0, 1)
     cols["yp"] = model.add_var("yp", 0, 1)
     cols["w"] = model.add_var("w", 0, np.inf)
-    for coeffs, sense, rhs in rows:
+    for coeffs, sense, rhs, _name in rows:
         model.add_constraint({cols[k]: c for k, c in coeffs.items()},
                              sense, rhs)
     model.set_objective({j: float(c) for j, c in
@@ -110,6 +101,21 @@ class TestBuildRdp:
         sol = mip.solve_mip(h.model)
         # side legs 4*4; the shared edge contributes 2*10 - 0.2 - 1.0
         assert sol.objective == pytest.approx(16.0 + 18.8)
+
+    def test_edge_rows_are_the_hull_inequalities(self):
+        # the two-vehicle shared edge gets sum x >= y + y' as well
+        inst = shared_edge_instance(edge_cost=10.0)
+        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        e = (3, 4)
+        col = {("x", v): h.x_col[(v, e)] for v in (1, 2)}
+        col.update(y=h.y_col[e], yp=h.yp_col[e], w=h.w_col[e])
+        rows = routing.hull_inequalities(e, [1, 2])
+        assert [r[3] for r in rows][-1] == "hull_(3, 4)"
+        emitted = {con.name: con for con in h.model.constraints}
+        for coeffs, sense, rhs, name in rows:
+            con = emitted[name]
+            assert con.coeffs == {col[k]: c for k, c in coeffs.items()}
+            assert (con.sense, con.rhs) == (sense, rhs)
 
     def test_adjusted_costs_enter_objective(self):
         inst = shared_edge_instance(edge_cost=10.0)

@@ -1,7 +1,8 @@
-"""Simplex engine: the cold start's crash basis (checked against HiGHS),
-root starts built from a seed point, warm starts from earlier bases
-(including bases that keep artificial columns), dual simplex restarts after
-branching bounds and added rows, and the numerical recovery ladder."""
+"""Simplex engine: the slack layout it requires, the cold start's crash
+basis (checked against HiGHS), root starts built from a seed point, warm
+starts from earlier bases (including bases that keep a fixed slack basic),
+dual simplex restarts after branching bounds and added rows, and the
+numerical recovery ladder."""
 
 import functools
 from pathlib import Path
@@ -20,12 +21,19 @@ DATA = Path(__file__).parent / "data"
 
 
 def _rank_deficient_lp():
-    """Two copies of one equality row: phase 1 must leave the second row's
-    artificial column basic at zero."""
-    a = sp.csc_matrix(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
+    """Two copies of one equality row, each with its slack fixed at zero:
+    phase 1 must leave one row's artificial column basic at zero."""
+    a = sp.csc_matrix(np.array([[1.0, 1.0, 1.0, 1.0, 0.0],
+                                [2.0, 2.0, 2.0, 0.0, 1.0]]))
     b = np.array([1.0, 2.0])
-    c = np.array([1.0, 2.0, 3.0])
-    return a, b, c, np.zeros(3), np.full(3, np.inf)
+    c = np.array([1.0, 2.0, 3.0, 0.0, 0.0])
+    return a, b, c, np.zeros(5), np.array([np.inf, np.inf, np.inf, 0.0, 0.0])
+
+
+def _fixed_slacks(a, lo, hi):
+    """Columns of the rows' slacks that are fixed at zero (``==`` rows)."""
+    m, n = a.shape
+    return n - m + np.flatnonzero(lo[n - m:] == hi[n - m:])
 
 
 def _small_rdp(seed=0):
@@ -46,24 +54,28 @@ def _small_rdp(seed=0):
 
 
 class TestWarmStart:
-    def test_artificial_basis_accepted_without_pivots(self):
+    def test_rank_deficient_basis_keeps_a_fixed_slack(self):
         a, b, c, lo, hi = _rank_deficient_lp()
         cold = simplex.solve(a, b, c, lo, hi)
         assert cold.status == "optimal"
         n = a.shape[1]
-        assert cold.basis.max() >= n           # an artificial stayed basic
+        assert cold.basis.max() < n            # no artificial index
+        kept = np.intersect1d(cold.basis, _fixed_slacks(a, lo, hi))
+        assert len(kept) == 1                  # the redundant row's slack
+        assert cold.vstatus[kept[0]] == simplex.IS_BASIC
+        assert cold.x[kept[0]] == 0.0
         assert len(cold.x) == n and len(cold.vstatus) == n
         warm = simplex.solve(a, b, c, lo, hi, start=(cold.basis, cold.vstatus))
-        assert warm.status == "optimal"
+        assert warm.warm and warm.status == "optimal"
         assert warm.iterations == 0
         assert warm.objective == cold.objective
         assert np.array_equal(warm.basis, cold.basis)
         assert len(warm.x) == n and len(warm.vstatus) == n
 
-    def test_artificial_basis_reoptimizes_new_objective(self):
+    def test_rank_deficient_basis_reoptimizes_new_objective(self):
         a, b, c, lo, hi = _rank_deficient_lp()
         cold = simplex.solve(a, b, c, lo, hi)
-        c2 = np.array([3.0, 2.0, 1.0])
+        c2 = np.array([3.0, 2.0, 1.0, 0.0, 0.0])
         warm = simplex.solve(a, b, c2, lo, hi, start=(cold.basis, cold.vstatus))
         ref = simplex.solve(a, b, c2, lo, hi)
         assert warm.status == "optimal"
@@ -74,7 +86,9 @@ class TestWarmStart:
     def test_repriced_rdp_matches_cold_in_fewer_pivots(self, seed):
         a, b, lo, hi, c1, c2 = _small_rdp(seed)
         first = simplex.solve(a, b, c1, lo, hi)
-        assert first.basis.max() >= a.shape[1]  # degenerate: artificials left
+        # degenerate: a fixed slack, not an artificial, stays basic
+        assert first.basis.max() < a.shape[1]
+        assert np.isin(first.basis, _fixed_slacks(a, lo, hi)).any()
         cold = simplex.solve(a, b, c2, lo, hi)
         warm = simplex.solve(a, b, c2, lo, hi, start=(first.basis, first.vstatus))
         assert warm.status == cold.status == "optimal"
@@ -101,7 +115,7 @@ class TestWarmStart:
     def test_primal_infeasible_start_falls_back_to_cold(self):
         # Fix a basic variable away from its value, as branching does, and
         # price by a new objective, so the start is not dual feasible either.
-        a, b, lo, hi, c1, c2 = _small_rdp()
+        a, b, lo, hi, c1, c2 = _small_rdp(3)
         first = simplex.solve(a, b, c1, lo, hi)
         n = a.shape[1]
         j = next(int(j) for j in first.basis
@@ -129,14 +143,14 @@ def _rdp_model():
 def _root(name):
     """(model, cold root LP result, basic integer columns).  The routing
     root ends phase 1 degenerate on its flow rows, so its basis keeps
-    artificial columns; the scheduling model has no equality rows, and its
-    crash basis leaves none."""
+    fixed slacks of equality rows; the scheduling model has no equality
+    rows."""
     model = {"sp": branching_sp_model, "rdp": _rdp_model}[name]()
     a, b, c, lo, hi, *_ = mip._standard_form(model)
     root = simplex.solve(a, b, c, lo, hi)
     assert root.status == "optimal"
     if name == "rdp":
-        assert root.basis.max() >= a.shape[1]
+        assert np.isin(root.basis, _fixed_slacks(a, lo, hi)).any()
     ints = set(model.integer_indices())
     return model, root, sorted(int(j) for j in root.basis if j in ints)
 
@@ -156,9 +170,10 @@ def _warm_and_cold(model, root, overrides, rows=()):
     child = model.copy()
     for coeffs, rhs in rows:
         child.add_constraint(coeffs, ">=", rhs)
-    a, b, c, lo, hi, *_ = mip._standard_form(child, overrides)
-    start = mip.extend_start((root.basis, root.vstatus), child,
-                             model.num_constraints)
+    a, b, c, lo, hi, *_ = mip._standard_form(child)
+    for j, (l, u) in overrides.items():
+        lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
+    start = mip.extend_start((root.basis, root.vstatus), len(rows))
     warm = simplex.solve(a, b, c, lo, hi, start=start)
     cold = simplex.solve(a, b, c, lo, hi)
     return a, b, lo, hi, warm, cold
@@ -237,26 +252,68 @@ class TestDualRestart:
         assert np.allclose(warm.x, [0.5, 0.0, 1.0])
 
     def test_extended_start_covers_equality_rows(self):
-        # An appended equality row has no slack: its artificial column
-        # carries the violation into the start and the dual simplex drives
-        # it out.
+        # An appended equality row's slack is fixed at zero: it carries the
+        # violation into the start and the dual simplex drives it out.
         m = mip.LinearModel()
         x = m.add_var("x", 0.0, 4.0)
         y = m.add_var("y", 0.0, 4.0)
         m.add_constraint({x: 1.0, y: 2.0}, "<=", 6.0)
         m.set_objective({x: 1.0, y: 1.0}, sense="max")
         first = mip.solve_lp(m)
-        n_rows = m.num_constraints
         m.add_constraint({x: 1.0, y: -1.0}, "==", 1.0)
         m.add_constraint({y: 1.0}, ">=", 1.5)
-        start = mip.extend_start((first.basis, first.vstatus), m, n_rows)
+        start = mip.extend_start((first.basis, first.vstatus), 2)
         a, b, c, lo, hi, *_ = mip._standard_form(m)
         assert len(start[0]) == a.shape[0] and len(start[1]) == a.shape[1]
-        assert a.shape[1] + 1 in start[0]       # artificial of the equality
+        assert a.shape[1] - 2 in start[0]       # fixed slack of the equality
+        assert lo[-2] == hi[-2] == 0.0
         warm = simplex.solve(a, b, c, lo, hi, start=start)
         cold = simplex.solve(a, b, c, lo, hi)
         assert warm.warm and warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+class TestSlackLayout:
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],      # no slack columns at all
+        [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],      # singletons in the wrong rows
+        [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]],      # an empty last column
+    ])
+    def test_solve_requires_the_rows_slacks_last(self, rows):
+        a = sp.csc_matrix(np.array(rows))
+        lo, hi = np.zeros(3), np.full(3, np.inf)
+        with pytest.raises(ValueError, match="slacks"):
+            simplex.solve(a, np.ones(2), np.ones(3), lo, hi)
+
+    def test_fixed_column_never_enters(self):
+        # min -x s.t. x + s = 2, x fixed at 1: x prices as improving but
+        # cannot move, so the crash basis (s basic) is already optimal.
+        a = sp.csc_matrix(np.array([[1.0, 1.0]]))
+        lo, hi = np.array([1.0, 0.0]), np.array([1.0, np.inf])
+        res = simplex.solve(a, np.array([2.0]), np.array([-1.0, 0.0]), lo, hi)
+        assert res.status == "optimal" and res.iterations == 0
+        assert res.vstatus[0] == simplex.AT_LOWER
+        assert list(res.basis) == [1] and res.objective == -1.0
+
+    def test_appended_equality_cut_starts_on_its_fixed_slack(self):
+        m = mip.LinearModel()
+        x = m.add_var("x", 0.0, 4.0)
+        y = m.add_var("y", 0.0, 4.0)
+        m.add_constraint({x: 1.0, y: 2.0}, "<=", 6.0)
+        m.set_objective({x: 1.0, y: 1.0}, sense="max")
+        first = mip.solve_lp(m)
+        m.add_cut(mip.Cut({x: 1.0, y: -1.0}, "==", 3.5))
+        a, b, c, lo, hi, *_ = mip._standard_form(m)
+        n = a.shape[1]
+        basis, vstatus = mip.extend_start((first.basis, first.vstatus), 1)
+        assert basis[-1] == n - 1 and vstatus[n - 1] == simplex.IS_BASIC
+        assert lo[n - 1] == hi[n - 1] == 0.0
+        assert np.array_equal(basis[:-1], first.basis)
+        warm = simplex.solve(a, b, c, lo, hi, start=(basis, vstatus))
+        cold = simplex.solve(a, b, c, lo, hi)
+        assert warm.warm and warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert warm.basis.max() < n
 
 
 @st.composite

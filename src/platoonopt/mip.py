@@ -18,6 +18,7 @@ LP, and the last one serves the nodes.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -74,6 +75,8 @@ class Cut:
         for v in self.coeffs.values():
             if not np.isfinite(v):
                 raise ModelError("cut with non-finite coefficient")
+        if not np.isfinite(self.rhs):
+            raise ModelError("cut with non-finite right-hand side")
 
 
 class LinearModel:
@@ -89,6 +92,8 @@ class LinearModel:
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 kind: str = CONTINUOUS) -> int:
+        if math.isnan(lb) or math.isnan(ub):
+            raise ModelError(f"variable {name}: NaN bound")
         if kind == BINARY:
             lb = max(lb, 0.0)
             ub = min(ub, 1.0)
@@ -101,11 +106,16 @@ class LinearModel:
                        name: str = "") -> int:
         if sense not in (LE, GE, EQ):
             raise ModelError(f"bad sense {sense!r}")
+        if not math.isfinite(rhs):
+            raise ModelError(f"constraint {name!r} has non-finite rhs {rhs}")
         nv = len(self.variables)
         clean = {}
         for j, v in coeffs.items():
             if j < 0 or j >= nv:
                 raise ModelError(f"constraint {name!r} references unknown column {j}")
+            if not math.isfinite(v):
+                raise ModelError(
+                    f"constraint {name!r} has non-finite coefficient {v}")
             if v != 0.0:
                 clean[int(j)] = float(v)
         self.constraints.append(Constraint(clean, sense, float(rhs), name))
@@ -115,10 +125,14 @@ class LinearModel:
                       sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ModelError(f"bad objective sense {sense!r}")
+        if not math.isfinite(constant):
+            raise ModelError(f"non-finite objective constant {constant}")
         nv = len(self.variables)
-        for j in coeffs:
+        for j, v in coeffs.items():
             if j < 0 or j >= nv:
                 raise ModelError(f"objective references unknown column {j}")
+            if not math.isfinite(v):
+                raise ModelError(f"non-finite objective coefficient {v}")
         self.obj_coeffs = {int(j): float(v) for j, v in coeffs.items() if v != 0.0}
         self.obj_constant = float(constant)
         self.obj_sense = sense

@@ -86,8 +86,9 @@ class RoadNetwork:
             if not all(map(math.isfinite, (e.length, e.time, e.fuel))):
                 raise ValidationError(
                     f"edge {e.key} needs finite length, time and fuel")
-            if e.fuel <= 0 or e.time <= 0:
-                raise ValidationError(f"edge {e.key} needs positive fuel and time")
+            if e.length <= 0 or e.fuel <= 0 or e.time <= 0:
+                raise ValidationError(
+                    f"edge {e.key} needs positive length, fuel and time")
             if e.key in self.edges:
                 raise ValidationError(f"duplicate edge {e.key}")
             self.edges[e.key] = e

@@ -4,20 +4,21 @@ Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data, where the
 last ``m`` columns of ``A`` are the rows' slacks: column ``n - m + i`` has
 its one nonzero in row ``i`` (an equality row's slack is fixed at zero).
 A basis is a set of columns of ``A``; artificial columns exist only inside
-a cold solve's phase 1.  The basis inverse is a sparse LU factorization
-plus a product-form eta file, refactorized every ``refresh`` pivots.  A
-cold solve runs the primal simplex in two phases from a crash basis: each
-row starts basic in a singleton column (a slack, say) that can absorb its
-residual within that column's bounds, and only the other rows on an
-artificial column; an artificial still basic at the end gives way to its
-row's slack.  A solve
-given an earlier basis, or one built from a known point, re-optimizes from
-it: with the primal simplex (phase 2 only) when the basis is primal
-feasible, or with the dual simplex when it is dual feasible but not primal
-feasible, as after a branching bound or an added cut.  Pivoting is
-deterministic: Dantzig pricing (primal) or the largest bound violation
-(dual) with lowest-index tie-breaking, falling back to Bland's rule when
-stalling is detected.  A fixed column (``lo == hi``) never enters.
+a cold solve's phase 1.  The basis inverse is a sparse LU factorization of
+the basis at the last refactorization times one dense low-rank term that
+holds every pivot since (``_Factor``), refactorized every ``refresh``
+pivots.  A cold solve runs the primal simplex in two phases from a crash
+basis: each row starts basic in a singleton column (a slack, say) that can
+absorb its residual within that column's bounds, and only the other rows
+on an artificial column; an artificial still basic at the end gives way to
+its row's slack.  A solve given an earlier basis, or one built from a
+known point, re-optimizes from it: with the primal simplex (phase 2 only)
+when the basis is primal feasible, or with the dual simplex when it is
+dual feasible but not primal feasible, as after a branching bound or an
+added cut.  Pivoting is deterministic: Dantzig pricing (primal) or the
+largest bound violation (dual) with lowest-index tie-breaking, falling
+back to Bland's rule when stalling is detected.  A fixed column
+(``lo == hi``) never enters.
 """
 
 from __future__ import annotations
@@ -41,38 +42,63 @@ class NumericalFailure(Exception):
 
 
 class _Factor:
-    """Basis inverse: sparse LU of B0 plus eta updates (B = ... E2 E1 B0)."""
+    """Basis inverse in block-LU form (Eldersveld & Saunders, 1992):
+    B^-1 = (I - U V^T) B0^-1, a sparse LU of the basis B0 at the last
+    refactorization times one rank-``k`` term for the ``k`` pivots since.
+    Row ``i`` of ``ut`` holds column ``i`` of ``U`` and row ``i`` of ``vt``
+    column ``i`` of ``V``.  Both buffers have ``size`` rows, one more than
+    the pivots allowed between refactorizations, and ``refactor`` reuses
+    them."""
 
-    def __init__(self, a_csc: sp.csc_matrix, basis: np.ndarray):
+    def __init__(self, a_csc: sp.csc_matrix, basis: np.ndarray, size: int):
+        m = a_csc.shape[0]
+        self.a = a_csc
+        self.ut = np.empty((size, m))
+        self.vt = np.empty((size, m))
+        self.refactor(basis)
+
+    def refactor(self, basis: np.ndarray) -> None:
+        """Factorize ``B0 = A[:, basis]`` afresh and drop the updates."""
         if len(np.unique(basis)) != len(basis):
             raise NumericalFailure("duplicate column in basis")
-        cols = a_csc[:, basis].tocsc()
         try:
-            self.lu = spla.splu(cols)
+            self.lu = spla.splu(self.a[:, basis].tocsc())
         except RuntimeError as exc:  # singular basis
             raise NumericalFailure(f"singular basis: {exc}") from exc
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.k = 0
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
+        """x = B^-1 v: one LU solve, then x -= U (V^T x)."""
         x = self.lu.solve(v)
-        for r, d in self.etas:
-            t = x[r] / d[r]
-            x = x - d * t
-            x[r] = t
+        k = self.k
+        if k:
+            x -= (self.vt[:k] @ x) @ self.ut[:k]
         return x
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        y = v.copy()
-        for r, d in reversed(self.etas):
-            y[r] = (y[r] - (d @ y - d[r] * y[r])) / d[r]
-        return self.lu.solve(y, trans="T")
+        """y = B^-T v: y = v - V (U^T v), then one transposed LU solve."""
+        k = self.k
+        if k:
+            v = v - (self.ut[:k] @ v) @ self.vt[:k]
+        return self.lu.solve(v, trans="T")
 
     def push(self, r: int, d: np.ndarray) -> None:
-        self.etas.append((r, d.copy()))
+        """Replace basis position ``r`` by the column whose ftran is ``d``.
+        Folds the eta ``E = I - u e_r^T``, ``u = (d - e_r) / d[r]``, into
+        ``I - U V^T`` as the new pair ``(u, w)``, ``w = e_r - V U[r, :]^T``."""
+        k = self.k
+        u, w = self.ut[k], self.vt[k]
+        np.divide(d, d[r], out=u)
+        u[r] = (d[r] - 1.0) / d[r]
+        np.dot(self.ut[:k, r], self.vt[:k], out=w)
+        np.negative(w, out=w)
+        w[r] += 1.0
+        self.k = k + 1
 
     @property
     def age(self) -> int:
-        return len(self.etas)
+        """Pivots since the last refactorization."""
+        return self.k
 
 
 class SimplexResult:
@@ -201,7 +227,8 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
     basis[rows] = cols
 
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    state = _State(a_ext, b, lo_ext, hi_ext, basis, vstatus_ext, x_ext)
+    state = _State(a_ext, b, lo_ext, hi_ext, basis, vstatus_ext, x_ext,
+                   _Factor(a_ext, basis, refresh + 1))
     it1 = _iterate(state, c1, max_iter, bland_everywhere, refresh)
     if it1 is None:
         raise NumericalFailure("phase 1 iteration limit")
@@ -268,10 +295,10 @@ def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
         return None
     basis = basis.copy()
     try:
-        factor = _Factor(a_csc, basis)
+        factor = _Factor(a_csc, basis, refresh + 1)
     except NumericalFailure:
         return None
-    state = _State(a_csc, b, lo, hi, basis, vstatus, x, factor=factor)
+    state = _State(a_csc, b, lo, hi, basis, vstatus, x, factor)
     state.solve_basics()
     it = 0
     if state.violations().max(initial=0.0) > FEAS_TOL:
@@ -313,7 +340,7 @@ def _flip_to_dual_feasible(state, c):
 
 
 class _State:
-    def __init__(self, a_csc, b, lo, hi, basis, vstatus, x, factor=None):
+    def __init__(self, a_csc, b, lo, hi, basis, vstatus, x, factor):
         self.a = a_csc
         self.at = a_csc.T.tocsr()
         self.b = b
@@ -322,12 +349,12 @@ class _State:
         self.basis = basis
         self.vstatus = vstatus
         self.x = x
-        self.factor = factor or _Factor(a_csc, basis)
+        self.factor = factor
         self.unbounded = False
         self.infeasible = False
 
     def refresh(self):
-        self.factor = _Factor(self.a, self.basis)
+        self.factor.refactor(self.basis)
         self.solve_basics()
 
     def solve_basics(self):

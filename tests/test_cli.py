@@ -44,6 +44,16 @@ class TestRshmCommand:
         assert code == cli.EXIT_USAGE
         assert "time window must be finite" in capsys.readouterr().err
 
+    def test_zero_edge_length_exits_with_usage_code(self, tmp_path, capsys):
+        doc = nm.instance_to_dict(shared_edge_instance())
+        doc["edges"][0]["length"] = 0
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["rshm", "--instance", str(inst_path),
+                         "--iter-cap", "2"])
+        assert code == cli.EXIT_USAGE
+        assert "positive length" in capsys.readouterr().err
+
 def _routes_file(tmp_path, inst, routes=None):
     """Save ``inst`` and its routes (default: iteration-1 routing optimum,
     written by ``solve-rdp``); return both paths."""

@@ -121,6 +121,59 @@ def test_lp_infeasible_and_unbounded():
     assert mip.solve_lp(m2).status == "unbounded"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _xy_model():
+    m = mip.LinearModel()
+    return m, m.add_var("x"), m.add_var("y")
+
+
+@pytest.mark.parametrize("lb,ub", [(NAN, 1.0), (0.0, NAN)],
+                         ids=["nan-lb", "nan-ub"])
+def test_add_var_rejects_nan_bound(lb, ub):
+    m = mip.LinearModel()
+    with pytest.raises(mip.ModelError, match="NaN"):
+        m.add_var("x", lb, ub)
+    with pytest.raises(mip.ModelError, match="NaN"):
+        m.add_var("b", lb, ub, kind=mip.BINARY)
+    assert m.num_vars == 0
+    m.add_var("free", -INF, INF)     # infinite bounds stay legal
+
+
+@pytest.mark.parametrize("coef,rhs", [(1.0, NAN), (1.0, INF), (NAN, 1.0),
+                                      (-INF, 1.0)],
+                         ids=["nan-rhs", "inf-rhs", "nan-coef", "inf-coef"])
+def test_add_constraint_rejects_non_finite_data(coef, rhs):
+    # unchecked, the LP layer ignores a row with a NaN rhs (x + y >= NaN
+    # solves optimal at x = y = 0)
+    m, x, y = _xy_model()
+    with pytest.raises(mip.ModelError, match="non-finite"):
+        m.add_constraint({x: 1.0, y: coef}, ">=", rhs)
+    assert m.num_constraints == 0
+
+
+@pytest.mark.parametrize("coef,constant", [(NAN, 0.0), (INF, 0.0),
+                                           (1.0, NAN), (1.0, -INF)],
+                         ids=["nan-coef", "inf-coef", "nan-const",
+                              "inf-const"])
+def test_set_objective_rejects_non_finite_data(coef, constant):
+    m, x, y = _xy_model()
+    with pytest.raises(mip.ModelError, match="non-finite"):
+        m.set_objective({x: 1.0, y: coef}, constant)
+
+
+@pytest.mark.parametrize("rhs", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_cut_rejects_non_finite_rhs(rhs):
+    m, x, y = _xy_model()
+    cut = mip.Cut({x: 1.0, y: 1.0}, ">=", rhs, tag="hull")
+    with pytest.raises(mip.ModelError, match="right-hand side"):
+        cut.validate()
+    with pytest.raises(mip.ModelError, match="right-hand side"):
+        m.add_cut(cut)
+    assert m.num_constraints == 0
+
+
 def test_mip_knapsack_enumerated():
     m = mip.LinearModel()
     a = m.add_var("x1", kind=mip.BINARY)

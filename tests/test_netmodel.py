@@ -274,6 +274,14 @@ def test_network_invariants():
         make_net({1: (0, 0), 2: (1, 0)}, [(1, 2, 0.0)])
 
 
+@pytest.mark.parametrize("length", [0.0, -40.0], ids=["zero", "negative"])
+def test_network_rejects_non_positive_length(length):
+    # fuel and time stay positive, so only the length is at fault
+    nodes = [nm.Node(1, 0.0, 0.0), nm.Node(2, 1.0, 0.0)]
+    with pytest.raises(nm.ValidationError, match="positive length"):
+        nm.RoadNetwork(nodes, [nm.Edge(1, 2, length, 0.5, 40.0)])
+
+
 def test_grid_proportionality():
     net = nm.make_grid_network(3, 4, spacing_km=17.0, jitter=0.2, seed=8,
                                speed_kmh=80.0, fuel_per_km=1.0)

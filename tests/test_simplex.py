@@ -478,6 +478,63 @@ class TestSeedStart:
         assert list(basis) == [0] and vstatus[2] == simplex.AT_LOWER
 
 
+def _close(got, want):
+    """``got`` equals ``want`` to 1e-9, relative to the size of ``want``."""
+    return np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
+
+
+class TestFactor:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.data())
+    def test_updates_match_a_dense_solve_across_a_refresh(self, data):
+        # A small A in the slack layout starts on its slack basis; each step
+        # replaces one basis position through _State, as a pivot does, with
+        # |d[r]| > 0.1.  The second step replaces the first step's row again.
+        m = data.draw(st.integers(2, 12), label="m")
+        k = data.draw(st.integers(1, 6), label="structurals")
+        coef = st.integers(-3, 3)
+        struct = np.array(data.draw(st.lists(
+            st.lists(coef, min_size=k, max_size=k), min_size=m, max_size=m)),
+            dtype=float)
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                   min_size=m, max_size=m))
+        a = sp.csc_matrix(np.hstack([struct, np.diag(signs)]))
+        n = k + m
+        refresh = data.draw(st.integers(2, 8), label="refresh")
+        steps = data.draw(st.integers(refresh + 2, 2 * refresh), label="steps")
+        basis = np.arange(k, n)
+        zeros = np.zeros(n)
+        factor = simplex._Factor(a, basis, refresh + 1)
+        state = simplex._State(a, np.zeros(m), zeros, zeros, basis,
+                               np.zeros(n, dtype=np.int8), zeros.copy(),
+                               factor)
+        ut, vt = factor.ut, factor.vt
+        rng = np.random.default_rng(m * 100 + k)
+        rows = []
+        for step in range(steps):
+            if state.factor.age > refresh:
+                state.refresh()
+                assert state.factor.age == 0
+                assert state.factor.ut is ut and state.factor.vt is vt
+            pairs = []
+            for j in np.setdiff1d(np.arange(n), state.basis):
+                d = state.factor.ftran(state.column(j))
+                pairs += [(int(j), int(r)) for r in np.flatnonzero(
+                    np.abs(d) > 0.1) if step != 1 or r == rows[0]]
+            assume(pairs)
+            j, r = data.draw(st.sampled_from(pairs), label="pivot")
+            d = state.factor.ftran(state.column(j))
+            state.basis[r] = j
+            state.factor.push(r, d)
+            rows.append(r)
+            bm = a[:, state.basis].toarray()
+            v = rng.standard_normal(m)
+            assert _close(state.factor.ftran(v), np.linalg.solve(bm, v))
+            assert _close(state.factor.btran(v), np.linalg.solve(bm.T, v))
+        assert rows[0] == rows[1]
+
+
 class TestRecovery:
     def test_drifting_eta_file_recovered_by_frequent_refactorization(self):
         # A scheduling branch-and-bound node LP (387 rows) whose eta file,

@@ -112,7 +112,20 @@ def _routes_from_file(inst, path) -> routing.RouteAssignment:
     rule."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    routes = {int(v): tuple(nodes) for v, nodes in doc["routes"].items()}
+    if not isinstance(doc, dict) or not isinstance(doc.get("routes"), dict):
+        raise netmodel.ValidationError(
+            'routes file must hold an object with a "routes" object')
+    routes = {}
+    for v, nodes in doc["routes"].items():
+        try:
+            vid = int(v)
+        except ValueError:
+            raise netmodel.ValidationError(
+                f"routes file: vehicle id {v!r} is not an integer") from None
+        if not isinstance(nodes, list):
+            raise netmodel.ValidationError(
+                f"vehicle {vid}: route must be a list of nodes")
+        routes[vid] = tuple(nodes)
     missions = {m.id: m for m in inst.missions}
     for v in sorted(set(missions) ^ set(routes)):
         problem = ("has no route in the routes file" if v in missions
@@ -278,14 +291,26 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _limit(text: str) -> float:
+    """A finite, non-negative number: a gap or a time budget."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="platoonopt",
                                 description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_common_solver(sp):
-        sp.add_argument("--gap", type=float, default=1e-4)
-        sp.add_argument("--time-limit", type=float, default=600.0)
+        sp.add_argument("--gap", type=_limit, default=1e-4)
+        sp.add_argument("--time-limit", type=_limit, default=600.0)
 
     g = sub.add_parser("gen", help="generate an instance or network file")
     g.add_argument("--model", choices=["distributed", "two-cluster",
@@ -328,12 +353,12 @@ def _build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("rshm", help="run the route-then-schedule heuristic")
     h.add_argument("--instance", required=True)
     h.add_argument("--freq-threshold", type=int, default=3)
-    h.add_argument("--per-solve", type=float, default=600.0)
-    h.add_argument("--total", type=float, default=3600.0)
+    h.add_argument("--per-solve", type=_limit, default=600.0)
+    h.add_argument("--total", type=_limit, default=3600.0)
     h.add_argument("--iter-cap", type=int, default=None)
     h.add_argument("--cuts", choices=list(scheduling.CUT_MODES),
                    default=scheduling.DEFAULT_CUT_MODE)
-    h.add_argument("--gap", type=float, default=1e-4)
+    h.add_argument("--gap", type=_limit, default=1e-4)
     h.add_argument("--out")
     h.add_argument("--trace")
     h.set_defaults(func=cmd_rshm)

@@ -3,16 +3,25 @@
 The LP relaxations are solved by the embedded simplex in ``simplex.py``
 on a standard form (:func:`_standard_form`) that gives every row a slack
 column, last, so a basis is always a set of its columns and appending rows
-moves none.  Branch and bound uses best-bound node selection,
-most-fractional branching (ties to the lowest variable index), and an
-optional root cut hook that is called with every fractional root LP
-solution.  The first root LP starts from a given basis, or else from a
-basis built at the seeded incumbent (:func:`seed_start`), and cold only
-without either.  Each root LP after a cut round restarts from the previous
-one's basis with the new rows' slacks basic (:func:`extend_start`), and
-each node LP from its parent's optimal basis; the dual simplex repairs the
-violated cut or branching bound.  The standard form is built once per root
-LP, and the last one serves the nodes.
+moves none.  A model compiles its rows once (:class:`CompiledRows`:
+the coefficients as one sparse matrix, the right-hand sides and the
+senses) and compiles only the rows appended since at its next solve; the
+column data (bounds, kinds, objective) is read afresh at every solve, so a
+model re-priced between solves re-uses its rows.  The standard-form matrix, with
+its slack columns and its transpose, is kept with the rows for the last
+column layout (which columns are negated or split).
+
+Branch and bound uses best-bound node selection, most-fractional branching
+(ties to the lowest variable index), and an optional root cut hook that is
+called with every fractional root LP solution.  Cut rounds append their
+rows to a standard form local to the solve, so the model is left as it
+was.  The first root LP starts from a given basis, or else from a basis
+built at the seeded incumbent (:func:`seed_start`), and cold only without
+either.  Each root LP after a cut round restarts from the previous one's
+basis with the new rows' slacks basic (:func:`extend_start`), and each node
+LP from its parent's optimal basis; the dual simplex repairs the violated
+cut or branching bound.  The last root LP's standard form serves the
+nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,6 +99,7 @@ class LinearModel:
         self.obj_coeffs: dict[int, float] = {}
         self.obj_constant = 0.0
         self.obj_sense = "min"
+        self._rows: CompiledRows | None = None     # see compiled_rows
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 kind: str = CONTINUOUS) -> int:
@@ -104,21 +115,7 @@ class LinearModel:
 
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float,
                        name: str = "") -> int:
-        if sense not in (LE, GE, EQ):
-            raise ModelError(f"bad sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise ModelError(f"constraint {name!r} has non-finite rhs {rhs}")
-        nv = len(self.variables)
-        clean = {}
-        for j, v in coeffs.items():
-            if j < 0 or j >= nv:
-                raise ModelError(f"constraint {name!r} references unknown column {j}")
-            if not math.isfinite(v):
-                raise ModelError(
-                    f"constraint {name!r} has non-finite coefficient {v}")
-            if v != 0.0:
-                clean[int(j)] = float(v)
-        self.constraints.append(Constraint(clean, sense, float(rhs), name))
+        self.constraints.append(_row(coeffs, sense, rhs, name, self.num_vars))
         return len(self.constraints) - 1
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
@@ -138,9 +135,9 @@ class LinearModel:
         self.obj_sense = sense
 
     def add_cut(self, cut: Cut) -> int:
-        cut.validate()
-        return self.add_constraint(cut.coeffs, cut.sense, cut.rhs,
-                                   name=f"cut_{cut.tag}_{len(self.constraints)}")
+        self.constraints.append(
+            _cut_row(cut, self.num_vars, len(self.constraints)))
+        return len(self.constraints) - 1
 
     @property
     def num_vars(self) -> int:
@@ -160,6 +157,20 @@ class LinearModel:
             if v.kind == BINARY and (v.lb < -1e-15 or v.ub > 1 + 1e-15):
                 raise ModelError(f"binary {v.name} has bounds outside [0,1]")
 
+    def compiled_rows(self) -> "CompiledRows":
+        """The model's rows, compiled.  The rows appended since the last
+        call are compiled and appended to the block; an unchanged model
+        gets the same block back.  Rows are never edited in place, so only
+        a change in the column count, or rows taken off the list, compiles
+        every row afresh."""
+        rows, nv, m = self._rows, self.num_vars, self.num_constraints
+        if rows is None or rows.a.shape[1] != nv or rows.m > m:
+            rows = CompiledRows.compile(self.constraints, nv)
+        elif rows.m < m:
+            rows = rows.extend(self.constraints[rows.m:])
+        self._rows = rows
+        return rows
+
     def copy(self) -> "LinearModel":
         m = LinearModel(self.name)
         m.variables = [Variable(v.name, v.lb, v.ub, v.kind) for v in self.variables]
@@ -169,6 +180,31 @@ class LinearModel:
         m.obj_constant = self.obj_constant
         m.obj_sense = self.obj_sense
         return m
+
+
+def _row(coeffs: dict[int, float], sense: str, rhs: float, name: str,
+         nv: int) -> Constraint:
+    """A checked row over ``nv`` columns, zero coefficients dropped."""
+    if sense not in (LE, GE, EQ):
+        raise ModelError(f"bad sense {sense!r}")
+    if not math.isfinite(rhs):
+        raise ModelError(f"constraint {name!r} has non-finite rhs {rhs}")
+    clean = {}
+    for j, v in coeffs.items():
+        if j < 0 or j >= nv:
+            raise ModelError(f"constraint {name!r} references unknown column {j}")
+        if not math.isfinite(v):
+            raise ModelError(
+                f"constraint {name!r} has non-finite coefficient {v}")
+        if v != 0.0:
+            clean[int(j)] = float(v)
+    return Constraint(clean, sense, float(rhs), name)
+
+
+def _cut_row(cut: Cut, nv: int, i: int) -> Constraint:
+    """The checked row of ``cut`` as row ``i`` of a model."""
+    cut.validate()
+    return _row(cut.coeffs, cut.sense, cut.rhs, f"cut_{cut.tag}_{i}", nv)
 
 
 @dataclass
@@ -208,23 +244,79 @@ class MipSolution:
         return float(self.x[j])
 
 
-def _standard_form(model: LinearModel):
-    """Equality form ``A x = b, lo <= x <= hi`` of the model's LP relaxation.
-
-    The columns are the model's own, then the negative part of each free
-    column, then one slack per row: the slack of row ``i`` is column
-    ``n - m + i``.  A ``<=`` row's slack has coefficient +1 and a ``>=``
-    row's -1, both in ``[0, inf)``; an ``==`` row's slack has +1 and is
-    fixed at ``[0, 0]``.  This is the layout ``simplex.solve`` requires,
-    and appending rows never moves a column.  A column with only an upper
-    bound is negated, so every column has a finite lower bound.
-
-    Returns (A, b, c, lo, hi, recover, sign, reformed): ``recover(x)``
-    maps a standard-form point to the model's columns, ``sign`` is -1 for
-    a maximization (``c`` is then negated), and ``reformed`` tells whether
-    any column was negated or split.
+class CompiledRows:
+    """Compiled rows: their coefficients over the model's own columns as
+    one CSR matrix ``a`` (each row's entries in the order of its
+    coefficient dict), the right-hand sides ``b`` and the senses.
+    Immutable: :meth:`extend` returns a new block, so a solve's cut rounds
+    leave the model's block as it was.  The standard-form matrix built
+    from it is kept for the last column layout asked for (:meth:`matrix`).
     """
-    nv, m = model.num_vars, model.num_constraints
+    __slots__ = ("a", "b", "senses", "_matrix")
+
+    def __init__(self, a: sp.csr_matrix, b: np.ndarray, senses: np.ndarray):
+        self.a = a
+        self.b = b
+        self.senses = senses
+        self._matrix = None        # (layout key, simplex.Matrix)
+
+    @property
+    def m(self) -> int:
+        return self.a.shape[0]
+
+    @classmethod
+    def compile(cls, constraints: list[Constraint],
+                nv: int) -> "CompiledRows":
+        cols, vals = [], []
+        for con in constraints:
+            cols.extend(con.coeffs)
+            vals.extend(con.coeffs.values())
+        indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
+        np.cumsum([len(con.coeffs) for con in constraints], out=indptr[1:])
+        a = sp.csr_matrix((np.asarray(vals, dtype=float),
+                           np.asarray(cols, dtype=np.int32), indptr),
+                          shape=(len(constraints), nv))
+        return cls(a, np.array([con.rhs for con in constraints], dtype=float),
+                   np.array([con.sense for con in constraints], dtype=object))
+
+    def extend(self, constraints: list[Constraint]) -> "CompiledRows":
+        """This block with ``constraints`` appended below it."""
+        new = CompiledRows.compile(constraints, self.a.shape[1])
+        return CompiledRows(sp.vstack([self.a, new.a], format="csr"),
+                     np.concatenate([self.b, new.b]),
+                     np.concatenate([self.senses, new.senses]))
+
+    def matrix(self, flip: np.ndarray, splits: np.ndarray) -> simplex.Matrix:
+        """``[A F, -A[:, splits], S]`` in CSC form: the block with its
+        columns scaled by ``flip`` (+1 or -1 each), the negated split
+        columns, and one slack per row, +1 for ``<=`` and ``==`` and -1
+        for ``>=``."""
+        key = (np.flatnonzero(flip < 0).tobytes(), splits.tobytes())
+        if self._matrix is None or self._matrix[0] != key:
+            a = self.a.tocsc()
+            m, nv = a.shape
+            data = a.data * np.repeat(flip, np.diff(a.indptr))
+            neg = a[:, splits]
+            nnz = a.nnz + neg.nnz
+            full = sp.csc_matrix(
+                (np.concatenate([data, -neg.data,
+                                 np.where(self.senses == GE, -1.0, 1.0)]),
+                 np.concatenate([a.indices, neg.indices,
+                                 np.arange(m, dtype=a.indices.dtype)]),
+                 np.concatenate([a.indptr, a.nnz + neg.indptr[1:],
+                                 nnz + np.arange(1, m + 1)])),
+                shape=(m, nv + splits.size + m))
+            self._matrix = (key, simplex.Matrix(full))
+        return self._matrix[1]
+
+
+def _columns(model: LinearModel):
+    """The model's column data in standard form, slacks left out:
+    ``(c, lo, hi, flip, splits, sign)``, the objective and bounds of its
+    own columns and then of the negative parts of its split columns, the
+    sign of each own column, the split columns, and the objective's sign
+    (-1 for a maximization)."""
+    nv = model.num_vars
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
     c = np.zeros(nv)
@@ -234,36 +326,80 @@ def _standard_form(model: LinearModel):
     if model.obj_sense == "max":
         c = -c
         sign = -1.0
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(m)
-    for i, con in enumerate(model.constraints):
-        rows.extend([i] * len(con.coeffs))
-        cols.extend(con.coeffs)
-        vals.extend(con.coeffs.values())
-        b[i] = con.rhs
     # lb = -inf with a finite ub: x -> -x.  Fully free: x -> x+ - x-.
     down = np.isneginf(lo)
     flip = np.where(down & np.isfinite(hi), -1.0, 1.0)
     splits = np.flatnonzero(down & np.isposinf(hi))
     k = splits.size
-    a = sp.coo_matrix((flip[cols] * vals, (rows, cols)), shape=(m, nv)).tocsc()
-    senses = np.array([con.sense for con in model.constraints], dtype=object)
-    slack = sp.diags(np.where(senses == GE, -1.0, 1.0))
-    a = sp.hstack([a, -a[:, splits], slack], format="csc")
-    c = np.concatenate([c * flip, -c[splits], np.zeros(m)])
+    c = np.concatenate([c * flip, -c[splits]])
     lo, hi = np.where(flip < 0, -hi, lo), np.where(flip < 0, np.inf, hi)
     lo[splits] = 0.0
-    lo = np.concatenate([lo, np.zeros(k + m)])
-    hi = np.concatenate([hi, np.full(k, np.inf),
-                         np.where(senses == EQ, 0.0, np.inf)])
+    return (c, np.concatenate([lo, np.zeros(k)]),
+            np.concatenate([hi, np.full(k, np.inf)]), flip, splits, sign)
 
-    def recover(x_int: np.ndarray) -> np.ndarray:
-        x = x_int[:nv] * flip
-        x[splits] -= x_int[nv:nv + k]
+
+class StandardForm(NamedTuple):
+    """Equality form ``A x = b, lo <= x <= hi`` of a model's LP relaxation.
+
+    The columns are the model's own, then the negative part of each free
+    column, then one slack per row: the slack of row ``i`` is column
+    ``n - m + i``.  A ``<=`` row's slack has coefficient +1 and a ``>=``
+    row's -1, both in ``[0, inf)``; an ``==`` row's slack has +1 and is
+    fixed at ``[0, 0]``.  This is the layout ``simplex.solve`` requires,
+    and appending rows never moves a column.  A column with only an upper
+    bound is negated (``flip`` is -1), a free one split (``splits``), so
+    every column has a finite lower bound; ``sign`` is -1 for a
+    maximization, whose ``c`` is negated.  ``matrix`` is ``a`` as the
+    simplex takes it, with its transpose.
+    """
+    a: sp.csc_matrix
+    b: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    matrix: simplex.Matrix
+    rows: CompiledRows
+    flip: np.ndarray
+    splits: np.ndarray
+    sign: float
+
+    @property
+    def reformed(self) -> bool:
+        """Whether any column was negated or split."""
+        return bool(self.splits.size or np.any(self.flip < 0))
+
+    def recover(self, x_int: np.ndarray) -> np.ndarray:
+        """The model's columns of a standard-form point."""
+        nv = len(self.flip)
+        x = x_int[:nv] * self.flip
+        x[self.splits] -= x_int[nv:nv + self.splits.size]
         return x
 
-    return a, b, c, lo, hi, recover, sign, bool(k or np.any(flip < 0))
+    def extend(self, constraints: list[Constraint]) -> "StandardForm":
+        """The standard form after ``constraints`` are appended as rows."""
+        n = len(self.c) - self.rows.m
+        return _assemble(self.rows.extend(constraints), self.c[:n],
+                         self.lo[:n], self.hi[:n], self.flip, self.splits,
+                         self.sign)
+
+
+def _assemble(rows: CompiledRows, c, lo, hi, flip, splits,
+              sign) -> StandardForm:
+    """The standard form of ``rows`` and the column data of
+    :func:`_columns`."""
+    matrix = rows.matrix(flip, splits)
+    m = rows.m
+    return StandardForm(
+        matrix.a, rows.b, np.concatenate([c, np.zeros(m)]),
+        np.concatenate([lo, np.zeros(m)]),
+        np.concatenate([hi, np.where(rows.senses == EQ, 0.0, np.inf)]),
+        matrix, rows, flip, splits, sign)
+
+
+def _standard_form(model: LinearModel) -> StandardForm:
+    """The model's standard form: its compiled rows (see
+    :meth:`LinearModel.compiled_rows`) with its current column data."""
+    return _assemble(model.compiled_rows(), *_columns(model))
 
 
 def solve_lp(model: LinearModel, start=None) -> LpSolution:
@@ -275,18 +411,18 @@ def solve_lp(model: LinearModel, start=None) -> LpSolution:
                            start=start)
 
 
-def _solve_standard(sf, obj_constant: float, lo=None, hi=None,
+def _solve_standard(sf: StandardForm, obj_constant: float, lo=None, hi=None,
                     start=None) -> LpSolution:
     """Solve the standard form ``sf``, optionally under other column bounds
     ``lo``/``hi``, and map the answer back to the model's columns."""
-    a, b, c, lo_sf, hi_sf, recover, sign, reformed = sf
-    res = simplex.solve(a, b, c, lo_sf if lo is None else lo,
-                        hi_sf if hi is None else hi, start=start)
+    res = simplex.solve(sf.matrix, sf.b, sf.c,
+                        sf.lo if lo is None else lo,
+                        sf.hi if hi is None else hi, start=start)
     if res.status != "optimal":
         return LpSolution(res.status, None, None)
-    return LpSolution("optimal", sign * res.objective + obj_constant,
-                      recover(res.x), basis=res.basis, vstatus=res.vstatus,
-                      is_vertex=not reformed)
+    return LpSolution("optimal", sf.sign * res.objective + obj_constant,
+                      sf.recover(res.x), basis=res.basis, vstatus=res.vstatus,
+                      is_vertex=not sf.reformed)
 
 
 def seed_start(sf, point) -> tuple | None:
@@ -300,8 +436,8 @@ def seed_start(sf, point) -> tuple | None:
     column in several rows or sharing its row with another one.
     ``simplex.solve`` still checks the start and ignores one that does not
     fit."""
-    a, b, _c, lo, hi, _recover, _sign, reformed = sf
-    if reformed:
+    a, b, lo, hi = sf.a, sf.b, sf.lo, sf.hi
+    if sf.reformed:
         return None
     m, n = a.shape
     nv = n - m
@@ -357,23 +493,42 @@ def _fractional(x, int_idx):
 
 
 def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
-    """Objective of ``x`` if it satisfies every row, bound, and integrality
-    requirement; raises ModelError otherwise."""
+    """Objective of ``x`` if it satisfies every bound, integrality
+    requirement and row; raises ModelError otherwise.  The message names
+    the lowest-index column out of its bounds or not integral (the bounds
+    checked first), else the lowest-index violated row.  A NaN violates
+    every bound, row and integrality requirement."""
     x = np.asarray(x, dtype=float)
-    for j, v in enumerate(model.variables):
-        if x[j] < v.lb - tol or x[j] > v.ub + tol:
-            raise ModelError(f"value of {v.name} violates its bounds")
-        if v.kind != CONTINUOUS and abs(x[j] - round(x[j])) > tol:
-            raise ModelError(f"value of {v.name} not integral")
-    for con in model.constraints:
-        lhs = sum(c * x[j] for j, c in con.coeffs.items())
-        if con.sense == LE and lhs > con.rhs + tol:
-            raise ModelError(f"row {con.name!r} violated")
-        if con.sense == GE and lhs < con.rhs - tol:
-            raise ModelError(f"row {con.name!r} violated")
-        if con.sense == EQ and abs(lhs - con.rhs) > tol:
-            raise ModelError(f"row {con.name!r} violated")
+    nv = model.num_vars
+    if len(x) < nv:
+        raise ModelError(f"point has {len(x)} values for {nv} columns")
+    xv = x[:nv]
+    lb = np.array([v.lb for v in model.variables], dtype=float)
+    ub = np.array([v.ub for v in model.variables], dtype=float)
+    integral = np.array([v.kind != CONTINUOUS for v in model.variables],
+                        dtype=bool)
+    out = ~((xv >= lb - tol) & (xv <= ub + tol))
+    bad = out | (integral & ~(np.abs(xv - np.round(xv)) <= tol))
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = "violates its bounds" if out[j] else "not integral"
+        raise ModelError(f"value of {model.variables[j].name} {what}")
+    rows = model.compiled_rows()
+    lhs, rhs, senses = rows.a @ xv, rows.b, rows.senses
+    ok = np.where(senses == LE, lhs <= rhs + tol,
+                  np.where(senses == GE, lhs >= rhs - tol,
+                           np.abs(lhs - rhs) <= tol))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ModelError(f"row {model.constraints[i].name!r} violated")
     return sum(c * x[j] for j, c in model.obj_coeffs.items()) + model.obj_constant
+
+
+def _check_limits(rel_gap: float, time_limit_s: float | None) -> None:
+    if not (math.isfinite(rel_gap) and rel_gap >= 0.0):
+        raise ValueError(f"rel_gap must be finite and >= 0, got {rel_gap}")
+    if time_limit_s is not None and math.isnan(time_limit_s):
+        raise ValueError("time_limit_s is NaN")
 
 
 def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
@@ -384,14 +539,19 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
               initial_solution=None, root_start=None) -> MipSolution:
     """Branch and bound with best-bound node selection.
 
+    The LPs are solved on the model's standard form: its compiled rows
+    (compiled at the first solve and extended by the rows added since at
+    each later one) with its current bounds and objective.
     ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
     invoked repeatedly on fractional root relaxations until it returns no
     cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
-    Each root LP after a cut round restarts from the previous root basis
-    with the cuts' slacks basic (see :func:`extend_start`), and each node
-    LP from its parent's optimal basis under the node's column bounds; both
-    children of a node share that one start.  The simplex runs the dual
-    simplex from such a start, and cold only when the start does not fit.
+    They are appended to a standard form local to the solve, so neither
+    the model's rows nor its compiled rows change.  Each root LP after a
+    cut round restarts from the previous root basis with the cuts' slacks
+    basic (see :func:`extend_start`), and each node LP from its parent's
+    optimal basis under the node's column bounds; both children of a node
+    share that one start.  The simplex runs the dual simplex from such a
+    start, and cold only when the start does not fit.
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
@@ -402,40 +562,41 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     ``simplex.solve``).  A node limit stops the search with status
     ``node_limit``, or ``feasible``/``optimal`` by the gap when an incumbent
     exists.  An unbounded root relaxation gives status ``unbounded``, with
-    or without an incumbent.
+    or without an incumbent.  ``ValueError`` for a ``rel_gap`` that is
+    negative or not finite, or a NaN ``time_limit_s``.
     """
+    _check_limits(rel_gap, time_limit_s)
     model.validate()
     t0 = time.perf_counter()
-    work = model.copy()
-    int_idx = work.integer_indices()
-    minimize = work.obj_sense == "min"
+    int_idx = model.integer_indices()
+    minimize = model.obj_sense == "min"
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     wall = lambda: time.perf_counter() - t0
 
     incumbent = None
     incumbent_x = None
     if initial_solution is not None:
-        incumbent = check_solution(work, initial_solution)
+        incumbent = check_solution(model, initial_solution)
         incumbent_x = np.asarray(initial_solution, dtype=float)
 
     cuts_added = 0
-    sf = _standard_form(work)
+    sf = _standard_form(model)
     start = root_start
     if start is None and incumbent_x is not None:
         start = seed_start(sf, incumbent_x)
-    root = _solve_standard(sf, work.obj_constant, start=start)
+    root = _solve_standard(sf, model.obj_constant, start=start)
     rounds = 0
     while (root.status == "optimal" and root_cut_hook is not None
            and rounds < cut_rounds and _fractional(root.x, int_idx)):
         cuts = root_cut_hook(root)
         if not cuts:
             break
-        for cut in cuts:
-            work.add_cut(cut)
+        m = sf.rows.m
+        sf = sf.extend([_cut_row(cut, model.num_vars, m + i)
+                        for i, cut in enumerate(cuts)])
         cuts_added += len(cuts)
         rounds += 1
-        sf = _standard_form(work)
-        root = _solve_standard(sf, work.obj_constant,
+        root = _solve_standard(sf, model.obj_constant,
                                start=extend_start((root.basis, root.vstatus),
                                                   len(cuts)))
 
@@ -462,7 +623,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     # fractional, hence basic, in its parent's LP: the parent's optimal
     # basis stays dual feasible but is primal infeasible, so the node LP
     # runs the dual simplex from it.
-    lo_std, hi_std = sf[3], sf[4]
+    lo_std, hi_std = sf.lo, sf.hi
 
     def node_lp(overrides, start):
         lo = lo_std.copy()
@@ -472,7 +633,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             hi[j] = min(hi[j], u)
             if lo[j] > hi[j] + 1e-15:
                 return LpSolution("infeasible", None, None)
-        return _solve_standard(sf, work.obj_constant, lo, hi, start=start)
+        return _solve_standard(sf, model.obj_constant, lo, hi, start=start)
 
     nodes = 1
     counter = 0
@@ -536,14 +697,12 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             if score > fbest + 1e-12:
                 jbest, fbest = j, score
         xj = lp.x[jbest]
+        var = model.variables[jbest]
         down = dict(overrides)
-        down[jbest] = (down.get(jbest, (work.variables[jbest].lb,
-                                        work.variables[jbest].ub))[0],
+        down[jbest] = (down.get(jbest, (var.lb, var.ub))[0],
                        float(np.floor(xj)))
         up = dict(overrides)
-        up[jbest] = (float(np.ceil(xj)),
-                     up.get(jbest, (work.variables[jbest].lb,
-                                    work.variables[jbest].ub))[1])
+        up[jbest] = (float(np.ceil(xj)), up.get(jbest, (var.lb, var.ub))[1])
         start = (lp.basis, lp.vstatus)
         push(lp.objective, down, start)
         push(lp.objective, up, start)

@@ -3,6 +3,8 @@
 Solves  min c.x  s.t.  A x = b,  lo <= x <= hi  on sparse data, where the
 last ``m`` columns of ``A`` are the rows' slacks: column ``n - m + i`` has
 its one nonzero in row ``i`` (an equality row's slack is fixed at zero).
+A :class:`Matrix` holds ``A`` checked for that layout, with its transpose,
+so a caller that solves many LPs on one ``A`` pays for both once.
 A basis is a set of columns of ``A``; artificial columns exist only inside
 a cold solve's phase 1.  The basis inverse is a sparse LU factorization of
 the basis at the last refactorization times one dense low-rank term that
@@ -101,6 +103,26 @@ class _Factor:
         return self.k
 
 
+class Matrix:
+    """The constraint matrix ``A`` of an LP, checked once for the slack
+    layout ``solve`` requires, with its transpose built on first use.  Pass
+    one to ``solve`` for every LP on the same ``A``; a bare CSC matrix is
+    wrapped, and so checked, on each call."""
+    __slots__ = ("a", "_at")
+
+    def __init__(self, a_csc: sp.csc_matrix):
+        _check_slacks(a_csc)
+        self.a = a_csc
+        self._at = None
+
+    @property
+    def at(self) -> sp.csr_matrix:
+        """``A^T`` in CSR form."""
+        if self._at is None:
+            self._at = self.a.T.tocsr()
+        return self._at
+
+
 class SimplexResult:
     """Outcome of one solve.  ``x`` and ``vstatus`` have one entry per
     column of ``A``; ``basis`` has one per row, each a column of ``A``
@@ -123,16 +145,17 @@ class SimplexResult:
         self.warm = warm
 
 
-def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
+def solve(a: Matrix | sp.csc_matrix, b: np.ndarray, c: np.ndarray,
           lo: np.ndarray, hi: np.ndarray,
           start: tuple[np.ndarray, np.ndarray] | None = None,
           max_iter: int | None = None) -> SimplexResult:
     """Solve from ``start`` if it fits, else cold in two phases from a crash
-    basis (see ``_solve_once``).  All lower bounds must be finite (callers
-    split or shift free variables).  The last ``m`` columns of ``A`` must
-    be the rows' slacks: column ``n - m + i`` has one nonzero, in row
-    ``i``; ``ValueError`` otherwise.  The result's basis holds no index
-    ``>= n``, and a fixed column (``lo == hi``) never enters the basis.
+    basis (see ``_solve_once``).  ``a`` is a :class:`Matrix` or a CSC
+    matrix.  All lower bounds must be finite (callers split or shift free
+    variables).  The last ``m`` columns of ``A`` must be the rows' slacks:
+    column ``n - m + i`` has one nonzero, in row ``i``; ``ValueError``
+    otherwise.  The result's basis holds no index ``>= n``, and a fixed
+    column (``lo == hi``) never enters the basis.
 
     ``start`` is an optional (basis, vstatus) pair, as returned on an
     earlier result for the same ``A``; ``b``, ``c`` and the bounds may
@@ -148,12 +171,12 @@ def solve(a_csc: sp.csc_matrix, b: np.ndarray, c: np.ndarray,
     cold solve under Bland's rule, then a cold solve that refactorizes every
     ``SAFE_ETA_REFRESH`` pivots.
     """
-    _check_slacks(a_csc)
+    mat = a if isinstance(a, Matrix) else Matrix(a)
     rungs = ((start, False, ETA_REFRESH), (None, True, ETA_REFRESH),
              (None, False, SAFE_ETA_REFRESH))
     for k, (warm, bland, refresh) in enumerate(rungs):
         try:
-            return _solve_once(a_csc, b, c, lo, hi, warm, max_iter, bland,
+            return _solve_once(mat, b, c, lo, hi, warm, max_iter, bland,
                                refresh)
         except NumericalFailure:
             if k == len(rungs) - 1:
@@ -171,7 +194,7 @@ def _check_slacks(a_csc):
         raise ValueError("the last m columns of A must be the rows' slacks")
 
 
-def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
+def _solve_once(mat, b, c, lo, hi, start, max_iter, bland_everywhere,
                 refresh):
     """One solve: from ``start`` when ``_try_warm`` accepts it, else cold.
     The cold path puts every structural at its lower bound and starts from
@@ -182,6 +205,7 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
     zero.  An artificial still basic (at zero) after phase 2 is swapped for
     its row's slack, which is nonbasic at zero: both are multiples of the
     same unit column, so the point and the basis's rank do not change."""
+    a_csc = mat.a
     m, n = a_csc.shape
     if max_iter is None:
         max_iter = 50000 + 200 * m
@@ -197,7 +221,7 @@ def _solve_once(a_csc, b, c, lo, hi, start, max_iter, bland_everywhere,
 
     if start is not None:
         try:
-            res = _try_warm(a_csc, b, c, lo, hi, start, max_iter,
+            res = _try_warm(mat, b, c, lo, hi, start, max_iter,
                             bland_everywhere, refresh)
         except NumericalFailure:
             res = None
@@ -271,13 +295,13 @@ def _crash(a_csc, resid, lo, hi):
     return rows, single[fits][first], step[fits][first]
 
 
-def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
+def _try_warm(mat, b, c, lo, hi, start, max_iter, bland, refresh):
     """Re-optimize from a previous basis; None if the start does not fit
     ``A`` (an index ``>= n`` included) or is neither primal nor dual
     feasible.  A primal feasible start runs phase 2 alone; a dual feasible
     one runs the dual simplex first."""
     basis, vstatus = start
-    m, n = a_csc.shape
+    m, n = mat.a.shape
     if len(basis) != m or len(vstatus) != n:
         return None
     if basis.min() < 0 or basis.max() >= n:
@@ -295,10 +319,10 @@ def _try_warm(a_csc, b, c, lo, hi, start, max_iter, bland, refresh):
         return None
     basis = basis.copy()
     try:
-        factor = _Factor(a_csc, basis, refresh + 1)
+        factor = _Factor(mat.a, basis, refresh + 1)
     except NumericalFailure:
         return None
-    state = _State(a_csc, b, lo, hi, basis, vstatus, x, factor)
+    state = _State(mat.a, b, lo, hi, basis, vstatus, x, factor, at=mat.at)
     state.solve_basics()
     it = 0
     if state.violations().max(initial=0.0) > FEAS_TOL:
@@ -340,9 +364,12 @@ def _flip_to_dual_feasible(state, c):
 
 
 class _State:
-    def __init__(self, a_csc, b, lo, hi, basis, vstatus, x, factor):
+    """A basis and its point during a solve.  ``at`` is ``A^T`` in CSR
+    form, transposed here when not given."""
+
+    def __init__(self, a_csc, b, lo, hi, basis, vstatus, x, factor, at=None):
         self.a = a_csc
-        self.at = a_csc.T.tocsr()
+        self.at = a_csc.T.tocsr() if at is None else at
         self.b = b
         self.lo = lo
         self.hi = hi

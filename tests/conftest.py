@@ -47,17 +47,22 @@ def shared_edge_instance(edge_cost=10.0, sigma_l=0.02, sigma_f=0.1,
     return inst
 
 
-def branching_sp_model():
-    """Scheduling model of a 6x6 two-cluster instance with 14 vehicles on
-    fuel-shortest routes: 72 columns, 161 rows, a fractional root LP, and a
-    branch and bound of about 20 nodes."""
+def branching_sp_handle():
+    """Scheduling model handle of a 6x6 two-cluster instance with 14
+    vehicles on fuel-shortest routes: 72 columns, 161 rows, a fractional
+    root LP, and a branch and bound of about 20 nodes."""
     grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
     inst = nm.generate_two_cluster(grid, 14, seed=1)
     ra = routing.shortest_path_assignment(inst)
     contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
     bounds = sched.time_bounds(contracted, inst.missions)
     return sched.build_sp(contracted, SavingsParams.from_instance(inst),
-                          bounds).model
+                          bounds)
+
+
+def branching_sp_model():
+    """The model of :func:`branching_sp_handle`."""
+    return branching_sp_handle().model
 
 
 @pytest.fixture

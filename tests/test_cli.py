@@ -54,6 +54,20 @@ class TestRshmCommand:
         assert code == cli.EXIT_USAGE
         assert "positive length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value", [
+        ("--gap", "nan"), ("--gap", "inf"), ("--gap", "-0.1"),
+        ("--per-solve", "nan"), ("--per-solve", "-1"), ("--total", "inf"),
+        ("--total", "-1")])
+    def test_bad_limit_exits_with_usage_code(self, tmp_path, capsys, option,
+                                             value):
+        inst_path = tmp_path / "inst.json"
+        nm.save_instance(shared_edge_instance(), str(inst_path))
+        code = cli.main(["rshm", "--instance", str(inst_path),
+                         "--iter-cap", "1", option, value])
+        assert code == cli.EXIT_USAGE
+        assert "finite and non-negative" in capsys.readouterr().err
+
+
 def _routes_file(tmp_path, inst, routes=None):
     """Save ``inst`` and its routes (default: iteration-1 routing optimum,
     written by ``solve-rdp``); return both paths."""
@@ -117,6 +131,36 @@ class TestSolveSpCommand:
                                 lambda inst, routes: routes.pop(3))
         assert code == cli.EXIT_USAGE
         assert "vehicle 3 has no route" in capsys.readouterr().err
+
+    def _raw_routes(self, tmp_path, cluster, doc):
+        """Run ``solve-sp`` on a routes file holding the JSON ``doc``."""
+        _inst, inst_path, _routes_path = cluster
+        bad = tmp_path / "raw_routes.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        return cli.main(["solve-sp", "--instance", inst_path,
+                         "--routes", str(bad)])
+
+    def test_routes_file_vehicle_ids_must_be_integers(self, tmp_path, cluster,
+                                                      capsys):
+        code = self._raw_routes(tmp_path, cluster, {"routes": {"a": [1, 2]}})
+        assert code == cli.EXIT_USAGE
+        assert "vehicle id 'a' is not an integer" in capsys.readouterr().err
+
+    def test_routes_file_must_hold_an_object(self, tmp_path, cluster, capsys):
+        code = self._raw_routes(tmp_path, cluster, [1, 2])
+        assert code == cli.EXIT_USAGE
+        assert 'a "routes" object' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--gap", "nan"), ("--gap", "-1"), ("--time-limit", "nan"),
+        ("--time-limit", "inf")])
+    def test_bad_limit_exits_with_usage_code(self, tmp_path, cluster, capsys,
+                                             option, value):
+        _inst, inst_path, routes_path = cluster
+        code = cli.main(["solve-sp", "--instance", inst_path,
+                         "--routes", routes_path, option, value])
+        assert code == cli.EXIT_USAGE
+        assert "finite and non-negative" in capsys.readouterr().err
 
     def test_routes_file_must_not_add_vehicles(self, tmp_path, cluster,
                                                capsys):

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platoonopt import mip, simplex
+from platoonopt import cuts, mip, simplex
 
-from conftest import branching_sp_model
+from conftest import branching_sp_handle, branching_sp_model
 
 
 def tableau_simplex(c, A, b):
@@ -436,6 +438,126 @@ def test_root_basis_warm_starts_a_repriced_model():
     assert warm.status == cold.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective)
     assert np.array_equal(warm.x, cold.x)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rel_gap": NAN}, {"rel_gap": INF}, {"rel_gap": -1e-4},
+    {"time_limit_s": NAN}], ids=["gap-nan", "gap-inf", "gap-neg", "time-nan"])
+def test_solve_mip_rejects_bad_limits(kwargs):
+    with pytest.raises(ValueError):
+        mip.solve_mip(branching_sp_model(), **kwargs)
+
+
+# --- compiled rows --------------------------------------------------------
+
+_ROW = st.tuples(
+    st.dictionaries(st.integers(0, 3), st.integers(-3, 3), min_size=1),
+    st.sampled_from([mip.LE, mip.GE, mip.EQ]), st.integers(-4, 4))
+
+
+def _model_with(columns, objective, sense, rows):
+    m = mip.LinearModel()
+    for j, (lb, ub) in enumerate(columns):
+        m.add_var(f"x{j}", lb, ub)
+    m.set_objective(dict(enumerate(objective)), sense=sense)
+    for coeffs, row_sense, rhs in rows:
+        m.add_constraint(coeffs, row_sense, rhs)
+    return m
+
+
+def _assert_same_form(got, ref):
+    assert got.a.shape == ref.a.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.a, name), getattr(ref.a, name))
+    for name in ("b", "c", "lo", "hi"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.sign == ref.sign and got.reformed == ref.reformed
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(odd=st.sampled_from([(-np.inf, 2.0), (-np.inf, np.inf)]),
+       objective=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       sense=st.sampled_from(["min", "max"]),
+       first=st.lists(_ROW, max_size=5), appended=st.lists(_ROW, max_size=4))
+def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
+                                               appended):
+    # Four columns, the last negated (only an upper bound) or free.
+    columns = [(0.0, np.inf), (-1.0, 3.0), (0.0, 1.0), odd]
+    model = _model_with(columns, objective, sense, first)
+    before = mip._standard_form(model)
+    mip.solve_lp(model)
+    for coeffs, row_sense, rhs in appended:
+        model.add_constraint(coeffs, row_sense, rhs)
+    ref = mip._standard_form(_model_with(columns, objective, sense,
+                                         first + appended))
+    _assert_same_form(mip._standard_form(model), ref)
+    _assert_same_form(before.extend(model.constraints[len(first):]), ref)
+
+
+def _check_by_loop(model, x, tol=1e-6):
+    """``check_solution`` as a loop over columns and rows: the reference."""
+    x = np.asarray(x, dtype=float)
+    for j, v in enumerate(model.variables):
+        if x[j] < v.lb - tol or x[j] > v.ub + tol:
+            raise mip.ModelError(f"value of {v.name} violates its bounds")
+        if v.kind != mip.CONTINUOUS and abs(x[j] - round(x[j])) > tol:
+            raise mip.ModelError(f"value of {v.name} not integral")
+    for con in model.constraints:
+        lhs = sum(c * x[j] for j, c in con.coeffs.items())
+        if con.sense == mip.LE and lhs > con.rhs + tol:
+            raise mip.ModelError(f"row {con.name!r} violated")
+        if con.sense == mip.GE and lhs < con.rhs - tol:
+            raise mip.ModelError(f"row {con.name!r} violated")
+        if con.sense == mip.EQ and abs(lhs - con.rhs) > tol:
+            raise mip.ModelError(f"row {con.name!r} violated")
+    return sum(c * x[j] for j, c in model.obj_coeffs.items()) + model.obj_constant
+
+
+def _outcome(check, model, x):
+    try:
+        return "value", check(model, x)
+    except mip.ModelError as exc:
+        return "error", str(exc)
+
+
+def test_check_solution_matches_the_row_loop():
+    model = branching_sp_model()
+    feasible = mip.solve_mip(model).x
+    root = mip.solve_lp(model).x          # fractional
+    rng = np.random.default_rng(7)
+    points = [feasible, root]
+    for base in (feasible, root):
+        for _ in range(150):
+            x = base.copy()
+            cols = rng.choice(model.num_vars, size=rng.integers(1, 4),
+                              replace=False)
+            x[cols] += rng.choice([-2.0, -0.5, -2e-6, 5e-7, 0.3, 1.0, 4.0],
+                                  size=cols.size)
+            points.append(x)
+    seen = set()
+    for x in points:
+        want = _outcome(_check_by_loop, model, x)
+        assert _outcome(mip.check_solution, model, x) == want
+        seen.add(want[1].split()[-1] if want[0] == "error" else "value")
+    assert {"value", "bounds", "integral", "violated"} <= seen
+
+
+def test_cut_rounds_leave_the_model_unchanged():
+    handle = branching_sp_handle()
+    model = handle.model
+    rows = [(dict(c.coeffs), c.sense, c.rhs, c.name)
+            for c in model.constraints]
+    compiled = model.compiled_rows()
+    solves = [mip.solve_mip(model,
+                            root_cut_hook=cuts.make_disjunctive_hook(handle))
+              for _ in range(2)]
+    assert solves[0].cuts_added > 0
+    assert solves[0].root_bound == solves[1].root_bound
+    assert solves[0].objective == solves[1].objective
+    assert model.num_constraints == len(rows) == compiled.m
+    assert [(c.coeffs, c.sense, c.rhs, c.name)
+            for c in model.constraints] == rows
+    assert model.compiled_rows() is compiled
 
 
 # ---------------------------------------------------------------------------

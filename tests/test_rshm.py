@@ -332,6 +332,32 @@ class TestIncrementalRouting:
         assert all(s is not None for s in starts[1:])
 
 
+    def test_routing_rows_compiled_once_per_run(self, small_grid,
+                                                monkeypatch):
+        handles, compiled = [], []
+        build, compile_rows = routing.build_rdp, mip.CompiledRows.compile
+
+        def counting_build(*args, **kwargs):
+            handles.append(build(*args, **kwargs))
+            return handles[-1]
+
+        def counting_compile(constraints, nv):
+            compiled.append(list(constraints))
+            return compile_rows(constraints, nv)
+
+        monkeypatch.setattr(routing, "build_rdp", counting_build)
+        monkeypatch.setattr(mip.CompiledRows, "compile",
+                            staticmethod(counting_compile))
+        inst = nm.generate_two_cluster(small_grid, 4, seed=1)
+        res = rshm.run(inst, RshmOptions(iter_cap=8))
+        assert res.iterations >= 2 and len(handles) == 1
+        rdp_rows = {id(con) for con in handles[0].model.constraints}
+        rdp_compiles = [rows for rows in compiled
+                        if any(id(con) in rdp_rows for con in rows)]
+        assert len(rdp_compiles) == 1
+        assert len(rdp_compiles[0]) == len(rdp_rows)
+
+
 class TestGapBound:
     def test_all_full_platoons_zero_bound(self):
         inst = shared_edge_instance(edge_cost=10.0, max_platoon=2)

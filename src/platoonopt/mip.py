@@ -1,15 +1,18 @@
 """Generic MILP layer: model container, LP solve, branch and bound, export.
 
-The LP relaxations are solved by the embedded simplex in ``simplex.py``
-on a standard form (:func:`_standard_form`) that gives every row a slack
-column, last, so a basis is always a set of its columns and appending rows
-moves none.  A model compiles its rows once (:class:`CompiledRows`:
-the coefficients as one sparse matrix, the right-hand sides and the
-senses) and compiles only the rows appended since at its next solve; the
-column data (bounds, kinds, objective) is read afresh at every solve, so a
-model re-priced between solves re-uses its rows.  The standard-form matrix, with
-its slack columns and its transpose, is kept with the rows for the last
-column layout (which columns are negated or split).
+Every LP relaxation runs on HiGHS's simplex behind ``simplex.solve``;
+branch and bound, cut rounds and their warm starts stay here.  The LPs are
+solved on a standard form (:func:`_standard_form`) that gives every row a
+slack column, last, so a basis is always a set of its columns and
+appending rows moves none.  A model compiles its rows once
+(:class:`CompiledRows`: the coefficients as one sparse matrix, the
+right-hand sides and the senses) and compiles only the rows appended since
+at its next solve; the column data (bounds, kinds, objective) is read
+afresh at every solve, so a model re-priced between solves re-uses its
+rows.  The standard-form matrix, with its slack columns and the HiGHS
+instance that holds it, is kept with the rows for the last column layout
+(which columns are negated or split), so a re-priced model sends HiGHS
+only its changed costs.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
@@ -19,9 +22,9 @@ was.  The first root LP starts from a given basis, or else from a basis
 built at the seeded incumbent (:func:`seed_start`), and cold only without
 either.  Each root LP after a cut round restarts from the previous one's
 basis with the new rows' slacks basic (:func:`extend_start`), and each node
-LP from its parent's optimal basis; the dual simplex repairs the violated
-cut or branching bound.  The last root LP's standard form serves the
-nodes.
+LP from its parent's optimal basis, so the dual simplex repairs the
+violated cut or branching bound.  The last root LP's standard form serves
+the nodes.
 """
 
 from __future__ import annotations
@@ -349,8 +352,8 @@ class StandardForm(NamedTuple):
     and appending rows never moves a column.  A column with only an upper
     bound is negated (``flip`` is -1), a free one split (``splits``), so
     every column has a finite lower bound; ``sign`` is -1 for a
-    maximization, whose ``c`` is negated.  ``matrix`` is ``a`` as the
-    simplex takes it, with its transpose.
+    maximization, whose ``c`` is negated.  ``matrix`` is ``a`` with the
+    HiGHS instance that solves its LPs.
     """
     a: sp.csc_matrix
     b: np.ndarray
@@ -483,13 +486,12 @@ def extend_start(start, k: int):
                                              dtype=np.int8)]))
 
 
-def _fractional(x, int_idx):
-    out = []
-    for j in int_idx:
-        f = x[j] - np.floor(x[j] + 0.5)
-        if abs(f) > INT_TOL:
-            out.append((j, x[j]))
-    return out
+def _fractional(x, int_idx: np.ndarray) -> list[tuple[int, float]]:
+    """``(j, x[j])`` for each column ``j`` of ``int_idx`` whose value is
+    more than ``INT_TOL`` from an integer, in the order of ``int_idx``."""
+    v = x[int_idx]
+    frac = np.abs(v - np.floor(v + 0.5)) > INT_TOL
+    return list(zip(int_idx[frac].tolist(), v[frac].tolist()))
 
 
 def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
@@ -550,15 +552,15 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     cut round restarts from the previous root basis with the cuts' slacks
     basic (see :func:`extend_start`), and each node LP from its parent's
     optimal basis under the node's column bounds; both children of a node
-    share that one start.  The simplex runs the dual simplex from such a
-    start, and cold only when the start does not fit.
+    share that one start.  HiGHS re-optimizes from such a start, and runs
+    cold only when the start does not fit.
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
     an earlier solve of a model that differs only in its objective.  Without
     one, the first root LP starts from ``initial_solution`` when
-    :func:`seed_start` can turn it into a basis, so phase 2 runs from the
-    seed's vertex.  A start that does not fit is ignored (see
+    :func:`seed_start` can turn it into a basis, so the simplex starts at
+    the seed's vertex.  A start that does not fit is ignored (see
     ``simplex.solve``).  A node limit stops the search with status
     ``node_limit``, or ``feasible``/``optimal`` by the gap when an incumbent
     exists.  An unbounded root relaxation gives status ``unbounded``, with
@@ -568,7 +570,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     _check_limits(rel_gap, time_limit_s)
     model.validate()
     t0 = time.perf_counter()
-    int_idx = model.integer_indices()
+    int_idx = np.array(model.integer_indices(), dtype=np.int64)
     minimize = model.obj_sense == "min"
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     wall = lambda: time.perf_counter() - t0

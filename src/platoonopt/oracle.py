@@ -3,7 +3,7 @@
 Everything here enumerates: simple paths, star partitions, integer lattice
 points.  These routines deliberately avoid the production model builders so
 tests can compare two unrelated code paths; only the tiny feasibility LPs
-reuse the embedded solver.
+reuse the LP solver.
 """
 
 from __future__ import annotations

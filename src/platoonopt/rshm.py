@@ -75,10 +75,13 @@ class RshmState:
         self.records: dict[int, IterationRecord] = {}
         self.tables: dict[int, EdgeCostTable] = {1: EdgeCostTable.initial(inst)}
         self.explored: set = set()
-        # per iteration: each vehicle's route edges, and the platoons (as
-        # vehicle sets) on each edge it scheduled
+        # per iteration: each vehicle's route edges, and the platoon
+        # configuration (a frozenset of vehicle sets) on each edge it
+        # scheduled; per (vehicle, edge): the iterations routing the vehicle
+        # over the edge, ascending
         self.route_edges: dict[int, dict[int, frozenset]] = {}
-        self.platoon_sets: dict[int, dict[tuple, set]] = {}
+        self.platoon_sets: dict[int, dict[tuple, frozenset]] = {}
+        self.routed: dict[tuple, list[int]] = {}
         self.routes_freq: dict[str, int] = {}
         self.best_z = float("inf")
         self.best: IterationRecord | None = None
@@ -88,12 +91,17 @@ class RshmState:
         return len(self.records)
 
     def record(self, rec: IterationRecord) -> None:
+        """Store iteration ``rec.index``; iterations arrive in order."""
         self.records[rec.index] = rec
         self.explored |= rec.routes.all_edges()
         self.route_edges[rec.index] = {v: frozenset(rec.routes.edges(v))
                                        for v in rec.routes.routes}
-        self.platoon_sets[rec.index] = {e: rec.platoons.platoon_sets(e)
-                                        for e in rec.platoons.platoons}
+        for v, edges in self.route_edges[rec.index].items():
+            for e in edges:
+                self.routed.setdefault((v, e), []).append(rec.index)
+        self.platoon_sets[rec.index] = {
+            e: frozenset(rec.platoons.platoon_sets(e))
+            for e in rec.platoons.platoons}
         key = rec.routes.key()
         self.routes_freq[key] = self.routes_freq.get(key, 0) + 1
         if rec.z < self.best_z:
@@ -111,14 +119,17 @@ def similarity_index(state: RshmState, n: int, v: int, edge) -> int | None:
     """Largest earlier iteration whose platoon configuration on ``edge``
     matches iteration ``n``'s, with ``v`` assigned to the edge right after.
     None below iteration 3 or when no iteration qualifies; an iteration
-    whose successor does not route ``v`` at all never qualifies."""
+    whose successor does not route ``v`` at all never qualifies.  Only the
+    iterations after one that routed ``v`` over ``edge`` are compared."""
     if n < 3 or n not in state.records:
         return None
     target = state.platoon_sets[n].get(edge, _NO_PLATOONS)
-    for k in range(n - 2, 0, -1):
-        nxt = state.route_edges.get(k + 1)
-        if nxt is None or edge not in nxt.get(v, ()):
+    for j in reversed(state.routed.get((v, edge), ())):
+        k = j - 1
+        if k > n - 2:
             continue
+        if k < 1:
+            break
         if state.platoon_sets[k].get(edge, _NO_PLATOONS) == target:
             return k
     return None

@@ -1,7 +1,12 @@
 """Command-line entry points, run in-process through ``cli.main``."""
 
 import csv
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +241,39 @@ class TestSolveSpCommand:
         for r in rows:
             assert float(r["violation"]) > 0
             assert float(r["bound_after"]) <= float(r["bound_before"])
+
+
+class TestFootprint:
+    def test_import_loads_neither_scipy_optimize_nor_sparse_linalg(self):
+        # HiGHS comes in as one extension; the solver path needs neither
+        # package, and each costs memory in every process that imports it.
+        code = ("import sys, platoonopt.cli; print(sorted(m for m in "
+                "('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_commands_write_only_their_own_lines(self, tmp_path, capfd):
+        # A result is read from the last line of standard output, so nothing
+        # the solver writes may reach either stream.
+        inst = str(tmp_path / "inst.json")
+        assert cli.main(["gen", "--model", "two-cluster", "--n", "4",
+                         "--rows", "4", "--cols", "4", "--seed", "1",
+                         "--out", inst]) == cli.EXIT_OK
+        capfd.readouterr()
+        commands = {
+            "fuel=": ["rshm", "--instance", inst, "--iter-cap", "2"],
+            "savings=": ["solve-sp", "--instance", inst, "--cuts", "star+disj",
+                         "--out-bounds", str(tmp_path / "bounds.csv")]}
+        fflush = ctypes.CDLL(None).fflush     # C stdio buffers, if any
+        fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
+        for prefix, argv in commands.items():
+            assert cli.main(argv) == cli.EXIT_OK
+            fflush(None)
+            out, err = capfd.readouterr()
+            assert err == ""
+            [line] = out.splitlines()
+            assert line.startswith(prefix)

@@ -689,3 +689,30 @@ def test_mps_roundtrip(tmp_path):
     assert orig.objective == pytest.approx(11.0)
     assert read.objective == pytest.approx(-orig.objective)
     mip.check_solution(m, read.x)
+
+
+def _fractional_loop(x, int_idx):
+    """The per-column loop that ``mip._fractional`` replaced."""
+    out = []
+    for j in int_idx:
+        f = x[j] - np.floor(x[j] + 0.5)
+        if abs(f) > mip.INT_TOL:
+            out.append((j, x[j]))
+    return out
+
+
+_near_integers = st.builds(
+    lambda k, d: k + d, st.integers(-3, 3),
+    st.sampled_from([0.0, 0.5, -0.5, 1e-6, -1e-6, 1.0000001e-6, 9.999999e-7,
+                     -1.0000001e-6, 1e-12, 0.4999999, 0.5000001]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(_near_integers, st.floats(-4.0, 4.0)),
+                min_size=1, max_size=12), st.data())
+def test_fractional_scan_matches_the_loop(values, data):
+    x = np.array(values)
+    idx = data.draw(st.lists(st.integers(0, len(values) - 1), unique=True))
+    idx.sort()
+    assert mip._fractional(x, np.array(idx, dtype=np.int64)) == \
+        _fractional_loop(x, idx)

@@ -2,6 +2,8 @@
 termination, and the a-posteriori gap bound."""
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from platoonopt import mip, netmodel as nm, oracle, routing, rshm
 from platoonopt.routing import EdgeCostTable, RouteAssignment
@@ -65,6 +67,25 @@ def _record(n, inst, pair_platooned, z=100.0):
     return rshm.IterationRecord(n, ra, cfg, z, z, 0.0)
 
 
+_GRID = nm.make_grid_network(5, 5, spacing_km=40, jitter=0.25, seed=9)
+
+
+def _rescan(state, n, v, edge):
+    """The definition, as the loop once computed it: rescan every earlier
+    record, newest first."""
+    if n < 3 or n not in state.records:
+        return None
+    target = state.records[n].platoons.platoon_sets(edge)
+    for k in range(n - 2, 0, -1):
+        nxt = state.records.get(k + 1)
+        if (nxt is None or v not in nxt.routes.routes
+                or edge not in nxt.routes.edges(v)):
+            continue
+        if state.records[k].platoons.platoon_sets(edge) == target:
+            return k
+    return None
+
+
 class TestSimilarityIndex:
     def test_below_three_iterations_none(self):
         inst = _mini_instance()
@@ -99,21 +120,6 @@ class TestSimilarityIndex:
         assert similarity_index(state, 3, 1, (3, 4)) is None
 
     def test_indexed_lookup_matches_a_rescan_of_the_records(self):
-        # The state's per-iteration route edges and platoon sets give the
-        # answer of the definition: rescan every earlier record.
-        def rescan(state, n, v, edge):
-            if n < 3 or n not in state.records:
-                return None
-            target = state.records[n].platoons.platoon_sets(edge)
-            for k in range(n - 2, 0, -1):
-                nxt = state.records.get(k + 1)
-                if (nxt is None or v not in nxt.routes.routes
-                        or edge not in nxt.routes.edges(v)):
-                    continue
-                if state.records[k].platoons.platoon_sets(edge) == target:
-                    return k
-            return None
-
         grid = nm.make_grid_network(5, 5, spacing_km=40, jitter=0.25, seed=9)
         inst = nm.generate_two_cluster(grid, 6, seed=0)
         state = rshm.run(inst, RshmOptions(iter_cap=15,
@@ -124,9 +130,29 @@ class TestSimilarityIndex:
             for e in sorted(state.explored):
                 for m in inst.missions:
                     k = similarity_index(state, n, m.id, e)
-                    assert k == rescan(state, n, m.id, e)
+                    assert k == _rescan(state, n, m.id, e)
                     hits += k is not None
         assert hits > 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(["two_cluster", "distributed"]),
+           st.integers(4, 10), st.integers(0, 10_000), st.integers(1, 12))
+    def test_indexed_lookup_matches_the_scan_on_generated_runs(
+            self, generator, vehicles, seed, iter_cap):
+        inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
+        state = rshm.run(inst, RshmOptions(iter_cap=iter_cap,
+                                           freq_threshold=99)).state
+        unexplored = [e for e in sorted(inst.network.edges)
+                      if e not in state.explored][:1]
+        ids = [m.id for m in inst.missions]
+        hits = 0
+        for n in range(state.iterations + 2):
+            for e in sorted(state.explored) + unexplored:
+                for v in ids + [max(ids) + 1]:
+                    k = similarity_index(state, n, v, e)
+                    assert k == _rescan(state, n, v, e)
+                    hits += k is not None
+        event(f"{state.iterations} iterations, hits: {hits > 0}")
 
 
 class TestCostTable:

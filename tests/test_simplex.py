@@ -1,8 +1,9 @@
-"""Simplex engine: the slack layout it requires, the cold start's crash
-basis (checked against HiGHS), root starts built from a seed point, warm
-starts from earlier bases (including bases that keep a fixed slack basic),
-dual simplex restarts after branching bounds and added rows, and the
-numerical recovery ladder."""
+"""LP seam: the slack layout it requires, answers matching the embedded
+revised simplex it replaced (kept in ``reference_simplex``), root starts
+built from a seed point, warm starts from earlier bases (including bases
+that keep a fixed slack basic), restarts after branching bounds and added
+rows, how the HiGHS extension is found, and an LP that once broke the old
+engine."""
 
 import functools
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from platoonopt import mip, netmodel as nm, routing, rshm, simplex
 
+import reference_simplex
 from conftest import branching_sp_model
 
 DATA = Path(__file__).parent / "data"
@@ -112,9 +114,10 @@ class TestWarmStart:
             assert warm.iterations == cold.iterations
             assert np.array_equal(warm.x, cold.x)
 
-    def test_primal_infeasible_start_falls_back_to_cold(self):
+    def test_primal_infeasible_start_reoptimizes_to_the_cold_answer(self):
         # Fix a basic variable away from its value, as branching does, and
-        # price by a new objective, so the start is not dual feasible either.
+        # price by a new objective, so the start is neither primal nor dual
+        # feasible: it still fits, so the solve runs from it.
         a, b, lo, hi, c1, c2 = _small_rdp(3)
         first = simplex.solve(a, b, c1, lo, hi)
         n = a.shape[1]
@@ -124,10 +127,9 @@ class TestWarmStart:
         hi2[j] = 0.0
         cold = simplex.solve(a, b, c2, lo2, hi2)
         warm = simplex.solve(a, b, c2, lo2, hi2, start=(first.basis, first.vstatus))
-        assert warm.status == cold.status
-        assert warm.objective == cold.objective
-        assert warm.iterations == cold.iterations
-        assert not warm.warm
+        assert warm.warm and warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 def _rdp_model():
@@ -287,12 +289,12 @@ class TestSlackLayout:
 
     def test_fixed_column_never_enters(self):
         # min -x s.t. x + s = 2, x fixed at 1: x prices as improving but
-        # cannot move, so the crash basis (s basic) is already optimal.
+        # cannot move, so s is basic.
         a = sp.csc_matrix(np.array([[1.0, 1.0]]))
         lo, hi = np.array([1.0, 0.0]), np.array([1.0, np.inf])
         res = simplex.solve(a, np.array([2.0]), np.array([-1.0, 0.0]), lo, hi)
-        assert res.status == "optimal" and res.iterations == 0
-        assert res.vstatus[0] == simplex.AT_LOWER
+        assert res.status == "optimal"
+        assert res.vstatus[0] == simplex.AT_LOWER and res.x[0] == 1.0
         assert list(res.basis) == [1] and res.objective == -1.0
 
     def test_appended_equality_cut_starts_on_its_fixed_slack(self):
@@ -365,8 +367,9 @@ class TestColdStart:
             assert np.abs(a_s @ ours.x - b_s).max() <= simplex.FEAS_TOL
 
     def test_slack_basis_solves_without_pivots(self):
-        # A x <= b with b >= 0 and c >= 0: every slack absorbs its row at
-        # the lower bounds, which are optimal.
+        # A x <= b with b >= 0 and c >= 0: the slack basis with every
+        # structural at its lower bound is optimal, so a start there needs
+        # no pivot.
         model = mip.LinearModel()
         cols = [model.add_var(f"x{j}", 0.0, 5.0) for j in range(4)]
         rows = [[1, 2, 0, -1], [0, 1, 3, 1], [2, -1, 1, 0]]
@@ -374,24 +377,14 @@ class TestColdStart:
             model.add_constraint(dict(zip(cols, row)), "<=", r)
         model.set_objective(dict(zip(cols, [1.0, 0.0, 2.0, 3.0])))
         a, b, c, lo, hi, *_ = mip._standard_form(model)
-        res = simplex.solve(a, b, c, lo, hi)
-        assert res.status == "optimal" and res.iterations == 0
+        basis = np.arange(4, 7)
+        vstatus = np.array([simplex.AT_LOWER] * 4 + [simplex.IS_BASIC] * 3,
+                           dtype=np.int8)
+        res = simplex.solve(a, b, c, lo, hi, start=(basis, vstatus))
+        assert res.warm and res.status == "optimal" and res.iterations == 0
         assert res.objective == 0.0
         assert np.array_equal(res.x[:4], np.zeros(4))
-
-    def test_crash_leaves_out_a_slack_that_cannot_absorb(self):
-        # x1 + x2 >= 2 at x = 0 would need its surplus at -2: that row
-        # starts on its artificial column, the other on its slack.
-        a = sp.csc_matrix(np.array([[1.0, 1.0, -1.0, 0.0],
-                                    [1.0, -1.0, 0.0, 1.0]]))
-        b, lo = np.array([2.0, 1.0]), np.zeros(4)
-        hi = np.full(4, np.inf)
-        rows, cols, step = simplex._crash(a, b - a @ lo, lo, hi)
-        assert list(rows) == [1] and list(cols) == [3] and list(step) == [1.0]
-        res = simplex.solve(a, b, np.array([1.0, 2.0, 0.0, 0.0]), lo, hi)
-        # x1 - x2 <= 1 caps x1 at 1.5 when x2 = 0.5
-        assert res.status == "optimal" and res.objective == pytest.approx(2.5)
-        assert np.allclose(res.x[:2], [1.5, 0.5])
+        assert np.array_equal(np.sort(res.basis), basis)
 
 
 def _rdp_with_seed(seed=0):
@@ -478,70 +471,81 @@ class TestSeedStart:
         assert list(basis) == [0] and vstatus[2] == simplex.AT_LOWER
 
 
-def _close(got, want):
-    """``got`` equals ``want`` to 1e-9, relative to the size of ``want``."""
-    return np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
-
-
-class TestFactor:
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.filter_too_much])
-    @given(st.data())
-    def test_updates_match_a_dense_solve_across_a_refresh(self, data):
-        # A small A in the slack layout starts on its slack basis; each step
-        # replaces one basis position through _State, as a pivot does, with
-        # |d[r]| > 0.1.  The second step replaces the first step's row again.
-        m = data.draw(st.integers(2, 12), label="m")
-        k = data.draw(st.integers(1, 6), label="structurals")
-        coef = st.integers(-3, 3)
-        struct = np.array(data.draw(st.lists(
-            st.lists(coef, min_size=k, max_size=k), min_size=m, max_size=m)),
-            dtype=float)
-        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                                   min_size=m, max_size=m))
-        a = sp.csc_matrix(np.hstack([struct, np.diag(signs)]))
-        n = k + m
-        refresh = data.draw(st.integers(2, 8), label="refresh")
-        steps = data.draw(st.integers(refresh + 2, 2 * refresh), label="steps")
-        basis = np.arange(k, n)
-        zeros = np.zeros(n)
-        factor = simplex._Factor(a, basis, refresh + 1)
-        state = simplex._State(a, np.zeros(m), zeros, zeros, basis,
-                               np.zeros(n, dtype=np.int8), zeros.copy(),
-                               factor)
-        ut, vt = factor.ut, factor.vt
-        rng = np.random.default_rng(m * 100 + k)
-        rows = []
-        for step in range(steps):
-            if state.factor.age > refresh:
-                state.refresh()
-                assert state.factor.age == 0
-                assert state.factor.ut is ut and state.factor.vt is vt
-            pairs = []
-            for j in np.setdiff1d(np.arange(n), state.basis):
-                d = state.factor.ftran(state.column(j))
-                pairs += [(int(j), int(r)) for r in np.flatnonzero(
-                    np.abs(d) > 0.1) if step != 1 or r == rows[0]]
-            assume(pairs)
-            j, r = data.draw(st.sampled_from(pairs), label="pivot")
-            d = state.factor.ftran(state.column(j))
-            state.basis[r] = j
-            state.factor.push(r, d)
-            rows.append(r)
-            bm = a[:, state.basis].toarray()
-            v = rng.standard_normal(m)
-            assert _close(state.factor.ftran(v), np.linalg.solve(bm, v))
-            assert _close(state.factor.btran(v), np.linalg.solve(bm.T, v))
-        assert rows[0] == rows[1]
-
-
 class TestRecovery:
     def test_drifting_eta_file_recovered_by_frequent_refactorization(self):
-        # A scheduling branch-and-bound node LP (387 rows) whose eta file,
-        # refactorized every 64 pivots, drifted until the basis read as
-        # singular; refactorizing more often shows it is infeasible.
+        # A scheduling branch-and-bound node LP (387 rows) on which the
+        # embedded simplex's eta file, refactorized every 64 pivots, drifted
+        # until the basis read as singular.  It is infeasible.
         d = np.load(DATA / "sched_node_singular.npz")
         a = sp.csc_matrix((d["data"], d["indices"], d["indptr"]),
                           shape=tuple(d["shape"]))
         res = simplex.solve(a, d["b"], d["c"], d["lo"], d["hi"])
         assert res.status == "infeasible"
+
+
+@functools.lru_cache(maxsize=None)
+def _rdp_case(seed):
+    a, b, lo, hi, c1, c2 = _small_rdp(seed)
+    return a, b, c1, lo, hi, c2, hi
+
+
+@st.composite
+def _lp_pairs(draw):
+    """An LP in standard form, and a second objective and upper bounds on
+    the same rows: a small bounded LP with one column perhaps fixed at its
+    lower bound in the second, or a routing LP of ``_small_rdp`` re-priced
+    by the heuristic's second cost table."""
+    if draw(st.booleans(), label="routing"):
+        return _rdp_case(draw(st.integers(0, 3), label="rdp seed"))
+    a, senses, rhs, lo, hi, c = draw(_bounded_lps())
+    model = mip.LinearModel()
+    cols = [model.add_var(f"x{j}", l, u) for j, (l, u) in enumerate(zip(lo, hi))]
+    for row, sense, r in zip(a, senses, rhs):
+        model.add_constraint(dict(zip(cols, row)), sense, r)
+    model.set_objective(dict(zip(cols, c)))
+    a_s, b_s, c_s, lo_s, hi_s, *_ = mip._standard_form(model)
+    c2 = c_s.copy()
+    c2[:len(cols)] = draw(st.lists(st.integers(-4, 4), min_size=len(cols),
+                                   max_size=len(cols)))
+    hi2 = hi_s.copy()
+    j = draw(st.sampled_from([None, *cols]), label="fixed column")
+    if j is not None:
+        hi2[j] = lo_s[j]
+    return a_s, b_s, c_s, lo_s, hi_s, c2, hi2
+
+
+class TestReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_lp_pairs())
+    def test_solve_matches_the_embedded_simplex(self, lps):
+        # Cold, and then warm from each engine's own first basis under the
+        # second objective and bounds: the same status and objective.
+        a, b, c, lo, hi, c2, hi2 = lps
+        ours = simplex.solve(a, b, c, lo, hi)
+        ref = reference_simplex.solve(a, b, c, lo, hi)
+        event(f"cold {ref.status}")
+        _same_answer(ours, ref)
+        if ref.status != "optimal":
+            return
+        ours2 = simplex.solve(a, b, c2, lo, hi2, start=(ours.basis, ours.vstatus))
+        ref2 = reference_simplex.solve(a, b, c2, lo, hi2,
+                                       start=(ref.basis, ref.vstatus))
+        event(f"warm {ref2.status}")
+        assert ours2.warm
+        _same_answer(ours2, ref2)
+
+
+def _same_answer(ours, ref):
+    assert ours.status == ref.status
+    if ref.status == "optimal":
+        assert ours.objective == pytest.approx(ref.objective, rel=1e-9,
+                                               abs=1e-9)
+
+
+class TestBackend:
+    def test_missing_extension_names_the_path(self, tmp_path):
+        with pytest.raises(simplex.BackendMissing, match=str(tmp_path)):
+            simplex.load_highs(str(tmp_path))
+
+    def test_the_extension_loads_once(self):
+        assert simplex.load_highs() is simplex.load_highs()

@@ -228,7 +228,8 @@ def cmd_rshm(args) -> int:
     reldev = 0.0
     if zs:
         mean = sum(zs) / len(zs)
-        reldev = math.sqrt(sum((z - mean) ** 2 for z in zs) / len(zs)) / mean
+        std = math.sqrt(sum((z - mean) ** 2 for z in zs) / len(zs))
+        reldev = std / mean if mean else 0.0
     print(f"fuel={res.z_hat:.4f} saving={res.saving_rate()*100:.3f}% "
           f"iters={res.iterations} termination={res.termination}")
     if args.out:
@@ -303,6 +304,21 @@ def _limit(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="platoonopt",
                                 description=__doc__.split("\n")[0])
@@ -315,12 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate an instance or network file")
     g.add_argument("--model", choices=["distributed", "two-cluster",
                                        "synthetic-net"], required=True)
-    g.add_argument("--n", type=int, default=10)
+    g.add_argument("--n", type=_at_least(0), default=10)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--net", help="instance/network JSON supplying the graph")
-    g.add_argument("--rows", type=int, default=7)
-    g.add_argument("--cols", type=int, default=7)
+    g.add_argument("--rows", type=_at_least(1), default=7)
+    g.add_argument("--cols", type=_at_least(1), default=7)
     g.add_argument("--spacing", type=float, default=40.0)
     g.add_argument("--jitter", type=float, default=0.25)
     g.add_argument("--urban-radius", type=float, default=50.0)
@@ -352,10 +368,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("rshm", help="run the route-then-schedule heuristic")
     h.add_argument("--instance", required=True)
-    h.add_argument("--freq-threshold", type=int, default=3)
+    h.add_argument("--freq-threshold", type=_at_least(1), default=3)
     h.add_argument("--per-solve", type=_limit, default=600.0)
     h.add_argument("--total", type=_limit, default=3600.0)
-    h.add_argument("--iter-cap", type=int, default=None)
+    h.add_argument("--iter-cap", type=_at_least(0), default=None)
     h.add_argument("--cuts", choices=list(scheduling.CUT_MODES),
                    default=scheduling.DEFAULT_CUT_MODE)
     h.add_argument("--gap", type=_limit, default=1e-4)
@@ -386,7 +402,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (netmodel.ParseError, netmodel.ValidationError,
-            FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+            netmodel.NoHubPair, FileNotFoundError, KeyError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (netmodel.Unreachable, routing.InfeasibleMission,

@@ -429,7 +429,7 @@ def bound_improvement_report(contracted, params, bounds,
     the star rows as well (maximization: lower is tighter).  The cuts are
     appended to the plain model, whose compiled rows then grow by one row
     per cut, and each LP after a cut restarts from the previous basis with
-    the cut's slack basic (see ``mip.extend_start``); the two plain LPs
+    the cut's row basic (see ``mip.extend_start``); the two plain LPs
     start cold."""
     from . import scheduling as sched
     t0 = time.perf_counter()
@@ -448,8 +448,7 @@ def bound_improvement_report(contracted, params, bounds,
             break
         disj.append(found)
         plain.model.add_cut(found.cut)
-        lp = mip.solve_lp(plain.model,
-                          start=mip.extend_start((lp.basis, lp.vstatus), 1))
+        lp = mip.solve_lp(plain.model, start=mip.extend_start(lp.basis, 1))
     bd1 = lp.objective if lp.status == "optimal" else bd0
     cut_time = time.perf_counter() - t0
 

@@ -1,30 +1,26 @@
 """Generic MILP layer: model container, LP solve, branch and bound, export.
 
 Every LP relaxation runs on HiGHS's simplex behind ``simplex.solve``;
-branch and bound, cut rounds and their warm starts stay here.  The LPs are
-solved on a standard form (:func:`_standard_form`) that gives every row a
-slack column, last, so a basis is always a set of its columns and
-appending rows moves none.  A model compiles its rows once
-(:class:`CompiledRows`: the coefficients as one sparse matrix, the
-right-hand sides and the senses) and compiles only the rows appended since
-at its next solve; the column data (bounds, kinds, objective) is read
-afresh at every solve, so a model re-priced between solves re-uses its
-rows.  The standard-form matrix, with its slack columns and the HiGHS
-instance that holds it, is kept with the rows for the last column layout
-(which columns are negated or split), so a re-priced model sends HiGHS
-only its changed costs.
+branch and bound, cut rounds and their warm starts stay here.  HiGHS gets
+the model as it is: its rows as ranged rows, its columns with their own
+bounds and costs (negated for a maximization).  A model compiles its rows
+once (:class:`CompiledRows`: the coefficients as one sparse matrix, the
+right-hand sides, the senses and the ``simplex.Matrix`` that holds them in
+HiGHS) and compiles only the rows appended since at its next solve; the
+column data (bounds, kinds, objective) is read afresh at every solve, so a
+model re-priced between solves re-uses its rows and sends HiGHS only its
+changed costs.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
 called with every fractional root LP solution.  Cut rounds append their
-rows to a standard form local to the solve, so the model is left as it
-was.  The first root LP starts from a given basis, or else from a basis
-built at the seeded incumbent (:func:`seed_start`), and cold only without
-either.  Each root LP after a cut round restarts from the previous one's
-basis with the new rows' slacks basic (:func:`extend_start`), and each node
-LP from its parent's optimal basis, so the dual simplex repairs the
-violated cut or branching bound.  The last root LP's standard form serves
-the nodes.
+rows to a block local to the solve, so the model is left as it was.  The
+first root LP starts from a given basis, or else from a basis built at the
+seeded incumbent (:func:`seed_start`), and cold only without either.  Each
+root LP after a cut round restarts from the previous one's basis with the
+new rows basic (:func:`extend_start`), and each node LP from its parent's
+optimal basis, so the dual simplex repairs the violated cut or branching
+bound.  The last root LP's rows serve the nodes.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +37,6 @@ from . import simplex
 from .simplex import NumericalFailure
 
 INT_TOL = 1e-6
-FEAS_TOL = 1e-7
 DEFAULT_REL_GAP = 1e-4
 DEFAULT_CUT_ROUNDS = 20
 
@@ -215,9 +209,7 @@ class LpSolution:
     status: str                 # optimal | infeasible | unbounded
     objective: float | None
     x: np.ndarray | None
-    basis: np.ndarray | None = None
-    vstatus: np.ndarray | None = None
-    is_vertex: bool = False
+    basis: object | None = None     # the HighsBasis HiGHS ended on
 
     def value(self, j: int) -> float:
         return float(self.x[j])
@@ -239,9 +231,9 @@ class MipSolution:
     wall_time: float
     cuts_added: int = 0
     root_bound: float | None = None
-    # (basis, vstatus) of the final root LP in standard form; a valid
-    # ``root_start`` for a model with the same rows, columns and bounds
-    root_basis: tuple | None = None
+    # HighsBasis of the final root LP, cut rows included; a valid
+    # ``root_start`` for a model with the same rows and columns
+    root_basis: object | None = None
 
     def value(self, j: int) -> float:
         return float(self.x[j])
@@ -250,18 +242,19 @@ class MipSolution:
 class CompiledRows:
     """Compiled rows: their coefficients over the model's own columns as
     one CSR matrix ``a`` (each row's entries in the order of its
-    coefficient dict), the right-hand sides ``b`` and the senses.
-    Immutable: :meth:`extend` returns a new block, so a solve's cut rounds
-    leave the model's block as it was.  The standard-form matrix built
-    from it is kept for the last column layout asked for (:meth:`matrix`).
-    """
-    __slots__ = ("a", "b", "senses", "_matrix")
+    coefficient dict), the right-hand sides ``b``, the senses, and ``lp``,
+    the ``simplex.Matrix`` of the block as ranged rows: ``(-inf, b]`` for
+    ``<=``, ``[b, inf)`` for ``>=`` and ``[b, b]`` for ``==``.  Immutable:
+    :meth:`extend` returns a new block, so a solve's cut rounds leave the
+    model's block as it was."""
+    __slots__ = ("a", "b", "senses", "lp")
 
     def __init__(self, a: sp.csr_matrix, b: np.ndarray, senses: np.ndarray):
         self.a = a
         self.b = b
         self.senses = senses
-        self._matrix = None        # (layout key, simplex.Matrix)
+        self.lp = simplex.Matrix(a, np.where(senses == LE, -np.inf, b),
+                                 np.where(senses == GE, np.inf, b))
 
     @property
     def m(self) -> int:
@@ -286,204 +279,90 @@ class CompiledRows:
         """This block with ``constraints`` appended below it."""
         new = CompiledRows.compile(constraints, self.a.shape[1])
         return CompiledRows(sp.vstack([self.a, new.a], format="csr"),
-                     np.concatenate([self.b, new.b]),
-                     np.concatenate([self.senses, new.senses]))
-
-    def matrix(self, flip: np.ndarray, splits: np.ndarray) -> simplex.Matrix:
-        """``[A F, -A[:, splits], S]`` in CSC form: the block with its
-        columns scaled by ``flip`` (+1 or -1 each), the negated split
-        columns, and one slack per row, +1 for ``<=`` and ``==`` and -1
-        for ``>=``."""
-        key = (np.flatnonzero(flip < 0).tobytes(), splits.tobytes())
-        if self._matrix is None or self._matrix[0] != key:
-            a = self.a.tocsc()
-            m, nv = a.shape
-            data = a.data * np.repeat(flip, np.diff(a.indptr))
-            neg = a[:, splits]
-            nnz = a.nnz + neg.nnz
-            full = sp.csc_matrix(
-                (np.concatenate([data, -neg.data,
-                                 np.where(self.senses == GE, -1.0, 1.0)]),
-                 np.concatenate([a.indices, neg.indices,
-                                 np.arange(m, dtype=a.indices.dtype)]),
-                 np.concatenate([a.indptr, a.nnz + neg.indptr[1:],
-                                 nnz + np.arange(1, m + 1)])),
-                shape=(m, nv + splits.size + m))
-            self._matrix = (key, simplex.Matrix(full))
-        return self._matrix[1]
+                            np.concatenate([self.b, new.b]),
+                            np.concatenate([self.senses, new.senses]))
 
 
 def _columns(model: LinearModel):
-    """The model's column data in standard form, slacks left out:
-    ``(c, lo, hi, flip, splits, sign)``, the objective and bounds of its
-    own columns and then of the negative parts of its split columns, the
-    sign of each own column, the split columns, and the objective's sign
-    (-1 for a maximization)."""
-    nv = model.num_vars
+    """The model's column data for HiGHS: ``(c, lo, hi, sign)``, the
+    objective negated for a maximization (``sign`` -1) and the bounds."""
     lo = np.array([v.lb for v in model.variables], dtype=float)
     hi = np.array([v.ub for v in model.variables], dtype=float)
-    c = np.zeros(nv)
+    c = np.zeros(model.num_vars)
     for j, v in model.obj_coeffs.items():
         c[j] = v
-    sign = 1.0
-    if model.obj_sense == "max":
-        c = -c
-        sign = -1.0
-    # lb = -inf with a finite ub: x -> -x.  Fully free: x -> x+ - x-.
-    down = np.isneginf(lo)
-    flip = np.where(down & np.isfinite(hi), -1.0, 1.0)
-    splits = np.flatnonzero(down & np.isposinf(hi))
-    k = splits.size
-    c = np.concatenate([c * flip, -c[splits]])
-    lo, hi = np.where(flip < 0, -hi, lo), np.where(flip < 0, np.inf, hi)
-    lo[splits] = 0.0
-    return (c, np.concatenate([lo, np.zeros(k)]),
-            np.concatenate([hi, np.full(k, np.inf)]), flip, splits, sign)
-
-
-class StandardForm(NamedTuple):
-    """Equality form ``A x = b, lo <= x <= hi`` of a model's LP relaxation.
-
-    The columns are the model's own, then the negative part of each free
-    column, then one slack per row: the slack of row ``i`` is column
-    ``n - m + i``.  A ``<=`` row's slack has coefficient +1 and a ``>=``
-    row's -1, both in ``[0, inf)``; an ``==`` row's slack has +1 and is
-    fixed at ``[0, 0]``.  This is the layout ``simplex.solve`` requires,
-    and appending rows never moves a column.  A column with only an upper
-    bound is negated (``flip`` is -1), a free one split (``splits``), so
-    every column has a finite lower bound; ``sign`` is -1 for a
-    maximization, whose ``c`` is negated.  ``matrix`` is ``a`` with the
-    HiGHS instance that solves its LPs.
-    """
-    a: sp.csc_matrix
-    b: np.ndarray
-    c: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    matrix: simplex.Matrix
-    rows: CompiledRows
-    flip: np.ndarray
-    splits: np.ndarray
-    sign: float
-
-    @property
-    def reformed(self) -> bool:
-        """Whether any column was negated or split."""
-        return bool(self.splits.size or np.any(self.flip < 0))
-
-    def recover(self, x_int: np.ndarray) -> np.ndarray:
-        """The model's columns of a standard-form point."""
-        nv = len(self.flip)
-        x = x_int[:nv] * self.flip
-        x[self.splits] -= x_int[nv:nv + self.splits.size]
-        return x
-
-    def extend(self, constraints: list[Constraint]) -> "StandardForm":
-        """The standard form after ``constraints`` are appended as rows."""
-        n = len(self.c) - self.rows.m
-        return _assemble(self.rows.extend(constraints), self.c[:n],
-                         self.lo[:n], self.hi[:n], self.flip, self.splits,
-                         self.sign)
-
-
-def _assemble(rows: CompiledRows, c, lo, hi, flip, splits,
-              sign) -> StandardForm:
-    """The standard form of ``rows`` and the column data of
-    :func:`_columns`."""
-    matrix = rows.matrix(flip, splits)
-    m = rows.m
-    return StandardForm(
-        matrix.a, rows.b, np.concatenate([c, np.zeros(m)]),
-        np.concatenate([lo, np.zeros(m)]),
-        np.concatenate([hi, np.where(rows.senses == EQ, 0.0, np.inf)]),
-        matrix, rows, flip, splits, sign)
-
-
-def _standard_form(model: LinearModel) -> StandardForm:
-    """The model's standard form: its compiled rows (see
-    :meth:`LinearModel.compiled_rows`) with its current column data."""
-    return _assemble(model.compiled_rows(), *_columns(model))
+    sign = -1.0 if model.obj_sense == "max" else 1.0
+    return sign * c, lo, hi, sign
 
 
 def solve_lp(model: LinearModel, start=None) -> LpSolution:
     """Solve the LP relaxation (integrality ignored) to a basic solution.
-    ``start`` is an optional (basis, vstatus) of the standard form (see
+    ``start`` is an optional ``basis`` of an earlier solution (see
     ``simplex.solve``)."""
     model.validate()
-    return _solve_standard(_standard_form(model), model.obj_constant,
-                           start=start)
+    c, lo, hi, sign = _columns(model)
+    return _solve(model.compiled_rows(), c, lo, hi, sign, model.obj_constant,
+                  start)
 
 
-def _solve_standard(sf: StandardForm, obj_constant: float, lo=None, hi=None,
-                    start=None) -> LpSolution:
-    """Solve the standard form ``sf``, optionally under other column bounds
-    ``lo``/``hi``, and map the answer back to the model's columns."""
-    res = simplex.solve(sf.matrix, sf.b, sf.c,
-                        sf.lo if lo is None else lo,
-                        sf.hi if hi is None else hi, start=start)
+def _solve(rows: CompiledRows, c, lo, hi, sign: float, obj_constant: float,
+           start=None) -> LpSolution:
+    """Solve min ``c.x`` over ``rows`` and the column bounds ``lo``/``hi``,
+    reporting ``sign * c.x + obj_constant``."""
+    res = simplex.solve(rows.lp, c, lo, hi, start=start)
     if res.status != "optimal":
         return LpSolution(res.status, None, None)
-    return LpSolution("optimal", sf.sign * res.objective + obj_constant,
-                      sf.recover(res.x), basis=res.basis, vstatus=res.vstatus,
-                      is_vertex=not sf.reformed)
+    return LpSolution("optimal", sign * res.objective + obj_constant, res.x,
+                      basis=res.basis)
 
 
-def seed_start(sf, point) -> tuple | None:
-    """Start ``(basis, vstatus)`` for the standard form ``sf`` at ``point``,
-    a feasible point of the model in its own columns.  A column at a bound
-    is nonbasic at that bound, and every row is basic in its slack (an
-    ``==`` row's fixed slack is basic at zero).  A column strictly inside
-    its bounds replaces the slack of its only row, which must be zero at
-    the point.  None when there is no such start: a model with negated or
-    split columns, a point outside its bounds or rows, or an interior
-    column in several rows or sharing its row with another one.
-    ``simplex.solve`` still checks the start and ignores one that does not
-    fit."""
-    a, b, lo, hi = sf.a, sf.b, sf.lo, sf.hi
-    if sf.reformed:
-        return None
-    m, n = a.shape
-    nv = n - m
+def seed_start(rows: CompiledRows, lo, hi, point):
+    """Start for the LP of ``rows`` under column bounds ``lo``/``hi`` at
+    ``point``, a feasible point of the model.  A column at a bound is
+    nonbasic at that bound, and every row is basic.  A column strictly
+    inside its bounds replaces its only row, which must be at a bound at
+    the point and becomes nonbasic there.  None when there is no such
+    start: a point outside its bounds or rows, or an interior column in
+    several rows or sharing its row with another one.  ``simplex.solve``
+    still checks the start and ignores one that does not fit."""
+    tol = simplex.FEAS_TOL
     x = np.asarray(point, dtype=float)
-    lo_x, hi_x = lo[:nv], hi[:nv]
-    if np.any(x < lo_x - FEAS_TOL) or np.any(x > hi_x + FEAS_TOL):
+    if np.any(x < lo - tol) or np.any(x > hi + tol):
         return None
-    at_lo = np.abs(x - lo_x) <= FEAS_TOL
-    at_hi = ~at_lo & (np.abs(x - hi_x) <= FEAS_TOL)
-    resid = b - a[:, :nv] @ np.where(at_lo, lo_x, np.where(at_hi, hi_x, x))
-    # The slack of row i is column nv + i, with its one entry in row i.
-    value = resid / a.data[a.indptr[nv:n]]
-    if (np.any(value < lo[nv:] - FEAS_TOL)
-            or np.any(value > hi[nv:] + FEAS_TOL)):
+    at_lo = np.abs(x - lo) <= tol
+    at_hi = ~at_lo & (np.abs(x - hi) <= tol)
+    act = rows.a @ np.where(at_lo, lo, np.where(at_hi, hi, x))
+    rlo, rhi = rows.lp.rlo, rows.lp.rhi
+    if np.any(act < rlo - tol) or np.any(act > rhi + tol):
         return None
-    basis = np.arange(nv, n, dtype=np.int64)
-    vstatus = np.full(n, simplex.IS_BASIC, dtype=np.int8)
-    vstatus[:nv] = np.where(at_hi, simplex.AT_UPPER, simplex.AT_LOWER)
-    for j in np.flatnonzero(~(at_lo | at_hi)):
+    cols = np.where(at_hi, simplex.UPPER, simplex.LOWER).tolist()
+    row_status = [simplex.BASIC] * rows.m
+    a = rows.a.tocsc()
+    for j in np.flatnonzero(~(at_lo | at_hi)).tolist():
         s, e = a.indptr[j], a.indptr[j + 1]
         if e - s != 1:
             return None
         i = a.indices[s]
-        if basis[i] < nv or abs(value[i]) > FEAS_TOL:
+        if row_status[i] != simplex.BASIC:
             return None
-        vstatus[basis[i]] = simplex.AT_LOWER
-        basis[i] = j
-        vstatus[j] = simplex.IS_BASIC
-    return basis, vstatus
+        if abs(act[i] - rlo[i]) <= tol:
+            row_status[i] = simplex.LOWER
+        elif abs(act[i] - rhi[i]) <= tol:
+            row_status[i] = simplex.UPPER
+        else:
+            return None
+        cols[j] = simplex.BASIC
+    return simplex.make_basis(cols, row_status)
 
 
 def extend_start(start, k: int):
     """Start for the LP of a model after ``k`` rows were appended, from
-    ``start``, the (basis, vstatus) of the LP before.  The appended rows'
-    slacks are the last ``k`` columns of the new standard form and join the
-    basis; no other column moves.  The reduced costs do not change, so an
+    ``start``, the ``basis`` of the LP before.  The appended rows join the
+    basis; no column moves.  The reduced costs do not change, so an
     optimal start stays dual feasible, and a violated new row is repaired
     by the dual simplex."""
-    basis, vstatus = start
-    n = len(vstatus) + k
-    return (np.concatenate([basis, np.arange(n - k, n, dtype=np.int64)]),
-            np.concatenate([vstatus, np.full(k, simplex.IS_BASIC,
-                                             dtype=np.int8)]))
+    return simplex.make_basis(start.col_status,
+                              start.row_status + [simplex.BASIC] * k)
 
 
 def _fractional(x, int_idx: np.ndarray) -> list[tuple[int, float]]:
@@ -541,19 +420,20 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
               initial_solution=None, root_start=None) -> MipSolution:
     """Branch and bound with best-bound node selection.
 
-    The LPs are solved on the model's standard form: its compiled rows
-    (compiled at the first solve and extended by the rows added since at
-    each later one) with its current bounds and objective.
+    The LPs are solved on the model's compiled rows (compiled at the
+    first solve and extended by the rows added since at each later one)
+    with its current bounds and objective.
     ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
     invoked repeatedly on fractional root relaxations until it returns no
     cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
-    They are appended to a standard form local to the solve, so neither
-    the model's rows nor its compiled rows change.  Each root LP after a
-    cut round restarts from the previous root basis with the cuts' slacks
-    basic (see :func:`extend_start`), and each node LP from its parent's
-    optimal basis under the node's column bounds; both children of a node
-    share that one start.  HiGHS re-optimizes from such a start, and runs
-    cold only when the start does not fit.
+    They are appended to a block local to the solve, so neither the
+    model's rows nor its compiled rows change.  Each root LP after a cut
+    round restarts from the previous root basis with the cuts' rows basic
+    (see :func:`extend_start`), and each node LP from its parent's optimal
+    basis, the very ``HighsBasis`` of the parent's result, under the
+    node's column bounds; both children of a node share that one start.
+    HiGHS re-optimizes from such a start, and runs cold only when the
+    start does not fit.
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
@@ -582,25 +462,28 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         incumbent_x = np.asarray(initial_solution, dtype=float)
 
     cuts_added = 0
-    sf = _standard_form(model)
+    rows = model.compiled_rows()
+    c, lo_col, hi_col, sign = _columns(model)
+
+    def lp_solve(lo, hi, start):
+        return _solve(rows, c, lo, hi, sign, model.obj_constant, start)
+
     start = root_start
     if start is None and incumbent_x is not None:
-        start = seed_start(sf, incumbent_x)
-    root = _solve_standard(sf, model.obj_constant, start=start)
+        start = seed_start(rows, lo_col, hi_col, incumbent_x)
+    root = lp_solve(lo_col, hi_col, start)
     rounds = 0
     while (root.status == "optimal" and root_cut_hook is not None
            and rounds < cut_rounds and _fractional(root.x, int_idx)):
         cuts = root_cut_hook(root)
         if not cuts:
             break
-        m = sf.rows.m
-        sf = sf.extend([_cut_row(cut, model.num_vars, m + i)
-                        for i, cut in enumerate(cuts)])
+        m = rows.m
+        rows = rows.extend([_cut_row(cut, model.num_vars, m + i)
+                            for i, cut in enumerate(cuts)])
         cuts_added += len(cuts)
         rounds += 1
-        root = _solve_standard(sf, model.obj_constant,
-                               start=extend_start((root.basis, root.vstatus),
-                                                  len(cuts)))
+        root = lp_solve(lo_col, hi_col, extend_start(root.basis, len(cuts)))
 
     if root.status == "infeasible" and incumbent is not None:
         raise NumericalFailure("root LP reported infeasible, but the "
@@ -609,7 +492,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         return MipSolution(root.status, None, None, None, None, 1, wall(),
                            cuts_added)
     root_bound = root.objective
-    root_basis = (root.basis, root.vstatus) if root.basis is not None else None
+    root_basis = root.basis
 
     def slack(inc):
         return rel_gap * max(abs(inc), 1e-10)
@@ -620,22 +503,20 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         return (bound >= inc - slack(inc)) if minimize \
             else (bound <= inc + slack(inc))
 
-    # The final root's standard form serves every node; nodes only patch
-    # variable bounds.  A child tightens the bound of a variable that is
+    # The final root's rows serve every node; nodes only patch variable
+    # bounds.  A child tightens the bound of a variable that is
     # fractional, hence basic, in its parent's LP: the parent's optimal
     # basis stays dual feasible but is primal infeasible, so the node LP
     # runs the dual simplex from it.
-    lo_std, hi_std = sf.lo, sf.hi
-
     def node_lp(overrides, start):
-        lo = lo_std.copy()
-        hi = hi_std.copy()
+        lo = lo_col.copy()
+        hi = hi_col.copy()
         for j, (l, u) in overrides.items():
             lo[j] = max(lo[j], l)
             hi[j] = min(hi[j], u)
             if lo[j] > hi[j] + 1e-15:
                 return LpSolution("infeasible", None, None)
-        return _solve_standard(sf, model.obj_constant, lo, hi, start=start)
+        return lp_solve(lo, hi, start)
 
     nodes = 1
     counter = 0
@@ -705,9 +586,8 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
                        float(np.floor(xj)))
         up = dict(overrides)
         up[jbest] = (float(np.ceil(xj)), up.get(jbest, (var.lb, var.ub))[1])
-        start = (lp.basis, lp.vstatus)
-        push(lp.objective, down, start)
-        push(lp.objective, up, start)
+        push(lp.objective, down, lp.basis)
+        push(lp.objective, up, lp.basis)
 
     # Final bound: best over open and cutoff-pruned nodes plus the incumbent.
     open_bounds = [entry[2] for entry in heap] + pruned_bounds

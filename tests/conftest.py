@@ -1,8 +1,11 @@
-"""Shared fixtures: tiny networks, the four-vehicle worked example, and
-hand-built instances with known optima."""
+"""Shared fixtures: tiny networks, the four-vehicle worked example,
+hand-built instances with known optima, and the reference LP solve."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import reference_simplex
 
 from platoonopt import mip, netmodel as nm, routing, scheduling as sched
 from platoonopt.netmodel import Edge, Node, RoadNetwork, VehicleMission
@@ -99,7 +102,7 @@ def appendix_example():
     x[fcol(3, 1, B, C)] = 1.0
     x[fcol(4, 2, D, G)] = 1.0
     x[fcol(2, 1, C, D)] = 0.75
-    point = mip.LpSolution("optimal", None, x, is_vertex=True)
+    point = mip.LpSolution("optimal", None, x)
     return {"assignment": ra, "missions": missions, "params": params,
             "contracted": contracted, "bounds": bounds, "handle": handle,
             "point": point, "times": times, "costs": costs,
@@ -114,3 +117,39 @@ def small_grid():
 @pytest.fixture
 def medium_grid():
     return nm.make_grid_network(7, 7, spacing_km=40, jitter=0.25, seed=5)
+
+
+def ranged_rows(senses, rhs):
+    """Row bounds ``(rlo, rhi)`` of rows with these senses and right-hand
+    sides: ``(-inf, b]`` for ``<=``, ``[b, inf)`` for ``>=``, ``[b, b]``
+    for ``==``."""
+    senses, rhs = np.asarray(senses, dtype=object), np.asarray(rhs, float)
+    return (np.where(senses == "<=", -np.inf, rhs),
+            np.where(senses == ">=", np.inf, rhs))
+
+
+def reference_solve(a, rlo, rhi, c, lo, hi, start=None):
+    """``reference_simplex.solve`` on  min c.x  s.t.  rlo <= A x <= rhi,
+    lo <= x <= hi,  put into the equality form it needs: a column with only
+    an upper bound negated, a free one split into its positive and negative
+    parts, then one slack per row (``A x + s = rhi`` with ``s`` in
+    ``[0, rhi - rlo]``, or ``A x - s = rlo`` with ``s >= 0`` when ``rhi``
+    is infinite).  The objective is that of the LP as given; ``start`` is a
+    ``(basis, vstatus)`` of an earlier reference result on the same form."""
+    a = sp.csc_matrix(a, dtype=float)
+    rlo, rhi, c, lo, hi = (np.asarray(v, dtype=float)
+                           for v in (rlo, rhi, c, lo, hi))
+    down = np.isneginf(lo)
+    flip = np.where(down & np.isfinite(hi), -1.0, 1.0)
+    split = np.flatnonzero(down & np.isposinf(hi))
+    up = np.isfinite(rhi)
+    full = sp.hstack([a @ sp.diags(flip), -a[:, split],
+                      sp.diags(np.where(up, 1.0, -1.0))], format="csc")
+    k, m = split.size, len(rhi)
+    lo_f = np.concatenate([np.where(flip < 0, -hi, np.where(down, 0.0, lo)),
+                           np.zeros(k + m)])
+    hi_f = np.concatenate([np.where(flip < 0, np.inf, hi), np.full(k, np.inf),
+                           np.where(up, rhi - rlo, np.inf)])
+    c_f = np.concatenate([c * flip, -c[split], np.zeros(m)])
+    return reference_simplex.solve(full, np.where(up, rhi, rlo), c_f, lo_f,
+                                   hi_f, start=start)

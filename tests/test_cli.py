@@ -73,6 +73,59 @@ class TestRshmCommand:
         assert "finite and non-negative" in capsys.readouterr().err
 
 
+class TestEmptyInstance:
+    @pytest.fixture
+    def empty(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        assert cli.main(["gen", "--model", "two-cluster", "--n", "0",
+                         "--rows", "3", "--cols", "3", "--seed", "1",
+                         "--out", str(path)]) == cli.EXIT_OK
+        assert "(0 vehicles," in capsys.readouterr().out
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["rshm", "solve-rdp", "solve-sp"])
+    def test_commands_solve_an_instance_without_vehicles(self, empty,
+                                                         command, tmp_path):
+        out = tmp_path / "out.json"
+        extra = ["--out", str(out)] if command == "rshm" else []
+        assert cli.main([command, "--instance", empty, *extra]) == cli.EXIT_OK
+        if command == "rshm":
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["fuel_cost"] == doc["rel_dev"] == 0.0
+            assert doc["iterations"] >= 1
+
+
+class TestBadIntegers:
+    @pytest.mark.parametrize("args", [
+        ["--n", "-2"], ["--rows", "0"], ["--rows", "-1"], ["--cols", "0"],
+        ["--n", "two"]])
+    def test_gen_rejects_bad_counts(self, tmp_path, capsys, args):
+        out = tmp_path / "inst.json"
+        code = cli.main(["gen", "--model", "distributed", "--out", str(out),
+                         *args])
+        assert code == cli.EXIT_USAGE and not out.exists()
+        assert args[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["two-cluster", "distributed"])
+    def test_gen_on_a_one_node_grid_exits_with_usage_code(self, tmp_path,
+                                                          capsys, model):
+        out = tmp_path / "inst.json"
+        code = cli.main(["gen", "--model", model, "--rows", "1", "--cols",
+                         "1", "--out", str(out)])
+        assert code == cli.EXIT_USAGE and not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("option,value", [
+        ("--iter-cap", "-1"), ("--iter-cap", "-3"), ("--iter-cap", "1.5"),
+        ("--freq-threshold", "0"), ("--freq-threshold", "-1")])
+    def test_rshm_rejects_bad_counts(self, tmp_path, capsys, option, value):
+        inst_path = tmp_path / "inst.json"
+        nm.save_instance(shared_edge_instance(), str(inst_path))
+        code = cli.main(["rshm", "--instance", str(inst_path), option, value])
+        assert code == cli.EXIT_USAGE
+        assert option in capsys.readouterr().err
+
+
 def _routes_file(tmp_path, inst, routes=None):
     """Save ``inst`` and its routes (default: iteration-1 routing optimum,
     written by ``solve-rdp``); return both paths."""

@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from platoonopt import cuts, mip, simplex
+from platoonopt.simplex import BASIC
 
-from conftest import branching_sp_handle, branching_sp_model
+from conftest import (branching_sp_handle, branching_sp_model, ranged_rows,
+                      reference_solve)
 
 
 def tableau_simplex(c, A, b):
@@ -81,7 +83,7 @@ def test_lp_vertex_contract():
     m.add_constraint({x: 1, y: 1}, "==", 1)
     m.set_objective({}, sense="min")
     s = mip.solve_lp(m)
-    assert s.status == "optimal" and s.is_vertex
+    assert s.status == "optimal"
     assert s.x[x] in (pytest.approx(0.0), pytest.approx(1.0))
 
 
@@ -121,6 +123,34 @@ def test_lp_infeasible_and_unbounded():
     x = m2.add_var("x", 0, np.inf)
     m2.set_objective({x: 1}, sense="max")
     assert mip.solve_lp(m2).status == "unbounded"
+
+
+@pytest.mark.parametrize("rows,status", [
+    ([], "optimal"),
+    ([({}, "<=", 1.0), ({}, "==", 0.0), ({}, ">=", -2.0)], "optimal"),
+    ([({}, "<=", 1.0), ({}, ">=", 1.0)], "infeasible"),
+], ids=["no-rows", "rows-holding-0", "row-missing-0"])
+def test_model_without_columns(rows, status):
+    # The LP is settled by whether every row's range holds 0.
+    m = mip.LinearModel()
+    for coeffs, sense, rhs in rows:
+        m.add_constraint(coeffs, sense, rhs)
+    m.set_objective({}, constant=2.5, sense="max")
+    lp, sol = mip.solve_lp(m), mip.solve_mip(m)
+    assert lp.status == sol.status == status
+    if status == "optimal":
+        assert lp.objective == sol.objective == 2.5
+        assert sol.x.size == 0 and sol.gap == 0.0
+
+
+def test_row_of_one_tiny_coefficient():
+    # HiGHS drops the entry, so its LP has no nonzeros to factorize.
+    m = mip.LinearModel()
+    x = m.add_var("x", ub=5.0)
+    m.add_constraint({x: 1e-12}, "<=", 1.0)
+    m.set_objective({x: 1.0}, sense="max")
+    lp = mip.solve_lp(m)
+    assert lp.status == "optimal" and lp.objective == 5.0
 
 
 NAN, INF = float("nan"), float("inf")
@@ -296,7 +326,7 @@ def test_infeasible_root_with_feasible_seed_raises(monkeypatch):
     m.set_objective({a: 5, b: 4}, sense="max")
     monkeypatch.setattr(simplex, "solve", lambda *args, **kw:
                         simplex.SimplexResult("infeasible", None, None, None,
-                                              None, 0))
+                                              0))
     with pytest.raises(mip.NumericalFailure, match="infeasible"):
         mip.solve_mip(m, initial_solution=[1.0, 0.0])
     assert mip.solve_mip(m).status == "infeasible"
@@ -373,13 +403,13 @@ def test_unbounded_root_reported_as_unbounded(seed):
 
 
 def _spy_on_simplex(monkeypatch):
-    """Record (start given, result, cold result) for every LP solve."""
+    """Record (start, result, cold result) for every LP solve."""
     calls = []
     solve = simplex.solve
 
-    def spy(a, b, c, lo, hi, start=None, **kw):
-        res = solve(a, b, c, lo, hi, start=start, **kw)
-        calls.append((start is not None, res, solve(a, b, c, lo, hi, **kw)))
+    def spy(mat, c, lo, hi, start=None):
+        res = solve(mat, c, lo, hi, start=start)
+        calls.append((start, res, solve(mat, c, lo, hi)))
         return res
 
     monkeypatch.setattr(simplex, "solve", spy)
@@ -399,12 +429,19 @@ def test_node_lps_restart_from_their_parent_basis(monkeypatch):
     sol = mip.solve_mip(model)
     assert sol.status == "optimal" and sol.nodes >= 10
     assert sol.objective == pytest.approx(plain.objective)
-    (root_started, _root, _cold), *nodes = calls
-    assert not root_started
+    (root_start, _root, _cold), *nodes = calls
+    assert root_start is None
     assert len(nodes) == sol.nodes - 1
-    for started, res, cold in nodes:
-        assert started and res.warm
+    # Each node starts from the very HighsBasis of an earlier result, its
+    # parent's, and a parent has two children.
+    children = [0] * len(calls)
+    for k, (start, res, cold) in enumerate(nodes, 1):
+        parents = [i for i in range(k) if calls[i][1].basis is start]
+        assert len(parents) == 1
+        children[parents[0]] += 1
+        assert res.warm
         _same_lp_answer(res, cold)
+    assert max(children) == 2
     assert sum(res.iterations for _, res, _ in nodes) < \
         sum(cold.iterations for _, _, cold in nodes)
 
@@ -421,17 +458,22 @@ def test_cut_rounds_restart_from_the_previous_root(monkeypatch):
     s = mip.solve_mip(m, root_cut_hook=lambda lp: [cuts.pop(0)] if cuts else [])
     assert s.status == "optimal" and s.objective == pytest.approx(1.0)
     assert s.cuts_added == 2 and s.nodes == 1
-    assert [started for started, _, _ in calls] == [False, True, True]
-    for _, res, cold in calls[1:]:
+    assert calls[0][0] is None
+    # Each round starts from the previous root's basis with its cut's row
+    # basic.
+    for (_, before, _), (start, res, cold) in zip(calls, calls[1:]):
+        assert start.col_status == before.basis.col_status
+        assert start.row_status == before.basis.row_status + [BASIC]
         assert res.warm
         _same_lp_answer(res, cold)
+    assert len(calls) == 3
 
 
 def test_root_basis_warm_starts_a_repriced_model():
     m = _branching_knapsack()
     first = mip.solve_mip(m)
-    basis, vstatus = first.root_basis
-    assert len(basis) == m.num_constraints
+    assert len(first.root_basis.row_status) == m.num_constraints
+    assert len(first.root_basis.col_status) == m.num_vars
     m.set_objective({0: 4, 1: 5}, sense="max")
     warm = mip.solve_mip(m, root_start=first.root_basis)
     cold = mip.solve_mip(m)
@@ -465,33 +507,87 @@ def _model_with(columns, objective, sense, rows):
     return m
 
 
-def _assert_same_form(got, ref):
+def _assert_same_rows(got, ref):
     assert got.a.shape == ref.a.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got.a, name), getattr(ref.a, name))
-    for name in ("b", "c", "lo", "hi"):
+    for name in ("b", "senses"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert got.sign == ref.sign and got.reformed == ref.reformed
+    assert np.array_equal(got.lp.rlo, ref.lp.rlo)
+    assert np.array_equal(got.lp.rhi, ref.lp.rhi)
+
+
+_ODD_COLUMN = st.sampled_from([(-np.inf, 2.0), (-np.inf, np.inf)])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(odd=st.sampled_from([(-np.inf, 2.0), (-np.inf, np.inf)]),
+@given(odd=_ODD_COLUMN,
        objective=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
        sense=st.sampled_from(["min", "max"]),
        first=st.lists(_ROW, max_size=5), appended=st.lists(_ROW, max_size=4))
 def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
                                                appended):
-    # Four columns, the last negated (only an upper bound) or free.
+    # Four columns, the last with only an upper bound or free.
     columns = [(0.0, np.inf), (-1.0, 3.0), (0.0, 1.0), odd]
     model = _model_with(columns, objective, sense, first)
-    before = mip._standard_form(model)
+    before = model.compiled_rows()
     mip.solve_lp(model)
     for coeffs, row_sense, rhs in appended:
         model.add_constraint(coeffs, row_sense, rhs)
-    ref = mip._standard_form(_model_with(columns, objective, sense,
-                                         first + appended))
-    _assert_same_form(mip._standard_form(model), ref)
-    _assert_same_form(before.extend(model.constraints[len(first):]), ref)
+    ref = _model_with(columns, objective, sense,
+                      first + appended).compiled_rows()
+    _assert_same_rows(model.compiled_rows(), ref)
+    _assert_same_rows(before.extend(model.constraints[len(first):]), ref)
+
+
+def _reference(model):
+    """Status and objective of the model's LP relaxation by the reference
+    simplex, on rows and columns read straight off the model."""
+    nv = model.num_vars
+    a = np.array([[con.coeffs.get(j, 0.0) for j in range(nv)]
+                  for con in model.constraints]).reshape(-1, nv)
+    rlo, rhi = ranged_rows([con.sense for con in model.constraints],
+                           [con.rhs for con in model.constraints])
+    sign = -1.0 if model.obj_sense == "max" else 1.0
+    c = np.array([sign * model.obj_coeffs.get(j, 0.0) for j in range(nv)])
+    res = reference_solve(a, rlo, rhi, c,
+                          [v.lb for v in model.variables],
+                          [v.ub for v in model.variables])
+    if res.status != "optimal":
+        return res.status, None
+    return "optimal", sign * res.objective + model.obj_constant
+
+
+def _assert_matches_reference(lp, model):
+    status, objective = _reference(model)
+    assert lp.status == status
+    if status == "optimal":
+        assert lp.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+        mip.check_solution(model, lp.x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(odd=st.lists(_ODD_COLUMN, min_size=1, max_size=2),
+       objective=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       constant=st.integers(-2, 2), sense=st.sampled_from(["min", "max"]),
+       first=st.lists(_ROW, max_size=5), appended=st.lists(_ROW, max_size=4))
+def test_solve_lp_matches_the_reference_before_and_after_appended_rows(
+        odd, objective, constant, sense, first, appended):
+    # Four columns, the last one or two with only an upper bound or free:
+    # HiGHS takes them as they are, the reference after a reformulation.
+    columns = [(0.0, np.inf), (-1.0, 3.0), (0.0, 1.0), (0.0, 2.0)]
+    columns[4 - len(odd):] = odd
+    model = _model_with(columns, objective, sense, first)
+    model.set_objective(dict(enumerate(objective)), constant, sense)
+    before = mip.solve_lp(model)
+    event(f"before: {before.status}")
+    _assert_matches_reference(before, model)
+    for coeffs, row_sense, rhs in appended:
+        model.add_constraint(coeffs, row_sense, rhs)
+    _assert_matches_reference(mip.solve_lp(model), model)
+    if before.status == "optimal":
+        start = mip.extend_start(before.basis, len(appended))
+        _assert_matches_reference(mip.solve_lp(model, start=start), model)
 
 
 def _check_by_loop(model, x, tol=1e-6):

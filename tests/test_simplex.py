@@ -1,9 +1,9 @@
-"""LP seam: the slack layout it requires, answers matching the embedded
-revised simplex it replaced (kept in ``reference_simplex``), root starts
-built from a seed point, warm starts from earlier bases (including bases
-that keep a fixed slack basic), restarts after branching bounds and added
-rows, how the HiGHS extension is found, and an LP that once broke the old
-engine."""
+"""LP seam: ranged rows and the model's own columns, answers matching the
+embedded revised simplex it replaced (kept in ``reference_simplex``, fed
+its slack layout by ``conftest.reference_solve``), root starts built from a
+seed point, warm starts from earlier bases (including bases that keep an
+equality row basic), restarts after branching bounds and added rows, how
+the HiGHS extension is found, and an LP that once broke the old engine."""
 
 import functools
 from pathlib import Path
@@ -15,101 +15,106 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from platoonopt import mip, netmodel as nm, routing, rshm, simplex
+from platoonopt.simplex import BASIC, LOWER, UPPER
 
-import reference_simplex
-from conftest import branching_sp_model
+from conftest import branching_sp_model, ranged_rows, reference_solve
 
 DATA = Path(__file__).parent / "data"
 
 
 def _rank_deficient_lp():
-    """Two copies of one equality row, each with its slack fixed at zero:
-    phase 1 must leave one row's artificial column basic at zero."""
-    a = sp.csc_matrix(np.array([[1.0, 1.0, 1.0, 1.0, 0.0],
-                                [2.0, 2.0, 2.0, 0.0, 1.0]]))
-    b = np.array([1.0, 2.0])
-    c = np.array([1.0, 2.0, 3.0, 0.0, 0.0])
-    return a, b, c, np.zeros(5), np.array([np.inf, np.inf, np.inf, 0.0, 0.0])
+    """Two copies of one equality row: one of them must stay basic."""
+    mat = simplex.Matrix(sp.csc_matrix(np.array([[1.0, 1.0, 1.0],
+                                                 [2.0, 2.0, 2.0]])),
+                         [1.0, 2.0], [1.0, 2.0])
+    return mat, np.array([1.0, 2.0, 3.0]), np.zeros(3), np.full(3, np.inf)
 
 
-def _fixed_slacks(a, lo, hi):
-    """Columns of the rows' slacks that are fixed at zero (``==`` rows)."""
-    m, n = a.shape
-    return n - m + np.flatnonzero(lo[n - m:] == hi[n - m:])
+def _basic_rows(basis):
+    return [i for i, s in enumerate(basis.row_status) if s == BASIC]
+
+
+def _equality_rows(mat):
+    return np.flatnonzero(mat.rlo == mat.rhi)
+
+
+def _in_rows(mat, x, tol=simplex.FEAS_TOL):
+    """Whether ``x`` satisfies every row of ``mat`` within ``tol``."""
+    act = mat.a @ x
+    return bool(np.all(act >= mat.rlo - tol) and np.all(act <= mat.rhi + tol))
 
 
 def _small_rdp(seed=0):
-    """Standard-form routing LP of a 4-vehicle instance, priced first by the
-    initial cost table and then by the table of the heuristic's second
-    iteration.  Returns (A, b, lo, hi, c_first, c_second)."""
+    """Routing LP of a 4-vehicle instance, priced first by the initial cost
+    table and then by the table of the heuristic's second iteration.
+    Returns (Matrix, lo, hi, c_first, c_second)."""
     grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
     inst = nm.generate_two_cluster(grid, 4, seed=seed)
     state = rshm.run(inst, rshm.RshmOptions(iter_cap=1)).state
     handle = routing.build_rdp(inst, state.tables[1])
-    a, b, c1, lo, hi, *_ = mip._standard_form(handle.model)
+    rows = handle.model.compiled_rows()
+    c1, lo, hi, _ = mip._columns(handle.model)
     routing.set_rdp_costs(handle, state.tables[2], 2)
-    a2, b2, c2, lo2, hi2, *_ = mip._standard_form(handle.model)
-    assert (a != a2).nnz == 0 and np.array_equal(b, b2)
+    c2, lo2, hi2, _ = mip._columns(handle.model)
+    assert handle.model.compiled_rows() is rows
     assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
     assert not np.array_equal(c1, c2)
-    return a, b, lo, hi, c1, c2
+    return rows.lp, lo, hi, c1, c2
 
 
 class TestWarmStart:
     def test_rank_deficient_basis_keeps_a_fixed_slack(self):
-        a, b, c, lo, hi = _rank_deficient_lp()
-        cold = simplex.solve(a, b, c, lo, hi)
+        # The slack of a row is its logical: the redundant equality row
+        # stays basic, at its fixed value.
+        mat, c, lo, hi = _rank_deficient_lp()
+        cold = simplex.solve(mat, c, lo, hi)
         assert cold.status == "optimal"
-        n = a.shape[1]
-        assert cold.basis.max() < n            # no artificial index
-        kept = np.intersect1d(cold.basis, _fixed_slacks(a, lo, hi))
-        assert len(kept) == 1                  # the redundant row's slack
-        assert cold.vstatus[kept[0]] == simplex.IS_BASIC
-        assert cold.x[kept[0]] == 0.0
-        assert len(cold.x) == n and len(cold.vstatus) == n
-        warm = simplex.solve(a, b, c, lo, hi, start=(cold.basis, cold.vstatus))
+        assert len(_basic_rows(cold.basis)) == 1
+        assert len(cold.x) == 3 and len(cold.basis.col_status) == 3
+        warm = simplex.solve(mat, c, lo, hi, start=cold.basis)
         assert warm.warm and warm.status == "optimal"
         assert warm.iterations == 0
         assert warm.objective == cold.objective
-        assert np.array_equal(warm.basis, cold.basis)
-        assert len(warm.x) == n and len(warm.vstatus) == n
+        assert warm.basis.col_status == cold.basis.col_status
+        assert warm.basis.row_status == cold.basis.row_status
 
     def test_rank_deficient_basis_reoptimizes_new_objective(self):
-        a, b, c, lo, hi = _rank_deficient_lp()
-        cold = simplex.solve(a, b, c, lo, hi)
-        c2 = np.array([3.0, 2.0, 1.0, 0.0, 0.0])
-        warm = simplex.solve(a, b, c2, lo, hi, start=(cold.basis, cold.vstatus))
-        ref = simplex.solve(a, b, c2, lo, hi)
+        mat, c, lo, hi = _rank_deficient_lp()
+        cold = simplex.solve(mat, c, lo, hi)
+        c2 = np.array([3.0, 2.0, 1.0])
+        warm = simplex.solve(mat, c2, lo, hi, start=cold.basis)
+        ref = simplex.solve(mat, c2, lo, hi)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(ref.objective, abs=1e-12)
-        assert np.allclose(a @ warm.x, b)
+        assert np.allclose(mat.a @ warm.x, mat.rlo)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_repriced_rdp_matches_cold_in_fewer_pivots(self, seed):
-        a, b, lo, hi, c1, c2 = _small_rdp(seed)
-        first = simplex.solve(a, b, c1, lo, hi)
-        # degenerate: a fixed slack, not an artificial, stays basic
-        assert first.basis.max() < a.shape[1]
-        assert np.isin(first.basis, _fixed_slacks(a, lo, hi)).any()
-        cold = simplex.solve(a, b, c2, lo, hi)
-        warm = simplex.solve(a, b, c2, lo, hi, start=(first.basis, first.vstatus))
+        mat, lo, hi, c1, c2 = _small_rdp(seed)
+        first = simplex.solve(mat, c1, lo, hi)
+        # degenerate: an equality row stays basic
+        assert set(_basic_rows(first.basis)) & set(_equality_rows(mat))
+        cold = simplex.solve(mat, c2, lo, hi)
+        warm = simplex.solve(mat, c2, lo, hi, start=first.basis)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert warm.iterations < cold.iterations
+        assert warm.warm and warm.iterations < cold.iterations
         assert np.all(warm.x >= lo - 1e-9) and np.all(warm.x <= hi + 1e-9)
-        assert np.allclose(a @ warm.x, b, atol=1e-9)
+        assert _in_rows(mat, warm.x, 1e-9)
 
     def test_wrong_shape_falls_back_to_cold(self):
-        a, b, lo, hi, c1, c2 = _small_rdp()
-        first = simplex.solve(a, b, c1, lo, hi)
-        cold = simplex.solve(a, b, c2, lo, hi)
-        m, n = a.shape
-        starts = [(first.basis[:-1], first.vstatus),
-                  (first.basis, first.vstatus[:-1]),
-                  (np.full(m, n + m), first.vstatus),
-                  (first.basis, np.zeros(n, dtype=np.int8))]
+        mat, lo, hi, c1, c2 = _small_rdp()
+        first = simplex.solve(mat, c1, lo, hi)
+        cold = simplex.solve(mat, c2, lo, hi)
+        cols, rows = first.basis.col_status, first.basis.row_status
+        m, n = mat.a.shape
+        starts = [simplex.make_basis(cols[:-1], rows),
+                  simplex.make_basis(cols, rows[:-1]),
+                  simplex.make_basis([BASIC] + cols[1:], [BASIC] * m),
+                  simplex.make_basis([LOWER] * n, [LOWER] * m)]
         for start in starts:
-            warm = simplex.solve(a, b, c2, lo, hi, start=start)
+            warm = simplex.solve(mat, c2, lo, hi, start=start)
+            assert not warm.warm
             assert warm.objective == cold.objective
             assert warm.iterations == cold.iterations
             assert np.array_equal(warm.x, cold.x)
@@ -118,15 +123,14 @@ class TestWarmStart:
         # Fix a basic variable away from its value, as branching does, and
         # price by a new objective, so the start is neither primal nor dual
         # feasible: it still fits, so the solve runs from it.
-        a, b, lo, hi, c1, c2 = _small_rdp(3)
-        first = simplex.solve(a, b, c1, lo, hi)
-        n = a.shape[1]
-        j = next(int(j) for j in first.basis
-                 if j < n and first.x[j] > 0.5 and hi[j] == 1.0)
-        lo2, hi2 = lo.copy(), hi.copy()
+        mat, lo, hi, c1, c2 = _small_rdp(3)
+        first = simplex.solve(mat, c1, lo, hi)
+        j = next(j for j, s in enumerate(first.basis.col_status)
+                 if s == BASIC and first.x[j] > 0.5 and hi[j] == 1.0)
+        hi2 = hi.copy()
         hi2[j] = 0.0
-        cold = simplex.solve(a, b, c2, lo2, hi2)
-        warm = simplex.solve(a, b, c2, lo2, hi2, start=(first.basis, first.vstatus))
+        cold = simplex.solve(mat, c2, lo, hi2)
+        warm = simplex.solve(mat, c2, lo, hi2, start=first.basis)
         assert warm.warm and warm.status == cold.status
         if cold.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
@@ -144,17 +148,18 @@ def _rdp_model():
 @functools.lru_cache(maxsize=None)
 def _root(name):
     """(model, cold root LP result, basic integer columns).  The routing
-    root ends phase 1 degenerate on its flow rows, so its basis keeps
-    fixed slacks of equality rows; the scheduling model has no equality
-    rows."""
+    root ends degenerate on its flow rows, so its basis keeps equality
+    rows basic; the scheduling model has no equality rows."""
     model = {"sp": branching_sp_model, "rdp": _rdp_model}[name]()
-    a, b, c, lo, hi, *_ = mip._standard_form(model)
-    root = simplex.solve(a, b, c, lo, hi)
+    mat = model.compiled_rows().lp
+    c, lo, hi, _ = mip._columns(model)
+    root = simplex.solve(mat, c, lo, hi)
     assert root.status == "optimal"
     if name == "rdp":
-        assert np.isin(root.basis, _fixed_slacks(a, lo, hi)).any()
+        assert set(_basic_rows(root.basis)) & set(_equality_rows(mat))
     ints = set(model.integer_indices())
-    return model, root, sorted(int(j) for j in root.basis if j in ints)
+    return model, root, sorted(j for j, s in enumerate(root.basis.col_status)
+                               if s == BASIC and j in ints)
 
 
 def _branch(model, x, j, up):
@@ -168,17 +173,18 @@ def _branch(model, x, j, up):
 
 def _warm_and_cold(model, root, overrides, rows=()):
     """Solve the child (``model`` with ``overrides`` and the appended rows)
-    from the root's basis and cold; returns (A, b, lo, hi, warm, cold)."""
+    from the root's basis and cold; returns (Matrix, lo, hi, warm, cold)."""
     child = model.copy()
     for coeffs, rhs in rows:
         child.add_constraint(coeffs, ">=", rhs)
-    a, b, c, lo, hi, *_ = mip._standard_form(child)
+    mat = child.compiled_rows().lp
+    c, lo, hi, _ = mip._columns(child)
     for j, (l, u) in overrides.items():
         lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
-    start = mip.extend_start((root.basis, root.vstatus), len(rows))
-    warm = simplex.solve(a, b, c, lo, hi, start=start)
-    cold = simplex.solve(a, b, c, lo, hi)
-    return a, b, lo, hi, warm, cold
+    start = mip.extend_start(root.basis, len(rows))
+    warm = simplex.solve(mat, c, lo, hi, start=start)
+    cold = simplex.solve(mat, c, lo, hi)
+    return mat, lo, hi, warm, cold
 
 
 @st.composite
@@ -210,15 +216,15 @@ class TestDualRestart:
         overrides = {j: _branch(model, x, j, up) for j, up in branches}
         cut_rows = [(dict(terms), sum(v * x[j] for j, v in terms) + excess)
                     for terms, excess in rows]
-        a, b, lo, hi, warm, cold = _warm_and_cold(model, root, overrides,
-                                                  cut_rows)
+        mat, lo, hi, warm, cold = _warm_and_cold(model, root, overrides,
+                                                 cut_rows)
         event(f"{name}: child {cold.status}")
         assert warm.warm
         assert warm.status == cold.status
         if cold.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
                                                    abs=1e-9)
-            assert np.abs(a @ warm.x - b).max() <= simplex.FEAS_TOL
+            assert _in_rows(mat, warm.x)
             assert np.all(warm.x >= lo - simplex.FEAS_TOL)
             assert np.all(warm.x <= hi + simplex.FEAS_TOL)
 
@@ -242,20 +248,20 @@ class TestDualRestart:
         # and fixing x2 at 0 leaves x1 (at upper) and x3 (at lower) with
         # wrong-sign reduced costs; both are boxed, so they flip and the
         # dual simplex repairs x2.
-        a = sp.csc_matrix(np.ones((1, 3)))
-        b, lo, hi = np.array([1.5]), np.zeros(3), np.ones(3)
-        first = simplex.solve(a, b, np.array([1.0, 2.0, 3.0]), lo, hi)
-        assert list(first.basis) == [1] and first.vstatus[0] == simplex.AT_UPPER
+        mat = simplex.Matrix(sp.csc_matrix(np.ones((1, 3))), [1.5], [1.5])
+        lo, hi = np.zeros(3), np.ones(3)
+        first = simplex.solve(mat, np.array([1.0, 2.0, 3.0]), lo, hi)
+        assert first.basis.col_status == [UPPER, BASIC, LOWER]
         c2, hi2 = np.array([3.0, 2.0, 1.0]), np.array([1.0, 0.0, 1.0])
-        warm = simplex.solve(a, b, c2, lo, hi2, start=(first.basis, first.vstatus))
-        cold = simplex.solve(a, b, c2, lo, hi2)
+        warm = simplex.solve(mat, c2, lo, hi2, start=first.basis)
+        cold = simplex.solve(mat, c2, lo, hi2)
         assert warm.warm and warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert np.allclose(warm.x, [0.5, 0.0, 1.0])
 
     def test_extended_start_covers_equality_rows(self):
-        # An appended equality row's slack is fixed at zero: it carries the
-        # violation into the start and the dual simplex drives it out.
+        # An appended equality row starts basic: it carries the violation
+        # into the start and the dual simplex drives it out.
         m = mip.LinearModel()
         x = m.add_var("x", 0.0, 4.0)
         y = m.add_var("y", 0.0, 4.0)
@@ -264,38 +270,45 @@ class TestDualRestart:
         first = mip.solve_lp(m)
         m.add_constraint({x: 1.0, y: -1.0}, "==", 1.0)
         m.add_constraint({y: 1.0}, ">=", 1.5)
-        start = mip.extend_start((first.basis, first.vstatus), 2)
-        a, b, c, lo, hi, *_ = mip._standard_form(m)
-        assert len(start[0]) == a.shape[0] and len(start[1]) == a.shape[1]
-        assert a.shape[1] - 2 in start[0]       # fixed slack of the equality
-        assert lo[-2] == hi[-2] == 0.0
-        warm = simplex.solve(a, b, c, lo, hi, start=start)
-        cold = simplex.solve(a, b, c, lo, hi)
+        start = mip.extend_start(first.basis, 2)
+        mat = m.compiled_rows().lp
+        c, lo, hi, _ = mip._columns(m)
+        assert len(start.row_status) == 3 and len(start.col_status) == 2
+        assert start.row_status[1:] == [BASIC, BASIC]
+        assert mat.rlo[1] == mat.rhi[1] == 1.0
+        warm = simplex.solve(mat, c, lo, hi, start=start)
+        cold = simplex.solve(mat, c, lo, hi)
         assert warm.warm and warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
 
 
 class TestSlackLayout:
+    """A row's slack is its HiGHS logical: no slack columns are needed."""
+
     @pytest.mark.parametrize("rows", [
         [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],      # no slack columns at all
         [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],      # singletons in the wrong rows
         [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]],      # an empty last column
     ])
-    def test_solve_requires_the_rows_slacks_last(self, rows):
-        a = sp.csc_matrix(np.array(rows))
-        lo, hi = np.zeros(3), np.full(3, np.inf)
-        with pytest.raises(ValueError, match="slacks"):
-            simplex.solve(a, np.ones(2), np.ones(3), lo, hi)
+    def test_rows_need_no_slack_columns(self, rows):
+        # Ranged rows take any matrix, with or without a column per row.
+        a = np.array(rows)
+        rlo, rhi = ranged_rows(["<=", ">="], [4.0, 1.0])
+        c, lo, hi = np.array([-1.0, 1.0, -2.0]), np.zeros(3), np.full(3, 3.0)
+        res = simplex.solve(simplex.Matrix(sp.csc_matrix(a), rlo, rhi),
+                            c, lo, hi)
+        _same_answer(res, reference_solve(a, rlo, rhi, c, lo, hi))
 
     def test_fixed_column_never_enters(self):
-        # min -x s.t. x + s = 2, x fixed at 1: x prices as improving but
+        # min -x s.t. x + s == 2, x fixed at 1: x prices as improving but
         # cannot move, so s is basic.
-        a = sp.csc_matrix(np.array([[1.0, 1.0]]))
+        mat = simplex.Matrix(sp.csc_matrix(np.array([[1.0, 1.0]])),
+                             [2.0], [2.0])
         lo, hi = np.array([1.0, 0.0]), np.array([1.0, np.inf])
-        res = simplex.solve(a, np.array([2.0]), np.array([-1.0, 0.0]), lo, hi)
+        res = simplex.solve(mat, np.array([-1.0, 0.0]), lo, hi)
         assert res.status == "optimal"
-        assert res.vstatus[0] == simplex.AT_LOWER and res.x[0] == 1.0
-        assert list(res.basis) == [1] and res.objective == -1.0
+        assert res.basis.col_status[1] == BASIC and res.x[0] == 1.0
+        assert res.basis.col_status[0] != BASIC and res.objective == -1.0
 
     def test_appended_equality_cut_starts_on_its_fixed_slack(self):
         m = mip.LinearModel()
@@ -305,17 +318,16 @@ class TestSlackLayout:
         m.set_objective({x: 1.0, y: 1.0}, sense="max")
         first = mip.solve_lp(m)
         m.add_cut(mip.Cut({x: 1.0, y: -1.0}, "==", 3.5))
-        a, b, c, lo, hi, *_ = mip._standard_form(m)
-        n = a.shape[1]
-        basis, vstatus = mip.extend_start((first.basis, first.vstatus), 1)
-        assert basis[-1] == n - 1 and vstatus[n - 1] == simplex.IS_BASIC
-        assert lo[n - 1] == hi[n - 1] == 0.0
-        assert np.array_equal(basis[:-1], first.basis)
-        warm = simplex.solve(a, b, c, lo, hi, start=(basis, vstatus))
-        cold = simplex.solve(a, b, c, lo, hi)
+        mat = m.compiled_rows().lp
+        c, lo, hi, _ = mip._columns(m)
+        start = mip.extend_start(first.basis, 1)
+        assert start.row_status == first.basis.row_status + [BASIC]
+        assert start.col_status == first.basis.col_status
+        assert mat.rlo[-1] == mat.rhi[-1] == 3.5
+        warm = simplex.solve(mat, c, lo, hi, start=start)
+        cold = simplex.solve(mat, c, lo, hi)
         assert warm.warm and warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-        assert warm.basis.max() < n
 
 
 @st.composite
@@ -349,8 +361,8 @@ class TestColdStart:
         for row, sense, r in zip(a, senses, rhs):
             model.add_constraint(dict(zip(cols, row)), sense, r)
         model.set_objective(dict(zip(cols, c)))
-        a_s, b_s, c_s, lo_s, hi_s, *_ = mip._standard_form(model)
-        ours = simplex.solve(a_s, b_s, c_s, lo_s, hi_s)
+        mat = model.compiled_rows().lp
+        ours = simplex.solve(mat, *mip._columns(model)[:3])
 
         # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: negate ">=" rows
         flip = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
@@ -364,27 +376,25 @@ class TestColdStart:
         assert ours.status == ("optimal" if ref.status == 0 else "infeasible")
         if ref.status == 0:
             assert ours.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
-            assert np.abs(a_s @ ours.x - b_s).max() <= simplex.FEAS_TOL
+            assert _in_rows(mat, ours.x)
 
     def test_slack_basis_solves_without_pivots(self):
-        # A x <= b with b >= 0 and c >= 0: the slack basis with every
-        # structural at its lower bound is optimal, so a start there needs
-        # no pivot.
+        # A x <= b with b >= 0 and c >= 0: the basis of the rows with every
+        # column at its lower bound is optimal, so a start there needs no
+        # pivot.
         model = mip.LinearModel()
         cols = [model.add_var(f"x{j}", 0.0, 5.0) for j in range(4)]
         rows = [[1, 2, 0, -1], [0, 1, 3, 1], [2, -1, 1, 0]]
         for row, r in zip(rows, [4.0, 0.0, 7.0]):
             model.add_constraint(dict(zip(cols, row)), "<=", r)
         model.set_objective(dict(zip(cols, [1.0, 0.0, 2.0, 3.0])))
-        a, b, c, lo, hi, *_ = mip._standard_form(model)
-        basis = np.arange(4, 7)
-        vstatus = np.array([simplex.AT_LOWER] * 4 + [simplex.IS_BASIC] * 3,
-                           dtype=np.int8)
-        res = simplex.solve(a, b, c, lo, hi, start=(basis, vstatus))
+        c, lo, hi, _ = mip._columns(model)
+        start = simplex.make_basis([LOWER] * 4, [BASIC] * 3)
+        res = simplex.solve(model.compiled_rows().lp, c, lo, hi, start=start)
         assert res.warm and res.status == "optimal" and res.iterations == 0
         assert res.objective == 0.0
-        assert np.array_equal(res.x[:4], np.zeros(4))
-        assert np.array_equal(np.sort(res.basis), basis)
+        assert np.array_equal(res.x, np.zeros(4))
+        assert res.basis.row_status == [BASIC] * 3
 
 
 def _rdp_with_seed(seed=0):
@@ -394,6 +404,11 @@ def _rdp_with_seed(seed=0):
     inst = nm.generate_two_cluster(grid, 4, seed=seed)
     handle = routing.build_rdp(inst, routing.EdgeCostTable.initial(inst))
     return handle.model, routing.initial_solution(handle)
+
+
+def _seed_start(model, point):
+    _c, lo, hi, _ = mip._columns(model)
+    return mip.seed_start(model.compiled_rows(), lo, hi, point)
 
 
 def _record_solves(monkeypatch):
@@ -414,10 +429,9 @@ class TestSeedStart:
     def test_rdp_root_solves_from_the_seed(self, seed, monkeypatch):
         model, point = _rdp_with_seed(seed)
         cold_root = mip.solve_lp(model)
-        start = mip.seed_start(mip._standard_form(model), point)
-        nv = model.num_vars
+        start = _seed_start(model, point)
         # the seed's w columns (vehicles on an edge, minus one) are interior
-        assert start is not None and np.any(start[0] < nv)
+        assert start is not None and BASIC in start.col_status
         results = _record_solves(monkeypatch)
         sol = mip.solve_mip(model, initial_solution=point)
         root = results[0]
@@ -429,16 +443,15 @@ class TestSeedStart:
 
     def test_point_breaking_a_row_gives_no_start(self):
         model, point = _rdp_with_seed()
-        sf = mip._standard_form(model)
         broken = point.copy()
         broken[np.flatnonzero(point == 1.0)[0]] = 0.0   # leaves a flow row
-        assert mip.seed_start(sf, broken) is None
+        assert _seed_start(model, broken) is None
         with pytest.raises(mip.ModelError):
             mip.check_solution(model, broken)
 
     def test_interior_column_in_several_rows_gives_no_start(self, monkeypatch):
         # y = 2.5 lies strictly inside [0, 4] and sits in both rows; the
-        # first row's slack is zero at the point.
+        # first row is at its bound at the point.
         m = mip.LinearModel()
         x = m.add_var("x", 0.0, 4.0, kind=mip.INTEGER)
         y = m.add_var("y", 0.0, 4.0)
@@ -446,7 +459,7 @@ class TestSeedStart:
         m.add_constraint({x: 1.0, y: -1.0}, ">=", -3.0)
         m.set_objective({x: 3.0, y: 2.0}, sense="max")
         point = [0.0, 2.5]
-        assert mip.seed_start(mip._standard_form(m), point) is None
+        assert _seed_start(m, point) is None
         results = _record_solves(monkeypatch)
         seeded = mip.solve_mip(m, initial_solution=point)
         assert not results[0].warm
@@ -462,56 +475,62 @@ class TestSeedStart:
         y = m.add_var("y", 0.0, 4.0)
         m.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0)
         m.set_objective({x: 1.0, y: 1.0}, sense="max")
-        sf = mip._standard_form(m)
-        assert mip.seed_start(sf, [1.0, 2.0]) is None
-        # an interior column cannot replace a slack that is not zero
-        assert mip.seed_start(sf, [1.0, 0.0]) is None
-        # one interior column takes the place of the row's zero slack
-        basis, vstatus = mip.seed_start(sf, [3.0, 0.0])
-        assert list(basis) == [0] and vstatus[2] == simplex.AT_LOWER
+        assert _seed_start(m, [1.0, 2.0]) is None
+        # an interior column cannot replace a row that is not at a bound
+        assert _seed_start(m, [1.0, 0.0]) is None
+        # one interior column takes the place of the row at its bound
+        start = _seed_start(m, [3.0, 0.0])
+        assert start.col_status == [BASIC, LOWER]
+        assert start.row_status == [UPPER]
 
 
 class TestRecovery:
     def test_drifting_eta_file_recovered_by_frequent_refactorization(self):
         # A scheduling branch-and-bound node LP (387 rows) on which the
         # embedded simplex's eta file, refactorized every 64 pivots, drifted
-        # until the basis read as singular.  It is infeasible.
+        # until the basis read as singular.  It is infeasible.  The file
+        # holds it in the slack layout, ``A x + s_i e_i = b`` with the last
+        # ``m`` columns the slacks; each row's slack range becomes the
+        # row's range here.
         d = np.load(DATA / "sched_node_singular.npz")
+        m, n = d["shape"]
         a = sp.csc_matrix((d["data"], d["indices"], d["indptr"]),
-                          shape=tuple(d["shape"]))
-        res = simplex.solve(a, d["b"], d["c"], d["lo"], d["hi"])
+                          shape=(m, n))
+        nv = n - m
+        s = a[:, nv:].diagonal()
+        assert a[:, nv:].nnz == m and np.all(s != 0)
+        assert not np.any(d["c"][nv:])
+        b, lo, hi = d["b"], d["lo"], d["hi"]
+        ends = b - s * lo[nv:], b - s * hi[nv:]
+        mat = simplex.Matrix(a[:, :nv], np.minimum(*ends), np.maximum(*ends))
+        res = simplex.solve(mat, d["c"][:nv], lo[:nv], hi[:nv])
         assert res.status == "infeasible"
 
 
 @functools.lru_cache(maxsize=None)
 def _rdp_case(seed):
-    a, b, lo, hi, c1, c2 = _small_rdp(seed)
-    return a, b, c1, lo, hi, c2, hi
+    mat, lo, hi, c1, c2 = _small_rdp(seed)
+    return mat, c1, lo, hi, c2, hi
 
 
 @st.composite
 def _lp_pairs(draw):
-    """An LP in standard form, and a second objective and upper bounds on
-    the same rows: a small bounded LP with one column perhaps fixed at its
-    lower bound in the second, or a routing LP of ``_small_rdp`` re-priced
-    by the heuristic's second cost table."""
+    """An LP, and a second objective and upper bounds on the same rows: a
+    small bounded LP with one column perhaps fixed at its lower bound in
+    the second, or a routing LP of ``_small_rdp`` re-priced by the
+    heuristic's second cost table."""
     if draw(st.booleans(), label="routing"):
         return _rdp_case(draw(st.integers(0, 3), label="rdp seed"))
     a, senses, rhs, lo, hi, c = draw(_bounded_lps())
-    model = mip.LinearModel()
-    cols = [model.add_var(f"x{j}", l, u) for j, (l, u) in enumerate(zip(lo, hi))]
-    for row, sense, r in zip(a, senses, rhs):
-        model.add_constraint(dict(zip(cols, row)), sense, r)
-    model.set_objective(dict(zip(cols, c)))
-    a_s, b_s, c_s, lo_s, hi_s, *_ = mip._standard_form(model)
-    c2 = c_s.copy()
-    c2[:len(cols)] = draw(st.lists(st.integers(-4, 4), min_size=len(cols),
-                                   max_size=len(cols)))
-    hi2 = hi_s.copy()
-    j = draw(st.sampled_from([None, *cols]), label="fixed column")
+    mat = simplex.Matrix(sp.csc_matrix(a), *ranged_rows(senses, rhs))
+    lo, hi, c = (np.array(v, dtype=float) for v in (lo, hi, c))
+    c2 = np.array(draw(st.lists(st.integers(-4, 4), min_size=len(c),
+                                max_size=len(c))), dtype=float)
+    hi2 = hi.copy()
+    j = draw(st.sampled_from([None, *range(len(c))]), label="fixed column")
     if j is not None:
-        hi2[j] = lo_s[j]
-    return a_s, b_s, c_s, lo_s, hi_s, c2, hi2
+        hi2[j] = lo[j]
+    return mat, c, lo, hi, c2, hi2
 
 
 class TestReference:
@@ -520,16 +539,16 @@ class TestReference:
     def test_solve_matches_the_embedded_simplex(self, lps):
         # Cold, and then warm from each engine's own first basis under the
         # second objective and bounds: the same status and objective.
-        a, b, c, lo, hi, c2, hi2 = lps
-        ours = simplex.solve(a, b, c, lo, hi)
-        ref = reference_simplex.solve(a, b, c, lo, hi)
+        mat, c, lo, hi, c2, hi2 = lps
+        ours = simplex.solve(mat, c, lo, hi)
+        ref = reference_solve(mat.a, mat.rlo, mat.rhi, c, lo, hi)
         event(f"cold {ref.status}")
         _same_answer(ours, ref)
         if ref.status != "optimal":
             return
-        ours2 = simplex.solve(a, b, c2, lo, hi2, start=(ours.basis, ours.vstatus))
-        ref2 = reference_simplex.solve(a, b, c2, lo, hi2,
-                                       start=(ref.basis, ref.vstatus))
+        ours2 = simplex.solve(mat, c2, lo, hi2, start=ours.basis)
+        ref2 = reference_solve(mat.a, mat.rlo, mat.rhi, c2, lo, hi2,
+                               start=(ref.basis, ref.vstatus))
         event(f"warm {ref2.status}")
         assert ours2.warm
         _same_answer(ours2, ref2)
@@ -540,6 +559,63 @@ def _same_answer(ours, ref):
     if ref.status == "optimal":
         assert ours.objective == pytest.approx(ref.objective, rel=1e-9,
                                                abs=1e-9)
+
+
+class TestEmptyLp:
+    @pytest.mark.parametrize("rlo,rhi,status", [
+        ([], [], "optimal"),
+        ([-np.inf, 0.0], [0.0, np.inf], "optimal"),
+        ([-np.inf], [-1.0], "infeasible"),
+        ([1.0], [np.inf], "infeasible"),
+    ])
+    def test_no_columns_settled_by_the_rows_ranges(self, rlo, rhi, status):
+        mat = simplex.Matrix(sp.csc_matrix((len(rlo), 0)), rlo, rhi)
+        res = simplex.solve(mat, np.zeros(0), np.zeros(0), np.zeros(0))
+        assert res.status == status and res.iterations == 0
+        if status == "optimal":
+            assert res.objective == 0.0 and res.x.size == 0
+            assert res.basis.row_status == [BASIC] * len(rlo)
+
+    @pytest.mark.parametrize("rlo,status", [(-1.0, "optimal"),
+                                            (1.0, "infeasible")])
+    def test_rows_without_nonzeros(self, rlo, status):
+        # HiGHS solves such an LP without factorizing a basis.
+        mat = simplex.Matrix(sp.csc_matrix((2, 3)), [rlo, -np.inf],
+                             [np.inf, 2.0])
+        res = simplex.solve(mat, [1.0, -1.0, 0.0], [0.0, 0.0, -np.inf],
+                            [1.0, 1.0, np.inf])
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == -1.0
+            assert np.array_equal(res.x, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("coef", [1e-12, 0.0])
+    def test_stored_entries_highs_drops(self, coef):
+        # HiGHS drops entries of at most 1e-9 in size, so this row has no
+        # nonzeros left either.
+        a = sp.csc_matrix((np.array([coef]), np.array([0]),
+                           np.array([0, 1])), shape=(1, 1))
+        assert a.nnz == 1
+        mat = simplex.Matrix(a, [-np.inf], [1.0])
+        res = simplex.solve(mat, [-1.0], [0.0], [5.0])
+        assert res.status == "optimal" and np.array_equal(res.x, [5.0])
+        warm = simplex.solve(mat, [1.0], [0.0], [5.0], start=res.basis)
+        assert warm.warm and np.array_equal(warm.x, [0.0])
+
+
+class TestShapes:
+    # HiGHS reads as many entries as the matrix has rows and columns.
+    def test_row_bounds_must_fit_the_rows(self):
+        with pytest.raises(ValueError, match="2 row bounds"):
+            simplex.Matrix(sp.csc_matrix((2, 3)), [0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_column_data_must_fit_the_columns(self, which):
+        mat = simplex.Matrix(sp.csc_matrix(np.ones((1, 3))), [0.0], [1.0])
+        data = [np.zeros(3), np.zeros(3), np.ones(3)]
+        data[which] = data[which][:2]
+        with pytest.raises(ValueError, match="3 costs"):
+            simplex.solve(mat, *data)
 
 
 class TestBackend:

@@ -4,12 +4,12 @@ Every LP relaxation runs on HiGHS's simplex behind ``simplex.solve``;
 branch and bound, cut rounds and their warm starts stay here.  HiGHS gets
 the model as it is: its rows as ranged rows, its columns with their own
 bounds and costs (negated for a maximization).  A model compiles its rows
-once (:class:`CompiledRows`: the coefficients as one sparse matrix, the
-right-hand sides, the senses and the ``simplex.Matrix`` that holds them in
-HiGHS) and compiles only the rows appended since at its next solve; the
-column data (bounds, kinds, objective) is read afresh at every solve, so a
-model re-priced between solves re-uses its rows and sends HiGHS only its
-changed costs.
+once, straight into one ``simplex.Matrix`` (:func:`compile_rows`: the
+coefficients as one sparse matrix and the row bounds ``rlo``/``rhi``), and
+compiles only the rows appended since at its next solve; the column data
+(bounds, kinds, objective) is read afresh at every solve, so a model
+re-priced between solves re-uses its rows and sends HiGHS only its changed
+costs.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
@@ -96,7 +96,7 @@ class LinearModel:
         self.obj_coeffs: dict[int, float] = {}
         self.obj_constant = 0.0
         self.obj_sense = "min"
-        self._rows: CompiledRows | None = None     # see compiled_rows
+        self._rows: simplex.Matrix | None = None    # see compiled_rows
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 kind: str = CONTINUOUS) -> int:
@@ -154,17 +154,18 @@ class LinearModel:
             if v.kind == BINARY and (v.lb < -1e-15 or v.ub > 1 + 1e-15):
                 raise ModelError(f"binary {v.name} has bounds outside [0,1]")
 
-    def compiled_rows(self) -> "CompiledRows":
-        """The model's rows, compiled.  The rows appended since the last
-        call are compiled and appended to the block; an unchanged model
-        gets the same block back.  Rows are never edited in place, so only
-        a change in the column count, or rows taken off the list, compiles
-        every row afresh."""
+    def compiled_rows(self) -> simplex.Matrix:
+        """The model's rows as one ``simplex.Matrix`` (see
+        :func:`compile_rows`).  The rows appended since the last call are
+        compiled below the rows before them into a new matrix; an unchanged
+        model gets the same matrix back.  Rows are never edited in place,
+        so only a change in the column count, or rows taken off the list,
+        compiles every row afresh."""
         rows, nv, m = self._rows, self.num_vars, self.num_constraints
-        if rows is None or rows.a.shape[1] != nv or rows.m > m:
-            rows = CompiledRows.compile(self.constraints, nv)
-        elif rows.m < m:
-            rows = rows.extend(self.constraints[rows.m:])
+        if rows is None or rows.a.shape[1] != nv or rows.a.shape[0] > m:
+            rows = compile_rows(self.constraints, nv)
+        elif rows.a.shape[0] < m:
+            rows = compile_rows(self.constraints[rows.a.shape[0]:], nv, rows)
         self._rows = rows
         return rows
 
@@ -239,48 +240,30 @@ class MipSolution:
         return float(self.x[j])
 
 
-class CompiledRows:
-    """Compiled rows: their coefficients over the model's own columns as
-    one CSR matrix ``a`` (each row's entries in the order of its
-    coefficient dict), the right-hand sides ``b``, the senses, and ``lp``,
-    the ``simplex.Matrix`` of the block as ranged rows: ``(-inf, b]`` for
-    ``<=``, ``[b, inf)`` for ``>=`` and ``[b, b]`` for ``==``.  Immutable:
-    :meth:`extend` returns a new block, so a solve's cut rounds leave the
-    model's block as it was."""
-    __slots__ = ("a", "b", "senses", "lp")
-
-    def __init__(self, a: sp.csr_matrix, b: np.ndarray, senses: np.ndarray):
-        self.a = a
-        self.b = b
-        self.senses = senses
-        self.lp = simplex.Matrix(a, np.where(senses == LE, -np.inf, b),
-                                 np.where(senses == GE, np.inf, b))
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @classmethod
-    def compile(cls, constraints: list[Constraint],
-                nv: int) -> "CompiledRows":
-        cols, vals = [], []
-        for con in constraints:
-            cols.extend(con.coeffs)
-            vals.extend(con.coeffs.values())
-        indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
-        np.cumsum([len(con.coeffs) for con in constraints], out=indptr[1:])
-        a = sp.csr_matrix((np.asarray(vals, dtype=float),
-                           np.asarray(cols, dtype=np.int32), indptr),
-                          shape=(len(constraints), nv))
-        return cls(a, np.array([con.rhs for con in constraints], dtype=float),
-                   np.array([con.sense for con in constraints], dtype=object))
-
-    def extend(self, constraints: list[Constraint]) -> "CompiledRows":
-        """This block with ``constraints`` appended below it."""
-        new = CompiledRows.compile(constraints, self.a.shape[1])
-        return CompiledRows(sp.vstack([self.a, new.a], format="csr"),
-                            np.concatenate([self.b, new.b]),
-                            np.concatenate([self.senses, new.senses]))
+def compile_rows(constraints: list[Constraint], nv: int,
+                 above: simplex.Matrix | None = None) -> simplex.Matrix:
+    """``constraints`` over ``nv`` columns as one ``simplex.Matrix``: the
+    coefficients as a CSR matrix ``a`` (each row's entries in the order of
+    its coefficient dict) and ranged rows, ``(-inf, rhs]`` for ``<=``,
+    ``[rhs, inf)`` for ``>=`` and ``[rhs, rhs]`` for ``==``.  With
+    ``above``, the new matrix holds its rows and then these; ``above`` is
+    left as it was, so a solve's cut rounds leave the model's rows alone."""
+    cols, vals = [], []
+    for con in constraints:
+        cols.extend(con.coeffs)
+        vals.extend(con.coeffs.values())
+    indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
+    np.cumsum([len(con.coeffs) for con in constraints], out=indptr[1:])
+    a = sp.csr_matrix((np.asarray(vals, dtype=float),
+                       np.asarray(cols, dtype=np.int32), indptr),
+                      shape=(len(constraints), nv))
+    rlo = [-np.inf if con.sense == LE else con.rhs for con in constraints]
+    rhi = [np.inf if con.sense == GE else con.rhs for con in constraints]
+    if above is None:
+        return simplex.Matrix(a, rlo, rhi)
+    return simplex.Matrix(sp.vstack([above.a, a], format="csr"),
+                          np.concatenate([above.rlo, rlo]),
+                          np.concatenate([above.rhi, rhi]))
 
 
 def _columns(model: LinearModel):
@@ -305,18 +288,18 @@ def solve_lp(model: LinearModel, start=None) -> LpSolution:
                   start)
 
 
-def _solve(rows: CompiledRows, c, lo, hi, sign: float, obj_constant: float,
-           start=None) -> LpSolution:
+def _solve(rows: simplex.Matrix, c, lo, hi, sign: float,
+           obj_constant: float, start=None) -> LpSolution:
     """Solve min ``c.x`` over ``rows`` and the column bounds ``lo``/``hi``,
     reporting ``sign * c.x + obj_constant``."""
-    res = simplex.solve(rows.lp, c, lo, hi, start=start)
+    res = simplex.solve(rows, c, lo, hi, start=start)
     if res.status != "optimal":
         return LpSolution(res.status, None, None)
     return LpSolution("optimal", sign * res.objective + obj_constant, res.x,
                       basis=res.basis)
 
 
-def seed_start(rows: CompiledRows, lo, hi, point):
+def seed_start(rows: simplex.Matrix, lo, hi, point):
     """Start for the LP of ``rows`` under column bounds ``lo``/``hi`` at
     ``point``, a feasible point of the model.  A column at a bound is
     nonbasic at that bound, and every row is basic.  A column strictly
@@ -332,11 +315,11 @@ def seed_start(rows: CompiledRows, lo, hi, point):
     at_lo = np.abs(x - lo) <= tol
     at_hi = ~at_lo & (np.abs(x - hi) <= tol)
     act = rows.a @ np.where(at_lo, lo, np.where(at_hi, hi, x))
-    rlo, rhi = rows.lp.rlo, rows.lp.rhi
+    rlo, rhi = rows.rlo, rows.rhi
     if np.any(act < rlo - tol) or np.any(act > rhi + tol):
         return None
     cols = np.where(at_hi, simplex.UPPER, simplex.LOWER).tolist()
-    row_status = [simplex.BASIC] * rows.m
+    row_status = [simplex.BASIC] * rows.a.shape[0]
     a = rows.a.tocsc()
     for j in np.flatnonzero(~(at_lo | at_hi)).tolist():
         s, e = a.indptr[j], a.indptr[j + 1]
@@ -395,10 +378,9 @@ def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
         what = "violates its bounds" if out[j] else "not integral"
         raise ModelError(f"value of {model.variables[j].name} {what}")
     rows = model.compiled_rows()
-    lhs, rhs, senses = rows.a @ xv, rows.b, rows.senses
-    ok = np.where(senses == LE, lhs <= rhs + tol,
-                  np.where(senses == GE, lhs >= rhs - tol,
-                           np.abs(lhs - rhs) <= tol))
+    lhs, rlo, rhi = rows.a @ xv, rows.rlo, rows.rhi
+    ok = np.where(rlo == rhi, np.abs(lhs - rlo) <= tol,
+                  (lhs >= rlo - tol) & (lhs <= rhi + tol))
     if not ok.all():
         i = int(np.argmin(ok))
         raise ModelError(f"row {model.constraints[i].name!r} violated")
@@ -478,9 +460,10 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         cuts = root_cut_hook(root)
         if not cuts:
             break
-        m = rows.m
-        rows = rows.extend([_cut_row(cut, model.num_vars, m + i)
-                            for i, cut in enumerate(cuts)])
+        m = rows.a.shape[0]
+        rows = compile_rows([_cut_row(cut, model.num_vars, m + i)
+                             for i, cut in enumerate(cuts)],
+                            model.num_vars, rows)
         cuts_added += len(cuts)
         rounds += 1
         root = lp_solve(lo_col, hi_col, extend_start(root.basis, len(cuts)))

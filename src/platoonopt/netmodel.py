@@ -266,7 +266,14 @@ def make_grid_network(rows: int, cols: int, spacing_km: float = 40.0,
                       fuel_per_km: float = 1.0, jitter: float = 0.0,
                       seed: int = 0) -> RoadNetwork:
     """Planar grid with optional cell diagonals; edge cost and time are
-    proportional to Euclidean length (fuel = rate*len, time = len/speed)."""
+    proportional to Euclidean length (fuel = rate*len, time = len/speed).
+    ``ValidationError`` for a spacing that is not finite and positive, or a
+    jitter that is not finite and non-negative."""
+    if not (math.isfinite(spacing_km) and spacing_km > 0.0):
+        raise ValidationError(f"grid spacing must be finite and > 0, "
+                              f"got {spacing_km}")
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ValidationError(f"jitter must be finite and >= 0, got {jitter}")
     rng = np.random.default_rng([101, seed])
     nodes = []
     for r in range(rows):
@@ -356,7 +363,15 @@ def generate_distributed(net: RoadNetwork, n_vehicles: int, seed: int,
                          max_platoon: int = 10) -> ProblemInstance:
     """Mostly-urban trips: origin near one city, destination near another;
     the rest drawn uniformly.  The arrival deadline leaves slack equal to
-    ``flexibility`` times the shortest travel time."""
+    ``flexibility`` times the shortest travel time.  ``ValidationError`` for
+    an urban share outside [0, 1] or an urban radius that is not finite and
+    non-negative."""
+    if not (math.isfinite(urban_share) and 0.0 <= urban_share <= 1.0):
+        raise ValidationError(f"urban share must be finite and in [0, 1], "
+                              f"got {urban_share}")
+    if not (math.isfinite(urban_radius_km) and urban_radius_km >= 0.0):
+        raise ValidationError(f"urban radius must be finite and >= 0, "
+                              f"got {urban_radius_km}")
     rng = np.random.default_rng([11, seed])
     if cities is None:
         cities = default_cities(net)

@@ -49,13 +49,6 @@ def c_plat(size: int, cost: float, params: SavingsParams) -> float:
     return (1 - params.sigma_l) * cost + (1 - params.sigma_f) * (size - 1) * cost
 
 
-def c_plat_tilde(size: int, cost: float, params: SavingsParams) -> float:
-    """Variant pricing a singleton as if it still led a platoon."""
-    if size == 1:
-        return (1 - params.sigma_l) * cost
-    return c_plat(size, cost, params)
-
-
 @dataclass
 class IterationRecord:
     index: int

@@ -12,6 +12,8 @@ whole pipeline for one set of routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -156,76 +158,50 @@ class ContractedRoutes:
 
 
 def contract(routes, times: dict, costs: dict) -> ContractedRoutes:
-    """Merge consecutive route edges whose vehicle sets coincide, summing
-    travel time and fuel cost, until no further merge applies."""
-    veh_sets: dict[tuple, frozenset] = {
-        e: frozenset(vs) for e, vs in routes.vehicles_by_edge().items()}
-
-    class Seg:
-        __slots__ = ("tail", "head", "time", "cost", "vehicles", "original")
-
-        def __init__(self, e):
-            self.tail, self.head = e[0], e[1]
-            self.time = times[e]
-            self.cost = costs[e]
-            self.vehicles = veh_sets[e]
-            self.original = (e,)
-
-    seg_by_edge = {e: Seg(e) for e in routes.all_edges()}
-    work = {v: [seg_by_edge[e] for e in routes.edges(v)] for v in routes.vehicles}
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(work):
-            segs = work[v]
-            for i in range(len(segs) - 1):
-                s1, s2 = segs[i], segs[i + 1]
-                if s1.vehicles == s2.vehicles:
-                    merged = Seg.__new__(Seg)
-                    merged.tail, merged.head = s1.tail, s2.head
-                    merged.time = s1.time + s2.time
-                    merged.cost = s1.cost + s2.cost
-                    merged.vehicles = s1.vehicles
-                    merged.original = s1.original + s2.original
-                    for u in sorted(s1.vehicles):
-                        lst = work[u]
-                        pos = lst.index(s1)
-                        if pos + 1 >= len(lst) or lst[pos + 1] is not s2:
-                            raise InfeasibleRoute(
-                                f"contraction: inconsistent segment order for {u}")
-                        work[u] = lst[:pos] + [merged] + lst[pos + 2:]
-                    changed = True
-                    break
-            if changed:
-                break
-
-    final_segs = []
-    seen = set()
-    for v in sorted(work):
-        for s in work[v]:
-            if id(s) not in seen:
-                seen.add(id(s))
-                final_segs.append(s)
-    final_segs.sort(key=lambda s: (str(s.tail), str(s.head), s.original))
-    serial: dict[tuple, int] = {}
-    out_edges = {}
-    for s in final_segs:
-        k = (s.tail, s.head)
-        serial[k] = serial.get(k, -1) + 1
-        out_edges[id(s)] = CEdge(s.tail, s.head, serial[k], s.time, s.cost,
-                                 s.vehicles, s.original)
-    return ContractedRoutes({v: [out_edges[id(s)] for s in work[v]]
-                             for v in work})
+    """Merge each maximal run of consecutive route edges whose vehicle sets
+    coincide into one edge, summing travel time and fuel cost from left to
+    right.  Routes are simple paths, so every vehicle on a run drives all
+    of it, and one walk along each route finds the runs."""
+    veh_sets = {e: frozenset(vs) for e, vs in routes.vehicles_by_edge().items()}
+    runs: dict[int, list[tuple]] = {}
+    for v in routes.vehicles:
+        route = runs[v] = []
+        for e in routes.edges(v):
+            if route and veh_sets[route[-1][-1]] == veh_sets[e]:
+                route[-1] += (e,)
+            else:
+                route.append((e,))
+    return _contracted(runs, times, costs)
 
 
 def uncontracted(routes) -> ContractedRoutes:
     """Wrap raw routes in the contracted container without merging."""
-    cedges = {e: CEdge(e[0], e[1], 0, routes.edge_times[e],
-                       routes.edge_costs[e], frozenset(vs), (e,))
-              for e, vs in routes.vehicles_by_edge().items()}
-    return ContractedRoutes({v: [cedges[e] for e in routes.edges(v)]
-                             for v in routes.vehicles})
+    return _contracted({v: [(e,) for e in routes.edges(v)]
+                        for v in routes.vehicles},
+                       routes.edge_times, routes.edge_costs)
+
+
+def _contracted(runs: dict, times: dict, costs: dict) -> ContractedRoutes:
+    """One ``CEdge`` per distinct run of original edges in ``runs`` (vehicle
+    -> its route as runs), carrying the vehicles whose routes hold it.  The
+    runs joining the same two nodes are numbered in the order of their
+    original edges."""
+    vehicles: dict[tuple, set] = {}
+    for v, rs in runs.items():
+        for run in rs:
+            vehicles.setdefault(run, set()).add(v)
+    serial: dict[tuple, int] = {}
+    cedges = {}
+    for run in sorted(vehicles,
+                      key=lambda r: (str(r[0][0]), str(r[-1][1]), r)):
+        k = (run[0][0], run[-1][1])
+        serial[k] = serial.get(k, -1) + 1
+        cedges[run] = CEdge(k[0], k[1], serial[k],
+                            reduce(add, (times[e] for e in run)),
+                            reduce(add, (costs[e] for e in run)),
+                            frozenset(vehicles[run]), run)
+    return ContractedRoutes({v: [cedges[run] for run in rs]
+                             for v, rs in runs.items()})
 
 
 @dataclass

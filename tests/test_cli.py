@@ -106,6 +106,25 @@ class TestBadIntegers:
         assert code == cli.EXIT_USAGE and not out.exists()
         assert args[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value,what", [
+        ("--urban-share", "nan", "urban share"),
+        ("--urban-share", "inf", "urban share"),
+        ("--urban-share", "2", "urban share"),
+        ("--urban-share", "-1", "urban share"),
+        ("--urban-radius", "-5", "urban radius"),
+        ("--urban-radius", "nan", "urban radius"),
+        ("--jitter", "nan", "jitter"), ("--jitter", "-1", "jitter"),
+        ("--spacing", "0", "spacing"), ("--spacing", "inf", "spacing")])
+    def test_gen_rejects_bad_geometry(self, tmp_path, capsys, option, value,
+                                      what):
+        out = tmp_path / "inst.json"
+        code = cli.main(["gen", "--model", "distributed", "--n", "4",
+                         "--rows", "3", "--cols", "3", "--out", str(out),
+                         option, value])
+        assert code == cli.EXIT_USAGE and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and what in err
+
     @pytest.mark.parametrize("model", ["two-cluster", "distributed"])
     def test_gen_on_a_one_node_grid_exits_with_usage_code(self, tmp_path,
                                                           capsys, model):

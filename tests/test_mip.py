@@ -511,10 +511,8 @@ def _assert_same_rows(got, ref):
     assert got.a.shape == ref.a.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got.a, name), getattr(ref.a, name))
-    for name in ("b", "senses"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert np.array_equal(got.lp.rlo, ref.lp.rlo)
-    assert np.array_equal(got.lp.rhi, ref.lp.rhi)
+    assert np.array_equal(got.rlo, ref.rlo)
+    assert np.array_equal(got.rhi, ref.rhi)
 
 
 _ODD_COLUMN = st.sampled_from([(-np.inf, 2.0), (-np.inf, np.inf)])
@@ -537,7 +535,11 @@ def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
     ref = _model_with(columns, objective, sense,
                       first + appended).compiled_rows()
     _assert_same_rows(model.compiled_rows(), ref)
-    _assert_same_rows(before.extend(model.constraints[len(first):]), ref)
+    _assert_same_rows(mip.compile_rows(model.constraints[len(first):],
+                                       model.num_vars, before), ref)
+    # the matrix below which the rows were compiled is left as it was
+    _assert_same_rows(before, _model_with(columns, objective, sense,
+                                          first).compiled_rows())
 
 
 def _reference(model):
@@ -650,7 +652,7 @@ def test_cut_rounds_leave_the_model_unchanged():
     assert solves[0].cuts_added > 0
     assert solves[0].root_bound == solves[1].root_bound
     assert solves[0].objective == solves[1].objective
-    assert model.num_constraints == len(rows) == compiled.m
+    assert model.num_constraints == len(rows) == compiled.a.shape[0]
     assert [(c.coeffs, c.sense, c.rhs, c.name)
             for c in model.constraints] == rows
     assert model.compiled_rows() is compiled

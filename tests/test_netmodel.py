@@ -120,6 +120,28 @@ def test_generate_distributed_empty():
     assert inst.missions == []
 
 
+@pytest.mark.parametrize("kwargs,what", [
+    ({"urban_share": float("nan")}, "urban share"),
+    ({"urban_share": float("inf")}, "urban share"),
+    ({"urban_share": 2.0}, "urban share"),
+    ({"urban_share": -1.0}, "urban share"),
+    ({"urban_radius_km": -5.0}, "urban radius"),
+    ({"urban_radius_km": float("nan")}, "urban radius"),
+    ({"urban_radius_km": float("inf")}, "urban radius")])
+def test_generate_distributed_rejects_bad_urban_draws(small_grid, kwargs,
+                                                       what):
+    with pytest.raises(nm.ValidationError, match=what):
+        nm.generate_distributed(small_grid, 4, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("share", [0.0, 1.0])
+def test_generate_distributed_accepts_the_ends_of_the_urban_share(small_grid,
+                                                                  share):
+    inst = nm.generate_distributed(small_grid, 4, seed=1, urban_share=share,
+                                   urban_radius_km=0.0)
+    assert len(inst.missions) == 4
+
+
 def test_generate_distributed_window_rule(small_grid):
     inst = nm.generate_distributed(small_grid, 12, seed=4, flexibility=1.0)
     for m in inst.missions:
@@ -280,6 +302,17 @@ def test_network_rejects_non_positive_length(length):
     nodes = [nm.Node(1, 0.0, 0.0), nm.Node(2, 1.0, 0.0)]
     with pytest.raises(nm.ValidationError, match="positive length"):
         nm.RoadNetwork(nodes, [nm.Edge(1, 2, length, 0.5, 40.0)])
+
+
+@pytest.mark.parametrize("kwargs,what", [
+    ({"jitter": float("nan")}, "jitter"), ({"jitter": -1.0}, "jitter"),
+    ({"jitter": float("inf")}, "jitter"),
+    ({"spacing_km": float("nan")}, "spacing"),
+    ({"spacing_km": float("inf")}, "spacing"),
+    ({"spacing_km": 0.0}, "spacing"), ({"spacing_km": -40.0}, "spacing")])
+def test_grid_rejects_bad_geometry(kwargs, what):
+    with pytest.raises(nm.ValidationError, match=what):
+        nm.make_grid_network(3, 3, **kwargs)
 
 
 def test_grid_proportionality():

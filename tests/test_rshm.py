@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from platoonopt import mip, netmodel as nm, oracle, routing, rshm
 from platoonopt.routing import EdgeCostTable, RouteAssignment
 from platoonopt.rshm import (RshmOptions, RshmState, SavingsParams, c_plat,
-                             c_plat_tilde, gap_bound, similarity_index,
-                             update_cost_table)
+                             gap_bound, similarity_index, update_cost_table)
 from platoonopt.scheduling import PlatoonConfiguration
 
 from conftest import shared_edge_instance
@@ -27,11 +26,6 @@ class TestPlatoonCost:
 
     def test_triple_on_ten(self):
         assert c_plat(3, 10.0, P) == pytest.approx(27.8)    # 9.8 + 18
-
-    def test_tilde_single_prices_leader(self):
-        assert c_plat_tilde(1, 10.0, P) == pytest.approx(9.8)
-        assert c_plat_tilde(2, 10.0, P) == c_plat(2, 10.0, P)
-        assert c_plat_tilde(0, 10.0, P) == 0.0
 
 
 def _state_with_history(inst, records):
@@ -361,19 +355,18 @@ class TestIncrementalRouting:
     def test_routing_rows_compiled_once_per_run(self, small_grid,
                                                 monkeypatch):
         handles, compiled = [], []
-        build, compile_rows = routing.build_rdp, mip.CompiledRows.compile
+        build, compile_rows = routing.build_rdp, mip.compile_rows
 
         def counting_build(*args, **kwargs):
             handles.append(build(*args, **kwargs))
             return handles[-1]
 
-        def counting_compile(constraints, nv):
+        def counting_compile(constraints, nv, above=None):
             compiled.append(list(constraints))
-            return compile_rows(constraints, nv)
+            return compile_rows(constraints, nv, above)
 
         monkeypatch.setattr(routing, "build_rdp", counting_build)
-        monkeypatch.setattr(mip.CompiledRows, "compile",
-                            staticmethod(counting_compile))
+        monkeypatch.setattr(mip, "compile_rows", counting_compile)
         inst = nm.generate_two_cluster(small_grid, 4, seed=1)
         res = rshm.run(inst, RshmOptions(iter_cap=8))
         assert res.iterations >= 2 and len(handles) == 1

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from platoonopt import mip, netmodel as nm, oracle, routing, scheduling as sched
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
-from platoonopt.scheduling import uncontracted
+from platoonopt.scheduling import CEdge, ContractedRoutes, uncontracted
 
 from conftest import shared_edge_instance
 
@@ -87,7 +89,112 @@ class TestBigM:
             assert all(not f for _l, f in plist)
 
 
+def _contract_by_merging(routes, times, costs):
+    """Contraction by repeated pairwise merging, rescanning from the start
+    after each merge: the reference for ``sched.contract``."""
+    veh_sets = {e: frozenset(vs) for e, vs in routes.vehicles_by_edge().items()}
+
+    class Seg:
+        def __init__(self, tail, head, time, cost, vehicles, original):
+            self.tail, self.head, self.time, self.cost = tail, head, time, cost
+            self.vehicles, self.original = vehicles, original
+
+    seg_by_edge = {e: Seg(e[0], e[1], times[e], costs[e], veh_sets[e], (e,))
+                   for e in routes.all_edges()}
+    work = {v: [seg_by_edge[e] for e in routes.edges(v)]
+            for v in routes.vehicles}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(work):
+            segs = work[v]
+            for s1, s2 in zip(segs, segs[1:]):
+                if s1.vehicles == s2.vehicles:
+                    merged = Seg(s1.tail, s2.head, s1.time + s2.time,
+                                 s1.cost + s2.cost, s1.vehicles,
+                                 s1.original + s2.original)
+                    for u in sorted(s1.vehicles):
+                        pos = work[u].index(s1)
+                        assert work[u][pos + 1] is s2
+                        work[u][pos:pos + 2] = [merged]
+                    changed = True
+                    break
+            if changed:
+                break
+    final = {id(s): s for v in sorted(work) for s in work[v]}.values()
+    serial, out = {}, {}
+    for s in sorted(final, key=lambda s: (str(s.tail), str(s.head),
+                                          s.original)):
+        k = (s.tail, s.head)
+        serial[k] = serial.get(k, -1) + 1
+        out[id(s)] = CEdge(s.tail, s.head, serial[k], s.time, s.cost,
+                           s.vehicles, s.original)
+    return ContractedRoutes({v: [out[id(s)] for s in work[v]] for v in work})
+
+
+_CONTRACT_GRIDS = {k: nm.make_grid_network(k, k, spacing_km=40, jitter=0.25,
+                                           seed=k) for k in range(3, 7)}
+
+
+def _random_walks(net, vehicles, seed):
+    """One self-avoiding random walk of 1-6 edges per vehicle: simple paths
+    that cross, split and rejoin far more often than planned routes, so
+    runs joining the same two nodes are common."""
+    rng = np.random.default_rng(seed)
+    ids = sorted(net.nodes)
+    routes = {}
+    for v in range(1, vehicles + 1):
+        nodes = [ids[rng.integers(len(ids))]]
+        for _ in range(rng.integers(1, 7)):
+            heads = [e.head for e in net.out_adj[nodes[-1]]
+                     if e.head not in nodes]
+            if not heads:
+                break
+            nodes.append(heads[rng.integers(len(heads))])
+        routes[v] = tuple(nodes)
+    return RouteAssignment(routes, net.time_table(), net.fuel_table())
+
+
 class TestContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(3, 6), st.sampled_from(["two_cluster", "distributed"]),
+           st.integers(2, 10), st.integers(0, 10_000),
+           st.sampled_from(["shortest", "greedy", "walks"]))
+    def test_one_pass_matches_merging_on_generated_routes(
+            self, rows, generator, vehicles, seed, route_kind):
+        grid = _CONTRACT_GRIDS[rows]
+        if route_kind == "walks":
+            ra = _random_walks(grid, vehicles, seed)
+        else:
+            inst = getattr(nm, f"generate_{generator}")(grid, vehicles, seed)
+            if route_kind == "shortest":
+                ra = routing.shortest_path_assignment(inst)
+            else:
+                cand = {m.id: nm.candidate_edge_set(grid, m, inst.sigma_f)
+                        for m in inst.missions}
+                ra = routing.greedy_assignment(
+                    inst, routing.EdgeCostTable.initial(inst), cand)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        ref = _contract_by_merging(ra, ra.edge_times, ra.edge_costs)
+        assert list(con.routes) == list(ref.routes)
+        assert con.routes == ref.routes
+        veh_sets = ra.vehicles_by_edge()
+        for v in ra.vehicles:
+            segs = con.routes[v]
+            assert [e for s in segs for e in s.original] == ra.edges(v)
+            for s in segs:
+                assert all(frozenset(veh_sets[e]) == s.vehicles
+                           for e in s.original)
+            for a, b in zip(segs, segs[1:]):
+                assert a.vehicles != b.vehicles
+        raw = uncontracted(ra)
+        for v in ra.vehicles:
+            assert raw.routes[v] == [
+                CEdge(e[0], e[1], 0, ra.edge_times[e], ra.edge_costs[e],
+                      frozenset(veh_sets[e]), (e,)) for e in ra.edges(v)]
+        event(f"{route_kind}: merged {len(con.cedges) < len(raw.cedges)}, "
+              f"parallel runs {any(k[2] for k in con.cedges)}")
+
     def test_single_vehicle_collapses_to_one_edge(self):
         nodes = tuple(range(1, 7))
         times = {(nodes[i], nodes[i + 1]): 0.1 * (i + 1) for i in range(5)}

@@ -59,7 +59,7 @@ def _small_rdp(seed=0):
     assert handle.model.compiled_rows() is rows
     assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
     assert not np.array_equal(c1, c2)
-    return rows.lp, lo, hi, c1, c2
+    return rows, lo, hi, c1, c2
 
 
 class TestWarmStart:
@@ -151,7 +151,7 @@ def _root(name):
     root ends degenerate on its flow rows, so its basis keeps equality
     rows basic; the scheduling model has no equality rows."""
     model = {"sp": branching_sp_model, "rdp": _rdp_model}[name]()
-    mat = model.compiled_rows().lp
+    mat = model.compiled_rows()
     c, lo, hi, _ = mip._columns(model)
     root = simplex.solve(mat, c, lo, hi)
     assert root.status == "optimal"
@@ -177,7 +177,7 @@ def _warm_and_cold(model, root, overrides, rows=()):
     child = model.copy()
     for coeffs, rhs in rows:
         child.add_constraint(coeffs, ">=", rhs)
-    mat = child.compiled_rows().lp
+    mat = child.compiled_rows()
     c, lo, hi, _ = mip._columns(child)
     for j, (l, u) in overrides.items():
         lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
@@ -271,7 +271,7 @@ class TestDualRestart:
         m.add_constraint({x: 1.0, y: -1.0}, "==", 1.0)
         m.add_constraint({y: 1.0}, ">=", 1.5)
         start = mip.extend_start(first.basis, 2)
-        mat = m.compiled_rows().lp
+        mat = m.compiled_rows()
         c, lo, hi, _ = mip._columns(m)
         assert len(start.row_status) == 3 and len(start.col_status) == 2
         assert start.row_status[1:] == [BASIC, BASIC]
@@ -318,7 +318,7 @@ class TestSlackLayout:
         m.set_objective({x: 1.0, y: 1.0}, sense="max")
         first = mip.solve_lp(m)
         m.add_cut(mip.Cut({x: 1.0, y: -1.0}, "==", 3.5))
-        mat = m.compiled_rows().lp
+        mat = m.compiled_rows()
         c, lo, hi, _ = mip._columns(m)
         start = mip.extend_start(first.basis, 1)
         assert start.row_status == first.basis.row_status + [BASIC]
@@ -361,7 +361,7 @@ class TestColdStart:
         for row, sense, r in zip(a, senses, rhs):
             model.add_constraint(dict(zip(cols, row)), sense, r)
         model.set_objective(dict(zip(cols, c)))
-        mat = model.compiled_rows().lp
+        mat = model.compiled_rows()
         ours = simplex.solve(mat, *mip._columns(model)[:3])
 
         # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: negate ">=" rows
@@ -390,7 +390,7 @@ class TestColdStart:
         model.set_objective(dict(zip(cols, [1.0, 0.0, 2.0, 3.0])))
         c, lo, hi, _ = mip._columns(model)
         start = simplex.make_basis([LOWER] * 4, [BASIC] * 3)
-        res = simplex.solve(model.compiled_rows().lp, c, lo, hi, start=start)
+        res = simplex.solve(model.compiled_rows(), c, lo, hi, start=start)
         assert res.warm and res.status == "optimal" and res.iterations == 0
         assert res.objective == 0.0
         assert np.array_equal(res.x, np.zeros(4))

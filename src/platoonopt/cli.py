@@ -402,7 +402,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (netmodel.ParseError, netmodel.ValidationError,
-            netmodel.NoHubPair, FileNotFoundError, KeyError,
+            netmodel.NoHubPair, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -98,15 +99,25 @@ class RoadNetwork:
             adj.sort(key=lambda e: e.head)
         for adj in self.in_adj.values():
             adj.sort(key=lambda e: e.tail)
+        self._fuel = self._time = None
 
     def edge(self, i, j) -> Edge:
         return self.edges[(i, j)]
 
-    def fuel_table(self) -> dict[tuple, float]:
-        return {k: e.fuel for k, e in self.edges.items()}
+    def fuel_table(self) -> MappingProxyType:
+        """Fuel cost per edge key, built at the first call and shared
+        read-only by every caller."""
+        if self._fuel is None:
+            self._fuel = MappingProxyType(
+                {k: e.fuel for k, e in self.edges.items()})
+        return self._fuel
 
-    def time_table(self) -> dict[tuple, float]:
-        return {k: e.time for k, e in self.edges.items()}
+    def time_table(self) -> MappingProxyType:
+        """Travel time per edge key, built once like ``fuel_table``."""
+        if self._time is None:
+            self._time = MappingProxyType(
+                {k: e.time for k, e in self.edges.items()})
+        return self._time
 
     def __eq__(self, other):
         return (isinstance(other, RoadNetwork)
@@ -143,18 +154,16 @@ class ProblemInstance:
         for m in self.missions:
             if not (math.isfinite(m.t_earliest) and math.isfinite(m.t_latest)):
                 raise ValidationError(f"vehicle {m.id}: time window must be finite")
+            for end, node in (("origin", m.origin), ("destination", m.dest)):
+                if node not in self.network.nodes:
+                    raise ValidationError(
+                        f"vehicle {m.id}: {end} {node} is not a network node")
             if m.origin == m.dest:
                 raise ValidationError(f"vehicle {m.id}: origin equals destination")
             sp = shortest_path(self.network, m.origin, m.dest, weight="time")
             if m.t_latest < m.t_earliest + sp.time - 1e-9:
                 raise ValidationError(
                     f"vehicle {m.id}: window shorter than shortest travel time")
-
-    def mission(self, vid: int) -> VehicleMission:
-        for m in self.missions:
-            if m.id == vid:
-                return m
-        raise KeyError(vid)
 
     def __eq__(self, other):
         return (isinstance(other, ProblemInstance)

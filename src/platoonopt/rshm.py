@@ -6,6 +6,12 @@ sizes back into the next routing objective: edges a vehicle just used are
 re-priced at the platoon-averaged cost, other explored edges at the most
 optimistic follower cost, unless an earlier iteration already realized the
 same platoon configuration there (in which case its price is reused).
+
+Work that does not change between iterations is done once per run: the
+routing model is built at iteration 1 and only re-priced afterwards, the
+cost table prices only (vehicle, edge) pairs that some routing column reads,
+and a route assignment that was already scheduled to optimality is not
+scheduled again.
 """
 
 from __future__ import annotations
@@ -62,9 +68,12 @@ class IterationRecord:
 class RshmState:
     """Everything the feedback recurrence and diagnostics need to look back at."""
 
-    def __init__(self, inst):
+    def __init__(self, inst, candidates: dict[int, set]):
         self.instance = inst
         self.params = SavingsParams.from_instance(inst)
+        # each vehicle's candidate edge set: the routing model's columns,
+        # hence the only (vehicle, edge) pairs a cost table must price
+        self.candidates = candidates
         self.records: dict[int, IterationRecord] = {}
         self.tables: dict[int, EdgeCostTable] = {1: EdgeCostTable.initial(inst)}
         self.explored: set = set()
@@ -133,7 +142,10 @@ def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
 
     Explored edges a vehicle just traversed get the platoon-averaged cost;
     other explored edges get the optimistic follower cost, or a price copied
-    from the iteration after the last configuration-similar one.
+    from the iteration after the last configuration-similar one.  Only the
+    explored edges of each vehicle's candidate set are priced: no other
+    pair is read by the routing model, its greedy seed or
+    ``routing.presumed_objective``.
     """
     rec = state.records[n]
     params = state.params
@@ -141,10 +153,13 @@ def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
     explored = frozenset(state.explored)
     adjusted: dict[tuple, float] = {}
     vehicles = [m.id for m in state.instance.missions]
+    candidates = state.candidates
     on_route = state.route_edges[n]
     for e in sorted(explored):
         cost = base[e]
         for v in vehicles:
+            if e not in candidates[v]:
+                continue
             if e in on_route[v]:
                 size = rec.platoons.size(v, e)
                 adjusted[(v, e)] = c_plat(size, cost, params) / size
@@ -226,21 +241,35 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     stops the loop before any iteration completes, that is the
     ``no_coordination`` baseline with ``iterations == 0``.
 
-    The routing model is built once; each later iteration re-prices it and
-    warm-starts its root LP from the previous iteration's root basis."""
+    The routing model is built once, at iteration 1, and seeded with the
+    greedy assignment.  Each later iteration re-prices it, warm-starts its
+    root LP from the previous root basis and seeds it with the previous
+    optimum, which stays feasible because only the objective changed.
+    Routes equal to those of an earlier iteration whose scheduling solve
+    ended optimal take that iteration's platoons without a new solve: the
+    scheduling model depends on the routes alone.  Each solve gets
+    ``per_solve_time_s`` or the time left of ``total_time_s``, whichever is
+    less; a solve cut short keeps its incumbent (every solve has one), and
+    the loop then stops on the time budget."""
     opts = opts or RshmOptions()
     inst.validate()
     scheduling.cut_mode(opts.sp_cuts)   # an unknown mode fails here
-    state = RshmState(inst)
+    state = RshmState(inst, candidates={})   # the routing model's, once built
     params = state.params
     fuel = inst.network.fuel_table()
     t_start = time.perf_counter()
+
+    def time_limit() -> float:
+        left = opts.total_time_s - (time.perf_counter() - t_start)
+        return max(0.0, min(opts.per_solve_time_s, left))
+
     trace = []
     termination = None
     n = 1
     prev_routes = None
     handle = None
-    root_start = None
+    rdp_sol = None
+    schedules: dict[str, PlatoonConfiguration] = {}   # by routes.key()
     while True:
         if opts.iter_cap is not None and n > opts.iter_cap:
             termination = "iter_cap"
@@ -253,19 +282,26 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         try:
             if handle is None:
                 handle = routing.build_rdp(inst, costs, iteration=n)
+                state.candidates = handle.candidates
+                seed, root_start = routing.initial_solution(handle), None
             else:
                 routing.set_rdp_costs(handle, costs, n)
+                seed, root_start = rdp_sol.x, rdp_sol.root_basis
             rdp_sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
-                                    time_limit_s=opts.per_solve_time_s,
-                                    initial_solution=routing.initial_solution(handle),
+                                    time_limit_s=time_limit(),
+                                    initial_solution=seed,
                                     root_start=root_start)
             if rdp_sol.status not in ("optimal", "feasible"):
                 raise SubproblemFailure(f"routing solve ended {rdp_sol.status}")
-            root_start = rdp_sol.root_basis
             routes = routing.extract_route_assignment(handle, rdp_sol)
-            platoons = scheduling.solve_schedule(
-                routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap,
-                time_limit_s=opts.per_solve_time_s).platoons
+            platoons = schedules.get(routes.key())
+            if platoons is None:
+                schedule = scheduling.solve_schedule(
+                    routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap,
+                    time_limit_s=time_limit())
+                platoons = schedule.platoons
+                if schedule.solution.status == "optimal":
+                    schedules[routes.key()] = platoons
         except (mip.ModelError, NumericalFailure) as exc:
             raise SubproblemFailure(f"iteration {n}: {exc}") from exc
         z = scheduling.total_fuel(routes, platoons, fuel, params)

@@ -73,6 +73,38 @@ class TestRshmCommand:
         assert "finite and non-negative" in capsys.readouterr().err
 
 
+class TestMissionOffTheNetwork:
+    @pytest.mark.parametrize("command", [
+        ["rshm", "--iter-cap", "1"], ["solve-rdp"], ["solve-sp"],
+        ["export-mps", "--out", "model.mps"]])
+    def test_exits_with_usage_code(self, tmp_path, capsys, command):
+        doc = nm.instance_to_dict(shared_edge_instance())
+        doc["vehicles"][0]["origin"] = 999
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = command[:1] + ["--instance", str(inst_path)] + command[1:]
+        if command[0] == "export-mps":
+            argv[-1] = str(tmp_path / "model.mps")
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert ("vehicle 1: origin 999 is not a network node"
+                in capsys.readouterr().err)
+
+
+class TestInternalErrors:
+    def test_key_error_is_not_reported_as_bad_input(self, tmp_path,
+                                                    monkeypatch):
+        # bad input raises typed errors; a KeyError is a program fault and
+        # must surface as one, not as usage code 4
+        def lookup_bug(*args, **kwargs):
+            raise KeyError((1, (3, 4)))
+
+        inst_path = tmp_path / "inst.json"
+        nm.save_instance(shared_edge_instance(), str(inst_path))
+        monkeypatch.setattr(routing, "presumed_objective", lookup_bug)
+        with pytest.raises(KeyError):
+            cli.main(["rshm", "--instance", str(inst_path), "--iter-cap", "1"])
+
+
 class TestEmptyInstance:
     @pytest.fixture
     def empty(self, tmp_path, capsys):

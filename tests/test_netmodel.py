@@ -207,6 +207,27 @@ def test_instance_validation_errors(two_node_net):
         gap.validate()
 
 
+@pytest.mark.parametrize("origin,dest,what", [
+    (999, 2, "origin 999 is not a network node"),
+    (1, 999, "destination 999 is not a network node"),
+    (999, 999, "origin 999 is not a network node")])
+def test_instance_rejects_missions_off_the_network(two_node_net, origin,
+                                                   dest, what):
+    inst = nm.ProblemInstance(two_node_net,
+                              [VehicleMission(1, origin, dest, 0.0, 1.0)])
+    with pytest.raises(nm.ValidationError, match=what):
+        inst.validate()
+
+
+def test_edge_tables_are_built_once_and_read_only(two_node_net):
+    for table, value in ((two_node_net.fuel_table, 5.0),
+                         (two_node_net.time_table, 5.0 / 80.0)):
+        assert table() is table()
+        assert dict(table()) == {(1, 2): value}
+        with pytest.raises(TypeError):
+            table()[(1, 2)] = 1.0
+
+
 def test_minimal_file_roundtrip(tmp_path, two_node_net):
     inst = nm.ProblemInstance(two_node_net,
                               [VehicleMission(1, 1, 2, 0.0, 1.0)])

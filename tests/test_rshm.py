@@ -1,11 +1,13 @@
 """Heuristic loop: platoon-cost algebra, similarity index, cost feedback,
 termination, and the a-posteriori gap bound."""
 
+import time
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from platoonopt import mip, netmodel as nm, oracle, routing, rshm
+from platoonopt import mip, netmodel as nm, oracle, routing, rshm, scheduling
 from platoonopt.routing import EdgeCostTable, RouteAssignment
 from platoonopt.rshm import (RshmOptions, RshmState, SavingsParams, c_plat,
                              gap_bound, similarity_index, update_cost_table)
@@ -28,8 +30,14 @@ class TestPlatoonCost:
         assert c_plat(3, 10.0, P) == pytest.approx(27.8)    # 9.8 + 18
 
 
+def _every_edge(inst):
+    """Candidate sets holding every edge of the network, so that a cost
+    table prices every (vehicle, explored edge) pair."""
+    return {m.id: set(inst.network.edges) for m in inst.missions}
+
+
 def _state_with_history(inst, records):
-    state = RshmState(inst)
+    state = RshmState(inst, _every_edge(inst))
     for rec in records:
         state.record(rec)
     return state
@@ -197,6 +205,61 @@ class TestCostTable:
         update_cost_table(state, 3)  # all history present: fine
 
 
+def _replayed_tables(inst, records, candidates):
+    """The cost tables of a run's records, recomputed for the given
+    candidate sets as the loop computes them: one table after each
+    recorded iteration."""
+    state = RshmState(inst, candidates)
+    for n in sorted(records):
+        state.record(records[n])
+        state.tables[n + 1] = update_cost_table(state, n)
+    return state.tables
+
+
+class TestCandidatePricing:
+    def test_pairs_outside_the_candidate_sets_are_not_priced(self):
+        inst = _mini_instance()
+        cand = {m.id: nm.candidate_edge_set(inst.network, m, inst.sigma_f)
+                for m in inst.missions}
+        assert (1, 3) in cand[1] and (1, 3) not in cand[2]
+        state = RshmState(inst, cand)
+        state.record(_record(1, inst, True))
+        table = update_cost_table(state, 1)
+        assert set(table.adjusted) == {(v, e) for v in cand
+                                       for e in table.explored
+                                       if e in cand[v]}
+        assert (2, (1, 3)) not in table.adjusted
+        assert table.cost(1, (1, 3)) == pytest.approx(
+            inst.network.edge(1, 3).fuel)
+
+    @pytest.mark.parametrize("generator,vehicles,seed", [
+        ("two_cluster", 6, 0), ("two_cluster", 8, 3),
+        ("distributed", 8, 5), ("distributed", 10, 1)])
+    def test_candidate_table_matches_the_full_table(self, generator,
+                                                    vehicles, seed):
+        inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
+        state = rshm.run(inst, RshmOptions(iter_cap=12,
+                                           freq_threshold=99)).state
+        assert state.iterations >= 5
+        # some prices are copied from a configuration-similar iteration
+        assert any(similarity_index(state, n, v, e) is not None
+                   for n in state.records for v, es in state.candidates.items()
+                   for e in es)
+        full = _replayed_tables(inst, state.records, _every_edge(inst))
+        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        assert h.candidates == state.candidates
+        for n in range(2, state.iterations + 2):
+            table = state.tables[n]
+            assert table.explored == full[n].explored
+            assert table.adjusted == {
+                (v, e): c for (v, e), c in full[n].adjusted.items()
+                if e in state.candidates[v]}
+            for v, e in h.x_col:
+                if e in table.explored:
+                    assert (v, e) in table.adjusted
+                assert table.cost(v, e) == full[n].cost(v, e)
+
+
 class TestRun:
     def test_single_vehicle_terminates_quickly(self, triangle_net):
         inst = nm.ProblemInstance(triangle_net,
@@ -265,6 +328,43 @@ class TestRun:
         assert res.z_hat == pytest.approx(res.routes.total_cost())
         assert res.departures == {m.id: m.t_earliest for m in inst.missions}
 
+    def test_each_solve_gets_at_most_the_time_left(self, small_grid,
+                                                   monkeypatch):
+        limits = []
+        solve = mip.solve_mip
+
+        def recording_solve(model, **kwargs):
+            limits.append((kwargs["time_limit_s"], time.perf_counter()))
+            return solve(model, **kwargs)
+
+        monkeypatch.setattr(mip, "solve_mip", recording_solve)
+        inst = nm.generate_two_cluster(small_grid, 4, seed=1)
+        budget = 30.0
+        t0 = time.perf_counter()
+        res = rshm.run(inst, RshmOptions(iter_cap=4, total_time_s=budget))
+        assert res.iterations >= 2 and len(limits) >= 3
+        for limit, at in limits:
+            # what was left when the limit was set, at or before the call
+            assert budget - (at - t0) <= limit < budget
+        assert [lim for lim, _ in limits] == sorted(
+            (lim for lim, _ in limits), reverse=True)
+        limits.clear()
+        rshm.run(inst, RshmOptions(iter_cap=4, per_solve_time_s=0.5))
+        assert limits and all(lim == 0.5 for lim, _ in limits)
+        # a budget spent while iteration 1 builds its model: both solves
+        # get no time, keep their incumbents, and the loop stops
+        build = routing.build_rdp
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.2)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "build_rdp", slow_build)
+        limits.clear()
+        res = rshm.run(inst, RshmOptions(iter_cap=4, total_time_s=0.1))
+        assert (res.termination, res.iterations) == ("time_limit", 1)
+        assert [lim for lim, _ in limits] == [0.0, 0.0]
+
     def test_unknown_cut_mode_fails_before_iteration_one(self, monkeypatch):
         def no_routing(*args, **kwargs):
             raise AssertionError("iteration 1 started")
@@ -307,6 +407,42 @@ class TestRun:
             assert val == pytest.approx(rec.z, abs=1e-6)
 
 
+def _reference_run(inst, opts):
+    """The loop without its incremental steps: the greedy seed at every
+    iteration, every (vehicle, explored edge) pair priced, and a scheduling
+    solve at every iteration.  Returns (state, termination)."""
+    state = RshmState(inst, _every_edge(inst))
+    fuel = inst.network.fuel_table()
+    handle = root_start = prev_routes = None
+    n = 1
+    while True:
+        if n > opts.iter_cap:
+            return state, "iter_cap"
+        costs = state.tables[n]
+        if handle is None:
+            handle = routing.build_rdp(inst, costs, iteration=n)
+        else:
+            routing.set_rdp_costs(handle, costs, n)
+        sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
+                            initial_solution=routing.initial_solution(handle),
+                            root_start=root_start)
+        root_start = sol.root_basis
+        routes = routing.extract_route_assignment(handle, sol)
+        platoons = scheduling.solve_schedule(
+            routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap).platoons
+        z = scheduling.total_fuel(routes, platoons, fuel, state.params)
+        presumed = routing.presumed_objective(routes, costs, inst)
+        state.record(rshm.IterationRecord(n, routes, platoons, z, presumed,
+                                          0.0))
+        state.tables[n + 1] = update_cost_table(state, n)
+        if prev_routes is not None and routes == prev_routes:
+            return state, "repeat_consecutive"
+        if state.max_freq() >= opts.freq_threshold:
+            return state, "freq_threshold"
+        prev_routes = routes
+        n += 1
+
+
 class TestIncrementalRouting:
     """The loop builds the routing model once and warm-starts each root LP
     from the previous iteration's basis; a cold solve from scratch of every
@@ -337,19 +473,81 @@ class TestIncrementalRouting:
             return build(*args, **kwargs)
 
         def recording_solve(model, **kwargs):
+            sol = solve(model, **kwargs)
             if model.name == "rdp":
-                starts.append(kwargs.get("root_start"))
-            return solve(model, **kwargs)
+                starts.append((kwargs.get("root_start"),
+                               kwargs["initial_solution"], sol))
+            return sol
 
         monkeypatch.setattr(routing, "build_rdp", counting_build)
         monkeypatch.setattr(mip, "solve_mip", recording_solve)
+        greedy = []
+        initial_solution = routing.initial_solution
+
+        def recording_seed(handle):
+            greedy.append(initial_solution(handle))
+            return greedy[-1]
+
+        monkeypatch.setattr(routing, "initial_solution", recording_seed)
         inst = nm.generate_two_cluster(small_grid, 4, seed=1)
         res = rshm.run(inst, RshmOptions(iter_cap=8))
         assert res.iterations >= 2
         assert len(builds) == 1
         assert len(starts) == res.iterations
-        assert starts[0] is None
-        assert all(s is not None for s in starts[1:])
+        # iteration 1 starts cold from the greedy seed; each later one
+        # from the previous root basis, seeded with the previous optimum
+        assert starts[0][0] is None and len(greedy) == 1
+        assert starts[0][1] is greedy[0]
+        for (_, _, prev), (root, seed, _) in zip(starts, starts[1:]):
+            assert root is prev.root_basis and seed is prev.x
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(["two_cluster", "distributed"]),
+           st.integers(2, 10), st.integers(0, 10_000), st.integers(1, 12),
+           st.integers(2, 3))
+    def test_run_matches_the_loop_without_incremental_steps(
+            self, generator, vehicles, seed, iter_cap, freq_threshold):
+        inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
+        opts = RshmOptions(iter_cap=iter_cap, freq_threshold=freq_threshold)
+        res = rshm.run(inst, opts)
+        ref, termination = _reference_run(inst, opts)
+        assert res.termination == termination
+        assert res.iterations == ref.iterations
+        assert [t["z"] for t in res.trace] == [
+            ref.records[n].z for n in sorted(ref.records)]
+        for n, rec in ref.records.items():
+            got = res.state.records[n]
+            assert got.routes == rec.routes
+            assert got.platoons == rec.platoons
+            assert got.presumed == rec.presumed
+        assert res.z_hat == ref.best_z
+        assert res.routes == ref.best.routes
+        assert res.platoons == ref.best.platoons
+        keys = [rec.routes.key() for rec in ref.records.values()]
+        event(f"{res.termination}, repeats: {len(keys) > len(set(keys))}")
+
+    def test_repeated_routes_reuse_their_schedule(self, monkeypatch):
+        solved = []
+        solve_schedule = scheduling.solve_schedule
+
+        def recording_schedule(routes, *args, **kwargs):
+            result = solve_schedule(routes, *args, **kwargs)
+            solved.append((routes.key(), result.solution.status))
+            return result
+
+        monkeypatch.setattr(scheduling, "solve_schedule", recording_schedule)
+        inst = nm.generate_distributed(_GRID, 8, seed=3)
+        state = rshm.run(inst, RshmOptions(iter_cap=12,
+                                           freq_threshold=3)).state
+        keys = [state.records[n].routes.key() for n in sorted(state.records)]
+        assert len(set(keys)) < len(keys)       # some assignment repeats
+        assert all(status == "optimal" for _, status in solved)
+        assert [k for k, _ in solved] == list(dict.fromkeys(keys))
+        first = {}
+        for n in sorted(state.records):
+            rec = state.records[n]
+            assert rec.platoons is first.setdefault(rec.routes.key(),
+                                                    rec.platoons)
 
 
     def test_routing_rows_compiled_once_per_run(self, small_grid,
@@ -380,7 +578,7 @@ class TestIncrementalRouting:
 class TestGapBound:
     def test_all_full_platoons_zero_bound(self):
         inst = shared_edge_instance(edge_cost=10.0, max_platoon=2)
-        state = RshmState(inst)
+        state = RshmState(inst, _every_edge(inst))
         ra = _assignment(inst, True)
         shared = (3, 4)
         platoons = {}
@@ -411,7 +609,7 @@ class TestGapBound:
 
     def test_not_applicable_when_routes_differ(self):
         inst = _mini_instance()
-        state = RshmState(inst)
+        state = RshmState(inst, _every_edge(inst))
         ra1 = _assignment(inst, True)
         state.record(_record(1, inst, True))
         rec2 = _record(2, inst, False)

@@ -426,16 +426,14 @@ def make_disjunctive_hook(handle: SpModelHandle, log: list | None = None):
 def bound_improvement_report(contracted, params, bounds,
                              rounds: int = 20) -> dict:
     """Root-relaxation bounds: plain, after disjunctive cuts, after adding
-    the star rows as well (maximization: lower is tighter).  The cuts are
-    appended to the plain model, whose compiled rows then grow by one row
-    per cut, and each LP after a cut restarts from the previous basis with
-    the cut's row basic (see ``mip.extend_start``); the two plain LPs
-    start cold."""
+    the star rows as well (maximization: lower is tighter).  The cuts, then
+    the star rows, are appended to the plain model, and each LP after the
+    first restarts from the previous basis with the new rows basic (see
+    ``mip.extend_start``)."""
     from . import scheduling as sched
     t0 = time.perf_counter()
-    plain = sched.build_sp(contracted, params, bounds)
-    n_plain = plain.model.num_constraints
-    lp0 = mip.solve_lp(plain.model)
+    handle = sched.build_sp(contracted, params, bounds)
+    lp0 = mip.solve_lp(handle.model)
     bd0 = lp0.objective
 
     disj: list[DisjunctiveCut] = []
@@ -443,21 +441,20 @@ def bound_improvement_report(contracted, params, bounds,
     for _ in range(rounds):
         if lp.status != "optimal":
             break
-        found = separate_disjunctive(lp, plain)
+        found = separate_disjunctive(lp, handle)
         if found is None:
             break
         disj.append(found)
-        plain.model.add_cut(found.cut)
-        lp = mip.solve_lp(plain.model, start=mip.extend_start(lp.basis, 1))
+        handle.model.add_cut(found.cut)
+        lp = mip.solve_lp(handle.model, start=mip.extend_start(lp.basis, 1))
     bd1 = lp.objective if lp.status == "optimal" else bd0
     cut_time = time.perf_counter() - t0
 
-    starred = sched.build_sp(contracted, params, bounds,
-                             sched.CutOptions(star_partition=True))
-    n_star = starred.model.num_constraints - n_plain
-    for d in disj:
-        starred.model.add_cut(d.cut)
-    lp2 = mip.solve_lp(starred.model)
+    n_star = sched.add_partition_rows(
+        handle, sched.CutOptions(star_partition=True))
+    start = mip.extend_start(lp.basis, n_star) if lp.status == "optimal" \
+        else None
+    lp2 = mip.solve_lp(handle.model, start=start)
     bd2 = lp2.objective if lp2.status == "optimal" else bd1
     return {"lp_bound_plain": bd0, "lp_bound_disj": bd1,
             "lp_bound_disj_star": bd2, "n_disjunctive": len(disj),

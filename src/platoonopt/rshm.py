@@ -10,8 +10,8 @@ same platoon configuration there (in which case its price is reused).
 Work that does not change between iterations is done once per run: the
 routing model is built at iteration 1 and only re-priced afterwards, the
 cost table prices only (vehicle, edge) pairs that some routing column reads,
-and a route assignment that was already scheduled to optimality is not
-scheduled again.
+and a scheduling component (see ``scheduling.components``) already solved
+to optimality is not solved again.
 """
 
 from __future__ import annotations
@@ -205,10 +205,16 @@ class RshmResult:
     termination: str           # repeat_consecutive | freq_threshold |
     iterations: int            # time_limit | iter_cap
     state: RshmState = field(repr=False, default=None)
+    _baseline: float | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def fuel_baseline(self) -> float:
-        inst = self.state.instance
-        return routing.shortest_path_assignment(inst).total_cost()
+        """Fuel of the fuel-shortest paths, computed at the first call."""
+        if self._baseline is None:
+            inst = self.state.instance
+            self._baseline = routing.shortest_path_assignment(
+                inst).total_cost()
+        return self._baseline
 
     def saving_rate(self) -> float:
         base = self.fuel_baseline()
@@ -245,9 +251,9 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     greedy assignment.  Each later iteration re-prices it, warm-starts its
     root LP from the previous root basis and seeds it with the previous
     optimum, which stays feasible because only the objective changed.
-    Routes equal to those of an earlier iteration whose scheduling solve
-    ended optimal take that iteration's platoons without a new solve: the
-    scheduling model depends on the routes alone.  Each solve gets
+    Scheduling solves only the components no earlier iteration solved to
+    optimality (see ``scheduling.solve_schedule``), and gives the schedule
+    a solve of the whole assignment gives.  Each solve gets
     ``per_solve_time_s`` or the time left of ``total_time_s``, whichever is
     less; a solve cut short keeps its incumbent (every solve has one), and
     the loop then stops on the time budget."""
@@ -269,7 +275,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     prev_routes = None
     handle = None
     rdp_sol = None
-    schedules: dict[str, PlatoonConfiguration] = {}   # by routes.key()
+    solved: dict = {}   # scheduling components solved to optimality
     while True:
         if opts.iter_cap is not None and n > opts.iter_cap:
             termination = "iter_cap"
@@ -294,14 +300,9 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
             if rdp_sol.status not in ("optimal", "feasible"):
                 raise SubproblemFailure(f"routing solve ended {rdp_sol.status}")
             routes = routing.extract_route_assignment(handle, rdp_sol)
-            platoons = schedules.get(routes.key())
-            if platoons is None:
-                schedule = scheduling.solve_schedule(
-                    routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap,
-                    time_limit_s=time_limit())
-                platoons = schedule.platoons
-                if schedule.solution.status == "optimal":
-                    schedules[routes.key()] = platoons
+            platoons = scheduling.solve_schedule(
+                routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap,
+                time_limit_s=time_limit(), solved=solved).platoons
         except (mip.ModelError, NumericalFailure) as exc:
             raise SubproblemFailure(f"iteration {n}: {exc}") from exc
         z = scheduling.total_fuel(routes, platoons, fuel, params)

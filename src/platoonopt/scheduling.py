@@ -7,11 +7,15 @@ departure-time/platooning MILP (maximizing fuel savings).  By default the
 interior arrival-time variables are substituted out, so the only continuous
 decision per vehicle is its departure time.  ``solve_schedule`` runs the
 whole pipeline for one set of routes.
+
+The model splits into independent components (``components``), each
+depending on its vehicles' routes alone, so ``solve_schedule`` takes the
+components solved before from a map and solves only the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 
@@ -341,25 +345,39 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
             row[lead] = row.get(lead, 0.0) - 1.0
             model.add_constraint(row, ">=", 0.0, name=f"nonempty_{v}_{key}")
 
-    if opts.star_partition or opts.size_facets:
-        from . import cuts as _cuts
-        for key, vs in shared_edges.items():
-            families = []
-            if opts.star_partition:
-                families.append(("star", _cuts.star_partition_constraints(vs)))
-            if opts.size_facets:
-                families.append(("facet", _cuts.platoon_size_facets(vs, lam)))
-            for tag, rows in families:
-                for coeffs, sense, rhs in rows:
-                    row = {f_col[(u, v, key)]: c for (u, v), c in coeffs.items()
-                           if (u, v, key) in f_col}
-                    if row:
-                        model.add_constraint(row, sense, rhs,
-                                             name=f"{tag}_{key}")
+    handle = SpModelHandle(model, dep_col, f_col, l_col, t_col, big_m, pruned,
+                           contracted, bounds, params.sigma_l, params.sigma_f,
+                           params.max_platoon, prefix, origin)
+    add_partition_rows(handle, opts)
+    return handle
 
-    return SpModelHandle(model, dep_col, f_col, l_col, t_col, big_m, pruned,
-                         contracted, bounds, params.sigma_l, params.sigma_f,
-                         params.max_platoon, prefix, origin)
+
+def add_partition_rows(handle: SpModelHandle, opts: CutOptions) -> int:
+    """Append the star-partition rows and the size facets that ``opts``
+    asks for to the model of ``handle``, shared edge by shared edge in key
+    order, each row over the follower columns the model holds.  Returns
+    the number of rows appended."""
+    if not (opts.star_partition or opts.size_facets):
+        return 0
+    from . import cuts as _cuts
+    model, f_col = handle.model, handle.f_col
+    before = model.num_constraints
+    for key, vs in sorted(handle.contracted.vehicles_by_edge().items()):
+        if len(vs) < 2:
+            continue
+        families = []
+        if opts.star_partition:
+            families.append(("star", _cuts.star_partition_constraints(vs)))
+        if opts.size_facets:
+            families.append(("facet", _cuts.platoon_size_facets(
+                vs, handle.max_platoon)))
+        for tag, rows in families:
+            for coeffs, sense, rhs in rows:
+                row = {f_col[(u, v, key)]: c for (u, v), c in coeffs.items()
+                       if (u, v, key) in f_col}
+                if row:
+                    model.add_constraint(row, sense, rhs, name=f"{tag}_{key}")
+    return model.num_constraints - before
 
 
 @dataclass
@@ -407,6 +425,11 @@ def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
     x = sol.x
     lam = handle.max_platoon
     by_edge = handle.contracted.vehicles_by_edge()
+    links: dict[tuple, list[tuple]] = {}     # edge key -> [(follower, leader)]
+    for (u, v, k), col in handle.f_col.items():
+        if x[col] < 0.5:
+            continue
+        links.setdefault(k, []).append((u, v))
     platoons: dict[tuple, list[tuple]] = {}
     for key, vs in sorted(by_edge.items()):
         if len(vs) < 2:
@@ -415,9 +438,7 @@ def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
         leaders = [v for v in vs if (v, key) in handle.l_col
                    and x[handle.l_col[(v, key)]] > 0.5]
         follow_of: dict[int, int] = {}
-        for (u, v, k), col in handle.f_col.items():
-            if k != key or x[col] < 0.5:
-                continue
+        for u, v in links.get(key, ()):
             if u in follow_of:
                 raise InconsistentPlatoon(f"{u} follows two vehicles on {key}")
             follow_of[u] = v
@@ -460,10 +481,92 @@ def expand_platoons(config: PlatoonConfiguration,
     return PlatoonConfiguration(out, dict(config.departures))
 
 
+def components(contracted: ContractedRoutes, big_m: dict) -> list[list[int]]:
+    """The vehicle sets, sorted, of two or more vehicles linked directly or
+    through others by pairs that can still meet (the keys of ``big_m``),
+    by smallest vehicle.  A vehicle in no such pair drives alone."""
+    parent = {v: v for v in contracted.vehicles}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v, _key in big_m:
+        parent[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in contracted.vehicles:
+        groups.setdefault(find(v), []).append(v)
+    return [vs for vs in groups.values() if len(vs) > 1]
+
+
+def component_key(contracted: ContractedRoutes, vehicles) -> tuple:
+    """All that the model of component ``vehicles`` depends on, within one
+    instance: each vehicle's route as runs of original edges."""
+    return tuple((v, tuple(s.original for s in contracted.routes[v]))
+                 for v in vehicles)
+
+
+def _restricted(contracted: ContractedRoutes, keep: set) -> ContractedRoutes:
+    """The routes of the vehicles in ``keep``, each edge carrying only
+    them."""
+    cedges: dict[tuple, CEdge] = {}
+
+    def edge(s: CEdge) -> CEdge:
+        if s.key not in cedges:
+            inside = s.vehicles & keep
+            cedges[s.key] = s if inside == s.vehicles else replace(
+                s, vehicles=inside)
+        return cedges[s.key]
+
+    return ContractedRoutes({v: [edge(s) for s in segs]
+                             for v, segs in contracted.routes.items()
+                             if v in keep})
+
+
+def earliest_departures(contracted: ContractedRoutes, platoons: dict,
+                        bounds: TimeBounds) -> dict[int, float]:
+    """Departures realizing ``platoons`` (contracted edge key -> ``[(leader,
+    followers)]``): the vehicles that platoons tie together leave at the
+    earliest common shift their windows allow, a lone vehicle at its window
+    start."""
+    entry: dict[tuple, float] = {}      # (v, edge key) -> time after departure
+    for v in contracted.vehicles:
+        acc = 0.0
+        for s in contracted.routes[v]:
+            entry[(v, s.key)] = acc
+            acc += s.time
+    links: dict[int, list[tuple]] = {v: [] for v in contracted.vehicles}
+    for key, plist in platoons.items():
+        for leader, followers in plist:
+            for u in followers:
+                gap = entry[(leader, key)] - entry[(u, key)]
+                links[leader].append((u, gap))
+                links[u].append((leader, -gap))
+    departures: dict[int, float] = {}
+    for v in contracted.vehicles:
+        if v in departures:
+            continue
+        offset = {v: 0.0}               # member -> departure after v's
+        group = [v]
+        for w in group:
+            for u, gap in links[w]:
+                if u not in offset:
+                    offset[u] = offset[w] + gap
+                    group.append(u)
+        start = {w: bounds.lower[(w, contracted.routes[w][0].tail)]
+                 for w in group}
+        first = max(group, key=lambda w: start[w] - offset[w])
+        for w in group:
+            departures[w] = start[first] + (offset[w] - offset[first])
+    return {v: departures[v] for v in contracted.vehicles}
+
+
 @dataclass
 class Schedule:
-    """A solved scheduling problem: its model, the solver's answer, and the
-    platoons it realizes on the original edges."""
+    """The model of the components a ``solve_schedule`` call solved, its
+    answer, and the whole assignment's platoons on the original edges."""
     handle: SpModelHandle
     solution: mip.MipSolution
     platoons: PlatoonConfiguration
@@ -472,21 +575,41 @@ class Schedule:
 def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
                    rel_gap: float = mip.DEFAULT_REL_GAP,
                    time_limit_s: float | None = None,
-                   cut_log: list | None = None) -> Schedule:
+                   cut_log: list | None = None,
+                   solved: dict | None = None) -> Schedule:
     """Schedule fixed routes: contract them (unless ``merge_edges`` is
-    False), bound their times, build the model with the rows of cut mode
-    ``cuts`` (see ``CUT_MODES``), and solve it from the no-platoon
-    incumbent, so a solve stopped by ``time_limit_s`` ends ``feasible``.
-    ``inst`` supplies the missions and the savings parameters.
-    ``cut_log`` receives ``(bound before, cut)`` for each disjunctive cut
-    the root rounds add."""
+    False), bound their times, and build one model, with the rows of cut
+    mode ``cuts`` (see ``CUT_MODES``), of the ``components`` that
+    ``solved`` does not hold; it has no columns when all are known.  Solve
+    it from the no-platoon incumbent, so a solve stopped by
+    ``time_limit_s`` ends ``feasible``.  ``inst`` supplies the missions and
+    the savings parameters.  ``cut_log`` receives ``(bound before, cut)``
+    for each disjunctive cut the root rounds add.
+
+    ``solved`` maps a ``component_key`` to the component's platoons with
+    followers, as ``(original-edge run, (leader, followers))`` pairs; a
+    solve that ends ``optimal`` adds its components.  One map serves one
+    instance, cut mode, gap and ``merge_edges``.  Platoons are listed by
+    sorted contracted key, then original edge, and departures are
+    ``earliest_departures``, so the schedule does not depend on which
+    components were known."""
     cut_options, disjunctive = cut_mode(cuts)
     if merge_edges:
         contracted = contract(routes, routes.edge_times, routes.edge_costs)
     else:
         contracted = uncontracted(routes)
     bounds = time_bounds(contracted, inst.missions)
-    handle = build_sp(contracted, inst, bounds, cut_options)
+    big_m, _ = platoonable_and_bigM(contracted, bounds)
+    reused, new = [], []
+    for vs in components(contracted, big_m):
+        key = component_key(contracted, vs)
+        known = None if solved is None else solved.get(key)
+        if known is None:
+            new.append((key, vs))
+        else:
+            reused.extend(known)
+    keep = {v for _key, vs in new for v in vs}
+    handle = build_sp(_restricted(contracted, keep), inst, bounds, cut_options)
     hook = None
     if disjunctive:
         from . import cuts as _cuts
@@ -495,6 +618,24 @@ def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
                         time_limit_s=time_limit_s, root_cut_hook=hook,
                         initial_solution=solo_schedule(handle))
     config = extract_platoons(handle, sol)
+    fresh = [(handle.contracted.cedges[key].original, p)
+             for key, plist in config.platoons.items() for p in plist if p[1]]
+    if solved is not None and sol.status == "optimal":
+        for key, vs in new:
+            solved[key] = tuple(f for f in fresh if f[1][0] in vs)
+    platooned: dict[tuple, list] = {}   # original-edge run -> its platoons
+    for run, p in reused + fresh:
+        platooned.setdefault(run, []).append(p)
+    by_key: dict[tuple, list[tuple]] = {}
+    for key in sorted(contracted.cedges):
+        s = contracted.cedges[key]
+        plist = platooned.get(s.original, [])
+        members = {v for leader, followers in plist
+                   for v in (leader, *followers)}
+        by_key[key] = sorted(plist + [(v, ()) for v in s.vehicles
+                                      if v not in members])
+    config = PlatoonConfiguration(
+        by_key, earliest_departures(contracted, by_key, bounds))
     return Schedule(handle, sol, expand_platoons(config, contracted))
 
 

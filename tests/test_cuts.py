@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from platoonopt import cuts, mip, oracle, scheduling as sched
+from platoonopt import cuts, mip, netmodel as nm, oracle, routing
+from platoonopt import scheduling as sched
 
 
 def _row_holds(row, values):
@@ -208,3 +209,27 @@ class TestSeparation:
         assert rep["lp_bound_disj_star"] <= rep["lp_bound_disj"] + 1e-9
         assert rep["lp_bound_disj"] < rep["lp_bound_plain"] - 1e-9
         assert rep["n_disjunctive"] >= 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_star_bound_matches_a_model_built_with_star_rows(
+            self, seed):
+        # the report appends the star rows to its one model after the cuts;
+        # a model built with the star rows and then given the same cuts
+        # holds the same rows in another order, so its cold LP agrees
+        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 8, seed=seed)
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        bounds = sched.time_bounds(con, inst.missions)
+        rep = cuts.bound_improvement_report(con, inst, bounds)
+        plain = sched.build_sp(con, inst, bounds)
+        starred = sched.build_sp(con, inst, bounds,
+                                 sched.CutOptions(star_partition=True))
+        assert rep["n_star_rows"] == (starred.model.num_constraints
+                                      - plain.model.num_constraints) > 0
+        for d in rep["disj_cuts"]:
+            starred.model.add_cut(d.cut)
+        cold = mip.solve_lp(starred.model)
+        assert cold.status == "optimal"
+        assert rep["lp_bound_disj_star"] == pytest.approx(cold.objective,
+                                                          rel=1e-9, abs=1e-9)

@@ -307,6 +307,23 @@ class TestRun:
         assert res2.z_hat == pytest.approx(res2.fuel_baseline())
         assert res2.departures == {m.id: m.t_earliest for m in inst.missions}
 
+    def test_baseline_is_computed_once_per_result(self, monkeypatch):
+        calls = []
+        shortest = routing.shortest_path_assignment
+
+        def counting(inst):
+            calls.append(inst)
+            return shortest(inst)
+
+        inst = shared_edge_instance(edge_cost=10.0)
+        res = rshm.run(inst, RshmOptions(iter_cap=3))
+        monkeypatch.setattr(routing, "shortest_path_assignment", counting)
+        base = res.fuel_baseline()
+        assert base == shortest(inst).total_cost()
+        assert res.saving_rate() == (base - res.z_hat) / base
+        assert res.fuel_baseline() == base and res.saving_rate() > 0
+        assert len(calls) == 1
+
     def test_spent_time_budget_returns_baseline(self):
         inst = shared_edge_instance()
         res = rshm.run(inst, RshmOptions(total_time_s=0.0))
@@ -330,11 +347,12 @@ class TestRun:
 
     def test_each_solve_gets_at_most_the_time_left(self, small_grid,
                                                    monkeypatch):
-        limits = []
+        limits, names = [], []
         solve = mip.solve_mip
 
         def recording_solve(model, **kwargs):
             limits.append((kwargs["time_limit_s"], time.perf_counter()))
+            names.append(model.name)
             return solve(model, **kwargs)
 
         monkeypatch.setattr(mip, "solve_mip", recording_solve)
@@ -343,6 +361,9 @@ class TestRun:
         t0 = time.perf_counter()
         res = rshm.run(inst, RshmOptions(iter_cap=4, total_time_s=budget))
         assert res.iterations >= 2 and len(limits) >= 3
+        # one routing and one scheduling solve per iteration; the latter's
+        # model holds only the components no earlier iteration solved
+        assert names == ["rdp", "sp"] * res.iterations
         for limit, at in limits:
             # what was left when the limit was set, at or before the call
             assert budget - (at - t0) <= limit < budget
@@ -532,7 +553,12 @@ class TestIncrementalRouting:
 
         def recording_schedule(routes, *args, **kwargs):
             result = solve_schedule(routes, *args, **kwargs)
-            solved.append((routes.key(), result.solution.status))
+            handle = result.handle
+            comps = {scheduling.component_key(handle.contracted, vs)
+                     for vs in scheduling.components(handle.contracted,
+                                                     handle.big_m)}
+            solved.append((routes.key(), result.solution.status, comps,
+                           handle.model.num_vars))
             return result
 
         monkeypatch.setattr(scheduling, "solve_schedule", recording_schedule)
@@ -541,12 +567,27 @@ class TestIncrementalRouting:
                                            freq_threshold=3)).state
         keys = [state.records[n].routes.key() for n in sorted(state.records)]
         assert len(set(keys)) < len(keys)       # some assignment repeats
-        assert all(status == "optimal" for _, status in solved)
-        assert [k for k, _ in solved] == list(dict.fromkeys(keys))
+        assert all(status == "optimal" for _, status, _, _ in solved)
+        # one solve per iteration, of the components no earlier iteration
+        # solved: none when the assignment repeats
+        assert [k for k, _, _, _ in solved] == keys
+        seen = set()
+        for n, (key, _, comps, num_vars) in enumerate(solved):
+            routes = state.records[n + 1].routes
+            con = scheduling.contract(routes, routes.edge_times,
+                                      routes.edge_costs)
+            big_m, _ = scheduling.platoonable_and_bigM(
+                con, scheduling.time_bounds(con, inst.missions))
+            mine = {scheduling.component_key(con, vs)
+                    for vs in scheduling.components(con, big_m)}
+            assert comps == mine - seen
+            seen |= mine
+            if key in keys[:n]:
+                assert not comps and num_vars == 0
         first = {}
         for n in sorted(state.records):
             rec = state.records[n]
-            assert rec.platoons is first.setdefault(rec.routes.key(),
+            assert rec.platoons == first.setdefault(rec.routes.key(),
                                                     rec.platoons)
 
 

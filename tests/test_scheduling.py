@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from platoonopt import mip, netmodel as nm, oracle, routing, scheduling as sched
+from platoonopt import (mip, netmodel as nm, oracle, routing, rshm,
+                        scheduling as sched)
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
@@ -371,6 +372,136 @@ class TestSolveSchedule:
         with pytest.raises(ValueError, match="unknown cut mode"):
             sched.solve_schedule(routing.shortest_path_assignment(inst),
                                  inst, "disj")
+
+
+def _scheduling_case(rows, generator, vehicles, seed, route_kind,
+                     flexibility):
+    """An instance, routes of the given kind, and other routes for the
+    same missions: fuel-shortest (or time-shortest where that misses the
+    window) and greedy routes are each other's other routes; random
+    simple paths get missions that fit them, with up to ``flexibility``
+    hours of slack, and are their own other routes."""
+    grid = _CONTRACT_GRIDS[rows]
+    if route_kind == "walks":
+        ra = _random_walks(grid, vehicles, seed)
+        rng = np.random.default_rng(seed)
+        missions = []
+        for v in ra.vehicles:
+            travel = sum(ra.edge_times[e] for e in ra.edges(v))
+            start = float(rng.uniform(0.0, 1.0))
+            missions.append(VehicleMission(
+                v, ra.routes[v][0], ra.routes[v][-1], start,
+                start + travel + float(rng.uniform(0.0, flexibility))))
+        inst = nm.ProblemInstance(grid, missions)
+        inst.validate()
+        return inst, ra, ra
+    inst = getattr(nm, f"generate_{generator}")(grid, vehicles, seed,
+                                                flexibility=flexibility)
+    shortest, _ = rshm.no_coordination(inst)
+    cand = {m.id: nm.candidate_edge_set(grid, m, inst.sigma_f)
+            for m in inst.missions}
+    greedy = routing.greedy_assignment(
+        inst, routing.EdgeCostTable.initial(inst), cand)
+    if route_kind == "shortest":
+        return inst, shortest, greedy
+    return inst, greedy, shortest
+
+
+_CASES = dict(rows=st.integers(3, 6),
+              generator=st.sampled_from(["two_cluster", "distributed"]),
+              vehicles=st.integers(2, 10), seed=st.integers(0, 10_000),
+              route_kind=st.sampled_from(["shortest", "greedy", "walks"]),
+              # wider windows let more pairs meet
+              flexibility=st.sampled_from([1.0, 4.0]))
+
+
+class TestComponents:
+    def test_appendix_is_one_component(self, appendix_example):
+        ex = appendix_example
+        big_m, _ = sched.platoonable_and_bigM(ex["contracted"], ex["bounds"])
+        assert sched.components(ex["contracted"], big_m) == [[1, 2, 3, 4]]
+
+    def test_vehicles_that_cannot_meet_drive_alone(self):
+        inst = shared_edge_instance(windows=[(0.0, 0.3), (10.0, 12.0)])
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        big_m, _ = sched.platoonable_and_bigM(
+            con, sched.time_bounds(con, inst.missions))
+        assert sched.components(con, big_m) == []
+        res = sched.solve_schedule(ra, inst, "star")
+        assert res.handle.model.num_vars == 0
+        assert res.solution.status == "optimal"
+        assert res.platoons.departures == {1: 0.0, 2: 10.0}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**_CASES, cuts=st.sampled_from(["star", "star+disj"]),
+           drop=st.integers(0, 10), swap=st.integers(0, 10))
+    def test_known_components_give_the_schedule_of_a_fresh_solve(
+            self, rows, generator, vehicles, seed, route_kind, flexibility,
+            cuts, drop, swap):
+        inst, ra, other = _scheduling_case(rows, generator, vehicles, seed,
+                                           route_kind, flexibility)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        big_m, _ = sched.platoonable_and_bigM(
+            con, sched.time_bounds(con, inst.missions))
+        comps = {sched.component_key(con, vs)
+                 for vs in sched.components(con, big_m)}
+        assume(comps)       # else there is nothing to solve, nor to reuse
+        # the perturbed assignment: vehicle ``drop`` left out, vehicle
+        # ``swap`` on its other route (0 or a missing vehicle: no change)
+        perturbed = RouteAssignment(
+            {v: (other if v == swap else ra).routes[v]
+             for v in ra.vehicles if v != drop},
+            ra.edge_times, ra.edge_costs)
+        solved = {}
+        sched.solve_schedule(perturbed, inst, cuts, solved=solved)
+        known = set(solved)
+        fresh = sched.solve_schedule(ra, inst, cuts)
+        again = sched.solve_schedule(ra, inst, cuts, solved=solved)
+        assert again.platoons == fresh.platoons
+        fuel = inst.network.fuel_table()
+        assert sched.total_fuel(ra, again.platoons, fuel, inst) == \
+            sched.total_fuel(ra, fresh.platoons, fuel, inst)
+        # every component of the assignment is known now
+        third = sched.solve_schedule(ra, inst, cuts, solved=solved)
+        assert third.handle.model.num_vars == 0
+        assert third.platoons == fresh.platoons
+        assert comps <= set(solved)
+        event(f"{route_kind}: components {len(comps)}, "
+              f"reused {len(comps & known)}")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**_CASES)
+    def test_departures_are_the_earliest_that_realize_the_platoons(
+            self, rows, generator, vehicles, seed, route_kind, flexibility):
+        inst, ra, _ = _scheduling_case(rows, generator, vehicles, seed,
+                                       route_kind, flexibility)
+        cfg = sched.solve_schedule(ra, inst, "star").platoons
+        deps = cfg.departures
+        missions = {m.id: m for m in inst.missions}
+        assert set(deps) == set(ra.vehicles)
+        entry = {}
+        for v in ra.vehicles:
+            t = deps[v]
+            assert t >= missions[v].t_earliest - 1e-9
+            for e in ra.edges(v):
+                entry[(v, e)] = t
+                t += ra.edge_times[e]
+            assert t <= missions[v].t_latest + 1e-9
+        group = {v: {v} for v in ra.vehicles}
+        for e, plist in cfg.platoons.items():
+            for leader, followers in plist:
+                for u in followers:
+                    assert abs(entry[(u, e)] - entry[(leader, e)]) <= \
+                        sched.EQUAL_ENTRY_TOL
+                    merged = group[leader] | group[u]
+                    for w in merged:
+                        group[w] = merged
+        groups = {frozenset(g) for g in group.values()}
+        for g in groups:
+            assert any(deps[v] == missions[v].t_earliest for v in g)
+        event(f"{route_kind}: platoon groups "
+              f"{sum(len(g) > 1 for g in groups) > 0}")
 
 
 class TestExtractPlatoons:

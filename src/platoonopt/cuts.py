@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import mip
+from . import mip, simplex
 from .scheduling import SpModelHandle
 
 FRAC_TOL = 1e-6
@@ -288,60 +289,53 @@ class _CglpSystem:
 def build_cglp(active: ActiveSets, point, handle: SpModelHandle):
     """Cut-generating LP whose optimum yields a disjunctive inequality.
 
-    Returns (model, system, column layout) where the layout maps the CGLP
-    columns back to multipliers (alpha, beta0, beta1, gamma0, gamma1).
+    Returns ``(rows, c, lo, hi, system)``: the LP min ``c.y`` over ``rows``
+    (a ``simplex.Matrix``) and the column bounds ``lo``/``hi``.  Its
+    columns are the multipliers alpha (one per omega column of
+    ``system``), beta0 and beta1 (one per row of ``system`` each), gamma0
+    and gamma1, in that order.  Its rows are A~^T beta0 = alpha and
+    A~^T beta1 = alpha, interleaved omega column by omega column, then the
+    normalization row.  The block is assembled column by column, each
+    column's rows in order.
     """
     sys_ = _CglpSystem(active, handle)
     omega_hat = sys_.omega_values(point, handle)
     f_hat = active.f_star
-    n_omega = len(sys_.omega)
-    n_rows = len(sys_.rows)
+    n_omega, n_rows = len(sys_.omega), len(sys_.rows)
+    norm = 2 * n_omega
 
-    m = mip.LinearModel("cglp")
-    a_cols = [m.add_var(f"alpha_{k}", lb=-np.inf, ub=np.inf)
-              for k in range(n_omega)]
-    b0_cols = [m.add_var(f"beta0_{r}", lb=0.0) for r in range(n_rows)]
-    b1_cols = [m.add_var(f"beta1_{r}", lb=0.0) for r in range(n_rows)]
-    g0 = m.add_var("gamma0", lb=0.0)
-    g1 = m.add_var("gamma1", lb=0.0, ub=1.0)
-
-    # A~^T beta0 = alpha and A~^T beta1 = alpha.
-    col_rows: dict[int, list[tuple[int, float]]] = {k: [] for k in range(n_omega)}
-    for r, row in enumerate(sys_.rows):
-        for k, c in row.items():
-            col_rows[k].append((r, c))
-    for k in range(n_omega):
-        for beta_cols in (b0_cols, b1_cols):
-            coeffs = {beta_cols[r]: c for r, c in col_rows[k]}
-            coeffs[a_cols[k]] = coeffs.get(a_cols[k], 0.0) - 1.0
-            m.add_constraint(coeffs, "==", 0.0)
+    # The beta0 column of row r of A~ holds the row's entries k in rows 2k
+    # (its beta1 column in rows 2k + 1), then 1 in the normalization row.
+    entries = [sorted((k, c) for k, c in row.items() if c != 0.0)
+               for row in sys_.rows]
+    even = np.array([i for col in entries
+                     for i in [2 * k for k, _c in col] + [norm]], dtype=np.int32)
+    values = [v for col in entries for v in [c for _k, c in col] + [1.0]]
+    counts = [len(col) + 1 for col in entries]
+    n_cols = n_omega + 2 * n_rows + 2
+    # alpha_k is -1 in rows 2k and 2k + 1; gamma0 and gamma1 are 1 in the
+    # normalization row.
+    data = np.concatenate([np.full(norm, -1.0), values, values, [1.0, 1.0]])
+    indices = np.concatenate([np.arange(norm, dtype=np.int32), even,
+                              even + (even != norm), [norm, norm]])
+    ends = norm + np.cumsum(counts + counts)
+    indptr = np.concatenate([np.arange(0, norm + 1, 2), ends,
+                             ends[-1] + np.array([1, 2])])
+    a = sp.csc_matrix((data, indices.astype(np.int32),
+                       indptr.astype(np.int32)), shape=(norm + 1, n_cols))
 
     # Multiplier-sum normalization: the multiplier family is a cone, and the
     # gamma1 cap alone leaves rays with gamma1 = 0 unbounded, so pin the
     # total multiplier mass instead.
-    norm = {c: 1.0 for c in b0_cols + b1_cols}
-    norm[g0] = 1.0
-    norm[g1] = 1.0
-    m.add_constraint(norm, "==", 1.0, name="normalization")
-
-    obj: dict[int, float] = {}
-    for k in range(n_omega):
-        if omega_hat[k] != 0.0:
-            obj[a_cols[k]] = omega_hat[k]
-    for r in range(n_rows):
-        b_r, p_r = sys_.b[r], sys_.p[r]
-        c0 = b_r * (f_hat - 1.0)
-        if c0 != 0.0:
-            obj[b0_cols[r]] = c0
-        c1 = (p_r - b_r) * f_hat
-        if c1 != 0.0:
-            obj[b1_cols[r]] = c1
-    obj[g0] = f_hat
-    obj[g1] = 1.0 - f_hat
-    m.set_objective(obj, sense="min")
-    layout = {"alpha": a_cols, "beta0": b0_cols, "beta1": b1_cols,
-              "gamma0": g0, "gamma1": g1}
-    return m, sys_, layout
+    rhs = np.zeros(norm + 1)
+    rhs[norm] = 1.0
+    b_vec, p_vec = np.array(sys_.b), np.array(sys_.p)
+    c = np.concatenate([omega_hat, b_vec * (f_hat - 1.0),
+                        (p_vec - b_vec) * f_hat, [f_hat, 1.0 - f_hat]])
+    lo = np.concatenate([np.full(n_omega, -np.inf), np.zeros(n_cols - n_omega)])
+    hi = np.full(n_cols, np.inf)
+    hi[-1] = 1.0
+    return simplex.Matrix(a, rhs, rhs), c + 0.0, lo, hi, sys_
 
 
 def separate_disjunctive(point, handle: SpModelHandle,
@@ -355,19 +349,17 @@ def separate_disjunctive(point, handle: SpModelHandle,
     active = collect_active_sets(point, handle)
     if active is None:
         return None
-    model, sys_, layout = build_cglp(active, point, handle)
-    sol = mip.solve_lp(model)
+    rows, c, lo, hi, sys_ = build_cglp(active, point, handle)
+    sol = simplex.solve(rows, c, lo, hi)
     if sol.status != "optimal":
         return None
     violation = -sol.objective
     if violation <= min_violation:
         return None
 
-    alpha = np.array([sol.x[c] for c in layout["alpha"]])
-    beta0 = np.array([sol.x[c] for c in layout["beta0"]])
-    beta1 = np.array([sol.x[c] for c in layout["beta1"]])
-    gamma0 = float(sol.x[layout["gamma0"]])
-    gamma1 = float(sol.x[layout["gamma1"]])
+    n_omega, n_rows = len(sys_.omega), len(sys_.rows)
+    alpha, beta0, beta1 = np.split(sol.x[:-2], [n_omega, n_omega + n_rows])
+    gamma0, gamma1 = float(sol.x[-2]), float(sol.x[-1])
     b_vec = np.array(sys_.b)
     p_vec = np.array(sys_.p)
     f_coef = float(beta0 @ b_vec - beta1 @ b_vec + beta1 @ p_vec

@@ -1,15 +1,19 @@
 """Generic MILP layer: model container, LP solve, branch and bound, export.
 
+A :class:`LinearModel` keeps its columns as arrays (bounds, kinds and the
+objective vector) and its rows as :class:`Constraint` dicts.  ``add_var``
+appends a column and ``set_column`` is the one way to change one, so every
+column a solve reads has passed the same checks.
+
 Every LP relaxation runs on HiGHS's simplex behind ``simplex.solve``;
 branch and bound, cut rounds and their warm starts stay here.  HiGHS gets
 the model as it is: its rows as ranged rows, its columns with their own
 bounds and costs (negated for a maximization).  A model compiles its rows
 once, straight into one ``simplex.Matrix`` (:func:`compile_rows`: the
 coefficients as one sparse matrix and the row bounds ``rlo``/``rhi``), and
-compiles only the rows appended since at its next solve; the column data
-(bounds, kinds, objective) is read afresh at every solve, so a model
-re-priced between solves re-uses its rows and sends HiGHS only its changed
-costs.
+compiles only the rows appended since at its next solve; the column arrays
+are read afresh at every solve, so a model re-priced between solves re-uses
+its rows and sends HiGHS only its changed costs.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
@@ -41,6 +45,8 @@ DEFAULT_REL_GAP = 1e-4
 DEFAULT_CUT_ROUNDS = 20
 
 CONTINUOUS, BINARY, INTEGER = "continuous", "binary", "integer"
+KINDS = (CONTINUOUS, BINARY, INTEGER)       # a column's kind code indexes this
+CONTINUOUS_CODE, BINARY_CODE = KINDS.index(CONTINUOUS), KINDS.index(BINARY)
 LE, GE, EQ = "<=", ">=", "=="
 
 
@@ -52,8 +58,9 @@ class IoError(Exception):
     """Model export failed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
+    """A read-only view of one column of a :class:`LinearModel`."""
     name: str
     lb: float
     ub: float
@@ -87,47 +94,124 @@ class Cut:
 
 
 class LinearModel:
-    """Sparse MILP: variables with bounds/kinds, linear rows, one objective."""
+    """Sparse MILP: columns with bounds, kinds and costs, linear rows, one
+    objective.
+
+    The columns are arrays, read through read-only views: ``lb``, ``ub``,
+    ``kind`` (codes into ``KINDS``) and the objective vector ``c``, with
+    the names in ``names``.  ``add_var`` appends a column and
+    :meth:`set_column` changes one; both reject a NaN bound, ``lb = +inf``,
+    ``ub = -inf`` and ``lb > ub``, and clip a binary column to [0, 1].
+    The rows stay :class:`Constraint` dicts in ``constraints``."""
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
+        self.names: list[str] = []
+        self._lb = np.empty(0)
+        self._ub = np.empty(0)
+        self._kind = np.empty(0, dtype=np.int8)
+        self._c = np.empty(0)
         self.constraints: list[Constraint] = []
-        self.obj_coeffs: dict[int, float] = {}
         self.obj_constant = 0.0
         self.obj_sense = "min"
         self._rows: simplex.Matrix | None = None    # see compiled_rows
 
+    def _view(self, a: np.ndarray) -> np.ndarray:
+        v = a[:len(self.names)]
+        v.flags.writeable = False
+        return v
+
+    @property
+    def lb(self) -> np.ndarray:
+        return self._view(self._lb)
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self._view(self._ub)
+
+    @property
+    def kind(self) -> np.ndarray:
+        return self._view(self._kind)
+
+    @property
+    def c(self) -> np.ndarray:
+        """The objective coefficient of each column."""
+        return self._view(self._c)
+
+    @property
+    def obj_coeffs(self) -> dict[int, float]:
+        """The nonzero objective coefficients by column."""
+        c = self.c
+        nz = np.flatnonzero(c)
+        return dict(zip(nz.tolist(), c[nz].tolist()))
+
+    @property
+    def variables(self) -> list[Variable]:
+        """Each column as a read-only :class:`Variable`, built on each
+        read."""
+        return [Variable(*col) for col in zip(
+            self.names, self.lb.tolist(), self.ub.tolist(),
+            [KINDS[k] for k in self.kind.tolist()])]
+
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 kind: str = CONTINUOUS) -> int:
-        if math.isnan(lb) or math.isnan(ub):
-            raise ModelError(f"variable {name}: NaN bound")
-        if kind == BINARY:
-            lb = max(lb, 0.0)
-            ub = min(ub, 1.0)
-        if lb > ub + 1e-15:
-            raise ModelError(f"variable {name}: lb {lb} > ub {ub}")
-        self.variables.append(Variable(name, float(lb), float(ub), kind))
-        return len(self.variables) - 1
+        lb, ub, code = _checked_column(name, lb, ub, kind)
+        j = len(self.names)
+        if j == len(self._lb):
+            grow = max(8, j)
+            self._lb = np.concatenate([self._lb, np.empty(grow)])
+            self._ub = np.concatenate([self._ub, np.empty(grow)])
+            self._kind = np.concatenate([self._kind,
+                                         np.empty(grow, dtype=np.int8)])
+            self._c = np.concatenate([self._c, np.zeros(grow)])
+        self._lb[j], self._ub[j], self._kind[j] = lb, ub, code
+        self.names.append(name)
+        return j
+
+    def set_column(self, j: int, lb: float | None = None,
+                   ub: float | None = None, kind: str | None = None) -> None:
+        """Change the bounds or the kind of column ``j``, with the checks
+        of ``add_var``; an argument left None keeps its value."""
+        if not 0 <= j < self.num_vars:
+            raise ModelError(f"unknown column {j}")
+        self._lb[j], self._ub[j], self._kind[j] = _checked_column(
+            self.names[j], self._lb[j] if lb is None else lb,
+            self._ub[j] if ub is None else ub,
+            KINDS[self._kind[j]] if kind is None else kind)
 
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float,
                        name: str = "") -> int:
         self.constraints.append(_row(coeffs, sense, rhs, name, self.num_vars))
         return len(self.constraints) - 1
 
-    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
+    def set_objective(self, coeffs, constant: float = 0.0,
                       sense: str = "min") -> None:
+        """Objective ``coeffs``, a dict of column -> coefficient (the
+        columns it leaves out cost 0) or a vector with one coefficient per
+        column."""
         if sense not in ("min", "max"):
             raise ModelError(f"bad objective sense {sense!r}")
         if not math.isfinite(constant):
             raise ModelError(f"non-finite objective constant {constant}")
-        nv = len(self.variables)
-        for j, v in coeffs.items():
-            if j < 0 or j >= nv:
-                raise ModelError(f"objective references unknown column {j}")
-            if not math.isfinite(v):
-                raise ModelError(f"non-finite objective coefficient {v}")
-        self.obj_coeffs = {int(j): float(v) for j, v in coeffs.items() if v != 0.0}
+        nv = self.num_vars
+        if isinstance(coeffs, dict):
+            for j, v in coeffs.items():
+                if j < 0 or j >= nv:
+                    raise ModelError(f"objective references unknown column {j}")
+                if not math.isfinite(v):
+                    raise ModelError(f"non-finite objective coefficient {v}")
+            c = np.zeros(nv)
+            c[list(coeffs)] = list(coeffs.values())
+        else:
+            c = np.asarray(coeffs, dtype=float)
+            if c.shape != (nv,):
+                raise ModelError(f"objective of shape {c.shape} "
+                                 f"for {nv} columns")
+            finite = np.isfinite(c)
+            if not finite.all():
+                raise ModelError("non-finite objective coefficient "
+                                 f"{c[np.argmin(finite)]}")
+        self._c[:nv] = c + 0.0          # -0.0 becomes 0.0
         self.obj_constant = float(constant)
         self.obj_sense = sense
 
@@ -138,21 +222,26 @@ class LinearModel:
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self.names)
 
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def integer_indices(self) -> list[int]:
-        return [j for j, v in enumerate(self.variables) if v.kind != CONTINUOUS]
+    def integer_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.kind != CONTINUOUS_CODE)
 
     def validate(self) -> None:
-        for j, v in enumerate(self.variables):
-            if v.lb > v.ub + 1e-15:
-                raise ModelError(f"variable {v.name}: lb > ub")
-            if v.kind == BINARY and (v.lb < -1e-15 or v.ub > 1 + 1e-15):
-                raise ModelError(f"binary {v.name} has bounds outside [0,1]")
+        """``ModelError`` naming the lowest-index column whose bounds
+        ``add_var`` would reject, or a binary column outside [0, 1]."""
+        lb, ub, kind = self.lb, self.ub, self.kind
+        bad = ~(lb <= ub + 1e-15) | (lb == np.inf) | (ub == -np.inf) | (
+            (kind == BINARY_CODE) & ((lb < -1e-15) | (ub > 1 + 1e-15)))
+        if bad.any():
+            j = int(np.argmax(bad))
+            _checked_column(self.names[j], float(lb[j]), float(ub[j]),
+                            CONTINUOUS)
+            raise ModelError(f"binary {self.names[j]} has bounds outside [0,1]")
 
     def compiled_rows(self) -> simplex.Matrix:
         """The model's rows as one ``simplex.Matrix`` (see
@@ -171,13 +260,32 @@ class LinearModel:
 
     def copy(self) -> "LinearModel":
         m = LinearModel(self.name)
-        m.variables = [Variable(v.name, v.lb, v.ub, v.kind) for v in self.variables]
+        m.names = list(self.names)
+        m._lb, m._ub = self._lb.copy(), self._ub.copy()
+        m._kind, m._c = self._kind.copy(), self._c.copy()
         m.constraints = [Constraint(dict(c.coeffs), c.sense, c.rhs, c.name)
                          for c in self.constraints]
-        m.obj_coeffs = dict(self.obj_coeffs)
         m.obj_constant = self.obj_constant
         m.obj_sense = self.obj_sense
         return m
+
+
+def _checked_column(name: str, lb: float, ub: float,
+                    kind: str) -> tuple[float, float, int]:
+    """``(lb, ub, kind code)`` of a column, a binary one clipped to [0, 1];
+    ``ModelError`` for an unknown kind or bounds that admit no value."""
+    if kind not in KINDS:
+        raise ModelError(f"variable {name}: unknown kind {kind!r}")
+    if math.isnan(lb) or math.isnan(ub):
+        raise ModelError(f"variable {name}: NaN bound")
+    if lb == math.inf or ub == -math.inf:
+        raise ModelError(f"variable {name}: infinite bound lb {lb}, ub {ub}")
+    if kind == BINARY:
+        lb = max(lb, 0.0)
+        ub = min(ub, 1.0)
+    if lb > ub + 1e-15:
+        raise ModelError(f"variable {name}: lb {lb} > ub {ub}")
+    return float(lb), float(ub), KINDS.index(kind)
 
 
 def _row(coeffs: dict[int, float], sense: str, rhs: float, name: str,
@@ -268,14 +376,10 @@ def compile_rows(constraints: list[Constraint], nv: int,
 
 def _columns(model: LinearModel):
     """The model's column data for HiGHS: ``(c, lo, hi, sign)``, the
-    objective negated for a maximization (``sign`` -1) and the bounds."""
-    lo = np.array([v.lb for v in model.variables], dtype=float)
-    hi = np.array([v.ub for v in model.variables], dtype=float)
-    c = np.zeros(model.num_vars)
-    for j, v in model.obj_coeffs.items():
-        c[j] = v
+    objective negated for a maximization (``sign`` -1) and copies of the
+    bounds."""
     sign = -1.0 if model.obj_sense == "max" else 1.0
-    return sign * c, lo, hi, sign
+    return sign * model.c, model.lb.copy(), model.ub.copy(), sign
 
 
 def solve_lp(model: LinearModel, start=None) -> LpSolution:
@@ -320,7 +424,7 @@ def seed_start(rows: simplex.Matrix, lo, hi, point):
         return None
     cols = np.where(at_hi, simplex.UPPER, simplex.LOWER).tolist()
     row_status = [simplex.BASIC] * rows.a.shape[0]
-    a = rows.a.tocsc()
+    a = rows.csc
     for j in np.flatnonzero(~(at_lo | at_hi)).tolist():
         s, e = a.indptr[j], a.indptr[j + 1]
         if e - s != 1:
@@ -361,22 +465,20 @@ def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
     requirement and row; raises ModelError otherwise.  The message names
     the lowest-index column out of its bounds or not integral (the bounds
     checked first), else the lowest-index violated row.  A NaN violates
-    every bound, row and integrality requirement."""
+    every bound, row and integrality requirement.  The objective adds the
+    nonzero terms in column order, one by one, as a loop over them would."""
     x = np.asarray(x, dtype=float)
     nv = model.num_vars
     if len(x) < nv:
         raise ModelError(f"point has {len(x)} values for {nv} columns")
     xv = x[:nv]
-    lb = np.array([v.lb for v in model.variables], dtype=float)
-    ub = np.array([v.ub for v in model.variables], dtype=float)
-    integral = np.array([v.kind != CONTINUOUS for v in model.variables],
-                        dtype=bool)
-    out = ~((xv >= lb - tol) & (xv <= ub + tol))
+    integral = model.kind != CONTINUOUS_CODE
+    out = ~((xv >= model.lb - tol) & (xv <= model.ub + tol))
     bad = out | (integral & ~(np.abs(xv - np.round(xv)) <= tol))
     if bad.any():
         j = int(np.argmax(bad))
         what = "violates its bounds" if out[j] else "not integral"
-        raise ModelError(f"value of {model.variables[j].name} {what}")
+        raise ModelError(f"value of {model.names[j]} {what}")
     rows = model.compiled_rows()
     lhs, rlo, rhi = rows.a @ xv, rows.rlo, rows.rhi
     ok = np.where(rlo == rhi, np.abs(lhs - rlo) <= tol,
@@ -384,7 +486,10 @@ def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
     if not ok.all():
         i = int(np.argmin(ok))
         raise ModelError(f"row {model.constraints[i].name!r} violated")
-    return sum(c * x[j] for j, c in model.obj_coeffs.items()) + model.obj_constant
+    c = model.c
+    nz = np.flatnonzero(c)
+    terms = np.cumsum(c[nz] * xv[nz])       # added one by one, in order
+    return (float(terms[-1]) if nz.size else 0.0) + model.obj_constant
 
 
 def _check_limits(rel_gap: float, time_limit_s: float | None) -> None:
@@ -432,7 +537,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     _check_limits(rel_gap, time_limit_s)
     model.validate()
     t0 = time.perf_counter()
-    int_idx = np.array(model.integer_indices(), dtype=np.int64)
+    int_idx = model.integer_indices()
     minimize = model.obj_sense == "min"
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     wall = lambda: time.perf_counter() - t0
@@ -563,12 +668,11 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             if score > fbest + 1e-12:
                 jbest, fbest = j, score
         xj = lp.x[jbest]
-        var = model.variables[jbest]
+        own = (float(lo_col[jbest]), float(hi_col[jbest]))
         down = dict(overrides)
-        down[jbest] = (down.get(jbest, (var.lb, var.ub))[0],
-                       float(np.floor(xj)))
+        down[jbest] = (down.get(jbest, own)[0], float(np.floor(xj)))
         up = dict(overrides)
-        up[jbest] = (float(np.ceil(xj)), up.get(jbest, (var.lb, var.ub))[1])
+        up[jbest] = (float(np.ceil(xj)), up.get(jbest, own)[1])
         push(lp.objective, down, lp.basis)
         push(lp.objective, up, lp.basis)
 
@@ -605,11 +709,11 @@ def _num(v: float) -> str:
     return s + "0" if s.endswith(".") else s
 
 
-def _safe_names(items, prefix):
+def _safe_names(names, prefix):
     out = []
     seen = set()
-    for i, it in enumerate(items):
-        nm = (it.name or "").strip().replace(" ", "_")
+    for i, nm in enumerate(names):
+        nm = (nm or "").strip().replace(" ", "_")
         if not nm or nm in seen or len(nm) > 60:
             nm = f"{prefix}{i}"
         seen.add(nm)
@@ -631,8 +735,10 @@ def write_model(model: LinearModel, fmt: str, path: str) -> None:
 
 
 def _to_mps(model: LinearModel) -> str:
-    vnames = _safe_names(model.variables, "X")
-    cnames = _safe_names(model.constraints, "R")
+    vnames = _safe_names(model.names, "X")
+    cnames = _safe_names([con.name for con in model.constraints], "R")
+    lbs, ubs, costs = model.lb.tolist(), model.ub.tolist(), model.c.tolist()
+    kinds = [KINDS[k] for k in model.kind.tolist()]
     sense_code = {LE: "L", GE: "G", EQ: "E"}
     lines = [f"NAME          {model.name.upper()[:8] or 'MODEL'}"]
     lines.append("ROWS")
@@ -640,22 +746,21 @@ def _to_mps(model: LinearModel) -> str:
     for i, con in enumerate(model.constraints):
         lines.append(f" {sense_code[con.sense]}  {cnames[i]}")
     lines.append("COLUMNS")
-    col_rows: list[list[tuple[str, float]]] = [[] for _ in model.variables]
+    col_rows: list[list[tuple[str, float]]] = [[] for _ in vnames]
     for i, con in enumerate(model.constraints):
         for j, v in sorted(con.coeffs.items()):
             col_rows[j].append((cnames[i], v))
     obj_sign = 1.0 if model.obj_sense == "min" else -1.0
     in_int = False
     marker = 0
-    for j, var in enumerate(model.variables):
+    for j, oc in enumerate(costs):
         entries = []
-        oc = model.obj_coeffs.get(j, 0.0)
         if oc:
             entries.append(("COST", obj_sign * oc))
         entries.extend(col_rows[j])
         if not entries:
             entries.append(("COST", 0.0))
-        integral = var.kind != CONTINUOUS
+        integral = kinds[j] != CONTINUOUS
         if integral and not in_int:
             lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
             marker += 1
@@ -677,21 +782,20 @@ def _to_mps(model: LinearModel) -> str:
         if con.rhs != 0.0:
             lines.append(f"    RHS       {cnames[i]:<10}{_num(con.rhs):>12}")
     lines.append("BOUNDS")
-    for j, var in enumerate(model.variables):
-        nm = vnames[j]
-        if var.kind == BINARY:
+    for nm, lb, ub, kind in zip(vnames, lbs, ubs, kinds):
+        if kind == BINARY:
             lines.append(f" BV BND       {nm}")
             continue
-        if var.lb == 0.0 and np.isinf(var.ub):
+        if lb == 0.0 and np.isinf(ub):
             continue
-        if np.isinf(var.lb) and var.lb < 0:
+        if np.isinf(lb) and lb < 0:
             lines.append(f" MI BND       {nm}")
-        elif var.lb != 0.0:
-            code = "LI" if var.kind == INTEGER else "LO"
-            lines.append(f" {code} BND       {nm:<10}{_num(var.lb):>12}")
-        if np.isfinite(var.ub):
-            code = "UI" if var.kind == INTEGER else "UP"
-            lines.append(f" {code} BND       {nm:<10}{_num(var.ub):>12}")
+        elif lb != 0.0:
+            code = "LI" if kind == INTEGER else "LO"
+            lines.append(f" {code} BND       {nm:<10}{_num(lb):>12}")
+        if np.isfinite(ub):
+            code = "UI" if kind == INTEGER else "UP"
+            lines.append(f" {code} BND       {nm:<10}{_num(ub):>12}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -708,8 +812,9 @@ def _expr(coeffs: dict[int, float], vnames) -> str:
 
 
 def _to_lp(model: LinearModel) -> str:
-    vnames = _safe_names(model.variables, "x")
-    cnames = _safe_names(model.constraints, "c")
+    vnames = _safe_names(model.names, "x")
+    cnames = _safe_names([con.name for con in model.constraints], "c")
+    kinds = [KINDS[k] for k in model.kind.tolist()]
     lines = ["Minimize" if model.obj_sense == "min" else "Maximize"]
     lines.append(f" obj: {_expr(model.obj_coeffs, vnames)}")
     lines.append("Subject To")
@@ -718,17 +823,18 @@ def _to_lp(model: LinearModel) -> str:
         lines.append(f" {cnames[i]}: {_expr(con.coeffs, vnames)} "
                      f"{op[con.sense]} {_num(con.rhs)}")
     lines.append("Bounds")
-    for j, var in enumerate(model.variables):
-        if var.kind == BINARY:
+    for nm, lb, ub, kind in zip(vnames, model.lb.tolist(), model.ub.tolist(),
+                                kinds):
+        if kind == BINARY:
             continue
-        lb = "-inf" if np.isinf(var.lb) else _num(var.lb)
-        ub = "+inf" if np.isinf(var.ub) else _num(var.ub)
-        lines.append(f" {lb} <= {vnames[j]} <= {ub}")
-    bins = [vnames[j] for j, v in enumerate(model.variables) if v.kind == BINARY]
+        low = "-inf" if np.isinf(lb) else _num(lb)
+        high = "+inf" if np.isinf(ub) else _num(ub)
+        lines.append(f" {low} <= {nm} <= {high}")
+    bins = [nm for nm, kind in zip(vnames, kinds) if kind == BINARY]
     if bins:
         lines.append("Binaries")
         lines.append(" " + " ".join(bins))
-    gens = [vnames[j] for j, v in enumerate(model.variables) if v.kind == INTEGER]
+    gens = [nm for nm, kind in zip(vnames, kinds) if kind == INTEGER]
     if gens:
         lines.append("Generals")
         lines.append(" " + " ".join(gens))

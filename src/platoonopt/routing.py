@@ -164,18 +164,20 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
         yp_col[e] = model.add_var(f"yp_{e[0]}_{e[1]}", kind=mip.BINARY)
         w_col[e] = model.add_var(f"w_{e[0]}_{e[1]}", lb=0.0)
 
-    # Flow balance over each vehicle's candidate subgraph.
+    # Flow balance over each vehicle's candidate subgraph: one pass over
+    # its edges fills every node's row.
     for m in inst.missions:
-        touched = sorted({n for e in cand[m.id] for n in e})
-        for node in touched:
-            coeffs: dict[int, float] = {}
-            for e in cand[m.id]:
-                if e[0] == node:
-                    coeffs[x_col[(m.id, e)]] = coeffs.get(x_col[(m.id, e)], 0.0) + 1.0
-                if e[1] == node:
-                    coeffs[x_col[(m.id, e)]] = coeffs.get(x_col[(m.id, e)], 0.0) - 1.0
+        flow: dict[object, dict[int, float]] = {}
+        for e in cand[m.id]:
+            col = x_col[(m.id, e)]
+            out = flow.setdefault(e[0], {})
+            out[col] = out.get(col, 0.0) + 1.0
+            into = flow.setdefault(e[1], {})
+            into[col] = into.get(col, 0.0) - 1.0
+        for node in sorted(flow):
             rhs = 1.0 if node == m.origin else (-1.0 if node == m.dest else 0.0)
-            model.add_constraint(coeffs, "==", rhs, name=f"flow_{m.id}_{node}")
+            model.add_constraint(flow[node], "==", rhs,
+                                 name=f"flow_{m.id}_{node}")
         window = m.t_latest - m.t_earliest
         model.add_constraint({x_col[(m.id, e)]: net.edge(*e).time
                               for e in cand[m.id]}, "<=", window,
@@ -200,15 +202,16 @@ def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable,
     depends on the cost table; columns, rows and bounds stay as built, so
     the previous iteration's LP basis remains primal feasible."""
     inst = handle.instance
-    obj: dict[int, float] = {}
-    for (v, e), col in handle.x_col.items():
-        obj[col] = costs.cost(v, e)
-    for e in handle.edge_vehicles:
-        if e not in costs.explored:
-            c = costs.base[e]
-            obj[handle.yp_col[e]] = -inst.sigma_l * c
-            obj[handle.w_col[e]] = -inst.sigma_f * c
-    handle.model.set_objective(obj, sense="min")
+    base, adjusted, explored = costs.base, costs.adjusted, costs.explored
+    c = np.zeros(handle.model.num_vars)
+    c[list(handle.x_col.values())] = [
+        adjusted[(v, e)] if e in explored else base[e]
+        for v, e in handle.x_col]
+    shared = [e for e in handle.edge_vehicles if e not in explored]
+    fuel = np.array([base[e] for e in shared])
+    c[[handle.yp_col[e] for e in shared]] = -inst.sigma_l * fuel
+    c[[handle.w_col[e] for e in shared]] = -inst.sigma_f * fuel
+    handle.model.set_objective(c, sense="min")
     handle.costs = costs
     handle.iteration = iteration
 

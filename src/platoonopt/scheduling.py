@@ -411,8 +411,8 @@ def solo_schedule(handle: SpModelHandle) -> np.ndarray:
     (the big-M values cover every pair of window times), with zero savings,
     so it is an incumbent that lets a timed-out solve end ``feasible``."""
     x = np.zeros(handle.model.num_vars)
-    for v, col in handle.dep_col.items():
-        x[col] = handle.model.variables[col].lb
+    cols = list(handle.dep_col.values())
+    x[cols] = handle.model.lb[cols]
     for (v, node), col in handle.t_col.items():
         x[col] = x[handle.dep_col[v]] + handle.prefix[(v, node)]
     return x
@@ -580,7 +580,8 @@ def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
     """Schedule fixed routes: contract them (unless ``merge_edges`` is
     False), bound their times, and build one model, with the rows of cut
     mode ``cuts`` (see ``CUT_MODES``), of the ``components`` that
-    ``solved`` does not hold; it has no columns when all are known.  Solve
+    ``solved`` does not hold; it has no columns when all are known, and is
+    then not solved (its solution is ``optimal`` with no values).  Solve
     it from the no-platoon incumbent, so a solve stopped by
     ``time_limit_s`` ends ``feasible``.  ``inst`` supplies the missions and
     the savings parameters.  ``cut_log`` receives ``(bound before, cut)``
@@ -610,13 +611,16 @@ def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
             reused.extend(known)
     keep = {v for _key, vs in new for v in vs}
     handle = build_sp(_restricted(contracted, keep), inst, bounds, cut_options)
-    hook = None
-    if disjunctive:
-        from . import cuts as _cuts
-        hook = _cuts.make_disjunctive_hook(handle, log=cut_log)
-    sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
-                        time_limit_s=time_limit_s, root_cut_hook=hook,
-                        initial_solution=solo_schedule(handle))
+    if new:
+        hook = None
+        if disjunctive:
+            from . import cuts as _cuts
+            hook = _cuts.make_disjunctive_hook(handle, log=cut_log)
+        sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
+                            time_limit_s=time_limit_s, root_cut_hook=hook,
+                            initial_solution=solo_schedule(handle))
+    else:
+        sol = mip.MipSolution("optimal", 0.0, np.zeros(0), 0.0, 0.0, 0, 0.0)
     config = extract_platoons(handle, sol)
     fresh = [(handle.contracted.cedges[key].original, p)
              for key, plist in config.platoons.items() for p in plist if p[1]]

@@ -96,9 +96,11 @@ class SimplexResult:
 class Matrix:
     """``A`` with its row bounds ``rlo`` and ``rhi``, and the HiGHS
     instance holding them with the column data of its last solve.  Pass one
-    to ``solve`` for every LP on the same rows.  ``ValueError`` unless
-    there is one bound of each kind per row."""
-    __slots__ = ("a", "rlo", "rhi", "_h", "_c", "_lo", "_hi", "_held")
+    to ``solve`` for every LP on the same rows.  ``A`` is never changed, so
+    its column-wise copy ``csc`` is built once, when first read.
+    ``ValueError`` unless there is one bound of each kind per row."""
+    __slots__ = ("a", "rlo", "rhi", "_csc", "_h", "_c", "_lo", "_hi",
+                 "_held")
 
     def __init__(self, a: sp.spmatrix, rlo, rhi):
         self.a = a
@@ -106,8 +108,16 @@ class Matrix:
         self.rhi = np.asarray(rhi, dtype=float)
         if not self.rlo.shape == self.rhi.shape == (a.shape[0],):
             raise ValueError(f"need {a.shape[0]} row bounds of each kind")
+        self._csc = a if a.format == "csc" else None
         self._h = None
         self._held = None      # the HighsBasis HiGHS holds from its last run
+
+    @property
+    def csc(self) -> sp.csc_matrix:
+        """``A`` in compressed sparse columns."""
+        if self._csc is None:
+            self._csc = sp.csc_matrix(self.a)
+        return self._csc
 
     def _load(self, c, lo, hi) -> None:
         """Bring HiGHS's LP to ``(c, lo, hi)``, sending what differs."""
@@ -116,7 +126,7 @@ class Matrix:
             for name, value in (("output_flag", False), ("threads", 1),
                                 ("presolve", "off")):
                 self._h.setOptionValue(name, value)
-            a = sp.csc_matrix(self.a)
+            a = self.csc
             m, n = a.shape
             self._h.passModel(
                 n, m, a.nnz, int(_hs.MatrixFormat.kColwise),

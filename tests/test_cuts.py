@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from platoonopt import cuts, mip, netmodel as nm, oracle, routing
+from platoonopt import cuts, mip, netmodel as nm, oracle, routing, simplex
 from platoonopt import scheduling as sched
+
+import reference_cglp
+from conftest import branching_sp_handle
 
 
 def _row_holds(row, values):
@@ -147,8 +150,8 @@ class TestCglp:
     def test_feasible_bounded_on_appendix(self, appendix_example):
         ex = appendix_example
         act = cuts.collect_active_sets(ex["point"], ex["handle"])
-        model, sys_, _layout = cuts.build_cglp(act, ex["point"], ex["handle"])
-        sol = mip.solve_lp(model)
+        rows, c, lo, hi, _sys = cuts.build_cglp(act, ex["point"], ex["handle"])
+        sol = simplex.solve(rows, c, lo, hi)
         assert sol.status == "optimal"
         assert sol.objective < -1e-7  # separating multipliers exist
 
@@ -157,6 +160,73 @@ class TestCglp:
         first = cuts.separate_disjunctive(ex["point"], ex["handle"])
         again = cuts.separate_disjunctive(ex["point"], ex["handle"])
         assert first.violation == pytest.approx(again.violation)
+
+    @staticmethod
+    def _root_points(handle, rounds=8):
+        """The root LP points of ``handle``'s model, before and after each
+        round of one disjunctive cut (the model gets the cuts)."""
+        lp = mip.solve_lp(handle.model)
+        points = [lp]
+        for _ in range(rounds):
+            found = cuts.separate_disjunctive(lp, handle)
+            if found is None:
+                break
+            handle.model.add_cut(found.cut)
+            lp = mip.solve_lp(handle.model)
+            points.append(lp)
+        return points
+
+    def _cases(self, appendix_example):
+        ex = appendix_example
+        yield ex["point"], ex["handle"]
+        handle = branching_sp_handle()
+        for point in self._root_points(handle):
+            yield point, handle
+
+    def test_block_is_the_model_build(self, appendix_example):
+        # HiGHS gets the same rows, columns and values either way
+        seen = 0
+        for point, handle in self._cases(appendix_example):
+            act = cuts.collect_active_sets(point, handle)
+            if act is None:
+                continue
+            rows, c, lo, hi, _sys = cuts.build_cglp(act, point, handle)
+            model, _sys, _layout = reference_cglp.cglp_model(act, point,
+                                                             handle)
+            ref_rows = model.compiled_rows()
+            ref_c, ref_lo, ref_hi, sign = mip._columns(model)
+            assert sign == 1.0 and model.obj_constant == 0.0
+            ours, ref = rows.csc, ref_rows.csc
+            assert ours.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert getattr(ours, name).tobytes() == \
+                    getattr(ref, name).tobytes(), name
+            for got, want in ((c, ref_c), (lo, ref_lo), (hi, ref_hi),
+                              (rows.rlo, ref_rows.rlo),
+                              (rows.rhi, ref_rows.rhi)):
+                assert got.dtype == want.dtype and \
+                    got.tobytes() == want.tobytes()
+            seen += 1
+        assert seen >= 3
+
+    def test_cuts_are_the_model_build_cuts(self, appendix_example):
+        seen = 0
+        for point, handle in self._cases(appendix_example):
+            got = cuts.separate_disjunctive(point, handle)
+            want = reference_cglp.separate(point, handle)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert got.cut == want.cut
+            assert list(got.cut.coeffs.items()) == \
+                list(want.cut.coeffs.items())
+            assert got.violation == want.violation
+            assert got.active == want.active
+            for name in ("alpha", "beta0", "beta1"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert (got.gamma0, got.gamma1) == (want.gamma0, want.gamma1)
+            seen += 1
+        assert seen >= 3
 
 
 class TestSeparation:
@@ -170,7 +240,7 @@ class TestSeparation:
         for fvals in itertools.product((0, 1), repeat=len(h.f_col)):
             model = h.model.copy()
             for (key, col), fv in zip(sorted(h.f_col.items()), fvals):
-                model.variables[col].lb = model.variables[col].ub = float(fv)
+                model.set_column(col, lb=float(fv), ub=float(fv))
             sol = mip.solve_mip(model)
             if sol.status != "optimal":
                 continue

@@ -1,6 +1,8 @@
 """LP/MIP engine tests against naive oracles and enumeration."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -640,6 +642,144 @@ def test_check_solution_matches_the_row_loop():
     assert {"value", "bounds", "integral", "violated"} <= seen
 
 
+def _validate_by_loop(model):
+    """``LinearModel.validate`` as a loop over columns: the reference."""
+    for v in model.variables:
+        if math.isnan(v.lb) or math.isnan(v.ub):
+            raise mip.ModelError(f"variable {v.name}: NaN bound")
+        if v.lb == INF or v.ub == -INF:
+            raise mip.ModelError(
+                f"variable {v.name}: infinite bound lb {v.lb}, ub {v.ub}")
+        if v.lb > v.ub + 1e-15:
+            raise mip.ModelError(f"variable {v.name}: lb {v.lb} > ub {v.ub}")
+        if v.kind == mip.BINARY and (v.lb < -1e-15 or v.ub > 1 + 1e-15):
+            raise mip.ModelError(f"binary {v.name} has bounds outside [0,1]")
+
+
+_ANY_BOUND = st.sampled_from([NAN, -INF, INF, -1.0, -1e-16, 0.0, 0.5, 1.0,
+                              1.0 + 1e-15, 1.0 + 1e-14, 2.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_ANY_BOUND, _ANY_BOUND, st.sampled_from(mip.KINDS)),
+                min_size=1, max_size=6))
+def test_validate_matches_the_column_loop(columns):
+    model = mip.LinearModel()
+    for j, (lb, ub, kind) in enumerate(columns):
+        model.add_var(f"c{j}")
+        # any state of the arrays, also those add_var and set_column refuse
+        model._lb[j], model._ub[j] = lb, ub
+        model._kind[j] = mip.KINDS.index(kind)
+    got = _outcome(lambda m, _x: m.validate(), model, None)
+    event(got[0])
+    assert got == _outcome(lambda m, _x: _validate_by_loop(m), model, None)
+
+
+_COLUMN = st.tuples(st.sampled_from([(0.0, INF), (-1.0, 3.0), (0.0, 1.0),
+                                     (-INF, 2.0), (-INF, INF), (1.0, 1.0)]),
+                    st.sampled_from(mip.KINDS))
+_COST = st.sampled_from([0.0, 1.0, -2.5, 0.1, 1.0 / 3.0, 1e-3, 7.0, -0.7])
+_VALUE = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1e-7,
+                                    -1e-7, 1.0 - 1e-7, 1.0 + 2e-6, 3.0 + 1e-5]),
+                   st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_check_solution_matches_the_loop_on_generated_models(data):
+    columns = data.draw(st.lists(_COLUMN, min_size=1, max_size=6))
+    n = len(columns)
+    model = mip.LinearModel()
+    for j, ((lb, ub), kind) in enumerate(columns):
+        model.add_var(f"c{j}", lb, ub, kind)
+    for i in range(data.draw(st.integers(0, 4))):
+        coeffs = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                           st.integers(-2, 2), max_size=n))
+        model.add_constraint(coeffs, data.draw(st.sampled_from(["<=", ">=",
+                                                                "=="])),
+                             data.draw(st.integers(-3, 6)), name=f"r{i}")
+    costs = data.draw(st.lists(_COST, min_size=n, max_size=n))
+    model.set_objective(dict(enumerate(costs)),
+                        data.draw(st.sampled_from([0.0, 1.5, -2.0])),
+                        data.draw(st.sampled_from(["min", "max"])))
+    lp = mip.solve_lp(model)
+    if lp.status == "optimal" and data.draw(st.booleans()):
+        x = lp.x
+    else:
+        x = np.array(data.draw(st.lists(_VALUE, min_size=n, max_size=n)))
+    got = _outcome(mip.check_solution, model, x)
+    event(got[0] if got[0] == "value" else got[1].split()[-1])
+    # the same objective, term by term in column order, or the same error
+    assert got == _outcome(_check_by_loop, model, x)
+
+
+@pytest.mark.parametrize("lb,ub", [(NAN, 1.0), (0.0, NAN), (INF, INF),
+                                   (-INF, -INF), (2.0, 1.0)],
+                         ids=["nan-lb", "nan-ub", "inf-lb", "-inf-ub",
+                              "crossed"])
+def test_set_column_rejects_what_add_var_rejects(lb, ub):
+    m, x, _y = _xy_model()
+    m.set_column(x, lb=-1.0, ub=2.0)
+    with pytest.raises(mip.ModelError):
+        m.add_var("z", lb, ub)
+    for kind in mip.KINDS:
+        with pytest.raises(mip.ModelError):
+            m.set_column(x, lb=lb, ub=ub, kind=kind)
+    assert m.num_vars == 2
+    assert m.variables[x] == mip.Variable("x", -1.0, 2.0, mip.CONTINUOUS)
+    m.validate()
+
+
+def test_set_column_checks_like_add_var():
+    m, x, y = _xy_model()
+    m.set_column(y, lb=-3.0, ub=4.0, kind=mip.BINARY)     # clipped to [0, 1]
+    assert m.variables[y] == mip.Variable("y", 0.0, 1.0, mip.BINARY)
+    m.set_column(y, kind=mip.INTEGER)
+    m.set_column(y, ub=5.0)
+    assert m.variables[y] == mip.Variable("y", 0.0, 5.0, mip.INTEGER)
+    assert m.integer_indices().tolist() == [y]
+    with pytest.raises(mip.ModelError, match="unknown kind"):
+        m.set_column(x, kind="semicontinuous")
+    with pytest.raises(mip.ModelError, match="unknown column"):
+        m.set_column(2, lb=0.0)
+
+
+def test_columns_change_only_through_set_column():
+    # x binary, max x: a NaN upper bound written into the column used to
+    # pass validate, and the solve ended optimal at 0.0
+    m = mip.LinearModel()
+    x = m.add_var("x", kind=mip.BINARY)
+    m.set_objective({x: 1.0}, sense="max")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.variables[x].ub = NAN
+    with pytest.raises(ValueError):
+        m.ub[x] = NAN
+    with pytest.raises(mip.ModelError, match="NaN"):
+        m.set_column(x, ub=NAN)
+    assert mip.solve_mip(m).objective == 1.0
+    m._ub[x] = NAN                  # behind the model's back
+    with pytest.raises(mip.ModelError, match="NaN"):
+        mip.solve_mip(m)
+
+
+def test_objective_from_a_vector_or_a_dict():
+    m, x, y = _xy_model()
+    m.set_objective({y: 2.0, x: -0.0}, 1.0, "max")
+    assert m.obj_coeffs == {y: 2.0}
+    assert m.c.tobytes() == np.array([0.0, 2.0]).tobytes()
+    m.set_objective(np.array([-0.0, 2.0]), 1.0, "max")
+    assert m.c.tobytes() == np.array([0.0, 2.0]).tobytes()
+    z = m.add_var("z")
+    assert m.obj_coeffs == {y: 2.0} and m.c[z] == 0.0
+    with pytest.raises(mip.ModelError, match="3 columns"):
+        m.set_objective([1.0, 2.0])
+    with pytest.raises(mip.ModelError, match="non-finite"):
+        m.set_objective([1.0, NAN, 0.0])
+    with pytest.raises(mip.ModelError, match="unknown column"):
+        m.set_objective({3: 1.0})
+    assert m.obj_coeffs == {y: 2.0}
+
+
 def test_cut_rounds_leave_the_model_unchanged():
     handle = branching_sp_handle()
     model = handle.model
@@ -745,15 +885,15 @@ def _read_mps(text):
             for row, val in zip(f[1::2], f[2::2]):
                 rhs[row] = float(val)
         elif section == "BOUNDS":
-            var = model.variables[cols[f[2]]]
+            j = cols[f[2]]
             if f[0] == "BV":
-                var.kind, var.lb, var.ub = mip.BINARY, 0.0, 1.0
+                model.set_column(j, lb=0.0, ub=1.0, kind=mip.BINARY)
             elif f[0] == "MI":
-                var.lb = -np.inf
+                model.set_column(j, lb=-np.inf)
             elif f[0] in ("LO", "LI"):
-                var.lb = float(f[3])
+                model.set_column(j, lb=float(f[3]))
             elif f[0] in ("UP", "UI"):
-                var.ub = float(f[3])
+                model.set_column(j, ub=float(f[3]))
     for name, sense in rows.items():
         model.add_constraint(coeffs[name], sense, rhs.get(name, 0.0), name=name)
     model.set_objective(coeffs[obj_row], sense="min")

@@ -347,23 +347,26 @@ class TestRun:
 
     def test_each_solve_gets_at_most_the_time_left(self, small_grid,
                                                    monkeypatch):
-        limits, names = [], []
+        limits, names, columns = [], [], []
         solve = mip.solve_mip
 
         def recording_solve(model, **kwargs):
             limits.append((kwargs["time_limit_s"], time.perf_counter()))
             names.append(model.name)
+            columns.append(model.num_vars)
             return solve(model, **kwargs)
 
         monkeypatch.setattr(mip, "solve_mip", recording_solve)
-        inst = nm.generate_two_cluster(small_grid, 4, seed=1)
+        inst = nm.generate_two_cluster(small_grid, 4, seed=4)
         budget = 30.0
         t0 = time.perf_counter()
         res = rshm.run(inst, RshmOptions(iter_cap=4, total_time_s=budget))
         assert res.iterations >= 2 and len(limits) >= 3
-        # one routing and one scheduling solve per iteration; the latter's
-        # model holds only the components no earlier iteration solved
-        assert names == ["rdp", "sp"] * res.iterations
+        # one routing solve per iteration, then one scheduling solve of the
+        # components no earlier iteration solved: iterations 1 and 2 have
+        # new components, 3 and 4 none, so they solve no scheduling model
+        assert names == ["rdp", "sp", "rdp", "sp", "rdp", "rdp"]
+        assert all(n > 0 for name, n in zip(names, columns) if name == "sp")
         for limit, at in limits:
             # what was left when the limit was set, at or before the call
             assert budget - (at - t0) <= limit < budget

@@ -302,7 +302,7 @@ class TestBuildSp:
         for (u, v, i, j) in ((3, 1, "B", "C"), (4, 2, "D", "G"),
                              (2, 1, "C", "D")):
             col = ex["fcol"](u, v, n[i], n[j])
-            model.variables[col].lb = 1.0
+            model.set_column(col, lb=1.0)
         assert mip.solve_mip(model).status == "infeasible"
 
     def test_time_variable_mode_matches_substituted(self, appendix_example):
@@ -432,6 +432,29 @@ class TestComponents:
         assert res.handle.model.num_vars == 0
         assert res.solution.status == "optimal"
         assert res.platoons.departures == {1: 0.0, 2: 10.0}
+
+    @pytest.mark.parametrize("cuts", ["star", "star+disj"])
+    def test_all_components_known_runs_no_solve(self, cuts, monkeypatch):
+        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
+        inst = nm.generate_two_cluster(grid, 14, seed=1)
+        ra = routing.shortest_path_assignment(inst)
+        solved = {}
+        fresh = sched.solve_schedule(ra, inst, cuts, solved=solved)
+        assert fresh.handle.model.num_vars > 0 and solved
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a model without columns")
+
+        monkeypatch.setattr(mip, "solve_mip", no_solve)
+        again = sched.solve_schedule(ra, inst, cuts, solved=solved)
+        assert again.handle.model.num_vars == 0
+        sol = again.solution
+        assert (sol.status, sol.objective, sol.x.size, sol.nodes) == \
+            ("optimal", 0.0, 0, 0)
+        assert again.platoons == fresh.platoons
+        fuel = inst.network.fuel_table()
+        assert sched.total_fuel(ra, again.platoons, fuel, inst) == \
+            sched.total_fuel(ra, fresh.platoons, fuel, inst)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**_CASES, cuts=st.sampled_from(["star", "star+disj"]),

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from . import cuts, mip, netmodel, routing, rshm, scheduling
+from . import cuts, export, mip, netmodel, routing, rshm, scheduling
 from .rshm import SavingsParams
 
 EXIT_OK = 0
@@ -271,7 +271,7 @@ def cmd_export(args) -> int:
         model = scheduling.build_sp(contracted,
                                     SavingsParams.from_instance(inst),
                                     bounds).model
-    mip.write_model(model, args.format, args.out)
+    export.write_model(model, args.format, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

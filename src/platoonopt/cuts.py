@@ -375,13 +375,9 @@ def separate_disjunctive(point, handle: SpModelHandle,
             continue
         if key[0] == "t":
             _, u, node = key
-            if handle.t_col:
-                col = handle.t_col[(u, node)]
-                coeffs[col] = coeffs.get(col, 0.0) + a_k
-            else:
-                col = handle.dep_col[u]
-                coeffs[col] = coeffs.get(col, 0.0) + a_k
-                shift += a_k * handle.prefix[(u, node)]
+            col = handle.dep_col[u]
+            coeffs[col] = coeffs.get(col, 0.0) + a_k
+            shift += a_k * handle.prefix[(u, node)]
         else:
             col = handle.f_col[key[1:]]
             coeffs[col] = coeffs.get(col, 0.0) + a_k

@@ -1,0 +1,155 @@
+"""Model export: a ``mip.LinearModel`` as fixed-format MPS or CPLEX LP
+text, rows listed from its ``constraints`` view."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .mip import (BINARY, CONTINUOUS, EQ, GE, INTEGER, KINDS, LE,
+                  LinearModel)
+
+
+class IoError(Exception):
+    """Model export failed."""
+
+
+def _num(v: float) -> str:
+    """Fixed-point decimal rendering, no exponents, trailing zeros trimmed."""
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    s = f"{v:.12f}".rstrip("0")
+    return s + "0" if s.endswith(".") else s
+
+
+def _safe_names(names, prefix):
+    out = []
+    seen = set()
+    for i, nm in enumerate(names):
+        nm = (nm or "").strip().replace(" ", "_")
+        if not nm or nm in seen or len(nm) > 60:
+            nm = f"{prefix}{i}"
+        seen.add(nm)
+        out.append(nm)
+    return out
+
+
+def write_model(model: LinearModel, fmt: str, path: str) -> None:
+    """Write the model as fixed-format MPS or CPLEX LP."""
+    fmt = fmt.upper()
+    if fmt not in ("MPS", "LP"):
+        raise IoError(f"unknown format {fmt!r}")
+    text = _to_mps(model) if fmt == "MPS" else _to_lp(model)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
+def _to_mps(model: LinearModel) -> str:
+    vnames = _safe_names(model.names, "X")
+    rows = model.constraints
+    cnames = _safe_names(model.row_names, "R")
+    lbs, ubs, costs = model.lb.tolist(), model.ub.tolist(), model.c.tolist()
+    kinds = [KINDS[k] for k in model.kind.tolist()]
+    sense_code = {LE: "L", GE: "G", EQ: "E"}
+    lines = [f"NAME          {model.name.upper()[:8] or 'MODEL'}"]
+    lines.append("ROWS")
+    lines.append(" N  COST")
+    for i, con in enumerate(rows):
+        lines.append(f" {sense_code[con.sense]}  {cnames[i]}")
+    lines.append("COLUMNS")
+    col_rows: list[list[tuple[str, float]]] = [[] for _ in vnames]
+    for i, con in enumerate(rows):
+        for j, v in sorted(con.coeffs.items()):
+            col_rows[j].append((cnames[i], v))
+    obj_sign = 1.0 if model.obj_sense == "min" else -1.0
+    in_int = False
+    marker = 0
+    for j, oc in enumerate(costs):
+        entries = []
+        if oc:
+            entries.append(("COST", obj_sign * oc))
+        entries.extend(col_rows[j])
+        if not entries:
+            entries.append(("COST", 0.0))
+        integral = kinds[j] != CONTINUOUS
+        if integral and not in_int:
+            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
+            marker += 1
+            in_int = True
+        if not integral and in_int:
+            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
+            marker += 1
+            in_int = False
+        for k in range(0, len(entries), 2):
+            pair = entries[k:k + 2]
+            row = f"    {vnames[j]:<10}{pair[0][0]:<10}{_num(pair[0][1]):>12}"
+            if len(pair) == 2:
+                row += f"   {pair[1][0]:<10}{_num(pair[1][1]):>12}"
+            lines.append(row)
+    if in_int:
+        lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
+    lines.append("RHS")
+    for i, con in enumerate(rows):
+        if con.rhs != 0.0:
+            lines.append(f"    RHS       {cnames[i]:<10}{_num(con.rhs):>12}")
+    lines.append("BOUNDS")
+    for nm, lb, ub, kind in zip(vnames, lbs, ubs, kinds):
+        if kind == BINARY:
+            lines.append(f" BV BND       {nm}")
+            continue
+        if lb == 0.0 and np.isinf(ub):
+            continue
+        if np.isinf(lb) and lb < 0:
+            lines.append(f" MI BND       {nm}")
+        elif lb != 0.0:
+            code = "LI" if kind == INTEGER else "LO"
+            lines.append(f" {code} BND       {nm:<10}{_num(lb):>12}")
+        if np.isfinite(ub):
+            code = "UI" if kind == INTEGER else "UP"
+            lines.append(f" {code} BND       {nm:<10}{_num(ub):>12}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def _expr(coeffs: dict[int, float], vnames) -> str:
+    parts = []
+    for j, v in sorted(coeffs.items()):
+        sign = "-" if v < 0 else "+"
+        parts.append(f"{sign} {_num(abs(v))} {vnames[j]}")
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else s
+
+
+def _to_lp(model: LinearModel) -> str:
+    vnames = _safe_names(model.names, "x")
+    cnames = _safe_names(model.row_names, "c")
+    kinds = [KINDS[k] for k in model.kind.tolist()]
+    lines = ["Minimize" if model.obj_sense == "min" else "Maximize"]
+    lines.append(f" obj: {_expr(model.obj_coeffs, vnames)}")
+    lines.append("Subject To")
+    op = {LE: "<=", GE: ">=", EQ: "="}
+    for i, con in enumerate(model.constraints):
+        lines.append(f" {cnames[i]}: {_expr(con.coeffs, vnames)} "
+                     f"{op[con.sense]} {_num(con.rhs)}")
+    lines.append("Bounds")
+    for nm, lb, ub, kind in zip(vnames, model.lb.tolist(), model.ub.tolist(),
+                                kinds):
+        if kind == BINARY:
+            continue
+        low = "-inf" if np.isinf(lb) else _num(lb)
+        high = "+inf" if np.isinf(ub) else _num(ub)
+        lines.append(f" {low} <= {nm} <= {high}")
+    bins = [nm for nm, kind in zip(vnames, kinds) if kind == BINARY]
+    if bins:
+        lines.append("Binaries")
+        lines.append(" " + " ".join(bins))
+    gens = [nm for nm, kind in zip(vnames, kinds) if kind == INTEGER]
+    if gens:
+        lines.append("Generals")
+        lines.append(" " + " ".join(gens))
+    lines.append("End")
+    return "\n".join(lines) + "\n"

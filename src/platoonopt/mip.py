@@ -1,18 +1,20 @@
-"""Generic MILP layer: model container, LP solve, branch and bound, export.
+"""Generic MILP layer: model container, LP solve, branch and bound.
 
 A :class:`LinearModel` keeps its columns as arrays (bounds, kinds and the
-objective vector) and its rows as :class:`Constraint` dicts.  ``add_var``
-appends a column and ``set_column`` is the one way to change one, so every
-column a solve reads has passed the same checks.
+objective vector) and its rows as one sparse block in compressed rows (each
+row's columns and coefficients, in the order given, and its bounds
+``rlo``/``rhi``).  ``add_vars`` appends columns and ``set_column`` is the
+one way to change one; ``add_rows`` appends rows.  Each checks what it
+appends, so every column and row a solve reads has passed the same checks;
+``add_var`` and ``add_constraint`` are their one-column and one-row calls.
 
 Every LP relaxation runs on HiGHS's simplex behind ``simplex.solve``;
 branch and bound, cut rounds and their warm starts stay here.  HiGHS gets
 the model as it is: its rows as ranged rows, its columns with their own
-bounds and costs (negated for a maximization).  A model compiles its rows
-once, straight into one ``simplex.Matrix`` (:func:`compile_rows`: the
-coefficients as one sparse matrix and the row bounds ``rlo``/``rhi``), and
-compiles only the rows appended since at its next solve; the column arrays
-are read afresh at every solve, so a model re-priced between solves re-uses
+bounds and costs (negated for a maximization).  A model's rows are one
+``simplex.Matrix`` over the row block (:meth:`LinearModel.compiled_rows`),
+made again only when rows or columns were appended; the column arrays are
+read afresh at every solve, so a model re-priced between solves re-uses
 its rows and sends HiGHS only its changed costs.
 
 Branch and bound uses best-bound node selection, most-fractional branching
@@ -48,14 +50,11 @@ CONTINUOUS, BINARY, INTEGER = "continuous", "binary", "integer"
 KINDS = (CONTINUOUS, BINARY, INTEGER)       # a column's kind code indexes this
 CONTINUOUS_CODE, BINARY_CODE = KINDS.index(CONTINUOUS), KINDS.index(BINARY)
 LE, GE, EQ = "<=", ">=", "=="
+SENSES = (LE, GE, EQ)
 
 
 class ModelError(Exception):
     """Model invariant violated."""
-
-
-class IoError(Exception):
-    """Model export failed."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,9 @@ class Variable:
     kind: str = CONTINUOUS
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
+    """A read-only view of one row of a :class:`LinearModel`."""
     coeffs: dict[int, float]
     sense: str
     rhs: float
@@ -99,10 +99,15 @@ class LinearModel:
 
     The columns are arrays, read through read-only views: ``lb``, ``ub``,
     ``kind`` (codes into ``KINDS``) and the objective vector ``c``, with
-    the names in ``names``.  ``add_var`` appends a column and
+    the names in ``names``.  :meth:`add_vars` appends columns and
     :meth:`set_column` changes one; both reject a NaN bound, ``lb = +inf``,
     ``ub = -inf`` and ``lb > ub``, and clip a binary column to [0, 1].
-    The rows stay :class:`Constraint` dicts in ``constraints``."""
+
+    The rows are one block in compressed sparse rows, with the bounds
+    ``rlo``/``rhi`` of each row (``(-inf, rhs]`` for ``<=``, ``[rhs, inf)``
+    for ``>=``, ``[rhs, rhs]`` for ``==``) and the names in ``row_names``.
+    :meth:`add_rows` appends rows; rows never change once appended.
+    ``constraints`` reads them back as :class:`Constraint` views."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -111,13 +116,18 @@ class LinearModel:
         self._ub = np.empty(0)
         self._kind = np.empty(0, dtype=np.int8)
         self._c = np.empty(0)
-        self.constraints: list[Constraint] = []
+        self.row_names: list[str] = []
+        self._indptr = np.zeros(1, dtype=np.int32)
+        self._indices = np.empty(0, dtype=np.int32)
+        self._data = np.empty(0)
+        self._rlo = np.empty(0)
+        self._rhi = np.empty(0)
         self.obj_constant = 0.0
         self.obj_sense = "min"
         self._rows: simplex.Matrix | None = None    # see compiled_rows
 
-    def _view(self, a: np.ndarray) -> np.ndarray:
-        v = a[:len(self.names)]
+    def _view(self, a: np.ndarray, n: int | None = None) -> np.ndarray:
+        v = a[:self.num_vars if n is None else n]
         v.flags.writeable = False
         return v
 
@@ -139,6 +149,14 @@ class LinearModel:
         return self._view(self._c)
 
     @property
+    def rlo(self) -> np.ndarray:
+        return self._view(self._rlo, self.num_constraints)
+
+    @property
+    def rhi(self) -> np.ndarray:
+        return self._view(self._rhi, self.num_constraints)
+
+    @property
     def obj_coeffs(self) -> dict[int, float]:
         """The nonzero objective coefficients by column."""
         c = self.c
@@ -153,20 +171,64 @@ class LinearModel:
             self.names, self.lb.tolist(), self.ub.tolist(),
             [KINDS[k] for k in self.kind.tolist()])]
 
+    @property
+    def constraints(self) -> list[Constraint]:
+        """Each row as a read-only :class:`Constraint`, built on each read:
+        its coefficients in the order they were given, its sense and
+        right-hand side read off its bounds."""
+        m = self.num_constraints
+        ptr = self._indptr[:m + 1].tolist()
+        cols = self._indices[:ptr[-1]].tolist()
+        vals = self._data[:ptr[-1]].tolist()
+        out = []
+        for i, (lo, hi, name) in enumerate(zip(self._rlo[:m].tolist(),
+                                               self._rhi[:m].tolist(),
+                                               self.row_names)):
+            s, e = ptr[i], ptr[i + 1]
+            sense = LE if lo == -math.inf else GE if hi == math.inf else EQ
+            out.append(Constraint(dict(zip(cols[s:e], vals[s:e])), sense,
+                                  hi if sense == LE else lo, name))
+        return out
+
+    def add_vars(self, names, lb=0.0, ub=np.inf, kind=CONTINUOUS) -> range:
+        """Append one column per name.  ``lb``, ``ub`` and ``kind`` are
+        one value for every column or one per column; a kind is a name from
+        ``KINDS`` or, in an integer array, its code.  ``ModelError`` for the
+        first column ``add_var`` would reject, with its message; none is
+        appended then.  Returns the new columns' indices."""
+        names = list(names)
+        n, j = len(names), self.num_vars
+        lb, ub = (np.full(n, v, dtype=float) if np.ndim(v) == 0
+                  else np.asarray(v, dtype=float) for v in (lb, ub))
+        if isinstance(kind, str):
+            code = np.full(n, _KIND_CODE.get(kind, -1), dtype=np.int8)
+        elif isinstance(kind, np.ndarray) and kind.dtype.kind in "iu":
+            code = np.where((kind >= 0) & (kind < len(KINDS)), kind,
+                            -1).astype(np.int8)
+        else:
+            code = np.fromiter((_KIND_CODE.get(k, -1) for k in kind),
+                               dtype=np.int8, count=n)
+        binary = code == BINARY_CODE
+        lo = np.where(binary, np.maximum(lb, 0.0), lb)
+        hi = np.where(binary, np.minimum(ub, 1.0), ub)
+        # false where _checked_column raises, NaN bounds included
+        ok = (code >= 0) & (lo <= hi + 1e-15) & (lb < np.inf) & (ub > -np.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            k = kind if isinstance(kind, str) else kind[i]
+            if isinstance(k, np.integer):
+                k = KINDS[k] if code[i] >= 0 else k.item()
+            _checked_column(names[i], float(lb[i]), float(ub[i]), k)
+        self._lb = _put(self._lb, j, lo)
+        self._ub = _put(self._ub, j, hi)
+        self._kind = _put(self._kind, j, code)
+        self._c = _put(self._c, j, np.zeros(n))
+        self.names += names
+        return range(j, j + n)
+
     def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
                 kind: str = CONTINUOUS) -> int:
-        lb, ub, code = _checked_column(name, lb, ub, kind)
-        j = len(self.names)
-        if j == len(self._lb):
-            grow = max(8, j)
-            self._lb = np.concatenate([self._lb, np.empty(grow)])
-            self._ub = np.concatenate([self._ub, np.empty(grow)])
-            self._kind = np.concatenate([self._kind,
-                                         np.empty(grow, dtype=np.int8)])
-            self._c = np.concatenate([self._c, np.zeros(grow)])
-        self._lb[j], self._ub[j], self._kind[j] = lb, ub, code
-        self.names.append(name)
-        return j
+        return self.add_vars([name], lb, ub, [kind])[0]
 
     def set_column(self, j: int, lb: float | None = None,
                    ub: float | None = None, kind: str | None = None) -> None:
@@ -179,10 +241,30 @@ class LinearModel:
             self._ub[j] if ub is None else ub,
             KINDS[self._kind[j]] if kind is None else kind)
 
+    def add_rows(self, indptr, indices, data, sense, rhs, names) -> range:
+        """Append rows given in compressed sparse rows: row ``i`` has the
+        coefficients ``data[indptr[i]:indptr[i + 1]]`` on the columns
+        ``indices[indptr[i]:indptr[i + 1]]``, in that order.  ``sense`` and
+        ``rhs`` are one value for every row or one per row; ``names`` has
+        one per row.  Zero coefficients are dropped.  ``ModelError`` for
+        the first row ``add_constraint`` would reject, with its message, or
+        a row naming a column twice; none is appended then.  Returns the
+        new rows' indices."""
+        ptr, cols, vals, rlo, rhi = _checked_rows(
+            indptr, indices, data, sense, rhs, names, self.num_vars)
+        i, nnz = self.num_constraints, int(self._indptr[self.num_constraints])
+        self._indices = _put(self._indices, nnz, cols)
+        self._data = _put(self._data, nnz, vals)
+        self._indptr = _put(self._indptr, i + 1, ptr[1:] + nnz)
+        self._rlo = _put(self._rlo, i, rlo)
+        self._rhi = _put(self._rhi, i, rhi)
+        self.row_names += names
+        return range(i, i + len(names))
+
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float,
                        name: str = "") -> int:
-        self.constraints.append(_row(coeffs, sense, rhs, name, self.num_vars))
-        return len(self.constraints) - 1
+        return self.add_rows([0, len(coeffs)], list(coeffs),
+                             list(coeffs.values()), [sense], [rhs], [name])[0]
 
     def set_objective(self, coeffs, constant: float = 0.0,
                       sense: str = "min") -> None:
@@ -216,9 +298,8 @@ class LinearModel:
         self.obj_sense = sense
 
     def add_cut(self, cut: Cut) -> int:
-        self.constraints.append(
-            _cut_row(cut, self.num_vars, len(self.constraints)))
-        return len(self.constraints) - 1
+        i = self.num_constraints
+        return self.add_rows(*_cut_rows([cut], self.num_vars, i))[0]
 
     @property
     def num_vars(self) -> int:
@@ -226,7 +307,7 @@ class LinearModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_names)
 
     def integer_indices(self) -> np.ndarray:
         return np.flatnonzero(self.kind != CONTINUOUS_CODE)
@@ -244,30 +325,50 @@ class LinearModel:
             raise ModelError(f"binary {self.names[j]} has bounds outside [0,1]")
 
     def compiled_rows(self) -> simplex.Matrix:
-        """The model's rows as one ``simplex.Matrix`` (see
-        :func:`compile_rows`).  The rows appended since the last call are
-        compiled below the rows before them into a new matrix; an unchanged
-        model gets the same matrix back.  Rows are never edited in place,
-        so only a change in the column count, or rows taken off the list,
-        compiles every row afresh."""
-        rows, nv, m = self._rows, self.num_vars, self.num_constraints
-        if rows is None or rows.a.shape[1] != nv or rows.a.shape[0] > m:
-            rows = compile_rows(self.constraints, nv)
-        elif rows.a.shape[0] < m:
-            rows = compile_rows(self.constraints[rows.a.shape[0]:], nv, rows)
-        self._rows = rows
-        return rows
+        """The model's rows as one ``simplex.Matrix``: the row block as a
+        CSR matrix ``a`` over the model's columns (read-only views of the
+        model's arrays) and the row bounds.  An unchanged model gets the
+        same matrix back, with the HiGHS instance it holds; rows or
+        columns appended since give a new one."""
+        m, nv = self.num_constraints, self.num_vars
+        if self._rows is None or self._rows.a.shape != (m, nv):
+            ptr = self._view(self._indptr, m + 1)
+            nnz = int(ptr[-1])
+            a = sp.csr_matrix((self._view(self._data, nnz),
+                               self._view(self._indices, nnz), ptr),
+                              shape=(m, nv))
+            self._rows = simplex.Matrix(a, self.rlo, self.rhi)
+        return self._rows
 
     def copy(self) -> "LinearModel":
         m = LinearModel(self.name)
-        m.names = list(self.names)
-        m._lb, m._ub = self._lb.copy(), self._ub.copy()
-        m._kind, m._c = self._kind.copy(), self._c.copy()
-        m.constraints = [Constraint(dict(c.coeffs), c.sense, c.rhs, c.name)
-                         for c in self.constraints]
+        nnz = int(self._indptr[self.num_constraints])
+        m.names, m.row_names = list(self.names), list(self.row_names)
+        m._lb, m._ub = self.lb.copy(), self.ub.copy()
+        m._kind, m._c = self.kind.copy(), self.c.copy()
+        m._indptr = self._indptr[:self.num_constraints + 1].copy()
+        m._indices = self._indices[:nnz].copy()
+        m._data = self._data[:nnz].copy()
+        m._rlo, m._rhi = self.rlo.copy(), self.rhi.copy()
         m.obj_constant = self.obj_constant
         m.obj_sense = self.obj_sense
         return m
+
+
+_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
+
+
+def _put(buf: np.ndarray, at: int, values) -> np.ndarray:
+    """``buf`` with ``values`` written from index ``at`` on, moved to a
+    buffer twice as large when it is full.  Entries before ``at`` keep
+    their values; arrays already read from ``buf`` are left as they were."""
+    end = at + len(values)
+    if end > len(buf):
+        grown = np.empty(max(end, 2 * len(buf), 8), dtype=buf.dtype)
+        grown[:at] = buf[:at]
+        buf = grown
+    buf[at:end] = values
+    return buf
 
 
 def _checked_column(name: str, lb: float, ub: float,
@@ -288,29 +389,104 @@ def _checked_column(name: str, lb: float, ub: float,
     return float(lb), float(ub), KINDS.index(kind)
 
 
-def _row(coeffs: dict[int, float], sense: str, rhs: float, name: str,
-         nv: int) -> Constraint:
-    """A checked row over ``nv`` columns, zero coefficients dropped."""
-    if sense not in (LE, GE, EQ):
-        raise ModelError(f"bad sense {sense!r}")
-    if not math.isfinite(rhs):
-        raise ModelError(f"constraint {name!r} has non-finite rhs {rhs}")
-    clean = {}
-    for j, v in coeffs.items():
-        if j < 0 or j >= nv:
-            raise ModelError(f"constraint {name!r} references unknown column {j}")
-        if not math.isfinite(v):
-            raise ModelError(
-                f"constraint {name!r} has non-finite coefficient {v}")
-        if v != 0.0:
-            clean[int(j)] = float(v)
-    return Constraint(clean, sense, float(rhs), name)
+def _checked_rows(indptr, indices, data, sense, rhs, names, nv: int):
+    """``(indptr, indices, data, rlo, rhi)`` of a block of rows over ``nv``
+    columns (see ``LinearModel.add_rows``), zero coefficients dropped."""
+    ptr = np.asarray(indptr, dtype=np.int64)
+    cols = np.asarray(indices, dtype=np.int64)
+    vals = np.asarray(data, dtype=float)
+    m = len(ptr) - 1
+    if m < 0:
+        raise ModelError("row block without row pointers")
+    rhs = np.full(m, rhs, dtype=float) if np.ndim(rhs) == 0 \
+        else np.asarray(rhs, dtype=float)
+    code = _sense_codes(sense, m)
+    lengths = np.diff(ptr)
+    if (m != len(names) or rhs.shape != (m,) or code.shape != (m,)
+            or ptr[0] != 0 or ptr[-1] != len(cols) or len(vals) != len(cols)
+            or (lengths < 0).any()):
+        raise ModelError(f"row block of {len(names)} names, {len(ptr)} "
+                         f"row pointers, {rhs.size} right-hand sides and "
+                         f"{len(cols)} columns")
+    row_of = np.repeat(np.arange(m), lengths)
+    if not ((code >= 0).all() and np.isfinite(rhs).all()
+            and np.isfinite(vals).all()
+            and (cols.size == 0 or (cols.min() >= 0 and cols.max() < nv))):
+        _raise_first_bad(ptr, cols, vals, sense, code, rhs, names, row_of, nv)
+    key = np.sort(row_of * nv + cols)
+    twice = np.flatnonzero(key[1:] == key[:-1])
+    if twice.size:
+        i, j = divmod(int(key[twice[0]]), nv)
+        raise ModelError(f"constraint {names[i]!r} repeats column {j}")
+    keep = vals != 0.0
+    if not keep.all():
+        ptr = row_pointers(np.bincount(row_of[keep], minlength=m))
+        cols, vals = cols[keep], vals[keep]
+    return (ptr.astype(np.int32), cols.astype(np.int32), vals,
+            np.where(code == 0, -np.inf, rhs), np.where(code == 1, np.inf, rhs))
 
 
-def _cut_row(cut: Cut, nv: int, i: int) -> Constraint:
-    """The checked row of ``cut`` as row ``i`` of a model."""
-    cut.validate()
-    return _row(cut.coeffs, cut.sense, cut.rhs, f"cut_{cut.tag}_{i}", nv)
+def _raise_first_bad(ptr, cols, vals, sense, code, rhs, names, row_of, nv):
+    """``ModelError`` for the first bad row of a block, row by row in the
+    order ``add_constraint`` checks one row: its sense, its right-hand
+    side, then each coefficient's column and value."""
+    bad_col = (cols < 0) | (cols >= nv)
+    bad_entry = bad_col | ~np.isfinite(vals)
+    bad = (code < 0) | ~np.isfinite(rhs)
+    bad[row_of[bad_entry]] = True
+    i = int(np.argmax(bad))
+    name = names[i]
+    if code[i] < 0:
+        s = sense if isinstance(sense, str) else sense[i]
+        if isinstance(s, np.generic):
+            s = s.item()
+        raise ModelError(f"bad sense {s!r}")
+    if not math.isfinite(rhs[i]):
+        raise ModelError(f"constraint {name!r} has non-finite rhs "
+                         f"{float(rhs[i])}")
+    k = ptr[i] + int(np.argmax(bad_entry[ptr[i]:ptr[i + 1]]))
+    if bad_col[k]:
+        raise ModelError(f"constraint {name!r} references unknown column "
+                         f"{int(cols[k])}")
+    raise ModelError(f"constraint {name!r} has non-finite coefficient "
+                     f"{float(vals[k])}")
+
+
+_SENSE_CODE = {s: i for i, s in enumerate(SENSES)}
+
+
+def _sense_codes(sense, m: int) -> np.ndarray:
+    """The index in ``SENSES`` of the sense of each of ``m`` rows (-1 for
+    one that is not a sense): ``sense`` is one for every row or one per
+    row."""
+    if isinstance(sense, str):
+        return np.full(m, _SENSE_CODE.get(sense, -1), dtype=np.int8)
+    if isinstance(sense, np.ndarray) and sense.dtype.kind == "U":
+        code = np.full(sense.shape, -1, dtype=np.int8)
+        for i, s in enumerate(SENSES):
+            code[sense == s] = i
+        return code
+    return np.array([_SENSE_CODE.get(s, -1) if isinstance(s, str) else -1
+                     for s in sense], dtype=np.int8)
+
+
+def row_pointers(lengths) -> np.ndarray:
+    """The ``indptr`` of rows with these numbers of entries."""
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _cut_rows(cuts: list[Cut], nv: int, first: int):
+    """The arguments of ``add_rows`` for the rows of ``cuts`` as rows
+    ``first``, ``first + 1``, ... of a model over ``nv`` columns; each cut
+    is validated first."""
+    for cut in cuts:
+        cut.validate()
+    return (row_pointers([len(cut.coeffs) for cut in cuts]), [j for cut in cuts for j in cut.coeffs],
+            [v for cut in cuts for v in cut.coeffs.values()],
+            [cut.sense for cut in cuts], [cut.rhs for cut in cuts],
+            [f"cut_{cut.tag}_{first + i}" for i, cut in enumerate(cuts)])
 
 
 @dataclass
@@ -348,30 +524,17 @@ class MipSolution:
         return float(self.x[j])
 
 
-def compile_rows(constraints: list[Constraint], nv: int,
-                 above: simplex.Matrix | None = None) -> simplex.Matrix:
-    """``constraints`` over ``nv`` columns as one ``simplex.Matrix``: the
-    coefficients as a CSR matrix ``a`` (each row's entries in the order of
-    its coefficient dict) and ranged rows, ``(-inf, rhs]`` for ``<=``,
-    ``[rhs, inf)`` for ``>=`` and ``[rhs, rhs]`` for ``==``.  With
-    ``above``, the new matrix holds its rows and then these; ``above`` is
-    left as it was, so a solve's cut rounds leave the model's rows alone."""
-    cols, vals = [], []
-    for con in constraints:
-        cols.extend(con.coeffs)
-        vals.extend(con.coeffs.values())
-    indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
-    np.cumsum([len(con.coeffs) for con in constraints], out=indptr[1:])
-    a = sp.csr_matrix((np.asarray(vals, dtype=float),
-                       np.asarray(cols, dtype=np.int32), indptr),
-                      shape=(len(constraints), nv))
-    rlo = [-np.inf if con.sense == LE else con.rhs for con in constraints]
-    rhi = [np.inf if con.sense == GE else con.rhs for con in constraints]
-    if above is None:
-        return simplex.Matrix(a, rlo, rhi)
-    return simplex.Matrix(sp.vstack([above.a, a], format="csr"),
-                          np.concatenate([above.rlo, rlo]),
-                          np.concatenate([above.rhi, rhi]))
+def with_cuts(rows: simplex.Matrix, cuts: list[Cut],
+              nv: int) -> simplex.Matrix:
+    """A new ``simplex.Matrix``: the rows of ``rows``, then the rows of
+    ``cuts`` over ``nv`` columns, checked as ``LinearModel.add_cut``
+    checks them.  ``rows`` is left as it was."""
+    m = rows.a.shape[0]
+    ptr, cols, vals, rlo, rhi = _checked_rows(*_cut_rows(cuts, nv, m), nv)
+    block = sp.csr_matrix((vals, cols, ptr), shape=(len(cuts), nv))
+    return simplex.Matrix(sp.vstack([rows.a, block], format="csr"),
+                          np.concatenate([rows.rlo, rlo]),
+                          np.concatenate([rows.rhi, rhi]))
 
 
 def _columns(model: LinearModel):
@@ -382,12 +545,21 @@ def _columns(model: LinearModel):
     return sign * model.c, model.lb.copy(), model.ub.copy(), sign
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only: a ``simplex.Matrix`` keeps such arrays
+    without a copy, and does not compare one passed again."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def solve_lp(model: LinearModel, start=None) -> LpSolution:
     """Solve the LP relaxation (integrality ignored) to a basic solution.
     ``start`` is an optional ``basis`` of an earlier solution (see
     ``simplex.solve``)."""
     model.validate()
     c, lo, hi, sign = _columns(model)
+    c, lo, hi = _frozen(c, lo, hi)
     return _solve(model.compiled_rows(), c, lo, hi, sign, model.obj_constant,
                   start)
 
@@ -485,7 +657,7 @@ def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
                   (lhs >= rlo - tol) & (lhs <= rhi + tol))
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ModelError(f"row {model.constraints[i].name!r} violated")
+        raise ModelError(f"row {model.row_names[i]!r} violated")
     c = model.c
     nz = np.flatnonzero(c)
     terms = np.cumsum(c[nz] * xv[nz])       # added one by one, in order
@@ -551,6 +723,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     cuts_added = 0
     rows = model.compiled_rows()
     c, lo_col, hi_col, sign = _columns(model)
+    c, lo_col, hi_col = _frozen(c, lo_col, hi_col)
 
     def lp_solve(lo, hi, start):
         return _solve(rows, c, lo, hi, sign, model.obj_constant, start)
@@ -565,10 +738,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         cuts = root_cut_hook(root)
         if not cuts:
             break
-        m = rows.a.shape[0]
-        rows = compile_rows([_cut_row(cut, model.num_vars, m + i)
-                             for i, cut in enumerate(cuts)],
-                            model.num_vars, rows)
+        rows = with_cuts(rows, cuts, model.num_vars)
         cuts_added += len(cuts)
         rounds += 1
         root = lp_solve(lo_col, hi_col, extend_start(root.basis, len(cuts)))
@@ -604,7 +774,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             hi[j] = min(hi[j], u)
             if lo[j] > hi[j] + 1e-15:
                 return LpSolution("infeasible", None, None)
-        return lp_solve(lo, hi, start)
+        return lp_solve(*_frozen(lo, hi), start)
 
     nodes = 1
     counter = 0
@@ -695,148 +865,3 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     st = "feasible" if (status != "optimal" and g > rel_gap) else "optimal"
     return MipSolution(st, incumbent, incumbent_x, bnd, g, nodes, wall(),
                        cuts_added, root_bound, root_basis)
-
-
-# ---------------------------------------------------------------------------
-# Model export
-# ---------------------------------------------------------------------------
-
-def _num(v: float) -> str:
-    """Fixed-point decimal rendering, no exponents, trailing zeros trimmed."""
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    s = f"{v:.12f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
-
-
-def _safe_names(names, prefix):
-    out = []
-    seen = set()
-    for i, nm in enumerate(names):
-        nm = (nm or "").strip().replace(" ", "_")
-        if not nm or nm in seen or len(nm) > 60:
-            nm = f"{prefix}{i}"
-        seen.add(nm)
-        out.append(nm)
-    return out
-
-
-def write_model(model: LinearModel, fmt: str, path: str) -> None:
-    """Write the model as fixed-format MPS or CPLEX LP."""
-    fmt = fmt.upper()
-    if fmt not in ("MPS", "LP"):
-        raise IoError(f"unknown format {fmt!r}")
-    text = _to_mps(model) if fmt == "MPS" else _to_lp(model)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
-def _to_mps(model: LinearModel) -> str:
-    vnames = _safe_names(model.names, "X")
-    cnames = _safe_names([con.name for con in model.constraints], "R")
-    lbs, ubs, costs = model.lb.tolist(), model.ub.tolist(), model.c.tolist()
-    kinds = [KINDS[k] for k in model.kind.tolist()]
-    sense_code = {LE: "L", GE: "G", EQ: "E"}
-    lines = [f"NAME          {model.name.upper()[:8] or 'MODEL'}"]
-    lines.append("ROWS")
-    lines.append(" N  COST")
-    for i, con in enumerate(model.constraints):
-        lines.append(f" {sense_code[con.sense]}  {cnames[i]}")
-    lines.append("COLUMNS")
-    col_rows: list[list[tuple[str, float]]] = [[] for _ in vnames]
-    for i, con in enumerate(model.constraints):
-        for j, v in sorted(con.coeffs.items()):
-            col_rows[j].append((cnames[i], v))
-    obj_sign = 1.0 if model.obj_sense == "min" else -1.0
-    in_int = False
-    marker = 0
-    for j, oc in enumerate(costs):
-        entries = []
-        if oc:
-            entries.append(("COST", obj_sign * oc))
-        entries.extend(col_rows[j])
-        if not entries:
-            entries.append(("COST", 0.0))
-        integral = kinds[j] != CONTINUOUS
-        if integral and not in_int:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
-            marker += 1
-            in_int = True
-        if not integral and in_int:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-            marker += 1
-            in_int = False
-        for k in range(0, len(entries), 2):
-            pair = entries[k:k + 2]
-            row = f"    {vnames[j]:<10}{pair[0][0]:<10}{_num(pair[0][1]):>12}"
-            if len(pair) == 2:
-                row += f"   {pair[1][0]:<10}{_num(pair[1][1]):>12}"
-            lines.append(row)
-    if in_int:
-        lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-    lines.append("RHS")
-    for i, con in enumerate(model.constraints):
-        if con.rhs != 0.0:
-            lines.append(f"    RHS       {cnames[i]:<10}{_num(con.rhs):>12}")
-    lines.append("BOUNDS")
-    for nm, lb, ub, kind in zip(vnames, lbs, ubs, kinds):
-        if kind == BINARY:
-            lines.append(f" BV BND       {nm}")
-            continue
-        if lb == 0.0 and np.isinf(ub):
-            continue
-        if np.isinf(lb) and lb < 0:
-            lines.append(f" MI BND       {nm}")
-        elif lb != 0.0:
-            code = "LI" if kind == INTEGER else "LO"
-            lines.append(f" {code} BND       {nm:<10}{_num(lb):>12}")
-        if np.isfinite(ub):
-            code = "UI" if kind == INTEGER else "UP"
-            lines.append(f" {code} BND       {nm:<10}{_num(ub):>12}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
-def _expr(coeffs: dict[int, float], vnames) -> str:
-    parts = []
-    for j, v in sorted(coeffs.items()):
-        sign = "-" if v < 0 else "+"
-        parts.append(f"{sign} {_num(abs(v))} {vnames[j]}")
-    if not parts:
-        return "0"
-    s = " ".join(parts)
-    return s[2:] if s.startswith("+ ") else s
-
-
-def _to_lp(model: LinearModel) -> str:
-    vnames = _safe_names(model.names, "x")
-    cnames = _safe_names([con.name for con in model.constraints], "c")
-    kinds = [KINDS[k] for k in model.kind.tolist()]
-    lines = ["Minimize" if model.obj_sense == "min" else "Maximize"]
-    lines.append(f" obj: {_expr(model.obj_coeffs, vnames)}")
-    lines.append("Subject To")
-    op = {LE: "<=", GE: ">=", EQ: "="}
-    for i, con in enumerate(model.constraints):
-        lines.append(f" {cnames[i]}: {_expr(con.coeffs, vnames)} "
-                     f"{op[con.sense]} {_num(con.rhs)}")
-    lines.append("Bounds")
-    for nm, lb, ub, kind in zip(vnames, model.lb.tolist(), model.ub.tolist(),
-                                kinds):
-        if kind == BINARY:
-            continue
-        low = "-inf" if np.isinf(lb) else _num(lb)
-        high = "+inf" if np.isinf(ub) else _num(ub)
-        lines.append(f" {low} <= {nm} <= {high}")
-    bins = [nm for nm, kind in zip(vnames, kinds) if kind == BINARY]
-    if bins:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(bins))
-    gens = [nm for nm, kind in zip(vnames, kinds) if kind == INTEGER]
-    if gens:
-        lines.append("Generals")
-        lines.append(" " + " ".join(gens))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -66,6 +66,31 @@ class Edge:
         return (self.tail, self.head)
 
 
+class EdgeArrays:
+    """A network's edges as arrays, in the order of ``RoadNetwork.edges``:
+    ``keys``, ``index`` (key -> position), the node numbers ``tail`` and
+    ``head`` (positions in ``nodes``, the sorted node ids, as in
+    ``node_index``), ``length``, ``time``, ``rank`` (the position of each
+    key among the sorted keys), and each key as ``label`` "tail_head" and
+    as ``text`` "(tail, head)"."""
+
+    def __init__(self, net: "RoadNetwork"):
+        self.keys = list(net.edges)
+        self.label = [f"{t}_{h}" for t, h in self.keys]
+        self.text = [str(k) for k in self.keys]
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.nodes = np.array(sorted(net.nodes))
+        self.node_index = {n: i for i, n in enumerate(self.nodes.tolist())}
+        edges = net.edges.values()
+        self.tail = np.array([self.node_index[e.tail] for e in edges])
+        self.head = np.array([self.node_index[e.head] for e in edges])
+        self.length = np.array([e.length for e in edges], dtype=float)
+        self.time = np.array([e.time for e in edges], dtype=float)
+        self.rank = np.empty(len(self.keys), dtype=np.int64)
+        self.rank[sorted(range(len(self.keys)), key=self.keys.__getitem__)] \
+            = np.arange(len(self.keys))
+
+
 class RoadNetwork:
     """Directed graph; immutable once built."""
 
@@ -99,7 +124,7 @@ class RoadNetwork:
             adj.sort(key=lambda e: e.head)
         for adj in self.in_adj.values():
             adj.sort(key=lambda e: e.tail)
-        self._fuel = self._time = None
+        self._fuel = self._time = self._arrays = None
 
     def edge(self, i, j) -> Edge:
         return self.edges[(i, j)]
@@ -118,6 +143,12 @@ class RoadNetwork:
             self._time = MappingProxyType(
                 {k: e.time for k, e in self.edges.items()})
         return self._time
+
+    def edge_arrays(self) -> EdgeArrays:
+        """The edges as arrays, built once like ``fuel_table``."""
+        if self._arrays is None:
+            self._arrays = EdgeArrays(self)
+        return self._arrays
 
     def __eq__(self, other):
         return (isinstance(other, RoadNetwork)
@@ -160,8 +191,11 @@ class ProblemInstance:
                         f"vehicle {m.id}: {end} {node} is not a network node")
             if m.origin == m.dest:
                 raise ValidationError(f"vehicle {m.id}: origin equals destination")
-            sp = shortest_path(self.network, m.origin, m.dest, weight="time")
-            if m.t_latest < m.t_earliest + sp.time - 1e-9:
+            fastest = _dijkstra(self.network, m.origin, "time",
+                                target=m.dest).get(m.dest)
+            if fastest is None:
+                raise Unreachable(m.origin, m.dest)
+            if m.t_latest < m.t_earliest + fastest - 1e-9:
                 raise ValidationError(
                     f"vehicle {m.id}: window shorter than shortest travel time")
 
@@ -191,16 +225,29 @@ _WEIGHT = {
 }
 
 
-def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False) -> dict:
+def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False,
+              target=None, limit=math.inf) -> dict:
+    """Distance from ``source`` (to it, when ``reverse``) of every node
+    reached.  The search stops once the distance of ``target`` is final,
+    or once every node within ``limit`` is final; ``limit`` may be a
+    function of the target's distance.  A node not final then may be
+    missing, or have a distance above the final one."""
     wf = _WEIGHT[weight]
     adj = net.in_adj if reverse else net.out_adj
     dist = {source: 0.0}
     heap = [(0.0, source)]
     done = set()
+    stop = math.inf if callable(limit) else limit
     while heap:
         d, u = heapq.heappop(heap)
         if u in done:
             continue
+        if u == target:
+            if not callable(limit):
+                break
+            stop = limit(d)
+        if d > stop:
+            break
         done.add(u)
         for e in adj[u]:
             v = e.tail if reverse else e.head
@@ -251,18 +298,31 @@ def candidate_edge_set(net: RoadNetwork, m: VehicleMission,
                        sigma_f: float) -> set:
     """Edges that can appear on a route whose length stays within the
     1/(1 - sigma_f) detour bound of the shortest origin-destination length."""
-    dist_o = _dijkstra(net, m.origin, "length")
+    def reach(shortest):
+        bound = shortest / (1.0 - sigma_f)
+        return bound + REL_TOL * max(1.0, bound)
+
+    # Only nodes within reach can be on a candidate edge, so both searches
+    # stop there.
+    dist_o = _dijkstra(net, m.origin, "length", target=m.dest, limit=reach)
     if m.dest not in dist_o:
         raise Unreachable(m.origin, m.dest)
-    dist_d = _dijkstra(net, m.dest, "length", reverse=True)
+    dist_d = _dijkstra(net, m.dest, "length", reverse=True,
+                       limit=reach(dist_o[m.dest]))
     bound = dist_o[m.dest] / (1.0 - sigma_f)
     tol = REL_TOL * max(1.0, bound)
-    out = set()
-    for key, e in net.edges.items():
-        i, j = key
-        if i in dist_o and j in dist_d:
-            if dist_o[i] + e.length + dist_d[j] <= bound + tol:
-                out.add(key)
+    arrays = net.edge_arrays()
+    # a node out of reach fails the test, at distance inf or above it
+    ok = (_by_node(arrays, dist_o)[arrays.tail] + arrays.length
+          + _by_node(arrays, dist_d)[arrays.head]) <= bound + tol
+    keys = arrays.keys
+    return {keys[k] for k in np.flatnonzero(ok).tolist()}
+
+
+def _by_node(arrays: EdgeArrays, dist: dict) -> np.ndarray:
+    """``dist`` as an array over the node numbers, inf where it has none."""
+    out = np.full(len(arrays.nodes), np.inf)
+    out[[arrays.node_index[n] for n in dist]] = list(dist.values())
     return out
 
 

@@ -8,6 +8,7 @@ terms with the per-vehicle adjusted costs fed back from scheduling.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -112,32 +113,63 @@ class RdpModelHandle:
     iteration: int
 
 
-def hull_inequalities(edge: tuple, vehicles: list[int]):
-    """Rows of the per-edge routing polytope, as ``build_rdp`` emits them.
+@functools.lru_cache(maxsize=None)
+def _hull_rows(k: int):
+    """The rows of the per-edge routing polytope of an edge in the
+    candidate sets of ``k`` vehicles, over local columns: ``0 .. k-1`` the
+    vehicles' x in ascending id order, then ``k`` for y, ``k+1`` for y'
+    and ``k+2`` for w.  Returns ``(row lengths, columns, coefficients,
+    senses, names)``; a name is ``(tag, vehicle)``, the local vehicle of a
+    ``used`` row and None otherwise.
 
-    Rows are (coeffs, sense, rhs, name) with coefficient keys ('x', v),
-    'y', 'yp' and 'w'.  The 0/1 bounds of x, y and y' and w >= 0 are
-    column bounds, not rows.  The last row, sum x >= y + y', is valid for
-    any vehicle count (y' = 1 forces sum x >= 2 >= y + y'; otherwise
-    sum x >= y by the w row) and facet-defining from three vehicles up.
-    """
+    The 0/1 bounds of x, y and y' and w >= 0 are column bounds, not rows.
+    The last row, sum x >= y + y', is valid for any vehicle count (y' = 1
+    forces sum x >= 2 >= y + y'; otherwise sum x >= y by the w row) and
+    facet-defining from three vehicles up."""
+    x = list(range(k))
+    y, yp, w = k, k + 1, k + 2
+    rows = [(("pair", None), x + [yp], [1.0] * k + [-2.0], mip.GE),
+            (("count", None), x + [w, y], [-1.0] * k + [1.0, 1.0], mip.LE)]
+    rows += [(("used", i), [i, y], [1.0, -1.0], mip.LE) for i in x]
+    rows.append((("pairused", None), [yp, y], [1.0, -1.0], mip.LE))
+    rows.append((("hull", None), x + [y, yp], [1.0] * k + [-1.0, -1.0],
+                 mip.GE))
+    names, cols, vals, senses = zip(*rows)
+    arrays = (np.array([len(c) for c in cols]), np.concatenate(cols),
+              np.concatenate(vals))
+    for a in arrays:
+        a.flags.writeable = False       # shared by every caller
+    return (*arrays, senses, names)
+
+
+def hull_inequalities(edge: tuple, vehicles: list[int]):
+    """Rows of the per-edge routing polytope (see ``_hull_rows``), as
+    ``build_rdp`` emits them: (coeffs, sense, rhs, name) with coefficient
+    keys ('x', v), 'y', 'yp' and 'w'."""
     vehicles = sorted(vehicles)
-    sx = {("x", v): 1.0 for v in vehicles}
-    rows = [(dict(sx, yp=-2.0), ">=", 0.0, f"pair_{edge}"),
-            (dict({("x", v): -1.0 for v in vehicles}, w=1.0, y=1.0),
-             "<=", 0.0, f"count_{edge}")]
-    rows += [({("x", v): 1.0, "y": -1.0}, "<=", 0.0, f"used_{v}_{edge}")
-             for v in vehicles]
-    rows.append(({"yp": 1.0, "y": -1.0}, "<=", 0.0, f"pairused_{edge}"))
-    rows.append((dict(sx, y=-1.0, yp=-1.0), ">=", 0.0, f"hull_{edge}"))
-    return rows
+    keys = [("x", v) for v in vehicles] + ["y", "yp", "w"]
+    lengths, cols, vals, senses, names = _hull_rows(len(vehicles))
+    ends = np.cumsum(lengths).tolist()
+    cols, vals = cols.tolist(), vals.tolist()
+    return [({keys[j]: c for j, c in zip(cols[e - n:e], vals[e - n:e])},
+             sense, 0.0,
+             f"{tag}_{edge}" if i is None else f"{tag}_{vehicles[i]}_{edge}")
+            for n, e, sense, (tag, i) in zip(lengths.tolist(), ends, senses,
+                                             names)]
 
 
 def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
               iteration: int = 1) -> RdpModelHandle:
     """Assemble the routing MILP, priced from ``costs``.  The structure does
     not depend on the costs: later iterations re-price it with
-    ``set_rdp_costs``."""
+    ``set_rdp_costs``.
+
+    Columns: each vehicle's x over its candidate edges in key order,
+    vehicle by vehicle, then y, y' and w of each candidate edge in key
+    order.  Rows: each vehicle's flow balance at every node of its
+    candidate edges (by node id; each row's entries in the iteration order
+    of the candidate set) and then its time window; then the rows of
+    ``hull_inequalities`` edge by edge in key order."""
     net = inst.network
     cand = {m.id: netmodel.candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
@@ -147,53 +179,112 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
             raise InfeasibleMission(
                 f"vehicle {m.id}: no time-feasible path in its candidate set")
 
-    edge_vehicles: dict[tuple, list[int]] = {}
-    for m in inst.missions:
-        for e in cand[m.id]:
-            edge_vehicles.setdefault(e, []).append(m.id)
-    edge_vehicles = {e: sorted(vs) for e, vs in sorted(edge_vehicles.items())}
+    arrays = net.edge_arrays()
+    keys, missions = arrays.keys, inst.missions
+    # One entry per (vehicle, candidate edge): vehicle by vehicle, each
+    # vehicle's edges in the iteration order of its candidate set.
+    sizes = [len(cand[m.id]) for m in missions]
+    n = sum(sizes)
+    edge = np.fromiter((arrays.index[e] for m in missions for e in cand[m.id]),
+                       dtype=np.int64, count=n)
+    veh = np.repeat(np.arange(len(missions)), sizes)
+    ids = np.array([m.id for m in missions], dtype=np.int64)
+    vid = ids[veh]
+    # x columns: vehicle by vehicle, each vehicle's edges in key order
+    in_order = np.lexsort((arrays.rank[edge], veh))
+    x = np.empty(n, dtype=np.int64)         # the x column of each entry
+    x[in_order] = np.arange(n)
+    # The entries edge by edge in key order, each edge's vehicles by id.
+    by_edge = np.lexsort((vid, arrays.rank[edge]))
+    grouped = edge[by_edge]
+    first = np.flatnonzero(np.diff(grouped, prepend=-1))
+    k = np.diff(first, append=n)            # vehicles per candidate edge
+    shared = grouped[first].tolist()
+    y = n + 3 * np.arange(len(shared))      # then y' = y + 1, w = y + 2
+
+    x_order = edge[in_order].tolist()
+    x_keys = list(zip(vid[in_order].tolist(), [keys[e] for e in x_order]))
+    shared_keys = [keys[e] for e in shared]
+    label = arrays.label
+    names = [f"x_{v}_{label[e]}" for (v, _), e in zip(x_keys, x_order)]
+    for e in shared:
+        names += [f"y_{label[e]}", f"yp_{label[e]}", f"w_{label[e]}"]
 
     model = mip.LinearModel("rdp")
-    x_col, y_col, yp_col, w_col = {}, {}, {}, {}
-    for m in inst.missions:
-        for e in sorted(cand[m.id]):
-            x_col[(m.id, e)] = model.add_var(f"x_{m.id}_{e[0]}_{e[1]}",
-                                             kind=mip.BINARY)
-    for e in edge_vehicles:
-        y_col[e] = model.add_var(f"y_{e[0]}_{e[1]}", kind=mip.BINARY)
-        yp_col[e] = model.add_var(f"yp_{e[0]}_{e[1]}", kind=mip.BINARY)
-        w_col[e] = model.add_var(f"w_{e[0]}_{e[1]}", lb=0.0)
+    model.add_vars(names, 0.0, np.inf, np.concatenate([
+        np.full(n, mip.BINARY_CODE),
+        np.tile([mip.BINARY_CODE, mip.BINARY_CODE, mip.CONTINUOUS_CODE],
+                len(shared))]))
+    _add_flow_rows(model, arrays, missions, edge, veh, x)
+    vs = vid[by_edge].tolist()
+    _add_hull_rows(model, [arrays.text[e] for e in shared], k, x[by_edge],
+                   vs, y)
 
-    # Flow balance over each vehicle's candidate subgraph: one pass over
-    # its edges fills every node's row.
-    for m in inst.missions:
-        flow: dict[object, dict[int, float]] = {}
-        for e in cand[m.id]:
-            col = x_col[(m.id, e)]
-            out = flow.setdefault(e[0], {})
-            out[col] = out.get(col, 0.0) + 1.0
-            into = flow.setdefault(e[1], {})
-            into[col] = into.get(col, 0.0) - 1.0
-        for node in sorted(flow):
-            rhs = 1.0 if node == m.origin else (-1.0 if node == m.dest else 0.0)
-            model.add_constraint(flow[node], "==", rhs,
-                                 name=f"flow_{m.id}_{node}")
-        window = m.t_latest - m.t_earliest
-        model.add_constraint({x_col[(m.id, e)]: net.edge(*e).time
-                              for e in cand[m.id]}, "<=", window,
-                             name=f"window_{m.id}")
-
-    for e, vs in edge_vehicles.items():
-        col = {("x", v): x_col[(v, e)] for v in vs}
-        col.update(y=y_col[e], yp=yp_col[e], w=w_col[e])
-        for coeffs, sense, rhs, name in hull_inequalities(e, vs):
-            model.add_constraint({col[k]: c for k, c in coeffs.items()},
-                                 sense, rhs, name=name)
-
-    handle = RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
-                            edge_vehicles, costs, inst, iteration)
+    y_col = dict(zip(shared_keys, y.tolist()))
+    handle = RdpModelHandle(
+        model, dict(zip(x_keys, range(n))), y_col,
+        {e: j + 1 for e, j in y_col.items()},
+        {e: j + 2 for e, j in y_col.items()}, cand,
+        {e: vs[s:s + c] for e, s, c in zip(shared_keys, first.tolist(),
+                                           k.tolist())},
+        costs, inst, iteration)
     set_rdp_costs(handle, costs, iteration)
     return handle
+
+
+def _add_flow_rows(model, arrays, missions, edge, veh, x) -> None:
+    """Each vehicle's flow-balance rows, by node id, then its window row,
+    over the entries ``edge`` (network edge positions) of vehicles ``veh``
+    with columns ``x``."""
+    n, nodes = len(edge), len(arrays.nodes)
+    if n == 0:
+        return
+    # A row is keyed by vehicle and node number, the window row after the
+    # nodes; an entry within its row by its position in the entries.
+    base = veh * (nodes + 1)
+    row = np.concatenate([base + arrays.tail[edge], base + arrays.head[edge],
+                          base + nodes])
+    order = np.argsort(row * n + np.tile(np.arange(n), 3))
+    row = row[order]
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    vals = np.concatenate([np.ones(n), np.full(n, -1.0),
+                           arrays.time[edge]])[order]
+    who, node = np.divmod(row[starts], nodes + 1)
+    window = node == nodes
+    node_id = arrays.nodes[np.minimum(node, nodes - 1)]
+    origin = np.array([m.origin for m in missions])[who]
+    dest = np.array([m.dest for m in missions])[who]
+    span = np.array([m.t_latest - m.t_earliest for m in missions])[who]
+    rhs = np.where(window, span, np.where(
+        node_id == origin, 1.0, np.where(node_id == dest, -1.0, 0.0)))
+    ids = [missions[i].id for i in who.tolist()]
+    model.add_rows(np.append(starts, 3 * n), np.tile(x, 3)[order], vals,
+                   np.where(window, mip.LE, mip.EQ), rhs,
+                   [f"window_{v}" if w else f"flow_{v}_{u}" for v, u, w in
+                    zip(ids, node_id.tolist(), window.tolist())])
+
+
+def _add_hull_rows(model, edges, k, x, vehicles, y) -> None:
+    """The rows of ``hull_inequalities`` of each edge of ``edges`` (keys
+    as text, in key order), edge ``g`` in the candidate sets of ``k[g]``
+    vehicles: ``x`` holds their columns edge by edge (vehicles by id, as
+    in ``vehicles``) and ``y[g]`` is the edge's y column."""
+    if not edges:
+        return
+    rows = [_hull_rows(c) for c in k.tolist()]
+    g = np.repeat(np.arange(len(edges)), [len(r[1]) for r in rows])
+    local = np.concatenate([r[1] for r in rows])
+    kg = k[g]
+    first = np.cumsum(k) - k               # each edge's first entry of x
+    cols = np.where(local < kg, x[first[g] + np.minimum(local, kg - 1)],
+                    y[g] + local - kg)
+    names = []
+    for e, s, r in zip(edges, first.tolist(), rows):
+        names += [f"{tag}_{e}" if i is None
+                  else f"{tag}_{vehicles[s + i]}_{e}" for tag, i in r[4]]
+    model.add_rows(mip.row_pointers(np.concatenate([r[0] for r in rows])),
+                   cols, np.concatenate([r[2] for r in rows]),
+                   [s for r in rows for s in r[3]], 0.0, names)
 
 
 def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable,
@@ -268,7 +359,8 @@ def shortest_path_assignment(inst: ProblemInstance) -> RouteAssignment:
 
 
 def _greedy_path(net, allowed, o, d, weight_of):
-    """Min-marginal-cost path over the candidate edges, lowest-id ties."""
+    """Min-marginal-cost path over the candidate edges, lowest-id ties;
+    ``weight_of`` maps an ``Edge`` to its cost."""
     dist = {o: 0.0}
     prev = {}
     heap = [(0.0, o)]
@@ -281,9 +373,9 @@ def _greedy_path(net, allowed, o, d, weight_of):
         if u == d:
             break
         for e in net.out_adj[u]:
-            if e.key not in allowed or e.head in done:
+            if e.head in done or (u, e.head) not in allowed:
                 continue
-            nw = w + weight_of(e.key)
+            nw = w + weight_of(e)
             if e.head not in dist or nw < dist[e.head] - 1e-15 or (
                     abs(nw - dist[e.head]) <= 1e-15 and u < prev[e.head]):
                 dist[e.head] = nw
@@ -299,8 +391,7 @@ def _greedy_path(net, allowed, o, d, weight_of):
 
 def _fastest_path(net, allowed, m):
     """Time-shortest path of mission ``m`` over the candidate edges."""
-    return _greedy_path(net, allowed, m.origin, m.dest,
-                        lambda e: net.edge(*e).time)
+    return _greedy_path(net, allowed, m.origin, m.dest, lambda e: e.time)
 
 
 def _fits_window(net, nodes, m) -> bool:
@@ -321,7 +412,8 @@ def greedy_assignment(inst: ProblemInstance, costs: EdgeCostTable,
     occupied: dict[tuple, int] = {}
     routes: dict[int, tuple] = {}
     for m in inst.missions:
-        def weight(e, v=m.id):
+        def weight(edge, v=m.id):
+            e = edge.key
             base = costs.cost(v, e)
             if e in costs.explored:
                 return base

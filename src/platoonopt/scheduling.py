@@ -3,10 +3,10 @@
 Given fixed routes, bounds each vehicle's arrival time at every node it
 visits, prunes vehicle pairs whose time windows cannot overlap, contracts
 consecutive edges shared by identical vehicle sets, and builds the
-departure-time/platooning MILP (maximizing fuel savings).  By default the
-interior arrival-time variables are substituted out, so the only continuous
-decision per vehicle is its departure time.  ``solve_schedule`` runs the
-whole pipeline for one set of routes.
+departure-time/platooning MILP (maximizing fuel savings).  The arrival time
+of a vehicle at a node is its departure time plus the travel time to the
+node, so the only continuous decision per vehicle is its departure time.
+``solve_schedule`` runs the whole pipeline for one set of routes.
 
 The model splits into independent components (``components``), each
 depending on its vehicles' routes alone, so ``solve_schedule`` takes the
@@ -39,7 +39,6 @@ class InconsistentPlatoon(Exception):
 class CutOptions:
     star_partition: bool = False
     size_facets: bool = False
-    keep_time_vars: bool = False
 
 
 # Cut mode -> (star-partition rows, size facets, disjunctive root cuts).
@@ -214,7 +213,6 @@ class SpModelHandle:
     dep_col: dict[int, int]                 # vehicle -> departure column
     f_col: dict[tuple, int]                 # (u, v, edge_key) -> column
     l_col: dict[tuple, int]                 # (v, edge_key) -> column
-    t_col: dict[tuple, int]                 # (v, node) -> column (debug mode)
     big_m: dict[tuple, float]
     pruned: list[tuple]
     contracted: ContractedRoutes
@@ -227,14 +225,9 @@ class SpModelHandle:
 
     def entry_time(self, x, v, edge_key) -> float:
         """Entry time of v at the tail of edge_key under solution vector x."""
-        tail = edge_key[0]
-        if self.t_col:
-            return float(x[self.t_col[(v, tail)]])
-        return float(x[self.dep_col[v]]) + self.prefix[(v, tail)]
+        return self.time_value(x, v, edge_key[0])
 
     def time_value(self, x, v, node) -> float:
-        if self.t_col:
-            return float(x[self.t_col[(v, node)]])
         return float(x[self.dep_col[v]]) + self.prefix[(v, node)]
 
 
@@ -243,16 +236,19 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     """Assemble the scheduling MILP (a maximization of fuel savings).
 
     ``params`` carries sigma_l, sigma_f and max_platoon attributes (a
-    ``ProblemInstance`` does).
+    ``ProblemInstance`` does).  Columns: each vehicle's departure, then for
+    each shared edge in key order its vehicles' leader columns and the
+    follower column of each pair that can still meet.  Rows, shared edge by
+    shared edge: the two big-M rows of each such pair, then for each
+    vehicle its lead-or-follow, size-cap and nonempty-platoon rows; then
+    the rows of :func:`add_partition_rows`.
     """
     opts = cut_options or CutOptions()
     big_m, pruned = platoonable_and_bigM(contracted, bounds)
     pruned_set = set(pruned)
 
     model = mip.LinearModel("sp")
-    dep_col, f_col, l_col, t_col = {}, {}, {}, {}
-    prefix, origin = {}, {}
-
+    prefix, origin, lo, hi = {}, {}, [], []
     for v in contracted.vehicles:
         edges = contracted.route_edges(v)
         first = edges[0][0][0]
@@ -262,106 +258,114 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
         for key, t in edges:
             acc += t
             prefix[(v, key[1])] = acc
-        lo, hi = bounds.window(v, first)
-        dep_col[v] = model.add_var(f"dep_{v}", lb=lo, ub=hi)
+        window = bounds.window(v, first)
+        lo.append(window[0])
+        hi.append(window[1])
+    vehicles = contracted.vehicles
+    dep_col = dict(zip(vehicles, range(len(vehicles))))
 
-    if opts.keep_time_vars:
-        for v in contracted.vehicles:
-            for (key, _t) in contracted.route_edges(v):
-                for node in (key[0], key[1]):
-                    if (v, node) not in t_col:
-                        lo, hi = bounds.window(v, node)
-                        t_col[(v, node)] = model.add_var(
-                            f"t_{v}_{node}", lb=lo, ub=hi)
-            first = origin[v]
-            model.add_constraint({t_col[(v, first)]: 1.0, dep_col[v]: -1.0},
-                                 "==", 0.0, name=f"dep_link_{v}")
-            for (key, t) in contracted.route_edges(v):
-                model.add_constraint({t_col[(v, key[1])]: 1.0,
-                                      t_col[(v, key[0])]: -1.0}, "==", t,
-                                     name=f"chain_{v}_{key}")
-
-    by_edge = contracted.vehicles_by_edge()
-    shared_edges = {k: vs for k, vs in sorted(by_edge.items())
-                    if len(vs) >= 2}
-
-    obj: dict[int, float] = {}
-    for key, vs in shared_edges.items():
+    shared = [(key, vs) for key, vs in
+              sorted(contracted.vehicles_by_edge().items()) if len(vs) >= 2]
+    names = [f"dep_{v}" for v in vehicles]
+    obj = [0.0] * len(vehicles)
+    l_col, f_col = {}, {}
+    for key, vs in shared:
+        label = str(key)
         cost = contracted.edge_cost(key)
         for v in vs:
-            l_col[(v, key)] = model.add_var(f"l_{v}_{key}", kind=mip.BINARY)
-            obj[l_col[(v, key)]] = params.sigma_l * cost
+            l_col[(v, key)] = len(names)
+            names.append(f"l_{v}_{label}")
+            obj.append(params.sigma_l * cost)
         for a, v in enumerate(vs):
             for u in vs[a + 1:]:
-                if (u, v, key) in pruned_set:
-                    continue
-                f_col[(u, v, key)] = model.add_var(f"f_{u}_{v}_{key}",
-                                                   kind=mip.BINARY)
-                obj[f_col[(u, v, key)]] = params.sigma_f * cost
-    model.set_objective(obj, sense="max")
+                if (u, v, key) not in pruned_set:
+                    f_col[(u, v, key)] = len(names)
+                    names.append(f"f_{u}_{v}_{label}")
+                    obj.append(params.sigma_f * cost)
+    n_dep = len(vehicles)
+    n_bin = len(names) - n_dep
+    model.add_vars(names, lo + [0.0] * n_bin, hi + [1.0] * n_bin,
+                   np.array([mip.CONTINUOUS_CODE] * n_dep
+                            + [mip.BINARY_CODE] * n_bin))
+    model.set_objective(np.array(obj), sense="max")
 
-    def tail_expr(v, node):
-        if opts.keep_time_vars:
-            return {t_col[(v, node)]: 1.0}, 0.0
-        return {dep_col[v]: 1.0}, prefix[(v, node)]
-
+    rows = _RowBlock()
     lam = params.max_platoon
-    for key, vs in shared_edges.items():
-        tail = key[0]
+    for key, vs in shared:
+        tail, label = key[0], str(key)
         for a, v in enumerate(vs):
             for u in vs[a + 1:]:
-                if (u, v, key) not in f_col:
+                fc = f_col.get((u, v, key))
+                if fc is None:
                     continue
                 m_uv = big_m[(u, v, key)]
-                cu, ku = tail_expr(u, tail)
-                cv, kv = tail_expr(v, tail)
-                fc = f_col[(u, v, key)]
-                row = dict(cu)
-                for col, c in cv.items():
-                    row[col] = row.get(col, 0.0) - c
-                const = ku - kv
-                up = dict(row)
-                up[fc] = up.get(fc, 0.0) + m_uv
-                model.add_constraint(up, "<=", m_uv - const,
-                                     name=f"meet_ub_{u}_{v}_{key}")
-                lo = dict(row)
-                lo[fc] = lo.get(fc, 0.0) - m_uv
-                model.add_constraint(lo, ">=", -m_uv - const,
-                                     name=f"meet_lb_{u}_{v}_{key}")
+                const = prefix[(u, tail)] - prefix[(v, tail)]
+                cols = [dep_col[u], dep_col[v], fc]
+                rows.add(cols, [1.0, -1.0, 0.0 + m_uv], mip.LE,
+                         m_uv - const, f"meet_ub_{u}_{v}_{label}")
+                rows.add(cols, [1.0, -1.0, 0.0 - m_uv], mip.GE,
+                         -m_uv - const, f"meet_lb_{u}_{v}_{label}")
         for v in vs:
             lead = l_col[(v, key)]
-            follows = {f_col[(v, w, key)]: 1.0 for w in vs
-                       if w < v and (v, w, key) in f_col}
-            row = dict(follows)
-            row[lead] = row.get(lead, 0.0) + 1.0
-            model.add_constraint(row, "<=", 1.0,
-                                 name=f"lead_xor_follow_{v}_{key}")
-            followers = {f_col[(u, v, key)]: 1.0 for u in vs
-                         if u > v and (u, v, key) in f_col}
-            row = dict(followers)
-            row[lead] = row.get(lead, 0.0) - (lam - 1.0)
-            model.add_constraint(row, "<=", 0.0, name=f"cap_{v}_{key}")
-            row = dict(followers)
-            row[lead] = row.get(lead, 0.0) - 1.0
-            model.add_constraint(row, ">=", 0.0, name=f"nonempty_{v}_{key}")
-
-    handle = SpModelHandle(model, dep_col, f_col, l_col, t_col, big_m, pruned,
+            follows = [f_col[(v, w, key)] for w in vs
+                       if w < v and (v, w, key) in f_col]
+            rows.add(follows + [lead], [1.0] * (len(follows) + 1), mip.LE,
+                     1.0, f"lead_xor_follow_{v}_{label}")
+            followers = [f_col[(u, v, key)] for u in vs
+                         if u > v and (u, v, key) in f_col] + [lead]
+            ones = [1.0] * (len(followers) - 1)
+            rows.add(followers, ones + [-(lam - 1.0)], mip.LE, 0.0,
+                     f"cap_{v}_{label}")
+            rows.add(followers, ones + [-1.0], mip.GE, 0.0,
+                     f"nonempty_{v}_{label}")
+    handle = SpModelHandle(model, dep_col, f_col, l_col, big_m, pruned,
                            contracted, bounds, params.sigma_l, params.sigma_f,
                            params.max_platoon, prefix, origin)
-    add_partition_rows(handle, opts)
+    _partition_rows(handle, opts, rows)
+    rows.append_to(model)
     return handle
+
+
+class _RowBlock:
+    """Rows gathered one by one for one ``LinearModel.add_rows`` call."""
+
+    def __init__(self):
+        self.lengths, self.cols, self.vals = [], [], []
+        self.senses, self.rhs, self.names = [], [], []
+
+    def add(self, cols, vals, sense, rhs, name) -> None:
+        self.lengths.append(len(cols))
+        self.cols += cols
+        self.vals += vals
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        self.names.append(name)
+
+    def append_to(self, model: mip.LinearModel) -> int:
+        """Append the rows to ``model``; returns their number."""
+        if self.names:
+            model.add_rows(mip.row_pointers(self.lengths), self.cols,
+                           self.vals, self.senses, self.rhs, self.names)
+        return len(self.names)
 
 
 def add_partition_rows(handle: SpModelHandle, opts: CutOptions) -> int:
     """Append the star-partition rows and the size facets that ``opts``
     asks for to the model of ``handle``, shared edge by shared edge in key
-    order, each row over the follower columns the model holds.  Returns
-    the number of rows appended."""
+    order, each row over the follower columns the model holds (a row left
+    without any is dropped).  Returns the number of rows appended."""
+    rows = _RowBlock()
+    _partition_rows(handle, opts, rows)
+    return rows.append_to(handle.model)
+
+
+def _partition_rows(handle: SpModelHandle, opts: CutOptions,
+                    rows: _RowBlock) -> None:
+    """The rows of ``add_partition_rows``, added to ``rows``."""
     if not (opts.star_partition or opts.size_facets):
-        return 0
+        return
     from . import cuts as _cuts
-    model, f_col = handle.model, handle.f_col
-    before = model.num_constraints
+    f_col = handle.f_col
     for key, vs in sorted(handle.contracted.vehicles_by_edge().items()):
         if len(vs) < 2:
             continue
@@ -371,13 +375,14 @@ def add_partition_rows(handle: SpModelHandle, opts: CutOptions) -> int:
         if opts.size_facets:
             families.append(("facet", _cuts.platoon_size_facets(
                 vs, handle.max_platoon)))
-        for tag, rows in families:
-            for coeffs, sense, rhs in rows:
-                row = {f_col[(u, v, key)]: c for (u, v), c in coeffs.items()
-                       if (u, v, key) in f_col}
-                if row:
-                    model.add_constraint(row, sense, rhs, name=f"{tag}_{key}")
-    return model.num_constraints - before
+        for tag, family in families:
+            name = f"{tag}_{key}"
+            for coeffs, sense, rhs in family:
+                held = [(f_col[(u, v, key)], c) for (u, v), c in coeffs.items()
+                        if (u, v, key) in f_col]
+                if held:
+                    cols, vals = zip(*held)
+                    rows.add(list(cols), list(vals), sense, rhs, name)
 
 
 @dataclass
@@ -413,8 +418,6 @@ def solo_schedule(handle: SpModelHandle) -> np.ndarray:
     x = np.zeros(handle.model.num_vars)
     cols = list(handle.dep_col.values())
     x[cols] = handle.model.lb[cols]
-    for (v, node), col in handle.t_col.items():
-        x[col] = x[handle.dep_col[v]] + handle.prefix[(v, node)]
     return x
 
 

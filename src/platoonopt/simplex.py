@@ -120,7 +120,10 @@ class Matrix:
         return self._csc
 
     def _load(self, c, lo, hi) -> None:
-        """Bring HiGHS's LP to ``(c, lo, hi)``, sending what differs."""
+        """Bring HiGHS's LP to ``(c, lo, hi)``, sending what differs from
+        the arrays of the last load, which the matrix holds (see
+        ``_held``).  An array that is the one held is not compared."""
+        c, lo, hi = _held(c), _held(lo), _held(hi)
         if self._h is None:
             self._h = _hs._Highs()
             for name, value in (("output_flag", False), ("threads", 1),
@@ -134,15 +137,19 @@ class Matrix:
                 self.rhi, a.indptr.astype(np.int32),
                 a.indices.astype(np.int32), a.data,
                 np.zeros(n, dtype=np.int32))        # every column continuous
-            self._c, self._lo, self._hi = c, lo, hi
-        diff = np.flatnonzero(c != self._c)
-        if diff.size:
-            self._h.changeColsCost(diff.size, diff.astype(np.int32), c[diff])
-        diff = np.flatnonzero((lo != self._lo) | (hi != self._hi))
-        if diff.size:
-            self._h.changeColsBounds(diff.size, diff.astype(np.int32),
-                                     lo[diff], hi[diff])
-        self._c, self._lo, self._hi = c.copy(), lo.copy(), hi.copy()
+        else:
+            if c is not self._c:
+                diff = np.flatnonzero(c != self._c)
+                if diff.size:
+                    self._h.changeColsCost(diff.size, diff.astype(np.int32),
+                                           c[diff])
+            if lo is not self._lo or hi is not self._hi:
+                diff = np.flatnonzero((lo != self._lo) | (hi != self._hi))
+                if diff.size:
+                    self._h.changeColsBounds(diff.size,
+                                             diff.astype(np.int32),
+                                             lo[diff], hi[diff])
+        self._c, self._lo, self._hi = c, lo, hi
 
     def _start(self, basis) -> bool:
         """Give HiGHS the basis; False if it does not fit."""
@@ -183,6 +190,15 @@ class Matrix:
                              warm)
 
 
+def _held(v: np.ndarray) -> np.ndarray:
+    """``v`` itself when it is read-only and owns its data, so that nothing
+    can change it; else a read-only copy of it."""
+    if v.flags.writeable or not v.flags.owndata:
+        v = v.copy()
+        v.flags.writeable = False
+    return v
+
+
 def solve(mat: Matrix, c, lo, hi, start=None) -> SimplexResult:
     """Solve from ``start``, the ``basis`` of an earlier result on the same
     rows (the costs and column bounds may differ), else from scratch.  A
@@ -190,8 +206,12 @@ def solve(mat: Matrix, c, lo, hi, start=None) -> SimplexResult:
     dropped for a run from scratch, and ``warm`` is False; a solve without
     a start never depends on the ones before it.  A run that cannot tell
     unbounded from infeasible is settled by a run with a zero objective.
-    Without columns the LP is optimal at ``x = ()`` when every row's range
-    holds 0, and infeasible otherwise.  ``ValueError`` unless ``c``,
+    The matrix keeps ``c``, ``lo`` and ``hi`` for its next solve: an array
+    that is read-only and owns its data as it is, any other as a copy.  A
+    later solve compares each with the one kept, unless it is that very
+    array, and sends HiGHS only the entries that differ.  Without columns
+    the LP is optimal at ``x = ()`` when every row's range holds 0, and
+    infeasible otherwise.  ``ValueError`` unless ``c``,
     ``lo`` and ``hi`` have one entry per column; ``NumericalFailure`` when
     the run from scratch ends without an answer."""
     c, lo, hi = (np.asarray(v, dtype=float) for v in (c, lo, hi))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from platoonopt import cuts, mip, simplex
+from platoonopt import cuts, export, mip, simplex
 from platoonopt.simplex import BASIC
 
 from conftest import (branching_sp_handle, branching_sp_model, ranged_rows,
@@ -537,8 +537,10 @@ def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
     ref = _model_with(columns, objective, sense,
                       first + appended).compiled_rows()
     _assert_same_rows(model.compiled_rows(), ref)
-    _assert_same_rows(mip.compile_rows(model.constraints[len(first):],
-                                       model.num_vars, before), ref)
+    # a solve's cut rounds stack the same rows below the matrix it holds
+    _assert_same_rows(mip.with_cuts(before, [mip.Cut(*row)
+                                             for row in appended],
+                                    model.num_vars), ref)
     # the matrix below which the rows were compiled is left as it was
     _assert_same_rows(before, _model_with(columns, objective, sense,
                                           first).compiled_rows())
@@ -815,7 +817,7 @@ def _toy_model():
 
 def test_mps_sections(tmp_path):
     path = tmp_path / "toy.mps"
-    mip.write_model(_toy_model(), "MPS", str(path))
+    export.write_model(_toy_model(), "MPS", str(path))
     text = path.read_text()
     for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
         assert section in text
@@ -829,7 +831,7 @@ def test_single_var_mps(tmp_path):
     m.add_constraint({x: 1}, "<=", 2)
     m.set_objective({x: 1})
     path = tmp_path / "one.mps"
-    mip.write_model(m, "MPS", str(path))
+    export.write_model(m, "MPS", str(path))
     text = path.read_text()
     assert text.startswith("NAME")
     for section in ("ROWS", "COLUMNS", "RHS", "ENDATA"):
@@ -838,7 +840,7 @@ def test_single_var_mps(tmp_path):
 
 def test_lp_format(tmp_path):
     path = tmp_path / "toy.lp"
-    mip.write_model(_toy_model(), "LP", str(path))
+    export.write_model(_toy_model(), "LP", str(path))
     text = path.read_text()
     assert text.startswith("Maximize")
     assert "Subject To" in text and "Binaries" in text and text.rstrip().endswith("End")
@@ -846,8 +848,8 @@ def test_lp_format(tmp_path):
 
 def test_writer_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.mps", tmp_path / "b.mps"
-    mip.write_model(_toy_model(), "MPS", str(p1))
-    mip.write_model(_toy_model(), "MPS", str(p2))
+    export.write_model(_toy_model(), "MPS", str(p1))
+    export.write_model(_toy_model(), "MPS", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -914,7 +916,7 @@ def test_mps_roundtrip(tmp_path):
     m.add_constraint({n: 1, v: 1}, ">=", 1, name="cover")
     m.set_objective({x1: 5, x2: 4, n: 3, w: 0.5, v: -1}, sense="max")
     path = tmp_path / "rt.mps"
-    mip.write_model(m, "MPS", str(path))
+    export.write_model(m, "MPS", str(path))
     back = _read_mps(path.read_text())
 
     assert [(u.name, u.kind, u.lb, u.ub) for u in back.variables] == \

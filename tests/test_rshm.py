@@ -596,27 +596,29 @@ class TestIncrementalRouting:
 
     def test_routing_rows_compiled_once_per_run(self, small_grid,
                                                 monkeypatch):
-        handles, compiled = [], []
-        build, compile_rows = routing.build_rdp, mip.compile_rows
+        handles, matrices = [], []
+        build, solve_mip = routing.build_rdp, mip.solve_mip
 
         def counting_build(*args, **kwargs):
             handles.append(build(*args, **kwargs))
             return handles[-1]
 
-        def counting_compile(constraints, nv, above=None):
-            compiled.append(list(constraints))
-            return compile_rows(constraints, nv, above)
+        def recording_solve(model, *args, **kwargs):
+            sol = solve_mip(model, *args, **kwargs)
+            if model.name == "rdp":
+                matrices.append(model.compiled_rows())
+            return sol
 
         monkeypatch.setattr(routing, "build_rdp", counting_build)
-        monkeypatch.setattr(mip, "compile_rows", counting_compile)
+        monkeypatch.setattr(mip, "solve_mip", recording_solve)
         inst = nm.generate_two_cluster(small_grid, 4, seed=1)
         res = rshm.run(inst, RshmOptions(iter_cap=8))
         assert res.iterations >= 2 and len(handles) == 1
-        rdp_rows = {id(con) for con in handles[0].model.constraints}
-        rdp_compiles = [rows for rows in compiled
-                        if any(id(con) in rdp_rows for con in rows)]
-        assert len(rdp_compiles) == 1
-        assert len(rdp_compiles[0]) == len(rdp_rows)
+        # every routing solve ran on the one matrix of the model's rows
+        assert len(matrices) == res.iterations
+        assert all(mat is matrices[0] for mat in matrices)
+        assert matrices[0].a.shape == (handles[0].model.num_constraints,
+                                       handles[0].model.num_vars)
 
 
 class TestGapBound:

@@ -12,6 +12,7 @@ from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
 from platoonopt.scheduling import CEdge, ContractedRoutes, uncontracted
 
+import reference_models
 from conftest import shared_edge_instance
 
 
@@ -242,21 +243,21 @@ class TestContract:
         assert mismatches == []
 
     def test_contraction_never_grows_model(self, small_grid):
-        # strict shrinkage is visible on the formulation that keeps the
-        # per-node time variables (the default substitutes them out)
-        explicit = sched.CutOptions(keep_time_vars=True)
+        # strict shrinkage is visible on the reference formulation that
+        # keeps the per-node time variables (the program substitutes them
+        # out)
         for seed in range(6):
             inst = nm.generate_two_cluster(small_grid, 4, seed=seed)
             ra = _solved_assignment(inst)
             params = SavingsParams.from_instance(inst)
             con = sched.contract(ra, ra.edge_times, ra.edge_costs)
             raw = uncontracted(ra)
-            m_con = sched.build_sp(con, params,
-                                   sched.time_bounds(con, inst.missions),
-                                   explicit).model
-            m_raw = sched.build_sp(raw, params,
-                                   sched.time_bounds(raw, inst.missions),
-                                   explicit).model
+            m_con = reference_models.build_sp(
+                con, params, sched.time_bounds(con, inst.missions),
+                keep_time_vars=True).model
+            m_raw = reference_models.build_sp(
+                raw, params, sched.time_bounds(raw, inst.missions),
+                keep_time_vars=True).model
             assert m_con.num_vars <= m_raw.num_vars
             assert m_con.num_constraints <= m_raw.num_constraints
             if len(con.cedges) < len(raw.cedges):
@@ -306,23 +307,35 @@ class TestBuildSp:
         assert mip.solve_mip(model).status == "infeasible"
 
     def test_time_variable_mode_matches_substituted(self, appendix_example):
+        # the reference formulation with one time column per route node
         ex = appendix_example
-        h2 = sched.build_sp(ex["contracted"], ex["params"], ex["bounds"],
-                            sched.CutOptions(keep_time_vars=True))
+        ref = reference_models.build_sp(ex["contracted"], ex["params"],
+                                        ex["bounds"], keep_time_vars=True)
         s1 = mip.solve_mip(ex["handle"].model)
-        s2 = mip.solve_mip(h2.model)
+        s2 = mip.solve_mip(ref.model)
         assert s1.objective == pytest.approx(s2.objective, abs=1e-9)
+        # and each optimum is a point of the other formulation
+        lifted = reference_models.lift(ref, ex["handle"].model, s1.x)
+        assert mip.check_solution(ref.model, lifted) == \
+            pytest.approx(s1.objective, abs=1e-9)
 
 
 class TestSoloSchedule:
     @pytest.mark.parametrize("keep_time_vars", [False, True])
     def test_feasible_alone_at_earliest(self, appendix_example, keep_time_vars):
+        # with keep_time_vars, the schedule is checked on the reference
+        # formulation with one time column per route node as well
         ex = appendix_example
         h = sched.build_sp(ex["contracted"], ex["params"], ex["bounds"],
-                           sched.CutOptions(star_partition=True,
-                                            keep_time_vars=keep_time_vars))
+                           sched.CutOptions(star_partition=True))
         x = sched.solo_schedule(h)
         assert mip.check_solution(h.model, x) == 0.0
+        if keep_time_vars:
+            ref = reference_models.build_sp(
+                ex["contracted"], ex["params"], ex["bounds"],
+                star_partition=True, keep_time_vars=True)
+            lifted = reference_models.lift(ref, h.model, x)
+            assert mip.check_solution(ref.model, lifted) == 0.0
         cfg = sched.extract_platoons(h, mip.LpSolution("optimal", 0.0, x))
         assert cfg.departures == {m.id: m.t_earliest for m in ex["missions"]}
         assert all(followers == () for plist in cfg.platoons.values()

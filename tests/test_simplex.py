@@ -14,10 +14,11 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from platoonopt import mip, netmodel as nm, routing, rshm, simplex
+from platoonopt import cuts, mip, netmodel as nm, routing, rshm, simplex
 from platoonopt.simplex import BASIC, LOWER, UPPER
 
-from conftest import branching_sp_model, ranged_rows, reference_solve
+from conftest import (branching_sp_handle, branching_sp_model, ranged_rows,
+                      reference_solve)
 
 DATA = Path(__file__).parent / "data"
 
@@ -616,6 +617,52 @@ class TestShapes:
         data[which] = data[which][:2]
         with pytest.raises(ValueError, match="3 costs"):
             simplex.solve(mat, *data)
+
+
+class TestColumnData:
+    """A matrix sends HiGHS only the costs and bounds that changed since
+    its last solve: HiGHS must hold each solve's own."""
+
+    @staticmethod
+    def _held_by_highs(mat):
+        lp = mat._h.getLp()
+        return lp.col_cost_, lp.col_lower_, lp.col_upper_
+
+    def test_highs_holds_each_solves_columns(self, monkeypatch):
+        handle = branching_sp_handle()
+        solve, seen = simplex.solve, []
+
+        def checked(mat, c, lo, hi, start=None):
+            res = solve(mat, c, lo, hi, start)
+            for got, sent in zip(self._held_by_highs(mat), (c, lo, hi)):
+                assert np.array_equal(got, sent)
+            seen.append(mat)
+            return res
+
+        monkeypatch.setattr(simplex, "solve", checked)
+        sol = mip.solve_mip(handle.model,
+                            root_cut_hook=cuts.make_disjunctive_hook(handle))
+        assert sol.cuts_added > 0 and sol.nodes > 5
+        assert len(seen) > sol.nodes       # node, cut-round and CGLP solves
+
+    def test_read_only_arrays_are_kept_and_others_copied(self):
+        model = branching_sp_model()
+        mat = model.compiled_rows()
+        c, lo, hi, _sign = mip._columns(model)
+        simplex.solve(mat, c, lo, hi)
+        assert mat._c is not c
+        # a bound changed in place after the solve still reaches HiGHS
+        j = int(np.flatnonzero(hi > lo)[0])
+        hi[j] = lo[j]
+        simplex.solve(mat, c, lo, hi)
+        assert self._held_by_highs(mat)[2][j] == lo[j]
+        frozen = c.copy()
+        frozen.flags.writeable = False
+        simplex.solve(mat, frozen, lo, hi)
+        assert mat._c is frozen
+        view = np.frombuffer(frozen.tobytes())      # read-only, not owning
+        simplex.solve(mat, view, lo, hi)
+        assert mat._c is not view
 
 
 class TestBackend:

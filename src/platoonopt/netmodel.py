@@ -70,14 +70,11 @@ class EdgeArrays:
     """A network's edges as arrays, in the order of ``RoadNetwork.edges``:
     ``keys``, ``index`` (key -> position), the node numbers ``tail`` and
     ``head`` (positions in ``nodes``, the sorted node ids, as in
-    ``node_index``), ``length``, ``time``, ``rank`` (the position of each
-    key among the sorted keys), and each key as ``label`` "tail_head" and
-    as ``text`` "(tail, head)"."""
+    ``node_index``), ``length``, ``time`` and ``rank`` (the position of
+    each key among the sorted keys)."""
 
     def __init__(self, net: "RoadNetwork"):
         self.keys = list(net.edges)
-        self.label = [f"{t}_{h}" for t, h in self.keys]
-        self.text = [str(k) for k in self.keys]
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.nodes = np.array(sorted(net.nodes))
         self.node_index = {n: i for i, n in enumerate(self.nodes.tolist())}

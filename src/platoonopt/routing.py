@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +27,94 @@ class NonPathSolution(Exception):
     """Rounded routing solution is not a simple origin-destination path."""
 
 
-@dataclass
 class EdgeCostTable:
-    """Base fuel costs plus per-vehicle adjusted costs on explored edges."""
-    base: dict[tuple, float]
-    adjusted: dict[tuple, float] = field(default_factory=dict)  # (v, edge) ->
-    explored: frozenset = frozenset()
+    """Base fuel costs plus per-vehicle adjusted costs on explored edges,
+    given as an ``adjusted`` dict keyed by (vehicle, edge), or as
+    ``prices``, one per pair of ``pairs`` (a ``CandidatePairs``), of which
+    those on explored edges are the adjusted costs; ``adjusted`` then lists
+    them edge by edge."""
+
+    def __init__(self, base: dict, adjusted: dict | None = None,
+                 explored: frozenset = frozenset(), pairs=None, prices=None):
+        self.base, self.explored = base, explored
+        self.pairs, self.prices = pairs, prices
+        self._adjusted = (adjusted or {}) if pairs is None else None
+        if pairs is not None:
+            on = _explored_edges(explored, pairs)[pairs.edge]
+            self._costs = np.where(on, prices, pairs.fuel)
+            self._order = pairs.by_edge[on[pairs.by_edge]]
 
     @classmethod
     def initial(cls, inst: ProblemInstance) -> "EdgeCostTable":
         return cls(base=inst.network.fuel_table())
+
+    @property
+    def adjusted(self) -> dict:
+        if self._adjusted is None:
+            keys = self.pairs.keys
+            self._adjusted = dict(zip([keys[j] for j in self._order.tolist()],
+                                      self.prices[self._order].tolist()))
+        return self._adjusted
 
     def cost(self, v: int, edge: tuple) -> float:
         if edge in self.explored:
             return self.adjusted[(v, edge)]
         return self.base[edge]
 
+    def costs_of(self, keys: list) -> np.ndarray:
+        """``cost`` of each (vehicle, edge) of ``keys``; a table of
+        ``pairs`` prices those pairs only."""
+        if self.pairs is None:
+            return np.array([self.cost(v, e) for v, e in keys], float)
+        if keys is self.pairs.keys:     # every pair, in order
+            return self._costs
+        return self._costs[[self.pairs.index[k] for k in keys]]
+
     def validate(self, sigma_f: float) -> None:
-        for (v, e), c in self.adjusted.items():
-            base = self.base[e]
-            if not (0 < c <= base + 1e-9):
-                raise ValueError(f"adjusted cost out of range for {v},{e}")
-            if c < (1.0 - sigma_f) * base - 1e-9:
-                raise ValueError(f"adjusted cost below follower floor for {v},{e}")
+        """``ValueError`` naming the first adjusted cost outside
+        ``[(1 - sigma_f) * base, base]``, with 1e-9 slack, or not positive."""
+        if self.pairs is None:
+            c = np.array(list(self.adjusted.values()), float)
+            base = np.array([self.base[e] for _v, e in self.adjusted], float)
+        else:
+            c, base = self.prices[self._order], self.pairs.fuel[self._order]
+        out = ~((0 < c) & (c <= base + 1e-9))
+        bad = out | (c < (1.0 - sigma_f) * base - 1e-9)
+        if bad.any():
+            i = int(np.argmax(bad))
+            v, e = list(self.adjusted)[i]
+            raise ValueError(f"adjusted cost out of range for {v},{e}" if out[i]
+                             else f"adjusted cost below follower floor for {v},{e}")
+
+
+def _explored_edges(explored, pairs: "CandidatePairs") -> np.ndarray:
+    """Whether each candidate edge of ``pairs`` is in ``explored``."""
+    return np.fromiter((e in explored for e in pairs.edges), bool,
+                       len(pairs.edges))
+
+
+class CandidatePairs:
+    """The (vehicle, candidate edge) pairs of a routing model in the order
+    of its x columns: vehicle by vehicle as in ``inst.missions`` (one that
+    ``candidates`` lacks has none), each one's candidate edges in key order.
+    Pair ``j`` is ``keys[j]``, on ``edges[edge[j]]`` of fuel ``fuel[j]``;
+    ``edges`` are the candidate edges in key order, of fuel ``edge_fuel``;
+    ``by_edge`` lists the pairs edge by edge."""
+
+    def __init__(self, inst: ProblemInstance, candidates: dict[int, set]):
+        sets = [sorted(candidates.get(m.id, ())) for m in inst.missions]
+        self.keys = [(m.id, e) for m, es in zip(inst.missions, sets)
+                     for e in es]
+        self.index = dict(zip(self.keys, range(len(self.keys))))
+        self.edges = sorted({e for es in sets for e in es})
+        self.edge_index = dict(zip(self.edges, range(len(self.edges))))
+        self.edge = np.array([self.edge_index[e] for _v, e in self.keys],
+                             dtype=np.int64)
+        fuel = inst.network.fuel_table()
+        self.edge_fuel = np.array([fuel[e] for e in self.edges], float)
+        self.fuel = self.edge_fuel[self.edge]
+        vehicle = np.repeat(np.arange(len(sets)), [len(es) for es in sets])
+        self.by_edge = np.lexsort((vehicle, self.edge))
 
 
 class RouteAssignment:
@@ -62,14 +128,15 @@ class RouteAssignment:
         for v, nodes in self.routes.items():
             if len(set(nodes)) != len(nodes):
                 raise NonPathSolution(f"vehicle {v}: repeated node in route")
+        self._edges = {v: tuple(zip(nodes, nodes[1:]))
+                       for v, nodes in self.routes.items()}
 
     @property
     def vehicles(self) -> list[int]:
         return sorted(self.routes)
 
     def edges(self, v: int) -> list[tuple]:
-        nodes = self.routes[v]
-        return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
+        return list(self._edges[v])
 
     def route_edges(self, v: int) -> list[tuple]:
         return [(e, self.edge_times[e]) for e in self.edges(v)]
@@ -111,6 +178,7 @@ class RdpModelHandle:
     costs: EdgeCostTable
     instance: ProblemInstance
     iteration: int
+    pairs: CandidatePairs                # the x columns' pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,55 +247,44 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
             raise InfeasibleMission(
                 f"vehicle {m.id}: no time-feasible path in its candidate set")
 
+    pairs = CandidatePairs(inst, cand)
     arrays = net.edge_arrays()
-    keys, missions = arrays.keys, inst.missions
-    # One entry per (vehicle, candidate edge): vehicle by vehicle, each
+    missions = inst.missions
+    # One entry per (vehicle, candidate edge), vehicle by vehicle, each
     # vehicle's edges in the iteration order of its candidate set.
     sizes = [len(cand[m.id]) for m in missions]
     n = sum(sizes)
     edge = np.fromiter((arrays.index[e] for m in missions for e in cand[m.id]),
                        dtype=np.int64, count=n)
     veh = np.repeat(np.arange(len(missions)), sizes)
-    ids = np.array([m.id for m in missions], dtype=np.int64)
-    vid = ids[veh]
-    # x columns: vehicle by vehicle, each vehicle's edges in key order
-    in_order = np.lexsort((arrays.rank[edge], veh))
-    x = np.empty(n, dtype=np.int64)         # the x column of each entry
-    x[in_order] = np.arange(n)
+    x = np.fromiter((pairs.index[(m.id, e)] for m in missions   # x columns
+                     for e in cand[m.id]), dtype=np.int64, count=n)
+    vid = np.array([m.id for m in missions], dtype=np.int64)[veh]
     # The entries edge by edge in key order, each edge's vehicles by id.
     by_edge = np.lexsort((vid, arrays.rank[edge]))
-    grouped = edge[by_edge]
-    first = np.flatnonzero(np.diff(grouped, prepend=-1))
+    first = np.flatnonzero(np.diff(edge[by_edge], prepend=-1))
     k = np.diff(first, append=n)            # vehicles per candidate edge
-    shared = grouped[first].tolist()
-    y = n + 3 * np.arange(len(shared))      # then y' = y + 1, w = y + 2
-
-    x_order = edge[in_order].tolist()
-    x_keys = list(zip(vid[in_order].tolist(), [keys[e] for e in x_order]))
-    shared_keys = [keys[e] for e in shared]
-    label = arrays.label
-    names = [f"x_{v}_{label[e]}" for (v, _), e in zip(x_keys, x_order)]
-    for e in shared:
-        names += [f"y_{label[e]}", f"yp_{label[e]}", f"w_{label[e]}"]
+    y = n + 3 * np.arange(len(pairs.edges))  # then y' = y + 1, w = y + 2
+    names = [f"x_{v}_{t}_{h}" for v, (t, h) in pairs.keys]
+    for t, h in pairs.edges:
+        names += [f"y_{t}_{h}", f"yp_{t}_{h}", f"w_{t}_{h}"]
 
     model = mip.LinearModel("rdp")
     model.add_vars(names, 0.0, np.inf, np.concatenate([
         np.full(n, mip.BINARY_CODE),
         np.tile([mip.BINARY_CODE, mip.BINARY_CODE, mip.CONTINUOUS_CODE],
-                len(shared))]))
+                len(pairs.edges))]))
     _add_flow_rows(model, arrays, missions, edge, veh, x)
     vs = vid[by_edge].tolist()
-    _add_hull_rows(model, [arrays.text[e] for e in shared], k, x[by_edge],
-                   vs, y)
+    _add_hull_rows(model, [str(e) for e in pairs.edges], k, x[by_edge], vs, y)
 
-    y_col = dict(zip(shared_keys, y.tolist()))
+    y_col = dict(zip(pairs.edges, y.tolist()))
     handle = RdpModelHandle(
-        model, dict(zip(x_keys, range(n))), y_col,
-        {e: j + 1 for e, j in y_col.items()},
+        model, pairs.index, y_col, {e: j + 1 for e, j in y_col.items()},
         {e: j + 2 for e, j in y_col.items()}, cand,
-        {e: vs[s:s + c] for e, s, c in zip(shared_keys, first.tolist(),
+        {e: vs[s:s + c] for e, s, c in zip(pairs.edges, first.tolist(),
                                            k.tolist())},
-        costs, inst, iteration)
+        costs, inst, iteration, pairs)
     set_rdp_costs(handle, costs, iteration)
     return handle
 
@@ -292,19 +349,22 @@ def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable,
     """Re-price a routing model for another iteration.  Only the objective
     depends on the cost table; columns, rows and bounds stay as built, so
     the previous iteration's LP basis remains primal feasible."""
-    inst = handle.instance
-    base, adjusted, explored = costs.base, costs.adjusted, costs.explored
+    inst, pairs = handle.instance, handle.pairs
+    n = len(pairs.keys)
     c = np.zeros(handle.model.num_vars)
-    c[list(handle.x_col.values())] = [
-        adjusted[(v, e)] if e in explored else base[e]
-        for v, e in handle.x_col]
-    shared = [e for e in handle.edge_vehicles if e not in explored]
-    fuel = np.array([base[e] for e in shared])
-    c[[handle.yp_col[e] for e in shared]] = -inst.sigma_l * fuel
-    c[[handle.w_col[e] for e in shared]] = -inst.sigma_f * fuel
+    c[:n] = costs.costs_of(pairs.keys)
+    fuel = np.where(_explored_edges(costs.explored, pairs), 0.0,
+                    pairs.edge_fuel)
+    c[n + 1::3] = -inst.sigma_l * fuel
+    c[n + 2::3] = -inst.sigma_f * fuel
     handle.model.set_objective(c, sense="min")
     handle.costs = costs
     handle.iteration = iteration
+
+
+def chosen_pairs(handle: RdpModelHandle, sol) -> np.ndarray:
+    """Whether a solution routes each pair of ``handle.pairs``."""
+    return sol.x[:len(handle.pairs.keys)] > 0.5
 
 
 def extract_route_assignment(handle: RdpModelHandle,
@@ -312,23 +372,22 @@ def extract_route_assignment(handle: RdpModelHandle,
     """Read integral x values into ordered per-vehicle paths."""
     if sol.x is None:
         raise NonPathSolution("no solution values to extract")
-    net = handle.instance.network
+    net, keys = handle.instance.network, handle.pairs.keys
+    succ = {m.id: {} for m in handle.instance.missions}
+    for j in np.flatnonzero(chosen_pairs(handle, sol)).tolist():
+        v, (a, b) = keys[j]
+        if a in succ[v]:
+            raise NonPathSolution(f"vehicle {v}: branching at node {a}")
+        succ[v][a] = b
     routes = {}
     for m in handle.instance.missions:
-        chosen = [e for e in handle.candidates[m.id]
-                  if sol.x[handle.x_col[(m.id, e)]] > 0.5]
-        succ = {}
-        for i, j in chosen:
-            if i in succ:
-                raise NonPathSolution(f"vehicle {m.id}: branching at node {i}")
-            succ[i] = j
         nodes = [m.origin]
         while nodes[-1] != m.dest:
-            nxt = succ.pop(nodes[-1], None)
+            nxt = succ[m.id].pop(nodes[-1], None)
             if nxt is None or nxt in nodes:
                 raise NonPathSolution(f"vehicle {m.id}: edge set is not a path")
             nodes.append(nxt)
-        if succ:
+        if succ[m.id]:
             raise NonPathSolution(f"vehicle {m.id}: disconnected extra edges")
         routes[m.id] = tuple(nodes)
     return RouteAssignment(routes, net.time_table(), net.fuel_table())
@@ -337,13 +396,11 @@ def extract_route_assignment(handle: RdpModelHandle,
 def presumed_objective(assignment: RouteAssignment, costs: EdgeCostTable,
                        inst: ProblemInstance) -> float:
     """Routing objective value at a given route assignment (the model's own
-    estimate of total fuel, before scheduling realizes it)."""
-    counts = {e: len(vs) for e, vs in assignment.vehicles_by_edge().items()}
-    total = 0.0
-    for v in assignment.vehicles:
-        for e in assignment.edges(v):
-            total += costs.cost(v, e)
-    for e, m in counts.items():
+    estimate of total fuel, before scheduling realizes it): the route
+    costs added one by one, vehicle by vehicle along each route."""
+    keys = [(v, e) for v in assignment.vehicles for e in assignment.edges(v)]
+    total = float(np.cumsum(costs.costs_of(keys))[-1]) if keys else 0.0
+    for e, m in Counter(e for _v, e in keys).items():
         if e not in costs.explored and m >= 2:
             c = costs.base[e]
             total -= inst.sigma_l * c + inst.sigma_f * (m - 1) * c

@@ -7,17 +7,22 @@ re-priced at the platoon-averaged cost, other explored edges at the most
 optimistic follower cost, unless an earlier iteration already realized the
 same platoon configuration there (in which case its price is reused).
 
-Work that does not change between iterations is done once per run: the
-routing model is built at iteration 1 and only re-priced afterwards, the
-cost table prices only (vehicle, edge) pairs that some routing column reads,
-and a scheduling component (see ``scheduling.components``) already solved
-to optimality is not solved again.
+The feedback is kept per routing column: ``RshmState`` stores each
+iteration's history as arrays over the (vehicle, candidate edge) pairs in
+the routing model's x-column order, so a cost table is priced in one array
+pass and written into the model in one slice.  Work that does not change
+between iterations is done once per run: the routing model is built at
+iteration 1 and only re-priced afterwards, and a scheduling component (see
+``scheduling.components``) already solved to optimality is not solved
+again.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import mip, netmodel, routing, scheduling
 from .routing import EdgeCostTable, RouteAssignment
@@ -48,11 +53,11 @@ class SavingsParams:
         return cls(inst.sigma_l, inst.sigma_f, inst.max_platoon)
 
 
-def c_plat(size: int, cost: float, params: SavingsParams) -> float:
-    """Total fuel a platoon of the given size burns on one edge."""
-    if size <= 1:
-        return size * cost
-    return (1 - params.sigma_l) * cost + (1 - params.sigma_f) * (size - 1) * cost
+def c_plat(size, cost, params: SavingsParams):
+    """Total fuel a platoon of the given size burns on one edge; elementwise
+    on arrays."""
+    shared = (1 - params.sigma_l) * cost + (1 - params.sigma_f) * (size - 1) * cost
+    return np.where(size <= 1, size * cost, shared)[()]
 
 
 @dataclass
@@ -66,24 +71,29 @@ class IterationRecord:
 
 
 class RshmState:
-    """Everything the feedback recurrence and diagnostics need to look back at."""
+    """Everything the feedback recurrence and diagnostics need to look back
+    at.  The recurrence reads arrays over ``pairs`` (``routing.CandidatePairs``),
+    pair ``j`` being the routing model's x column ``j``.  Per iteration
+    ``n``: the pairs it routes (``routed[n]``), their platoon sizes
+    (``size[n]``), and an id of its platoon configuration on each candidate
+    edge (``conf[n]``; equal sets of vehicle sets get equal ids, none gets
+    0).  ``similar[k, j]`` is ``conf[k]`` on pair ``j``'s edge if iteration
+    ``k + 1`` routes the pair, else -1.  A table ``update_cost_table``
+    made holds its prices over ``pairs``."""
 
-    def __init__(self, inst, candidates: dict[int, set]):
+    def __init__(self, inst, candidates: dict[int, set], pairs=None):
         self.instance = inst
         self.params = SavingsParams.from_instance(inst)
         # each vehicle's candidate edge set: the routing model's columns,
         # hence the only (vehicle, edge) pairs a cost table must price
         self.candidates = candidates
+        self.pairs = pairs or routing.CandidatePairs(inst, candidates)
         self.records: dict[int, IterationRecord] = {}
         self.tables: dict[int, EdgeCostTable] = {1: EdgeCostTable.initial(inst)}
         self.explored: set = set()
-        # per iteration: each vehicle's route edges, and the platoon
-        # configuration (a frozenset of vehicle sets) on each edge it
-        # scheduled; per (vehicle, edge): the iterations routing the vehicle
-        # over the edge, ascending
-        self.route_edges: dict[int, dict[int, frozenset]] = {}
-        self.platoon_sets: dict[int, dict[tuple, frozenset]] = {}
-        self.routed: dict[tuple, list[int]] = {}
+        self.routed, self.size, self.conf = {}, {}, {}
+        self._conf_ids, self._conf_of = {frozenset(): 0}, {}
+        self.similar = np.full((1, len(self.pairs.keys)), -1, dtype=np.int32)
         self.routes_freq: dict[str, int] = {}
         self.best_z = float("inf")
         self.best: IterationRecord | None = None
@@ -92,89 +102,101 @@ class RshmState:
     def iterations(self) -> int:
         return len(self.records)
 
-    def record(self, rec: IterationRecord) -> None:
-        """Store iteration ``rec.index``; iterations arrive in order."""
-        self.records[rec.index] = rec
+    def record(self, rec: IterationRecord, routed=None) -> None:
+        """Store iteration ``rec.index``; iterations arrive in order from 1.
+        ``routed`` marks the pairs the routes drive, as ``routing.chosen_pairs``
+        reads them from the routing solution; by default from the routes."""
+        n, pairs = rec.index, self.pairs
+        self.records[n] = rec
         self.explored |= rec.routes.all_edges()
-        self.route_edges[rec.index] = {v: frozenset(rec.routes.edges(v))
-                                       for v in rec.routes.routes}
-        for v, edges in self.route_edges[rec.index].items():
-            for e in edges:
-                self.routed.setdefault((v, e), []).append(rec.index)
-        self.platoon_sets[rec.index] = {
-            e: frozenset(rec.platoons.platoon_sets(e))
-            for e in rec.platoons.platoons}
+        if routed is None:
+            routed = np.zeros(len(pairs.keys), dtype=bool)
+            routed[[pairs.index[(v, e)] for v in rec.routes.routes
+                    for e in rec.routes.edges(v) if (v, e) in pairs.index]] = True
+        platoons = [(e, plist) for e, plist in rec.platoons.platoons.items()
+                    if e in pairs.edge_index]
+        conf = np.zeros(len(pairs.edges), dtype=np.int32)
+        conf[[pairs.edge_index[e] for e, _ in platoons]] = [
+            self._conf_id(plist) for _, plist in platoons]
+        size = np.ones(len(pairs.keys), dtype=np.int32)
+        for e, plist in platoons:
+            for leader, followers in plist:
+                if followers:
+                    size[[pairs.index[(v, e)] for v in (leader, *followers)
+                          if (v, e) in pairs.index]] = 1 + len(followers)
+        self.routed[n], self.size[n], self.conf[n] = routed, size, conf
+        if n > 1:
+            self.similar = np.vstack([self.similar, np.where(
+                routed, self.conf[n - 1][pairs.edge], -1)])
         key = rec.routes.key()
         self.routes_freq[key] = self.routes_freq.get(key, 0) + 1
         if rec.z < self.best_z:
             self.best_z = rec.z
             self.best = rec
 
+    def _conf_id(self, plist: list) -> int:
+        """The id of a platoon list's configuration: its set of vehicle
+        sets, whatever the leaders and the order."""
+        key = tuple(plist)
+        if key not in self._conf_of:
+            sets = frozenset(frozenset((leader, *followers))
+                             for leader, followers in plist)
+            self._conf_of[key] = self._conf_ids.setdefault(
+                sets, len(self._conf_ids))
+        return self._conf_of[key]
+
     def max_freq(self) -> int:
         return max(self.routes_freq.values(), default=0)
 
 
-_NO_PLATOONS = frozenset()
+def _similar(state: RshmState, n: int, j=slice(None)) -> np.ndarray:
+    """For each pair of ``j``, the newest iteration ``k <= n - 2`` whose
+    platoon configuration on the pair's edge is iteration ``n``'s and after
+    which iteration ``k + 1`` routes the pair; 0 where there is none."""
+    match = state.similar[1:n - 1, j] == state.conf[n][state.pairs.edge[j]]
+    return (match * np.arange(1, n - 1)[:, None]).max(0, initial=0)
 
 
 def similarity_index(state: RshmState, n: int, v: int, edge) -> int | None:
     """Largest earlier iteration whose platoon configuration on ``edge``
     matches iteration ``n``'s, with ``v`` assigned to the edge right after.
-    None below iteration 3 or when no iteration qualifies; an iteration
-    whose successor does not route ``v`` at all never qualifies.  Only the
-    iterations after one that routed ``v`` over ``edge`` are compared."""
-    if n < 3 or n not in state.records:
+    None below iteration 3, when no iteration qualifies, past the last
+    iteration and for a pair outside ``state.pairs``."""
+    j = state.pairs.index.get((v, edge))
+    if n < 3 or n not in state.records or j is None:
         return None
-    target = state.platoon_sets[n].get(edge, _NO_PLATOONS)
-    for j in reversed(state.routed.get((v, edge), ())):
-        k = j - 1
-        if k > n - 2:
-            continue
-        if k < 1:
-            break
-        if state.platoon_sets[k].get(edge, _NO_PLATOONS) == target:
-            return k
-    return None
+    return int(_similar(state, n, [j])[0]) or None
 
 
 def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
-    """Adjusted costs feeding the next routing objective.
+    """Adjusted costs feeding the next routing objective, priced in one
+    pass over ``state.pairs``.
 
-    Explored edges a vehicle just traversed get the platoon-averaged cost;
-    other explored edges get the optimistic follower cost, or a price copied
-    from the iteration after the last configuration-similar one.  Only the
-    explored edges of each vehicle's candidate set are priced: no other
-    pair is read by the routing model, its greedy seed or
-    ``routing.presumed_objective``.
-    """
-    rec = state.records[n]
-    params = state.params
-    base = state.tables[1].base
-    explored = frozenset(state.explored)
-    adjusted: dict[tuple, float] = {}
-    vehicles = [m.id for m in state.instance.missions]
-    candidates = state.candidates
-    on_route = state.route_edges[n]
-    for e in sorted(explored):
-        cost = base[e]
-        for v in vehicles:
-            if e not in candidates[v]:
-                continue
-            if e in on_route[v]:
-                size = rec.platoons.size(v, e)
-                adjusted[(v, e)] = c_plat(size, cost, params) / size
-            else:
-                k = similarity_index(state, n, v, e)
-                if k is None:
-                    adjusted[(v, e)] = (1 - params.sigma_f) * cost
-                else:
-                    src = state.tables.get(k + 2)
-                    if src is None or (v, e) not in src.adjusted:
-                        raise MissingHistory(
-                            f"no stored cost for vehicle {v}, edge {e}, "
-                            f"iteration {k + 2}")
-                    adjusted[(v, e)] = src.adjusted[(v, e)]
-    table = EdgeCostTable(base=base, adjusted=adjusted, explored=explored)
+    A pair iteration ``n`` routes gets its platoon-averaged cost; any other
+    the price table ``k + 2`` gave it, ``k`` its ``similarity_index``, or
+    else the optimistic follower cost.  Only pairs on explored edges are
+    read: by the routing model, its greedy seed and
+    ``routing.presumed_objective``.  ``MissingHistory`` when the table a
+    price is copied from is not stored or holds no prices."""
+    pairs, params = state.pairs, state.params
+    routed, size, fuel = state.routed[n], state.size[n], pairs.fuel
+    price = np.where(routed, c_plat(size, fuel, params) / size,
+                     (1 - params.sigma_f) * fuel)
+    k = np.where(routed, 0, _similar(state, n))     # copied from table k + 2
+    copied = np.flatnonzero(k)
+    if len(copied):     # a table not stored, or without prices, reads NaN
+        nan = np.full(len(price), np.nan)
+        stored = np.array([nan if t is None or t.prices is None else t.prices
+                           for t in map(state.tables.get, range(n + 1))])
+        price[copied] = stored[k[copied] + 2, copied]
+    lost = np.isnan(price)
+    if lost.any():      # the first pair edge by edge, as ``adjusted`` lists
+        j = pairs.by_edge[np.argmax(lost[pairs.by_edge])]
+        v, e = pairs.keys[j]
+        raise MissingHistory(f"no stored cost for vehicle {v}, edge {e}, "
+                             f"iteration {k[j] + 2}")
+    table = EdgeCostTable(state.tables[1].base, pairs=pairs, prices=price,
+                          explored=frozenset(state.explored))
     table.validate(params.sigma_f)
     return table
 
@@ -260,7 +282,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     opts = opts or RshmOptions()
     inst.validate()
     scheduling.cut_mode(opts.sp_cuts)   # an unknown mode fails here
-    state = RshmState(inst, candidates={})   # the routing model's, once built
+    state = RshmState(inst, candidates={})   # remade on the routing model
     params = state.params
     fuel = inst.network.fuel_table()
     t_start = time.perf_counter()
@@ -288,7 +310,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         try:
             if handle is None:
                 handle = routing.build_rdp(inst, costs, iteration=n)
-                state.candidates = handle.candidates
+                state = RshmState(inst, handle.candidates, handle.pairs)
                 seed, root_start = routing.initial_solution(handle), None
             else:
                 routing.set_rdp_costs(handle, costs, n)
@@ -309,7 +331,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         presumed = routing.presumed_objective(routes, costs, inst)
         runtime = time.perf_counter() - t_iter
         rec = IterationRecord(n, routes, platoons, z, presumed, runtime)
-        state.record(rec)
+        state.record(rec, routing.chosen_pairs(handle, rdp_sol))
         trace.append({"iteration": n, "z": z, "presumed": presumed,
                       "runtime_s": runtime})
         state.tables[n + 1] = update_cost_table(state, n)
@@ -340,12 +362,12 @@ def gap_bound(state: RshmState) -> float:
     last, prev = state.records[n], state.records[n - 1]
     if last.routes != prev.routes:
         raise NotApplicableError("final iteration did not repeat its routes")
-    vehicles = [m.id for m in state.instance.missions]
-    for e in sorted(state.explored):
-        for v in vehicles:
-            if similarity_index(state, n - 1, v, e) is not None:
-                raise NotApplicableError(
-                    f"configuration similarity at edge {e}, vehicle {v}")
+    pairs = state.pairs
+    hits = np.flatnonzero(_similar(state, n - 1)[pairs.by_edge])
+    if len(hits):
+        v, e = pairs.keys[pairs.by_edge[hits[0]]]
+        raise NotApplicableError(
+            f"configuration similarity at edge {e}, vehicle {v}")
     params = state.params
     base = state.tables[1].base
     bound = 0.0

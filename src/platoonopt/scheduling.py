@@ -232,7 +232,8 @@ class SpModelHandle:
 
 
 def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
-             cut_options: CutOptions | None = None) -> SpModelHandle:
+             cut_options: CutOptions | None = None,
+             pairs: tuple | None = None) -> SpModelHandle:
     """Assemble the scheduling MILP (a maximization of fuel savings).
 
     ``params`` carries sigma_l, sigma_f and max_platoon attributes (a
@@ -241,10 +242,11 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     follower column of each pair that can still meet.  Rows, shared edge by
     shared edge: the two big-M rows of each such pair, then for each
     vehicle its lead-or-follow, size-cap and nonempty-platoon rows; then
-    the rows of :func:`add_partition_rows`.
+    the rows of :func:`add_partition_rows`.  ``pairs`` is what
+    ``platoonable_and_bigM(contracted, bounds)`` returns, if known.
     """
     opts = cut_options or CutOptions()
-    big_m, pruned = platoonable_and_bigM(contracted, bounds)
+    big_m, pruned = pairs or platoonable_and_bigM(contracted, bounds)
     pruned_set = set(pruned)
 
     model = mip.LinearModel("sp")
@@ -603,7 +605,7 @@ def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
     else:
         contracted = uncontracted(routes)
     bounds = time_bounds(contracted, inst.missions)
-    big_m, _ = platoonable_and_bigM(contracted, bounds)
+    big_m, pruned = platoonable_and_bigM(contracted, bounds)
     reused, new = [], []
     for vs in components(contracted, big_m):
         key = component_key(contracted, vs)
@@ -613,7 +615,12 @@ def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
         else:
             reused.extend(known)
     keep = {v for _key, vs in new for v in vs}
-    handle = build_sp(_restricted(contracted, keep), inst, bounds, cut_options)
+    # the pairs of kept vehicles; both of a pair that can meet are in one
+    # component, so its first vehicle decides
+    pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
+             [p for p in pruned if p[0] in keep and p[1] in keep])
+    handle = build_sp(_restricted(contracted, keep), inst, bounds, cut_options,
+                      pairs)
     if new:
         hook = None
         if disjunctive:

@@ -81,7 +81,8 @@ def build_rdp(inst, costs, iteration: int = 1) -> routing.RdpModelHandle:
                                  sense, rhs, name=name)
 
     handle = routing.RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
-                                    edge_vehicles, costs, inst, iteration)
+                                    edge_vehicles, costs, inst, iteration,
+                                    routing.CandidatePairs(inst, cand))
     routing.set_rdp_costs(handle, costs, iteration)
     return handle
 

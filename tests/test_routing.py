@@ -242,3 +242,27 @@ def test_cost_table_invariants(small_grid):
                         frozenset([e]))
     with pytest.raises(ValueError):
         low.validate(inst.sigma_f)
+
+
+@pytest.mark.parametrize("scale,what", [(1.5, "out of range"),
+                                        (0.5, "below follower floor")])
+def test_cost_table_of_pairs_names_the_first_bad_cost_edge_by_edge(
+        small_grid, scale, what):
+    inst = nm.generate_distributed(small_grid, 3, seed=5)
+    pairs = routing.build_rdp(inst, EdgeCostTable.initial(inst)).pairs
+    ids = [v for v, _e in pairs.keys]
+    # the last vehicle's pairs and the pair before them, which comes first
+    # vehicle by vehicle but not edge by edge
+    bad = list(range(ids.index(ids[-1]) - 1, len(ids)))
+    first = min((pairs.keys[j] for j in bad), key=lambda k: (k[1], k[0]))
+    assert first != pairs.keys[bad[0]]
+    prices = pairs.fuel.copy()
+    prices[bad] *= scale
+    table = EdgeCostTable(inst.network.fuel_table(), pairs=pairs,
+                          prices=prices, explored=frozenset(pairs.edges))
+    from_dict = EdgeCostTable(table.base, dict(table.adjusted),
+                              table.explored)
+    for t in (table, from_dict):
+        with pytest.raises(ValueError) as err:
+            t.validate(inst.sigma_f)
+        assert str(err.value) == f"adjusted cost {what} for {first[0]},{first[1]}"

@@ -1,6 +1,7 @@
 """Heuristic loop: platoon-cost algebra, similarity index, cost feedback,
 termination, and the a-posteriori gap bound."""
 
+import struct
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from platoonopt.rshm import (RshmOptions, RshmState, SavingsParams, c_plat,
                              gap_bound, similarity_index, update_cost_table)
 from platoonopt.scheduling import PlatoonConfiguration
 
+import reference_feedback
 from conftest import shared_edge_instance
 
 P = SavingsParams(0.02, 0.1, 10)
@@ -196,24 +198,46 @@ class TestCostTable:
         assert table4.cost(2, (3, 4)) == pytest.approx(9.4)
 
     def test_case3_requires_stored_table(self):
+        # vehicle 2 joins vehicle 1 on the shared edge at iteration 2 only,
+        # so at iteration 3 its price there is copied from table 3; so are
+        # the prices of vehicle 1 on (4, 5) and of vehicle 2 on (4, 6),
+        # which carry no platoon at iterations 1 and 3
         inst = _mini_instance()
-        recs = [_record(1, inst, True), _record(2, inst, True),
-                _record(3, inst, True)]
+        apart = {1: (1, 3, 4), 2: (2, 3)}
+        together = {1: (1, 3, 4, 5), 2: (2, 3, 4, 6)}
+        recs = [_record_on(1, inst, apart), _record_on(2, inst, together),
+                _record_on(3, inst, apart)]
         state = _state_with_history(inst, recs)
-        state.tables[2] = update_cost_table(state, 1)
-        state.tables[3] = update_cost_table(state, 2)
-        update_cost_table(state, 3)  # all history present: fine
+        ref = reference_feedback.ReferenceState(inst, _every_edge(inst))
+        for rec in recs:
+            ref.record(rec)
+        for n in (1, 2):
+            state.tables[n + 1] = update_cost_table(state, n)
+            ref.tables[n + 1] = reference_feedback.update_cost_table(ref, n)
+        assert similarity_index(state, 3, 2, (3, 4)) == 1
+        table4 = update_cost_table(state, 3)  # all history present: fine
+        assert table4.cost(2, (3, 4)) == state.tables[3].cost(2, (3, 4))
+        assert table4.cost(2, (3, 4)) != (1 - inst.sigma_f) * 10.0
+        del state.tables[3], ref.tables[3]
+        with pytest.raises(rshm.MissingHistory) as got:
+            update_cost_table(state, 3)
+        # the first of the three edge by edge
+        assert str(got.value) == (
+            "no stored cost for vehicle 2, edge (3, 4), iteration 3")
+        with pytest.raises(rshm.MissingHistory) as want:
+            reference_feedback.update_cost_table(ref, 3)
+        assert str(got.value) == str(want.value)
 
 
-def _replayed_tables(inst, records, candidates):
-    """The cost tables of a run's records, recomputed for the given
-    candidate sets as the loop computes them: one table after each
-    recorded iteration."""
-    state = RshmState(inst, candidates)
-    for n in sorted(records):
-        state.record(records[n])
-        state.tables[n + 1] = update_cost_table(state, n)
-    return state.tables
+def _record_on(n, inst, routes):
+    """Iteration ``n`` on the given routes of the mini instance: vehicles 1
+    and 2 platoon on the shared edge when both drive it."""
+    net = inst.network
+    ra = RouteAssignment(routes, net.time_table(), net.fuel_table())
+    platoons = {e: [(1, (2,))] if vs == [1, 2] else [(v, ()) for v in vs]
+                for e, vs in ra.vehicles_by_edge().items()}
+    cfg = PlatoonConfiguration(platoons, {1: 0.0, 2: 0.0})
+    return rshm.IterationRecord(n, ra, cfg, 100.0, 100.0, 0.0)
 
 
 class TestCandidatePricing:
@@ -245,7 +269,7 @@ class TestCandidatePricing:
         assert any(similarity_index(state, n, v, e) is not None
                    for n in state.records for v, es in state.candidates.items()
                    for e in es)
-        full = _replayed_tables(inst, state.records, _every_edge(inst))
+        full = _replayed_state(inst, state.records, _every_edge(inst)).tables
         h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
         assert h.candidates == state.candidates
         for n in range(2, state.iterations + 2):
@@ -258,6 +282,76 @@ class TestCandidatePricing:
                 if e in table.explored:
                     assert (v, e) in table.adjusted
                 assert table.cost(v, e) == full[n].cost(v, e)
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _priced(table) -> list:
+    return [(key, _bits(c)) for key, c in table.adjusted.items()]
+
+
+class TestFeedbackReference:
+    """The cost feedback kept per routing column against the dict-walking
+    version in ``reference_feedback``: bitwise equal tables, similarity
+    indices, presumed objectives and routing cost vectors."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(["two_cluster", "distributed"]),
+           st.integers(1, 10), st.integers(0, 10_000), st.integers(1, 15),
+           st.booleans())
+    def test_feedback_matches_the_reference(self, generator, vehicles, seed,
+                                            iter_cap, every_edge):
+        inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
+        run = rshm.run(inst, RshmOptions(iter_cap=iter_cap,
+                                         freq_threshold=99)).state
+        # the run's own state read its routed pairs from the routing
+        # solutions; a replay on every edge looks them up from the routes
+        cand = _every_edge(inst) if every_edge else run.candidates
+        state = _replayed_state(inst, run.records, cand) if every_edge \
+            else run
+        ref = reference_feedback.ReferenceState(inst, cand)
+        handle = routing.build_rdp(inst, state.tables[1])
+        for n in sorted(run.records):
+            rec = run.records[n]
+            ref.record(rec)
+            got = routing.presumed_objective(rec.routes, state.tables[n],
+                                             inst)
+            want = reference_feedback.presumed_objective(
+                rec.routes, ref.tables[n], inst)
+            assert _bits(got) == _bits(want) == _bits(rec.presumed)
+            ref.tables[n + 1] = reference_feedback.update_cost_table(ref, n)
+        assert sorted(state.tables) == sorted(ref.tables)
+        for n, table in state.tables.items():
+            assert table.explored == ref.tables[n].explored
+            assert _priced(table) == _priced(ref.tables[n])
+            routing.set_rdp_costs(handle, table, n)
+            assert mip._columns(handle.model)[0].tobytes() == \
+                reference_feedback.rdp_costs(handle, ref.tables[n]).tobytes()
+        unexplored = [e for e in sorted(inst.network.edges)
+                      if e not in state.explored][:2]
+        ids = [m.id for m in inst.missions]
+        hits = 0
+        for n in range(state.iterations + 2):
+            for e in sorted(state.explored) + unexplored:
+                for v in ids + [max(ids) + 1]:
+                    k = similarity_index(state, n, v, e)
+                    assert k == reference_feedback.similarity_index(
+                        ref, n, v, e)
+                    hits += k is not None
+        event(f"{state.iterations} iterations, every edge: {every_edge}, "
+              f"hits: {hits > 0}")
+
+
+def _replayed_state(inst, records, candidates):
+    """The state of a run's records, replayed for the given candidate sets
+    as the loop builds it, with the routed pairs read from the routes."""
+    state = RshmState(inst, candidates)
+    for n in sorted(records):
+        state.record(records[n])
+        state.tables[n + 1] = update_cost_table(state, n)
+    return state
 
 
 class TestRun:

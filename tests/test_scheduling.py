@@ -469,6 +469,38 @@ class TestComponents:
         assert sched.total_fuel(ra, again.platoons, fuel, inst) == \
             sched.total_fuel(ra, fresh.platoons, fuel, inst)
 
+    def test_pairs_that_can_meet_are_found_once(self, monkeypatch):
+        # solve_schedule hands build_sp the pairs of the components it
+        # solves; the model is the one build_sp builds finding them itself
+        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
+        inst = nm.generate_two_cluster(grid, 14, seed=1)
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        bounds = sched.time_bounds(con, inst.missions)
+        comps = sched.components(con, sched.platoonable_and_bigM(con,
+                                                                 bounds)[0])
+        assert len(comps) >= 2
+        solved = {}
+        sched.solve_schedule(ra, inst, "star", solved=solved)
+        del solved[sched.component_key(con, comps[0])]
+        calls = []
+        find = sched.platoonable_and_bigM
+        monkeypatch.setattr(sched, "platoonable_and_bigM",
+                            lambda *args: calls.append(args) or find(*args))
+        got = sched.solve_schedule(ra, inst, "star", solved=solved).handle
+        assert len(calls) == 1
+        monkeypatch.undo()
+        want = sched.build_sp(sched._restricted(con, set(comps[0])), inst,
+                              bounds, sched.CutOptions(star_partition=True))
+        assert (got.big_m, got.pruned) == (want.big_m, want.pruned)
+        assert list(got.big_m) == list(want.big_m)
+        assert got.model.names == want.model.names
+        for a, b in zip(mip._columns(got.model), mip._columns(want.model)):
+            assert np.array_equal(a, b)
+        ga, wa = got.model.compiled_rows(), want.model.compiled_rows()
+        assert (ga.a != wa.a).nnz == 0
+        assert np.array_equal(ga.rlo, wa.rlo) and np.array_equal(ga.rhi, wa.rhi)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**_CASES, cuts=st.sampled_from(["star", "star+disj"]),
            drop=st.integers(0, 10), swap=st.integers(0, 10))

@@ -67,8 +67,7 @@ def cmd_gen(args) -> int:
 
 
 def _solve_rdp(inst, args):
-    costs = routing.EdgeCostTable.initial(inst)
-    handle = routing.build_rdp(inst, costs, iteration=1)
+    handle = routing.build_rdp(inst)
     sol = mip.solve_mip(handle.model, rel_gap=args.gap,
                         time_limit_s=args.time_limit,
                         initial_solution=routing.initial_solution(handle))
@@ -261,8 +260,7 @@ def cmd_rshm(args) -> int:
 def cmd_export(args) -> int:
     inst = netmodel.load_instance(args.instance)
     if args.problem == "rdp":
-        handle = routing.build_rdp(inst, routing.EdgeCostTable.initial(inst))
-        model = handle.model
+        model = routing.build_rdp(inst).model
     else:
         assignment = routing.shortest_path_assignment(inst)
         contracted = scheduling.contract(assignment, assignment.edge_times,
@@ -276,11 +274,36 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+_NUMBER = (int, float)
+_RESULT_FIELDS = {"instance": str, "fuel_cost": _NUMBER,
+                  "saving_rate": _NUMBER, "rel_dev": _NUMBER,
+                  "iterations": int, "termination": str, "trace": list}
+
+
+def _load_result(path) -> dict:
+    """A result file of ``rshm --out``; ``netmodel.ParseError`` naming the
+    file and the first field it lacks or holds in the wrong type."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise netmodel.ParseError(f"{path}: a result file holds a JSON "
+                                  f"object, not a {type(doc).__name__}")
+    for key, kind in _RESULT_FIELDS.items():
+        if not isinstance(doc.get(key), kind):
+            problem = "lacks" if key not in doc else "has a malformed"
+            raise netmodel.ParseError(f"{path}: result file {problem} "
+                                      f"field {key!r}")
+    if not all(isinstance(t, dict) and isinstance(t.get("runtime_s"), _NUMBER)
+               for t in doc["trace"]):
+        raise netmodel.ParseError(
+            f"{path}: result file has a trace entry without 'runtime_s'")
+    return doc
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in args.results:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_result(path)
         rows.append([doc["instance"], _fmt(doc["fuel_cost"]),
                      _fmt(100.0 * doc["saving_rate"]),
                      _fmt(100.0 * doc["rel_dev"]), doc["iterations"],
@@ -402,8 +425,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (netmodel.ParseError, netmodel.ValidationError,
-            netmodel.NoHubPair, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+            netmodel.NoHubPair, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (netmodel.Unreachable, routing.InfeasibleMission,

@@ -57,31 +57,14 @@ def star_partition_constraints(vehicles):
     return rows
 
 
-def platoon_size_facets(vehicles, max_platoon: int, cap: int = SIZE_FACET_CAP,
-                        lp_point: dict | None = None):
+def platoon_size_facets(vehicles, max_platoon: int, cap: int = SIZE_FACET_CAP):
     """Size-cap facets: over any lambda+1 vehicles, at most lambda-1
-    follower links.  Subsets beyond ``cap`` are ranked by violation at
-    ``lp_point`` (pair -> value) when provided, else truncated
-    lexicographically."""
+    follower links.  The first ``cap`` subsets in lexicographic order."""
     vs = sorted(vehicles)
-    if len(vs) < max_platoon + 1:
-        return []
     subsets = itertools.combinations(vs, max_platoon + 1)
-    rows = []
-    if lp_point is None:
-        for us in itertools.islice(subsets, cap):
-            rows.append(({(u, v): 1.0 for u, v in itertools.combinations(us[::-1], 2)},
-                         "<=", float(max_platoon - 1)))
-        return rows
-    scored = []
-    for us in subsets:
-        pairs = [(u, v) for u, v in itertools.combinations(us[::-1], 2)]
-        lhs = sum(lp_point.get(p, 0.0) for p in pairs)
-        scored.append((lhs - (max_platoon - 1), pairs))
-    scored.sort(key=lambda t: -t[0])
-    for viol, pairs in scored[:cap]:
-        rows.append(({p: 1.0 for p in pairs}, "<=", float(max_platoon - 1)))
-    return rows
+    return [({(u, v): 1.0 for u, v in itertools.combinations(us[::-1], 2)},
+             "<=", float(max_platoon - 1))
+            for us in itertools.islice(subsets, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +394,10 @@ def make_disjunctive_hook(handle: SpModelHandle, log: list | None = None):
     return hook
 
 
-def bound_improvement_report(contracted, params, bounds,
-                             rounds: int = 20) -> dict:
-    """Root-relaxation bounds: plain, after disjunctive cuts, after adding
-    the star rows as well (maximization: lower is tighter).  The cuts, then
+def bound_improvement_report(contracted, params, bounds) -> dict:
+    """Root-relaxation bounds: plain, after at most
+    ``mip.DEFAULT_CUT_ROUNDS`` disjunctive cuts, after adding the star rows
+    as well (maximization: lower is tighter).  The cuts, then
     the star rows, are appended to the plain model, and each LP after the
     first restarts from the previous basis with the new rows basic (see
     ``mip.extend_start``)."""
@@ -426,7 +409,7 @@ def bound_improvement_report(contracted, params, bounds,
 
     disj: list[DisjunctiveCut] = []
     lp = lp0
-    for _ in range(rounds):
+    for _ in range(mip.DEFAULT_CUT_ROUNDS):
         if lp.status != "optimal":
             break
         found = separate_disjunctive(lp, handle)

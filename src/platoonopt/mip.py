@@ -81,7 +81,7 @@ class Cut:
     coeffs: dict[int, float]
     sense: str
     rhs: float
-    tag: str = ""  # disjunctive | star_partition | size_facet | hull
+    tag: str = ""  # its row is cut_<tag>_<row>; cuts.py tags "disjunctive"
 
     def validate(self) -> None:
         if not self.coeffs:
@@ -496,9 +496,6 @@ class LpSolution:
     x: np.ndarray | None
     basis: object | None = None     # the HighsBasis HiGHS ended on
 
-    def value(self, j: int) -> float:
-        return float(self.x[j])
-
 
 @dataclass
 class MipSolution:
@@ -519,9 +516,6 @@ class MipSolution:
     # HighsBasis of the final root LP, cut rows included; a valid
     # ``root_start`` for a model with the same rows and columns
     root_basis: object | None = None
-
-    def value(self, j: int) -> float:
-        return float(self.x[j])
 
 
 def with_cuts(rows: simplex.Matrix, cuts: list[Cut],
@@ -675,7 +669,6 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
               time_limit_s: float | None = None,
               node_limit: int | None = None,
               root_cut_hook=None,
-              cut_rounds: int = DEFAULT_CUT_ROUNDS,
               initial_solution=None, root_start=None) -> MipSolution:
     """Branch and bound with best-bound node selection.
 
@@ -684,8 +677,8 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     with its current bounds and objective.
     ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
     invoked repeatedly on fractional root relaxations until it returns no
-    cuts or ``cut_rounds`` rounds have run.  Cuts never fire below the root.
-    They are appended to a block local to the solve, so neither the
+    cuts or ``DEFAULT_CUT_ROUNDS`` rounds have run.  Cuts never fire below
+    the root.  They are appended to a block local to the solve, so neither the
     model's rows nor its compiled rows change.  Each root LP after a cut
     round restarts from the previous root basis with the cuts' rows basic
     (see :func:`extend_start`), and each node LP from its parent's optimal
@@ -734,7 +727,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     root = lp_solve(lo_col, hi_col, start)
     rounds = 0
     while (root.status == "optimal" and root_cut_hook is not None
-           and rounds < cut_rounds and _fractional(root.x, int_idx)):
+           and rounds < DEFAULT_CUT_ROUNDS and _fractional(root.x, int_idx)):
         cuts = root_cut_hook(root)
         if not cuts:
             break

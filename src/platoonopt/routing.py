@@ -1,9 +1,12 @@
 """Route-design problem: phase one of each heuristic iteration.
 
-Builds the routing MILP over per-vehicle candidate edge sets.  On the first
-iteration the objective prices every edge at its raw fuel cost minus the
-presumed platooning savings; later iterations replace explored edges'
-terms with the per-vehicle adjusted costs fed back from scheduling.
+Builds the routing MILP over per-vehicle candidate edge sets.  Its x
+columns are the (vehicle, candidate edge) pairs of ``CandidatePairs``, the
+one index of the cost feedback: an ``EdgeCostTable`` holds a price per
+pair.  On the first iteration every pair costs its edge's fuel and the
+objective subtracts the presumed platooning savings; later iterations
+price the pairs on explored edges at the adjusted costs fed back from
+scheduling, and drop those edges' savings terms.
 """
 
 from __future__ import annotations
@@ -28,25 +31,27 @@ class NonPathSolution(Exception):
 
 
 class EdgeCostTable:
-    """Base fuel costs plus per-vehicle adjusted costs on explored edges,
-    given as an ``adjusted`` dict keyed by (vehicle, edge), or as
-    ``prices``, one per pair of ``pairs`` (a ``CandidatePairs``), of which
-    those on explored edges are the adjusted costs; ``adjusted`` then lists
-    them edge by edge."""
+    """The routing objective's price of each pair of ``pairs`` (a
+    ``CandidatePairs``; price ``j`` is x column ``j``'s) and the explored
+    edges.  A pair on an explored edge costs ``prices[j]``, its adjusted
+    cost, any other its edge's fuel; ``edge_explored`` marks the explored
+    candidate edges.  ``adjusted`` lists the adjusted costs by (vehicle,
+    edge), edge by edge."""
 
-    def __init__(self, base: dict, adjusted: dict | None = None,
-                 explored: frozenset = frozenset(), pairs=None, prices=None):
-        self.base, self.explored = base, explored
-        self.pairs, self.prices = pairs, prices
-        self._adjusted = (adjusted or {}) if pairs is None else None
-        if pairs is not None:
-            on = _explored_edges(explored, pairs)[pairs.edge]
-            self._costs = np.where(on, prices, pairs.fuel)
-            self._order = pairs.by_edge[on[pairs.by_edge]]
+    def __init__(self, pairs: "CandidatePairs", prices,
+                 explored: frozenset = frozenset()):
+        self.pairs, self.explored = pairs, explored
+        self.edge_explored = np.fromiter((e in explored for e in pairs.edges),
+                                         bool, len(pairs.edges))
+        on = self.edge_explored[pairs.edge]
+        self.prices = np.where(on, prices, pairs.fuel)
+        self._order = pairs.by_edge[on[pairs.by_edge]]
+        self._adjusted = None
 
     @classmethod
-    def initial(cls, inst: ProblemInstance) -> "EdgeCostTable":
-        return cls(base=inst.network.fuel_table())
+    def initial(cls, pairs: "CandidatePairs") -> "EdgeCostTable":
+        """Iteration 1's table: every pair at its fuel, nothing explored."""
+        return cls(pairs, pairs.fuel)
 
     @property
     def adjusted(self) -> dict:
@@ -57,40 +62,19 @@ class EdgeCostTable:
         return self._adjusted
 
     def cost(self, v: int, edge: tuple) -> float:
-        if edge in self.explored:
-            return self.adjusted[(v, edge)]
-        return self.base[edge]
-
-    def costs_of(self, keys: list) -> np.ndarray:
-        """``cost`` of each (vehicle, edge) of ``keys``; a table of
-        ``pairs`` prices those pairs only."""
-        if self.pairs is None:
-            return np.array([self.cost(v, e) for v, e in keys], float)
-        if keys is self.pairs.keys:     # every pair, in order
-            return self._costs
-        return self._costs[[self.pairs.index[k] for k in keys]]
+        return float(self.prices[self.pairs.index[(v, edge)]])
 
     def validate(self, sigma_f: float) -> None:
         """``ValueError`` naming the first adjusted cost outside
         ``[(1 - sigma_f) * base, base]``, with 1e-9 slack, or not positive."""
-        if self.pairs is None:
-            c = np.array(list(self.adjusted.values()), float)
-            base = np.array([self.base[e] for _v, e in self.adjusted], float)
-        else:
-            c, base = self.prices[self._order], self.pairs.fuel[self._order]
+        c, base = self.prices[self._order], self.pairs.fuel[self._order]
         out = ~((0 < c) & (c <= base + 1e-9))
         bad = out | (c < (1.0 - sigma_f) * base - 1e-9)
         if bad.any():
             i = int(np.argmax(bad))
-            v, e = list(self.adjusted)[i]
+            v, e = self.pairs.keys[self._order[i]]
             raise ValueError(f"adjusted cost out of range for {v},{e}" if out[i]
                              else f"adjusted cost below follower floor for {v},{e}")
-
-
-def _explored_edges(explored, pairs: "CandidatePairs") -> np.ndarray:
-    """Whether each candidate edge of ``pairs`` is in ``explored``."""
-    return np.fromiter((e in explored for e in pairs.edges), bool,
-                       len(pairs.edges))
 
 
 class CandidatePairs:
@@ -157,13 +141,11 @@ class RouteAssignment:
     def total_cost(self) -> float:
         return sum(self.route_cost(v) for v in self.vehicles)
 
-    def key(self) -> str:
-        parts = [f"{v}:" + "-".join(str(n) for n in self.routes[v])
-                 for v in self.vehicles]
-        return "|".join(parts)
-
     def __eq__(self, other):
         return isinstance(other, RouteAssignment) and self.routes == other.routes
+
+    def __hash__(self):
+        return hash(frozenset(self.routes.items()))
 
 
 @dataclass
@@ -177,7 +159,6 @@ class RdpModelHandle:
     edge_vehicles: dict[tuple, list[int]]
     costs: EdgeCostTable
     instance: ProblemInstance
-    iteration: int
     pairs: CandidatePairs                # the x columns' pairs
 
 
@@ -210,34 +191,18 @@ def _hull_rows(k: int):
     return (*arrays, senses, names)
 
 
-def hull_inequalities(edge: tuple, vehicles: list[int]):
-    """Rows of the per-edge routing polytope (see ``_hull_rows``), as
-    ``build_rdp`` emits them: (coeffs, sense, rhs, name) with coefficient
-    keys ('x', v), 'y', 'yp' and 'w'."""
-    vehicles = sorted(vehicles)
-    keys = [("x", v) for v in vehicles] + ["y", "yp", "w"]
-    lengths, cols, vals, senses, names = _hull_rows(len(vehicles))
-    ends = np.cumsum(lengths).tolist()
-    cols, vals = cols.tolist(), vals.tolist()
-    return [({keys[j]: c for j, c in zip(cols[e - n:e], vals[e - n:e])},
-             sense, 0.0,
-             f"{tag}_{edge}" if i is None else f"{tag}_{vehicles[i]}_{edge}")
-            for n, e, sense, (tag, i) in zip(lengths.tolist(), ends, senses,
-                                             names)]
-
-
-def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
-              iteration: int = 1) -> RdpModelHandle:
-    """Assemble the routing MILP, priced from ``costs``.  The structure does
-    not depend on the costs: later iterations re-price it with
-    ``set_rdp_costs``.
+def build_rdp(inst: ProblemInstance) -> RdpModelHandle:
+    """Assemble the routing MILP, priced at the first iteration's table
+    (``EdgeCostTable.initial``).  The structure does not depend on the
+    costs: later iterations re-price it with ``set_rdp_costs``.
 
     Columns: each vehicle's x over its candidate edges in key order,
     vehicle by vehicle, then y, y' and w of each candidate edge in key
     order.  Rows: each vehicle's flow balance at every node of its
     candidate edges (by node id; each row's entries in the iteration order
     of the candidate set) and then its time window; then the rows of
-    ``hull_inequalities`` edge by edge in key order."""
+    ``_hull_rows`` edge by edge in key order, each named ``{tag}_{edge}``
+    or, for a ``used`` row, ``{tag}_{vehicle}_{edge}``."""
     net = inst.network
     cand = {m.id: netmodel.candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
@@ -284,8 +249,8 @@ def build_rdp(inst: ProblemInstance, costs: EdgeCostTable,
         {e: j + 2 for e, j in y_col.items()}, cand,
         {e: vs[s:s + c] for e, s, c in zip(pairs.edges, first.tolist(),
                                            k.tolist())},
-        costs, inst, iteration, pairs)
-    set_rdp_costs(handle, costs, iteration)
+        EdgeCostTable.initial(pairs), inst, pairs)
+    set_rdp_costs(handle, handle.costs)
     return handle
 
 
@@ -322,7 +287,7 @@ def _add_flow_rows(model, arrays, missions, edge, veh, x) -> None:
 
 
 def _add_hull_rows(model, edges, k, x, vehicles, y) -> None:
-    """The rows of ``hull_inequalities`` of each edge of ``edges`` (keys
+    """The rows of ``_hull_rows`` of each edge of ``edges`` (keys
     as text, in key order), edge ``g`` in the candidate sets of ``k[g]``
     vehicles: ``x`` holds their columns edge by edge (vehicles by id, as
     in ``vehicles``) and ``y[g]`` is the edge's y column."""
@@ -344,27 +309,21 @@ def _add_hull_rows(model, edges, k, x, vehicles, y) -> None:
                    [s for r in rows for s in r[3]], 0.0, names)
 
 
-def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable,
-                  iteration: int) -> None:
-    """Re-price a routing model for another iteration.  Only the objective
-    depends on the cost table; columns, rows and bounds stay as built, so
-    the previous iteration's LP basis remains primal feasible."""
+def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable) -> None:
+    """Re-price a routing model at a table over its pairs.  Only the
+    objective depends on the cost table; columns, rows and bounds stay as
+    built, so the previous iteration's LP basis remains primal feasible."""
     inst, pairs = handle.instance, handle.pairs
+    if costs.pairs is not pairs and costs.pairs.keys != pairs.keys:
+        raise ValueError("cost table is not over the model's x columns")
     n = len(pairs.keys)
     c = np.zeros(handle.model.num_vars)
-    c[:n] = costs.costs_of(pairs.keys)
-    fuel = np.where(_explored_edges(costs.explored, pairs), 0.0,
-                    pairs.edge_fuel)
+    c[:n] = costs.prices
+    fuel = np.where(costs.edge_explored, 0.0, pairs.edge_fuel)
     c[n + 1::3] = -inst.sigma_l * fuel
     c[n + 2::3] = -inst.sigma_f * fuel
     handle.model.set_objective(c, sense="min")
     handle.costs = costs
-    handle.iteration = iteration
-
-
-def chosen_pairs(handle: RdpModelHandle, sol) -> np.ndarray:
-    """Whether a solution routes each pair of ``handle.pairs``."""
-    return sol.x[:len(handle.pairs.keys)] > 0.5
 
 
 def extract_route_assignment(handle: RdpModelHandle,
@@ -374,7 +333,7 @@ def extract_route_assignment(handle: RdpModelHandle,
         raise NonPathSolution("no solution values to extract")
     net, keys = handle.instance.network, handle.pairs.keys
     succ = {m.id: {} for m in handle.instance.missions}
-    for j in np.flatnonzero(chosen_pairs(handle, sol)).tolist():
+    for j in np.flatnonzero(sol.x[:len(keys)] > 0.5).tolist():
         v, (a, b) = keys[j]
         if a in succ[v]:
             raise NonPathSolution(f"vehicle {v}: branching at node {a}")
@@ -399,10 +358,12 @@ def presumed_objective(assignment: RouteAssignment, costs: EdgeCostTable,
     estimate of total fuel, before scheduling realizes it): the route
     costs added one by one, vehicle by vehicle along each route."""
     keys = [(v, e) for v in assignment.vehicles for e in assignment.edges(v)]
-    total = float(np.cumsum(costs.costs_of(keys))[-1]) if keys else 0.0
+    index, fuel = costs.pairs.index, inst.network.fuel_table()
+    total = float(np.cumsum(costs.prices[[index[k] for k in keys]])[-1]) \
+        if keys else 0.0
     for e, m in Counter(e for _v, e in keys).items():
         if e not in costs.explored and m >= 2:
-            c = costs.base[e]
+            c = fuel[e]
             total -= inst.sigma_l * c + inst.sigma_f * (m - 1) * c
     return total
 
@@ -465,7 +426,7 @@ def greedy_assignment(inst: ProblemInstance, costs: EdgeCostTable,
     priced at its presumed follower cost.  Falls back to the fuel-shortest
     path when the greedy path breaks the mission time window.
     """
-    net = inst.network
+    net, fuel = inst.network, inst.network.fuel_table()
     occupied: dict[tuple, int] = {}
     routes: dict[int, tuple] = {}
     for m in inst.missions:
@@ -479,7 +440,7 @@ def greedy_assignment(inst: ProblemInstance, costs: EdgeCostTable,
                 return base
             w = (1 - inst.sigma_f) * base
             if k == 1:
-                w -= inst.sigma_l * costs.base[e]
+                w -= inst.sigma_l * fuel[e]
             return max(w, 1e-12)
 
         nodes = _greedy_path(net, candidates[m.id], m.origin, m.dest, weight)

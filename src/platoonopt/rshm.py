@@ -7,12 +7,13 @@ re-priced at the platoon-averaged cost, other explored edges at the most
 optimistic follower cost, unless an earlier iteration already realized the
 same platoon configuration there (in which case its price is reused).
 
-The feedback is kept per routing column: ``RshmState`` stores each
-iteration's history as arrays over the (vehicle, candidate edge) pairs in
-the routing model's x-column order, so a cost table is priced in one array
-pass and written into the model in one slice.  Work that does not change
-between iterations is done once per run: the routing model is built at
-iteration 1 and only re-priced afterwards, and a scheduling component (see
+The feedback has one encoding, over the routing model's x columns: the
+(vehicle, candidate edge) pairs of its ``routing.CandidatePairs``.
+``RshmState`` keeps each iteration's history as arrays over those pairs,
+and a cost table is a price per pair, priced in one array pass and written
+into the model in one slice.  Work that does not change between
+iterations is done once per run: the routing model is built at iteration
+1 and only re-priced afterwards, and a scheduling component (see
 ``scheduling.components``) already solved to optimality is not solved
 again.
 """
@@ -72,29 +73,28 @@ class IterationRecord:
 
 class RshmState:
     """Everything the feedback recurrence and diagnostics need to look back
-    at.  The recurrence reads arrays over ``pairs`` (``routing.CandidatePairs``),
-    pair ``j`` being the routing model's x column ``j``.  Per iteration
-    ``n``: the pairs it routes (``routed[n]``), their platoon sizes
-    (``size[n]``), and an id of its platoon configuration on each candidate
-    edge (``conf[n]``; equal sets of vehicle sets get equal ids, none gets
-    0).  ``similar[k, j]`` is ``conf[k]`` on pair ``j``'s edge if iteration
-    ``k + 1`` routes the pair, else -1.  A table ``update_cost_table``
-    made holds its prices over ``pairs``."""
+    at, as arrays over ``pairs`` (``routing.CandidatePairs``), pair ``j``
+    being the routing model's x column ``j``: the only (vehicle, edge)
+    pairs a cost table prices.  Per iteration ``n``: the pairs it routes
+    (``routed[n]``), their platoon sizes (``size[n]``), and an id of its
+    platoon configuration on each candidate edge (``conf[n]``; equal sets
+    of vehicle sets get equal ids, none gets 0).  ``similar[k, j]`` is
+    ``conf[k]`` on pair ``j``'s edge if iteration ``k + 1`` routes the
+    pair, else -1.  ``tables[n]`` prices iteration ``n``'s routing model
+    over ``pairs``; ``routes_freq`` counts each route assignment seen."""
 
-    def __init__(self, inst, candidates: dict[int, set], pairs=None):
+    def __init__(self, inst, pairs: routing.CandidatePairs):
         self.instance = inst
         self.params = SavingsParams.from_instance(inst)
-        # each vehicle's candidate edge set: the routing model's columns,
-        # hence the only (vehicle, edge) pairs a cost table must price
-        self.candidates = candidates
-        self.pairs = pairs or routing.CandidatePairs(inst, candidates)
+        self.pairs = pairs
         self.records: dict[int, IterationRecord] = {}
-        self.tables: dict[int, EdgeCostTable] = {1: EdgeCostTable.initial(inst)}
+        self.tables: dict[int, EdgeCostTable] = {
+            1: EdgeCostTable.initial(pairs)}
         self.explored: set = set()
         self.routed, self.size, self.conf = {}, {}, {}
         self._conf_ids, self._conf_of = {frozenset(): 0}, {}
-        self.similar = np.full((1, len(self.pairs.keys)), -1, dtype=np.int32)
-        self.routes_freq: dict[str, int] = {}
+        self.similar = np.full((1, len(pairs.keys)), -1, dtype=np.int32)
+        self.routes_freq: dict[RouteAssignment, int] = {}
         self.best_z = float("inf")
         self.best: IterationRecord | None = None
 
@@ -102,17 +102,15 @@ class RshmState:
     def iterations(self) -> int:
         return len(self.records)
 
-    def record(self, rec: IterationRecord, routed=None) -> None:
+    def record(self, rec: IterationRecord) -> None:
         """Store iteration ``rec.index``; iterations arrive in order from 1.
-        ``routed`` marks the pairs the routes drive, as ``routing.chosen_pairs``
-        reads them from the routing solution; by default from the routes."""
+        The routed pairs are the pairs of ``pairs`` the routes drive."""
         n, pairs = rec.index, self.pairs
         self.records[n] = rec
         self.explored |= rec.routes.all_edges()
-        if routed is None:
-            routed = np.zeros(len(pairs.keys), dtype=bool)
-            routed[[pairs.index[(v, e)] for v in rec.routes.routes
-                    for e in rec.routes.edges(v) if (v, e) in pairs.index]] = True
+        keys = [(v, e) for v in rec.routes.routes for e in rec.routes.edges(v)]
+        routed = np.zeros(len(pairs.keys), dtype=bool)
+        routed[[j for j in map(pairs.index.get, keys) if j is not None]] = True
         platoons = [(e, plist) for e, plist in rec.platoons.platoons.items()
                     if e in pairs.edge_index]
         conf = np.zeros(len(pairs.edges), dtype=np.int32)
@@ -128,8 +126,7 @@ class RshmState:
         if n > 1:
             self.similar = np.vstack([self.similar, np.where(
                 routed, self.conf[n - 1][pairs.edge], -1)])
-        key = rec.routes.key()
-        self.routes_freq[key] = self.routes_freq.get(key, 0) + 1
+        self.routes_freq[rec.routes] = self.routes_freq.get(rec.routes, 0) + 1
         if rec.z < self.best_z:
             self.best_z = rec.z
             self.best = rec
@@ -177,16 +174,16 @@ def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
     else the optimistic follower cost.  Only pairs on explored edges are
     read: by the routing model, its greedy seed and
     ``routing.presumed_objective``.  ``MissingHistory`` when the table a
-    price is copied from is not stored or holds no prices."""
+    price is copied from is not stored."""
     pairs, params = state.pairs, state.params
     routed, size, fuel = state.routed[n], state.size[n], pairs.fuel
     price = np.where(routed, c_plat(size, fuel, params) / size,
                      (1 - params.sigma_f) * fuel)
     k = np.where(routed, 0, _similar(state, n))     # copied from table k + 2
     copied = np.flatnonzero(k)
-    if len(copied):     # a table not stored, or without prices, reads NaN
+    if len(copied):     # a table not stored reads NaN
         nan = np.full(len(price), np.nan)
-        stored = np.array([nan if t is None or t.prices is None else t.prices
+        stored = np.array([nan if t is None else t.prices
                            for t in map(state.tables.get, range(n + 1))])
         price[copied] = stored[k[copied] + 2, copied]
     lost = np.isnan(price)
@@ -195,8 +192,7 @@ def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
         v, e = pairs.keys[j]
         raise MissingHistory(f"no stored cost for vehicle {v}, edge {e}, "
                              f"iteration {k[j] + 2}")
-    table = EdgeCostTable(state.tables[1].base, pairs=pairs, prices=price,
-                          explored=frozenset(state.explored))
+    table = EdgeCostTable(pairs, price, frozenset(state.explored))
     table.validate(params.sigma_f)
     return table
 
@@ -282,8 +278,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     opts = opts or RshmOptions()
     inst.validate()
     scheduling.cut_mode(opts.sp_cuts)   # an unknown mode fails here
-    state = RshmState(inst, candidates={})   # remade on the routing model
-    params = state.params
+    params = SavingsParams.from_instance(inst)
     fuel = inst.network.fuel_table()
     t_start = time.perf_counter()
 
@@ -295,8 +290,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     termination = None
     n = 1
     prev_routes = None
-    handle = None
-    rdp_sol = None
+    handle = state = rdp_sol = None
     solved: dict = {}   # scheduling components solved to optimality
     while True:
         if opts.iter_cap is not None and n > opts.iter_cap:
@@ -306,14 +300,13 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
             termination = "time_limit"
             break
         t_iter = time.perf_counter()
-        costs = state.tables[n]
         try:
             if handle is None:
-                handle = routing.build_rdp(inst, costs, iteration=n)
-                state = RshmState(inst, handle.candidates, handle.pairs)
+                handle = routing.build_rdp(inst)
+                state = RshmState(inst, handle.pairs)
                 seed, root_start = routing.initial_solution(handle), None
             else:
-                routing.set_rdp_costs(handle, costs, n)
+                routing.set_rdp_costs(handle, state.tables[n])
                 seed, root_start = rdp_sol.x, rdp_sol.root_basis
             rdp_sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
                                     time_limit_s=time_limit(),
@@ -328,10 +321,10 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         except (mip.ModelError, NumericalFailure) as exc:
             raise SubproblemFailure(f"iteration {n}: {exc}") from exc
         z = scheduling.total_fuel(routes, platoons, fuel, params)
-        presumed = routing.presumed_objective(routes, costs, inst)
+        presumed = routing.presumed_objective(routes, state.tables[n], inst)
         runtime = time.perf_counter() - t_iter
         rec = IterationRecord(n, routes, platoons, z, presumed, runtime)
-        state.record(rec, routing.chosen_pairs(handle, rdp_sol))
+        state.record(rec)
         trace.append({"iteration": n, "z": z, "presumed": presumed,
                       "runtime_s": runtime})
         state.tables[n + 1] = update_cost_table(state, n)
@@ -343,6 +336,8 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
             break
         prev_routes = routes
         n += 1
+    if state is None:   # no routing model: a state over no pairs
+        state = RshmState(inst, routing.CandidatePairs(inst, {}))
     if state.best is None:
         routes, platoons = no_coordination(inst)
         return RshmResult(routes, platoons, platoons.departures,
@@ -369,7 +364,7 @@ def gap_bound(state: RshmState) -> float:
         raise NotApplicableError(
             f"configuration similarity at edge {e}, vehicle {v}")
     params = state.params
-    base = state.tables[1].base
+    base = state.instance.network.fuel_table()
     bound = 0.0
     for e in sorted(last.routes.all_edges()):
         for leader, followers in last.platoons.platoons.get(e, []):

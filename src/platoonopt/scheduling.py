@@ -393,16 +393,6 @@ class PlatoonConfiguration:
     platoons: dict[tuple, list[tuple]]   # edge key -> [(leader, followers)]
     departures: dict[int, float]
 
-    def size(self, v, edge_key) -> int:
-        for leader, followers in self.platoons.get(edge_key, []):
-            if v == leader or v in followers:
-                return 1 + len(followers)
-        return 1
-
-    def platoon_sets(self, edge_key) -> set:
-        return {frozenset((leader,) + tuple(followers))
-                for leader, followers in self.platoons.get(edge_key, [])}
-
     def savings(self, edge_costs, sigma_l, sigma_f) -> float:
         total = 0.0
         for key, plist in self.platoons.items():

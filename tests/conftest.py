@@ -50,6 +50,22 @@ def shared_edge_instance(edge_cost=10.0, sigma_l=0.02, sigma_f=0.1,
     return inst
 
 
+def hull_rows(edge, vehicles):
+    """The rows ``routing.build_rdp`` lays out for an edge in the candidate
+    sets of ``vehicles``, read from its ``_hull_rows`` template: (coeffs,
+    sense, rhs, name) with coefficient keys ('x', v), 'y', 'yp' and 'w'."""
+    vehicles = sorted(vehicles)
+    keys = [("x", v) for v in vehicles] + ["y", "yp", "w"]
+    lengths, cols, vals, senses, names = routing._hull_rows(len(vehicles))
+    ends = np.cumsum(lengths).tolist()
+    cols, vals = cols.tolist(), vals.tolist()
+    return [({keys[j]: c for j, c in zip(cols[e - n:e], vals[e - n:e])},
+             sense, 0.0,
+             f"{tag}_{edge}" if i is None else f"{tag}_{vehicles[i]}_{edge}")
+            for n, e, sense, (tag, i) in zip(lengths.tolist(), ends, senses,
+                                             names)]
+
+
 def branching_sp_handle():
     """Scheduling model handle of a 6x6 two-cluster instance with 14
     vehicles on fuel-shortest routes: 72 columns, 161 rows, a fractional

@@ -5,14 +5,45 @@ of the per-column history that ``rshm.RshmState`` keeps.
 ``rdp_costs`` and ``presumed_objective`` compute what the program's
 ``record``, ``similarity_index``, ``update_cost_table``, ``set_rdp_costs``
 and ``presumed_objective`` compute, one (vehicle, edge) pair at a time.
-Its tables are ``routing.EdgeCostTable`` objects built from dicts."""
+Its tables are ``ReferenceTable`` dicts keyed by (vehicle, edge)."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from platoonopt import rshm
-from platoonopt.routing import EdgeCostTable
+
+
+@dataclass
+class ReferenceTable:
+    """Base fuel per edge and the adjusted costs of explored edges."""
+    base: dict
+    adjusted: dict = field(default_factory=dict)
+    explored: frozenset = frozenset()
+
+    def validate(self, sigma_f: float) -> None:
+        for (v, e), c in self.adjusted.items():
+            if not 0 < c <= self.base[e] + 1e-9:
+                raise ValueError(f"adjusted cost out of range for {v},{e}")
+            if c < (1.0 - sigma_f) * self.base[e] - 1e-9:
+                raise ValueError(
+                    f"adjusted cost below follower floor for {v},{e}")
+
+
+def platoon_sets(platoons, edge) -> set:
+    """The vehicle sets of the platoons on ``edge``."""
+    return {frozenset((leader, *followers))
+            for leader, followers in platoons.platoons.get(edge, [])}
+
+
+def platoon_size(platoons, v, edge) -> int:
+    """The size of vehicle ``v``'s platoon on ``edge``; 1 when alone."""
+    for leader, followers in platoons.platoons.get(edge, []):
+        if v == leader or v in followers:
+            return 1 + len(followers)
+    return 1
 
 
 class ReferenceState:
@@ -26,8 +57,8 @@ class ReferenceState:
         self.params = rshm.SavingsParams.from_instance(inst)
         self.candidates = candidates
         self.records: dict[int, rshm.IterationRecord] = {}
-        self.tables: dict[int, EdgeCostTable] = {
-            1: EdgeCostTable.initial(inst)}
+        self.tables: dict[int, ReferenceTable] = {
+            1: ReferenceTable(dict(inst.network.fuel_table()))}
         self.explored: set = set()
         self.route_edges: dict[int, dict[int, frozenset]] = {}
         self.platoon_sets: dict[int, dict[tuple, frozenset]] = {}
@@ -42,7 +73,7 @@ class ReferenceState:
             for e in edges:
                 self.routed.setdefault((v, e), []).append(rec.index)
         self.platoon_sets[rec.index] = {
-            e: frozenset(rec.platoons.platoon_sets(e))
+            e: frozenset(platoon_sets(rec.platoons, e))
             for e in rec.platoons.platoons}
 
 
@@ -71,7 +102,7 @@ def similarity_index(state: ReferenceState, n: int, v: int, edge):
     return None
 
 
-def update_cost_table(state: ReferenceState, n: int) -> EdgeCostTable:
+def update_cost_table(state: ReferenceState, n: int) -> ReferenceTable:
     rec = state.records[n]
     params = state.params
     base = state.tables[1].base
@@ -85,7 +116,7 @@ def update_cost_table(state: ReferenceState, n: int) -> EdgeCostTable:
             if e not in state.candidates[v]:
                 continue
             if e in on_route[v]:
-                size = rec.platoons.size(v, e)
+                size = platoon_size(rec.platoons, v, e)
                 adjusted[(v, e)] = c_plat(size, cost, params) / size
             else:
                 k = similarity_index(state, n, v, e)
@@ -98,12 +129,12 @@ def update_cost_table(state: ReferenceState, n: int) -> EdgeCostTable:
                             f"no stored cost for vehicle {v}, edge {e}, "
                             f"iteration {k + 2}")
                     adjusted[(v, e)] = src.adjusted[(v, e)]
-    table = EdgeCostTable(base, adjusted, explored)
+    table = ReferenceTable(base, adjusted, explored)
     table.validate(params.sigma_f)
     return table
 
 
-def rdp_costs(handle, costs: EdgeCostTable) -> np.ndarray:
+def rdp_costs(handle, costs: ReferenceTable) -> np.ndarray:
     """The routing model's cost vector under ``costs``."""
     inst = handle.instance
     base, adjusted, explored = costs.base, costs.adjusted, costs.explored
@@ -118,7 +149,7 @@ def rdp_costs(handle, costs: EdgeCostTable) -> np.ndarray:
     return c + 0.0
 
 
-def presumed_objective(assignment, costs: EdgeCostTable, inst) -> float:
+def presumed_objective(assignment, costs: ReferenceTable, inst) -> float:
     counts = {e: len(vs) for e, vs in assignment.vehicles_by_edge().items()}
     total = 0.0
     for v in assignment.vehicles:

@@ -35,7 +35,7 @@ def candidate_edge_set(net, m, sigma_f: float) -> set:
     return out
 
 
-def build_rdp(inst, costs, iteration: int = 1) -> routing.RdpModelHandle:
+def build_rdp(inst, costs) -> routing.RdpModelHandle:
     net = inst.network
     cand = {m.id: candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
@@ -81,9 +81,9 @@ def build_rdp(inst, costs, iteration: int = 1) -> routing.RdpModelHandle:
                                  sense, rhs, name=name)
 
     handle = routing.RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
-                                    edge_vehicles, costs, inst, iteration,
+                                    edge_vehicles, costs, inst,
                                     routing.CandidatePairs(inst, cand))
-    routing.set_rdp_costs(handle, costs, iteration)
+    routing.set_rdp_costs(handle, costs)
     return handle
 
 

@@ -90,6 +90,62 @@ class TestMissionOffTheNetwork:
                 in capsys.readouterr().err)
 
 
+class TestHostileFiles:
+    """Files that are not what a command reads are usage errors (exit 4)
+    named on standard error, not tracebacks."""
+
+    @pytest.mark.parametrize("doc,named", [
+        ({"a": 1}, "lacks field 'instance'"),
+        ([1, 2], "a result file holds a JSON object, not a list"),
+        ({"instance": "i.json", "fuel_cost": "cheap"},
+         "malformed field 'fuel_cost'"),
+        ({"instance": "i.json", "fuel_cost": 1.0, "saving_rate": 0.0,
+          "rel_dev": 0.0, "iterations": 1, "termination": "iter_cap",
+          "trace": [{"z": 1.0}]}, "trace entry without 'runtime_s'")])
+    def test_report_on_a_file_that_is_not_a_result(self, tmp_path, capsys,
+                                                   doc, named):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["report", "--out", str(tmp_path / "r.csv"),
+                         str(path)])
+        assert code == cli.EXIT_USAGE
+        assert not (tmp_path / "r.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and named in err
+
+    def test_report_reads_a_result_file(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        result = tmp_path / "result.json"
+        nm.save_instance(shared_edge_instance(), str(inst_path))
+        assert cli.main(["rshm", "--instance", str(inst_path), "--iter-cap",
+                         "2", "--out", str(result)]) == cli.EXIT_OK
+        out = tmp_path / "report.csv"
+        assert cli.main(["report", "--out", str(out),
+                         str(result)]) == cli.EXIT_OK
+        [row] = _read_csv(out)
+        assert row["Instance"] == str(inst_path) and row["Iters"] == "2"
+
+    @pytest.mark.parametrize("argv", [
+        ["rshm", "--instance", "{dir}"],
+        ["solve-sp", "--instance", "{inst}", "--routes", "{dir}"],
+        ["report", "--out", "{dir}/r.csv", "{dir}"]])
+    def test_a_directory_given_as_a_file(self, tmp_path, capsys, argv):
+        inst_path = tmp_path / "inst.json"
+        nm.save_instance(shared_edge_instance(), str(inst_path))
+        argv = [a.format(dir=tmp_path, inst=inst_path) for a in argv]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["rshm", "--instance"],
+                                         ["report", "--out", "r.csv"]])
+    def test_a_file_that_is_not_text(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        argv = [a.replace("r.csv", str(tmp_path / "r.csv")) for a in command]
+        assert cli.main(argv + [str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestInternalErrors:
     def test_key_error_is_not_reported_as_bad_input(self, tmp_path,
                                                     monkeypatch):

@@ -103,11 +103,8 @@ class TestSizeFacets:
         vs = list(range(1, 7))
         all_rows = cuts.platoon_size_facets(vs, 2, cap=1000)
         assert len(all_rows) == 20  # C(6,3)
-        point = {(2, 1): 1.0, (3, 1): 1.0}
-        top = cuts.platoon_size_facets(vs, 2, cap=3, lp_point=point)
-        assert len(top) == 3
-        # the most violated subset {1,2,3} must rank first
-        assert top[0][0] == {(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0}
+        # the cap keeps the first subsets in lexicographic order
+        assert cuts.platoon_size_facets(vs, 2, cap=3) == all_rows[:3]
 
 
 class TestActiveSets:

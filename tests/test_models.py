@@ -17,6 +17,8 @@ from platoonopt import (export, mip, netmodel as nm, routing, rshm,
                         scheduling as sched)
 from platoonopt.rshm import RshmOptions, SavingsParams
 
+from conftest import hull_rows
+
 
 def _highs_input(model):
     """Everything HiGHS gets from a model, as bytes: the CSC arrays of its
@@ -73,8 +75,10 @@ def test_routing_model_is_the_reference(spec):
     inst = _instance(spec)
     tables, _routes = _run(inst)
     for n, costs in enumerate(tables, start=1):
-        got = routing.build_rdp(inst, costs, n)
-        ref = reference_models.build_rdp(inst, costs, n)
+        got = routing.build_rdp(inst)
+        if n > 1:
+            routing.set_rdp_costs(got, costs)
+        ref = reference_models.build_rdp(inst, costs)
         assert_same_model(got.model, ref.model)
         assert list(got.x_col.items()) == list(ref.x_col.items())
         for name in ("y_col", "yp_col", "w_col", "edge_vehicles"):
@@ -115,14 +119,14 @@ def test_scheduling_model_is_the_reference(spec, cuts, merge):
 
 
 def test_hull_rows_are_the_reference():
+    # the per-edge template build_rdp lays its rows out from
     for k in range(1, 6):
         vehicles = [3 * v + 1 for v in range(k)]
-        assert routing.hull_inequalities((4, 7), vehicles) == \
+        assert hull_rows((4, 7), vehicles) == \
             reference_models.hull_inequalities((4, 7), vehicles)
-        assert [list(r[0]) for r in routing.hull_inequalities(
-            (4, 7), vehicles)] == [list(r[0]) for r in
-                                   reference_models.hull_inequalities(
-                                       (4, 7), vehicles)]
+        assert [list(r[0]) for r in hull_rows((4, 7), vehicles)] == \
+            [list(r[0]) for r in reference_models.hull_inequalities(
+                (4, 7), vehicles)]
 
 
 # ---------------------------------------------------------------------------

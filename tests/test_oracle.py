@@ -157,7 +157,7 @@ class TestBruteForceCvpp:
     def test_invariant_chain_rdp_cvpp_rshm(self, small_grid):
         from platoonopt import mip, rshm
         inst = nm.generate_two_cluster(small_grid, 3, seed=4)
-        h = routing.build_rdp(inst, routing.EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         rdp = mip.solve_mip(h.model,
                             initial_solution=routing.initial_solution(h))
         rep = oracle.brute_force_cvpp(inst)

@@ -9,7 +9,7 @@ from platoonopt import mip, netmodel as nm, oracle, routing
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import EdgeCostTable, RouteAssignment
 
-from conftest import make_net, shared_edge_instance
+from conftest import hull_rows, make_net, shared_edge_instance
 
 
 def _eval_row(row, assign):
@@ -30,19 +30,19 @@ def _point(vehicles, x, y, yp, w):
 
 class TestHullInequalities:
     def test_cuts_claimed_point(self):
-        rows = routing.hull_inequalities((1, 2), [1, 2, 3])
+        rows = hull_rows((1, 2), [1, 2, 3])
         pt = _point([1, 2, 3], (1, 0, 0), 1, 1, 0)  # violates sum x >= y+y'
         assert not all(_eval_row(r, pt) for r in rows)
 
     def test_retains_tight_fractional_point(self):
-        rows = routing.hull_inequalities((1, 2), [1, 2, 3])
+        rows = hull_rows((1, 2), [1, 2, 3])
         pt = _point([1, 2, 3], (0.5, 0.5, 0.5), 1, 0.5, 0)
         assert all(_eval_row(r, pt) for r in rows)
 
     def test_every_integer_point_satisfies_system(self):
         for nv in (3, 4, 5):
             vehicles = list(range(1, nv + 1))
-            rows = routing.hull_inequalities((1, 2), vehicles)
+            rows = hull_rows((1, 2), vehicles)
             for pt in oracle.enum_rdp_edge_points(nv):
                 assign = _point(vehicles, pt[:nv], pt[nv], pt[nv + 1], pt[nv + 2])
                 assert all(_eval_row(r, assign) for r in rows)
@@ -51,7 +51,7 @@ class TestHullInequalities:
         rng = np.random.default_rng(99)
         for nv in (3, 4, 5):
             vehicles = list(range(1, nv + 1))
-            rows = routing.hull_inequalities((1, 2), vehicles)
+            rows = hull_rows((1, 2), vehicles)
             for _ in range(60):
                 model, cols = _hull_lp(vehicles, rows, rng)
                 sol = mip.solve_lp(model)
@@ -88,7 +88,7 @@ def line_instance():
 class TestBuildRdp:
     def test_single_vehicle_costs_plain_fuel(self):
         inst = line_instance()
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         assert sol.objective == pytest.approx(7.0)
         e = (1, 2)
@@ -97,7 +97,7 @@ class TestBuildRdp:
 
     def test_two_vehicles_shared_edge_platoon_value(self):
         inst = shared_edge_instance(edge_cost=10.0)
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         # side legs 4*4; the shared edge contributes 2*10 - 0.2 - 1.0
         assert sol.objective == pytest.approx(16.0 + 18.8)
@@ -105,11 +105,11 @@ class TestBuildRdp:
     def test_edge_rows_are_the_hull_inequalities(self):
         # the two-vehicle shared edge gets sum x >= y + y' as well
         inst = shared_edge_instance(edge_cost=10.0)
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         e = (3, 4)
         col = {("x", v): h.x_col[(v, e)] for v in (1, 2)}
         col.update(y=h.y_col[e], yp=h.yp_col[e], w=h.w_col[e])
-        rows = routing.hull_inequalities(e, [1, 2])
+        rows = hull_rows(e, [1, 2])
         assert [r[3] for r in rows][-1] == "hull_(3, 4)"
         emitted = {con.name: con for con in h.model.constraints}
         for coeffs, sense, rhs, name in rows:
@@ -119,14 +119,16 @@ class TestBuildRdp:
 
     def test_adjusted_costs_enter_objective(self):
         inst = shared_edge_instance(edge_cost=10.0)
-        base = EdgeCostTable.initial(inst)
         shared = (3, 4)
         explored = frozenset([shared])
         # realized platoon of size 2 on the shared edge
         plat_avg = ((1 - 0.02) * 10 + (1 - 0.1) * 10) / 2
         adjusted = {(v, shared): plat_avg for v in (1, 2)}
-        costs = EdgeCostTable(base.base, adjusted, explored)
-        h = routing.build_rdp(inst, costs, iteration=2)
+        h = routing.build_rdp(inst)
+        prices = h.pairs.fuel.copy()
+        for key, c in adjusted.items():
+            prices[h.pairs.index[key]] = c
+        routing.set_rdp_costs(h, EdgeCostTable(h.pairs, prices, explored))
         obj = h.model.obj_coeffs
         assert obj[h.x_col[(1, shared)]] == pytest.approx(18.8 / 2)
         # explored edges lose their y'/w objective terms
@@ -142,15 +144,15 @@ class TestBuildRdp:
         inst = nm.ProblemInstance(
             net, [VehicleMission(1, 1, 2, 0.0, 7.0 / 80.0 + 1e-6)])
         # window admits only the direct edge; shrink candidates to exclude it
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         assert (1, 2) in h.candidates[1]
         bad = nm.ProblemInstance(
             net, [VehicleMission(1, 1, 3, 0.0, 5.0 / 80.0)])
-        routing.build_rdp(bad, EdgeCostTable.initial(bad))  # exactly tight
+        routing.build_rdp(bad)  # exactly tight
 
     def test_w_matches_count_minus_one_at_optimum(self):
         inst = shared_edge_instance(edge_cost=10.0)
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         counts = {}
         for (v, e), col in h.x_col.items():
@@ -164,22 +166,26 @@ class TestBuildRdp:
 class TestExtraction:
     def test_orders_edges_into_path(self):
         inst = line_instance()
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         ra = routing.extract_route_assignment(h, sol)
         assert ra.routes[1] == (1, 2)
 
     def test_hash_stable(self):
         inst = shared_edge_instance()
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         a = routing.extract_route_assignment(h, sol)
         b = routing.extract_route_assignment(h, sol)
-        assert a.key() == b.key()
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = RouteAssignment({**a.routes, 1: a.routes[1][:-1]},
+                                a.edge_times, a.edge_costs)
+        assert other != a and len({a, other}) == 2
 
     def test_vehicles_by_edge_matches_raw_x(self):
         inst = shared_edge_instance()
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         ra = routing.extract_route_assignment(h, sol)
         by_edge = ra.vehicles_by_edge()
@@ -191,7 +197,7 @@ class TestExtraction:
 
     def test_non_path_rejected(self):
         inst = line_instance()
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         sol.x[h.x_col[(1, (1, 2))]] = 0.0  # drop the only edge
         with pytest.raises(routing.NonPathSolution):
@@ -201,7 +207,7 @@ class TestExtraction:
 def test_rdp_value_is_lower_bound_on_cvpp(small_grid):
     for seed in (0, 1, 2):
         inst = nm.generate_two_cluster(small_grid, 3, seed=seed)
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model,
                             initial_solution=routing.initial_solution(h))
         z_star = oracle.brute_force_cvpp(inst).z_star
@@ -215,7 +221,7 @@ def test_rdp_value_equals_presumed_routing_optimum(small_grid, generator):
     # combination, found here by enumerating every combination
     for seed in range(6):
         inst = generator(small_grid, 3, seed=seed)
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+        h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model, rel_gap=1e-4,
                             initial_solution=routing.initial_solution(h))
         z_oracle, _routes = oracle.presumed_routing_optimum(inst)
@@ -225,23 +231,44 @@ def test_rdp_value_equals_presumed_routing_optimum(small_grid, generator):
 
 def test_greedy_assignment_feasible(small_grid):
     inst = nm.generate_distributed(small_grid, 6, seed=2)
-    h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+    h = routing.build_rdp(inst)
     x0 = routing.initial_solution(h)
     mip.check_solution(h.model, x0)  # raises on violation
 
 
 def test_cost_table_invariants(small_grid):
     inst = nm.generate_distributed(small_grid, 3, seed=5)
-    table = EdgeCostTable.initial(inst)
-    e = next(iter(table.base))
-    bad = EdgeCostTable(table.base, {(1, e): table.base[e] * 1.5},
-                        frozenset([e]))
-    with pytest.raises(ValueError):
-        bad.validate(inst.sigma_f)
-    low = EdgeCostTable(table.base, {(1, e): table.base[e] * 0.5},
-                        frozenset([e]))
-    with pytest.raises(ValueError):
-        low.validate(inst.sigma_f)
+    pairs = routing.build_rdp(inst).pairs
+    _v, e = pairs.keys[0]
+    for scale in (1.5, 0.5):
+        prices = pairs.fuel.copy()
+        prices[0] *= scale
+        bad = EdgeCostTable(pairs, prices, frozenset([e]))
+        with pytest.raises(ValueError):
+            bad.validate(inst.sigma_f)
+        # off the explored edges a pair costs its fuel, whatever its price
+        EdgeCostTable(pairs, prices).validate(inst.sigma_f)
+
+
+def test_initial_table_prices_every_pair_at_its_fuel(small_grid):
+    inst = nm.generate_distributed(small_grid, 3, seed=5)
+    h = routing.build_rdp(inst)
+    table, fuel = h.costs, inst.network.fuel_table()
+    assert table.explored == frozenset() and table.adjusted == {}
+    assert table.prices.tobytes() == np.array(
+        [fuel[e] for _v, e in h.pairs.keys]).tobytes()
+    assert all(table.cost(v, e) == fuel[e] for v, e in h.pairs.keys)
+
+
+def test_a_table_over_other_pairs_is_refused(small_grid):
+    inst = nm.generate_distributed(small_grid, 3, seed=5)
+    h = routing.build_rdp(inst)
+    every = routing.CandidatePairs(
+        inst, {m.id: set(inst.network.edges) for m in inst.missions})
+    with pytest.raises(ValueError, match="x columns"):
+        routing.set_rdp_costs(h, EdgeCostTable.initial(every))
+    # the equal pairs of another build of the model are its columns
+    routing.set_rdp_costs(h, routing.build_rdp(inst).costs)
 
 
 @pytest.mark.parametrize("scale,what", [(1.5, "out of range"),
@@ -249,7 +276,7 @@ def test_cost_table_invariants(small_grid):
 def test_cost_table_of_pairs_names_the_first_bad_cost_edge_by_edge(
         small_grid, scale, what):
     inst = nm.generate_distributed(small_grid, 3, seed=5)
-    pairs = routing.build_rdp(inst, EdgeCostTable.initial(inst)).pairs
+    pairs = routing.build_rdp(inst).pairs
     ids = [v for v, _e in pairs.keys]
     # the last vehicle's pairs and the pair before them, which comes first
     # vehicle by vehicle but not edge by edge
@@ -258,11 +285,7 @@ def test_cost_table_of_pairs_names_the_first_bad_cost_edge_by_edge(
     assert first != pairs.keys[bad[0]]
     prices = pairs.fuel.copy()
     prices[bad] *= scale
-    table = EdgeCostTable(inst.network.fuel_table(), pairs=pairs,
-                          prices=prices, explored=frozenset(pairs.edges))
-    from_dict = EdgeCostTable(table.base, dict(table.adjusted),
-                              table.explored)
-    for t in (table, from_dict):
-        with pytest.raises(ValueError) as err:
-            t.validate(inst.sigma_f)
-        assert str(err.value) == f"adjusted cost {what} for {first[0]},{first[1]}"
+    table = EdgeCostTable(pairs, prices, frozenset(pairs.edges))
+    with pytest.raises(ValueError) as err:
+        table.validate(inst.sigma_f)
+    assert str(err.value) == f"adjusted cost {what} for {first[0]},{first[1]}"

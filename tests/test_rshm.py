@@ -4,6 +4,7 @@ termination, and the a-posteriori gap bound."""
 import struct
 import time
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -38,8 +39,19 @@ def _every_edge(inst):
     return {m.id: set(inst.network.edges) for m in inst.missions}
 
 
+def _state(inst, candidates):
+    """An empty state over the pairs of the given candidate sets."""
+    return RshmState(inst, routing.CandidatePairs(inst, candidates))
+
+
+def _on_columns(table, pairs):
+    """``table`` over ``pairs``, pairs that ``table.pairs`` all hold."""
+    prices = table.prices[[table.pairs.index[k] for k in pairs.keys]]
+    return EdgeCostTable(pairs, prices, table.explored)
+
+
 def _state_with_history(inst, records):
-    state = RshmState(inst, _every_edge(inst))
+    state = _state(inst, _every_edge(inst))
     for rec in records:
         state.record(rec)
     return state
@@ -79,13 +91,14 @@ def _rescan(state, n, v, edge):
     record, newest first."""
     if n < 3 or n not in state.records:
         return None
-    target = state.records[n].platoons.platoon_sets(edge)
+    target = reference_feedback.platoon_sets(state.records[n].platoons, edge)
     for k in range(n - 2, 0, -1):
         nxt = state.records.get(k + 1)
         if (nxt is None or v not in nxt.routes.routes
                 or edge not in nxt.routes.edges(v)):
             continue
-        if state.records[k].platoons.platoon_sets(edge) == target:
+        if reference_feedback.platoon_sets(state.records[k].platoons,
+                                           edge) == target:
             return k
     return None
 
@@ -246,7 +259,7 @@ class TestCandidatePricing:
         cand = {m.id: nm.candidate_edge_set(inst.network, m, inst.sigma_f)
                 for m in inst.missions}
         assert (1, 3) in cand[1] and (1, 3) not in cand[2]
-        state = RshmState(inst, cand)
+        state = _state(inst, cand)
         state.record(_record(1, inst, True))
         table = update_cost_table(state, 1)
         assert set(table.adjusted) == {(v, e) for v in cand
@@ -265,19 +278,18 @@ class TestCandidatePricing:
         state = rshm.run(inst, RshmOptions(iter_cap=12,
                                            freq_threshold=99)).state
         assert state.iterations >= 5
+        h = routing.build_rdp(inst)
+        assert h.pairs.keys == state.pairs.keys
         # some prices are copied from a configuration-similar iteration
         assert any(similarity_index(state, n, v, e) is not None
-                   for n in state.records for v, es in state.candidates.items()
-                   for e in es)
+                   for n in state.records for v, e in h.pairs.keys)
         full = _replayed_state(inst, state.records, _every_edge(inst)).tables
-        h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
-        assert h.candidates == state.candidates
         for n in range(2, state.iterations + 2):
             table = state.tables[n]
             assert table.explored == full[n].explored
             assert table.adjusted == {
                 (v, e): c for (v, e), c in full[n].adjusted.items()
-                if e in state.candidates[v]}
+                if e in h.candidates[v]}
             for v, e in h.x_col:
                 if e in table.explored:
                     assert (v, e) in table.adjusted
@@ -306,13 +318,14 @@ class TestFeedbackReference:
         inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
         run = rshm.run(inst, RshmOptions(iter_cap=iter_cap,
                                          freq_threshold=99)).state
-        # the run's own state read its routed pairs from the routing
-        # solutions; a replay on every edge looks them up from the routes
-        cand = _every_edge(inst) if every_edge else run.candidates
+        handle = routing.build_rdp(inst)
+        cand = _every_edge(inst) if every_edge else handle.candidates
         state = _replayed_state(inst, run.records, cand) if every_edge \
             else run
         ref = reference_feedback.ReferenceState(inst, cand)
-        handle = routing.build_rdp(inst, state.tables[1])
+        # the model as built is priced at table 1: every pair at its fuel
+        assert mip._columns(handle.model)[0].tobytes() == \
+            reference_feedback.rdp_costs(handle, ref.tables[1]).tobytes()
         for n in sorted(run.records):
             rec = run.records[n]
             ref.record(rec)
@@ -326,7 +339,7 @@ class TestFeedbackReference:
         for n, table in state.tables.items():
             assert table.explored == ref.tables[n].explored
             assert _priced(table) == _priced(ref.tables[n])
-            routing.set_rdp_costs(handle, table, n)
+            routing.set_rdp_costs(handle, _on_columns(table, handle.pairs))
             assert mip._columns(handle.model)[0].tobytes() == \
                 reference_feedback.rdp_costs(handle, ref.tables[n]).tobytes()
         unexplored = [e for e in sorted(inst.network.edges)
@@ -346,8 +359,8 @@ class TestFeedbackReference:
 
 def _replayed_state(inst, records, candidates):
     """The state of a run's records, replayed for the given candidate sets
-    as the loop builds it, with the routed pairs read from the routes."""
-    state = RshmState(inst, candidates)
+    as the loop builds it."""
+    state = _state(inst, candidates)
     for n in sorted(records):
         state.record(records[n])
         state.tables[n + 1] = update_cost_table(state, n)
@@ -383,7 +396,7 @@ class TestRun:
                 assert res.z_hat <= best + 1e-9
             fuel0 = res.fuel_baseline()
             assert res.z_hat <= fuel0 + 1e-6
-            h = routing.build_rdp(inst, EdgeCostTable.initial(inst))
+            h = routing.build_rdp(inst)
             lb = mip.solve_mip(
                 h.model,
                 initial_solution=routing.initial_solution(h)).objective
@@ -529,7 +542,7 @@ def _reference_run(inst, opts):
     """The loop without its incremental steps: the greedy seed at every
     iteration, every (vehicle, explored edge) pair priced, and a scheduling
     solve at every iteration.  Returns (state, termination)."""
-    state = RshmState(inst, _every_edge(inst))
+    state = _state(inst, _every_edge(inst))
     fuel = inst.network.fuel_table()
     handle = root_start = prev_routes = None
     n = 1
@@ -538,9 +551,8 @@ def _reference_run(inst, opts):
             return state, "iter_cap"
         costs = state.tables[n]
         if handle is None:
-            handle = routing.build_rdp(inst, costs, iteration=n)
-        else:
-            routing.set_rdp_costs(handle, costs, n)
+            handle = routing.build_rdp(inst)
+        routing.set_rdp_costs(handle, _on_columns(costs, handle.pairs))
         sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
                             initial_solution=routing.initial_solution(handle),
                             root_start=root_start)
@@ -574,7 +586,8 @@ class TestIncrementalRouting:
             state = res.state
             assert state.iterations >= 2
             for n, rec in state.records.items():
-                h = routing.build_rdp(inst, state.tables[n], iteration=n)
+                h = routing.build_rdp(inst)
+                routing.set_rdp_costs(h, state.tables[n])
                 sol = mip.solve_mip(
                     h.model, rel_gap=opts.rel_gap,
                     initial_solution=routing.initial_solution(h))
@@ -641,8 +654,8 @@ class TestIncrementalRouting:
         assert res.z_hat == ref.best_z
         assert res.routes == ref.best.routes
         assert res.platoons == ref.best.platoons
-        keys = [rec.routes.key() for rec in ref.records.values()]
-        event(f"{res.termination}, repeats: {len(keys) > len(set(keys))}")
+        routes = [rec.routes for rec in ref.records.values()]
+        event(f"{res.termination}, repeats: {len(routes) > len(set(routes))}")
 
     def test_repeated_routes_reuse_their_schedule(self, monkeypatch):
         solved = []
@@ -654,7 +667,7 @@ class TestIncrementalRouting:
             comps = {scheduling.component_key(handle.contracted, vs)
                      for vs in scheduling.components(handle.contracted,
                                                      handle.big_m)}
-            solved.append((routes.key(), result.solution.status, comps,
+            solved.append((routes, result.solution.status, comps,
                            handle.model.num_vars))
             return result
 
@@ -662,7 +675,7 @@ class TestIncrementalRouting:
         inst = nm.generate_distributed(_GRID, 8, seed=3)
         state = rshm.run(inst, RshmOptions(iter_cap=12,
                                            freq_threshold=3)).state
-        keys = [state.records[n].routes.key() for n in sorted(state.records)]
+        keys = [state.records[n].routes for n in sorted(state.records)]
         assert len(set(keys)) < len(keys)       # some assignment repeats
         assert all(status == "optimal" for _, status, _, _ in solved)
         # one solve per iteration, of the components no earlier iteration
@@ -684,7 +697,7 @@ class TestIncrementalRouting:
         first = {}
         for n in sorted(state.records):
             rec = state.records[n]
-            assert rec.platoons == first.setdefault(rec.routes.key(),
+            assert rec.platoons == first.setdefault(rec.routes,
                                                     rec.platoons)
 
 
@@ -714,11 +727,52 @@ class TestIncrementalRouting:
         assert matrices[0].a.shape == (handles[0].model.num_constraints,
                                        handles[0].model.num_vars)
 
+    def test_one_pair_index_and_one_state_per_run(self, small_grid,
+                                                  monkeypatch):
+        made = []
+        for module, name in ((routing, "CandidatePairs"),
+                             (rshm, "RshmState")):
+            def counting(*args, cls=getattr(module, name), **kwargs):
+                made.append(cls(*args, **kwargs))
+                return made[-1]
+
+            monkeypatch.setattr(module, name, counting)
+        inst = nm.generate_two_cluster(small_grid, 4, seed=1)
+        res = rshm.run(inst, RshmOptions(iter_cap=8))
+        assert res.iterations >= 2
+        # the routing model's pairs, then the one state over them
+        pairs, state = made
+        assert state is res.state and state.pairs is pairs
+        assert all(t.pairs is pairs for t in state.tables.values())
+
+    @pytest.mark.parametrize("generator,vehicles,seed", [
+        ("two_cluster", 6, 0), ("distributed", 8, 3)])
+    def test_routed_pairs_are_the_routing_solution(self, generator, vehicles,
+                                                   seed, monkeypatch):
+        # the pairs each iteration routes, read from its routes, are the
+        # x columns its routing solve sets
+        sols, solve = [], mip.solve_mip
+
+        def recording_solve(model, **kwargs):
+            sol = solve(model, **kwargs)
+            if model.name == "rdp":
+                sols.append(sol)
+            return sol
+
+        monkeypatch.setattr(mip, "solve_mip", recording_solve)
+        inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
+        state = rshm.run(inst, RshmOptions(iter_cap=8)).state
+        assert state.iterations >= 2 and len(sols) == state.iterations
+        chosen = [sol.x[:len(state.pairs.keys)] > 0.5 for sol in sols]
+        for n, mask in enumerate(chosen, start=1):
+            assert np.array_equal(state.routed[n], mask)
+            assert mask.any()
+
 
 class TestGapBound:
     def test_all_full_platoons_zero_bound(self):
         inst = shared_edge_instance(edge_cost=10.0, max_platoon=2)
-        state = RshmState(inst, _every_edge(inst))
+        state = _state(inst, _every_edge(inst))
         ra = _assignment(inst, True)
         shared = (3, 4)
         platoons = {}
@@ -749,7 +803,7 @@ class TestGapBound:
 
     def test_not_applicable_when_routes_differ(self):
         inst = _mini_instance()
-        state = RshmState(inst, _every_edge(inst))
+        state = _state(inst, _every_edge(inst))
         ra1 = _assignment(inst, True)
         state.record(_record(1, inst, True))
         rec2 = _record(2, inst, False)

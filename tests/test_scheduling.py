@@ -20,7 +20,7 @@ PARAMS = SavingsParams(0.02, 0.1, 10)
 
 
 def _solved_assignment(inst):
-    h = routing.build_rdp(inst, routing.EdgeCostTable.initial(inst))
+    h = routing.build_rdp(inst)
     sol = mip.solve_mip(h.model,
                         initial_solution=routing.initial_solution(h))
     return routing.extract_route_assignment(h, sol)
@@ -175,7 +175,8 @@ class TestContract:
                 cand = {m.id: nm.candidate_edge_set(grid, m, inst.sigma_f)
                         for m in inst.missions}
                 ra = routing.greedy_assignment(
-                    inst, routing.EdgeCostTable.initial(inst), cand)
+                    inst, routing.EdgeCostTable.initial(
+                        routing.CandidatePairs(inst, cand)), cand)
         con = sched.contract(ra, ra.edge_times, ra.edge_costs)
         ref = _contract_by_merging(ra, ra.edge_times, ra.edge_costs)
         assert list(con.routes) == list(ref.routes)
@@ -414,7 +415,8 @@ def _scheduling_case(rows, generator, vehicles, seed, route_kind,
     cand = {m.id: nm.candidate_edge_set(grid, m, inst.sigma_f)
             for m in inst.missions}
     greedy = routing.greedy_assignment(
-        inst, routing.EdgeCostTable.initial(inst), cand)
+        inst, routing.EdgeCostTable.initial(
+            routing.CandidatePairs(inst, cand)), cand)
     if route_kind == "shortest":
         return inst, shortest, greedy
     return inst, greedy, shortest
@@ -588,8 +590,8 @@ class TestExtractPlatoons:
         cfg = sched.extract_platoons(h, sol)
         shared = [k for k, vs in con.vehicles_by_edge().items()
                   if len(vs) == 3][0]
-        sizes = {v: cfg.size(v, shared) for v in (1, 2, 3)}
-        assert sizes == {1: 3, 2: 3, 3: 3}
+        assert [1 + len(followers)
+                for _leader, followers in cfg.platoons[shared]] == [3]
 
     def test_all_zero_means_trivial_platoons(self, appendix_example):
         ex = appendix_example

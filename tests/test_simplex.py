@@ -52,10 +52,10 @@ def _small_rdp(seed=0):
     grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
     inst = nm.generate_two_cluster(grid, 4, seed=seed)
     state = rshm.run(inst, rshm.RshmOptions(iter_cap=1)).state
-    handle = routing.build_rdp(inst, state.tables[1])
+    handle = routing.build_rdp(inst)
     rows = handle.model.compiled_rows()
     c1, lo, hi, _ = mip._columns(handle.model)
-    routing.set_rdp_costs(handle, state.tables[2], 2)
+    routing.set_rdp_costs(handle, state.tables[2])
     c2, lo2, hi2, _ = mip._columns(handle.model)
     assert handle.model.compiled_rows() is rows
     assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
@@ -142,8 +142,7 @@ def _rdp_model():
     ``_small_rdp``."""
     grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
     inst = nm.generate_two_cluster(grid, 4, seed=0)
-    state = rshm.run(inst, rshm.RshmOptions(iter_cap=1)).state
-    return routing.build_rdp(inst, state.tables[1]).model
+    return routing.build_rdp(inst).model
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,7 +402,7 @@ def _rdp_with_seed(seed=0):
     point the heuristic seeds it with."""
     grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
     inst = nm.generate_two_cluster(grid, 4, seed=seed)
-    handle = routing.build_rdp(inst, routing.EdgeCostTable.initial(inst))
+    handle = routing.build_rdp(inst)
     return handle.model, routing.initial_solution(handle)
 
 

@@ -105,8 +105,9 @@ def cmd_solve_rdp(args) -> int:
 
 def _routes_from_file(inst, path) -> routing.RouteAssignment:
     """Routes JSON ``{"routes": {vehicle: [node, ...]}}``, checked against
-    the instance: one route per mission, each a simple path from the
-    mission's origin to its destination along edges of the network.  Raises
+    the instance: one route per mission, each a simple path of integer
+    nodes from the mission's origin to its destination along edges of the
+    network.  Raises
     ``netmodel.ValidationError`` naming the first vehicle that breaks a
     rule."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,9 +122,10 @@ def _routes_from_file(inst, path) -> routing.RouteAssignment:
         except ValueError:
             raise netmodel.ValidationError(
                 f"routes file: vehicle id {v!r} is not an integer") from None
-        if not isinstance(nodes, list):
+        if not isinstance(nodes, list) or not all(
+                isinstance(n, int) and not isinstance(n, bool) for n in nodes):
             raise netmodel.ValidationError(
-                f"vehicle {vid}: route must be a list of nodes")
+                f"vehicle {vid}: route must be a list of integer nodes")
         routes[vid] = tuple(nodes)
     missions = {m.id: m for m in inst.missions}
     for v in sorted(set(missions) ^ set(routes)):
@@ -161,8 +163,8 @@ def cmd_solve_sp(args) -> int:
     params = SavingsParams.from_instance(inst)
     cut_log: list = []
     result = scheduling.solve_schedule(
-        assignment, inst, args.cuts, merge_edges=args.contract == "on",
-        rel_gap=args.gap, time_limit_s=args.time_limit, cut_log=cut_log)
+        assignment, inst, args.cuts, rel_gap=args.gap,
+        time_limit_s=args.time_limit, cut_log=cut_log)
     sol, expanded = result.solution, result.platoons
     total = scheduling.total_fuel(assignment, expanded,
                                   inst.network.fuel_table(), params)
@@ -380,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve-sp", help="solve the scheduling problem")
     s.add_argument("--instance", required=True)
     s.add_argument("--routes", help="routes JSON (default: solve routing first)")
-    s.add_argument("--contract", choices=["on", "off"], default="on")
     s.add_argument("--cuts", choices=list(scheduling.CUT_MODES),
                    default="none")
     s.add_argument("--out-schedule")

@@ -97,7 +97,7 @@ class DisjunctiveCut:
 
 
 def _origin_window(handle: SpModelHandle, v):
-    node = handle.origin[v]
+    node = handle.bounds.origin[v]
     return handle.bounds.window(v, node), node
 
 
@@ -114,8 +114,8 @@ def collect_active_sets(point, handle: SpModelHandle) -> ActiveSets | None:
     for (u, v, key) in sorted(handle.f_col):
         f = float(x[handle.f_col[(u, v, key)]])
         if FRAC_TOL < f < 1.0 - FRAC_TOL:
-            tu = handle.entry_time(x, u, key)
-            tv = handle.entry_time(x, v, key)
+            tu = handle.time_value(x, u, key[0])
+            tv = handle.time_value(x, v, key[0])
             m_uv = handle.big_m[(u, v, key)]
             if abs(abs(tu - tv) - m_uv * (1.0 - f)) <= ACTIVE_TOL:
                 candidates.append((u, v, key))
@@ -127,49 +127,38 @@ def collect_active_sets(point, handle: SpModelHandle) -> ActiveSets | None:
     vehicles = set(handle.contracted.vehicles)
 
     def origin_state(v):
+        """Whether v leaves at the start, and at the end, of its window."""
         (lo, hi), node = _origin_window(handle, v)
         t = handle.time_value(x, v, node)
-        at_lo = t <= lo + ACTIVE_TOL
-        at_hi = t >= hi - ACTIVE_TOL
-        return at_lo, at_hi
+        return t <= lo + ACTIVE_TOL, t >= hi - ACTIVE_TOL
+
+    def platooned(u, v):
+        """Whether u and v platoon at x on some edge of u's route."""
+        pair = (max(u, v), min(u, v))
+        return any(x[handle.f_col[pair + (key,)]] > 1.0 - FRAC_TOL
+                   for key, _t in handle.contracted.route_edges(u)
+                   if pair + (key,) in handle.f_col)
 
     def deep_search(veh_set: list[int]) -> int:
+        """Add linked vehicles to ``veh_set`` until one is pinned at a
+        window end (1), or none is left to add (0)."""
         while True:
-            added = None
-            for u in sorted(vehicles - set(veh_set)):
-                for v in sorted(veh_set):
-                    lo_v, hi_v = min(u, v), max(u, v)
-                    for (key, _t) in handle.contracted.route_edges(u):
-                        col = handle.f_col.get((hi_v, lo_v, key))
-                        if col is not None and x[col] > 1.0 - FRAC_TOL:
-                            added = u
-                            break
-                    if added:
-                        break
-                if added:
-                    break
+            added = next((u for u in sorted(vehicles - set(veh_set))
+                          if any(platooned(u, v) for v in veh_set)), None)
             if added is None:
                 return 0
             veh_set.append(added)
-            at_lo, at_hi = origin_state(added)
-            if at_lo or at_hi:
+            if any(origin_state(added)):
                 return 1
 
     v1, v2 = [u_star], [v_star]
     for veh_set, seed in ((v1, u_star), (v2, v_star)):
-        at_lo, at_hi = origin_state(seed)
-        if not at_lo and not at_hi:
-            if deep_search(veh_set) == 0:
-                return None
+        if not any(origin_state(seed)) and deep_search(veh_set) == 0:
+            return None
 
-    members = v1 + v2
-    u1, u2 = [], []
-    for u in sorted(members):
-        at_lo, at_hi = origin_state(u)
-        if at_lo:
-            u1.append(u)
-        if at_hi:
-            u2.append(u)
+    state = [(u, origin_state(u)) for u in sorted(v1 + v2)]
+    u1 = [u for u, (at_lo, _at_hi) in state if at_lo]
+    u2 = [u for u, (_at_lo, at_hi) in state if at_hi]
     fset = []
     for group in (v1, v2):
         gs = sorted(group)
@@ -187,23 +176,15 @@ class _CglpSystem:
     """The lifted inequality system A~ w + p~ f* >= b~ and its column map."""
 
     def __init__(self, active: ActiveSets, handle: SpModelHandle):
-        self.omega: list[tuple] = []
-        index: dict[tuple, int] = {}
         members = sorted(set(active.v1) | set(active.v2))
-        for u in members:
-            edges = handle.contracted.route_edges(u)
-            nodes = [edges[0][0][0]] + [k[1] for k, _ in edges]
-            for node in nodes:
-                index[("t", u, node)] = len(self.omega)
-                self.omega.append(("t", u, node))
-        for tup in active.fset:
-            index[("f",) + tup] = len(self.omega)
-            self.omega.append(("f",) + tup)
-        self.index = index
+        route = handle.contracted.route_edges
+        self.omega = [("t", u, node) for u in members for node in
+                      [handle.bounds.origin[u]] + [k[1] for k, _ in route(u)]]
+        self.omega += [("f",) + tup for tup in active.fset]
+        index = dict(zip(self.omega, range(len(self.omega))))
         self.rows: list[dict[int, float]] = []
         self.p: list[float] = []
         self.b: list[float] = []
-        self.members = members
 
         def var(kind, *args):
             key = (kind,) + args
@@ -360,7 +341,7 @@ def separate_disjunctive(point, handle: SpModelHandle,
             _, u, node = key
             col = handle.dep_col[u]
             coeffs[col] = coeffs.get(col, 0.0) + a_k
-            shift += a_k * handle.prefix[(u, node)]
+            shift += a_k * handle.bounds.offset[(u, node)]
         else:
             col = handle.f_col[key[1:]]
             coeffs[col] = coeffs.get(col, 0.0) + a_k

@@ -522,31 +522,46 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    def need(obj, key, where):
+    """``ParseError`` names the first field missing or of the wrong JSON
+    type, and its node, edge or vehicle: ids, edge ends and ``lambda`` are
+    integers, the other fields numbers (``true`` is neither)."""
+    def need(obj, key, where, kind=None):
         if key not in obj:
             raise ParseError(f"missing field {key!r} in {where}")
-        return obj[key]
+        value = obj[key]
+        if kind and (isinstance(value, bool)
+                     or not isinstance(value, (int, kind))):
+            what = "an integer" if kind is int else "a number"
+            raise ParseError(f"field {key!r} of {where} is not {what}: "
+                             f"{value!r}")
+        return kind(value) if kind else value
+
+    def entries(section, make, name, *fields):
+        out = []
+        for item in need(doc, section, "instance"):
+            if not isinstance(item, dict):
+                raise ParseError(f"an entry of {section!r} is not an object")
+            out.append(make(*(need(item, key, name(item), kind)
+                              for key, kind in fields)))
+        return out
 
     try:
-        nodes = [Node(int(need(n, "id", "node")), float(need(n, "x", "node")),
-                      float(need(n, "y", "node")))
-                 for n in need(doc, "nodes", "instance")]
-        edges = [Edge(int(need(e, "from", "edge")), int(need(e, "to", "edge")),
-                      float(need(e, "length", "edge")),
-                      float(need(e, "time", "edge")),
-                      float(need(e, "fuel", "edge")))
-                 for e in need(doc, "edges", "instance")]
-        vehicles = [VehicleMission(int(need(v, "id", "vehicle")),
-                                   int(need(v, "origin", "vehicle")),
-                                   int(need(v, "dest", "vehicle")),
-                                   float(need(v, "t_earliest", "vehicle")),
-                                   float(need(v, "t_latest", "vehicle")))
-                    for v in need(doc, "vehicles", "instance")]
+        nodes = entries("nodes", Node, lambda n: f"node {n.get('id')!r}",
+                        ("id", int), ("x", float), ("y", float))
+        edges = entries(
+            "edges", Edge,
+            lambda e: f"edge ({e.get('from')!r}, {e.get('to')!r})",
+            ("from", int), ("to", int), ("length", float), ("time", float),
+            ("fuel", float))
+        vehicles = entries(
+            "vehicles", VehicleMission, lambda v: f"vehicle {v.get('id')!r}",
+            ("id", int), ("origin", int), ("dest", int),
+            ("t_earliest", float), ("t_latest", float))
         params = need(doc, "params", "instance")
         inst = ProblemInstance(RoadNetwork(nodes, edges), vehicles,
-                               float(need(params, "sigma_l", "params")),
-                               float(need(params, "sigma_f", "params")),
-                               int(need(params, "lambda", "params")),
+                               need(params, "sigma_l", "params", float),
+                               need(params, "sigma_f", "params", float),
+                               need(params, "lambda", "params", int),
                                meta=doc.get("meta", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc

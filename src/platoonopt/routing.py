@@ -157,7 +157,6 @@ class RdpModelHandle:
     w_col: dict[tuple, int]
     candidates: dict[int, set]
     edge_vehicles: dict[tuple, list[int]]
-    costs: EdgeCostTable
     instance: ProblemInstance
     pairs: CandidatePairs                # the x columns' pairs
 
@@ -249,8 +248,8 @@ def build_rdp(inst: ProblemInstance) -> RdpModelHandle:
         {e: j + 2 for e, j in y_col.items()}, cand,
         {e: vs[s:s + c] for e, s, c in zip(pairs.edges, first.tolist(),
                                            k.tolist())},
-        EdgeCostTable.initial(pairs), inst, pairs)
-    set_rdp_costs(handle, handle.costs)
+        inst, pairs)
+    set_rdp_costs(handle, EdgeCostTable.initial(pairs))
     return handle
 
 
@@ -323,7 +322,6 @@ def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable) -> None:
     c[n + 1::3] = -inst.sigma_l * fuel
     c[n + 2::3] = -inst.sigma_f * fuel
     handle.model.set_objective(c, sense="min")
-    handle.costs = costs
 
 
 def extract_route_assignment(handle: RdpModelHandle,
@@ -418,31 +416,29 @@ def _fits_window(net, nodes, m) -> bool:
     return t <= m.t_latest - m.t_earliest + 1e-9
 
 
-def greedy_assignment(inst: ProblemInstance, costs: EdgeCostTable,
+def greedy_assignment(inst: ProblemInstance,
                       candidates: dict[int, set]) -> RouteAssignment:
     """Sequential marginal-cost routing used to seed the MILP incumbent.
 
-    Vehicles are routed in id order; an edge already carrying traffic is
-    priced at its presumed follower cost.  Falls back to the fuel-shortest
-    path when the greedy path breaks the mission time window.
+    Vehicles are routed in id order, each edge priced at its fuel; an edge
+    already carrying traffic is priced at its presumed follower cost.
+    Falls back to the fuel-shortest path when the greedy path breaks the
+    mission time window.
     """
-    net, fuel = inst.network, inst.network.fuel_table()
+    net = inst.network
     occupied: dict[tuple, int] = {}
     routes: dict[int, tuple] = {}
-    for m in inst.missions:
-        def weight(edge, v=m.id):
-            e = edge.key
-            base = costs.cost(v, e)
-            if e in costs.explored:
-                return base
-            k = occupied.get(e, 0)
-            if k == 0:
-                return base
-            w = (1 - inst.sigma_f) * base
-            if k == 1:
-                w -= inst.sigma_l * fuel[e]
-            return max(w, 1e-12)
 
+    def weight(edge):
+        k = occupied.get(edge.key, 0)
+        if k == 0:
+            return edge.fuel
+        w = (1 - inst.sigma_f) * edge.fuel
+        if k == 1:
+            w -= inst.sigma_l * edge.fuel
+        return max(w, 1e-12)
+
+    for m in inst.missions:
         nodes = _greedy_path(net, candidates[m.id], m.origin, m.dest, weight)
         if nodes is not None and not _fits_window(net, nodes, m):
             nodes = None
@@ -478,6 +474,5 @@ def assignment_values(handle: RdpModelHandle,
 
 def initial_solution(handle: RdpModelHandle) -> "np.ndarray":
     """Greedy incumbent for the routing MILP."""
-    assignment = greedy_assignment(handle.instance, handle.costs,
-                                   handle.candidates)
+    assignment = greedy_assignment(handle.instance, handle.candidates)
     return assignment_values(handle, assignment)

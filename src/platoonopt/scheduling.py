@@ -1,12 +1,13 @@
 """Scheduling problem: phase two of each heuristic iteration.
 
-Given fixed routes, bounds each vehicle's arrival time at every node it
-visits, prunes vehicle pairs whose time windows cannot overlap, contracts
-consecutive edges shared by identical vehicle sets, and builds the
+Given fixed routes, contracts consecutive edges shared by identical vehicle
+sets, bounds each vehicle's arrival time at every node it visits, prunes
+vehicle pairs whose time windows cannot overlap, and builds the
 departure-time/platooning MILP (maximizing fuel savings).  The arrival time
 of a vehicle at a node is its departure time plus the travel time to the
-node, so the only continuous decision per vehicle is its departure time.
-``solve_schedule`` runs the whole pipeline for one set of routes.
+node (summed once per route, by ``time_bounds``), so the only continuous
+decision per vehicle is its departure time.  ``solve_schedule`` runs the
+whole pipeline for one set of routes.
 
 The model splits into independent components (``components``), each
 depending on its vehicles' routes alone, so ``solve_schedule`` takes the
@@ -15,8 +16,9 @@ components solved before from a map and solves only the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -63,36 +65,40 @@ def cut_mode(mode: str) -> tuple[CutOptions, bool]:
 
 @dataclass
 class TimeBounds:
+    """Arrival windows at the nodes of each route; v reaches ``node`` at its
+    departure from ``origin[v]`` plus ``offset[(v, node)]``."""
     lower: dict[tuple, float]   # (vehicle, node) -> earliest arrival
     upper: dict[tuple, float]   # (vehicle, node) -> latest arrival
+    offset: dict[tuple, float]  # (vehicle, node) -> time after departure
+    origin: dict[int, object]   # vehicle -> first node of its route
 
     def window(self, v, node) -> tuple[float, float]:
         return self.lower[(v, node)], self.upper[(v, node)]
 
 
 def time_bounds(routes, missions) -> TimeBounds:
-    """Prefix/suffix time sums along each route.
-
-    ``routes`` may be a raw assignment or contracted routes; it only needs
-    ``vehicles`` and ``route_edges(v) -> [(edge_key, time)]``.
-    """
+    """Prefix/suffix time sums along each route, which the model, the cuts
+    and the departures read.  ``routes`` may be a raw assignment or
+    contracted routes; it only needs ``vehicles`` and ``route_edges(v) ->
+    [(edge_key, time)]``."""
     by_id = {m.id: m for m in missions}
-    lower, upper = {}, {}
+    lower, upper, offset, origin = {}, {}, {}, {}
     for v in routes.vehicles:
         m = by_id[v]
         edges = routes.route_edges(v)
-        nodes = [edges[0][0][0]] + [key[1] for key, _ in edges] if edges else []
-        times = [t for _, t in edges]
-        total = sum(times)
-        acc = 0.0
-        for idx, node in enumerate(nodes):
+        if not edges:
+            continue
+        nodes = [edges[0][0][0]] + [key[1] for key, _ in edges]
+        origin[v] = nodes[0]
+        total = sum(t for _, t in edges)
+        for node, acc in zip(nodes, accumulate((t for _, t in edges),
+                                               initial=0.0)):
+            offset[(v, node)] = acc
             lower[(v, node)] = m.t_earliest + acc
             upper[(v, node)] = m.t_latest - (total - acc)
             if lower[(v, node)] > upper[(v, node)] + 1e-9:
                 raise InfeasibleRoute(f"vehicle {v}: window closes at node {node}")
-            if idx < len(times):
-                acc += times[idx]
-    return TimeBounds(lower, upper)
+    return TimeBounds(lower, upper, offset, origin)
 
 
 def platoonable_and_bigM(routes, bounds: TimeBounds):
@@ -103,12 +109,7 @@ def platoonable_and_bigM(routes, bounds: TimeBounds):
     """
     big_m: dict[tuple, float] = {}
     pruned: list[tuple] = []
-    shared: dict[tuple, list[int]] = {}
-    for v in routes.vehicles:
-        for key, _ in routes.route_edges(v):
-            shared.setdefault(key, []).append(v)
-    for key, vs in sorted(shared.items()):
-        vs = sorted(vs)
+    for key, vs in sorted(routes.vehicles_by_edge().items()):
         tail = key[0]
         for a, v in enumerate(vs):
             for u in vs[a + 1:]:
@@ -177,13 +178,6 @@ def contract(routes, times: dict, costs: dict) -> ContractedRoutes:
     return _contracted(runs, times, costs)
 
 
-def uncontracted(routes) -> ContractedRoutes:
-    """Wrap raw routes in the contracted container without merging."""
-    return _contracted({v: [(e,) for e in routes.edges(v)]
-                        for v in routes.vehicles},
-                       routes.edge_times, routes.edge_costs)
-
-
 def _contracted(runs: dict, times: dict, costs: dict) -> ContractedRoutes:
     """One ``CEdge`` per distinct run of original edges in ``runs`` (vehicle
     -> its route as runs), carrying the vehicles whose routes hold it.  The
@@ -217,18 +211,11 @@ class SpModelHandle:
     pruned: list[tuple]
     contracted: ContractedRoutes
     bounds: TimeBounds
-    sigma_l: float
-    sigma_f: float
     max_platoon: int
-    prefix: dict[tuple, float] = field(default_factory=dict)  # (v, node) ->
-    origin: dict[int, object] = field(default_factory=dict)
-
-    def entry_time(self, x, v, edge_key) -> float:
-        """Entry time of v at the tail of edge_key under solution vector x."""
-        return self.time_value(x, v, edge_key[0])
 
     def time_value(self, x, v, node) -> float:
-        return float(x[self.dep_col[v]]) + self.prefix[(v, node)]
+        """Time of v at ``node`` under solution vector x."""
+        return float(x[self.dep_col[v]]) + self.bounds.offset[(v, node)]
 
 
 def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
@@ -242,28 +229,18 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     follower column of each pair that can still meet.  Rows, shared edge by
     shared edge: the two big-M rows of each such pair, then for each
     vehicle its lead-or-follow, size-cap and nonempty-platoon rows; then
-    the rows of :func:`add_partition_rows`.  ``pairs`` is what
-    ``platoonable_and_bigM(contracted, bounds)`` returns, if known.
+    the rows of :func:`add_partition_rows`.  Windows and times after
+    departure come from ``bounds``, which the handle keeps.  ``pairs`` is
+    what ``platoonable_and_bigM(contracted, bounds)`` returns, if known.
     """
     opts = cut_options or CutOptions()
     big_m, pruned = pairs or platoonable_and_bigM(contracted, bounds)
     pruned_set = set(pruned)
 
     model = mip.LinearModel("sp")
-    prefix, origin, lo, hi = {}, {}, [], []
-    for v in contracted.vehicles:
-        edges = contracted.route_edges(v)
-        first = edges[0][0][0]
-        origin[v] = first
-        acc = 0.0
-        prefix[(v, first)] = 0.0
-        for key, t in edges:
-            acc += t
-            prefix[(v, key[1])] = acc
-        window = bounds.window(v, first)
-        lo.append(window[0])
-        hi.append(window[1])
     vehicles = contracted.vehicles
+    lo = [bounds.lower[(v, bounds.origin[v])] for v in vehicles]
+    hi = [bounds.upper[(v, bounds.origin[v])] for v in vehicles]
     dep_col = dict(zip(vehicles, range(len(vehicles))))
 
     shared = [(key, vs) for key, vs in
@@ -292,7 +269,7 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     model.set_objective(np.array(obj), sense="max")
 
     rows = _RowBlock()
-    lam = params.max_platoon
+    lam, offset = params.max_platoon, bounds.offset
     for key, vs in shared:
         tail, label = key[0], str(key)
         for a, v in enumerate(vs):
@@ -301,7 +278,7 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
                 if fc is None:
                     continue
                 m_uv = big_m[(u, v, key)]
-                const = prefix[(u, tail)] - prefix[(v, tail)]
+                const = offset[(u, tail)] - offset[(v, tail)]
                 cols = [dep_col[u], dep_col[v], fc]
                 rows.add(cols, [1.0, -1.0, 0.0 + m_uv], mip.LE,
                          m_uv - const, f"meet_ub_{u}_{v}_{label}")
@@ -321,8 +298,7 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
             rows.add(followers, ones + [-1.0], mip.GE, 0.0,
                      f"nonempty_{v}_{label}")
     handle = SpModelHandle(model, dep_col, f_col, l_col, big_m, pruned,
-                           contracted, bounds, params.sigma_l, params.sigma_f,
-                           params.max_platoon, prefix, origin)
+                           contracted, bounds, params.max_platoon)
     _partition_rows(handle, opts, rows)
     rows.append_to(model)
     return handle
@@ -447,9 +423,10 @@ def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
                 raise InconsistentPlatoon(f"leader {v} has no follower on {key}")
             if 1 + len(followers) > lam:
                 raise InconsistentPlatoon(f"platoon of {v} exceeds size cap")
-            entry = handle.entry_time(x, v, key)
+            tail = key[0]
+            entry = handle.time_value(x, v, tail)
             for u in followers:
-                if abs(handle.entry_time(x, u, key) - entry) > EQUAL_ENTRY_TOL:
+                if abs(handle.time_value(x, u, tail) - entry) > EQUAL_ENTRY_TOL:
                     raise InconsistentPlatoon(
                         f"{u} and {v} platoon on {key} with unequal entry")
             plist.append((v, followers))
@@ -525,36 +502,30 @@ def earliest_departures(contracted: ContractedRoutes, platoons: dict,
     """Departures realizing ``platoons`` (contracted edge key -> ``[(leader,
     followers)]``): the vehicles that platoons tie together leave at the
     earliest common shift their windows allow, a lone vehicle at its window
-    start."""
-    entry: dict[tuple, float] = {}      # (v, edge key) -> time after departure
-    for v in contracted.vehicles:
-        acc = 0.0
-        for s in contracted.routes[v]:
-            entry[(v, s.key)] = acc
-            acc += s.time
+    start.  Times and windows come from ``bounds``."""
+    offset = bounds.offset
     links: dict[int, list[tuple]] = {v: [] for v in contracted.vehicles}
     for key, plist in platoons.items():
         for leader, followers in plist:
             for u in followers:
-                gap = entry[(leader, key)] - entry[(u, key)]
+                gap = offset[(leader, key[0])] - offset[(u, key[0])]
                 links[leader].append((u, gap))
                 links[u].append((leader, -gap))
     departures: dict[int, float] = {}
     for v in contracted.vehicles:
         if v in departures:
             continue
-        offset = {v: 0.0}               # member -> departure after v's
+        shift = {v: 0.0}                # member -> departure after v's
         group = [v]
         for w in group:
             for u, gap in links[w]:
-                if u not in offset:
-                    offset[u] = offset[w] + gap
+                if u not in shift:
+                    shift[u] = shift[w] + gap
                     group.append(u)
-        start = {w: bounds.lower[(w, contracted.routes[w][0].tail)]
-                 for w in group}
-        first = max(group, key=lambda w: start[w] - offset[w])
+        start = {w: bounds.lower[(w, bounds.origin[w])] for w in group}
+        first = max(group, key=lambda w: start[w] - shift[w])
         for w in group:
-            departures[w] = start[first] + (offset[w] - offset[first])
+            departures[w] = start[first] + (shift[w] - shift[first])
     return {v: departures[v] for v in contracted.vehicles}
 
 
@@ -567,33 +538,29 @@ class Schedule:
     platoons: PlatoonConfiguration
 
 
-def solve_schedule(routes, inst, cuts: str, *, merge_edges: bool = True,
+def solve_schedule(routes, inst, cuts: str, *,
                    rel_gap: float = mip.DEFAULT_REL_GAP,
                    time_limit_s: float | None = None,
                    cut_log: list | None = None,
                    solved: dict | None = None) -> Schedule:
-    """Schedule fixed routes: contract them (unless ``merge_edges`` is
-    False), bound their times, and build one model, with the rows of cut
-    mode ``cuts`` (see ``CUT_MODES``), of the ``components`` that
-    ``solved`` does not hold; it has no columns when all are known, and is
-    then not solved (its solution is ``optimal`` with no values).  Solve
-    it from the no-platoon incumbent, so a solve stopped by
-    ``time_limit_s`` ends ``feasible``.  ``inst`` supplies the missions and
-    the savings parameters.  ``cut_log`` receives ``(bound before, cut)``
-    for each disjunctive cut the root rounds add.
+    """Schedule fixed routes: contract them, bound their times, and build
+    one model, with the rows of cut mode ``cuts`` (see ``CUT_MODES``), of
+    the ``components`` that ``solved`` does not hold; it has no columns
+    when all are known, and is then not solved (its solution is
+    ``optimal`` with no values).  Solve it from the no-platoon incumbent,
+    so a solve stopped by ``time_limit_s`` ends ``feasible``.  ``inst``
+    supplies the missions and the savings parameters.  ``cut_log``
+    receives ``(bound before, cut)`` for each disjunctive cut the root
+    rounds add.
 
     ``solved`` maps a ``component_key`` to the component's platoons with
     followers, as ``(original-edge run, (leader, followers))`` pairs; a
     solve that ends ``optimal`` adds its components.  One map serves one
-    instance, cut mode, gap and ``merge_edges``.  Platoons are listed by
-    sorted contracted key, then original edge, and departures are
-    ``earliest_departures``, so the schedule does not depend on which
-    components were known."""
+    instance, cut mode and gap.  Platoons are listed by sorted contracted
+    key, then original edge, and departures are ``earliest_departures``,
+    so the schedule does not depend on which components were known."""
     cut_options, disjunctive = cut_mode(cuts)
-    if merge_edges:
-        contracted = contract(routes, routes.edge_times, routes.edge_costs)
-    else:
-        contracted = uncontracted(routes)
+    contracted = contract(routes, routes.edge_times, routes.edge_costs)
     bounds = time_bounds(contracted, inst.missions)
     big_m, pruned = platoonable_and_bigM(contracted, bounds)
     reused, new = [], []

@@ -100,7 +100,7 @@ def separate(point, handle, min_violation: float = MIN_VIOLATION):
             _, u, node = key
             col = handle.dep_col[u]
             coeffs[col] = coeffs.get(col, 0.0) + a_k
-            shift += a_k * handle.prefix[(u, node)]
+            shift += a_k * handle.bounds.offset[(u, node)]
         else:
             col = handle.f_col[key[1:]]
             coeffs[col] = coeffs.get(col, 0.0) + a_k

@@ -5,7 +5,9 @@ reference of the row blocks that ``routing.build_rdp``,
 
 ``build_sp`` here also keeps the explicit formulation with one time column
 per vehicle and route node (``keep_time_vars``), chained along each route by
-equality rows; the program substitutes those columns out."""
+equality rows; the program substitutes those columns out.  ``uncontracted``
+gives the routes without contraction, one edge per original edge, on which
+the scheduling optimum must be the one of the contracted routes."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from platoonopt import cuts, mip, netmodel, routing
+from platoonopt import cuts, mip, netmodel, routing, scheduling
 from platoonopt.scheduling import platoonable_and_bigM
 
 
@@ -33,6 +35,13 @@ def candidate_edge_set(net, m, sigma_f: float) -> set:
             if dist_o[i] + e.length + dist_d[j] <= bound + tol:
                 out.add(key)
     return out
+
+
+def uncontracted(routes) -> scheduling.ContractedRoutes:
+    """Wrap raw routes in the contracted container without merging."""
+    return scheduling._contracted({v: [(e,) for e in routes.edges(v)]
+                                   for v in routes.vehicles},
+                                  routes.edge_times, routes.edge_costs)
 
 
 def build_rdp(inst, costs) -> routing.RdpModelHandle:
@@ -81,7 +90,7 @@ def build_rdp(inst, costs) -> routing.RdpModelHandle:
                                  sense, rhs, name=name)
 
     handle = routing.RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
-                                    edge_vehicles, costs, inst,
+                                    edge_vehicles, inst,
                                     routing.CandidatePairs(inst, cand))
     routing.set_rdp_costs(handle, costs)
     return handle
@@ -112,6 +121,7 @@ class ReferenceSp:
     l_col: dict[tuple, int]
     t_col: dict[tuple, int] = field(default_factory=dict)
     prefix: dict[tuple, float] = field(default_factory=dict)
+    origin: dict[int, object] = field(default_factory=dict)
 
 
 def build_sp(contracted, params, bounds, star_partition: bool = False,
@@ -216,7 +226,7 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
             row[lead] = row.get(lead, 0.0) - 1.0
             model.add_constraint(row, ">=", 0.0, name=f"nonempty_{v}_{key}")
 
-    ref = ReferenceSp(model, dep_col, f_col, l_col, t_col, prefix)
+    ref = ReferenceSp(model, dep_col, f_col, l_col, t_col, prefix, origin)
     add_partition_rows(ref, contracted, params.max_platoon, star_partition,
                        size_facets)
     return ref

@@ -125,6 +125,33 @@ class TestHostileFiles:
         [row] = _read_csv(out)
         assert row["Instance"] == str(inst_path) and row["Iters"] == "2"
 
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("params", "lambda", 2.9, "'lambda' of params is not an integer: 2.9"),
+        ("vehicles", "origin", 1.5,
+         "'origin' of vehicle 1 is not an integer: 1.5"),
+        ("vehicles", "t_latest", True,
+         "'t_latest' of vehicle 1 is not a number: True")])
+    def test_an_instance_value_of_the_wrong_type(self, tmp_path, capsys,
+                                                 section, key, value, named):
+        doc = nm.instance_to_dict(shared_edge_instance())
+        (doc[section] if section == "params" else doc[section][0])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["rshm", "--instance", str(path), "--iter-cap",
+                         "1"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_a_route_node_that_is_not_an_integer(self, tmp_path, capsys):
+        inst = shared_edge_instance()
+        ra = routing.shortest_path_assignment(inst)
+        ra.routes[1] = tuple(float(n) for n in ra.routes[1])
+        inst_path, routes_path = _routes_file(tmp_path, inst, ra)
+        assert cli.main(["solve-sp", "--instance", inst_path, "--routes",
+                         routes_path]) == cli.EXIT_USAGE
+        assert "vehicle 1: route must be a list of integer nodes" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["rshm", "--instance", "{dir}"],
         ["solve-sp", "--instance", "{inst}", "--routes", "{dir}"],

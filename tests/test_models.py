@@ -99,16 +99,19 @@ def test_scheduling_model_is_the_reference(spec, cuts, merge):
     star, facets = cuts
     for ra in [routing.shortest_path_assignment(inst)] + routes:
         contracted = sched.contract(ra, ra.edge_times, ra.edge_costs) \
-            if merge else sched.uncontracted(ra)
+            if merge else reference_models.uncontracted(ra)
         bounds = sched.time_bounds(contracted, inst.missions)
         got = sched.build_sp(contracted, params, bounds,
                              sched.CutOptions(star, facets))
         ref = reference_models.build_sp(contracted, params, bounds,
                                         star, facets)
         assert_same_model(got.model, ref.model)
-        for name in ("dep_col", "f_col", "l_col", "prefix"):
+        for name in ("dep_col", "f_col", "l_col"):
             assert list(getattr(got, name).items()) == \
                 list(getattr(ref, name).items())
+        # the route times the model reads, against the reference's walk
+        assert list(got.bounds.offset.items()) == list(ref.prefix.items())
+        assert list(got.bounds.origin.items()) == list(ref.origin.items())
         # rows appended to a built model, as the bound report appends them
         plain = sched.build_sp(contracted, params, bounds)
         added = sched.add_partition_rows(plain, sched.CutOptions(True))

@@ -1,6 +1,7 @@
 """Network layer: shortest paths, candidate edges, generators, files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ def test_load_rejects_infinite_platoon_cap(tmp_path, two_node_net):
         nm.load_instance(path)
 
 
-def test_load_parse_errors(tmp_path):
+def test_load_parse_errors(tmp_path, two_node_net):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(nm.ParseError):
@@ -306,6 +307,25 @@ def test_load_parse_errors(tmp_path):
     p2.write_text(json.dumps({"nodes": [], "edges": []}))
     with pytest.raises(nm.ParseError, match="vehicles"):
         nm.load_instance(p2)
+    # a value of the wrong JSON type is named, not truncated or converted
+    for section, key, value, where, what in [
+            ("vehicles", "origin", 1.5, "vehicle 1", "an integer"),
+            ("vehicles", "id", True, "vehicle True", "an integer"),
+            ("nodes", "id", "1", "node '1'", "an integer"),
+            ("edges", "to", 2.0, "edge (1, 2.0)", "an integer"),
+            ("params", "lambda", 2.9, "params", "an integer"),
+            ("vehicles", "t_latest", "1.0", "vehicle 1", "a number"),
+            ("nodes", "x", True, "node 1", "a number"),
+            ("params", "sigma_f", False, "params", "a number")]:
+        path = _write_with(tmp_path, two_node_net, section, key, value)
+        named = f"field {key!r} of {where} is not {what}: {value!r}"
+        with pytest.raises(nm.ParseError, match=re.escape(named)):
+            nm.load_instance(path)
+    p3 = tmp_path / "entries.json"
+    p3.write_text(json.dumps({"nodes": [1], "edges": [], "vehicles": [],
+                              "params": {}}))
+    with pytest.raises(nm.ParseError, match="entry of 'nodes' is not an obj"):
+        nm.load_instance(p3)
 
 
 def test_network_invariants():

@@ -253,11 +253,15 @@ def test_cost_table_invariants(small_grid):
 def test_initial_table_prices_every_pair_at_its_fuel(small_grid):
     inst = nm.generate_distributed(small_grid, 3, seed=5)
     h = routing.build_rdp(inst)
-    table, fuel = h.costs, inst.network.fuel_table()
+    table = EdgeCostTable.initial(h.pairs)
+    fuel = inst.network.fuel_table()
     assert table.explored == frozenset() and table.adjusted == {}
     assert table.prices.tobytes() == np.array(
         [fuel[e] for _v, e in h.pairs.keys]).tobytes()
     assert all(table.cost(v, e) == fuel[e] for v, e in h.pairs.keys)
+    # the model as built is priced at it
+    assert mip._columns(h.model)[0][:len(h.pairs.keys)].tobytes() == \
+        table.prices.tobytes()
 
 
 def test_a_table_over_other_pairs_is_refused(small_grid):
@@ -268,7 +272,8 @@ def test_a_table_over_other_pairs_is_refused(small_grid):
     with pytest.raises(ValueError, match="x columns"):
         routing.set_rdp_costs(h, EdgeCostTable.initial(every))
     # the equal pairs of another build of the model are its columns
-    routing.set_rdp_costs(h, routing.build_rdp(inst).costs)
+    routing.set_rdp_costs(
+        h, EdgeCostTable.initial(routing.build_rdp(inst).pairs))
 
 
 @pytest.mark.parametrize("scale,what", [(1.5, "out of range"),

@@ -10,9 +10,10 @@ from platoonopt import (mip, netmodel as nm, oracle, routing, rshm,
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
-from platoonopt.scheduling import CEdge, ContractedRoutes, uncontracted
+from platoonopt.scheduling import CEdge, ContractedRoutes
 
 import reference_models
+from reference_models import uncontracted
 from conftest import shared_edge_instance
 
 
@@ -174,9 +175,7 @@ class TestContract:
             else:
                 cand = {m.id: nm.candidate_edge_set(grid, m, inst.sigma_f)
                         for m in inst.missions}
-                ra = routing.greedy_assignment(
-                    inst, routing.EdgeCostTable.initial(
-                        routing.CandidatePairs(inst, cand)), cand)
+                ra = routing.greedy_assignment(inst, cand)
         con = sched.contract(ra, ra.edge_times, ra.edge_costs)
         ref = _contract_by_merging(ra, ra.edge_times, ra.edge_costs)
         assert list(con.routes) == list(ref.routes)
@@ -361,15 +360,17 @@ class TestSolveSchedule:
             plain = mip.solve_mip(sched.build_sp(
                 con, inst, sched.time_bounds(con, inst.missions)).model)
             fuel = inst.network.fuel_table()
+            raw = uncontracted(ra)
+            assert mip.solve_mip(sched.build_sp(
+                raw, inst, sched.time_bounds(raw, inst.missions)).model
+            ).objective == pytest.approx(plain.objective, abs=1e-6)
             for mode in sched.CUT_MODES:
-                for merge in (True, False):
-                    res = sched.solve_schedule(ra, inst, mode,
-                                               merge_edges=merge)
-                    assert res.solution.status == "optimal"
-                    assert res.solution.objective == pytest.approx(
-                        plain.objective, abs=1e-6)
-                    assert sched.total_fuel(ra, res.platoons, fuel, inst) == \
-                        pytest.approx(ra.total_cost() - plain.objective)
+                res = sched.solve_schedule(ra, inst, mode)
+                assert res.solution.status == "optimal"
+                assert res.solution.objective == pytest.approx(
+                    plain.objective, abs=1e-6)
+                assert sched.total_fuel(ra, res.platoons, fuel, inst) == \
+                    pytest.approx(ra.total_cost() - plain.objective)
 
     def test_cut_log_receives_the_root_cuts(self):
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
@@ -414,9 +415,7 @@ def _scheduling_case(rows, generator, vehicles, seed, route_kind,
     shortest, _ = rshm.no_coordination(inst)
     cand = {m.id: nm.candidate_edge_set(grid, m, inst.sigma_f)
             for m in inst.missions}
-    greedy = routing.greedy_assignment(
-        inst, routing.EdgeCostTable.initial(
-            routing.CandidatePairs(inst, cand)), cand)
+    greedy = routing.greedy_assignment(inst, cand)
     if route_kind == "shortest":
         return inst, shortest, greedy
     return inst, greedy, shortest
@@ -598,7 +597,7 @@ class TestExtractPlatoons:
         h = ex["handle"]
         x = np.zeros(h.model.num_vars)
         for v in h.dep_col:
-            x[h.dep_col[v]] = h.bounds.lower[(v, h.origin[v])]
+            x[h.dep_col[v]] = h.bounds.lower[(v, h.bounds.origin[v])]
         sol = mip.LpSolution("optimal", 0.0, x)
         cfg = sched.extract_platoons(h, sol)
         for key, plist in cfg.platoons.items():

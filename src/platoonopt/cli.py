@@ -103,15 +103,27 @@ def cmd_solve_rdp(args) -> int:
     return EXIT_OK if sol.status == "optimal" else EXIT_LIMIT
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; ``netmodel.ValidationError`` for a
+    key that appears twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise netmodel.ValidationError(
+                f"routes file: key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def _routes_from_file(inst, path) -> routing.RouteAssignment:
     """Routes JSON ``{"routes": {vehicle: [node, ...]}}``, checked against
-    the instance: one route per mission, each a simple path of integer
+    the instance: one route per mission, keyed by its id as ``str`` writes
+    it (no padding, ``+`` or ``_``), each a simple path of integer
     nodes from the mission's origin to its destination along edges of the
-    network.  Raises
-    ``netmodel.ValidationError`` naming the first vehicle that breaks a
-    rule."""
+    network.  Raises ``netmodel.ValidationError`` naming the first key or
+    vehicle that breaks a rule."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict) or not isinstance(doc.get("routes"), dict):
         raise netmodel.ValidationError(
             'routes file must hold an object with a "routes" object')
@@ -122,6 +134,9 @@ def _routes_from_file(inst, path) -> routing.RouteAssignment:
         except ValueError:
             raise netmodel.ValidationError(
                 f"routes file: vehicle id {v!r} is not an integer") from None
+        if v != str(vid):
+            raise netmodel.ValidationError(
+                f"routes file: vehicle id {v!r} is not written {str(vid)!r}")
         if not isinstance(nodes, list) or not all(
                 isinstance(n, int) and not isinstance(n, bool) for n in nodes):
             raise netmodel.ValidationError(

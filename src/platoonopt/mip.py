@@ -508,7 +508,7 @@ class MipSolution:
     objective: float | None
     x: np.ndarray | None
     bound: float | None
-    gap: float | None
+    gap: float | None               # see _relative_gap
     nodes: int
     wall_time: float
     cuts_added: int = 0
@@ -665,6 +665,16 @@ def _check_limits(rel_gap: float, time_limit_s: float | None) -> None:
         raise ValueError("time_limit_s is NaN")
 
 
+def _relative_gap(incumbent: float, bound: float) -> float:
+    """``|incumbent - bound| / |incumbent|``: 0 when the two are equal, and
+    inf when the incumbent is 0 and the bound is not."""
+    if incumbent == bound:
+        return 0.0
+    if incumbent == 0.0:
+        return math.inf
+    return abs(incumbent - bound) / max(abs(incumbent), 1e-10)
+
+
 def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
               time_limit_s: float | None = None,
               node_limit: int | None = None,
@@ -789,8 +799,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
                            root_basis)
     if cutoff(root.objective, incumbent):
         return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           abs(incumbent - root.objective)
-                           / max(abs(incumbent), 1e-10),
+                           _relative_gap(incumbent, root.objective),
                            nodes, wall(), cuts_added, root_bound, root_basis)
     push(root.objective, {}, None)
     first = True
@@ -854,7 +863,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             else max(open_bounds + [incumbent])
     else:
         bnd = incumbent
-    g = abs(incumbent - bnd) / max(abs(incumbent), 1e-10)
+    g = _relative_gap(incumbent, bnd)
     st = "feasible" if (status != "optimal" and g > rel_gap) else "optimal"
     return MipSolution(st, incumbent, incumbent_x, bnd, g, nodes, wall(),
                        cuts_added, root_bound, root_basis)

@@ -4,6 +4,12 @@ Holds the directed highway graph (per-edge fuel cost and travel time),
 vehicle missions with time windows, shortest paths with deterministic
 tie-breaking, the detour-bounded candidate edge set, and the two synthetic
 instance generators (distributed and two-cluster).
+
+What depends only on the network is computed once per ``RoadNetwork`` and
+kept with it: the fuel and time tables, the edge arrays, each complete
+shortest-distance row (per weight, direction and source), the distributed
+generator's default cities and the two-cluster generator's hub pairs and
+cluster radius.
 """
 
 from __future__ import annotations
@@ -88,8 +94,31 @@ class EdgeArrays:
             = np.arange(len(self.keys))
 
 
+class _Rows:
+    """The complete distance rows of one (weight, direction), one per
+    source, in one 2-D array that doubles when full; ``slot`` maps a
+    source's node number to its row, -1 before it is computed."""
+
+    def __init__(self, n: int):
+        self.table = np.empty((0, n))
+        self.slot = np.full(n, -1, dtype=np.intp)
+        self.count = 0
+
+    def add(self, source: int, row: np.ndarray) -> None:
+        if self.count == len(self.table):
+            grown = np.empty((max(8, 2 * self.count), self.table.shape[1]))
+            grown[:self.count] = self.table
+            self.table = grown
+        self.table[self.count] = row
+        self.slot[source] = self.count
+        self.count += 1
+
+
 class RoadNetwork:
-    """Directed graph; immutable once built."""
+    """Directed graph; immutable once built.  What depends on the network
+    alone is built at the first call and kept: ``fuel_table``,
+    ``time_table``, ``edge_arrays``, the rows of ``distances``, and the
+    generators' ``default_cities`` and two-cluster hubs."""
 
     def __init__(self, nodes: list[Node], edges: list[Edge]):
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
@@ -122,6 +151,8 @@ class RoadNetwork:
         for adj in self.in_adj.values():
             adj.sort(key=lambda e: e.tail)
         self._fuel = self._time = self._arrays = None
+        self._rows: dict[tuple, _Rows] = {}   # (weight, reverse) -> rows
+        self._memo: dict = {}                  # generators' network data
 
     def edge(self, i, j) -> Edge:
         return self.edges[(i, j)]
@@ -146,6 +177,24 @@ class RoadNetwork:
         if self._arrays is None:
             self._arrays = EdgeArrays(self)
         return self._arrays
+
+    def distances(self, weight: str, source, reverse: bool = False
+                  ) -> np.ndarray:
+        """The ``weight`` distance from ``source`` (to it, when ``reverse``)
+        of every node, over the node numbers of ``edge_arrays()``, inf where
+        the node is not reached.  Each row is computed by one complete
+        search at the first call and returned read-only."""
+        arrays = self.edge_arrays()
+        i = arrays.node_index[source]
+        rows = self._rows.get((weight, reverse))
+        if rows is None or rows.slot[i] < 0:
+            row = _by_node(arrays, _dijkstra(self, source, weight, reverse))
+            if rows is None:
+                rows = self._rows[(weight, reverse)] = _Rows(len(row))
+            rows.add(i, row)
+        row = rows.table[rows.slot[i]]
+        row.flags.writeable = False
+        return row
 
     def __eq__(self, other):
         return (isinstance(other, RoadNetwork)
@@ -188,9 +237,10 @@ class ProblemInstance:
                         f"vehicle {m.id}: {end} {node} is not a network node")
             if m.origin == m.dest:
                 raise ValidationError(f"vehicle {m.id}: origin equals destination")
-            fastest = _dijkstra(self.network, m.origin, "time",
-                                target=m.dest).get(m.dest)
-            if fastest is None:
+            net = self.network
+            fastest = float(net.distances("time", m.origin)[
+                net.edge_arrays().node_index[m.dest]])
+            if fastest == math.inf:
                 raise Unreachable(m.origin, m.dest)
             if m.t_latest < m.t_earliest + fastest - 1e-9:
                 raise ValidationError(
@@ -225,10 +275,10 @@ _WEIGHT = {
 def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False,
               target=None, limit=math.inf) -> dict:
     """Distance from ``source`` (to it, when ``reverse``) of every node
-    reached.  The search stops once the distance of ``target`` is final,
-    or once every node within ``limit`` is final; ``limit`` may be a
-    function of the target's distance.  A node not final then may be
-    missing, or have a distance above the final one."""
+    reached.  The search stops once every node within ``limit`` is final;
+    with a ``target``, ``limit`` is a function of the target's distance.
+    A node not final then may be missing, or have a distance above the
+    final one."""
     wf = _WEIGHT[weight]
     adj = net.in_adj if reverse else net.out_adj
     dist = {source: 0.0}
@@ -240,8 +290,6 @@ def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False,
         if u in done:
             continue
         if u == target:
-            if not callable(limit):
-                break
             stop = limit(d)
         if d > stop:
             break
@@ -263,21 +311,22 @@ def shortest_path(net: RoadNetwork, o, d, weight: str = "fuel") -> Path:
     if o == d:
         return Path((o,), (), 0.0, 0.0, 0.0)
     wf = _WEIGHT[weight]
-    dist_o = _dijkstra(net, o, weight)
-    if d not in dist_o:
+    at = net.edge_arrays().node_index
+    dist_o = net.distances(weight, o)
+    total = float(dist_o[at[d]])
+    if total == math.inf:
         raise Unreachable(o, d)
-    dist_d = _dijkstra(net, d, weight, reverse=True)
-    total = dist_o[d]
+    dist_d = net.distances(weight, d, reverse=True)
     tol = REL_TOL * max(1.0, abs(total))
     nodes = [o]
     u = o
     while u != d:
         best = None
+        du = float(dist_o[at[u]])
         for e in net.out_adj[u]:
             k = e.head
-            if k not in dist_d:
-                continue
-            if abs(dist_o[u] + wf(e) + dist_d[k] - total) <= tol:
+            # a head that cannot reach d has distance inf and fails the test
+            if abs(du + wf(e) + float(dist_d[at[k]]) - total) <= tol:
                 if best is None or k < best:
                     best = k
         if best is None:
@@ -370,21 +419,26 @@ def make_grid_network(rows: int, cols: int, spacing_km: float = 40.0,
 
 
 def default_cities(net: RoadNetwork, k: int = 14) -> list[int]:
-    """Deterministic farthest-point sample of node ids to act as cities."""
-    ids = sorted(net.nodes)
-    k = min(k, len(ids))
-    chosen = [ids[0]]
-    while len(chosen) < k:
-        best, best_d = None, -1.0
-        for nid in ids:
-            if nid in chosen:
-                continue
-            d = min(math.dist((net.nodes[nid].x, net.nodes[nid].y),
-                              (net.nodes[c].x, net.nodes[c].y)) for c in chosen)
-            if d > best_d:
-                best, best_d = nid, d
-        chosen.append(best)
-    return sorted(chosen)
+    """Deterministic farthest-point sample of node ids to act as cities,
+    computed once per network and ``k``."""
+    key = ("cities", k)
+    if key not in net._memo:
+        ids = sorted(net.nodes)
+        k = min(k, len(ids))
+        chosen = [ids[0]]
+        while len(chosen) < k:
+            best, best_d = None, -1.0
+            for nid in ids:
+                if nid in chosen:
+                    continue
+                d = min(math.dist((net.nodes[nid].x, net.nodes[nid].y),
+                                  (net.nodes[c].x, net.nodes[c].y))
+                        for c in chosen)
+                if d > best_d:
+                    best, best_d = nid, d
+            chosen.append(best)
+        net._memo[key] = tuple(sorted(chosen))
+    return list(net._memo[key])
 
 
 def _euclid(net, a, b):
@@ -464,6 +518,26 @@ def generate_distributed(net: RoadNetwork, n_vehicles: int, seed: int,
     return inst
 
 
+def _hub_pairs(net: RoadNetwork) -> tuple[np.ndarray, float]:
+    """The two-cluster generator's hub pairs, as rows of an array: the node
+    pairs at least the 70th percentile of pairwise distances apart; and its
+    cluster radius, the 20th percentile.  Computed once per network."""
+    if "hubs" not in net._memo:
+        ids = sorted(net.nodes)
+        if len(ids) < 2:
+            raise NoHubPair("network too small for hub selection")
+        pair_d = [(_euclid(net, a, b), a, b)
+                  for ai, a in enumerate(ids) for b in ids[ai + 1:]]
+        dists = np.array([p[0] for p in pair_d])
+        thr70 = float(np.percentile(dists, 70, method="higher"))
+        r0 = float(np.percentile(dists, 20, method="higher"))
+        qual = np.array([(a, b) for d, a, b in pair_d if d >= thr70])
+        if not len(qual):
+            raise NoHubPair("no node pair beyond the 70th distance percentile")
+        net._memo["hubs"] = (qual, r0)
+    return net._memo["hubs"]
+
+
 def generate_two_cluster(net: RoadNetwork, n_vehicles: int, seed: int,
                          flexibility: float = 1.0,
                          sigma_l: float = 0.02, sigma_f: float = 0.1,
@@ -474,18 +548,8 @@ def generate_two_cluster(net: RoadNetwork, n_vehicles: int, seed: int,
     distances; the cluster radius is the 20th percentile.
     """
     rng = np.random.default_rng([12, seed])
-    ids = sorted(net.nodes)
-    if len(ids) < 2:
-        raise NoHubPair("network too small for hub selection")
-    pair_d = [( _euclid(net, a, b), a, b)
-              for ai, a in enumerate(ids) for b in ids[ai + 1:]]
-    dists = np.array([p[0] for p in pair_d])
-    thr70 = float(np.percentile(dists, 70, method="higher"))
-    r0 = float(np.percentile(dists, 20, method="higher"))
-    qual = [(a, b) for d, a, b in pair_d if d >= thr70]
-    if not qual:
-        raise NoHubPair("no node pair beyond the 70th distance percentile")
-    h1, h2 = qual[int(rng.integers(len(qual)))]
+    qual, r0 = _hub_pairs(net)
+    h1, h2 = qual[int(rng.integers(len(qual)))].tolist()
     pool1 = _nodes_within(net, h1, r0)
     pool2 = _nodes_within(net, h2, r0)
     od = [_draw_od(rng, net, pool1, pool2) for _ in range(n_vehicles)]

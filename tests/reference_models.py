@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import reference_paths
 from platoonopt import cuts, mip, netmodel, routing, scheduling
 from platoonopt.scheduling import platoonable_and_bigM
 
@@ -22,10 +23,10 @@ from platoonopt.scheduling import platoonable_and_bigM
 def candidate_edge_set(net, m, sigma_f: float) -> set:
     """``netmodel.candidate_edge_set`` as a loop over the network's edges,
     adding each edge that passes in the network's edge order."""
-    dist_o = netmodel._dijkstra(net, m.origin, "length")
+    dist_o = reference_paths.dijkstra(net, m.origin, "length")
     if m.dest not in dist_o:
         raise netmodel.Unreachable(m.origin, m.dest)
-    dist_d = netmodel._dijkstra(net, m.dest, "length", reverse=True)
+    dist_d = reference_paths.dijkstra(net, m.dest, "length", reverse=True)
     bound = dist_o[m.dest] / (1.0 - sigma_f)
     tol = netmodel.REL_TOL * max(1.0, bound)
     out = set()

@@ -142,6 +142,30 @@ class TestHostileFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("keys,named", [
+        (("1", "01", "2"), "vehicle id '01' is not written '1'"),
+        (("1", " 1", "2"), "vehicle id ' 1' is not written '1'"),
+        (("+1", "2"), "vehicle id '+1' is not written '1'"),
+        (("0_1", "2"), "vehicle id '0_1' is not written '1'"),
+        (("1_0", "2"), "vehicle id '1_0' is not written '10'"),
+        (("1", "1", "2"), "key '1' appears twice in one object")])
+    def test_a_routes_file_that_names_a_vehicle_twice_or_oddly(
+            self, tmp_path, capsys, keys, named):
+        # every key holds the route of vehicle 1, or of vehicle 2 under "2",
+        # so a file read with int() and last-wins solves (exits 0) for all
+        # but "1_0"
+        inst = shared_edge_instance()
+        ra = routing.shortest_path_assignment(inst)
+        inst_path, routes_path = _routes_file(tmp_path, inst, ra)
+        body = ", ".join(
+            f'"{k}": {json.dumps(list(ra.routes[2 if k == "2" else 1]))}'
+            for k in keys)
+        with open(routes_path, "w", encoding="utf-8") as fh:
+            fh.write('{"routes": {' + body + '}}')
+        assert cli.main(["solve-sp", "--instance", inst_path, "--routes",
+                         routes_path]) == cli.EXIT_USAGE
+        assert f"error: routes file: {named}" in capsys.readouterr().err
+
     def test_a_route_node_that_is_not_an_integer(self, tmp_path, capsys):
         inst = shared_edge_instance()
         ra = routing.shortest_path_assignment(inst)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from platoonopt import cuts, export, mip, simplex
+from platoonopt import cuts, export, mip, scheduling, simplex
 from platoonopt.simplex import BASIC
 
 from conftest import (branching_sp_handle, branching_sp_model, ranged_rows,
@@ -384,6 +384,23 @@ def test_node_limit_with_incumbent_keeps_gap_logic():
     assert s.gap == pytest.approx((5 * 2 / 3 + 4 - 4) / 4)
     full = mip.solve_mip(m, node_limit=100)
     assert full.status == "optimal" and full.objective == pytest.approx(5.0)
+
+
+def test_gap_against_a_zero_incumbent_is_infinite():
+    # the no-platoon seed saves 0; one node leaves the root bound above it
+    handle = branching_sp_handle()
+    s = mip.solve_mip(handle.model, node_limit=1,
+                      initial_solution=scheduling.solo_schedule(handle))
+    assert s.status == "feasible"
+    assert s.objective == 0.0 and s.bound > 0.0
+    assert s.gap == math.inf
+
+
+@pytest.mark.parametrize("incumbent,bound,gap", [
+    (0.0, 0.0, 0.0), (0.0, -1e-12, math.inf), (4.0, 4.0, 0.0),
+    (4.0, 5.0, 0.25), (-4.0, -5.0, 0.25)])
+def test_relative_gap(incumbent, bound, gap):
+    assert mip._relative_gap(incumbent, bound) == gap
 
 
 def _unbounded_milp():

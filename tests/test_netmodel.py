@@ -1,12 +1,17 @@
 """Network layer: shortest paths, candidate edges, generators, files."""
 
+import collections
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platoonopt import netmodel as nm
+import reference_paths
+from platoonopt import netmodel as nm, routing
 from platoonopt.netmodel import VehicleMission
 
 from conftest import make_net
@@ -227,6 +232,121 @@ def test_edge_tables_are_built_once_and_read_only(two_node_net):
         assert dict(table()) == {(1, 2): value}
         with pytest.raises(TypeError):
             table()[(1, 2)] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Distance rows, computed once per network
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _networks(draw):
+    """Up to 7 nodes and a random subset of the directed edges, so some
+    pairs are unreachable; lengths, times and fuels from a few values, so
+    shortest paths tie."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if i != j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    value = st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.1, 0.2, 0.3, 2.7])
+    edges = [nm.Edge(i, j, draw(value), draw(value), draw(value))
+             for (i, j), k in zip(pairs, keep) if k]
+    return nm.RoadNetwork([nm.Node(i, float(i), 0.0)
+                           for i in range(1, n + 1)], edges)
+
+
+def _outcome(call):
+    """What ``call()`` returns or raises, with a path's floats as hex."""
+    try:
+        p = call()
+    except (nm.ValidationError, nm.NetworkError) as exc:
+        return type(exc), str(exc)
+    if p is None:
+        return None
+    return p.nodes, p.edges, p.length.hex(), p.fuel.hex(), p.time.hex()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_networks(), st.sampled_from([-2e-9, -1e-9, 0.0, 1e-12]))
+def test_rows_paths_and_verdicts_are_the_reference(net, delta):
+    ids = sorted(net.nodes)
+    assert net.edge_arrays().nodes.tolist() == ids
+    for weight in reference_paths.WEIGHT:
+        for o in ids:
+            for reverse in (False, True):
+                got = net.distances(weight, o, reverse)
+                ref = reference_paths.row(net, o, weight, reverse)
+                assert got.tobytes() == ref.tobytes()
+                assert not got.flags.writeable
+            for d in ids:
+                assert _outcome(lambda: nm.shortest_path(net, o, d, weight)) \
+                    == _outcome(lambda: reference_paths.shortest_path(
+                        net, o, d, weight))
+    for o in ids:
+        for d in ids:
+            if o == d:
+                continue
+            fastest = reference_paths.dijkstra(net, o, "time").get(d, 1.0)
+            inst = nm.ProblemInstance(
+                net, [VehicleMission(1, o, d, 3.0, 3.0 + fastest + delta)])
+            assert _outcome(inst.validate) == _outcome(
+                lambda: reference_paths.check_windows(inst))
+
+
+def _benchmark_instance_digest():
+    """sha256 over the missions (times as hex) and fuel-shortest routes of
+    the benchmark's instances: two-cluster 8x8 n=16 seeds 1-6, two-cluster
+    7x7 n=12 seed 1 and distributed 8x8 n=16 seed 1."""
+    out = hashlib.sha256()
+    for gen, k, n, seeds in (("two_cluster", 8, 16, range(1, 7)),
+                             ("two_cluster", 7, 12, (1,)),
+                             ("distributed", 8, 16, (1,))):
+        net = nm.make_grid_network(k, k, spacing_km=40, jitter=0.25, seed=5)
+        for s in seeds:
+            inst = getattr(nm, f"generate_{gen}")(net, n, s)
+            for m in inst.missions:
+                out.update(f"{m.id} {m.origin} {m.dest} {m.t_earliest.hex()} "
+                           f"{m.t_latest.hex()}\n".encode())
+            routes = routing.shortest_path_assignment(inst).routes
+            for v, r in sorted(routes.items()):
+                out.update(f"{v} {r}\n".encode())
+    return out.hexdigest()
+
+
+def test_benchmark_instances_are_unchanged():
+    # computed with one search per call, before distance rows were kept
+    assert _benchmark_instance_digest() == \
+        "e5bf904e1101decbfa9e2333dceefe817061ccdefedebdcd13d97470d118b70b"
+
+
+def test_each_distance_row_is_searched_once_per_network(monkeypatch):
+    searches = collections.Counter()
+    search = nm._dijkstra
+
+    def counting(net, source, weight, reverse=False, *args, **kwargs):
+        searches[(id(net), weight, reverse, source)] += 1
+        return search(net, source, weight, reverse, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "_dijkstra", counting)
+    net = nm.make_grid_network(8, 8, spacing_km=40, jitter=0.25, seed=5)
+    instances = [nm.generate_two_cluster(net, 16, s) for s in range(1, 7)]
+    for inst in instances:
+        routing.shortest_path_assignment(inst)
+    # one search per (weight, direction, source): 480 when each call
+    # searched anew
+    assert set(searches.values()) == {1}
+    assert sum(searches.values()) == 158
+    searches.clear()
+    assert nm.generate_two_cluster(net, 16, 1) == instances[0]
+    routing.shortest_path_assignment(instances[0])
+    instances[0].validate()
+    assert not searches
+
+
+def test_default_cities_are_a_fresh_list(small_grid):
+    cities = nm.default_cities(small_grid)
+    cities.append(-1)
+    assert nm.default_cities(small_grid) == cities[:-1]
 
 
 def test_minimal_file_roundtrip(tmp_path, two_node_net):

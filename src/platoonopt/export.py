@@ -1,5 +1,7 @@
-"""Model export: a ``mip.LinearModel`` as fixed-format MPS or CPLEX LP
-text, rows listed from its ``constraints`` view."""
+"""Model export: a ``mip.LinearModel`` as free-format MPS or CPLEX LP
+text, rows listed from its ``constraints`` view.  Every field is
+separated by whitespace, so a name of any length stays one field, and
+every number is written by ``repr``, so it reads back exactly."""
 
 from __future__ import annotations
 
@@ -8,33 +10,42 @@ import numpy as np
 from .mip import (BINARY, CONTINUOUS, EQ, GE, INTEGER, KINDS, LE,
                   LinearModel)
 
+OBJECTIVE_ROW = "COST"
+
 
 class IoError(Exception):
     """Model export failed."""
 
 
 def _num(v: float) -> str:
-    """Fixed-point decimal rendering, no exponents, trailing zeros trimmed."""
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    s = f"{v:.12f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
+    return repr(float(v))
 
 
-def _safe_names(names, prefix):
+def _safe_names(names, prefix, reserved=()):
+    """One name per entry of ``names``, blanks made ``_``: the name itself,
+    or ``prefix`` and its index (then ``_`` until unused) when it is empty,
+    longer than 60 characters, reserved or taken by an earlier entry."""
+    names = [(nm or "").strip().replace(" ", "_") for nm in names]
+    used = set(reserved)
+    keep = []
+    for nm in names:
+        ok = bool(nm) and len(nm) <= 60 and nm not in used
+        keep.append(ok)
+        if ok:
+            used.add(nm)
     out = []
-    seen = set()
-    for i, nm in enumerate(names):
-        nm = (nm or "").strip().replace(" ", "_")
-        if not nm or nm in seen or len(nm) > 60:
+    for i, (nm, ok) in enumerate(zip(names, keep)):
+        if not ok:
             nm = f"{prefix}{i}"
-        seen.add(nm)
+            while nm in used:
+                nm += "_"
+            used.add(nm)
         out.append(nm)
     return out
 
 
 def write_model(model: LinearModel, fmt: str, path: str) -> None:
-    """Write the model as fixed-format MPS or CPLEX LP."""
+    """Write the model as free-format MPS or CPLEX LP."""
     fmt = fmt.upper()
     if fmt not in ("MPS", "LP"):
         raise IoError(f"unknown format {fmt!r}")
@@ -49,15 +60,15 @@ def write_model(model: LinearModel, fmt: str, path: str) -> None:
 def _to_mps(model: LinearModel) -> str:
     vnames = _safe_names(model.names, "X")
     rows = model.constraints
-    cnames = _safe_names(model.row_names, "R")
+    cnames = _safe_names(model.row_names, "R", reserved=(OBJECTIVE_ROW,))
     lbs, ubs, costs = model.lb.tolist(), model.ub.tolist(), model.c.tolist()
     kinds = [KINDS[k] for k in model.kind.tolist()]
     sense_code = {LE: "L", GE: "G", EQ: "E"}
-    lines = [f"NAME          {model.name.upper()[:8] or 'MODEL'}"]
+    lines = [f"NAME {model.name.upper()[:8] or 'MODEL'}"]
     lines.append("ROWS")
-    lines.append(" N  COST")
+    lines.append(f" N {OBJECTIVE_ROW}")
     for i, con in enumerate(rows):
-        lines.append(f" {sense_code[con.sense]}  {cnames[i]}")
+        lines.append(f" {sense_code[con.sense]} {cnames[i]}")
     lines.append("COLUMNS")
     col_rows: list[list[tuple[str, float]]] = [[] for _ in vnames]
     for i, con in enumerate(rows):
@@ -69,46 +80,39 @@ def _to_mps(model: LinearModel) -> str:
     for j, oc in enumerate(costs):
         entries = []
         if oc:
-            entries.append(("COST", obj_sign * oc))
+            entries.append((OBJECTIVE_ROW, obj_sign * oc))
         entries.extend(col_rows[j])
         if not entries:
-            entries.append(("COST", 0.0))
+            entries.append((OBJECTIVE_ROW, 0.0))
         integral = kinds[j] != CONTINUOUS
-        if integral and not in_int:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
+        if integral != in_int:
+            tag = "INTORG" if integral else "INTEND"
+            lines.append(f"    MARKER{marker:04d} 'MARKER' '{tag}'")
             marker += 1
-            in_int = True
-        if not integral and in_int:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-            marker += 1
-            in_int = False
-        for k in range(0, len(entries), 2):
-            pair = entries[k:k + 2]
-            row = f"    {vnames[j]:<10}{pair[0][0]:<10}{_num(pair[0][1]):>12}"
-            if len(pair) == 2:
-                row += f"   {pair[1][0]:<10}{_num(pair[1][1]):>12}"
-            lines.append(row)
+            in_int = integral
+        for row, v in entries:
+            lines.append(f"    {vnames[j]} {row} {_num(v)}")
     if in_int:
-        lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
+        lines.append(f"    MARKER{marker:04d} 'MARKER' 'INTEND'")
     lines.append("RHS")
     for i, con in enumerate(rows):
         if con.rhs != 0.0:
-            lines.append(f"    RHS       {cnames[i]:<10}{_num(con.rhs):>12}")
+            lines.append(f"    RHS {cnames[i]} {_num(con.rhs)}")
     lines.append("BOUNDS")
     for nm, lb, ub, kind in zip(vnames, lbs, ubs, kinds):
         if kind == BINARY:
-            lines.append(f" BV BND       {nm}")
+            lines.append(f" BV BND {nm}")
             continue
         if lb == 0.0 and np.isinf(ub):
             continue
         if np.isinf(lb) and lb < 0:
-            lines.append(f" MI BND       {nm}")
+            lines.append(f" MI BND {nm}")
         elif lb != 0.0:
             code = "LI" if kind == INTEGER else "LO"
-            lines.append(f" {code} BND       {nm:<10}{_num(lb):>12}")
+            lines.append(f" {code} BND {nm} {_num(lb)}")
         if np.isfinite(ub):
             code = "UI" if kind == INTEGER else "UP"
-            lines.append(f" {code} BND       {nm:<10}{_num(ub):>12}")
+            lines.append(f" {code} BND {nm} {_num(ub)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 

@@ -26,7 +26,16 @@ seeded incumbent (:func:`seed_start`), and cold only without either.  Each
 root LP after a cut round restarts from the previous one's basis with the
 new rows basic (:func:`extend_start`), and each node LP from its parent's
 optimal basis, so the dual simplex repairs the violated cut or branching
-bound.  The last root LP's rows serve the nodes.
+bound.
+
+After the root the search splits by block: the columns linked through the
+last root LP's rows.  A block that is integral at the root keeps its root
+values; every other block is searched on its own tree and its own rows,
+from the root's values and basis restricted to it.  Independent blocks
+then cost a sum of trees rather than a product, and each node LP is as
+small as its block.  ``solve_mip`` states the gap rule that keeps the
+assembled answer within ``rel_gap``, and what ``nodes`` and ``bound``
+count.
 """
 
 from __future__ import annotations
@@ -652,10 +661,7 @@ def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
     if not ok.all():
         i = int(np.argmin(ok))
         raise ModelError(f"row {model.row_names[i]!r} violated")
-    c = model.c
-    nz = np.flatnonzero(c)
-    terms = np.cumsum(c[nz] * xv[nz])       # added one by one, in order
-    return (float(terms[-1]) if nz.size else 0.0) + model.obj_constant
+    return _objective(model.c, xv, model.obj_constant)
 
 
 def _check_limits(rel_gap: float, time_limit_s: float | None) -> None:
@@ -675,111 +681,161 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return abs(incumbent - bound) / max(abs(incumbent), 1e-10)
 
 
-def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
-              time_limit_s: float | None = None,
-              node_limit: int | None = None,
-              root_cut_hook=None,
-              initial_solution=None, root_start=None) -> MipSolution:
-    """Branch and bound with best-bound node selection.
+def _objective(c, x, constant: float) -> float:
+    """``c.x + constant``, the nonzero terms of ``c.x`` added one by one in
+    column order, as a loop over them would."""
+    nz = np.flatnonzero(c)
+    terms = np.cumsum(c[nz] * x[nz])
+    return (float(terms[-1]) if nz.size else 0.0) + constant
 
-    The LPs are solved on the model's compiled rows (compiled at the
-    first solve and extended by the rows added since at each later one)
-    with its current bounds and objective.
-    ``root_cut_hook(lp_solution)`` may return a list of :class:`Cut`; it is
-    invoked repeatedly on fractional root relaxations until it returns no
-    cuts or ``DEFAULT_CUT_ROUNDS`` rounds have run.  Cuts never fire below
-    the root.  They are appended to a block local to the solve, so neither the
-    model's rows nor its compiled rows change.  Each root LP after a cut
-    round restarts from the previous root basis with the cuts' rows basic
-    (see :func:`extend_start`), and each node LP from its parent's optimal
-    basis, the very ``HighsBasis`` of the parent's result, under the
-    node's column bounds; both children of a node share that one start.
-    HiGHS re-optimizes from such a start, and runs cold only when the
-    start does not fit.
-    ``initial_solution`` seeds the incumbent (it must be feasible); a root
-    LP reported infeasible despite it raises ``NumericalFailure``.
-    ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
-    an earlier solve of a model that differs only in its objective.  Without
-    one, the first root LP starts from ``initial_solution`` when
-    :func:`seed_start` can turn it into a basis, so the simplex starts at
-    the seed's vertex.  A start that does not fit is ignored (see
-    ``simplex.solve``).  A node limit stops the search with status
-    ``node_limit``, or ``feasible``/``optimal`` by the gap when an incumbent
-    exists.  An unbounded root relaxation gives status ``unbounded``, with
-    or without an incumbent.  ``ValueError`` for a ``rel_gap`` that is
-    negative or not finite, or a NaN ``time_limit_s``.
-    """
-    _check_limits(rel_gap, time_limit_s)
-    model.validate()
-    t0 = time.perf_counter()
-    int_idx = model.integer_indices()
-    minimize = model.obj_sense == "min"
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-    wall = lambda: time.perf_counter() - t0
 
-    incumbent = None
-    incumbent_x = None
-    if initial_solution is not None:
-        incumbent = check_solution(model, initial_solution)
-        incumbent_x = np.asarray(initial_solution, dtype=float)
+def _pruned(bound: float, incumbent, rel_gap: float, minimize: bool) -> bool:
+    """Whether a node of this bound is pruned: there is an incumbent, and
+    the bound is worse than it or within ``rel_gap * max(|incumbent|,
+    1e-10)`` of it."""
+    if incumbent is None:
+        return False
+    slack = rel_gap * max(abs(incumbent), 1e-10)
+    return bound >= incumbent - slack if minimize \
+        else bound <= incumbent + slack
 
-    cuts_added = 0
-    rows = model.compiled_rows()
-    c, lo_col, hi_col, sign = _columns(model)
-    c, lo_col, hi_col = _frozen(c, lo_col, hi_col)
 
-    def lp_solve(lo, hi, start):
-        return _solve(rows, c, lo, hi, sign, model.obj_constant, start)
+@dataclass
+class _Relaxation:
+    """The LP relaxation of a model or of one of its blocks: min ``c.x``
+    over ``rows`` and the column bounds ``lo``/``hi``, each solution
+    reported as ``sign * c.x + offset``; ``int_idx`` are the integer
+    columns."""
+    rows: simplex.Matrix
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    int_idx: np.ndarray
+    sign: float
+    offset: float
 
-    start = root_start
-    if start is None and incumbent_x is not None:
-        start = seed_start(rows, lo_col, hi_col, incumbent_x)
-    root = lp_solve(lo_col, hi_col, start)
-    rounds = 0
-    while (root.status == "optimal" and root_cut_hook is not None
-           and rounds < DEFAULT_CUT_ROUNDS and _fractional(root.x, int_idx)):
-        cuts = root_cut_hook(root)
-        if not cuts:
+    def solve(self, lo, hi, start=None) -> LpSolution:
+        return _solve(self.rows, self.c, lo, hi, self.sign, self.offset,
+                      start)
+
+
+class _Budget:
+    """The node and time limits of one solve, shared by its block searches.
+    ``nodes`` counts the root and every node taken up below it."""
+
+    def __init__(self, t0: float, time_limit_s, node_limit):
+        self.deadline = math.inf if time_limit_s is None else t0 + time_limit_s
+        self.node_limit = math.inf if node_limit is None else node_limit
+        self.nodes = 1
+
+    def spent(self) -> str | None:
+        """The limit reached, if one is."""
+        if time.perf_counter() > self.deadline:
+            return "time_limit"
+        return "node_limit" if self.nodes >= self.node_limit else None
+
+
+def column_blocks(rows: simplex.Matrix) -> np.ndarray:
+    """The block of each column of ``rows``: the lowest column of its
+    connected component in the graph that links each row with its columns.
+    Min-label propagation: each row takes the lowest label of its columns,
+    each column the lowest label of its rows, and each label the label of
+    the column it names, until no label changes."""
+    a, csc = rows.a, rows.csc
+    label = np.arange(a.shape[1])
+    linked_rows = np.diff(a.indptr) > 0         # rows with a column
+    linked_cols = np.diff(csc.indptr) > 0       # columns in a row
+    row_start = a.indptr[:-1][linked_rows]
+    col_start = csc.indptr[:-1][linked_cols]
+    row_label = np.empty(a.shape[0], dtype=label.dtype)
+    while row_start.size:
+        row_label[linked_rows] = np.minimum.reduceat(label[a.indices],
+                                                     row_start)
+        new = label.copy()
+        new[linked_cols] = np.minimum.reduceat(row_label[csc.indices],
+                                               col_start)
+        new = new[new]
+        if np.array_equal(new, label):
             break
-        rows = with_cuts(rows, cuts, model.num_vars)
-        cuts_added += len(cuts)
-        rounds += 1
-        root = lp_solve(lo_col, hi_col, extend_start(root.basis, len(cuts)))
+        label = new
+    return label
 
-    if root.status == "infeasible" and incumbent is not None:
-        raise NumericalFailure("root LP reported infeasible, but the "
-                               "initial solution is feasible")
-    if root.status in ("infeasible", "unbounded"):
-        return MipSolution(root.status, None, None, None, None, 1, wall(),
-                           cuts_added)
-    root_bound = root.objective
-    root_basis = root.basis
 
-    def slack(inc):
-        return rel_gap * max(abs(inc), 1e-10)
+def _split(rel: _Relaxation, root: LpSolution,
+           frac_cols) -> tuple[list[tuple], np.ndarray]:
+    """The blocks of ``rel`` that hold a column of ``frac_cols``, each as
+    ``(cols, relaxation, root)``: its columns in the model (ascending), its
+    relaxation, its rows and columns sliced from ``rel``, and ``root``
+    restricted to it, values and basis.  Also the columns of the other
+    blocks.  A model of one block is that block, unsliced.  The model's
+    objective offset goes with the first block."""
+    label = column_blocks(rel.rows)
+    if not label.any():
+        return [(np.arange(len(label)), rel, root)], np.empty(0, np.int64)
+    a, csc = rel.rows.a, rel.rows.csc
+    nonempty = np.diff(a.indptr) > 0
+    row_label = np.full(a.shape[0], -1)
+    row_label[nonempty] = label[a.indices[a.indptr[:-1][nonempty]]]
+    integer = np.zeros(len(label), dtype=bool)
+    integer[rel.int_idx] = True
+    col_status, row_status = root.basis.col_status, root.basis.row_status
+    local_row = np.empty(len(row_label), dtype=np.int32)
+    searched = np.zeros(len(label), dtype=bool)
+    blocks = []
+    for b in np.unique(label[frac_cols]).tolist():
+        cols = np.flatnonzero(label == b)
+        rows = np.flatnonzero(row_label == b)
+        searched[cols] = True
+        local_row[rows] = np.arange(len(rows))
+        # the entries of its columns, which lie in its rows
+        lengths = csc.indptr[cols + 1] - csc.indptr[cols]
+        ptr = row_pointers(lengths)
+        at = np.repeat(csc.indptr[cols] - ptr[:-1], lengths) + \
+            np.arange(ptr[-1])
+        block_rows = simplex.Matrix(
+            sp.csc_matrix((csc.data[at], local_row[csc.indices[at]], ptr),
+                          shape=(len(rows), len(cols))),
+            rel.rows.rlo[rows], rel.rows.rhi[rows])
+        c, lo, hi = _frozen(rel.c[cols], rel.lo[cols], rel.hi[cols])
+        block = _Relaxation(block_rows, c, lo, hi,
+                            np.flatnonzero(integer[cols]), rel.sign,
+                            0.0 if blocks else rel.offset)
+        x = root.x[cols]
+        # The optimal basis of a block-diagonal LP is block-diagonal, and
+        # each of its diagonal blocks is a basis of that block's LP.
+        start = simplex.make_basis([col_status[j] for j in cols.tolist()],
+                                   [row_status[i] for i in rows.tolist()])
+        blocks.append((cols, block, LpSolution(
+            "optimal", block.sign * float(c @ x) + block.offset, x, start)))
+    return blocks, np.flatnonzero(~searched)
 
-    def cutoff(bound, inc):
-        if inc is None:
-            return False
-        return (bound >= inc - slack(inc)) if minimize \
-            else (bound <= inc + slack(inc))
 
-    # The final root's rows serve every node; nodes only patch variable
-    # bounds.  A child tightens the bound of a variable that is
-    # fractional, hence basic, in its parent's LP: the parent's optimal
-    # basis stays dual feasible but is primal infeasible, so the node LP
-    # runs the dual simplex from it.
-    def node_lp(overrides, start):
-        lo = lo_col.copy()
-        hi = hi_col.copy()
-        for j, (l, u) in overrides.items():
-            lo[j] = max(lo[j], l)
-            hi[j] = min(hi[j], u)
-            if lo[j] > hi[j] + 1e-15:
-                return LpSolution("infeasible", None, None)
-        return lp_solve(*_frozen(lo, hi), start)
+def _node_lp(rel: _Relaxation, overrides, start) -> LpSolution:
+    """The LP of ``rel`` with the column bounds tightened by ``overrides``
+    (column -> ``(lo, hi)``), from ``start``."""
+    lo = rel.lo.copy()
+    hi = rel.hi.copy()
+    for j, (l, u) in overrides.items():
+        lo[j] = max(lo[j], l)
+        hi[j] = min(hi[j], u)
+        if lo[j] > hi[j] + 1e-15:
+            return LpSolution("infeasible", None, None)
+    return rel.solve(*_frozen(lo, hi), start)
 
-    nodes = 1
+
+def _search(rel: _Relaxation, root: LpSolution, incumbent, incumbent_x,
+            minimize: bool, rel_gap: float, budget: _Budget):
+    """Best-bound branch and bound on ``rel`` from ``root``, its solved LP
+    without branching bounds, with most-fractional branching (ties to the
+    lowest column).  A node is pruned by :func:`_pruned` with ``rel_gap``.
+    Each node LP restarts from its parent's optimal basis, the very
+    ``HighsBasis`` of the parent's result, under the node's column bounds;
+    both children of a node share that one start.  Returns ``(status,
+    incumbent, incumbent_x, bound)``: ``optimal`` when the tree is
+    exhausted, else the limit of ``budget`` that stopped it; the bound is
+    the best over the open nodes, the pruned ones and the incumbent, or
+    the root's objective when there is none."""
+    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     counter = 0
     heap: list = []
     pruned_bounds: list[float] = []
@@ -790,44 +846,34 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         heapq.heappush(heap, (key, counter, bound, overrides, start))
         counter += 1
 
-    frac = _fractional(root.x, int_idx)
-    if not frac:
-        if incumbent is None or better(root.objective, incumbent):
-            incumbent, incumbent_x = root.objective, root.x.copy()
-        return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           0.0, nodes, wall(), cuts_added, root_bound,
-                           root_basis)
-    if cutoff(root.objective, incumbent):
-        return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           _relative_gap(incumbent, root.objective),
-                           nodes, wall(), cuts_added, root_bound, root_basis)
+    # A child tightens the bound of a variable that is fractional, hence
+    # basic, in its parent's LP: the parent's optimal basis stays dual
+    # feasible but is primal infeasible, so the node LP runs the dual
+    # simplex from it.
     push(root.objective, {}, None)
     first = True
-
     status = "optimal"
     while heap:
-        if time_limit_s is not None and wall() > time_limit_s:
-            status = "time_limit"
-            break
-        if node_limit is not None and nodes >= node_limit:
-            status = "node_limit"
+        limit = budget.spent()
+        if limit:
+            status = limit
             break
         key, cnt, bound, overrides, start = heapq.heappop(heap)
-        if cutoff(bound, incumbent):
+        if _pruned(bound, incumbent, rel_gap, minimize):
             pruned_bounds.append(bound)
             continue
         if first:
             lp = root
             first = False
         else:
-            lp = node_lp(overrides, start)
-            nodes += 1
+            lp = _node_lp(rel, overrides, start)
+            budget.nodes += 1
         if lp.status != "optimal":
             continue
-        if cutoff(lp.objective, incumbent):
+        if _pruned(lp.objective, incumbent, rel_gap, minimize):
             pruned_bounds.append(lp.objective)
             continue
-        frac = _fractional(lp.x, int_idx)
+        frac = _fractional(lp.x, rel.int_idx)
         if not frac:
             if incumbent is None or better(lp.objective, incumbent):
                 incumbent, incumbent_x = lp.objective, lp.x.copy()
@@ -840,7 +886,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             if score > fbest + 1e-12:
                 jbest, fbest = j, score
         xj = lp.x[jbest]
-        own = (float(lo_col[jbest]), float(hi_col[jbest]))
+        own = (float(rel.lo[jbest]), float(rel.hi[jbest]))
         down = dict(overrides)
         down[jbest] = (down.get(jbest, own)[0], float(np.floor(xj)))
         up = dict(overrides)
@@ -848,22 +894,165 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         push(lp.objective, down, lp.basis)
         push(lp.objective, up, lp.basis)
 
-    # Final bound: best over open and cutoff-pruned nodes plus the incumbent.
-    open_bounds = [entry[2] for entry in heap] + pruned_bounds
-    if incumbent is None:
-        if open_bounds:
-            bnd = min(open_bounds) if minimize else max(open_bounds)
-        else:
-            bnd = root_bound
-        st = "infeasible" if status == "optimal" else status
-        return MipSolution(st, None, None, bnd, None, nodes, wall(),
-                           cuts_added, root_bound, root_basis)
-    if open_bounds:
-        bnd = min(open_bounds + [incumbent]) if minimize \
-            else max(open_bounds + [incumbent])
-    else:
-        bnd = incumbent
-    g = _relative_gap(incumbent, bnd)
-    st = "feasible" if (status != "optimal" and g > rel_gap) else "optimal"
-    return MipSolution(st, incumbent, incumbent_x, bnd, g, nodes, wall(),
-                       cuts_added, root_bound, root_basis)
+    bounds = [entry[2] for entry in heap] + pruned_bounds
+    if incumbent is not None:
+        bounds.append(incumbent)
+    if not bounds:
+        return status, incumbent, incumbent_x, root.objective
+    return (status, incumbent, incumbent_x,
+            min(bounds) if minimize else max(bounds))
+
+
+def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
+              time_limit_s: float | None = None,
+              node_limit: int | None = None,
+              root_cut_hook=None,
+              initial_solution=None, root_start=None) -> MipSolution:
+    """Branch and bound with best-bound node selection, one search per
+    block of the model.
+
+    The LPs are solved on the model's compiled rows with its current
+    bounds and objective.  ``root_cut_hook(lp_solution)`` may return a
+    list of :class:`Cut`; it is invoked repeatedly on fractional root
+    relaxations until it returns no cuts or ``DEFAULT_CUT_ROUNDS`` rounds
+    have run.  Cuts never fire below the root.  They are appended to a
+    block local to the solve, so neither the model's rows nor its compiled
+    rows change.  Each root LP after a cut round restarts from the previous
+    root basis with the cuts' rows basic (see :func:`extend_start`).
+    ``initial_solution`` seeds the incumbent (it must be feasible); a root
+    LP reported infeasible despite it raises ``NumericalFailure``.
+    ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
+    an earlier solve of a model that differs only in its objective.  Without
+    one, the first root LP starts from ``initial_solution`` when
+    :func:`seed_start` can turn it into a basis, so the simplex starts at
+    the seed's vertex.  A start that does not fit is ignored (see
+    ``simplex.solve``).  The solve ends at the root when the root LP is
+    integral, or within ``rel_gap`` of the seed by :func:`_pruned`.
+
+    Otherwise the search splits by block (:func:`column_blocks` of the
+    final root rows, cut rows included).  A block whose integer columns are
+    integral at the root keeps its root values.  Each other block, in the
+    order of its lowest column, is searched on its own (:func:`_search`):
+    on a ``simplex.Matrix`` of its own rows and columns, from the root's
+    values and basis restricted to it, so its first children start from
+    that basis, with the seed restricted to it as its first incumbent.  A
+    model of one block is searched whole.  The objective is the sum of the
+    block incumbents and the other blocks' root values; ``bound`` is that
+    sum with each searched block's bound in place of its incumbent; and
+    ``nodes`` counts the root and every node of every block's search.
+
+    Gap rule.  A block prunes a node whose bound is within ``rel_gap *
+    max(|v|, 1e-10)`` of its incumbent value ``v`` (its part of the
+    objective; the model's constant goes with the first searched block).
+    For ``rel_gap`` at most 1 that slack only grows as ``v`` improves, so
+    each pruned bound ends within it of the final ``v``.  When the block
+    incumbents and the other blocks' root values share a sign and are at
+    least 1e-10 in size, these slacks add up to at most ``rel_gap`` times
+    the objective, and so does the gap.  Should the assembled gap exceed
+    ``rel_gap`` all the same, each block whose bound differs from its
+    incumbent is searched again from its root with no slack, keeping its
+    incumbent: its bound then is its incumbent, and the gap 0.  A search
+    that runs to its end thus has a gap within ``rel_gap``.
+
+    ``time_limit_s`` and ``node_limit`` are one budget across the blocks.
+    A limit stops the search: the blocks not searched yet keep their seed
+    part and their root value as their bound.  The status is then
+    ``feasible`` or ``optimal`` by the assembled gap when every block has
+    an incumbent, and ``time_limit`` or ``node_limit`` otherwise.  A block
+    whose search ends without an incumbent makes the model ``infeasible``.
+    An unbounded root relaxation gives status ``unbounded``, with or
+    without an incumbent.  ``ValueError`` for a ``rel_gap`` that is
+    negative or not finite, or a NaN ``time_limit_s``.
+    """
+    _check_limits(rel_gap, time_limit_s)
+    model.validate()
+    t0 = time.perf_counter()
+    int_idx = model.integer_indices()
+    minimize = model.obj_sense == "min"
+    wall = lambda: time.perf_counter() - t0
+
+    incumbent = None
+    incumbent_x = None
+    if initial_solution is not None:
+        incumbent = check_solution(model, initial_solution)
+        incumbent_x = np.asarray(initial_solution, dtype=float)
+
+    cuts_added = 0
+    c, lo_col, hi_col, sign = _columns(model)
+    rel = _Relaxation(model.compiled_rows(), *_frozen(c, lo_col, hi_col),
+                      int_idx, sign, model.obj_constant)
+    start = root_start
+    if start is None and incumbent_x is not None:
+        start = seed_start(rel.rows, rel.lo, rel.hi, incumbent_x)
+    root = rel.solve(rel.lo, rel.hi, start)
+    rounds = 0
+    while (root.status == "optimal" and root_cut_hook is not None
+           and rounds < DEFAULT_CUT_ROUNDS and _fractional(root.x, int_idx)):
+        cuts = root_cut_hook(root)
+        if not cuts:
+            break
+        rel.rows = with_cuts(rel.rows, cuts, model.num_vars)
+        cuts_added += len(cuts)
+        rounds += 1
+        root = rel.solve(rel.lo, rel.hi, extend_start(root.basis, len(cuts)))
+
+    if root.status == "infeasible" and incumbent is not None:
+        raise NumericalFailure("root LP reported infeasible, but the "
+                               "initial solution is feasible")
+    if root.status in ("infeasible", "unbounded"):
+        return MipSolution(root.status, None, None, None, None, 1, wall(),
+                           cuts_added)
+    root_bound = root.objective
+    root_basis = root.basis
+
+    frac = _fractional(root.x, int_idx)
+    if not frac:
+        if incumbent is None or (root.objective < incumbent if minimize
+                                 else root.objective > incumbent):
+            incumbent, incumbent_x = root.objective, root.x.copy()
+        return MipSolution("optimal", incumbent, incumbent_x, root.objective,
+                           0.0, 1, wall(), cuts_added, root_bound,
+                           root_basis)
+    if _pruned(root.objective, incumbent, rel_gap, minimize):
+        return MipSolution("optimal", incumbent, incumbent_x, root.objective,
+                           _relative_gap(incumbent, root.objective),
+                           1, wall(), cuts_added, root_bound, root_basis)
+
+    budget = _Budget(t0, time_limit_s, node_limit)
+    blocks, rest = _split(rel, root, [j for j, _ in frac])
+    # each block's incumbent value and point, and its bound
+    found = [[None, None, block_root.objective]
+             for _cols, _rel, block_root in blocks]
+    if incumbent_x is not None:
+        for (cols, block, _root), f in zip(blocks, found):
+            f[:2] = (_objective(model.c[cols], incumbent_x[cols],
+                                block.offset), incumbent_x[cols])
+    rest_value = [_objective(model.c[rest], root.x[rest], 0.0)] \
+        if rest.size else []
+    status = "optimal"
+    for slack in (rel_gap, 0.0):
+        for (_cols, block, block_root), f in zip(blocks, found):
+            if status != "optimal":
+                break
+            if slack == 0.0 and f[0] == f[2]:
+                continue        # searched to no gap already
+            status, f[0], f[1], f[2] = _search(block, block_root, f[0], f[1],
+                                               minimize, slack, budget)
+            if status == "optimal" and f[0] is None:
+                return MipSolution("infeasible", None, None, root_bound,
+                                   None, budget.nodes, wall(), cuts_added,
+                                   root_bound, root_basis)
+        bound = math.fsum([f[2] for f in found] + rest_value)
+        if any(f[0] is None for f in found):
+            return MipSolution(status, None, None, bound, None, budget.nodes,
+                               wall(), cuts_added, root_bound, root_basis)
+        objective = math.fsum([f[0] for f in found] + rest_value)
+        gap = _relative_gap(objective, bound)
+        if status != "optimal" or gap <= rel_gap:
+            break
+    x = root.x.copy()
+    for (cols, _rel, _root), f in zip(blocks, found):
+        x[cols] = f[1]
+    return MipSolution("feasible" if gap > rel_gap else "optimal", objective,
+                       x, bound, gap, budget.nodes, wall(), cuts_added,
+                       root_bound, root_basis)

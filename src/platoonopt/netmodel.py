@@ -446,9 +446,16 @@ def _euclid(net, a, b):
     return math.dist((na.x, na.y), (nb.x, nb.y))
 
 
-def _nodes_within(net, center, radius):
-    out = [nid for nid in sorted(net.nodes) if _euclid(net, center, nid) <= radius]
-    return out or [center]
+def _nodes_within(net, center, radius) -> tuple[int, ...]:
+    """The nodes at most ``radius`` from ``center``, ascending, or
+    ``center`` alone when there is none; computed once per network, center
+    and radius."""
+    key = ("within", center, radius)
+    if key not in net._memo:
+        net._memo[key] = tuple(nid for nid in sorted(net.nodes)
+                               if _euclid(net, center, nid) <= radius) \
+            or (center,)
+    return net._memo[key]
 
 
 def _draw_od(rng, net, o_pool, d_pool, retries=60):
@@ -498,7 +505,7 @@ def generate_distributed(net: RoadNetwork, n_vehicles: int, seed: int,
     if len(cities) < 2:
         raise ValidationError("need at least two city nodes")
     pools = {c: _nodes_within(net, c, urban_radius_km) for c in cities}
-    fallbacks = sum(1 for c in cities if pools[c] == [c])
+    fallbacks = sum(1 for c in cities if pools[c] == (c,))
     all_nodes = sorted(net.nodes)
     n_urban = int(round(urban_share * n_vehicles))
     od = []

@@ -68,8 +68,8 @@ def hull_rows(edge, vehicles):
 
 def branching_sp_handle():
     """Scheduling model handle of a 6x6 two-cluster instance with 14
-    vehicles on fuel-shortest routes: 72 columns, 161 rows, a fractional
-    root LP, and a branch and bound of about 20 nodes."""
+    vehicles on fuel-shortest routes: 72 columns, 161 rows, and one block
+    of 33 columns that is fractional at the root and takes 11 nodes."""
     grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
     inst = nm.generate_two_cluster(grid, 14, seed=1)
     ra = routing.shortest_path_assignment(inst)
@@ -82,6 +82,25 @@ def branching_sp_handle():
 def branching_sp_model():
     """The model of :func:`branching_sp_handle`."""
     return branching_sp_handle().model
+
+
+def blocked_sp_handle():
+    """Scheduling model handle of an 8x8 two-cluster instance with 16
+    vehicles on fuel-shortest routes (instance seed 9): 133 columns, and
+    three blocks that are fractional at the root, of 28, 21 and 18
+    columns."""
+    grid = nm.make_grid_network(8, 8, spacing_km=40, jitter=0.25, seed=5)
+    inst = nm.generate_two_cluster(grid, 16, seed=9)
+    ra = routing.shortest_path_assignment(inst)
+    contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    bounds = sched.time_bounds(contracted, inst.missions)
+    return sched.build_sp(contracted, SavingsParams.from_instance(inst),
+                          bounds)
+
+
+def blocked_sp_model():
+    """The model of :func:`blocked_sp_handle`."""
+    return blocked_sp_handle().model
 
 
 @pytest.fixture

@@ -456,10 +456,12 @@ class TestSolveSpCommand:
 
 class TestFootprint:
     def test_import_loads_neither_scipy_optimize_nor_sparse_linalg(self):
-        # HiGHS comes in as one extension; the solver path needs neither
-        # package, and each costs memory in every process that imports it.
+        # HiGHS comes in as one extension; the solver path needs none of
+        # these packages, and each costs memory in every process that
+        # imports it.
         code = ("import sys, platoonopt.cli; print(sorted(m for m in "
-                "('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))")
+                "('scipy.optimize', 'scipy.sparse.linalg', "
+                "'scipy.sparse.csgraph') if m in sys.modules))")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])

@@ -6,13 +6,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
-from platoonopt import cuts, export, mip, scheduling, simplex
+from platoonopt import cuts, export, mip, netmodel, routing, scheduling, simplex
+from platoonopt.rshm import SavingsParams
 from platoonopt.simplex import BASIC
 
-from conftest import (branching_sp_handle, branching_sp_model, ranged_rows,
+import reference_mip
+
+from conftest import (blocked_sp_handle, blocked_sp_model, branching_sp_handle,
+                      branching_sp_model, ranged_rows,
                       reference_solve)
 
 
@@ -387,10 +393,9 @@ def test_node_limit_with_incumbent_keeps_gap_logic():
 
 
 def test_gap_against_a_zero_incumbent_is_infinite():
-    # the no-platoon seed saves 0; one node leaves the root bound above it
-    handle = branching_sp_handle()
-    s = mip.solve_mip(handle.model, node_limit=1,
-                      initial_solution=scheduling.solo_schedule(handle))
+    # a seed of value 0; one node leaves the root bound above it
+    s = mip.solve_mip(_branching_knapsack(), node_limit=1,
+                      initial_solution=[0.0, 0.0])
     assert s.status == "feasible"
     assert s.objective == 0.0 and s.bound > 0.0
     assert s.gap == math.inf
@@ -442,25 +447,46 @@ def _same_lp_answer(res, cold):
 
 
 def test_node_lps_restart_from_their_parent_basis(monkeypatch):
-    model = branching_sp_model()
+    model = blocked_sp_model()
     plain = mip.solve_mip(model)
     calls = _spy_on_simplex(monkeypatch)
     sol = mip.solve_mip(model)
     assert sol.status == "optimal" and sol.nodes >= 10
     assert sol.objective == pytest.approx(plain.objective)
-    (root_start, _root, _cold), *nodes = calls
+    (root_start, root, _cold), *nodes = calls
     assert root_start is None
     assert len(nodes) == sol.nodes - 1
+    # The root basis restricted to each block: its columns' and its rows'
+    # statuses.
+    rows = model.compiled_rows()
+    label = mip.column_blocks(rows)
+    row_label = label[rows.a.indices[rows.a.indptr[:-1]]]
+    restricted = [
+        ([root.basis.col_status[j] for j in np.flatnonzero(label == b)],
+         [root.basis.row_status[i] for i in np.flatnonzero(row_label == b)])
+        for b in np.unique(label)]
     # Each node starts from the very HighsBasis of an earlier result, its
-    # parent's, and a parent has two children.
+    # parent's, and a parent has two children; the two first children of
+    # a block start from one basis, the root's restricted to the block.
     children = [0] * len(calls)
+    firsts = []
     for k, (start, res, cold) in enumerate(nodes, 1):
         parents = [i for i in range(k) if calls[i][1].basis is start]
-        assert len(parents) == 1
-        children[parents[0]] += 1
+        assert len(parents) <= 1
+        if parents:
+            children[parents[0]] += 1
+        else:
+            firsts.append(start)
         assert res.warm
         _same_lp_answer(res, cold)
     assert max(children) == 2
+    blocks = []
+    for start in firsts:
+        if not any(start is b for b in blocks):
+            blocks.append(start)
+    assert len(blocks) == 3 and len(firsts) <= 2 * len(blocks)
+    for start in blocks:
+        assert (start.col_status, start.row_status) in restricted
     assert sum(res.iterations for _, res, _ in nodes) < \
         sum(cold.iterations for _, _, cold in nodes)
 
@@ -507,6 +533,142 @@ def test_root_basis_warm_starts_a_repriced_model():
 def test_solve_mip_rejects_bad_limits(kwargs):
     with pytest.raises(ValueError):
         mip.solve_mip(branching_sp_model(), **kwargs)
+
+
+# --- search per block -----------------------------------------------------
+
+_KIND_BOUNDS = {mip.BINARY: (0.0, 1.0), mip.INTEGER: (-2.0, 3.0),
+                mip.CONTINUOUS: (-1.0, 2.5)}
+
+
+@st.composite
+def _block_diagonal_milps(draw):
+    """A MILP of 2-4 blocks of 1-4 columns (binary, integer or
+    continuous, all bounded) and 1-3 rows over all of them each, its
+    columns shuffled across the blocks, with costs of both signs."""
+    kinds = draw(st.lists(st.lists(st.sampled_from(list(_KIND_BOUNDS)),
+                                   min_size=1, max_size=4),
+                          min_size=2, max_size=4))
+    n = sum(map(len, kinds))
+    order = iter(draw(st.permutations(range(n))))
+    model = mip.LinearModel("blocks")
+    model.add_vars([f"x{j}" for j in range(n)])
+    for b, block in enumerate(kinds):
+        cols = [next(order) for _ in block]
+        for j, kind in zip(cols, block):
+            model.set_column(j, *_KIND_BOUNDS[kind], kind=kind)
+        for r in range(draw(st.integers(1, 3))):
+            coeffs = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                   min_size=len(cols), max_size=len(cols)))
+            model.add_constraint(dict(zip(cols, map(float, coeffs))),
+                                 draw(st.sampled_from([mip.LE, mip.GE])),
+                                 draw(st.integers(-4, 6)) / 2,
+                                 name=f"r{b}_{r}")
+    costs = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    model.set_objective([float(v) for v in costs],
+                        sense=draw(st.sampled_from(["min", "max"])))
+    return model
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_block_diagonal_milps(), st.sampled_from([0.0, 1e-4, 0.05]))
+def test_block_search_agrees_with_highs(model, rel_gap):
+    root = mip.solve_lp(model)
+    if root.status == "optimal":
+        label = mip.column_blocks(model.compiled_rows())
+        frac = {label[j] for j, _ in mip._fractional(
+            root.x, model.integer_indices())}
+        event(f"{len(frac)} of {len(set(label))} blocks fractional")
+    want, ref = reference_mip.solve_milp(model)
+    sol = mip.solve_mip(model, rel_gap=rel_gap)
+    assert sol.status == want
+    if want == "optimal":
+        assert sol.gap <= rel_gap
+        assert abs(sol.objective - ref) <= rel_gap * abs(sol.objective) + 1e-6
+        assert mip.check_solution(model, sol.x) == \
+            pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_mixed_sign_blocks_are_searched_again_without_slack():
+    # Block {x, y}: its root x = 1, y = 0.5 bounds it by 110; its child
+    # y = 0 gives the incumbent 100, and at rel_gap 0.3 the child y = 1 is
+    # pruned on its parent's bound 110.  Block {z} has the incumbent -99
+    # and no gap.  Together: incumbent 1, bound 11, a gap of 10, so the
+    # block {x, y} is searched again with no slack (2 more node LPs).
+    m = mip.LinearModel()
+    x, y, z = (m.add_var(name, kind=mip.BINARY) for name in "xyz")
+    m.add_constraint({x: 1, y: 1}, "<=", 1.5)
+    m.add_constraint({z: 1}, ">=", 0.5)
+    m.set_objective({x: 100, y: 20, z: -99}, sense="max")
+    s = mip.solve_mip(m, rel_gap=0.3)
+    assert s.status == "optimal" and s.nodes == 6
+    assert s.objective == s.bound == 1.0 and s.gap == 0.0
+    assert s.x.tolist() == [1.0, 0.0, 1.0]
+    assert mip.solve_mip(m, rel_gap=0.05).nodes == 5
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 12), st.data())
+def test_column_blocks_are_the_connected_components(m, n, data):
+    entries = sorted(data.draw(st.sets(st.tuples(
+        st.integers(0, max(m - 1, 0)), st.integers(0, n - 1)),
+        max_size=2 * n))) if m else []
+    rows = [i for i, _ in entries]
+    cols = [j for _, j in entries]
+    a = sp.csr_matrix((np.ones(len(entries)), (rows, cols)), shape=(m, n))
+    label = mip.column_blocks(simplex.Matrix(a, np.zeros(m), np.zeros(m)))
+    # rows are nodes 0..m-1 of the graph, columns m..m+n-1
+    graph = sp.coo_matrix((np.ones(len(entries)), (rows, [m + j for j in cols])),
+                          shape=(m + n, m + n))
+    comp = csgraph.connected_components(graph, directed=False)[1][m:]
+    assert label.tolist() == [int(np.flatnonzero(comp == k)[0]) for k in comp]
+
+
+def test_a_column_in_no_row_is_a_block_of_its_own():
+    m = mip.LinearModel()
+    x = m.add_var("x", 0.0, 2.5, kind=mip.INTEGER)
+    y = m.add_var("y", kind=mip.BINARY)
+    z = m.add_var("z", kind=mip.BINARY)
+    m.add_constraint({y: 2, z: 2}, "<=", 3)
+    m.set_objective({x: 1, y: 1, z: 1}, sense="max")
+    assert mip.column_blocks(m.compiled_rows()).tolist() == [0, 1, 1]
+    s = mip.solve_mip(m)
+    assert s.status == "optimal" and s.objective == s.bound == 3.0
+    assert s.x[x] == 2.0 and s.x[y] + s.x[z] == 1.0
+
+
+def test_limits_stop_the_block_searches_together():
+    handle = blocked_sp_handle()
+    model, seed = handle.model, scheduling.solo_schedule(handle)
+    full = mip.solve_mip(model, initial_solution=seed)
+    assert full.status == "optimal" and full.gap == 0.0 and full.nodes > 20
+    for limit in range(1, full.nodes):
+        # One budget for all blocks; with the seed every block has an
+        # incumbent, so the status follows the gap.
+        s = mip.solve_mip(model, node_limit=limit, initial_solution=seed)
+        assert s.nodes == limit
+        assert s.objective <= full.objective <= s.bound + 1e-9
+        assert s.bound <= s.root_bound + 1e-9
+        assert s.gap == mip._relative_gap(s.objective, s.bound)
+        assert s.status == ("optimal" if s.gap <= mip.DEFAULT_REL_GAP
+                            else "feasible")
+        assert mip.check_solution(model, s.x) == pytest.approx(s.objective)
+        bare = mip.solve_mip(model, node_limit=limit)
+        assert bare.nodes == limit and bare.bound >= full.objective - 1e-9
+        if bare.objective is None:
+            assert bare.status == "node_limit" and bare.x is None
+        else:
+            assert bare.status in ("feasible", "optimal")
+    # No time at all: no block is searched, and each keeps its root value
+    # as its bound.
+    timed = mip.solve_mip(model, time_limit_s=0.0, initial_solution=seed)
+    assert timed.status == "feasible" and timed.nodes == 1
+    assert timed.bound == pytest.approx(timed.root_bound)
+    assert mip.check_solution(model, timed.x) == \
+        pytest.approx(timed.objective)
+    bare = mip.solve_mip(model, time_limit_s=0.0)
+    assert bare.status == "time_limit" and bare.objective is None
+    assert bare.bound == pytest.approx(bare.root_bound)
 
 
 # --- compiled rows --------------------------------------------------------
@@ -946,6 +1108,71 @@ def test_mps_roundtrip(tmp_path):
     assert orig.objective == pytest.approx(11.0)
     assert read.objective == pytest.approx(-orig.objective)
     mip.check_solution(m, read.x)
+
+
+@pytest.fixture(scope="module")
+def generated_models():
+    """The scheduling model on fuel-shortest routes and the routing model
+    of a two-cluster 8x8 instance with 16 vehicles: names of 10 and more
+    characters, such as ``x_10_17_25`` and ``l_6_(30,_50,_0)``."""
+    grid = netmodel.make_grid_network(8, 8, spacing_km=40, jitter=0.25,
+                                      seed=5)
+    inst = netmodel.generate_two_cluster(grid, 16, seed=1)
+    ra = routing.shortest_path_assignment(inst)
+    contracted = scheduling.contract(ra, ra.edge_times, ra.edge_costs)
+    bounds = scheduling.time_bounds(contracted, inst.missions)
+    return {"sp": scheduling.build_sp(contracted,
+                                      SavingsParams.from_instance(inst),
+                                      bounds).model,
+            "rdp": routing.build_rdp(inst).model}
+
+
+@pytest.mark.parametrize("problem", ["sp", "rdp"])
+def test_exported_models_read_back_the_same(tmp_path, generated_models,
+                                            problem):
+    model = generated_models[problem]
+    lp = mip.solve_lp(model)
+    for fmt in ("MPS", "LP"):
+        path = tmp_path / f"{problem}.{fmt.lower()}"
+        export.write_model(model, fmt, str(path))
+        h = reference_mip.read(path)
+        assert (h.getNumCol(), h.getNumRow()) == \
+            (model.num_vars, model.num_constraints)
+        status, value = reference_mip.solve(h, relax=True)
+        assert status == "optimal"
+        if fmt == "MPS" and model.obj_sense == "max":
+            value = -value          # the MPS file minimizes its negation
+        assert value == pytest.approx(lp.objective, rel=1e-9)
+    back = _read_mps((tmp_path / f"{problem}.mps").read_text())
+    blanks = lambda name: name.replace(" ", "_")
+    assert [(u.name, u.kind, u.lb, u.ub) for u in back.variables] == \
+        [(blanks(u.name), u.kind, u.lb, u.ub) for u in model.variables]
+    assert [(c.coeffs, c.sense, c.rhs, c.name) for c in back.constraints] == \
+        [(c.coeffs, c.sense, c.rhs, blanks(c.name))
+         for c in model.constraints]
+    sign = -1.0 if model.obj_sense == "max" else 1.0
+    assert back.obj_coeffs == {j: sign * c
+                               for j, c in model.obj_coeffs.items()}
+
+
+def test_tiny_numbers_and_clashing_names_survive_export(tmp_path):
+    m = mip.LinearModel("names")
+    x = m.add_var("X1")
+    y = m.add_var("")                   # falls back to a name of its own
+    z = m.add_var("X1")                 # and so does a repeated name
+    m.add_constraint({x: 4e-13, y: 1.0, z: 1.0}, "<=", 1 / 3, name="COST")
+    m.add_constraint({x: 1.0}, "<=", 2.0, name="R0")
+    m.set_objective({x: -1.0, y: -1.0, z: -2.5e-13})
+    path = tmp_path / "names.mps"
+    export.write_model(m, "MPS", str(path))
+    back = _read_mps(path.read_text())
+    assert len(set(back.names)) == 3 and back.names[0] == "X1"
+    assert len(set(back.row_names)) == 2 and "COST" not in back.row_names
+    assert [(c.coeffs, c.rhs) for c in back.constraints] == \
+        [(c.coeffs, c.rhs) for c in m.constraints]
+    assert back.obj_coeffs == m.obj_coeffs
+    h = reference_mip.read(path)
+    assert (h.getNumCol(), h.getNumRow()) == (3, 2)
 
 
 def _fractional_loop(x, int_idx):

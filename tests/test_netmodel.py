@@ -319,6 +319,24 @@ def test_benchmark_instances_are_unchanged():
         "e5bf904e1101decbfa9e2333dceefe817061ccdefedebdcd13d97470d118b70b"
 
 
+def test_city_pools_are_gathered_once_per_network(monkeypatch, small_grid):
+    measured = collections.Counter()
+    euclid = nm._euclid
+
+    def counting(net, a, b):
+        measured[a] += 1
+        return euclid(net, a, b)
+
+    monkeypatch.setattr(nm, "_euclid", counting)
+    first = nm.generate_distributed(small_grid, 6, seed=1)
+    gathered = sum(measured.values())
+    assert gathered >= len(small_grid.nodes) * 2
+    nm.generate_distributed(small_grid, 6, seed=2)
+    again = nm.generate_distributed(small_grid, 6, seed=1)
+    assert sum(measured.values()) == gathered
+    assert again.missions == first.missions
+
+
 def test_each_distance_row_is_searched_once_per_network(monkeypatch):
     searches = collections.Counter()
     search = nm._dijkstra

@@ -81,7 +81,6 @@ class ActiveSets:
     u1: list[int] = field(default_factory=list)   # departure lower bound tight
     u2: list[int] = field(default_factory=list)   # departure upper bound tight
     fset: list[tuple] = field(default_factory=list)  # (u, v, edge) with f = 1
-    none_reason: str = ""
 
 
 @dataclass
@@ -302,13 +301,13 @@ def build_cglp(active: ActiveSets, point, handle: SpModelHandle):
     return simplex.Matrix(a, rhs, rhs), c + 0.0, lo, hi, sys_
 
 
-def separate_disjunctive(point, handle: SpModelHandle,
-                         min_violation: float = MIN_VIOLATION
+def separate_disjunctive(point, handle: SpModelHandle
                          ) -> DisjunctiveCut | None:
     """End-to-end separation: active sets, CGLP, materialized cut.
 
     Returns None when no qualifying fractional tuple exists, the chain
-    search fails, or the best inequality does not cut the point off.
+    search fails, or the best inequality does not cut the point off by
+    more than ``MIN_VIOLATION``.
     """
     active = collect_active_sets(point, handle)
     if active is None:
@@ -318,7 +317,7 @@ def separate_disjunctive(point, handle: SpModelHandle,
     if sol.status != "optimal":
         return None
     violation = -sol.objective
-    if violation <= min_violation:
+    if violation <= MIN_VIOLATION:
         return None
 
     n_omega, n_rows = len(sys_.omega), len(sys_.rows)
@@ -376,39 +375,30 @@ def make_disjunctive_hook(handle: SpModelHandle, log: list | None = None):
 
 
 def bound_improvement_report(contracted, params, bounds) -> dict:
-    """Root-relaxation bounds: plain, after at most
-    ``mip.DEFAULT_CUT_ROUNDS`` disjunctive cuts, after adding the star rows
-    as well (maximization: lower is tighter).  The cuts, then
-    the star rows, are appended to the plain model, and each LP after the
-    first restarts from the previous basis with the new rows basic (see
-    ``mip.extend_start``)."""
+    """Root-relaxation bounds (maximization: lower is tighter): plain,
+    after ``solve_mip``'s root cut rounds with the disjunctive hook
+    (``mip.Relaxation.cut_rounds``), and after the star rows as well,
+    appended below the cuts and solved from the last basis with them basic
+    (see ``mip.extend_start``)."""
     from . import scheduling as sched
     t0 = time.perf_counter()
     handle = sched.build_sp(contracted, params, bounds)
-    lp0 = mip.solve_lp(handle.model)
+    rel = mip.Relaxation.of(handle.model)
+    lp0 = rel.solve(rel.lo, rel.hi)
+    log: list = []
+    lp, _ = rel.cut_rounds(lp0, make_disjunctive_hook(handle, log))
     bd0 = lp0.objective
-
-    disj: list[DisjunctiveCut] = []
-    lp = lp0
-    for _ in range(mip.DEFAULT_CUT_ROUNDS):
-        if lp.status != "optimal":
-            break
-        found = separate_disjunctive(lp, handle)
-        if found is None:
-            break
-        disj.append(found)
-        handle.model.add_cut(found.cut)
-        lp = mip.solve_lp(handle.model, start=mip.extend_start(lp.basis, 1))
     bd1 = lp.objective if lp.status == "optimal" else bd0
     cut_time = time.perf_counter() - t0
 
-    n_star = sched.add_partition_rows(
-        handle, sched.CutOptions(star_partition=True))
+    star = sched.RowBlock()
+    sched.partition_rows(handle, sched.CutOptions(star_partition=True), star)
+    n_star = star.append_to(rel)
     start = mip.extend_start(lp.basis, n_star) if lp.status == "optimal" \
         else None
-    lp2 = mip.solve_lp(handle.model, start=start)
+    lp2 = rel.solve(rel.lo, rel.hi, start)
     bd2 = lp2.objective if lp2.status == "optimal" else bd1
     return {"lp_bound_plain": bd0, "lp_bound_disj": bd1,
-            "lp_bound_disj_star": bd2, "n_disjunctive": len(disj),
-            "n_star_rows": n_star, "disj_cuts": disj,
+            "lp_bound_disj_star": bd2, "n_disjunctive": len(log),
+            "n_star_rows": n_star, "disj_cuts": [dc for _b, dc in log],
             "time_disj_cut_s": cut_time}

@@ -1,7 +1,8 @@
 """Model export: a ``mip.LinearModel`` as free-format MPS or CPLEX LP
-text, rows listed from its ``constraints`` view.  Every field is
-separated by whitespace, so a name of any length stays one field, and
-every number is written by ``repr``, so it reads back exactly."""
+text, rows listed from its ``constraints`` view, the objective with its
+constant.  Every field is separated by whitespace, so a name of any
+length stays one field, and every number is written by ``repr``, so it
+reads back exactly."""
 
 from __future__ import annotations
 
@@ -95,6 +96,11 @@ def _to_mps(model: LinearModel) -> str:
     if in_int:
         lines.append(f"    MARKER{marker:04d} 'MARKER' 'INTEND'")
     lines.append("RHS")
+    if model.obj_constant:
+        # HiGHS reads the objective row's right-hand side as minus the
+        # objective constant
+        lines.append(f"    RHS {OBJECTIVE_ROW} "
+                     f"{_num(-obj_sign * model.obj_constant)}")
     for i, con in enumerate(rows):
         if con.rhs != 0.0:
             lines.append(f"    RHS {cnames[i]} {_num(con.rhs)}")
@@ -133,7 +139,11 @@ def _to_lp(model: LinearModel) -> str:
     cnames = _safe_names(model.row_names, "c")
     kinds = [KINDS[k] for k in model.kind.tolist()]
     lines = ["Minimize" if model.obj_sense == "min" else "Maximize"]
-    lines.append(f" obj: {_expr(model.obj_coeffs, vnames)}")
+    objective = _expr(model.obj_coeffs, vnames)
+    if model.obj_constant:
+        c = model.obj_constant
+        objective += f" {'-' if c < 0 else '+'} {_num(abs(c))}"
+    lines.append(f" obj: {objective}")
     lines.append("Subject To")
     op = {LE: "<=", GE: ">=", EQ: "="}
     for i, con in enumerate(model.constraints):

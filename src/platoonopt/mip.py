@@ -19,14 +19,15 @@ its rows and sends HiGHS only its changed costs.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
-called with every fractional root LP solution.  Cut rounds append their
-rows to a block local to the solve, so the model is left as it was.  The
-first root LP starts from a given basis, or else from a basis built at the
-seeded incumbent (:func:`seed_start`), and cold only without either.  Each
-root LP after a cut round restarts from the previous one's basis with the
-new rows basic (:func:`extend_start`), and each node LP from its parent's
-optimal basis, so the dual simplex repairs the violated cut or branching
-bound.
+called with every fractional root LP solution.  A solve's LPs run on its
+:class:`Relaxation`; the root cut rounds (:meth:`Relaxation.cut_rounds`,
+which the scheduling bound report runs too) append their rows to it, so
+the model is left as it was.  The first root LP starts from a given basis,
+or else from a basis built at the seeded incumbent (:func:`seed_start`),
+and cold only without either.  Each root LP after a cut round restarts
+from the previous one's basis with the new rows basic
+(:func:`extend_start`), and each node LP from its parent's optimal basis,
+so the dual simplex repairs the violated cut or branching bound.
 
 After the root the search splits by block: the columns linked through the
 last root LP's rows.  A block that is integral at the root keeps its root
@@ -527,19 +528,6 @@ class MipSolution:
     root_basis: object | None = None
 
 
-def with_cuts(rows: simplex.Matrix, cuts: list[Cut],
-              nv: int) -> simplex.Matrix:
-    """A new ``simplex.Matrix``: the rows of ``rows``, then the rows of
-    ``cuts`` over ``nv`` columns, checked as ``LinearModel.add_cut``
-    checks them.  ``rows`` is left as it was."""
-    m = rows.a.shape[0]
-    ptr, cols, vals, rlo, rhi = _checked_rows(*_cut_rows(cuts, nv, m), nv)
-    block = sp.csr_matrix((vals, cols, ptr), shape=(len(cuts), nv))
-    return simplex.Matrix(sp.vstack([rows.a, block], format="csr"),
-                          np.concatenate([rows.rlo, rlo]),
-                          np.concatenate([rows.rhi, rhi]))
-
-
 def _columns(model: LinearModel):
     """The model's column data for HiGHS: ``(c, lo, hi, sign)``, the
     objective negated for a maximization (``sign`` -1) and copies of the
@@ -561,21 +549,8 @@ def solve_lp(model: LinearModel, start=None) -> LpSolution:
     ``start`` is an optional ``basis`` of an earlier solution (see
     ``simplex.solve``)."""
     model.validate()
-    c, lo, hi, sign = _columns(model)
-    c, lo, hi = _frozen(c, lo, hi)
-    return _solve(model.compiled_rows(), c, lo, hi, sign, model.obj_constant,
-                  start)
-
-
-def _solve(rows: simplex.Matrix, c, lo, hi, sign: float,
-           obj_constant: float, start=None) -> LpSolution:
-    """Solve min ``c.x`` over ``rows`` and the column bounds ``lo``/``hi``,
-    reporting ``sign * c.x + obj_constant``."""
-    res = simplex.solve(rows, c, lo, hi, start=start)
-    if res.status != "optimal":
-        return LpSolution(res.status, None, None)
-    return LpSolution("optimal", sign * res.objective + obj_constant, res.x,
-                      basis=res.basis)
+    rel = Relaxation.of(model)
+    return rel.solve(rel.lo, rel.hi, start)
 
 
 def seed_start(rows: simplex.Matrix, lo, hi, point):
@@ -701,7 +676,7 @@ def _pruned(bound: float, incumbent, rel_gap: float, minimize: bool) -> bool:
 
 
 @dataclass
-class _Relaxation:
+class Relaxation:
     """The LP relaxation of a model or of one of its blocks: min ``c.x``
     over ``rows`` and the column bounds ``lo``/``hi``, each solution
     reported as ``sign * c.x + offset``; ``int_idx`` are the integer
@@ -714,9 +689,55 @@ class _Relaxation:
     sign: float
     offset: float
 
+    @classmethod
+    def of(cls, model: LinearModel) -> "Relaxation":
+        """The relaxation of ``model`` as HiGHS gets it: its compiled rows,
+        its bounds, and its objective, negated for a maximization."""
+        c, lo, hi, sign = _columns(model)
+        return cls(model.compiled_rows(), *_frozen(c, lo, hi),
+                   model.integer_indices(), sign, model.obj_constant)
+
     def solve(self, lo, hi, start=None) -> LpSolution:
-        return _solve(self.rows, self.c, lo, hi, self.sign, self.offset,
-                      start)
+        res = simplex.solve(self.rows, self.c, lo, hi, start=start)
+        if res.status != "optimal":
+            return LpSolution(res.status, None, None)
+        return LpSolution("optimal", self.sign * res.objective + self.offset,
+                          res.x, basis=res.basis)
+
+    def add_rows(self, indptr, indices, data, sense, rhs, names) -> int:
+        """Append rows, given and checked as ``LinearModel.add_rows`` takes
+        them, below ``rows`` (compressed rows): a new ``simplex.Matrix``
+        of the two blocks' arrays concatenated.  Returns their number."""
+        a = self.rows.a
+        ptr, cols, vals, rlo, rhi = _checked_rows(
+            indptr, indices, data, sense, rhs, names, a.shape[1])
+        self.rows = simplex.Matrix(
+            sp.csr_matrix((np.concatenate([a.data, vals]),
+                           np.concatenate([a.indices, cols]),
+                           np.concatenate([a.indptr, ptr[1:] + a.indptr[-1]])),
+                          shape=(a.shape[0] + len(rlo), a.shape[1])),
+            np.concatenate([self.rows.rlo, rlo]),
+            np.concatenate([self.rows.rhi, rhi]))
+        return len(rlo)
+
+    def cut_rounds(self, root: LpSolution, hook) -> tuple[LpSolution, int]:
+        """Root cut rounds from ``root``, the solved LP: at most
+        ``DEFAULT_CUT_ROUNDS`` times, while the LP is optimal and fractional
+        and ``hook(lp)`` (if given) returns cuts, append their rows and
+        solve again from the LP's basis with them basic
+        (:func:`extend_start`).  Returns the last LP and the number of
+        cuts."""
+        added = 0
+        for _ in range(DEFAULT_CUT_ROUNDS):
+            cuts = hook and root.status == "optimal" and \
+                _fractional(root.x, self.int_idx) and hook(root)
+            if not cuts:
+                break
+            added += self.add_rows(*_cut_rows(cuts, len(self.c),
+                                              self.rows.a.shape[0]))
+            root = self.solve(self.lo, self.hi,
+                              extend_start(root.basis, len(cuts)))
+        return root, added
 
 
 class _Budget:
@@ -761,7 +782,7 @@ def column_blocks(rows: simplex.Matrix) -> np.ndarray:
     return label
 
 
-def _split(rel: _Relaxation, root: LpSolution,
+def _split(rel: Relaxation, root: LpSolution,
            frac_cols) -> tuple[list[tuple], np.ndarray]:
     """The blocks of ``rel`` that hold a column of ``frac_cols``, each as
     ``(cols, relaxation, root)``: its columns in the model (ascending), its
@@ -797,9 +818,9 @@ def _split(rel: _Relaxation, root: LpSolution,
                           shape=(len(rows), len(cols))),
             rel.rows.rlo[rows], rel.rows.rhi[rows])
         c, lo, hi = _frozen(rel.c[cols], rel.lo[cols], rel.hi[cols])
-        block = _Relaxation(block_rows, c, lo, hi,
-                            np.flatnonzero(integer[cols]), rel.sign,
-                            0.0 if blocks else rel.offset)
+        block = Relaxation(block_rows, c, lo, hi,
+                           np.flatnonzero(integer[cols]), rel.sign,
+                           0.0 if blocks else rel.offset)
         x = root.x[cols]
         # The optimal basis of a block-diagonal LP is block-diagonal, and
         # each of its diagonal blocks is a basis of that block's LP.
@@ -810,7 +831,7 @@ def _split(rel: _Relaxation, root: LpSolution,
     return blocks, np.flatnonzero(~searched)
 
 
-def _node_lp(rel: _Relaxation, overrides, start) -> LpSolution:
+def _node_lp(rel: Relaxation, overrides, start) -> LpSolution:
     """The LP of ``rel`` with the column bounds tightened by ``overrides``
     (column -> ``(lo, hi)``), from ``start``."""
     lo = rel.lo.copy()
@@ -823,7 +844,7 @@ def _node_lp(rel: _Relaxation, overrides, start) -> LpSolution:
     return rel.solve(*_frozen(lo, hi), start)
 
 
-def _search(rel: _Relaxation, root: LpSolution, incumbent, incumbent_x,
+def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
             minimize: bool, rel_gap: float, budget: _Budget):
     """Best-bound branch and bound on ``rel`` from ``root``, its solved LP
     without branching bounds, with most-fractional branching (ties to the
@@ -913,12 +934,10 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
 
     The LPs are solved on the model's compiled rows with its current
     bounds and objective.  ``root_cut_hook(lp_solution)`` may return a
-    list of :class:`Cut`; it is invoked repeatedly on fractional root
-    relaxations until it returns no cuts or ``DEFAULT_CUT_ROUNDS`` rounds
-    have run.  Cuts never fire below the root.  They are appended to a
-    block local to the solve, so neither the model's rows nor its compiled
-    rows change.  Each root LP after a cut round restarts from the previous
-    root basis with the cuts' rows basic (see :func:`extend_start`).
+    list of :class:`Cut`; :meth:`Relaxation.cut_rounds` calls it on the
+    fractional root LPs.  Cuts never fire below the root.  They are
+    appended to the solve's own relaxation, so neither the model's rows
+    nor its compiled rows change.
     ``initial_solution`` seeds the incumbent (it must be feasible); a root
     LP reported infeasible despite it raises ``NumericalFailure``.
     ``root_start`` warm-starts the first root LP: pass the ``root_basis`` of
@@ -967,7 +986,6 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     _check_limits(rel_gap, time_limit_s)
     model.validate()
     t0 = time.perf_counter()
-    int_idx = model.integer_indices()
     minimize = model.obj_sense == "min"
     wall = lambda: time.perf_counter() - t0
 
@@ -977,24 +995,12 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
         incumbent = check_solution(model, initial_solution)
         incumbent_x = np.asarray(initial_solution, dtype=float)
 
-    cuts_added = 0
-    c, lo_col, hi_col, sign = _columns(model)
-    rel = _Relaxation(model.compiled_rows(), *_frozen(c, lo_col, hi_col),
-                      int_idx, sign, model.obj_constant)
+    rel = Relaxation.of(model)
     start = root_start
     if start is None and incumbent_x is not None:
         start = seed_start(rel.rows, rel.lo, rel.hi, incumbent_x)
-    root = rel.solve(rel.lo, rel.hi, start)
-    rounds = 0
-    while (root.status == "optimal" and root_cut_hook is not None
-           and rounds < DEFAULT_CUT_ROUNDS and _fractional(root.x, int_idx)):
-        cuts = root_cut_hook(root)
-        if not cuts:
-            break
-        rel.rows = with_cuts(rel.rows, cuts, model.num_vars)
-        cuts_added += len(cuts)
-        rounds += 1
-        root = rel.solve(rel.lo, rel.hi, extend_start(root.basis, len(cuts)))
+    root, cuts_added = rel.cut_rounds(rel.solve(rel.lo, rel.hi, start),
+                                      root_cut_hook)
 
     if root.status == "infeasible" and incumbent is not None:
         raise NumericalFailure("root LP reported infeasible, but the "
@@ -1005,7 +1011,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     root_bound = root.objective
     root_basis = root.basis
 
-    frac = _fractional(root.x, int_idx)
+    frac = _fractional(root.x, rel.int_idx)
     if not frac:
         if incumbent is None or (root.objective < incumbent if minimize
                                  else root.objective > incumbent):

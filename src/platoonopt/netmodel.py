@@ -118,7 +118,9 @@ class RoadNetwork:
     """Directed graph; immutable once built.  What depends on the network
     alone is built at the first call and kept: ``fuel_table``,
     ``time_table``, ``edge_arrays``, the rows of ``distances``, and the
-    generators' ``default_cities`` and two-cluster hubs."""
+    generators' ``default_cities`` and two-cluster hubs.  ``distances`` is
+    the one source of shortest distances: paths, window checks and
+    candidate edge sets all read its rows."""
 
     def __init__(self, nodes: list[Node], edges: list[Edge]):
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
@@ -188,7 +190,7 @@ class RoadNetwork:
         i = arrays.node_index[source]
         rows = self._rows.get((weight, reverse))
         if rows is None or rows.slot[i] < 0:
-            row = _by_node(arrays, _dijkstra(self, source, weight, reverse))
+            row = _dijkstra(self, source, weight, reverse)
             if rows is None:
                 rows = self._rows[(weight, reverse)] = _Rows(len(row))
             rows.add(i, row)
@@ -272,27 +274,20 @@ _WEIGHT = {
 }
 
 
-def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False,
-              target=None, limit=math.inf) -> dict:
-    """Distance from ``source`` (to it, when ``reverse``) of every node
-    reached.  The search stops once every node within ``limit`` is final;
-    with a ``target``, ``limit`` is a function of the target's distance.
-    A node not final then may be missing, or have a distance above the
-    final one."""
+def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False
+              ) -> np.ndarray:
+    """The complete search behind ``RoadNetwork.distances``: the distance
+    from ``source`` (to it, when ``reverse``) of every node, over the node
+    numbers of ``edge_arrays()``, inf where the node is not reached."""
     wf = _WEIGHT[weight]
     adj = net.in_adj if reverse else net.out_adj
     dist = {source: 0.0}
     heap = [(0.0, source)]
     done = set()
-    stop = math.inf if callable(limit) else limit
     while heap:
         d, u = heapq.heappop(heap)
         if u in done:
             continue
-        if u == target:
-            stop = limit(d)
-        if d > stop:
-            break
         done.add(u)
         for e in adj[u]:
             v = e.tail if reverse else e.head
@@ -300,7 +295,10 @@ def _dijkstra(net: RoadNetwork, source, weight: str, reverse=False,
             if v not in done and (v not in dist or nd < dist[v]):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    arrays = net.edge_arrays()
+    out = np.full(len(arrays.nodes), np.inf)
+    out[[arrays.node_index[n] for n in dist]] = list(dist.values())
+    return out
 
 
 def shortest_path(net: RoadNetwork, o, d, weight: str = "fuel") -> Path:
@@ -343,33 +341,22 @@ def shortest_path(net: RoadNetwork, o, d, weight: str = "fuel") -> Path:
 def candidate_edge_set(net: RoadNetwork, m: VehicleMission,
                        sigma_f: float) -> set:
     """Edges that can appear on a route whose length stays within the
-    1/(1 - sigma_f) detour bound of the shortest origin-destination length."""
-    def reach(shortest):
-        bound = shortest / (1.0 - sigma_f)
-        return bound + REL_TOL * max(1.0, bound)
-
-    # Only nodes within reach can be on a candidate edge, so both searches
-    # stop there.
-    dist_o = _dijkstra(net, m.origin, "length", target=m.dest, limit=reach)
-    if m.dest not in dist_o:
-        raise Unreachable(m.origin, m.dest)
-    dist_d = _dijkstra(net, m.dest, "length", reverse=True,
-                       limit=reach(dist_o[m.dest]))
-    bound = dist_o[m.dest] / (1.0 - sigma_f)
-    tol = REL_TOL * max(1.0, bound)
+    1/(1 - sigma_f) detour bound of the shortest origin-destination length,
+    read off the network's ``length`` rows from the origin and to the
+    destination (``RoadNetwork.distances``)."""
     arrays = net.edge_arrays()
-    # a node out of reach fails the test, at distance inf or above it
-    ok = (_by_node(arrays, dist_o)[arrays.tail] + arrays.length
-          + _by_node(arrays, dist_d)[arrays.head]) <= bound + tol
+    dist_o = net.distances("length", m.origin)
+    shortest = float(dist_o[arrays.node_index[m.dest]])
+    if shortest == math.inf:
+        raise Unreachable(m.origin, m.dest)
+    dist_d = net.distances("length", m.dest, reverse=True)
+    bound = shortest / (1.0 - sigma_f)
+    tol = REL_TOL * max(1.0, bound)
+    # a node that cannot be reached, or cannot reach, is inf and fails
+    ok = (dist_o[arrays.tail] + arrays.length + dist_d[arrays.head]
+          <= bound + tol)
     keys = arrays.keys
     return {keys[k] for k in np.flatnonzero(ok).tolist()}
-
-
-def _by_node(arrays: EdgeArrays, dist: dict) -> np.ndarray:
-    """``dist`` as an array over the node numbers, inf where it has none."""
-    out = np.full(len(arrays.nodes), np.inf)
-    out[[arrays.node_index[n] for n in dist]] = list(dist.values())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +623,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                                meta=doc.get("meta", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
+    # Network-only files skip the sigma/lambda mission checks of validate.
     if vehicles:
         inst.validate()
-    else:
-        # Network-only files skip the sigma/lambda mission checks.
-        RoadNetwork(nodes, edges)
     return inst
 
 

@@ -229,7 +229,7 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     follower column of each pair that can still meet.  Rows, shared edge by
     shared edge: the two big-M rows of each such pair, then for each
     vehicle its lead-or-follow, size-cap and nonempty-platoon rows; then
-    the rows of :func:`add_partition_rows`.  Windows and times after
+    the rows of :func:`partition_rows`.  Windows and times after
     departure come from ``bounds``, which the handle keeps.  ``pairs`` is
     what ``platoonable_and_bigM(contracted, bounds)`` returns, if known.
     """
@@ -268,7 +268,7 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
                             + [mip.BINARY_CODE] * n_bin))
     model.set_objective(np.array(obj), sense="max")
 
-    rows = _RowBlock()
+    rows = RowBlock()
     lam, offset = params.max_platoon, bounds.offset
     for key, vs in shared:
         tail, label = key[0], str(key)
@@ -299,13 +299,14 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
                      f"nonempty_{v}_{label}")
     handle = SpModelHandle(model, dep_col, f_col, l_col, big_m, pruned,
                            contracted, bounds, params.max_platoon)
-    _partition_rows(handle, opts, rows)
+    partition_rows(handle, opts, rows)
     rows.append_to(model)
     return handle
 
 
-class _RowBlock:
-    """Rows gathered one by one for one ``LinearModel.add_rows`` call."""
+class RowBlock:
+    """Rows gathered one by one for one ``add_rows`` call of a
+    ``mip.LinearModel`` or a ``mip.Relaxation``."""
 
     def __init__(self):
         self.lengths, self.cols, self.vals = [], [], []
@@ -319,7 +320,7 @@ class _RowBlock:
         self.rhs.append(rhs)
         self.names.append(name)
 
-    def append_to(self, model: mip.LinearModel) -> int:
+    def append_to(self, model) -> int:
         """Append the rows to ``model``; returns their number."""
         if self.names:
             model.add_rows(mip.row_pointers(self.lengths), self.cols,
@@ -327,19 +328,12 @@ class _RowBlock:
         return len(self.names)
 
 
-def add_partition_rows(handle: SpModelHandle, opts: CutOptions) -> int:
-    """Append the star-partition rows and the size facets that ``opts``
-    asks for to the model of ``handle``, shared edge by shared edge in key
-    order, each row over the follower columns the model holds (a row left
-    without any is dropped).  Returns the number of rows appended."""
-    rows = _RowBlock()
-    _partition_rows(handle, opts, rows)
-    return rows.append_to(handle.model)
-
-
-def _partition_rows(handle: SpModelHandle, opts: CutOptions,
-                    rows: _RowBlock) -> None:
-    """The rows of ``add_partition_rows``, added to ``rows``."""
+def partition_rows(handle: SpModelHandle, opts: CutOptions,
+                   rows: RowBlock) -> None:
+    """Add to ``rows`` the star-partition rows and the size facets that
+    ``opts`` asks for, shared edge by shared edge in key order, each row
+    over the follower columns the model of ``handle`` holds (a row left
+    without any is dropped)."""
     if not (opts.star_partition or opts.size_facets):
         return
     from . import cuts as _cuts

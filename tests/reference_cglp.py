@@ -1,14 +1,18 @@
 """The cut-generating LP built as a ``mip.LinearModel``, one column and one
 row at a time, and disjunctive separation on it: the reference of the
-sparse block that ``cuts.build_cglp`` assembles."""
+sparse block that ``cuts.build_cglp`` assembles.  Also the bound report
+with a cut loop of its own over a model it appends the cuts to: the
+reference of ``cuts.bound_improvement_report``, which runs
+``mip.Relaxation.cut_rounds``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from platoonopt import mip
+from platoonopt import mip, scheduling as sched
 from platoonopt.cuts import AssemblyError, DisjunctiveCut, _CglpSystem
 from platoonopt.cuts import MIN_VIOLATION, collect_active_sets
+from platoonopt.cuts import separate_disjunctive
 
 
 def cglp_model(active, point, handle):
@@ -64,7 +68,7 @@ def cglp_model(active, point, handle):
     return m, sys_, layout
 
 
-def separate(point, handle, min_violation: float = MIN_VIOLATION):
+def separate(point, handle):
     """``cuts.separate_disjunctive`` with the CGLP of :func:`cglp_model`,
     solved by ``mip.solve_lp``."""
     active = collect_active_sets(point, handle)
@@ -75,7 +79,7 @@ def separate(point, handle, min_violation: float = MIN_VIOLATION):
     if sol.status != "optimal":
         return None
     violation = -sol.objective
-    if violation <= min_violation:
+    if violation <= MIN_VIOLATION:
         return None
 
     alpha = np.array([sol.x[c] for c in layout["alpha"]])
@@ -117,3 +121,35 @@ def separate(point, handle, min_violation: float = MIN_VIOLATION):
         raise AssemblyError("cut violation mismatch between spaces")
     return DisjunctiveCut(cut, violation, active, alpha, beta0, beta1,
                           gamma0, gamma1)
+
+
+def bound_improvement_report(contracted, params, bounds) -> dict:
+    """``cuts.bound_improvement_report`` as a loop of its own: each cut is
+    added to the model and the LP solved from the last basis with the cut
+    basic, then the star rows are added the same way.  Cold LP first; the
+    loop separates even at an integral LP, where no cut is found."""
+    handle = sched.build_sp(contracted, params, bounds)
+    lp0 = mip.solve_lp(handle.model)
+    disj = []
+    lp = lp0
+    for _ in range(mip.DEFAULT_CUT_ROUNDS):
+        if lp.status != "optimal":
+            break
+        found = separate_disjunctive(lp, handle)
+        if found is None:
+            break
+        disj.append(found)
+        handle.model.add_cut(found.cut)
+        lp = mip.solve_lp(handle.model, start=mip.extend_start(lp.basis, 1))
+    bd1 = lp.objective if lp.status == "optimal" else lp0.objective
+    star = sched.RowBlock()
+    sched.partition_rows(handle, sched.CutOptions(star_partition=True), star)
+    n_star = star.append_to(handle.model)
+    start = mip.extend_start(lp.basis, n_star) if lp.status == "optimal" \
+        else None
+    lp2 = mip.solve_lp(handle.model, start=start)
+    return {"lp_bound_plain": lp0.objective, "lp_bound_disj": bd1,
+            "lp_bound_disj_star": lp2.objective if lp2.status == "optimal"
+            else bd1,
+            "n_disjunctive": len(disj), "n_star_rows": n_star,
+            "disj_cuts": disj}

@@ -1,7 +1,7 @@
 """The routing and scheduling MILPs built one column and one row at a time,
 each row a coefficient dict passed to ``LinearModel.add_constraint``: the
 reference of the row blocks that ``routing.build_rdp``,
-``scheduling.build_sp`` and ``scheduling.add_partition_rows`` append.
+``scheduling.build_sp`` and ``scheduling.partition_rows`` append.
 
 ``build_sp`` here also keeps the explicit formulation with one time column
 per vehicle and route node (``keep_time_vars``), chained along each route by

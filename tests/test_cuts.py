@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from platoonopt import cuts, mip, netmodel as nm, oracle, routing, simplex
 from platoonopt import scheduling as sched
@@ -280,8 +282,8 @@ class TestSeparation:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_star_bound_matches_a_model_built_with_star_rows(
             self, seed):
-        # the report appends the star rows to its one model after the cuts;
-        # a model built with the star rows and then given the same cuts
+        # the report appends the star rows below the cuts; a model built
+        # with the star rows and then given the same cuts
         # holds the same rows in another order, so its cold LP agrees
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
         inst = nm.generate_two_cluster(grid, 8, seed=seed)
@@ -300,3 +302,31 @@ class TestSeparation:
         assert cold.status == "optimal"
         assert rep["lp_bound_disj_star"] == pytest.approx(cold.objective,
                                                           rel=1e-9, abs=1e-9)
+
+
+_GRIDS = {k: nm.make_grid_network(k, k, spacing_km=40, jitter=0.25, seed=5)
+          for k in (6, 7, 8)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generator=st.sampled_from(["distributed", "two_cluster"]),
+       k=st.sampled_from(sorted(_GRIDS)), n=st.integers(4, 14),
+       seed=st.integers(1, 100))
+def test_report_is_the_reference_loop(generator, k, n, seed):
+    # the report runs solve_mip's root cut rounds on a relaxation of its
+    # own; a loop over a model the cuts and star rows are added to gives
+    # the same bounds and cuts, bit for bit
+    inst = getattr(nm, f"generate_{generator}")(_GRIDS[k], n, seed)
+    ra = routing.shortest_path_assignment(inst)
+    con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    bounds = sched.time_bounds(con, inst.missions)
+    got = cuts.bound_improvement_report(con, inst, bounds)
+    want = reference_cglp.bound_improvement_report(con, inst, bounds)
+    event(f"{got['n_disjunctive']} cuts")
+    for key in ("lp_bound_plain", "lp_bound_disj", "lp_bound_disj_star",
+                "n_disjunctive", "n_star_rows"):
+        assert got[key] == want[key], key
+    assert [(list(d.cut.coeffs.items()), d.cut.sense, d.cut.rhs)
+            for d in got["disj_cuts"]] == \
+        [(list(d.cut.coeffs.items()), d.cut.sense, d.cut.rhs)
+         for d in want["disj_cuts"]]

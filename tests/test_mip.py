@@ -710,6 +710,7 @@ def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
     columns = [(0.0, np.inf), (-1.0, 3.0), (0.0, 1.0), odd]
     model = _model_with(columns, objective, sense, first)
     before = model.compiled_rows()
+    rel = mip.Relaxation.of(model)
     mip.solve_lp(model)
     for coeffs, row_sense, rhs in appended:
         model.add_constraint(coeffs, row_sense, rhs)
@@ -717,9 +718,13 @@ def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
                       first + appended).compiled_rows()
     _assert_same_rows(model.compiled_rows(), ref)
     # a solve's cut rounds stack the same rows below the matrix it holds
-    _assert_same_rows(mip.with_cuts(before, [mip.Cut(*row)
-                                             for row in appended],
-                                    model.num_vars), ref)
+    assert rel.add_rows(mip.row_pointers([len(row[0]) for row in appended]),
+                        [j for row in appended for j in row[0]],
+                        [v for row in appended for v in row[0].values()],
+                        [row[1] for row in appended],
+                        [row[2] for row in appended],
+                        [""] * len(appended)) == len(appended)
+    _assert_same_rows(rel.rows, ref)
     # the matrix below which the rows were compiled is left as it was
     _assert_same_rows(before, _model_with(columns, objective, sense,
                                           first).compiled_rows())
@@ -1153,6 +1158,20 @@ def test_exported_models_read_back_the_same(tmp_path, generated_models,
     sign = -1.0 if model.obj_sense == "max" else 1.0
     assert back.obj_coeffs == {j: sign * c
                                for j, c in model.obj_coeffs.items()}
+
+
+def test_objective_constant_survives_export(tmp_path):
+    m = mip.LinearModel("offset")
+    x = m.add_var("x")
+    m.add_constraint({x: 1.0}, "<=", 3.0)
+    m.set_objective({x: 1.0}, 10.0, sense="max")
+    assert mip.solve_lp(m).objective == 13.0
+    for fmt, sign in (("MPS", -1.0), ("LP", 1.0)):
+        path = tmp_path / f"offset.{fmt.lower()}"
+        export.write_model(m, fmt, str(path))
+        # the MPS file minimizes the negation
+        status, value = reference_mip.solve(reference_mip.read(path))
+        assert (status, sign * value) == ("optimal", 13.0)
 
 
 def test_tiny_numbers_and_clashing_names_survive_export(tmp_path):

@@ -1,10 +1,11 @@
 """The routing and scheduling models that ``build_rdp``, ``build_sp`` and
-``add_partition_rows`` append as row blocks, against the same models built
+``partition_rows`` append as row blocks, against the same models built
 one row dict at a time (``reference_models``): HiGHS gets the same bytes,
 and the exports and row views agree.  Also the checks of the block entry
 points, instance validation and candidate edge sets against the loops they
 replace."""
 
+import itertools
 import math
 
 import numpy as np
@@ -114,7 +115,9 @@ def test_scheduling_model_is_the_reference(spec, cuts, merge):
         assert list(got.bounds.origin.items()) == list(ref.origin.items())
         # rows appended to a built model, as the bound report appends them
         plain = sched.build_sp(contracted, params, bounds)
-        added = sched.add_partition_rows(plain, sched.CutOptions(True))
+        rows = sched.RowBlock()
+        sched.partition_rows(plain, sched.CutOptions(True), rows)
+        added = rows.append_to(plain.model)
         ref = reference_models.build_sp(contracted, params, bounds)
         assert added == reference_models.add_partition_rows(
             ref, contracted, params.max_platoon, True, False)
@@ -331,11 +334,22 @@ def test_validate_reports_an_unreachable_destination():
 
 @pytest.mark.parametrize("generator", ["distributed", "two_cluster"])
 def test_candidate_edge_sets_are_the_reference(generator):
-    net = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
-    inst = getattr(nm, f"generate_{generator}")(net, 10, 2)
-    for m in inst.missions:
-        for sigma_f in (0.05, 0.1, 0.3):
+    # on the grid without jitter many routes tie in length
+    for jitter in (0.0, 0.25):
+        net = nm.make_grid_network(6, 6, spacing_km=40, jitter=jitter, seed=5)
+        inst = getattr(nm, f"generate_{generator}")(net, 10, 2)
+        for m, sigma_f in itertools.product(inst.missions,
+                                            (0.0, 0.05, 0.1, 0.3)):
             got = nm.candidate_edge_set(net, m, sigma_f)
             ref = reference_models.candidate_edge_set(net, m, sigma_f)
             assert got == ref
             assert list(got) == list(ref)     # also in the same order
+    # a one-way chain: 3 cannot reach 1
+    chain = nm.RoadNetwork([nm.Node(i, i, 0) for i in (1, 2, 3)],
+                           [nm.Edge(1, 2, 1.0, 1.0, 1.0),
+                            nm.Edge(2, 3, 1.0, 1.0, 1.0)])
+    back = nm.VehicleMission(1, 3, 1, 0.0, 9.0)
+    for candidates in (nm.candidate_edge_set,
+                       reference_models.candidate_edge_set):
+        with pytest.raises(nm.Unreachable):
+            candidates(chain, back, 0.1)

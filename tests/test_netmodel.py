@@ -361,6 +361,28 @@ def test_each_distance_row_is_searched_once_per_network(monkeypatch):
     assert not searches
 
 
+def test_a_second_routing_build_searches_nothing(monkeypatch):
+    # candidate edge sets read the network's length rows, so building the
+    # routing model again on the same network runs no search (two per
+    # vehicle when each candidate set searched on its own)
+    searches = collections.Counter()
+    search = nm._dijkstra
+
+    def counting(net, source, weight, *args, **kwargs):
+        searches[weight] += 1
+        return search(net, source, weight, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "_dijkstra", counting)
+    net = nm.make_grid_network(8, 8, spacing_km=40, jitter=0.25, seed=5)
+    inst = nm.generate_two_cluster(net, 16, 1)
+    first = routing.build_rdp(inst)
+    assert searches["length"] > 0
+    searches.clear()
+    again = routing.build_rdp(inst)
+    assert not searches
+    assert again.model.names == first.model.names
+
+
 def test_default_cities_are_a_fresh_list(small_grid):
     cities = nm.default_cities(small_grid)
     cities.append(-1)

@@ -246,8 +246,9 @@ def cmd_rshm(args) -> int:
         mean = sum(zs) / len(zs)
         std = math.sqrt(sum((z - mean) ** 2 for z in zs) / len(zs))
         reldev = std / mean if mean else 0.0
+    limited = f" limited={res.limited}" if res.limited else ""
     print(f"fuel={res.z_hat:.4f} saving={res.saving_rate()*100:.3f}% "
-          f"iters={res.iterations} termination={res.termination}")
+          f"iters={res.iterations} termination={res.termination}{limited}")
     if args.out:
         doc = {"instance": args.instance,
                "fuel_cost": res.z_hat,
@@ -256,6 +257,7 @@ def cmd_rshm(args) -> int:
                "rel_dev": reldev,
                "iterations": res.iterations,
                "termination": res.termination,
+               "limited": res.limited,
                "routes": {str(v): list(res.routes.routes[v])
                           for v in res.routes.vehicles},
                "departures": {str(v): res.departures[v]
@@ -283,9 +285,10 @@ def cmd_export(args) -> int:
         contracted = scheduling.contract(assignment, assignment.edge_times,
                                          assignment.edge_costs)
         bounds = scheduling.time_bounds(contracted, inst.missions)
+        # the paper's model, as the bound report builds it
         model = scheduling.build_sp(contracted,
-                                    SavingsParams.from_instance(inst),
-                                    bounds).model
+                                    SavingsParams.from_instance(inst), bounds,
+                                    scheduling.CutOptions(window=False)).model
     export.write_model(model, args.format, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -375,14 +375,16 @@ def make_disjunctive_hook(handle: SpModelHandle, log: list | None = None):
 
 
 def bound_improvement_report(contracted, params, bounds) -> dict:
-    """Root-relaxation bounds (maximization: lower is tighter): plain,
-    after ``solve_mip``'s root cut rounds with the disjunctive hook
+    """Root-relaxation bounds (maximization: lower is tighter) of the
+    paper's model, without the departure-window rows: plain, after
+    ``solve_mip``'s root cut rounds with the disjunctive hook
     (``mip.Relaxation.cut_rounds``), and after the star rows as well,
     appended below the cuts and solved from the last basis with them basic
     (see ``mip.extend_start``)."""
     from . import scheduling as sched
     t0 = time.perf_counter()
-    handle = sched.build_sp(contracted, params, bounds)
+    handle = sched.build_sp(contracted, params, bounds,
+                            sched.CutOptions(window=False))
     rel = mip.Relaxation.of(handle.model)
     lp0 = rel.solve(rel.lo, rel.hi)
     log: list = []

@@ -307,10 +307,6 @@ class LinearModel:
         self.obj_constant = float(constant)
         self.obj_sense = sense
 
-    def add_cut(self, cut: Cut) -> int:
-        i = self.num_constraints
-        return self.add_rows(*_cut_rows([cut], self.num_vars, i))[0]
-
     @property
     def num_vars(self) -> int:
         return len(self.names)

@@ -214,6 +214,9 @@ class RshmResult:
     A run that completes no iteration (an ``iter_cap`` of 0, or a time
     budget spent before iteration 1) returns the no-coordination baseline:
     see ``no_coordination``.  Its ``trace`` is empty and ``iterations`` 0.
+    Each ``trace`` entry holds the iteration's ``z``, its presumed routing
+    objective, its time, and the status of its routing and its scheduling
+    solve (``rdp_status``, ``sp_status``).
     """
     routes: RouteAssignment
     platoons: PlatoonConfiguration
@@ -233,6 +236,13 @@ class RshmResult:
             self._baseline = routing.shortest_path_assignment(
                 inst).total_cost()
         return self._baseline
+
+    @property
+    def limited(self) -> int:
+        """The routing and scheduling solves of the trace that a limit
+        stopped short of ``optimal``."""
+        return sum(t[k] != "optimal" for t in self.trace
+                   for k in ("rdp_status", "sp_status"))
 
     def saving_rate(self) -> float:
         base = self.fuel_baseline()
@@ -273,8 +283,9 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     optimality (see ``scheduling.solve_schedule``), and gives the schedule
     a solve of the whole assignment gives.  Each solve gets
     ``per_solve_time_s`` or the time left of ``total_time_s``, whichever is
-    less; a solve cut short keeps its incumbent (every solve has one), and
-    the loop then stops on the time budget."""
+    less; a solve cut short keeps its incumbent (every solve has one), its
+    status in the trace says so (``RshmResult.limited`` counts it), and the
+    loop goes on until a stop rule or the time budget ends it."""
     opts = opts or RshmOptions()
     inst.validate()
     scheduling.cut_mode(opts.sp_cuts)   # an unknown mode fails here
@@ -315,9 +326,10 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
             if rdp_sol.status not in ("optimal", "feasible"):
                 raise SubproblemFailure(f"routing solve ended {rdp_sol.status}")
             routes = routing.extract_route_assignment(handle, rdp_sol)
-            platoons = scheduling.solve_schedule(
+            schedule = scheduling.solve_schedule(
                 routes, inst, opts.sp_cuts, rel_gap=opts.rel_gap,
-                time_limit_s=time_limit(), solved=solved).platoons
+                time_limit_s=time_limit(), solved=solved)
+            platoons = schedule.platoons
         except (mip.ModelError, NumericalFailure) as exc:
             raise SubproblemFailure(f"iteration {n}: {exc}") from exc
         z = scheduling.total_fuel(routes, platoons, fuel, params)
@@ -326,7 +338,8 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         rec = IterationRecord(n, routes, platoons, z, presumed, runtime)
         state.record(rec)
         trace.append({"iteration": n, "z": z, "presumed": presumed,
-                      "runtime_s": runtime})
+                      "runtime_s": runtime, "rdp_status": rdp_sol.status,
+                      "sp_status": schedule.solution.status})
         state.tables[n + 1] = update_cost_table(state, n)
         if prev_routes is not None and routes == prev_routes:
             termination = "repeat_consecutive"

@@ -9,6 +9,12 @@ node (summed once per route, by ``time_bounds``), so the only continuous
 decision per vehicle is its departure time.  ``solve_schedule`` runs the
 whole pipeline for one set of routes.
 
+Besides the paper's rows, the model holds departure-window rows in every
+cut mode but ``none`` (``window_rows``): a platooning pair must enter its
+edge together, so each follower column implies a window for both
+departures, which bounds them and rules out pairs of columns whose
+windows are apart.  They close most searches at the root.
+
 The model splits into independent components (``components``), each
 depending on its vehicles' routes alone, so ``solve_schedule`` takes the
 components solved before from a map and solves only the others.
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add
 
 import numpy as np
@@ -41,14 +47,16 @@ class InconsistentPlatoon(Exception):
 class CutOptions:
     star_partition: bool = False
     size_facets: bool = False
+    window: bool = True         # the rows of :func:`window_rows`
 
 
-# Cut mode -> (star-partition rows, size facets, disjunctive root cuts).
+# Cut mode -> (star-partition rows, size facets, departure-window rows,
+# disjunctive root cuts).  Only "none" builds the paper's bare model.
 CUT_MODES = {
-    "none": (False, False, False),
-    "star": (True, False, False),
-    "star+disj": (True, False, True),
-    "star+disj+facets": (True, True, True),
+    "none": (False, False, False, False),
+    "star": (True, False, True, False),
+    "star+disj": (True, False, True, True),
+    "star+disj+facets": (True, True, True, True),
 }
 DEFAULT_CUT_MODE = "star"
 
@@ -59,8 +67,8 @@ def cut_mode(mode: str) -> tuple[CutOptions, bool]:
     if mode not in CUT_MODES:
         raise ValueError(f"unknown cut mode {mode!r}; "
                          f"expected one of {', '.join(CUT_MODES)}")
-    star, facets, disjunctive = CUT_MODES[mode]
-    return CutOptions(star_partition=star, size_facets=facets), disjunctive
+    star, facets, window, disjunctive = CUT_MODES[mode]
+    return CutOptions(star, facets, window), disjunctive
 
 
 @dataclass
@@ -229,9 +237,11 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     follower column of each pair that can still meet.  Rows, shared edge by
     shared edge: the two big-M rows of each such pair, then for each
     vehicle its lead-or-follow, size-cap and nonempty-platoon rows; then
-    the rows of :func:`partition_rows`.  Windows and times after
-    departure come from ``bounds``, which the handle keeps.  ``pairs`` is
-    what ``platoonable_and_bigM(contracted, bounds)`` returns, if known.
+    the rows of :func:`partition_rows`, and the departure-window rows of
+    :func:`window_rows` unless ``cut_options.window`` is off.  Windows and
+    times after departure come from ``bounds``, which the handle keeps.
+    ``pairs`` is what ``platoonable_and_bigM(contracted, bounds)`` returns,
+    if known.
     """
     opts = cut_options or CutOptions()
     big_m, pruned = pairs or platoonable_and_bigM(contracted, bounds)
@@ -300,6 +310,8 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     handle = SpModelHandle(model, dep_col, f_col, l_col, big_m, pruned,
                            contracted, bounds, params.max_platoon)
     partition_rows(handle, opts, rows)
+    if opts.window:
+        window_rows(handle, rows)
     rows.append_to(model)
     return handle
 
@@ -355,6 +367,70 @@ def partition_rows(handle: SpModelHandle, opts: CutOptions,
                 if held:
                     cols, vals = zip(*held)
                     rows.add(list(cols), list(vals), sense, rhs, name)
+
+
+def window_rows(handle: SpModelHandle, rows: RowBlock) -> None:
+    """Add to ``rows`` the departure-window rows of the model of
+    ``handle`` (implied bounds and conflicts from probing).
+
+    ``f = 1`` on the follower column of pair (u, v) of an edge makes u and
+    v enter it together, so ``dep_u = dep_v - c`` with ``c = offset[u,
+    tail] - offset[v, tail]``: it confines ``dep_u`` to ``[a_u, b_u] =
+    [max(lo_u, lo_v - c), min(hi_u, hi_v - c)]`` and ``dep_v`` to ``[a_v,
+    b_v] = [max(lo_v, lo_u + c), min(hi_v, hi_u + c)]``, where ``[lo_w,
+    hi_w]`` is the departure window of w.  A column whose window is empty
+    on either side gets no row: ``platoonable_and_bigM`` keeps a pair only
+    when the windows meet within ``PRUNE_TOL``, so it implies nothing
+    beyond that tolerance.
+
+    Implied bounds, follower column by follower column in column order,
+    for u, then v: ``dep_w + (hi_w - b_w) f <= hi_w`` where ``b_w`` lies
+    more than ``PRUNE_TOL`` below ``hi_w``, then ``dep_w - (a_w - lo_w) f
+    >= lo_w`` where ``a_w`` lies more than ``PRUNE_TOL`` above ``lo_w``.
+
+    Conflicts, vehicle by vehicle in order: two follower columns that hold
+    the vehicle and imply windows for it more than ``PRUNE_TOL`` apart
+    cannot both be 1.  Each such pair, in column order, gets the row
+    ``f_p + f_q <= 1`` unless a ``lead_xor_follow`` row holds both (the
+    vehicle follows on one edge in both) or an earlier vehicle gave the
+    pair its row.
+
+    Each row holds, within ``PRUNE_TOL``, at every integer point of the
+    model without them."""
+    bounds = handle.bounds
+    offset = bounds.offset
+    own = {v: bounds.window(v, bounds.origin[v]) for v in handle.dep_col}
+    by_vehicle: dict[int, list[tuple]] = {v: [] for v in handle.dep_col}
+    for (u, v, key), col in handle.f_col.items():
+        c = offset[(u, key[0])] - offset[(v, key[0])]
+        (lo_u, hi_u), (lo_v, hi_v) = own[u], own[v]
+        # (vehicle, implied window, edge it follows on)
+        sides = ((u, max(lo_u, lo_v - c), min(hi_u, hi_v - c), key),
+                 (v, max(lo_v, lo_u + c), min(hi_v, hi_u + c), None))
+        if any(a > b for _w, a, b, _e in sides):
+            continue
+        label = f"{u}_{v}_{key}"
+        for w, a, b, follows in sides:
+            lo, hi = own[w]
+            dep = handle.dep_col[w]
+            if hi - b > PRUNE_TOL:
+                rows.add([dep, col], [1.0, hi - b], mip.LE, hi,
+                         f"win_ub_{w}_{label}")
+            if a - lo > PRUNE_TOL:
+                rows.add([dep, col], [1.0, lo - a], mip.GE, lo,
+                         f"win_lb_{w}_{label}")
+            by_vehicle[w].append((col, a, b, follows))
+
+    done: set[tuple] = set()        # column pairs given their row
+    for w in sorted(by_vehicle):
+        for (p, a_p, b_p, e_p), (q, a_q, b_q, e_q) in \
+                combinations(by_vehicle[w], 2):
+            one_row = e_p is not None and e_p == e_q
+            apart = b_p < a_q - PRUNE_TOL or b_q < a_p - PRUNE_TOL
+            if apart and not one_row and (p, q) not in done:
+                done.add((p, q))
+                rows.add([p, q], [1.0, 1.0], mip.LE, 1.0,
+                         f"win_pair_{w}_{p}_{q}")
 
 
 @dataclass

@@ -13,6 +13,17 @@ from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
 
 
+def add_cut(model: mip.LinearModel, cut: mip.Cut) -> int:
+    """Append ``cut`` to ``model`` as one row, named ``cut_<tag>_<row>`` as
+    ``solve_mip`` names the rows of its cuts; ``ModelError`` from
+    ``Cut.validate`` first, with no row appended.  Returns the row."""
+    cut.validate()
+    return model.add_rows(
+        [0, len(cut.coeffs)], list(cut.coeffs), list(cut.coeffs.values()),
+        [cut.sense], [cut.rhs],
+        [f"cut_{cut.tag}_{model.num_constraints}"])[0]
+
+
 def make_net(coords, edge_spec, speed=80.0, rate=1.0):
     """coords: {id: (x, y)}; edge_spec: [(i, j, length)] (directed)."""
     nodes = [Node(i, x, y) for i, (x, y) in coords.items()]
@@ -68,15 +79,17 @@ def hull_rows(edge, vehicles):
 
 def branching_sp_handle():
     """Scheduling model handle of a 6x6 two-cluster instance with 14
-    vehicles on fuel-shortest routes: 72 columns, 161 rows, and one block
-    of 33 columns that is fractional at the root and takes 11 nodes."""
+    vehicles on fuel-shortest routes, built without the departure-window
+    rows, which would close it at the root: 72 columns, 161 rows, and one
+    block of 33 columns that is fractional at the root and takes 11
+    nodes."""
     grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
     inst = nm.generate_two_cluster(grid, 14, seed=1)
     ra = routing.shortest_path_assignment(inst)
     contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
     bounds = sched.time_bounds(contracted, inst.missions)
     return sched.build_sp(contracted, SavingsParams.from_instance(inst),
-                          bounds)
+                          bounds, sched.CutOptions(window=False))
 
 
 def branching_sp_model():
@@ -86,16 +99,16 @@ def branching_sp_model():
 
 def blocked_sp_handle():
     """Scheduling model handle of an 8x8 two-cluster instance with 16
-    vehicles on fuel-shortest routes (instance seed 9): 133 columns, and
-    three blocks that are fractional at the root, of 28, 21 and 18
-    columns."""
+    vehicles on fuel-shortest routes (instance seed 9), built without the
+    departure-window rows: 133 columns, and three blocks that are
+    fractional at the root, of 28, 21 and 18 columns."""
     grid = nm.make_grid_network(8, 8, spacing_km=40, jitter=0.25, seed=5)
     inst = nm.generate_two_cluster(grid, 16, seed=9)
     ra = routing.shortest_path_assignment(inst)
     contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
     bounds = sched.time_bounds(contracted, inst.missions)
     return sched.build_sp(contracted, SavingsParams.from_instance(inst),
-                          bounds)
+                          bounds, sched.CutOptions(window=False))
 
 
 def blocked_sp_model():

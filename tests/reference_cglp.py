@@ -14,6 +14,8 @@ from platoonopt.cuts import AssemblyError, DisjunctiveCut, _CglpSystem
 from platoonopt.cuts import MIN_VIOLATION, collect_active_sets
 from platoonopt.cuts import separate_disjunctive
 
+from conftest import add_cut
+
 
 def cglp_model(active, point, handle):
     """Returns (model, system, column layout) where the layout maps the CGLP
@@ -127,8 +129,10 @@ def bound_improvement_report(contracted, params, bounds) -> dict:
     """``cuts.bound_improvement_report`` as a loop of its own: each cut is
     added to the model and the LP solved from the last basis with the cut
     basic, then the star rows are added the same way.  Cold LP first; the
-    loop separates even at an integral LP, where no cut is found."""
-    handle = sched.build_sp(contracted, params, bounds)
+    loop separates even at an integral LP, where no cut is found.  The
+    model is the paper's, without the departure-window rows."""
+    handle = sched.build_sp(contracted, params, bounds,
+                            sched.CutOptions(window=False))
     lp0 = mip.solve_lp(handle.model)
     disj = []
     lp = lp0
@@ -139,7 +143,7 @@ def bound_improvement_report(contracted, params, bounds) -> dict:
         if found is None:
             break
         disj.append(found)
-        handle.model.add_cut(found.cut)
+        add_cut(handle.model, found.cut)
         lp = mip.solve_lp(handle.model, start=mip.extend_start(lp.basis, 1))
     bd1 = lp.objective if lp.status == "optimal" else lp0.objective
     star = sched.RowBlock()

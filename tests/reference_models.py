@@ -1,7 +1,8 @@
 """The routing and scheduling MILPs built one column and one row at a time,
 each row a coefficient dict passed to ``LinearModel.add_constraint``: the
 reference of the row blocks that ``routing.build_rdp``,
-``scheduling.build_sp`` and ``scheduling.partition_rows`` append.
+``scheduling.build_sp``, ``scheduling.partition_rows`` and
+``scheduling.window_rows`` append.
 
 ``build_sp`` here also keeps the explicit formulation with one time column
 per vehicle and route node (``keep_time_vars``), chained along each route by
@@ -126,8 +127,8 @@ class ReferenceSp:
 
 
 def build_sp(contracted, params, bounds, star_partition: bool = False,
-             size_facets: bool = False,
-             keep_time_vars: bool = False) -> ReferenceSp:
+             size_facets: bool = False, keep_time_vars: bool = False,
+             window: bool = True) -> ReferenceSp:
     big_m, pruned = platoonable_and_bigM(contracted, bounds)
     pruned_set = set(pruned)
 
@@ -230,6 +231,8 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
     ref = ReferenceSp(model, dep_col, f_col, l_col, t_col, prefix, origin)
     add_partition_rows(ref, contracted, params.max_platoon, star_partition,
                        size_facets)
+    if window:
+        add_window_rows(ref, bounds)
     return ref
 
 
@@ -252,6 +255,54 @@ def add_partition_rows(ref: ReferenceSp, contracted, max_platoon: int,
                        if (u, v, key) in f_col}
                 if row:
                     model.add_constraint(row, sense, rhs, name=f"{tag}_{key}")
+    return model.num_constraints - before
+
+
+def add_window_rows(ref: ReferenceSp, bounds) -> int:
+    """The departure-window rows, one dict at a time.  ``f = 1`` on pair
+    (u, v) of an edge pins ``dep_u - dep_v`` to the difference of their
+    times from departure to the edge's tail, so it confines each departure
+    to its own window intersected with the other's, shifted.  First, by
+    follower column: the bound each such window tightens (upper, then
+    lower; u, then v).  Then, by vehicle: two follower columns whose
+    windows for the vehicle are apart cannot both be 1; each such pair
+    gets a row unless the vehicle follows on one edge in both (a
+    ``lead_xor_follow`` row holds them) or the pair has its row already.
+    Returns the number of rows added."""
+    model = ref.model
+    before = model.num_constraints
+    tol = scheduling.PRUNE_TOL
+    owns = {w: bounds.window(w, ref.origin[w]) for w in ref.dep_col}
+    seen: dict[int, list] = {w: [] for w in ref.dep_col}
+    for (u, v, key), col in sorted(ref.f_col.items(), key=lambda kv: kv[1]):
+        shift = ref.prefix[(u, key[0])] - ref.prefix[(v, key[0])]
+        (lo_u, hi_u), (lo_v, hi_v) = owns[u], owns[v]
+        implied = {u: (max(lo_u, lo_v - shift), min(hi_u, hi_v - shift)),
+                   v: (max(lo_v, lo_u + shift), min(hi_v, hi_u + shift))}
+        if any(a > b for a, b in implied.values()):
+            continue
+        for w in (u, v):
+            (a, b), (lo, hi) = implied[w], owns[w]
+            if hi - b > tol:
+                model.add_constraint({ref.dep_col[w]: 1.0, col: hi - b}, "<=",
+                                     hi, name=f"win_ub_{w}_{u}_{v}_{key}")
+            if a - lo > tol:
+                model.add_constraint({ref.dep_col[w]: 1.0, col: -(a - lo)},
+                                     ">=", lo, name=f"win_lb_{w}_{u}_{v}_{key}")
+            seen[w].append((col, a, b, key if w == u else None))
+
+    held: set = set()
+    for w in sorted(seen):
+        cols = seen[w]
+        for i, p in enumerate(cols):
+            for q in cols[i + 1:]:
+                one_row = p[3] is not None and p[3] == q[3]
+                apart = p[2] < q[1] - tol or q[2] < p[1] - tol
+                if one_row or not apart or (p[0], q[0]) in held:
+                    continue
+                held.add((p[0], q[0]))
+                model.add_constraint({p[0]: 1.0, q[0]: 1.0}, "<=", 1.0,
+                                     name=f"win_pair_{w}_{p[0]}_{q[0]}")
     return model.num_constraints - before
 
 

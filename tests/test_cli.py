@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from platoonopt import cli, cuts, netmodel as nm, routing
+from platoonopt import (cli, cuts, export, netmodel as nm, routing, rshm,
+                        scheduling as sched)
 
 from conftest import shared_edge_instance
 
@@ -29,6 +30,27 @@ class TestRshmCommand:
         assert doc["trace"] == []
         assert doc["rel_dev"] == 0.0
         assert doc["fuel_cost"] == doc["fuel_baseline"]
+
+    def test_limited_solves_are_reported(self, tmp_path, capsys):
+        grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
+        inst_path = tmp_path / "inst.json"
+        out_path = tmp_path / "result.json"
+        nm.save_instance(nm.generate_two_cluster(grid, 6, seed=2),
+                         str(inst_path))
+        args = ["rshm", "--instance", str(inst_path), "--iter-cap", "3",
+                "--per-solve", "0", "--out", str(out_path)]
+        assert cli.main(args + ["--cuts", "none"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith(" limited=2")
+        doc = json.loads(out_path.read_text(encoding="utf-8"))
+        assert doc["limited"] == 2
+        assert [t["sp_status"] for t in doc["trace"]] == \
+            ["feasible", "optimal", "feasible"]
+        assert {t["rdp_status"] for t in doc["trace"]} == {"optimal"}
+        # no solve limited: the summary line does not name the count
+        assert cli.main(args) == cli.EXIT_OK
+        assert "limited" not in capsys.readouterr().out
+        assert json.loads(out_path.read_text(encoding="utf-8"))[
+            "limited"] == 0
 
     def test_spent_time_budget_exits_with_limit_code(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -88,6 +110,25 @@ class TestMissionOffTheNetwork:
         assert cli.main(argv) == cli.EXIT_USAGE
         assert ("vehicle 1: origin 999 is not a network node"
                 in capsys.readouterr().err)
+
+
+def test_sp_export_is_the_papers_model(tmp_path):
+    # the windows meet on [0.5, 0.775] only, so the model that the solves
+    # build holds two departure-window rows; the export leaves them out
+    inst = shared_edge_instance(windows=[(0.0, 1.0), (0.5, 2.0)])
+    inst_path, out = tmp_path / "inst.json", tmp_path / "sp.lp"
+    nm.save_instance(inst, str(inst_path))
+    assert cli.main(["export-mps", "--instance", str(inst_path), "--problem",
+                     "sp", "--format", "LP", "--out", str(out)]) == cli.EXIT_OK
+    ra = routing.shortest_path_assignment(inst)
+    con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    bounds = sched.time_bounds(con, inst.missions)
+    params = rshm.SavingsParams.from_instance(inst)
+    bare, windowed = (sched.build_sp(con, params, bounds,
+                                     sched.CutOptions(window=w)).model
+                      for w in (False, True))
+    assert out.read_text(encoding="utf-8") == export._to_lp(bare)
+    assert windowed.num_constraints == bare.num_constraints + 2
 
 
 class TestHostileFiles:
@@ -430,9 +471,10 @@ class TestSolveSpCommand:
 
     def test_cut_log_lists_the_solve_cuts(self, tmp_path, monkeypatch):
         # on fuel-shortest routes this instance's root takes three
-        # disjunctive cuts; without --out-bounds no bound report is built
+        # disjunctive cuts, departure-window rows and all; without
+        # --out-bounds no bound report is built
         grid = nm.make_grid_network(7, 7, spacing_km=40, jitter=0.25, seed=5)
-        inst = nm.generate_two_cluster(grid, 10, seed=2)
+        inst = nm.generate_two_cluster(grid, 12, seed=17)
         inst_path, routes_path = _routes_file(
             tmp_path, inst, routing.shortest_path_assignment(inst))
 

@@ -11,7 +11,7 @@ from platoonopt import cuts, mip, netmodel as nm, oracle, routing, simplex
 from platoonopt import scheduling as sched
 
 import reference_cglp
-from conftest import branching_sp_handle
+from conftest import add_cut, branching_sp_handle
 
 
 def _row_holds(row, values):
@@ -170,7 +170,7 @@ class TestCglp:
             found = cuts.separate_disjunctive(lp, handle)
             if found is None:
                 break
-            handle.model.add_cut(found.cut)
+            add_cut(handle.model, found.cut)
             lp = mip.solve_lp(handle.model)
             points.append(lp)
         return points
@@ -252,7 +252,7 @@ class TestSeparation:
         lp0 = mip.solve_lp(model)
         dc = cuts.separate_disjunctive(lp0, ex["handle"])
         if dc is not None:
-            model.add_cut(dc.cut)
+            add_cut(model, dc.cut)
             lp1 = mip.solve_lp(model)
             assert lp1.objective <= lp0.objective + 1e-9
 
@@ -266,7 +266,7 @@ class TestSeparation:
             dc = cuts.separate_disjunctive(lp, ex["handle"])
             if dc is None:
                 break
-            model.add_cut(dc.cut)
+            add_cut(model, dc.cut)
             lp = mip.solve_lp(model)
         assert all(b2 <= b1 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -284,20 +284,23 @@ class TestSeparation:
             self, seed):
         # the report appends the star rows below the cuts; a model built
         # with the star rows and then given the same cuts
-        # holds the same rows in another order, so its cold LP agrees
+        # holds the same rows in another order, so its cold LP agrees (the
+        # report's model has no departure-window rows, so neither do these)
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
         inst = nm.generate_two_cluster(grid, 8, seed=seed)
         ra = routing.shortest_path_assignment(inst)
         con = sched.contract(ra, ra.edge_times, ra.edge_costs)
         bounds = sched.time_bounds(con, inst.missions)
         rep = cuts.bound_improvement_report(con, inst, bounds)
-        plain = sched.build_sp(con, inst, bounds)
+        plain = sched.build_sp(con, inst, bounds,
+                               sched.CutOptions(window=False))
         starred = sched.build_sp(con, inst, bounds,
-                                 sched.CutOptions(star_partition=True))
+                                 sched.CutOptions(star_partition=True,
+                                                  window=False))
         assert rep["n_star_rows"] == (starred.model.num_constraints
                                       - plain.model.num_constraints) > 0
         for d in rep["disj_cuts"]:
-            starred.model.add_cut(d.cut)
+            add_cut(starred.model, d.cut)
         cold = mip.solve_lp(starred.model)
         assert cold.status == "optimal"
         assert rep["lp_bound_disj_star"] == pytest.approx(cold.objective,

@@ -17,7 +17,7 @@ from platoonopt.simplex import BASIC
 
 import reference_mip
 
-from conftest import (blocked_sp_handle, blocked_sp_model, branching_sp_handle,
+from conftest import (add_cut, blocked_sp_handle, blocked_sp_model, branching_sp_handle,
                       branching_sp_model, ranged_rows,
                       reference_solve)
 
@@ -210,7 +210,7 @@ def test_cut_rejects_non_finite_rhs(rhs):
     with pytest.raises(mip.ModelError, match="right-hand side"):
         cut.validate()
     with pytest.raises(mip.ModelError, match="right-hand side"):
-        m.add_cut(cut)
+        add_cut(m, cut)
     assert m.num_constraints == 0
 
 
@@ -292,7 +292,7 @@ def test_valid_cut_preserves_integer_set():
               if np.all(A @ np.array(pt, float) <= b + 1e-9)}
     # trivial valid cut: sum of all vars <= n
     cut = mip.Cut({j: 1.0 for j in range(n)}, "<=", float(n), tag="hull")
-    model.add_cut(cut)
+    add_cut(model, cut)
     after = set()
     for pt in before:
         x = np.array(pt, float)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import reference_models
@@ -88,7 +88,10 @@ def test_routing_model_is_the_reference(spec):
         assert got.candidates == ref.candidates
 
 
-_CUTS = st.sampled_from([(False, False), (True, False), (True, True)])
+# (star-partition rows, size facets, departure-window rows)
+_CUTS = st.sampled_from([(False, False, False), (True, False, False),
+                         (True, True, False), (False, False, True),
+                         (True, False, True), (True, True, True)])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -97,15 +100,17 @@ def test_scheduling_model_is_the_reference(spec, cuts, merge):
     inst = _instance(spec)
     params = SavingsParams.from_instance(inst)
     _tables, routes = _run(inst)
-    star, facets = cuts
+    star, facets, window = cuts
     for ra in [routing.shortest_path_assignment(inst)] + routes:
         contracted = sched.contract(ra, ra.edge_times, ra.edge_costs) \
             if merge else reference_models.uncontracted(ra)
         bounds = sched.time_bounds(contracted, inst.missions)
         got = sched.build_sp(contracted, params, bounds,
-                             sched.CutOptions(star, facets))
+                             sched.CutOptions(star, facets, window))
         ref = reference_models.build_sp(contracted, params, bounds,
-                                        star, facets)
+                                        star, facets, window=window)
+        event(f"window rows: "
+              f"{any(n.startswith('win_') for n in got.model.row_names)}")
         assert_same_model(got.model, ref.model)
         for name in ("dep_col", "f_col", "l_col"):
             assert list(getattr(got, name).items()) == \

@@ -452,6 +452,24 @@ class TestRun:
         assert res.z_hat == pytest.approx(res.routes.total_cost())
         assert res.departures == {m.id: m.t_earliest for m in inst.missions}
 
+    def test_limited_solves_are_in_the_trace_and_counted(self):
+        # per-solve limit 0: the scheduling roots of the bare model are
+        # fractional at iterations 1 and 3, which end feasible; iteration
+        # 2's root is integral and ends optimal, and so does every
+        # routing solve
+        grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 6, seed=2)
+        res = rshm.run(inst, RshmOptions(iter_cap=3, per_solve_time_s=0.0,
+                                         sp_cuts="none"))
+        assert [(t["rdp_status"], t["sp_status"]) for t in res.trace] == [
+            ("optimal", "feasible"), ("optimal", "optimal"),
+            ("optimal", "feasible")]
+        assert res.limited == 2
+        # the departure-window rows close the same scheduling roots
+        res = rshm.run(inst, RshmOptions(iter_cap=3, per_solve_time_s=0.0))
+        assert res.limited == 0
+        assert all(t["sp_status"] == "optimal" for t in res.trace)
+
     def test_each_solve_gets_at_most_the_time_left(self, small_grid,
                                                    monkeypatch):
         limits, names, columns = [], [], []

@@ -12,9 +12,10 @@ from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
 from platoonopt.scheduling import CEdge, ContractedRoutes
 
+import reference_mip
 import reference_models
 from reference_models import uncontracted
-from conftest import shared_edge_instance
+from conftest import make_net, shared_edge_instance
 
 
 PARAMS = SavingsParams(0.02, 0.1, 10)
@@ -373,8 +374,10 @@ class TestSolveSchedule:
                     pytest.approx(ra.total_cost() - plain.objective)
 
     def test_cut_log_receives_the_root_cuts(self):
+        # an instance whose root still takes disjunctive cuts (two) with
+        # the departure-window rows in the model
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
-        inst = nm.generate_two_cluster(grid, 8, seed=0)
+        inst = nm.generate_two_cluster(grid, 14, seed=2)
         ra = routing.shortest_path_assignment(inst)
         log = []
         res = sched.solve_schedule(ra, inst, "star+disj", cut_log=log)
@@ -427,6 +430,134 @@ _CASES = dict(rows=st.integers(3, 6),
               route_kind=st.sampled_from(["shortest", "greedy", "walks"]),
               # wider windows let more pairs meet
               flexibility=st.sampled_from([1.0, 4.0]))
+
+
+def _model_point(handle, platoons, departures):
+    """The point of ``handle``'s model of a schedule given as platoons by
+    original edge and departures (``oracle.brute_force_sp``'s answer):
+    each platoon led, in the model, by its smallest vehicle."""
+    x = np.zeros(handle.model.num_vars)
+    for v, col in handle.dep_col.items():
+        x[col] = departures[v]
+    for key, s in handle.contracted.cedges.items():
+        for leader, followers in platoons[s.original[0]]:
+            if followers:
+                first, *rest = sorted((leader, *followers))
+                x[handle.l_col[(first, key)]] = 1.0
+                x[[handle.f_col[(u, first, key)] for u in rest]] = 1.0
+    return x
+
+
+_SP_GRIDS = {k: nm.make_grid_network(k, k, spacing_km=40, jitter=0.25,
+                                     seed=5) for k in (6, 7, 8)}
+
+
+class TestWindowRows:
+    def test_rows_of_one_pair(self):
+        # both reach the shared edge 0.05 h after leaving; vehicle 1 leaves
+        # in [0, 0.775], vehicle 2 in [0.5, 1.775], so platooning confines
+        # both to [0.5, 0.775]: an upper bound for 2 and a lower one for 1
+        inst = shared_edge_instance(windows=[(0.0, 1.0), (0.5, 2.0)])
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        h = sched.build_sp(con, PARAMS, sched.time_bounds(con, inst.missions))
+        key = (3, 4, 0)
+        f = h.f_col[(2, 1, key)]
+        rows = [(c.name, c.coeffs, c.sense, c.rhs)
+                for c in h.model.constraints if c.name.startswith("win_")]
+        assert rows == [
+            (f"win_ub_2_2_1_{key}", {h.dep_col[2]: 1.0, f: pytest.approx(1.0)},
+             "<=", pytest.approx(1.775)),
+            (f"win_lb_1_2_1_{key}", {h.dep_col[1]: 1.0, f: pytest.approx(-0.5)},
+             ">=", 0.0)]
+        bare = sched.build_sp(con, PARAMS, sched.time_bounds(
+            con, inst.missions), sched.CutOptions(window=False))
+        assert bare.model.num_constraints == h.model.num_constraints - 2
+
+    @pytest.mark.parametrize("departs,pair_rows", [
+        # 2 follows 1 early or leads 3 late: one row rules out both
+        ([(0.0, 0.1), (0.0, 1.2), (1.0, 1.1)], ["win_pair_2_6_7"]),
+        # 3 follows 1 early or 2 late: lead_xor_follow_3 holds them already
+        ([(0.0, 0.1), (1.0, 1.1), (0.0, 1.2)], [])])
+    def test_conflicting_columns_of_one_vehicle(self, departs, pair_rows):
+        # three vehicles on one edge of 0.125 h; 1 and the late one can
+        # never meet, so their pair has no column
+        net = make_net({1: (0, 0), 2: (10, 0)}, [(1, 2, 10.0)])
+        inst = nm.ProblemInstance(net, [
+            VehicleMission(v, 1, 2, a, b + 0.125)
+            for v, (a, b) in enumerate(departs, start=1)], 0.02, 0.1, 10)
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        h = sched.build_sp(con, PARAMS, sched.time_bounds(con, inst.missions))
+        assert len(h.f_col) == 2
+        assert [n for n in h.model.row_names
+                if n.startswith("win_pair")] == pair_rows
+
+    def test_only_the_bare_cut_mode_leaves_them_out(self):
+        for mode in sched.CUT_MODES:
+            assert sched.cut_mode(mode)[0].window == (mode != "none")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.integers(3, 6),
+           generator=st.sampled_from(["two_cluster", "distributed"]),
+           vehicles=st.integers(2, 4), seed=st.integers(0, 10_000),
+           route_kind=st.sampled_from(["shortest", "greedy", "walks"]),
+           flexibility=st.sampled_from([4.0, 8.0]), star=st.booleans())
+    def test_rows_hold_at_the_seed_and_at_the_enumerated_optimum(
+            self, rows, generator, vehicles, seed, route_kind, flexibility,
+            star):
+        inst, ra, _other = _scheduling_case(rows, generator, vehicles, seed,
+                                            route_kind, flexibility)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        h = sched.build_sp(con, inst, sched.time_bounds(con, inst.missions),
+                           sched.CutOptions(star_partition=star))
+        assume(h.f_col)     # else there is no window row
+        windowed = sum(n.startswith("win_") for n in h.model.row_names)
+        assert mip.check_solution(h.model, sched.solo_schedule(h)) == 0.0
+        try:
+            savings, platoons, deps = oracle.brute_force_sp(
+                ra, inst.missions, inst)
+        except oracle.TooLarge:
+            event("oracle: too large")
+            return
+        x = _model_point(h, platoons, deps)
+        assert mip.check_solution(h.model, x) == pytest.approx(savings,
+                                                               abs=1e-9)
+        event(f"window rows: {min(windowed, 5)}"
+              f"{'+' if windowed >= 5 else ''}, platoons: {savings > 0}")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(generator=st.sampled_from(["two_cluster", "distributed"]),
+           k=st.sampled_from(sorted(_SP_GRIDS)), n=st.integers(4, 14),
+           seed=st.integers(1, 100), flexibility=st.sampled_from([1.0, 2.0]),
+           star=st.booleans())
+    def test_rows_keep_the_optimum(self, generator, k, n, seed, flexibility,
+                                   star):
+        inst = getattr(nm, f"generate_{generator}")(
+            _SP_GRIDS[k], n, seed, flexibility=flexibility)
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        bounds = sched.time_bounds(con, inst.missions)
+        with_rows, bare = (sched.build_sp(con, inst, bounds, sched.CutOptions(
+            star_partition=star, window=window)) for window in (True, False))
+        gap = mip.DEFAULT_REL_GAP
+        got, want = (mip.solve_mip(h.model, rel_gap=gap,
+                                   initial_solution=sched.solo_schedule(h))
+                     for h in (with_rows, bare))
+        assert got.status == want.status == "optimal"
+        tol = gap * max(abs(want.objective), 1e-10)
+        assert got.objective == pytest.approx(want.objective, abs=tol)
+        for h in (with_rows, bare):
+            status, value = reference_mip.solve_milp(h.model)
+            assert status == "optimal"
+            assert value == pytest.approx(want.objective, abs=tol)
+        # the rows cut off no point of the bare model that the answer needs
+        assert mip.check_solution(bare.model, got.x) == \
+            pytest.approx(got.objective, rel=1e-9, abs=1e-9)
+        added = with_rows.model.num_constraints - bare.model.num_constraints
+        event(f"window rows: {added > 0}, nodes {min(got.nodes, 10)}"
+              f"{'+' if got.nodes >= 10 else ''} (bare {min(want.nodes, 10)}"
+              f"{'+' if want.nodes >= 10 else ''})")
 
 
 class TestComponents:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from platoonopt import cuts, mip, netmodel as nm, routing, rshm, simplex
 from platoonopt.simplex import BASIC, LOWER, UPPER
 
-from conftest import (branching_sp_handle, branching_sp_model, ranged_rows,
+from conftest import (add_cut, branching_sp_handle, branching_sp_model, ranged_rows,
                       reference_solve)
 
 DATA = Path(__file__).parent / "data"
@@ -317,7 +317,7 @@ class TestSlackLayout:
         m.add_constraint({x: 1.0, y: 2.0}, "<=", 6.0)
         m.set_objective({x: 1.0, y: 1.0}, sense="max")
         first = mip.solve_lp(m)
-        m.add_cut(mip.Cut({x: 1.0, y: -1.0}, "==", 3.5))
+        add_cut(m, mip.Cut({x: 1.0, y: -1.0}, "==", 3.5))
         mat = m.compiled_rows()
         c, lo, hi, _ = mip._columns(m)
         start = mip.extend_start(first.basis, 1)

@@ -262,7 +262,11 @@ def cmd_rshm(args) -> int:
                           for v in res.routes.vehicles},
                "departures": {str(v): res.departures[v]
                               for v in sorted(res.departures)},
-               "trace": res.trace}
+               # a gap that is not finite (against a zero incumbent) is
+               # null, so the file stays JSON
+               "trace": [{k: None if isinstance(v, float)
+                          and not math.isfinite(v) else v
+                          for k, v in t.items()} for t in res.trace]}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")

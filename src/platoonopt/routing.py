@@ -7,6 +7,14 @@ pair.  On the first iteration every pair costs its edge's fuel and the
 objective subtracts the presumed platooning savings; later iterations
 price the pairs on explored edges at the adjusted costs fed back from
 scheduling, and drop those edges' savings terms.
+
+The platoon columns of an edge (y: the edge is used, y': two or more
+vehicles use it, w: its number of followers) and its per-edge rows exist
+only for a shared candidate edge, one in the candidate sets of two or more
+vehicles.  On an edge that only one vehicle can take, those rows fix
+y = x, y' = 0 and w = 0 even in the LP relaxation, and y costs nothing, so
+leaving the columns and rows out keeps the feasible x set and the
+objective on it, of the MILP and of its relaxation alike.
 """
 
 from __future__ import annotations
@@ -83,7 +91,8 @@ class CandidatePairs:
     ``candidates`` lacks has none), each one's candidate edges in key order.
     Pair ``j`` is ``keys[j]``, on ``edges[edge[j]]`` of fuel ``fuel[j]``;
     ``edges`` are the candidate edges in key order, of fuel ``edge_fuel``;
-    ``by_edge`` lists the pairs edge by edge."""
+    ``shared`` marks those in two or more vehicles' sets; ``by_edge``
+    lists the pairs edge by edge."""
 
     def __init__(self, inst: ProblemInstance, candidates: dict[int, set]):
         sets = [sorted(candidates.get(m.id, ())) for m in inst.missions]
@@ -97,6 +106,7 @@ class CandidatePairs:
         fuel = inst.network.fuel_table()
         self.edge_fuel = np.array([fuel[e] for e in self.edges], float)
         self.fuel = self.edge_fuel[self.edge]
+        self.shared = np.bincount(self.edge, minlength=len(self.edges)) >= 2
         vehicle = np.repeat(np.arange(len(sets)), [len(es) for es in sets])
         self.by_edge = np.lexsort((vehicle, self.edge))
 
@@ -152,11 +162,11 @@ class RouteAssignment:
 class RdpModelHandle:
     model: mip.LinearModel
     x_col: dict[tuple, int]          # (v, edge) -> column
-    y_col: dict[tuple, int]
+    y_col: dict[tuple, int]          # shared candidate edge -> column
     yp_col: dict[tuple, int]
     w_col: dict[tuple, int]
     candidates: dict[int, set]
-    edge_vehicles: dict[tuple, list[int]]
+    edge_vehicles: dict[tuple, list[int]]   # every candidate edge
     instance: ProblemInstance
     pairs: CandidatePairs                # the x columns' pairs
 
@@ -164,9 +174,10 @@ class RdpModelHandle:
 @functools.lru_cache(maxsize=None)
 def _hull_rows(k: int):
     """The rows of the per-edge routing polytope of an edge in the
-    candidate sets of ``k`` vehicles, over local columns: ``0 .. k-1`` the
-    vehicles' x in ascending id order, then ``k`` for y, ``k+1`` for y'
-    and ``k+2`` for w.  Returns ``(row lengths, columns, coefficients,
+    candidate sets of ``k >= 2`` vehicles (``build_rdp`` gives an edge of
+    one vehicle none), over local columns: ``0 .. k-1`` the vehicles' x in
+    ascending id order, then ``k`` for y, ``k+1`` for y' and ``k+2`` for
+    w.  Returns ``(row lengths, columns, coefficients,
     senses, names)``; a name is ``(tag, vehicle)``, the local vehicle of a
     ``used`` row and None otherwise.
 
@@ -196,12 +207,20 @@ def build_rdp(inst: ProblemInstance) -> RdpModelHandle:
     costs: later iterations re-price it with ``set_rdp_costs``.
 
     Columns: each vehicle's x over its candidate edges in key order,
-    vehicle by vehicle, then y, y' and w of each candidate edge in key
-    order.  Rows: each vehicle's flow balance at every node of its
-    candidate edges (by node id; each row's entries in the iteration order
-    of the candidate set) and then its time window; then the rows of
-    ``_hull_rows`` edge by edge in key order, each named ``{tag}_{edge}``
-    or, for a ``used`` row, ``{tag}_{vehicle}_{edge}``."""
+    vehicle by vehicle, then y, y' and w of each shared candidate edge
+    (one in two or more vehicles' sets) in key order.  Rows: each
+    vehicle's flow balance at every node of its candidate edges (by node
+    id; each row's entries in the iteration order of the candidate set)
+    and then its time window; then the rows of ``_hull_rows`` shared edge
+    by shared edge in key order, each named ``{tag}_{edge}`` or, for a
+    ``used`` row, ``{tag}_{vehicle}_{edge}``.
+
+    An edge in one vehicle's set gets neither columns nor rows: there its
+    rows would read y >= x (``used``) and y + y' <= x (``hull``), so
+    y = x and y' = 0, and then w <= x - y = 0 (``count``), in the LP
+    relaxation too.  Those columns would add nothing to the objective (y
+    costs 0), so the model without them has the same feasible x set, the
+    same objective on it and the same LP bound."""
     net = inst.network
     cand = {m.id: netmodel.candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
@@ -228,21 +247,24 @@ def build_rdp(inst: ProblemInstance) -> RdpModelHandle:
     by_edge = np.lexsort((vid, arrays.rank[edge]))
     first = np.flatnonzero(np.diff(edge[by_edge], prepend=-1))
     k = np.diff(first, append=n)            # vehicles per candidate edge
-    y = n + 3 * np.arange(len(pairs.edges))  # then y' = y + 1, w = y + 2
+    shared = [e for e, s in zip(pairs.edges, pairs.shared.tolist()) if s]
+    y = n + 3 * np.arange(len(shared))      # then y' = y + 1, w = y + 2
     names = [f"x_{v}_{t}_{h}" for v, (t, h) in pairs.keys]
-    for t, h in pairs.edges:
+    for t, h in shared:
         names += [f"y_{t}_{h}", f"yp_{t}_{h}", f"w_{t}_{h}"]
 
     model = mip.LinearModel("rdp")
     model.add_vars(names, 0.0, np.inf, np.concatenate([
         np.full(n, mip.BINARY_CODE),
         np.tile([mip.BINARY_CODE, mip.BINARY_CODE, mip.CONTINUOUS_CODE],
-                len(pairs.edges))]))
+                len(shared))]))
     _add_flow_rows(model, arrays, missions, edge, veh, x)
     vs = vid[by_edge].tolist()
-    _add_hull_rows(model, [str(e) for e in pairs.edges], k, x[by_edge], vs, y)
+    on = np.repeat(pairs.shared, k)         # the entries on shared edges
+    _add_hull_rows(model, [str(e) for e in shared], k[pairs.shared],
+                   x[by_edge][on], vid[by_edge][on].tolist(), y)
 
-    y_col = dict(zip(pairs.edges, y.tolist()))
+    y_col = dict(zip(shared, y.tolist()))
     handle = RdpModelHandle(
         model, pairs.index, y_col, {e: j + 1 for e, j in y_col.items()},
         {e: j + 2 for e, j in y_col.items()}, cand,
@@ -309,16 +331,18 @@ def _add_hull_rows(model, edges, k, x, vehicles, y) -> None:
 
 
 def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable) -> None:
-    """Re-price a routing model at a table over its pairs.  Only the
-    objective depends on the cost table; columns, rows and bounds stay as
-    built, so the previous iteration's LP basis remains primal feasible."""
+    """Re-price a routing model at a table over its pairs: the x columns
+    at the table's prices, y' and w of each unexplored shared edge at the
+    presumed leader and follower savings.  Only the objective depends on
+    the cost table; columns, rows and bounds stay as built, so the
+    previous iteration's LP basis remains primal feasible."""
     inst, pairs = handle.instance, handle.pairs
     if costs.pairs is not pairs and costs.pairs.keys != pairs.keys:
         raise ValueError("cost table is not over the model's x columns")
     n = len(pairs.keys)
     c = np.zeros(handle.model.num_vars)
     c[:n] = costs.prices
-    fuel = np.where(costs.edge_explored, 0.0, pairs.edge_fuel)
+    fuel = np.where(costs.edge_explored, 0.0, pairs.edge_fuel)[pairs.shared]
     c[n + 1::3] = -inst.sigma_l * fuel
     c[n + 2::3] = -inst.sigma_f * fuel
     handle.model.set_objective(c, sense="min")
@@ -457,7 +481,8 @@ def greedy_assignment(inst: ProblemInstance,
 
 def assignment_values(handle: RdpModelHandle,
                       assignment: RouteAssignment) -> "np.ndarray":
-    """Model-space values realizing a route assignment (x, y, y', w)."""
+    """Model-space values realizing a route assignment (x, y, y', w); an
+    edge without platoon columns has one vehicle at most."""
     x = np.zeros(handle.model.num_vars)
     counts: dict[tuple, int] = {}
     for v in assignment.vehicles:
@@ -465,6 +490,8 @@ def assignment_values(handle: RdpModelHandle,
             x[handle.x_col[(v, e)]] = 1.0
             counts[e] = counts.get(e, 0) + 1
     for e, m in counts.items():
+        if e not in handle.y_col:
+            continue
         x[handle.y_col[e]] = 1.0
         if m >= 2:
             x[handle.yp_col[e]] = 1.0

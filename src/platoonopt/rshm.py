@@ -215,8 +215,10 @@ class RshmResult:
     budget spent before iteration 1) returns the no-coordination baseline:
     see ``no_coordination``.  Its ``trace`` is empty and ``iterations`` 0.
     Each ``trace`` entry holds the iteration's ``z``, its presumed routing
-    objective, its time, and the status of its routing and its scheduling
-    solve (``rdp_status``, ``sp_status``).
+    objective, its time, and the status, search nodes and relative gap
+    (``mip.MipSolution``'s) of its routing and its scheduling solve
+    (``rdp_status``, ``rdp_nodes``, ``rdp_gap``, ``sp_status``,
+    ``sp_nodes``, ``sp_gap``).
     """
     routes: RouteAssignment
     platoons: PlatoonConfiguration
@@ -337,9 +339,12 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         runtime = time.perf_counter() - t_iter
         rec = IterationRecord(n, routes, platoons, z, presumed, runtime)
         state.record(rec)
+        sp_sol = schedule.solution
         trace.append({"iteration": n, "z": z, "presumed": presumed,
                       "runtime_s": runtime, "rdp_status": rdp_sol.status,
-                      "sp_status": schedule.solution.status})
+                      "rdp_nodes": rdp_sol.nodes, "rdp_gap": rdp_sol.gap,
+                      "sp_status": sp_sol.status, "sp_nodes": sp_sol.nodes,
+                      "sp_gap": sp_sol.gap})
         state.tables[n + 1] = update_cost_table(state, n)
         if prev_routes is not None and routes == prev_routes:
             termination = "repeat_consecutive"

@@ -142,7 +142,9 @@ def rdp_costs(handle, costs: ReferenceTable) -> np.ndarray:
     c[list(handle.x_col.values())] = [
         adjusted[(v, e)] if e in explored else base[e]
         for v, e in handle.x_col]
-    shared = [e for e in handle.edge_vehicles if e not in explored]
+    # the savings of the unexplored edges two or more vehicles can take
+    shared = [e for e, vs in handle.edge_vehicles.items()
+              if len(vs) >= 2 and e not in explored]
     fuel = np.array([base[e] for e in shared])
     c[[handle.yp_col[e] for e in shared]] = -inst.sigma_l * fuel
     c[[handle.w_col[e] for e in shared]] = -inst.sigma_f * fuel

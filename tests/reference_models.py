@@ -46,7 +46,10 @@ def uncontracted(routes) -> scheduling.ContractedRoutes:
                                   routes.edge_times, routes.edge_costs)
 
 
-def build_rdp(inst, costs) -> routing.RdpModelHandle:
+def build_rdp(inst, costs, full: bool = False) -> routing.RdpModelHandle:
+    """The routing model priced at ``costs``: platoon columns and per-edge
+    rows for the edges in two or more vehicles' candidate sets, or, when
+    ``full``, the paper's model, with them for every candidate edge."""
     net = inst.network
     cand = {m.id: candidate_edge_set(net, m, inst.sigma_f)
             for m in inst.missions}
@@ -62,7 +65,9 @@ def build_rdp(inst, costs) -> routing.RdpModelHandle:
         for e in sorted(cand[m.id]):
             x_col[(m.id, e)] = model.add_var(f"x_{m.id}_{e[0]}_{e[1]}",
                                              kind=mip.BINARY)
-    for e in edge_vehicles:
+    platooned = [e for e, vs in edge_vehicles.items()
+                 if full or len(vs) >= 2]
+    for e in platooned:
         y_col[e] = model.add_var(f"y_{e[0]}_{e[1]}", kind=mip.BINARY)
         yp_col[e] = model.add_var(f"yp_{e[0]}_{e[1]}", kind=mip.BINARY)
         w_col[e] = model.add_var(f"w_{e[0]}_{e[1]}", lb=0.0)
@@ -84,7 +89,8 @@ def build_rdp(inst, costs) -> routing.RdpModelHandle:
                               for e in cand[m.id]}, "<=", window,
                              name=f"window_{m.id}")
 
-    for e, vs in edge_vehicles.items():
+    for e in platooned:
+        vs = edge_vehicles[e]
         col = {("x", v): x_col[(v, e)] for v in vs}
         col.update(y=y_col[e], yp=yp_col[e], w=w_col[e])
         for coeffs, sense, rhs, name in hull_inequalities(e, vs):
@@ -94,7 +100,15 @@ def build_rdp(inst, costs) -> routing.RdpModelHandle:
     handle = routing.RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
                                     edge_vehicles, inst,
                                     routing.CandidatePairs(inst, cand))
-    routing.set_rdp_costs(handle, costs)
+    if not full:
+        routing.set_rdp_costs(handle, costs)
+        return handle
+    c = {x_col[key]: costs.cost(*key) for key in x_col}
+    for e in platooned:
+        if e not in costs.explored:
+            c[yp_col[e]] = -inst.sigma_l * net.edge(*e).fuel
+            c[w_col[e]] = -inst.sigma_f * net.edge(*e).fuel
+    model.set_objective(c, sense="min")
     return handle
 
 

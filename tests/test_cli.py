@@ -52,6 +52,33 @@ class TestRshmCommand:
         assert json.loads(out_path.read_text(encoding="utf-8"))[
             "limited"] == 0
 
+    def test_search_facts_are_written_as_json(self, tmp_path):
+        # per-solve limit 0 on the bare scheduling model: iterations 1 and
+        # 3 keep the no-platoon seed, whose gap against the bound is
+        # infinite; iteration 2 has no new scheduling component
+        grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 6, seed=2)
+        inst_path = tmp_path / "inst.json"
+        out_path = tmp_path / "result.json"
+        nm.save_instance(inst, str(inst_path))
+        assert cli.main(["rshm", "--instance", str(inst_path), "--iter-cap",
+                         "3", "--per-solve", "0", "--cuts", "none",
+                         "--out", str(out_path)]) == cli.EXIT_OK
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out_path.read_text(encoding="utf-8"),
+                         parse_constant=strict)
+        facts = [(t["rdp_nodes"], t["rdp_gap"], t["sp_nodes"], t["sp_gap"])
+                 for t in doc["trace"]]
+        assert facts == [(1, 0.0, 1, None), (1, 0.0, 0, 0.0),
+                         (1, 0.0, 1, None)]
+        trace = rshm.run(inst, rshm.RshmOptions(
+            iter_cap=3, per_solve_time_s=0.0, sp_cuts="none")).trace
+        assert [t["sp_gap"] for t in trace] == [float("inf"), 0.0,
+                                                float("inf")]
+
     def test_spent_time_budget_exits_with_limit_code(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         nm.save_instance(shared_edge_instance(), str(inst_path))

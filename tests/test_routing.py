@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
+import reference_mip
+import reference_models
 from platoonopt import mip, netmodel as nm, oracle, routing
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import EdgeCostTable, RouteAssignment
@@ -91,9 +95,10 @@ class TestBuildRdp:
         h = routing.build_rdp(inst)
         sol = mip.solve_mip(h.model)
         assert sol.objective == pytest.approx(7.0)
+        # an edge only one vehicle can take has no platoon column
         e = (1, 2)
-        assert sol.x[h.w_col[e]] == pytest.approx(0.0)
-        assert sol.x[h.yp_col[e]] == pytest.approx(0.0)
+        assert e not in h.y_col and e not in h.yp_col and e not in h.w_col
+        assert h.model.names == ["x_1_1_2"]
 
     def test_two_vehicles_shared_edge_platoon_value(self):
         inst = shared_edge_instance(edge_cost=10.0)
@@ -118,8 +123,14 @@ class TestBuildRdp:
             assert (con.sense, con.rhs) == (sense, rhs)
 
     def test_adjusted_costs_enter_objective(self):
-        inst = shared_edge_instance(edge_cost=10.0)
-        shared = (3, 4)
+        # two vehicles from 1 to 3 along the line 1 - 2 - 3: both edges
+        # are shared, and only the first is explored
+        net = make_net({1: (0, 0), 2: (10, 0), 3: (14, 0)},
+                       [(1, 2, 10.0), (2, 3, 4.0)])
+        inst = nm.ProblemInstance(net, [VehicleMission(v, 1, 3, 0.0, 1.0)
+                                        for v in (1, 2)], 0.02, 0.1, 10)
+        inst.validate()
+        shared = (1, 2)
         explored = frozenset([shared])
         # realized platoon of size 2 on the shared edge
         plat_avg = ((1 - 0.02) * 10 + (1 - 0.1) * 10) / 2
@@ -134,9 +145,11 @@ class TestBuildRdp:
         # explored edges lose their y'/w objective terms
         assert h.yp_col[shared] not in obj
         assert h.w_col[shared] not in obj
-        # unexplored edges keep them
-        other = (1, 3)
+        # unexplored shared edges keep them
+        other = (2, 3)
+        assert h.edge_vehicles[other] == [1, 2]
         assert obj[h.yp_col[other]] == pytest.approx(-0.02 * 4.0)
+        assert obj[h.w_col[other]] == pytest.approx(-0.1 * 4.0)
 
     def test_infeasible_mission_detected(self):
         net = make_net({1: (0, 0), 2: (7, 0), 3: (3, 3)},
@@ -158,9 +171,10 @@ class TestBuildRdp:
         for (v, e), col in h.x_col.items():
             if sol.x[col] > 0.5:
                 counts[e] = counts.get(e, 0) + 1
-        for e in h.edge_vehicles:
+        assert counts[(3, 4)] == 2
+        for e, col in h.w_col.items():
             want = max(0, counts.get(e, 0) - 1)
-            assert sol.x[h.w_col[e]] == pytest.approx(want, abs=1e-6)
+            assert sol.x[col] == pytest.approx(want, abs=1e-6)
 
 
 class TestExtraction:
@@ -294,3 +308,90 @@ def test_cost_table_of_pairs_names_the_first_bad_cost_edge_by_edge(
     with pytest.raises(ValueError) as err:
         table.validate(inst.sigma_f)
     assert str(err.value) == f"adjusted cost {what} for {first[0]},{first[1]}"
+
+
+def _single_and_shared(h):
+    """The candidate edges of a routing model in one vehicle's set, and
+    those in two or more."""
+    single = [e for e, vs in h.edge_vehicles.items() if len(vs) == 1]
+    return single, [e for e, vs in h.edge_vehicles.items() if len(vs) >= 2]
+
+
+def test_an_edge_one_vehicle_can_take_has_no_platoon_columns_or_rows(
+        small_grid):
+    inst = nm.generate_distributed(small_grid, 6, seed=2)
+    h = routing.build_rdp(inst)
+    single, shared = _single_and_shared(h)
+    assert single and shared
+    names, rows = set(h.model.names), h.model.row_names
+    for e in single:
+        assert e not in h.y_col and e not in h.yp_col and e not in h.w_col
+        assert not {f"{c}_{e[0]}_{e[1]}" for c in ("y", "yp", "w")} & names
+        assert not [r for r in rows if r.endswith(f"_{e}")]
+    # a shared edge keeps its three columns and its rows, one used row per
+    # vehicle
+    assert list(h.y_col) == shared
+    for e in shared:
+        cols = (h.y_col[e], h.yp_col[e], h.w_col[e])
+        assert [h.model.names[j] for j in cols] == \
+            [f"{c}_{e[0]}_{e[1]}" for c in ("y", "yp", "w")]
+        assert len([r for r in rows if r.endswith(f"_{e}")]) == \
+            4 + len(h.edge_vehicles[e])
+    assert h.model.num_vars == len(h.pairs.keys) + 3 * len(shared)
+    mip.check_solution(h.model, routing.initial_solution(h))
+
+
+_GRID = st.tuples(st.sampled_from(["distributed", "two_cluster"]),
+                  st.integers(3, 6), st.integers(2, 8), st.integers(0, 30),
+                  st.integers(0, 2 ** 16))
+
+
+def _lifted(h, full, x):
+    """The reduced model's point ``x`` in the full model's columns: y = x
+    and y' = w = 0 on an edge one vehicle can take."""
+    out = np.zeros(full.model.num_vars)
+    for cols, full_cols in ((h.x_col, full.x_col), (h.y_col, full.y_col),
+                            (h.yp_col, full.yp_col), (h.w_col, full.w_col)):
+        for key, j in cols.items():
+            out[full_cols[key]] = x[j]
+    for e in _single_and_shared(h)[0]:
+        out[full.y_col[e]] = x[h.x_col[(h.edge_vehicles[e][0], e)]]
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=_GRID)
+def test_the_reduced_model_has_the_full_models_optima(spec):
+    # the paper's model gives every candidate edge its platoon columns and
+    # rows; the program's leaves them out on edges one vehicle can take
+    generator, k, n, seed, price_seed = spec
+    net = nm.make_grid_network(k, k, spacing_km=40, jitter=0.25, seed=seed)
+    try:
+        inst = getattr(nm, f"generate_{generator}")(net, n, seed)
+    except (nm.NoHubPair, nm.NoNodeInRadius):
+        assume(False)
+    h = routing.build_rdp(inst)
+    pairs = h.pairs
+    single, _shared = _single_and_shared(h)
+    event(f"edges one vehicle can take: {bool(single)}")
+    # a later iteration's table: some edges explored, at adjusted prices
+    rng = np.random.default_rng(price_seed)
+    explored = frozenset(e for e in pairs.edges if rng.random() < 0.5)
+    prices = pairs.fuel * rng.uniform(1 - inst.sigma_f, 1.0, len(pairs.keys))
+    for costs in (EdgeCostTable.initial(pairs),
+                  EdgeCostTable(pairs, prices, explored)):
+        routing.set_rdp_costs(h, costs)
+        full = reference_models.build_rdp(inst, costs, full=True)
+        assert full.model.num_vars == h.model.num_vars + 3 * len(single)
+        assert full.model.num_constraints == \
+            h.model.num_constraints + 5 * len(single)
+        for relax in (True, False):
+            got = reference_mip.solve(reference_mip.load(h.model), relax)
+            want = reference_mip.solve(reference_mip.load(full.model), relax)
+            assert got[0] == want[0] == "optimal"
+            assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-9)
+        sol = mip.solve_mip(h.model,
+                            initial_solution=routing.initial_solution(h))
+        assert sol.status == "optimal"
+        assert mip.check_solution(full.model, _lifted(h, full, sol.x)) == \
+            pytest.approx(sol.objective, rel=1e-12, abs=1e-9)

@@ -131,19 +131,17 @@ def collect_active_sets(point, handle: SpModelHandle) -> ActiveSets | None:
         t = handle.time_value(x, v, node)
         return t <= lo + ACTIVE_TOL, t >= hi - ACTIVE_TOL
 
-    def platooned(u, v):
-        """Whether u and v platoon at x on some edge of u's route."""
-        pair = (max(u, v), min(u, v))
-        return any(x[handle.f_col[pair + (key,)]] > 1.0 - FRAC_TOL
-                   for key, _t in handle.contracted.route_edges(u)
-                   if pair + (key,) in handle.f_col)
+    # the pairs (u, v), u > v, that platoon at x on some shared edge
+    platooned = {(u, v) for (u, v, _key), col in handle.f_col.items()
+                 if x[col] > 1.0 - FRAC_TOL}
 
     def deep_search(veh_set: list[int]) -> int:
         """Add linked vehicles to ``veh_set`` until one is pinned at a
         window end (1), or none is left to add (0)."""
         while True:
             added = next((u for u in sorted(vehicles - set(veh_set))
-                          if any(platooned(u, v) for v in veh_set)), None)
+                          if any((max(u, v), min(u, v)) in platooned
+                                 for v in veh_set)), None)
             if added is None:
                 return 0
             veh_set.append(added)
@@ -379,8 +377,8 @@ def bound_improvement_report(contracted, params, bounds) -> dict:
     paper's model, without the departure-window rows: plain, after
     ``solve_mip``'s root cut rounds with the disjunctive hook
     (``mip.Relaxation.cut_rounds``), and after the star rows as well,
-    appended below the cuts and solved from the last basis with them basic
-    (see ``mip.extend_start``)."""
+    appended below the cuts and solved from the last basis with them basic,
+    which HiGHS holds once it has the rows."""
     from . import scheduling as sched
     t0 = time.perf_counter()
     handle = sched.build_sp(contracted, params, bounds,
@@ -396,9 +394,7 @@ def bound_improvement_report(contracted, params, bounds) -> dict:
     star = sched.RowBlock()
     sched.partition_rows(handle, sched.CutOptions(star_partition=True), star)
     n_star = star.append_to(rel)
-    start = mip.extend_start(lp.basis, n_star) if lp.status == "optimal" \
-        else None
-    lp2 = rel.solve(rel.lo, rel.hi, start)
+    lp2 = rel.solve(rel.lo, rel.hi, rel.rows.held)
     bd2 = lp2.objective if lp2.status == "optimal" else bd1
     return {"lp_bound_plain": bd0, "lp_bound_disj": bd1,
             "lp_bound_disj_star": bd2, "n_disjunctive": len(log),

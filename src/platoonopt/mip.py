@@ -15,7 +15,10 @@ bounds and costs (negated for a maximization).  A model's rows are one
 ``simplex.Matrix`` over the row block (:meth:`LinearModel.compiled_rows`),
 made again only when rows or columns were appended; the column arrays are
 read afresh at every solve, so a model re-priced between solves re-uses
-its rows and sends HiGHS only its changed costs.
+its rows and sends HiGHS only its changed costs.  Rows appended to a
+model, or to a :class:`Relaxation`, go to the HiGHS instance of the rows
+above them, which HiGHS keeps with its basis (see ``simplex.Matrix``);
+HiGHS instances are reused once their matrices are dropped.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
@@ -25,9 +28,9 @@ which the scheduling bound report runs too) append their rows to it, so
 the model is left as it was.  The first root LP starts from a given basis,
 or else from a basis built at the seeded incumbent (:func:`seed_start`),
 and cold only without either.  Each root LP after a cut round restarts
-from the previous one's basis with the new rows basic
-(:func:`extend_start`), and each node LP from its parent's optimal basis,
-so the dual simplex repairs the violated cut or branching bound.
+from the previous one's basis with the new rows basic, the basis HiGHS
+holds once it has the rows, and each node LP from its parent's optimal
+basis, so the dual simplex repairs the violated cut or branching bound.
 
 After the root the search splits by block: the columns linked through the
 last root LP's rows.  A block that is integral at the root keeps its root
@@ -335,15 +338,19 @@ class LinearModel:
         CSR matrix ``a`` over the model's columns (read-only views of the
         model's arrays) and the row bounds.  An unchanged model gets the
         same matrix back, with the HiGHS instance it holds; rows or
-        columns appended since give a new one."""
+        columns appended since give a new one, which takes over the old
+        one's instance when only rows were appended."""
         m, nv = self.num_constraints, self.num_vars
-        if self._rows is None or self._rows.a.shape != (m, nv):
+        old = self._rows
+        if old is None or old.a.shape != (m, nv):
             ptr = self._view(self._indptr, m + 1)
             nnz = int(ptr[-1])
             a = sp.csr_matrix((self._view(self._data, nnz),
                                self._view(self._indices, nnz), ptr),
                               shape=(m, nv))
-            self._rows = simplex.Matrix(a, self.rlo, self.rhi)
+            self._rows = simplex.Matrix(
+                a, self.rlo, self.rhi,
+                old if old is not None and old.a.shape[1] == nv else None)
         return self._rows
 
     def copy(self) -> "LinearModel":
@@ -588,16 +595,6 @@ def seed_start(rows: simplex.Matrix, lo, hi, point):
     return simplex.make_basis(cols, row_status)
 
 
-def extend_start(start, k: int):
-    """Start for the LP of a model after ``k`` rows were appended, from
-    ``start``, the ``basis`` of the LP before.  The appended rows join the
-    basis; no column moves.  The reduced costs do not change, so an
-    optimal start stays dual feasible, and a violated new row is repaired
-    by the dual simplex."""
-    return simplex.make_basis(start.col_status,
-                              start.row_status + [simplex.BASIC] * k)
-
-
 def _fractional(x, int_idx: np.ndarray) -> list[tuple[int, float]]:
     """``(j, x[j])`` for each column ``j`` of ``int_idx`` whose value is
     more than ``INT_TOL`` from an integer, in the order of ``int_idx``."""
@@ -703,7 +700,8 @@ class Relaxation:
     def add_rows(self, indptr, indices, data, sense, rhs, names) -> int:
         """Append rows, given and checked as ``LinearModel.add_rows`` takes
         them, below ``rows`` (compressed rows): a new ``simplex.Matrix``
-        of the two blocks' arrays concatenated.  Returns their number."""
+        of the two blocks' arrays concatenated, on the HiGHS instance of
+        the old one.  Returns their number."""
         a = self.rows.a
         ptr, cols, vals, rlo, rhi = _checked_rows(
             indptr, indices, data, sense, rhs, names, a.shape[1])
@@ -713,15 +711,15 @@ class Relaxation:
                            np.concatenate([a.indptr, ptr[1:] + a.indptr[-1]])),
                           shape=(a.shape[0] + len(rlo), a.shape[1])),
             np.concatenate([self.rows.rlo, rlo]),
-            np.concatenate([self.rows.rhi, rhi]))
+            np.concatenate([self.rows.rhi, rhi]), self.rows)
         return len(rlo)
 
     def cut_rounds(self, root: LpSolution, hook) -> tuple[LpSolution, int]:
-        """Root cut rounds from ``root``, the solved LP: at most
-        ``DEFAULT_CUT_ROUNDS`` times, while the LP is optimal and fractional
-        and ``hook(lp)`` (if given) returns cuts, append their rows and
-        solve again from the LP's basis with them basic
-        (:func:`extend_start`).  Returns the last LP and the number of
+        """Root cut rounds from ``root``, the last LP solved on ``rows``:
+        at most ``DEFAULT_CUT_ROUNDS`` times, while the LP is optimal and
+        fractional and ``hook(lp)`` (if given) returns cuts, append their
+        rows and solve again from the LP's basis with them basic, the one
+        HiGHS holds (``rows.held``).  Returns the last LP and the number of
         cuts."""
         added = 0
         for _ in range(DEFAULT_CUT_ROUNDS):
@@ -731,8 +729,7 @@ class Relaxation:
                 break
             added += self.add_rows(*_cut_rows(cuts, len(self.c),
                                               self.rows.a.shape[0]))
-            root = self.solve(self.lo, self.hi,
-                              extend_start(root.basis, len(cuts)))
+            root = self.solve(self.lo, self.hi, self.rows.held)
         return root, added
 
 

@@ -10,6 +10,13 @@ first solve; each solve sends only the costs and column bounds that
 changed since the last one.  A start is the ``HighsBasis`` of an earlier
 result: a status for each column and each row.  The extension is loaded by
 file path, so ``scipy.optimize`` is never imported.
+
+Instances outlive their matrices.  A dropped matrix leaves its instance on
+a short spare list, and the next matrix to solve takes it and replaces its
+model.  A matrix made of another's rows with rows appended takes over the
+other's instance, which gets only the new rows; HiGHS then holds the
+other's last basis with the new rows basic, and a cut round restarts from
+it without handing HiGHS a basis.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +78,23 @@ _ENDS = {_MS.kOptimal: "optimal", _MS.kInfeasible: "infeasible",
          _MS.kUnbounded: "unbounded", _MS.kUnboundedOrInfeasible: _EITHER}
 
 
+# HiGHS instances of dropped matrices, the last one dropped taken first
+_SPARE: deque = deque(maxlen=4)
+
+
+def _instance():
+    """A spare HiGHS instance, else a new one.  Every instance carries the
+    same three options, set here; ``Matrix._run`` sets ``_PERTURB`` before
+    each run."""
+    if _SPARE:
+        return _SPARE.pop()
+    h = _hs._Highs()
+    for name, value in (("output_flag", False), ("threads", 1),
+                        ("presolve", "off")):
+        h.setOptionValue(name, value)
+    return h
+
+
 def make_basis(col_status, row_status):
     """A ``HighsBasis`` with these statuses (``BASIC``, ``LOWER`` or
     ``UPPER`` each), one per column and one per row."""
@@ -98,19 +123,59 @@ class Matrix:
     instance holding them with the column data of its last solve.  Pass one
     to ``solve`` for every LP on the same rows.  ``A`` is never changed, so
     its column-wise copy ``csc`` is built once, when first read.
-    ``ValueError`` unless there is one bound of each kind per row."""
+
+    ``base`` is a matrix whose rows are the first rows of ``A``, over the
+    same columns.  The new matrix takes over its instance, with the column
+    data and the basis HiGHS holds, and sends HiGHS only the rows below
+    (``addRows``, which makes them basic); ``base`` is left without one and
+    loads its rows again if it is solved again.  ``ValueError`` unless
+    there is one bound of each kind per row, or for a ``base`` of other
+    columns or more rows."""
     __slots__ = ("a", "rlo", "rhi", "_csc", "_h", "_c", "_lo", "_hi",
                  "_held")
 
-    def __init__(self, a: sp.spmatrix, rlo, rhi):
+    def __init__(self, a: sp.spmatrix, rlo, rhi, base: Matrix | None = None):
+        self._h = None
+        self._held = None      # the HighsBasis HiGHS holds from its last run
         self.a = a
         self.rlo = np.asarray(rlo, dtype=float)
         self.rhi = np.asarray(rhi, dtype=float)
         if not self.rlo.shape == self.rhi.shape == (a.shape[0],):
             raise ValueError(f"need {a.shape[0]} row bounds of each kind")
         self._csc = a if a.format == "csc" else None
-        self._h = None
-        self._held = None      # the HighsBasis HiGHS holds from its last run
+        if base is not None:
+            self._take(base)
+
+    def __del__(self, spare=_SPARE):
+        """Leave the instance to a later matrix (``spare`` is bound here,
+        so that it is still there while the interpreter exits)."""
+        if self._h is not None:
+            spare.append(self._h)
+
+    def _take(self, base: Matrix) -> None:
+        m0, (m, n) = base.a.shape[0], self.a.shape
+        if base.a.shape[1] != n or m0 > m:
+            raise ValueError(f"rows of a {base.a.shape} matrix cannot head "
+                             f"a {self.a.shape} one")
+        if base._h is None:
+            return
+        self._h, self._c, self._lo, self._hi, self._held = (
+            base._h, base._c, base._lo, base._hi, base._held)
+        base._h = base._held = None
+        if m > m0:
+            new = sp.csr_matrix(self.a[m0:])
+            self._h.addRows(m - m0, self.rlo[m0:], self.rhi[m0:], new.nnz,
+                            new.indptr[:-1].astype(np.int32),
+                            new.indices.astype(np.int32), new.data)
+            if self._held is not None:
+                self._held = self._h.getBasis()
+
+    @property
+    def held(self):
+        """The ``HighsBasis`` HiGHS holds, a start that costs no
+        ``setBasis``: that of the last solve if it was optimal, with the
+        rows appended since (see ``base``) basic; else None."""
+        return self._held
 
     @property
     def csc(self) -> sp.csc_matrix:
@@ -125,10 +190,7 @@ class Matrix:
         ``_held``).  An array that is the one held is not compared."""
         c, lo, hi = _held(c), _held(lo), _held(hi)
         if self._h is None:
-            self._h = _hs._Highs()
-            for name, value in (("output_flag", False), ("threads", 1),
-                                ("presolve", "off")):
-                self._h.setOptionValue(name, value)
+            self._h = _instance()
             a = self.csc
             m, n = a.shape
             self._h.passModel(
@@ -201,10 +263,10 @@ def _held(v: np.ndarray) -> np.ndarray:
 
 def solve(mat: Matrix, c, lo, hi, start=None) -> SimplexResult:
     """Solve from ``start``, the ``basis`` of an earlier result on the same
-    rows (the costs and column bounds may differ), else from scratch.  A
-    start that does not fit, or whose run ends without an answer, is
-    dropped for a run from scratch, and ``warm`` is False; a solve without
-    a start never depends on the ones before it.  A run that cannot tell
+    rows (the costs and column bounds may differ) or ``mat.held``, else
+    from scratch.  A start that does not fit, or whose run ends without an
+    answer, is dropped for a run from scratch, and ``warm`` is False; a
+    solve without a start never depends on the ones before it.  A run that cannot tell
     unbounded from infeasible is settled by a run with a zero objective.
     The matrix keeps ``c``, ``lo`` and ``hi`` for its next solve: an array
     that is read-only and owns its data as it is, any other as a copy.  A

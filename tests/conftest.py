@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import reference_simplex
 
-from platoonopt import mip, netmodel as nm, routing, scheduling as sched
+from platoonopt import mip, netmodel as nm, routing, scheduling as sched, simplex
 from platoonopt.netmodel import Edge, Node, RoadNetwork, VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
@@ -22,6 +22,16 @@ def add_cut(model: mip.LinearModel, cut: mip.Cut) -> int:
         [0, len(cut.coeffs)], list(cut.coeffs), list(cut.coeffs.values()),
         [cut.sense], [cut.rhs],
         [f"cut_{cut.tag}_{model.num_constraints}"])[0]
+
+
+def extend_start(start, k: int):
+    """Start for the LP of a model after ``k`` rows were appended, from
+    ``start``, the ``basis`` of the LP before.  The appended rows join the
+    basis; no column moves.  The reduced costs do not change, so an
+    optimal start stays dual feasible, and a violated new row is repaired
+    by the dual simplex."""
+    return simplex.make_basis(start.col_status,
+                              start.row_status + [simplex.BASIC] * k)
 
 
 def make_net(coords, edge_spec, speed=80.0, rate=1.0):

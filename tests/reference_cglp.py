@@ -14,7 +14,7 @@ from platoonopt.cuts import AssemblyError, DisjunctiveCut, _CglpSystem
 from platoonopt.cuts import MIN_VIOLATION, collect_active_sets
 from platoonopt.cuts import separate_disjunctive
 
-from conftest import add_cut
+from conftest import add_cut, extend_start
 
 
 def cglp_model(active, point, handle):
@@ -144,12 +144,12 @@ def bound_improvement_report(contracted, params, bounds) -> dict:
             break
         disj.append(found)
         add_cut(handle.model, found.cut)
-        lp = mip.solve_lp(handle.model, start=mip.extend_start(lp.basis, 1))
+        lp = mip.solve_lp(handle.model, start=extend_start(lp.basis, 1))
     bd1 = lp.objective if lp.status == "optimal" else lp0.objective
     star = sched.RowBlock()
     sched.partition_rows(handle, sched.CutOptions(star_partition=True), star)
     n_star = star.append_to(handle.model)
-    start = mip.extend_start(lp.basis, n_star) if lp.status == "optimal" \
+    start = extend_start(lp.basis, n_star) if lp.status == "optimal" \
         else None
     lp2 = mip.solve_lp(handle.model, start=start)
     return {"lp_bound_plain": lp0.objective, "lp_bound_disj": bd1,

@@ -333,3 +333,44 @@ def test_report_is_the_reference_loop(generator, k, n, seed):
             for d in got["disj_cuts"]] == \
         [(list(d.cut.coeffs.items()), d.cut.sense, d.cut.rhs)
          for d in want["disj_cuts"]]
+
+
+@pytest.mark.parametrize("generator, k, n, seed", [
+    ("two_cluster", 8, 16, 1), ("two_cluster", 8, 16, 3),
+    ("two_cluster", 8, 16, 5), ("two_cluster", 8, 16, 7),
+    ("two_cluster", 6, 14, 1), ("distributed", 8, 14, 42)])
+def test_report_rounds_on_the_live_instance_match_fresh_matrices(
+        generator, k, n, seed, monkeypatch):
+    # each cut round and the star rows go to the HiGHS instance of the rows
+    # above them and restart from the basis it holds; a matrix of the same
+    # rows loaded from scratch gives the same status and bound.  These
+    # instances take 0 to 4 cut rounds and 4 to 105 star rows.
+    inst = getattr(nm, f"generate_{generator}")(_GRIDS[k], n, seed)
+    ra = routing.shortest_path_assignment(inst)
+    con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    bounds = sched.time_bounds(con, inst.missions)
+    solves = []
+    solve = mip.Relaxation.solve
+
+    def recording(rel, lo, hi, start=None):
+        held = start is not None and start is rel.rows.held
+        lp = solve(rel, lo, hi, start)
+        solves.append((rel, rel.rows, held, lp))
+        return lp
+
+    monkeypatch.setattr(mip.Relaxation, "solve", recording)
+    rep = cuts.bound_improvement_report(con, inst, bounds)
+    monkeypatch.undo()
+    assert len(solves) == rep["n_disjunctive"] + 2
+    for i, (rel, rows, held, lp) in enumerate(solves):
+        if i:
+            assert solves[i - 1][1]._h is None or solves[i - 1][1] is rows
+            assert held == (solves[i - 1][3].status == "optimal")
+        ref = simplex.solve(simplex.Matrix(rows.a, rows.rlo, rows.rhi),
+                            rel.c, rel.lo, rel.hi)
+        assert lp.status == ref.status
+        if ref.status == "optimal":
+            assert lp.objective == pytest.approx(
+                rel.sign * ref.objective + rel.offset, rel=1e-9)
+    if solves[-1][3].status == "optimal":
+        assert solves[-1][3].objective == rep["lp_bound_disj_star"]

@@ -18,7 +18,7 @@ from platoonopt.simplex import BASIC
 import reference_mip
 
 from conftest import (add_cut, blocked_sp_handle, blocked_sp_model, branching_sp_handle,
-                      branching_sp_model, ranged_rows,
+                      branching_sp_model, extend_start, ranged_rows,
                       reference_solve)
 
 
@@ -514,6 +514,21 @@ def test_cut_rounds_restart_from_the_previous_root(monkeypatch):
     assert len(calls) == 3
 
 
+def test_solve_mip_twice_with_cut_rounds_gives_equal_answers():
+    # the first solve's cut rows take over the HiGHS instance of the
+    # model's rows, so the second one loads those rows again
+    handle = branching_sp_handle()
+    first, second = (mip.solve_mip(handle.model,
+                                   root_cut_hook=cuts.make_disjunctive_hook(handle))
+                     for _ in range(2))
+    assert first.cuts_added > 0 and first.nodes > 1
+    for name in ("status", "objective", "bound", "gap", "nodes", "cuts_added",
+                 "root_bound"):
+        assert getattr(first, name) == getattr(second, name), name
+    assert np.array_equal(first.x, second.x)
+    assert first.root_basis.row_status == second.root_basis.row_status
+
+
 def test_root_basis_warm_starts_a_repriced_model():
     m = _branching_knapsack()
     first = mip.solve_mip(m)
@@ -776,7 +791,7 @@ def test_solve_lp_matches_the_reference_before_and_after_appended_rows(
         model.add_constraint(coeffs, row_sense, rhs)
     _assert_matches_reference(mip.solve_lp(model), model)
     if before.status == "optimal":
-        start = mip.extend_start(before.basis, len(appended))
+        start = extend_start(before.basis, len(appended))
         _assert_matches_reference(mip.solve_lp(model, start=start), model)
 
 

@@ -6,6 +6,8 @@ equality row basic), restarts after branching bounds and added rows, how
 the HiGHS extension is found, and an LP that once broke the old engine."""
 
 import functools
+import gc
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 from platoonopt import cuts, mip, netmodel as nm, routing, rshm, simplex
 from platoonopt.simplex import BASIC, LOWER, UPPER
 
-from conftest import (add_cut, branching_sp_handle, branching_sp_model, ranged_rows,
-                      reference_solve)
+from conftest import (add_cut, branching_sp_handle, branching_sp_model,
+                      extend_start, ranged_rows, reference_solve)
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,7 +183,7 @@ def _warm_and_cold(model, root, overrides, rows=()):
     c, lo, hi, _ = mip._columns(child)
     for j, (l, u) in overrides.items():
         lo[j], hi[j] = max(lo[j], l), min(hi[j], u)
-    start = mip.extend_start(root.basis, len(rows))
+    start = extend_start(root.basis, len(rows))
     warm = simplex.solve(mat, c, lo, hi, start=start)
     cold = simplex.solve(mat, c, lo, hi)
     return mat, lo, hi, warm, cold
@@ -270,7 +272,7 @@ class TestDualRestart:
         first = mip.solve_lp(m)
         m.add_constraint({x: 1.0, y: -1.0}, "==", 1.0)
         m.add_constraint({y: 1.0}, ">=", 1.5)
-        start = mip.extend_start(first.basis, 2)
+        start = extend_start(first.basis, 2)
         mat = m.compiled_rows()
         c, lo, hi, _ = mip._columns(m)
         assert len(start.row_status) == 3 and len(start.col_status) == 2
@@ -320,7 +322,7 @@ class TestSlackLayout:
         add_cut(m, mip.Cut({x: 1.0, y: -1.0}, "==", 3.5))
         mat = m.compiled_rows()
         c, lo, hi, _ = mip._columns(m)
-        start = mip.extend_start(first.basis, 1)
+        start = extend_start(first.basis, 1)
         assert start.row_status == first.basis.row_status + [BASIC]
         assert start.col_status == first.basis.col_status
         assert mat.rlo[-1] == mat.rhi[-1] == 3.5
@@ -662,6 +664,98 @@ class TestColumnData:
         view = np.frombuffer(frozen.tobytes())      # read-only, not owning
         simplex.solve(mat, view, lo, hi)
         assert mat._c is not view
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_pool():
+    """LPs of the three kinds the program solves, each as ``(a, rlo, rhi,
+    c, lo, hi, start)``: the scheduling root and a child branched on its
+    first fractional integer column, from the root's basis; the routing LP
+    priced twice, the second from the first one's basis; and the CGLP of
+    the scheduling root's active sets."""
+    handle = branching_sp_handle()
+    rows = handle.model.compiled_rows()
+    c, lo, hi, _ = mip._columns(handle.model)
+    sp_rows = (rows.a, rows.rlo, rows.rhi)
+    root = simplex.solve(simplex.Matrix(*sp_rows), c, lo, hi)
+    j = mip._fractional(root.x, handle.model.integer_indices())[0][0]
+    child_hi = hi.copy()
+    child_hi[j] = np.floor(root.x[j])
+    rdp, rdp_lo, rdp_hi, c1, c2 = _small_rdp()
+    rdp_rows = (rdp.a, rdp.rlo, rdp.rhi)
+    first = simplex.solve(simplex.Matrix(*rdp_rows), c1, rdp_lo, rdp_hi)
+    point = mip.LpSolution("optimal", None, root.x)
+    active = cuts.collect_active_sets(point, handle)
+    cglp, cc, clo, chi, _sys = cuts.build_cglp(active, point, handle)
+    return {"sp": (*sp_rows, c, lo, hi, None),
+            "sp-child": (*sp_rows, c, lo, child_hi, root.basis),
+            "rdp": (*rdp_rows, c1, rdp_lo, rdp_hi, None),
+            "rdp-repriced": (*rdp_rows, c2, rdp_lo, rdp_hi, first.basis),
+            "cglp": (cglp.a, cglp.rlo, cglp.rhi, cc, clo, chi, None)}
+
+
+class TestInstances:
+    """A dropped matrix leaves its HiGHS instance to the next one, and a
+    matrix with rows appended takes over the instance of the rows above."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["sp", "sp-child", "rdp", "rdp-repriced",
+                                     "cglp"]), min_size=2, max_size=6))
+    def test_a_reused_instance_answers_as_a_fresh_one(self, kinds):
+        pool = _lp_pool()
+        simplex._SPARE.clear()
+        used = None
+        for kind in kinds:
+            a, rlo, rhi, c, lo, hi, start = pool[kind]
+            reused = simplex.Matrix(a, rlo, rhi)
+            got = simplex.solve(reused, c, lo, hi, start)
+            assert used is None or reused._h is used
+            spare = list(simplex._SPARE)
+            simplex._SPARE.clear()
+            fresh = simplex.Matrix(a, rlo, rhi)
+            want = simplex.solve(fresh, c, lo, hi, start)
+            fresh._h = None             # not handed back
+            simplex._SPARE.extend(spare)
+            assert (got.status, got.warm, got.iterations) == \
+                (want.status, want.warm, want.iterations)
+            assert np.array_equal(got.x, want.x)
+            assert got.basis.col_status == want.basis.col_status
+            assert got.basis.row_status == want.basis.row_status
+            used = reused._h
+            del reused
+
+    def test_a_matrix_whose_instance_moved_solves_again(self):
+        model = branching_sp_model()
+        rows = model.compiled_rows()
+        c, lo, hi, _ = mip._columns(model)
+        first = simplex.solve(rows, c, lo, hi)
+        h = rows._h
+        add_cut(model, mip.Cut({0: 1.0, 1: 1.0}, "<=", 1.0))
+        appended = model.compiled_rows()
+        assert appended._h is h and rows._h is None and rows.held is None
+        assert appended.held.col_status == first.basis.col_status
+        assert appended.held.row_status == first.basis.row_status + [BASIC]
+        again = simplex.solve(rows, c, lo, hi)
+        assert rows._h is not h
+        assert (again.status, again.iterations) == \
+            (first.status, first.iterations)
+        assert np.array_equal(again.x, first.x)
+        assert again.basis.row_status == first.basis.row_status
+
+    def test_a_failed_constructor_hands_nothing_back(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(ValueError, match="2 row bounds"):
+            simplex.Matrix(sp.csc_matrix((2, 3)), [0.0], [1.0, 1.0])
+        base = simplex.Matrix(sp.csr_matrix(np.ones((1, 3))), [0.0], [1.0])
+        simplex.solve(base, np.ones(3), np.zeros(3), np.ones(3))
+        h = base._h
+        with pytest.raises(ValueError, match="cannot head"):
+            simplex.Matrix(sp.csr_matrix(np.ones((2, 2))), [0.0, 0.0],
+                           [1.0, 1.0], base)
+        assert base._h is h
+        gc.collect()
+        assert unraisable == []
 
 
 class TestBackend:

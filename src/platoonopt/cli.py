@@ -201,7 +201,7 @@ def cmd_solve_sp(args) -> int:
             fh.write("\n")
     if args.out_bounds:
         report = cuts.bound_improvement_report(
-            result.handle.contracted, params, result.handle.bounds)
+            result.contracted, params, result.bounds)
         bd0 = report["lp_bound_plain"]
         bd1 = report["lp_bound_disj"]
         bd2 = report["lp_bound_disj_star"]

@@ -71,15 +71,6 @@ class ModelError(Exception):
 
 
 @dataclass(frozen=True)
-class Variable:
-    """A read-only view of one column of a :class:`LinearModel`."""
-    name: str
-    lb: float
-    ub: float
-    kind: str = CONTINUOUS
-
-
-@dataclass(frozen=True)
 class Constraint:
     """A read-only view of one row of a :class:`LinearModel`."""
     coeffs: dict[int, float]
@@ -175,14 +166,6 @@ class LinearModel:
         c = self.c
         nz = np.flatnonzero(c)
         return dict(zip(nz.tolist(), c[nz].tolist()))
-
-    @property
-    def variables(self) -> list[Variable]:
-        """Each column as a read-only :class:`Variable`, built on each
-        read."""
-        return [Variable(*col) for col in zip(
-            self.names, self.lb.tolist(), self.ub.tolist(),
-            [KINDS[k] for k in self.kind.tolist()])]
 
     @property
     def constraints(self) -> list[Constraint]:
@@ -521,7 +504,7 @@ class MipSolution:
     objective: float | None
     x: np.ndarray | None
     bound: float | None
-    gap: float | None               # see _relative_gap
+    gap: float | None               # see relative_gap
     nodes: int
     wall_time: float
     cuts_added: int = 0
@@ -639,7 +622,7 @@ def _check_limits(rel_gap: float, time_limit_s: float | None) -> None:
         raise ValueError("time_limit_s is NaN")
 
 
-def _relative_gap(incumbent: float, bound: float) -> float:
+def relative_gap(incumbent: float, bound: float) -> float:
     """``|incumbent - bound| / |incumbent|``: 0 when the two are equal, and
     inf when the incumbent is 0 and the bound is not."""
     if incumbent == bound:
@@ -1014,7 +997,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
                            root_basis)
     if _pruned(root.objective, incumbent, rel_gap, minimize):
         return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           _relative_gap(incumbent, root.objective),
+                           relative_gap(incumbent, root.objective),
                            1, wall(), cuts_added, root_bound, root_basis)
 
     budget = _Budget(t0, time_limit_s, node_limit)
@@ -1046,7 +1029,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
             return MipSolution(status, None, None, bound, None, budget.nodes,
                                wall(), cuts_added, root_bound, root_basis)
         objective = math.fsum([f[0] for f in found] + rest_value)
-        gap = _relative_gap(objective, bound)
+        gap = relative_gap(objective, bound)
         if status != "optimal" or gap <= rel_gap:
             break
     x = root.x.copy()

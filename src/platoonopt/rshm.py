@@ -218,7 +218,10 @@ class RshmResult:
     objective, its time, and the status, search nodes and relative gap
     (``mip.MipSolution``'s) of its routing and its scheduling solve
     (``rdp_status``, ``rdp_nodes``, ``rdp_gap``, ``sp_status``,
-    ``sp_nodes``, ``sp_gap``).
+    ``sp_nodes``, ``sp_gap``), and how many scheduling components the
+    model solved, were pairs scheduled in closed form, and were known from
+    an earlier iteration (``sp_milp``, ``sp_pairs``, ``sp_reused``; see
+    ``scheduling.Schedule``).
     """
     routes: RouteAssignment
     platoons: PlatoonConfiguration
@@ -344,7 +347,9 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
                       "runtime_s": runtime, "rdp_status": rdp_sol.status,
                       "rdp_nodes": rdp_sol.nodes, "rdp_gap": rdp_sol.gap,
                       "sp_status": sp_sol.status, "sp_nodes": sp_sol.nodes,
-                      "sp_gap": sp_sol.gap})
+                      "sp_gap": sp_sol.gap, "sp_milp": schedule.milp,
+                      "sp_pairs": schedule.pairs,
+                      "sp_reused": schedule.reused})
         state.tables[n + 1] = update_cost_table(state, n)
         if prev_routes is not None and routes == prev_routes:
             termination = "repeat_consecutive"

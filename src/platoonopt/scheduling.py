@@ -17,7 +17,11 @@ windows are apart.  They close most searches at the root.
 
 The model splits into independent components (``components``), each
 depending on its vehicles' routes alone, so ``solve_schedule`` takes the
-components solved before from a map and solves only the others.
+components solved before from a map and solves only the others.  A
+component of two vehicles can platoon at one difference of their
+departures only, so ``pair_platoons`` schedules it in closed form, and
+the MILP takes the components of three or more vehicles; the pairs'
+savings are added to the solution ``solve_schedule`` returns.
 """
 
 from __future__ import annotations
@@ -550,6 +554,38 @@ def component_key(contracted: ContractedRoutes, vehicles) -> tuple:
                  for v in vehicles)
 
 
+def pair_platoons(contracted: ContractedRoutes, bounds: TimeBounds, params,
+                  v: int, u: int, keys) -> tuple[float, list[tuple]]:
+    """The optimal savings and platoons of a component of two vehicles
+    ``v < u``, whose pairs that can still meet lie on the contracted edges
+    ``keys``.
+
+    On edge ``key`` the two enter together only when ``dep_u - dep_v =
+    offset[v, tail] - offset[u, tail]``, and ``platoonable_and_bigM`` kept
+    the edge because that difference fits both departure windows.  So the
+    optimum takes the edges of one difference (equal within
+    ``PRUNE_TOL``, grouped from the smallest): the group with the largest
+    savings ``(sigma_l + sigma_f) * cost``, summed in key order, ties to
+    the group holding the lowest key.  v leads u on each of its edges, as
+    in the model, whose leader is the lowest vehicle of a platoon.
+    Returns ``(savings, [(key, (v, (u,)))])`` by key."""
+    offset = bounds.offset
+    rate = params.sigma_l + params.sigma_f
+    groups: list[tuple[float, list]] = []      # (first difference, keys)
+    for gap, key in sorted((offset[(v, k[0])] - offset[(u, k[0])], k)
+                           for k in keys):
+        if groups and gap - groups[-1][0] <= PRUNE_TOL:
+            groups[-1][1].append(key)
+        else:
+            groups.append((gap, [key]))
+    best, best_keys = 0.0, []
+    for ks in sorted((sorted(ks) for _gap, ks in groups), key=min):
+        savings = sum(rate * contracted.edge_cost(k) for k in ks)
+        if savings > best:
+            best, best_keys = savings, ks
+    return best, [(k, (v, (u,))) for k in best_keys]
+
+
 def _restricted(contracted: ContractedRoutes, keep: set) -> ContractedRoutes:
     """The routes of the vehicles in ``keep``, each edge carrying only
     them."""
@@ -601,11 +637,35 @@ def earliest_departures(contracted: ContractedRoutes, platoons: dict,
 
 @dataclass
 class Schedule:
-    """The model of the components a ``solve_schedule`` call solved, its
-    answer, and the whole assignment's platoons on the original edges."""
+    """What a ``solve_schedule`` call scheduled: the model of its new
+    components of three or more vehicles, the answer over all its new
+    components (the model's, with the savings of the pairs scheduled in
+    closed form added), the whole assignment's platoons on the original
+    edges, and the contracted routes of the new components' vehicles with
+    their time bounds.  ``milp``, ``pairs`` and ``reused`` count the
+    components that the model took, that were pairs, and that ``solved``
+    held."""
     handle: SpModelHandle
     solution: mip.MipSolution
     platoons: PlatoonConfiguration
+    contracted: ContractedRoutes
+    bounds: TimeBounds
+    milp: int
+    pairs: int
+    reused: int
+
+
+def _with_savings(sol: mip.MipSolution, savings: float) -> mip.MipSolution:
+    """``sol`` with ``savings`` added to its objective and bounds, and its
+    gap taken again."""
+    if not savings:
+        return sol
+    plus = (lambda a: None if a is None else a + savings)
+    objective, bound = plus(sol.objective), plus(sol.bound)
+    gap = sol.gap if None in (objective, bound) else mip.relative_gap(
+        objective, bound)
+    return replace(sol, objective=objective, bound=bound, gap=gap,
+                   root_bound=plus(sol.root_bound))
 
 
 def solve_schedule(routes, inst, cuts: str, *,
@@ -613,27 +673,33 @@ def solve_schedule(routes, inst, cuts: str, *,
                    time_limit_s: float | None = None,
                    cut_log: list | None = None,
                    solved: dict | None = None) -> Schedule:
-    """Schedule fixed routes: contract them, bound their times, and build
-    one model, with the rows of cut mode ``cuts`` (see ``CUT_MODES``), of
-    the ``components`` that ``solved`` does not hold; it has no columns
-    when all are known, and is then not solved (its solution is
-    ``optimal`` with no values).  Solve it from the no-platoon incumbent,
-    so a solve stopped by ``time_limit_s`` ends ``feasible``.  ``inst``
-    supplies the missions and the savings parameters.  ``cut_log``
-    receives ``(bound before, cut)`` for each disjunctive cut the root
-    rounds add.
+    """Schedule fixed routes: contract them, bound their times, and find
+    the ``components`` that ``solved`` does not hold.  Each new component
+    of two vehicles is scheduled in closed form (``pair_platoons``); one
+    model, with the rows of cut mode ``cuts`` (see ``CUT_MODES``), takes
+    those of three or more.  Solve it from the no-platoon incumbent, so a
+    solve stopped by ``time_limit_s`` ends ``feasible``; without such a
+    component it has no columns and is not solved.  The returned solution
+    is the model's with the pairs' savings added to its objective and
+    bounds (``optimal`` in 0 nodes, with no values, when the model is not
+    solved); the pairs stay out of the model, so its search and its
+    ``rel_gap`` pruning see its own components alone.  ``inst`` supplies
+    the missions and the savings parameters.  ``cut_log`` receives
+    ``(bound before, cut)`` for each disjunctive cut the root rounds add,
+    the bound with the pairs' savings added too.
 
     ``solved`` maps a ``component_key`` to the component's platoons with
-    followers, as ``(original-edge run, (leader, followers))`` pairs; a
-    solve that ends ``optimal`` adds its components.  One map serves one
-    instance, cut mode and gap.  Platoons are listed by sorted contracted
-    key, then original edge, and departures are ``earliest_departures``,
-    so the schedule does not depend on which components were known."""
+    followers, as ``(original-edge run, (leader, followers))`` pairs; each
+    pair, and a model whose solve ends ``optimal``, adds its components.
+    One map serves one instance, cut mode and gap.  Platoons are listed by
+    sorted contracted key, then original edge, and departures are
+    ``earliest_departures``, so the schedule does not depend on which
+    components were known."""
     cut_options, disjunctive = cut_mode(cuts)
     contracted = contract(routes, routes.edge_times, routes.edge_costs)
     bounds = time_bounds(contracted, inst.missions)
     big_m, pruned = platoonable_and_bigM(contracted, bounds)
-    reused, new = [], []
+    reused, new, n_reused = [], [], 0
     for vs in components(contracted, big_m):
         key = component_key(contracted, vs)
         known = None if solved is None else solved.get(key)
@@ -641,29 +707,53 @@ def solve_schedule(routes, inst, cuts: str, *,
             new.append((key, vs))
         else:
             reused.extend(known)
-    keep = {v for _key, vs in new for v in vs}
+            n_reused += 1
+    # a component's vehicles are sorted, so a pair is (leader, follower)
+    twos = {tuple(vs): key for key, vs in new if len(vs) == 2}
+    meet: dict[tuple, list] = {p: [] for p in twos}
+    for u, v, key in big_m:
+        if (v, u) in meet:
+            meet[(v, u)].append(key)
+    fresh, pair_savings = [], 0.0
+    for (v, u), key in twos.items():
+        savings, plist = pair_platoons(contracted, bounds, inst, v, u,
+                                       meet[(v, u)])
+        found = [(contracted.cedges[k].original, p) for k, p in plist]
+        pair_savings += savings
+        fresh += found
+        if solved is not None:
+            solved[key] = tuple(found)
+
+    milp = [(key, vs) for key, vs in new if len(vs) > 2]
+    keep = {v for _key, vs in milp for v in vs}
     # the pairs of kept vehicles; both of a pair that can meet are in one
     # component, so its first vehicle decides
     pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
              [p for p in pruned if p[0] in keep and p[1] in keep])
     handle = build_sp(_restricted(contracted, keep), inst, bounds, cut_options,
                       pairs)
-    if new:
-        hook = None
+    if milp:
+        hook, log = None, []
         if disjunctive:
             from . import cuts as _cuts
-            hook = _cuts.make_disjunctive_hook(handle, log=cut_log)
+            hook = _cuts.make_disjunctive_hook(handle, log=log)
         sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
                             time_limit_s=time_limit_s, root_cut_hook=hook,
                             initial_solution=solo_schedule(handle))
+        config = extract_platoons(handle, sol)
+        found = [(handle.contracted.cedges[key].original, p)
+                 for key, plist in config.platoons.items()
+                 for p in plist if p[1]]
+        if solved is not None and sol.status == "optimal":
+            for key, vs in milp:
+                solved[key] = tuple(f for f in found if f[1][0] in vs)
+        fresh += found
+        if cut_log is not None:
+            cut_log.extend((before + pair_savings, cut) for before, cut in log)
+        sol = _with_savings(sol, pair_savings)
     else:
-        sol = mip.MipSolution("optimal", 0.0, np.zeros(0), 0.0, 0.0, 0, 0.0)
-    config = extract_platoons(handle, sol)
-    fresh = [(handle.contracted.cedges[key].original, p)
-             for key, plist in config.platoons.items() for p in plist if p[1]]
-    if solved is not None and sol.status == "optimal":
-        for key, vs in new:
-            solved[key] = tuple(f for f in fresh if f[1][0] in vs)
+        sol = mip.MipSolution("optimal", pair_savings, np.zeros(0),
+                              pair_savings, 0.0, 0, 0.0)
     platooned: dict[tuple, list] = {}   # original-edge run -> its platoons
     for run, p in reused + fresh:
         platooned.setdefault(run, []).append(p)
@@ -677,7 +767,9 @@ def solve_schedule(routes, inst, cuts: str, *,
                                       if v not in members])
     config = PlatoonConfiguration(
         by_key, earliest_departures(contracted, by_key, bounds))
-    return Schedule(handle, sol, expand_platoons(config, contracted))
+    scheduled = _restricted(contracted, {v for _key, vs in new for v in vs})
+    return Schedule(handle, sol, expand_platoons(config, contracted),
+                    scheduled, bounds, len(milp), len(twos), n_reused)
 
 
 def total_fuel(routes, platoons: PlatoonConfiguration, edge_costs: dict,

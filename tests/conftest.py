@@ -1,6 +1,8 @@
 """Shared fixtures: tiny networks, the four-vehicle worked example,
 hand-built instances with known optima, and the reference LP solve."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,22 @@ from platoonopt import mip, netmodel as nm, routing, scheduling as sched, simple
 from platoonopt.netmodel import Edge, Node, RoadNetwork, VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
+
+
+@dataclass(frozen=True)
+class Variable:
+    """A read-only view of one column of a ``mip.LinearModel``."""
+    name: str
+    lb: float
+    ub: float
+    kind: str = mip.CONTINUOUS
+
+
+def variables(model: mip.LinearModel) -> list[Variable]:
+    """Each column of ``model`` as a :class:`Variable`."""
+    return [Variable(*col) for col in zip(
+        model.names, model.lb.tolist(), model.ub.tolist(),
+        [mip.KINDS[k] for k in model.kind.tolist()])]
 
 
 def add_cut(model: mip.LinearModel, cut: mip.Cut) -> int:

@@ -74,6 +74,10 @@ class TestRshmCommand:
                  for t in doc["trace"]]
         assert facts == [(1, 0.0, 1, None), (1, 0.0, 0, 0.0),
                          (1, 0.0, 1, None)]
+        # one component of three or more vehicles at iterations 1 and 3,
+        # none at iteration 2
+        assert [(t["sp_milp"], t["sp_pairs"], t["sp_reused"])
+                for t in doc["trace"]] == [(1, 0, 0), (0, 0, 0), (1, 0, 0)]
         trace = rshm.run(inst, rshm.RshmOptions(
             iter_cap=3, per_solve_time_s=0.0, sp_cuts="none")).trace
         assert [t["sp_gap"] for t in trace] == [float("inf"), 0.0,

@@ -19,7 +19,7 @@ import reference_mip
 
 from conftest import (add_cut, blocked_sp_handle, blocked_sp_model, branching_sp_handle,
                       branching_sp_model, extend_start, ranged_rows,
-                      reference_solve)
+                      reference_solve, Variable, variables)
 
 
 def tableau_simplex(c, A, b):
@@ -405,7 +405,7 @@ def test_gap_against_a_zero_incumbent_is_infinite():
     (0.0, 0.0, 0.0), (0.0, -1e-12, math.inf), (4.0, 4.0, 0.0),
     (4.0, 5.0, 0.25), (-4.0, -5.0, 0.25)])
 def test_relative_gap(incumbent, bound, gap):
-    assert mip._relative_gap(incumbent, bound) == gap
+    assert mip.relative_gap(incumbent, bound) == gap
 
 
 def _unbounded_milp():
@@ -664,7 +664,7 @@ def test_limits_stop_the_block_searches_together():
         assert s.nodes == limit
         assert s.objective <= full.objective <= s.bound + 1e-9
         assert s.bound <= s.root_bound + 1e-9
-        assert s.gap == mip._relative_gap(s.objective, s.bound)
+        assert s.gap == mip.relative_gap(s.objective, s.bound)
         assert s.status == ("optimal" if s.gap <= mip.DEFAULT_REL_GAP
                             else "feasible")
         assert mip.check_solution(model, s.x) == pytest.approx(s.objective)
@@ -756,8 +756,8 @@ def _reference(model):
     sign = -1.0 if model.obj_sense == "max" else 1.0
     c = np.array([sign * model.obj_coeffs.get(j, 0.0) for j in range(nv)])
     res = reference_solve(a, rlo, rhi, c,
-                          [v.lb for v in model.variables],
-                          [v.ub for v in model.variables])
+                          [v.lb for v in variables(model)],
+                          [v.ub for v in variables(model)])
     if res.status != "optimal":
         return res.status, None
     return "optimal", sign * res.objective + model.obj_constant
@@ -798,7 +798,7 @@ def test_solve_lp_matches_the_reference_before_and_after_appended_rows(
 def _check_by_loop(model, x, tol=1e-6):
     """``check_solution`` as a loop over columns and rows: the reference."""
     x = np.asarray(x, dtype=float)
-    for j, v in enumerate(model.variables):
+    for j, v in enumerate(variables(model)):
         if x[j] < v.lb - tol or x[j] > v.ub + tol:
             raise mip.ModelError(f"value of {v.name} violates its bounds")
         if v.kind != mip.CONTINUOUS and abs(x[j] - round(x[j])) > tol:
@@ -845,7 +845,7 @@ def test_check_solution_matches_the_row_loop():
 
 def _validate_by_loop(model):
     """``LinearModel.validate`` as a loop over columns: the reference."""
-    for v in model.variables:
+    for v in variables(model):
         if math.isnan(v.lb) or math.isnan(v.ub):
             raise mip.ModelError(f"variable {v.name}: NaN bound")
         if v.lb == INF or v.ub == -INF:
@@ -927,17 +927,17 @@ def test_set_column_rejects_what_add_var_rejects(lb, ub):
         with pytest.raises(mip.ModelError):
             m.set_column(x, lb=lb, ub=ub, kind=kind)
     assert m.num_vars == 2
-    assert m.variables[x] == mip.Variable("x", -1.0, 2.0, mip.CONTINUOUS)
+    assert variables(m)[x] == Variable("x", -1.0, 2.0, mip.CONTINUOUS)
     m.validate()
 
 
 def test_set_column_checks_like_add_var():
     m, x, y = _xy_model()
     m.set_column(y, lb=-3.0, ub=4.0, kind=mip.BINARY)     # clipped to [0, 1]
-    assert m.variables[y] == mip.Variable("y", 0.0, 1.0, mip.BINARY)
+    assert variables(m)[y] == Variable("y", 0.0, 1.0, mip.BINARY)
     m.set_column(y, kind=mip.INTEGER)
     m.set_column(y, ub=5.0)
-    assert m.variables[y] == mip.Variable("y", 0.0, 5.0, mip.INTEGER)
+    assert variables(m)[y] == Variable("y", 0.0, 5.0, mip.INTEGER)
     assert m.integer_indices().tolist() == [y]
     with pytest.raises(mip.ModelError, match="unknown kind"):
         m.set_column(x, kind="semicontinuous")
@@ -952,7 +952,7 @@ def test_columns_change_only_through_set_column():
     x = m.add_var("x", kind=mip.BINARY)
     m.set_objective({x: 1.0}, sense="max")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        m.variables[x].ub = NAN
+        variables(m)[x].ub = NAN
     with pytest.raises(ValueError):
         m.ub[x] = NAN
     with pytest.raises(mip.ModelError, match="NaN"):
@@ -1118,8 +1118,8 @@ def test_mps_roundtrip(tmp_path):
     export.write_model(m, "MPS", str(path))
     back = _read_mps(path.read_text())
 
-    assert [(u.name, u.kind, u.lb, u.ub) for u in back.variables] == \
-        [(u.name, u.kind, u.lb, u.ub) for u in m.variables]
+    assert [(u.name, u.kind, u.lb, u.ub) for u in variables(back)] == \
+        [(u.name, u.kind, u.lb, u.ub) for u in variables(m)]
     assert [(c.coeffs, c.sense, c.rhs) for c in back.constraints] == \
         [(c.coeffs, c.sense, c.rhs) for c in m.constraints]
     assert back.obj_coeffs == {j: -c for j, c in m.obj_coeffs.items()}
@@ -1165,8 +1165,8 @@ def test_exported_models_read_back_the_same(tmp_path, generated_models,
         assert value == pytest.approx(lp.objective, rel=1e-9)
     back = _read_mps((tmp_path / f"{problem}.mps").read_text())
     blanks = lambda name: name.replace(" ", "_")
-    assert [(u.name, u.kind, u.lb, u.ub) for u in back.variables] == \
-        [(blanks(u.name), u.kind, u.lb, u.ub) for u in model.variables]
+    assert [(u.name, u.kind, u.lb, u.ub) for u in variables(back)] == \
+        [(blanks(u.name), u.kind, u.lb, u.ub) for u in variables(model)]
     assert [(c.coeffs, c.sense, c.rhs, c.name) for c in back.constraints] == \
         [(c.coeffs, c.sense, c.rhs, blanks(c.name))
          for c in model.constraints]

@@ -18,7 +18,7 @@ from platoonopt import (export, mip, netmodel as nm, routing, rshm,
                         scheduling as sched)
 from platoonopt.rshm import RshmOptions, SavingsParams
 
-from conftest import hull_rows
+from conftest import hull_rows, variables
 
 
 def _highs_input(model):
@@ -247,7 +247,7 @@ def test_kinds_may_be_codes():
     model = mip.LinearModel()
     model.add_vars(["x", "y"], -1.0, 2.0,
                    np.array([mip.CONTINUOUS_CODE, mip.BINARY_CODE]))
-    assert [v.kind for v in model.variables] == [mip.CONTINUOUS, mip.BINARY]
+    assert [v.kind for v in variables(model)] == [mip.CONTINUOUS, mip.BINARY]
     assert model.ub.tolist() == [2.0, 1.0]
     with pytest.raises(mip.ModelError, match="unknown kind 7"):
         model.add_vars(["z"], kind=np.array([7]))

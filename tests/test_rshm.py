@@ -470,6 +470,33 @@ class TestRun:
         assert res.limited == 0
         assert all(t["sp_status"] == "optimal" for t in res.trace)
 
+    def test_the_trace_says_how_components_were_scheduled(self):
+        # rshm-spread's instance: each scheduling component is a pair, so
+        # no iteration solves a scheduling model
+        grid = nm.make_grid_network(8, 8, spacing_km=40, jitter=0.25, seed=5)
+        inst = nm.generate_distributed(grid, 16, 1)
+        res = rshm.run(inst, RshmOptions(iter_cap=30, freq_threshold=3))
+        assert res.iterations == 11
+        assert [t["sp_milp"] for t in res.trace] == [0] * 11
+        assert [t["sp_nodes"] for t in res.trace] == [0] * 11
+        assert [(t["sp_pairs"], t["sp_reused"]) for t in res.trace] == [
+            (1, 0), (1, 0), (0, 1), (2, 0), (1, 0), (0, 1), (1, 1), (0, 2),
+            (0, 2), (0, 2), (0, 2)]
+        # the counts are those of the components of each assignment
+        seen = set()
+        for t, n in zip(res.trace, sorted(res.state.records)):
+            routes = res.state.records[n].routes
+            con = scheduling.contract(routes, routes.edge_times,
+                                      routes.edge_costs)
+            big_m, _ = scheduling.platoonable_and_bigM(
+                con, scheduling.time_bounds(con, inst.missions))
+            comps = {scheduling.component_key(con, vs): len(vs)
+                     for vs in scheduling.components(con, big_m)}
+            assert set(comps.values()) <= {2}
+            assert t["sp_reused"] == len(comps.keys() & seen)
+            assert t["sp_pairs"] == len(comps.keys() - seen)
+            seen |= comps.keys()
+
     def test_each_solve_gets_at_most_the_time_left(self, small_grid,
                                                    monkeypatch):
         limits, names, columns = [], [], []
@@ -482,14 +509,17 @@ class TestRun:
             return solve(model, **kwargs)
 
         monkeypatch.setattr(mip, "solve_mip", recording_solve)
-        inst = nm.generate_two_cluster(small_grid, 4, seed=4)
+        inst = nm.generate_two_cluster(small_grid, 6, seed=6)
         budget = 30.0
         t0 = time.perf_counter()
         res = rshm.run(inst, RshmOptions(iter_cap=4, total_time_s=budget))
         assert res.iterations >= 2 and len(limits) >= 3
         # one routing solve per iteration, then one scheduling solve of the
-        # components no earlier iteration solved: iterations 1 and 2 have
-        # new components, 3 and 4 none, so they solve no scheduling model
+        # new components of three or more vehicles: iterations 1 and 2 have
+        # one each, 3 only iteration 1's, known, and 4 none, so 3 and 4
+        # solve no scheduling model
+        assert [(t["sp_milp"], t["sp_reused"]) for t in res.trace] == [
+            (1, 0), (1, 0), (0, 1), (0, 0)]
         assert names == ["rdp", "sp", "rdp", "sp", "rdp", "rdp"]
         assert all(n > 0 for name, n in zip(names, columns) if name == "sp")
         for limit, at in limits:
@@ -681,12 +711,12 @@ class TestIncrementalRouting:
 
         def recording_schedule(routes, *args, **kwargs):
             result = solve_schedule(routes, *args, **kwargs)
-            handle = result.handle
-            comps = {scheduling.component_key(handle.contracted, vs)
-                     for vs in scheduling.components(handle.contracted,
-                                                     handle.big_m)}
+            new = result.contracted
+            big_m, _ = scheduling.platoonable_and_bigM(new, result.bounds)
+            comps = {scheduling.component_key(new, vs)
+                     for vs in scheduling.components(new, big_m)}
             solved.append((routes, result.solution.status, comps,
-                           handle.model.num_vars))
+                           result.handle.model.num_vars))
             return result
 
         monkeypatch.setattr(scheduling, "solve_schedule", recording_schedule)

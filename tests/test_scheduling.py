@@ -354,8 +354,12 @@ class TestSoloSchedule:
 
 class TestSolveSchedule:
     def test_cut_modes_and_contraction_keep_the_optimum(self, small_grid):
-        for seed in range(4):
-            inst = nm.generate_two_cluster(small_grid, 4, seed=seed)
+        # four vehicles: no component at seeds 0-2, one pair at seed 3;
+        # seed 6 with 6, 7 and 8 vehicles has one component of three or
+        # more vehicles, which the model solves, and with 7 and 8 a pair too
+        for n, seed in [(4, 0), (4, 1), (4, 2), (4, 3), (6, 6), (7, 6),
+                        (8, 6)]:
+            inst = nm.generate_two_cluster(small_grid, n, seed=seed)
             ra = _solved_assignment(inst)
             con = sched.contract(ra, ra.edge_times, ra.edge_costs)
             plain = mip.solve_mip(sched.build_sp(
@@ -367,6 +371,8 @@ class TestSolveSchedule:
             ).objective == pytest.approx(plain.objective, abs=1e-6)
             for mode in sched.CUT_MODES:
                 res = sched.solve_schedule(ra, inst, mode)
+                assert (res.milp, res.pairs) == \
+                    ((0, int(seed == 3)) if n == 4 else (1, int(n > 6)))
                 assert res.solution.status == "optimal"
                 assert res.solution.objective == pytest.approx(
                     plain.objective, abs=1e-6)
@@ -375,13 +381,15 @@ class TestSolveSchedule:
 
     def test_cut_log_receives_the_root_cuts(self):
         # an instance whose root still takes disjunctive cuts (two) with
-        # the departure-window rows in the model
+        # the departure-window rows in the model, and with a pair
+        # scheduled in closed form, whose savings every bound includes
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
         inst = nm.generate_two_cluster(grid, 14, seed=2)
         ra = routing.shortest_path_assignment(inst)
         log = []
         res = sched.solve_schedule(ra, inst, "star+disj", cut_log=log)
         assert len(log) == res.solution.cuts_added > 0
+        assert (res.milp, res.pairs) == (1, 1)
         bounds = [before for before, _cut in log] + [res.solution.root_bound]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
@@ -702,6 +710,151 @@ class TestComponents:
             assert any(deps[v] == missions[v].t_earliest for v in g)
         event(f"{route_kind}: platoon groups "
               f"{sum(len(g) > 1 for g in groups) > 0}")
+
+
+def _two_segment_instance(flip, second=10.0):
+    """Two vehicles that share two separate edges, (3, 4) of 10 km and
+    (7, 8) of ``second`` km, between detours of 8 and 12 km, so they can
+    platoon on either but not on both; with ``flip`` every node n is 11 -
+    n, which makes (7, 8) the edge of the lower key.  Returns the
+    instance and its routes."""
+    node = (lambda n: 11 - n) if flip else (lambda n: n)
+    lengths = {(1, 3): 4.0, (2, 3): 4.0, (3, 4): 10.0, (4, 5): 4.0,
+               (5, 7): 4.0, (4, 6): 6.0, (6, 7): 6.0, (7, 8): second,
+               (8, 9): 4.0, (8, 10): 4.0}
+    coords = {1: (0, 1), 2: (0, -1), 3: (4, 0), 4: (14, 0), 5: (18, 2),
+              6: (18, -3), 7: (22, 0), 8: (32, 0), 9: (36, 1),
+              10: (36, -1)}
+    net = make_net({node(n): xy for n, xy in coords.items()},
+                   [(node(i), node(j), ln) for (i, j), ln in lengths.items()])
+    paths = {1: (1, 3, 4, 5, 7, 8, 9), 2: (2, 3, 4, 6, 7, 8, 10)}
+    routes = {v: tuple(node(n) for n in p) for v, p in paths.items()}
+    inst = nm.ProblemInstance(net, [
+        VehicleMission(v, r[0], r[-1], 0.0, 2.0) for v, r in routes.items()])
+    inst.validate()
+    return inst, RouteAssignment(routes, net.time_table(), net.fuel_table())
+
+
+def _pair_edges(big_m, v, u):
+    """The contracted edges on which the pair ``v < u`` can still meet."""
+    return [key for (a, b, key) in big_m if (b, a) == (v, u)]
+
+
+class TestPairs:
+    # (7, 8) is (4, 3) flipped and (3, 4) is (8, 7): a tie goes to the
+    # lower key, else the longer edge wins, whatever its key
+    @pytest.mark.parametrize("flip, second, edge", [
+        (False, 10.0, (3, 4)), (True, 10.0, (4, 3)),
+        (False, 12.0, (7, 8)), (True, 12.0, (4, 3))])
+    def test_the_best_group_wins_and_a_tie_goes_to_the_lowest_key(
+            self, flip, second, edge):
+        inst, ra = _two_segment_instance(flip, second)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        bounds = sched.time_bounds(con, inst.missions)
+        big_m, _ = sched.platoonable_and_bigM(con, bounds)
+        keys = _pair_edges(big_m, 1, 2)
+        assert len(keys) == 2
+        # the two edges fix departure differences 0.05 h apart
+        gaps = {bounds.offset[(1, k[0])] - bounds.offset[(2, k[0])]
+                for k in keys}
+        assert max(gaps) - min(gaps) == pytest.approx(0.05)
+        savings, plist = sched.pair_platoons(con, bounds, inst, 1, 2, keys)
+        assert plist == [(edge + (0,), (1, (2,)))]
+        assert savings == pytest.approx(0.12 * max(10.0, second))
+        # the model's optimum takes one edge too
+        whole = mip.solve_mip(sched.build_sp(con, inst, bounds).model,
+                              rel_gap=0.0)
+        assert whole.objective == pytest.approx(savings, abs=1e-9)
+        res = sched.solve_schedule(ra, inst, "star")
+        assert {e: [p for p in plist if p[1]]
+                for e, plist in res.platoons.platoons.items()
+                if any(p[1] for p in plist)} == {edge: [(1, (2,))]}
+        assert (res.milp, res.pairs, res.reused) == (0, 1, 0)
+        sol = res.solution
+        assert (sol.status, sol.objective, sol.bound, sol.nodes) == \
+            ("optimal", savings, savings, 0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rows=st.integers(3, 6),
+           generator=st.sampled_from(["two_cluster", "distributed"]),
+           vehicles=st.integers(4, 14), seed=st.integers(0, 10_000),
+           route_kind=st.sampled_from(["shortest", "greedy", "walks"]),
+           flexibility=st.sampled_from([1.0, 4.0]))
+    def test_a_pair_in_closed_form_is_the_models_optimum(
+            self, rows, generator, vehicles, seed, route_kind, flexibility):
+        inst, ra, _other = _scheduling_case(rows, generator, vehicles, seed,
+                                            route_kind, flexibility)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        bounds = sched.time_bounds(con, inst.missions)
+        big_m, _ = sched.platoonable_and_bigM(con, bounds)
+        comps = sched.components(con, big_m)
+        twos = [vs for vs in comps if len(vs) == 2]
+        res = sched.solve_schedule(ra, inst, "star")
+        assert (res.milp, res.pairs, res.reused) == \
+            (len(comps) - len(twos), len(twos), 0)
+        assume(twos)
+        deps, missions = res.platoons.departures, {m.id: m for m in
+                                                   inst.missions}
+        entry = {}
+        for v in ra.vehicles:
+            t = deps[v]
+            for e in ra.edges(v):
+                entry[(v, e)] = t
+                t += ra.edge_times[e]
+            lo = missions[v].t_earliest
+            hi = missions[v].t_latest - (t - deps[v])
+            assert lo - sched.PRUNE_TOL <= deps[v] <= hi + sched.PRUNE_TOL
+        total = 0.0
+        for v, u in twos:
+            savings, plist = sched.pair_platoons(
+                con, bounds, inst, v, u, _pair_edges(big_m, v, u))
+            alone = mip.solve_mip(sched.build_sp(
+                sched._restricted(con, {v, u}), inst, bounds).model,
+                rel_gap=0.0)
+            assert alone.status == "optimal"
+            assert savings == pytest.approx(alone.objective, rel=1e-12,
+                                            abs=1e-12)
+            total += savings
+            edges = {e for key, _p in plist for e in con.cedges[key].original}
+            assert {e for e, ps in res.platoons.platoons.items()
+                    if (v, (u,)) in ps} == edges
+            for e in edges:
+                assert abs(entry[(u, e)] - entry[(v, e)]) <= \
+                    sched.EQUAL_ENTRY_TOL
+        if res.milp == 0:
+            assert (res.solution.status, res.solution.nodes) == ("optimal", 0)
+            assert res.solution.objective == pytest.approx(total, rel=1e-12)
+        event(f"pairs {min(len(twos), 3)}{'+' if len(twos) >= 3 else ''}, "
+              f"model components {res.milp > 0}")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**_CASES)
+    def test_two_vehicles_agree_with_the_oracle(
+            self, rows, generator, vehicles, seed, route_kind, flexibility):
+        # each pair component of a generated case, on its own
+        inst, ra, _other = _scheduling_case(rows, generator, vehicles, seed,
+                                            route_kind, flexibility)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        big_m, _ = sched.platoonable_and_bigM(
+            con, sched.time_bounds(con, inst.missions))
+        twos = [vs for vs in sched.components(con, big_m) if len(vs) == 2]
+        assume(twos)
+        fuel = inst.network.fuel_table()
+        for vs in twos:
+            two = RouteAssignment({v: ra.routes[v] for v in vs},
+                                  ra.edge_times, ra.edge_costs)
+            res = sched.solve_schedule(two, inst, "star")
+            assert (res.milp, res.pairs) == (0, 1)
+            try:
+                savings, _platoons, _deps = oracle.brute_force_sp(
+                    two, [m for m in inst.missions if m.id in vs], inst)
+            except oracle.TooLarge:
+                event("oracle: too large")
+                continue
+            assert res.solution.objective == pytest.approx(savings, abs=1e-9)
+            assert sched.total_fuel(two, res.platoons, fuel, inst) == \
+                pytest.approx(two.total_cost() - savings, abs=1e-9)
+            event(f"platoons: {savings > 0}")
 
 
 class TestExtractPlatoons:

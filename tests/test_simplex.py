@@ -20,7 +20,7 @@ from platoonopt import cuts, mip, netmodel as nm, routing, rshm, simplex
 from platoonopt.simplex import BASIC, LOWER, UPPER
 
 from conftest import (add_cut, branching_sp_handle, branching_sp_model,
-                      extend_start, ranged_rows, reference_solve)
+                      extend_start, ranged_rows, reference_solve, variables)
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,7 +167,7 @@ def _root(name):
 def _branch(model, x, j, up):
     """Child bounds of column ``j``: above or below its root value ``x[j]``
     (one unit beyond it when it is integral)."""
-    v = model.variables[j]
+    v = variables(model)[j]
     if up:
         return min(v.ub, np.floor(x[j]) + 1.0), v.ub
     return v.lb, max(v.lb, np.ceil(x[j]) - 1.0)

@@ -14,8 +14,8 @@ and a cost table is a price per pair, priced in one array pass and written
 into the model in one slice.  Work that does not change between
 iterations is done once per run: the routing model is built at iteration
 1 and only re-priced afterwards, and a scheduling component (see
-``scheduling.components``) already solved to optimality is not solved
-again.
+``scheduling.components``) already solved to optimality is neither
+contracted nor solved again.
 """
 
 from __future__ import annotations
@@ -284,9 +284,11 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     greedy assignment.  Each later iteration re-prices it, warm-starts its
     root LP from the previous root basis and seeds it with the previous
     optimum, which stays feasible because only the objective changed.
-    Scheduling solves only the components no earlier iteration solved to
-    optimality (see ``scheduling.solve_schedule``), and gives the schedule
-    a solve of the whole assignment gives.  Each solve gets
+    Scheduling splits the routes into runs, schedules only the components
+    no earlier iteration solved to optimality, and contracts and models
+    only the new ones of three or more vehicles (see
+    ``scheduling.solve_schedule``); it gives the schedule a solve of the
+    whole assignment gives.  Each solve gets
     ``per_solve_time_s`` or the time left of ``total_time_s``, whichever is
     less; a solve cut short keeps its incumbent (every solve has one), its
     status in the trace says so (``RshmResult.limited`` counts it), and the

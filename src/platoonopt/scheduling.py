@@ -1,13 +1,13 @@
 """Scheduling problem: phase two of each heuristic iteration.
 
-Given fixed routes, contracts consecutive edges shared by identical vehicle
-sets, bounds each vehicle's arrival time at every node it visits, prunes
-vehicle pairs whose time windows cannot overlap, and builds the
-departure-time/platooning MILP (maximizing fuel savings).  The arrival time
-of a vehicle at a node is its departure time plus the travel time to the
-node (summed once per route, by ``time_bounds``), so the only continuous
-decision per vehicle is its departure time.  ``solve_schedule`` runs the
-whole pipeline for one set of routes.
+Given fixed routes, splits them into runs, the maximal stretches of a
+route whose edges carry one vehicle set (``RunView``; ``contract`` merges
+each into one edge), bounds each vehicle's arrival time at every node it
+visits, prunes vehicle pairs whose time windows cannot overlap, and builds
+the departure-time/platooning MILP (maximizing fuel savings).  A vehicle
+reaches a node at its departure time plus the travel time to the node
+(summed once per route, by ``time_bounds``), so the only continuous
+decision per vehicle is its departure time.
 
 Besides the paper's rows, the model holds departure-window rows in every
 cut mode but ``none`` (``window_rows``): a platooning pair must enter its
@@ -16,19 +16,17 @@ departures, which bounds them and rules out pairs of columns whose
 windows are apart.  They close most searches at the root.
 
 The model splits into independent components (``components``), each
-depending on its vehicles' routes alone, so ``solve_schedule`` takes the
-components solved before from a map and solves only the others.  A
-component of two vehicles can platoon at one difference of their
-departures only, so ``pair_platoons`` schedules it in closed form, and
-the MILP takes the components of three or more vehicles; the pairs'
-savings are added to the solution ``solve_schedule`` returns.
+depending on its vehicles' runs alone.  ``solve_schedule`` finds them on
+the shared runs, takes those solved before from a map, schedules a new
+one of two vehicles in closed form (``pair_platoons``), and contracts
+and models only the new ones of three or more vehicles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
-from itertools import accumulate, combinations
+from functools import cached_property, reduce
+from itertools import accumulate, combinations, groupby
 from operator import add
 
 import numpy as np
@@ -90,7 +88,7 @@ class TimeBounds:
 
 def time_bounds(routes, missions) -> TimeBounds:
     """Prefix/suffix time sums along each route, which the model, the cuts
-    and the departures read.  ``routes`` may be a raw assignment or
+    and the departures read.  ``routes`` may be a raw assignment, runs or
     contracted routes; it only needs ``vehicles`` and ``route_edges(v) ->
     [(edge_key, time)]``."""
     by_id = {m.id: m for m in missions}
@@ -101,14 +99,15 @@ def time_bounds(routes, missions) -> TimeBounds:
         if not edges:
             continue
         nodes = [edges[0][0][0]] + [key[1] for key, _ in edges]
+        times = [t for _, t in edges]
         origin[v] = nodes[0]
-        total = sum(t for _, t in edges)
-        for node, acc in zip(nodes, accumulate((t for _, t in edges),
-                                               initial=0.0)):
-            offset[(v, node)] = acc
-            lower[(v, node)] = m.t_earliest + acc
-            upper[(v, node)] = m.t_latest - (total - acc)
-            if lower[(v, node)] > upper[(v, node)] + 1e-9:
+        total = sum(times)
+        for node, acc in zip(nodes, accumulate(times, initial=0.0)):
+            key = (v, node)
+            offset[key] = acc
+            lower[key] = lo = m.t_earliest + acc
+            upper[key] = hi = m.t_latest - (total - acc)
+            if lo > hi + 1e-9:
                 raise InfeasibleRoute(f"vehicle {v}: window closes at node {node}")
     return TimeBounds(lower, upper, offset, origin)
 
@@ -172,22 +171,15 @@ class ContractedRoutes:
     def edge_cost(self, key) -> float:
         return self.cedges[key].cost
 
+    def runs(self, v) -> tuple:
+        return tuple(s.original for s in self.routes[v])
+
 
 def contract(routes, times: dict, costs: dict) -> ContractedRoutes:
     """Merge each maximal run of consecutive route edges whose vehicle sets
     coincide into one edge, summing travel time and fuel cost from left to
-    right.  Routes are simple paths, so every vehicle on a run drives all
-    of it, and one walk along each route finds the runs."""
-    veh_sets = {e: frozenset(vs) for e, vs in routes.vehicles_by_edge().items()}
-    runs: dict[int, list[tuple]] = {}
-    for v in routes.vehicles:
-        route = runs[v] = []
-        for e in routes.edges(v):
-            if route and veh_sets[route[-1][-1]] == veh_sets[e]:
-                route[-1] += (e,)
-            else:
-                route.append((e,))
-    return _contracted(runs, times, costs)
+    right (the runs of a ``RunView``)."""
+    return _contracted(RunView(routes, times, costs).route_runs, times, costs)
 
 
 def _contracted(runs: dict, times: dict, costs: dict) -> ContractedRoutes:
@@ -211,6 +203,50 @@ def _contracted(runs: dict, times: dict, costs: dict) -> ContractedRoutes:
                             frozenset(vehicles[run]), run)
     return ContractedRoutes({v: [cedges[run] for run in rs]
                              for v, rs in runs.items()})
+
+
+class RunView:
+    """A route assignment as runs, each keyed ``(tail, head, run)`` with
+    ``run`` its tuple of original edges: what ``time_bounds``,
+    ``platoonable_and_bigM``, ``components``, ``component_key`` and
+    ``pair_platoons`` read of ``contract``'s routes, without a ``CEdge``
+    (``run`` orders the runs joining two nodes as ``contract``'s serial
+    does), but ``vehicles_by_edge`` holds the shared runs only.  Routes are
+    simple paths, so every vehicle on a run drives all of it, and one walk
+    along each route finds the runs."""
+
+    def __init__(self, routes, times: dict, costs: dict):
+        self.times, self.costs = times, costs
+        edges = {v: routes.edges(v) for v in routes.vehicles}
+        on_edge: dict[tuple, list] = {}
+        for v, es in edges.items():
+            for e in es:
+                on_edge.setdefault(e, []).append(v)
+        self.route_runs: dict[int, tuple] = {}   # vehicle -> its runs
+        self.on_run: dict[tuple, list] = {}      # run key -> its vehicles
+        for v, es in edges.items():
+            route = []
+            for vs, group in groupby(es, on_edge.__getitem__):
+                run = tuple(group)
+                route.append(run)
+                self.on_run[(run[0][0], run[-1][1], run)] = vs
+            self.route_runs[v] = tuple(route)
+        self.vehicles = list(self.route_runs)
+
+    def runs(self, v) -> tuple:
+        return self.route_runs[v]
+
+    def route_edges(self, v):
+        times = self.times
+        return [((run[0][0], run[-1][1], run),
+                 reduce(add, map(times.__getitem__, run)))
+                for run in self.route_runs[v]]
+
+    def vehicles_by_edge(self) -> dict[tuple, list[int]]:
+        return {key: vs for key, vs in self.on_run.items() if len(vs) > 1}
+
+    def edge_cost(self, key) -> float:
+        return reduce(add, map(self.costs.__getitem__, key[2]))
 
 
 @dataclass
@@ -547,11 +583,11 @@ def components(contracted: ContractedRoutes, big_m: dict) -> list[list[int]]:
     return [vs for vs in groups.values() if len(vs) > 1]
 
 
-def component_key(contracted: ContractedRoutes, vehicles) -> tuple:
+def component_key(routes, vehicles) -> tuple:
     """All that the model of component ``vehicles`` depends on, within one
-    instance: each vehicle's route as runs of original edges."""
-    return tuple((v, tuple(s.original for s in contracted.routes[v]))
-                 for v in vehicles)
+    instance: each vehicle's route as runs of original edges (``routes`` is
+    a ``ContractedRoutes`` or a ``RunView``)."""
+    return tuple((v, routes.runs(v)) for v in vehicles)
 
 
 def pair_platoons(contracted: ContractedRoutes, bounds: TimeBounds, params,
@@ -586,29 +622,12 @@ def pair_platoons(contracted: ContractedRoutes, bounds: TimeBounds, params,
     return best, [(k, (v, (u,))) for k in best_keys]
 
 
-def _restricted(contracted: ContractedRoutes, keep: set) -> ContractedRoutes:
-    """The routes of the vehicles in ``keep``, each edge carrying only
-    them."""
-    cedges: dict[tuple, CEdge] = {}
-
-    def edge(s: CEdge) -> CEdge:
-        if s.key not in cedges:
-            inside = s.vehicles & keep
-            cedges[s.key] = s if inside == s.vehicles else replace(
-                s, vehicles=inside)
-        return cedges[s.key]
-
-    return ContractedRoutes({v: [edge(s) for s in segs]
-                             for v, segs in contracted.routes.items()
-                             if v in keep})
-
-
 def earliest_departures(contracted: ContractedRoutes, platoons: dict,
                         bounds: TimeBounds) -> dict[int, float]:
-    """Departures realizing ``platoons`` (contracted edge key -> ``[(leader,
-    followers)]``): the vehicles that platoons tie together leave at the
-    earliest common shift their windows allow, a lone vehicle at its window
-    start.  Times and windows come from ``bounds``."""
+    """Departures realizing ``platoons`` (key of a contracted edge or a run
+    -> ``[(leader, followers)]``): the vehicles that platoons tie together
+    leave at the earliest common shift their windows allow, a lone vehicle
+    at its window start.  Times and windows come from ``bounds``."""
     offset = bounds.offset
     links: dict[int, list[tuple]] = {v: [] for v in contracted.vehicles}
     for key, plist in platoons.items():
@@ -638,21 +657,28 @@ def earliest_departures(contracted: ContractedRoutes, platoons: dict,
 @dataclass
 class Schedule:
     """What a ``solve_schedule`` call scheduled: the model of its new
-    components of three or more vehicles, the answer over all its new
-    components (the model's, with the savings of the pairs scheduled in
-    closed form added), the whole assignment's platoons on the original
-    edges, and the contracted routes of the new components' vehicles with
-    their time bounds.  ``milp``, ``pairs`` and ``reused`` count the
-    components that the model took, that were pairs, and that ``solved``
-    held."""
-    handle: SpModelHandle
+    components of three or more vehicles (None without one), the answer
+    over all its new components (the model's, with the savings of the pairs
+    scheduled in closed form added), the whole assignment's platoons on the
+    original edges, and every vehicle's time bounds.  ``milp``, ``pairs``
+    and ``reused`` count the components that the model took, that were
+    pairs, and that ``solved`` held.  ``contracted``, the contracted routes
+    of the ``new`` components' vehicles, pairs included, is built from
+    their runs in ``view`` on first read."""
+    handle: SpModelHandle | None
     solution: mip.MipSolution
     platoons: PlatoonConfiguration
-    contracted: ContractedRoutes
     bounds: TimeBounds
     milp: int
     pairs: int
     reused: int
+    view: RunView
+    new: list
+
+    @cached_property
+    def contracted(self) -> ContractedRoutes:
+        return _contracted({v: self.view.runs(v) for v in self.new},
+                           self.view.times, self.view.costs)
 
 
 def _with_savings(sol: mip.MipSolution, savings: float) -> mip.MipSolution:
@@ -673,35 +699,34 @@ def solve_schedule(routes, inst, cuts: str, *,
                    time_limit_s: float | None = None,
                    cut_log: list | None = None,
                    solved: dict | None = None) -> Schedule:
-    """Schedule fixed routes: contract them, bound their times, and find
-    the ``components`` that ``solved`` does not hold.  Each new component
-    of two vehicles is scheduled in closed form (``pair_platoons``); one
-    model, with the rows of cut mode ``cuts`` (see ``CUT_MODES``), takes
-    those of three or more.  Solve it from the no-platoon incumbent, so a
-    solve stopped by ``time_limit_s`` ends ``feasible``; without such a
-    component it has no columns and is not solved.  The returned solution
+    """Schedule fixed routes: bound every vehicle on its runs (a
+    ``RunView``), find the ``components`` on the shared runs, and schedule
+    those that ``solved`` does not hold: each of two vehicles in closed
+    form (``pair_platoons``), those of three or more in one model over
+    their contracted routes, with the rows of cut mode ``cuts`` (see
+    ``CUT_MODES``), solved from the no-platoon incumbent, so a solve
+    stopped by ``time_limit_s`` ends ``feasible``.  The returned solution
     is the model's with the pairs' savings added to its objective and
-    bounds (``optimal`` in 0 nodes, with no values, when the model is not
-    solved); the pairs stay out of the model, so its search and its
-    ``rel_gap`` pruning see its own components alone.  ``inst`` supplies
-    the missions and the savings parameters.  ``cut_log`` receives
-    ``(bound before, cut)`` for each disjunctive cut the root rounds add,
-    the bound with the pairs' savings added too.
+    bounds (``optimal`` in 0 nodes, with no values, without a model); the
+    pairs stay out of the model, so its search and its ``rel_gap`` pruning
+    see its own components alone.  ``inst`` supplies the missions and the
+    savings parameters.  ``cut_log`` receives ``(bound before, cut)`` for
+    each disjunctive cut the root rounds add, the pairs' savings added.
 
     ``solved`` maps a ``component_key`` to the component's platoons with
-    followers, as ``(original-edge run, (leader, followers))`` pairs; each
-    pair, and a model whose solve ends ``optimal``, adds its components.
-    One map serves one instance, cut mode and gap.  Platoons are listed by
-    sorted contracted key, then original edge, and departures are
+    followers, as ``(run, (leader, followers))`` pairs; each pair, and a
+    model whose solve ends ``optimal``, adds its components.  One map serves
+    one instance, cut mode and gap.  Platoons are listed run by run in
+    ``(tail, head, run)`` order, then by original edge, and departures are
     ``earliest_departures``, so the schedule does not depend on which
     components were known."""
     cut_options, disjunctive = cut_mode(cuts)
-    contracted = contract(routes, routes.edge_times, routes.edge_costs)
-    bounds = time_bounds(contracted, inst.missions)
-    big_m, pruned = platoonable_and_bigM(contracted, bounds)
+    view = RunView(routes, routes.edge_times, routes.edge_costs)
+    bounds = time_bounds(view, inst.missions)
+    big_m, pruned = platoonable_and_bigM(view, bounds)
     reused, new, n_reused = [], [], 0
-    for vs in components(contracted, big_m):
-        key = component_key(contracted, vs)
+    for vs in components(view, big_m):
+        key = component_key(view, vs)
         known = None if solved is None else solved.get(key)
         if known is None:
             new.append((key, vs))
@@ -716,23 +741,27 @@ def solve_schedule(routes, inst, cuts: str, *,
             meet[(v, u)].append(key)
     fresh, pair_savings = [], 0.0
     for (v, u), key in twos.items():
-        savings, plist = pair_platoons(contracted, bounds, inst, v, u,
-                                       meet[(v, u)])
-        found = [(contracted.cedges[k].original, p) for k, p in plist]
+        savings, plist = pair_platoons(view, bounds, inst, v, u, meet[(v, u)])
+        found = [(k[2], p) for k, p in plist]
         pair_savings += savings
         fresh += found
         if solved is not None:
             solved[key] = tuple(found)
 
     milp = [(key, vs) for key, vs in new if len(vs) > 2]
-    keep = {v for _key, vs in milp for v in vs}
-    # the pairs of kept vehicles; both of a pair that can meet are in one
-    # component, so its first vehicle decides
-    pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
-             [p for p in pruned if p[0] in keep and p[1] in keep])
-    handle = build_sp(_restricted(contracted, keep), inst, bounds, cut_options,
-                      pairs)
+    handle = None
     if milp:
+        keep = {v for _key, vs in milp for v in vs}
+        contracted = _contracted({v: view.runs(v) for v in sorted(keep)},
+                                 view.times, view.costs)
+        at = {s.original: s.key for s in contracted.cedges.values()}
+        # the pairs of kept vehicles; both of a pair that can meet are in
+        # one component, so its first vehicle decides
+        pairs = ({(u, v, at[k[2]]): m for (u, v, k), m in big_m.items()
+                  if u in keep},
+                 [(u, v, at[k[2]]) for u, v, k in pruned
+                  if u in keep and v in keep])
+        handle = build_sp(contracted, inst, bounds, cut_options, pairs)
         hook, log = None, []
         if disjunctive:
             from . import cuts as _cuts
@@ -741,7 +770,7 @@ def solve_schedule(routes, inst, cuts: str, *,
                             time_limit_s=time_limit_s, root_cut_hook=hook,
                             initial_solution=solo_schedule(handle))
         config = extract_platoons(handle, sol)
-        found = [(handle.contracted.cedges[key].original, p)
+        found = [(contracted.cedges[key].original, p)
                  for key, plist in config.platoons.items()
                  for p in plist if p[1]]
         if solved is not None and sol.status == "optimal":
@@ -754,22 +783,24 @@ def solve_schedule(routes, inst, cuts: str, *,
     else:
         sol = mip.MipSolution("optimal", pair_savings, np.zeros(0),
                               pair_savings, 0.0, 0, 0.0)
-    platooned: dict[tuple, list] = {}   # original-edge run -> its platoons
+    by_key: dict[tuple, list[tuple]] = {}   # run key -> its platoons
     for run, p in reused + fresh:
-        platooned.setdefault(run, []).append(p)
-    by_key: dict[tuple, list[tuple]] = {}
-    for key in sorted(contracted.cedges):
-        s = contracted.cedges[key]
-        plist = platooned.get(s.original, [])
+        by_key.setdefault((run[0][0], run[-1][1], run), []).append(p)
+    for key, plist in by_key.items():
         members = {v for leader, followers in plist
                    for v in (leader, *followers)}
-        by_key[key] = sorted(plist + [(v, ()) for v in s.vehicles
-                                      if v not in members])
-    config = PlatoonConfiguration(
-        by_key, earliest_departures(contracted, by_key, bounds))
-    scheduled = _restricted(contracted, {v for _key, vs in new for v in vs})
-    return Schedule(handle, sol, expand_platoons(config, contracted),
-                    scheduled, bounds, len(milp), len(twos), n_reused)
+        plist += [(v, ()) for v in view.on_run[key] if v not in members]
+        plist.sort()
+    listed: dict[tuple, list[tuple]] = {}   # original edge -> platoons
+    for key in sorted(view.on_run):
+        plist = by_key.get(key) or [(v, ()) for v in view.on_run[key]]
+        for e in key[2]:
+            listed[e] = list(plist)
+    departures = earliest_departures(view, dict(sorted(by_key.items())),
+                                     bounds)
+    return Schedule(handle, sol, PlatoonConfiguration(listed, departures),
+                    bounds, len(milp), len(twos), n_reused, view,
+                    sorted(v for _key, vs in new for v in vs))
 
 
 def total_fuel(routes, platoons: PlatoonConfiguration, edge_costs: dict,

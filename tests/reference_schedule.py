@@ -1,0 +1,127 @@
+"""Scheduling of a whole route assignment, contracted and bounded in full
+on every call: the reference of ``scheduling.solve_schedule``, which works
+on runs of original edges and contracts only the routes of new components
+of three or more vehicles.
+
+``solve_schedule`` contracts all routes, bounds every vehicle, tests every
+pair, builds the model of the new components of three or more vehicles
+(one without columns when there is none), lists the platoons by contracted
+key and takes every departure from the whole assignment."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from platoonopt import mip, scheduling as sched
+
+
+@dataclass
+class ReferenceSchedule:
+    handle: sched.SpModelHandle
+    solution: mip.MipSolution
+    platoons: sched.PlatoonConfiguration
+    contracted: sched.ContractedRoutes
+    bounds: sched.TimeBounds
+    milp: int
+    pairs: int
+    reused: int
+
+
+def restricted(contracted, keep: set) -> sched.ContractedRoutes:
+    """The routes of the vehicles in ``keep``, each edge carrying only
+    them; edges keep their keys in ``contracted``."""
+    cedges: dict = {}
+
+    def edge(s):
+        if s.key not in cedges:
+            inside = s.vehicles & keep
+            cedges[s.key] = s if inside == s.vehicles else replace(
+                s, vehicles=inside)
+        return cedges[s.key]
+
+    return sched.ContractedRoutes({v: [edge(s) for s in segs]
+                                   for v, segs in contracted.routes.items()
+                                   if v in keep})
+
+
+def solve_schedule(routes, inst, cuts: str, *,
+                   rel_gap: float = mip.DEFAULT_REL_GAP,
+                   time_limit_s: float | None = None,
+                   cut_log: list | None = None,
+                   solved: dict | None = None) -> ReferenceSchedule:
+    cut_options, disjunctive = sched.cut_mode(cuts)
+    contracted = sched.contract(routes, routes.edge_times, routes.edge_costs)
+    bounds = sched.time_bounds(contracted, inst.missions)
+    big_m, pruned = sched.platoonable_and_bigM(contracted, bounds)
+    reused, new, n_reused = [], [], 0
+    for vs in sched.components(contracted, big_m):
+        key = sched.component_key(contracted, vs)
+        known = None if solved is None else solved.get(key)
+        if known is None:
+            new.append((key, vs))
+        else:
+            reused.extend(known)
+            n_reused += 1
+    twos = {tuple(vs): key for key, vs in new if len(vs) == 2}
+    meet: dict = {p: [] for p in twos}
+    for u, v, key in big_m:
+        if (v, u) in meet:
+            meet[(v, u)].append(key)
+    fresh, pair_savings = [], 0.0
+    for (v, u), key in twos.items():
+        savings, plist = sched.pair_platoons(contracted, bounds, inst, v, u,
+                                             meet[(v, u)])
+        found = [(contracted.cedges[k].original, p) for k, p in plist]
+        pair_savings += savings
+        fresh += found
+        if solved is not None:
+            solved[key] = tuple(found)
+
+    milp = [(key, vs) for key, vs in new if len(vs) > 2]
+    keep = {v for _key, vs in milp for v in vs}
+    pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
+             [p for p in pruned if p[0] in keep and p[1] in keep])
+    handle = sched.build_sp(restricted(contracted, keep), inst, bounds,
+                            cut_options, pairs)
+    if milp:
+        hook, log = None, []
+        if disjunctive:
+            from platoonopt import cuts as _cuts
+            hook = _cuts.make_disjunctive_hook(handle, log=log)
+        sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
+                            time_limit_s=time_limit_s, root_cut_hook=hook,
+                            initial_solution=sched.solo_schedule(handle))
+        config = sched.extract_platoons(handle, sol)
+        found = [(handle.contracted.cedges[key].original, p)
+                 for key, plist in config.platoons.items()
+                 for p in plist if p[1]]
+        if solved is not None and sol.status == "optimal":
+            for key, vs in milp:
+                solved[key] = tuple(f for f in found if f[1][0] in vs)
+        fresh += found
+        if cut_log is not None:
+            cut_log.extend((before + pair_savings, cut) for before, cut in log)
+        sol = sched._with_savings(sol, pair_savings)
+    else:
+        sol = mip.MipSolution("optimal", pair_savings, np.zeros(0),
+                              pair_savings, 0.0, 0, 0.0)
+    platooned: dict = {}
+    for run, p in reused + fresh:
+        platooned.setdefault(run, []).append(p)
+    by_key: dict = {}
+    for key in sorted(contracted.cedges):
+        s = contracted.cedges[key]
+        plist = platooned.get(s.original, [])
+        members = {v for leader, followers in plist
+                   for v in (leader, *followers)}
+        by_key[key] = sorted(plist + [(v, ()) for v in s.vehicles
+                                      if v not in members])
+    config = sched.PlatoonConfiguration(
+        by_key, sched.earliest_departures(contracted, by_key, bounds))
+    scheduled = restricted(contracted, {v for _key, vs in new for v in vs})
+    return ReferenceSchedule(handle, sol,
+                             sched.expand_platoons(config, contracted),
+                             scheduled, bounds, len(milp), len(twos),
+                             n_reused)

@@ -413,6 +413,28 @@ class TestSolveSpCommand:
         return cli.main(["solve-sp", "--instance", inst_path,
                          "--routes", str(bad)])
 
+    def test_a_route_that_misses_its_window_is_infeasible(self, tmp_path,
+                                                          capsys):
+        # vehicle 1 of this instance (10 -> 15 in 1.41 h) on a 14-node
+        # detour, which shares its last two edges with vehicle 4
+        inst_path = str(tmp_path / "inst.json")
+        assert cli.main(["gen", "--model", "two-cluster", "--n", "4",
+                         "--rows", "4", "--cols", "4", "--seed", "1",
+                         "--out", inst_path]) == cli.EXIT_OK
+        inst = nm.load_instance(inst_path)
+        routes = routing.shortest_path_assignment(inst).routes
+        routes[1] = (10, 6, 7, 11, 12, 8, 3, 2, 1, 5, 9, 13, 14, 15)
+        assert routes[4][-3:] == (13, 14, 15)
+        path = tmp_path / "detour.json"
+        path.write_text(json.dumps({"routes": {str(v): list(r) for v, r
+                                               in routes.items()}}),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["solve-sp", "--instance", inst_path,
+                         "--routes", str(path)]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == \
+            "infeasible: vehicle 1: window closes at node 10\n"
+
     def test_routes_file_must_cover_every_mission(self, tmp_path, cluster,
                                                   capsys):
         code = self._bad_routes(tmp_path, cluster,

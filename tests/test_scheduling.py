@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from platoonopt import (mip, netmodel as nm, oracle, routing, rshm,
-                        scheduling as sched)
+from platoonopt import (cuts as cuts_module, mip, netmodel as nm, oracle,
+                        routing, rshm, scheduling as sched)
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
@@ -14,6 +14,7 @@ from platoonopt.scheduling import CEdge, ContractedRoutes
 
 import reference_mip
 import reference_models
+import reference_schedule
 from reference_models import uncontracted
 from conftest import make_net, shared_edge_instance
 
@@ -393,6 +394,29 @@ class TestSolveSchedule:
         bounds = [before for before, _cut in log] + [res.solution.root_bound]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
+    @pytest.mark.parametrize("shares", [False, True])
+    def test_a_route_that_misses_its_window_is_named(self, shares):
+        # vehicle 1 drives alone from node 1 to 3, or shares (3, 4) with
+        # vehicle 2; vehicle 3 shares (3, 4) with vehicle 2 and misses its
+        # window too when vehicle 1 drives alone, but vehicle 1 comes first
+        inst = shared_edge_instance()
+        one = (1, 3, 4, 5) if shares else (1, 3)
+        routes = RouteAssignment({1: one, 2: (2, 3, 4, 6), 3: (3, 4, 5)},
+                                 inst.network.time_table(),
+                                 inst.network.fuel_table())
+        missions = [VehicleMission(1, 1, one[-1], 1.0, 1.01),
+                    inst.missions[1],
+                    VehicleMission(3, 3, 5, 0.0, 0.01 if not shares else 2.0)]
+        tight = nm.ProblemInstance(inst.network, missions)
+        con = sched.contract(routes, routes.edge_times, routes.edge_costs)
+        with pytest.raises(sched.InfeasibleRoute) as want:
+            sched.time_bounds(con, missions)
+        assert str(want.value) == "vehicle 1: window closes at node 1"
+        for solved in (None, {}):
+            with pytest.raises(sched.InfeasibleRoute) as got:
+                sched.solve_schedule(routes, tight, "star", solved=solved)
+            assert str(got.value) == str(want.value)
+
     def test_unknown_cut_mode_raises(self):
         inst = shared_edge_instance()
         with pytest.raises(ValueError, match="unknown cut mode"):
@@ -582,7 +606,7 @@ class TestComponents:
             con, sched.time_bounds(con, inst.missions))
         assert sched.components(con, big_m) == []
         res = sched.solve_schedule(ra, inst, "star")
-        assert res.handle.model.num_vars == 0
+        assert res.handle is None
         assert res.solution.status == "optimal"
         assert res.platoons.departures == {1: 0.0, 2: 10.0}
 
@@ -596,11 +620,11 @@ class TestComponents:
         assert fresh.handle.model.num_vars > 0 and solved
 
         def no_solve(*args, **kwargs):
-            raise AssertionError("solved a model without columns")
+            raise AssertionError("solved a model of known components")
 
         monkeypatch.setattr(mip, "solve_mip", no_solve)
         again = sched.solve_schedule(ra, inst, cuts, solved=solved)
-        assert again.handle.model.num_vars == 0
+        assert again.handle is None
         sol = again.solution
         assert (sol.status, sol.objective, sol.x.size, sol.nodes) == \
             ("optimal", 0.0, 0, 0)
@@ -612,6 +636,7 @@ class TestComponents:
     def test_pairs_that_can_meet_are_found_once(self, monkeypatch):
         # solve_schedule hands build_sp the pairs of the components it
         # solves; the model is the one build_sp builds finding them itself
+        # on the contracted routes of the component's runs
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
         inst = nm.generate_two_cluster(grid, 14, seed=1)
         ra = routing.shortest_path_assignment(inst)
@@ -630,8 +655,10 @@ class TestComponents:
         got = sched.solve_schedule(ra, inst, "star", solved=solved).handle
         assert len(calls) == 1
         monkeypatch.undo()
-        want = sched.build_sp(sched._restricted(con, set(comps[0])), inst,
-                              bounds, sched.CutOptions(star_partition=True))
+        own = sched._contracted({v: con.runs(v) for v in comps[0]},
+                                ra.edge_times, ra.edge_costs)
+        want = sched.build_sp(own, inst, bounds,
+                              sched.CutOptions(star_partition=True))
         assert (got.big_m, got.pruned) == (want.big_m, want.pruned)
         assert list(got.big_m) == list(want.big_m)
         assert got.model.names == want.model.names
@@ -640,6 +667,50 @@ class TestComponents:
         ga, wa = got.model.compiled_rows(), want.model.compiled_rows()
         assert (ga.a != wa.a).nnz == 0
         assert np.array_equal(ga.rlo, wa.rlo) and np.array_equal(ga.rhi, wa.rhi)
+
+    def test_known_components_cost_no_work_of_their_own(self, monkeypatch):
+        # shortest routes: components [2, 3], [5, 6, 13], [7, 8, 10, 11]
+        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
+        inst = nm.generate_two_cluster(grid, 14, seed=3)
+        ra = routing.shortest_path_assignment(inst)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        comps = sched.components(con, sched.platoonable_and_bigM(
+            con, sched.time_bounds(con, inst.missions))[0])
+        assert comps == [[2, 3], [5, 6, 13], [7, 8, 10, 11]]
+        solved = {}
+        fresh = sched.solve_schedule(ra, inst, "star", solved=solved)
+        calls = []
+
+        def recording(name, real):
+            def call(*args, **kwargs):
+                calls.append((name, args))
+                return real(*args, **kwargs)
+            return call
+
+        for module, name in ((sched, "_contracted"), (sched, "build_sp"),
+                             (mip, "solve_mip")):
+            monkeypatch.setattr(module, name,
+                                recording(name, getattr(module, name)))
+        known = sched.solve_schedule(ra, inst, "star", solved=solved)
+        assert calls == []
+        assert known.handle is None
+        assert (known.milp, known.pairs, known.reused) == (0, 0, 3)
+        assert known.platoons == fresh.platoons
+        # one new component of three vehicles: contracted edges for its
+        # vehicles' routes alone, one model and one solve
+        del solved[sched.component_key(con, [5, 6, 13])]
+        again = sched.solve_schedule(ra, inst, "star", solved=solved)
+        assert [name for name, _args in calls] == \
+            ["_contracted", "build_sp", "solve_mip"]
+        runs = calls[0][1][0]
+        assert list(runs) == [5, 6, 13]
+        assert runs == {v: con.runs(v) for v in (5, 6, 13)}
+        contracted = again.handle.contracted
+        assert contracted.vehicles == [5, 6, 13]
+        assert all(s.vehicles <= {5, 6, 13}
+                   for s in contracted.cedges.values())
+        assert (again.milp, again.pairs, again.reused) == (1, 0, 2)
+        assert again.platoons == fresh.platoons
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**_CASES, cuts=st.sampled_from(["star", "star+disj"]),
@@ -672,7 +743,7 @@ class TestComponents:
             sched.total_fuel(ra, fresh.platoons, fuel, inst)
         # every component of the assignment is known now
         third = sched.solve_schedule(ra, inst, cuts, solved=solved)
-        assert third.handle.model.num_vars == 0
+        assert third.handle is None
         assert third.platoons == fresh.platoons
         assert comps <= set(solved)
         event(f"{route_kind}: components {len(comps)}, "
@@ -738,6 +809,73 @@ def _two_segment_instance(flip, second=10.0):
 def _pair_edges(big_m, v, u):
     """The contracted edges on which the pair ``v < u`` can still meet."""
     return [key for (a, b, key) in big_m if (b, a) == (v, u)]
+
+
+def _same_schedule(got, want, inst, routes):
+    """``solve_schedule``'s answer is the reference's, bit for bit."""
+    assert list(got.platoons.platoons.items()) == \
+        list(want.platoons.platoons.items())
+    assert list(got.platoons.departures.items()) == \
+        list(want.platoons.departures.items())
+    fuel = inst.network.fuel_table()
+    assert sched.total_fuel(routes, got.platoons, fuel, inst) == \
+        sched.total_fuel(routes, want.platoons, fuel, inst)
+    assert (got.milp, got.pairs, got.reused) == \
+        (want.milp, want.pairs, want.reused)
+    sol, ref = got.solution, want.solution
+    assert (sol.status, sol.objective, sol.bound, sol.gap, sol.nodes,
+            sol.root_bound, sol.cuts_added) == \
+        (ref.status, ref.objective, ref.bound, ref.gap, ref.nodes,
+         ref.root_bound, ref.cuts_added)
+    assert (got.handle is None) == (want.handle.model.num_vars == 0)
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**_CASES, cuts=st.sampled_from(["star", "star+disj"]),
+           drop=st.integers(0, 10), swap=st.integers(0, 10))
+    def test_runs_give_the_schedule_of_the_whole_assignment(
+            self, rows, generator, vehicles, seed, route_kind, flexibility,
+            cuts, drop, swap):
+        inst, ra, other = _scheduling_case(rows, generator, vehicles, seed,
+                                           route_kind, flexibility)
+        # known components from the perturbed assignment of
+        # test_known_components_give_the_schedule_of_a_fresh_solve
+        perturbed = RouteAssignment(
+            {v: (other if v == swap else ra).routes[v]
+             for v in ra.vehicles if v != drop},
+            ra.edge_times, ra.edge_costs)
+        mine, theirs = {}, {}
+        _same_schedule(
+            sched.solve_schedule(perturbed, inst, cuts, solved=mine),
+            reference_schedule.solve_schedule(perturbed, inst, cuts,
+                                              solved=theirs),
+            inst, perturbed)
+        assert list(mine.items()) == list(theirs.items())
+        known = len(mine)
+        _same_schedule(
+            sched.solve_schedule(ra, inst, cuts, solved=mine),
+            reference_schedule.solve_schedule(ra, inst, cuts, solved=theirs),
+            inst, ra)
+        assert list(mine.items()) == list(theirs.items())
+        got = sched.solve_schedule(ra, inst, cuts)
+        want = reference_schedule.solve_schedule(ra, inst, cuts)
+        _same_schedule(got, want, inst, ra)
+        assert got.contracted.vehicles == want.contracted.vehicles
+        assert got.bounds == want.bounds
+        if got.contracted.vehicles:
+            params = SavingsParams.from_instance(inst)
+            mine_report = cuts_module.bound_improvement_report(
+                got.contracted, params, got.bounds)
+            their_report = cuts_module.bound_improvement_report(
+                want.contracted, params, want.bounds)
+            for report in (mine_report, their_report):
+                del report["time_disj_cut_s"]
+                report["disj_cuts"] = [(dc.cut, dc.violation)
+                                       for dc in report["disj_cuts"]]
+            assert mine_report == their_report
+        event(f"{route_kind}: model {got.milp > 0}, pairs {got.pairs > 0}, "
+              f"known before {known > 0}")
 
 
 class TestPairs:
@@ -809,7 +947,9 @@ class TestPairs:
             savings, plist = sched.pair_platoons(
                 con, bounds, inst, v, u, _pair_edges(big_m, v, u))
             alone = mip.solve_mip(sched.build_sp(
-                sched._restricted(con, {v, u}), inst, bounds).model,
+                sched._contracted({w: con.runs(w) for w in (v, u)},
+                                  ra.edge_times, ra.edge_costs),
+                inst, bounds).model,
                 rel_gap=0.0)
             assert alone.status == "optimal"
             assert savings == pytest.approx(alone.objective, rel=1e-12,

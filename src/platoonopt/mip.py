@@ -7,6 +7,7 @@ row's columns and coefficients, in the order given, and its bounds
 one way to change one; ``add_rows`` appends rows.  Each checks what it
 appends, so every column and row a solve reads has passed the same checks;
 ``add_var`` and ``add_constraint`` are their one-column and one-row calls.
+``without`` copies a model without some of its columns and rows.
 
 Every LP relaxation runs on HiGHS's simplex behind ``simplex.solve``;
 branch and bound, cut rounds and their warm starts stay here.  HiGHS gets
@@ -17,8 +18,10 @@ made again only when rows or columns were appended; the column arrays are
 read afresh at every solve, so a model re-priced between solves re-uses
 its rows and sends HiGHS only its changed costs.  Rows appended to a
 model, or to a :class:`Relaxation`, go to the HiGHS instance of the rows
-above them, which HiGHS keeps with its basis (see ``simplex.Matrix``);
-HiGHS instances are reused once their matrices are dropped.
+above them, which HiGHS keeps with its basis (see ``simplex.Matrix``); the
+copy ``without`` makes takes over the instance, which deletes the rows and
+columns left out and keeps what is left of the basis.  HiGHS instances are
+reused once their matrices are dropped.
 
 Branch and bound uses best-bound node selection, most-fractional branching
 (ties to the lowest variable index), and an optional root cut hook that is
@@ -48,6 +51,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -326,15 +330,52 @@ class LinearModel:
         m, nv = self.num_constraints, self.num_vars
         old = self._rows
         if old is None or old.a.shape != (m, nv):
-            ptr = self._view(self._indptr, m + 1)
-            nnz = int(ptr[-1])
-            a = sp.csr_matrix((self._view(self._data, nnz),
-                               self._view(self._indices, nnz), ptr),
-                              shape=(m, nv))
             self._rows = simplex.Matrix(
-                a, self.rlo, self.rhi,
+                self._csr(), self.rlo, self.rhi,
                 old if old is not None and old.a.shape[1] == nv else None)
         return self._rows
+
+    def _csr(self) -> sp.csr_matrix:
+        """The row block over the columns, on read-only views."""
+        m = self.num_constraints
+        ptr = self._view(self._indptr, m + 1)
+        nnz = int(ptr[-1])
+        return sp.csr_matrix((self._view(self._data, nnz),
+                              self._view(self._indices, nnz), ptr),
+                             shape=(m, self.num_vars))
+
+    def without(self, cols, rows) -> "LinearModel":
+        """A copy without the columns ``cols`` and the rows ``rows``
+        (indices), the others kept in their order.  Its compiled rows take
+        over this model's HiGHS instance, which deletes them (see
+        ``simplex.Matrix``); this model's rows load again if it is solved
+        again.  ``ModelError`` when a kept row holds a column of ``cols``."""
+        m, nv = self.num_constraints, self.num_vars
+        keep_row, keep_col = np.ones(m, dtype=bool), np.ones(nv, dtype=bool)
+        keep_row[rows], keep_col[cols] = False, False
+        lengths = np.diff(self._indptr[:m + 1])
+        entry = np.repeat(keep_row, lengths)
+        nnz = len(entry)
+        col = self._indices[:nnz][entry]
+        if not keep_col[col].all():
+            j = int(col[np.argmin(keep_col[col])])
+            raise ModelError(f"a kept row holds column {self.names[j]}")
+        out = LinearModel(self.name)
+        out.names = list(compress(self.names, keep_col))
+        out.row_names = list(compress(self.row_names, keep_row))
+        out._lb, out._ub, out._kind, out._c = (
+            a[:nv][keep_col] for a in (self._lb, self._ub, self._kind,
+                                       self._c))
+        out._indptr = row_pointers(lengths[keep_row]).astype(np.int32)
+        out._indices = (np.cumsum(keep_col, dtype=np.int32) - 1)[col]
+        out._data = self._data[:nnz][entry]
+        out._rlo, out._rhi = self.rlo[keep_row], self.rhi[keep_row]
+        out.obj_constant, out.obj_sense = self.obj_constant, self.obj_sense
+        if self._rows is not None and self._rows.a.shape == (m, nv):
+            out._rows = simplex.Matrix(
+                out._csr(), out.rlo, out.rhi, self._rows,
+                (np.flatnonzero(~keep_row), np.flatnonzero(~keep_col)))
+        return out
 
     def copy(self) -> "LinearModel":
         m = LinearModel(self.name)

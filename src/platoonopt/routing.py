@@ -10,11 +10,16 @@ scheduling, and drop those edges' savings terms.
 
 The platoon columns of an edge (y: the edge is used, y': two or more
 vehicles use it, w: its number of followers) and its per-edge rows exist
-only for a shared candidate edge, one in the candidate sets of two or more
-vehicles.  On an edge that only one vehicle can take, those rows fix
-y = x, y' = 0 and w = 0 even in the LP relaxation, and y costs nothing, so
-leaving the columns and rows out keeps the feasible x set and the
-objective on it, of the MILP and of its relaxation alike.
+only for an unexplored shared candidate edge, one in the candidate sets of
+two or more vehicles that no cost table has marked explored yet.  On an
+edge that only one vehicle can take, those rows fix y = x, y' = 0 and
+w = 0 even in the LP relaxation, and y costs nothing, so ``build_rdp``
+leaves them out.  On an explored edge y' and w cost nothing either, and
+(y, y', w) = (max x, 0, 0) satisfies the edge's rows for every x in
+[0, 1], integral when x is, so ``retire_explored`` deletes them once a
+table marks the edge explored.  Either way the feasible x set and the
+objective on it stay those of the full model, for the MILP and for its
+relaxation alike.
 """
 
 from __future__ import annotations
@@ -169,6 +174,9 @@ class RdpModelHandle:
     edge_vehicles: dict[tuple, list[int]]   # every candidate edge
     instance: ProblemInstance
     pairs: CandidatePairs                # the x columns' pairs
+    # the candidate edges with platoon columns, a mask over pairs.edges;
+    # the i-th of them has y = n + 3 i (n x columns), y' and w next
+    platoon: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,7 +278,7 @@ def build_rdp(inst: ProblemInstance) -> RdpModelHandle:
         {e: j + 2 for e, j in y_col.items()}, cand,
         {e: vs[s:s + c] for e, s, c in zip(pairs.edges, first.tolist(),
                                            k.tolist())},
-        inst, pairs)
+        inst, pairs, pairs.shared.copy())
     set_rdp_costs(handle, EdgeCostTable.initial(pairs))
     return handle
 
@@ -332,20 +340,60 @@ def _add_hull_rows(model, edges, k, x, vehicles, y) -> None:
 
 def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable) -> None:
     """Re-price a routing model at a table over its pairs: the x columns
-    at the table's prices, y' and w of each unexplored shared edge at the
-    presumed leader and follower savings.  Only the objective depends on
-    the cost table; columns, rows and bounds stay as built, so the
-    previous iteration's LP basis remains primal feasible."""
+    at the table's prices, y' and w of each unexplored edge with platoon
+    columns at the presumed leader and follower savings.  Only the
+    objective depends on the cost table; columns, rows and bounds stay as
+    they are, so the previous iteration's LP basis remains primal feasible.
+    ``ValueError`` for a table over other pairs, or one that leaves a
+    shared edge unexplored after ``retire_explored`` deleted its savings
+    columns, naming the edge."""
     inst, pairs = handle.instance, handle.pairs
     if costs.pairs is not pairs and costs.pairs.keys != pairs.keys:
         raise ValueError("cost table is not over the model's x columns")
+    lost = pairs.shared & ~handle.platoon & ~costs.edge_explored
+    if lost.any():
+        raise ValueError(f"edge {pairs.edges[int(np.argmax(lost))]} is "
+                         "unexplored, but its savings columns were retired")
     n = len(pairs.keys)
     c = np.zeros(handle.model.num_vars)
     c[:n] = costs.prices
-    fuel = np.where(costs.edge_explored, 0.0, pairs.edge_fuel)[pairs.shared]
+    fuel = np.where(costs.edge_explored, 0.0,
+                    pairs.edge_fuel)[handle.platoon]
     c[n + 1::3] = -inst.sigma_l * fuel
     c[n + 2::3] = -inst.sigma_f * fuel
     handle.model.set_objective(c, sense="min")
+
+
+def retire_explored(handle: RdpModelHandle,
+                    costs: EdgeCostTable) -> np.ndarray | None:
+    """Delete the platoon columns and per-edge rows of the edges with
+    them that ``costs`` marks explored, from the model and from its HiGHS
+    instance, which keeps its basis (``mip.LinearModel.without``); the
+    handle gets the smaller model and the column maps of the edges left.
+    Neither the LP bound nor the optimum changes (see the module
+    docstring).  Returns the old model's kept columns as a mask, or None,
+    leaving the model as it is, when no such edge is explored."""
+    drop = handle.platoon & costs.edge_explored
+    if not drop.any():
+        return None
+    pairs, model = handle.pairs, handle.model
+    n = len(pairs.keys)
+    gone = drop[handle.platoon]         # the edges with columns, in order
+    size = np.bincount(pairs.edge, minlength=len(pairs.edges))[
+        handle.platoon] + 4             # per-edge rows: k + 4, the last rows
+    first = model.num_constraints - size.sum() + np.cumsum(size) - size
+    ptr = mip.row_pointers(size[gone])
+    rows = np.repeat(first[gone] - ptr[:-1], size[gone]) + np.arange(ptr[-1])
+    cols = (n + 3 * np.flatnonzero(gone)[:, None] + np.arange(3)).ravel()
+    keep = np.ones(model.num_vars, dtype=bool)
+    keep[cols] = False
+    handle.model = model.without(cols, rows)
+    handle.platoon = handle.platoon & ~drop
+    edges = [pairs.edges[g] for g in np.flatnonzero(handle.platoon).tolist()]
+    handle.y_col, handle.yp_col, handle.w_col = (
+        dict(zip(edges, range(n + d, n + d + 3 * len(edges), 3)))
+        for d in range(3))
+    return keep
 
 
 def extract_route_assignment(handle: RdpModelHandle,
@@ -481,8 +529,10 @@ def greedy_assignment(inst: ProblemInstance,
 
 def assignment_values(handle: RdpModelHandle,
                       assignment: RouteAssignment) -> "np.ndarray":
-    """Model-space values realizing a route assignment (x, y, y', w); an
-    edge without platoon columns has one vehicle at most."""
+    """Model-space values realizing a route assignment (x, y, y', w).  An
+    edge without platoon columns gets none: one that only one vehicle can
+    take, or an explored one whose columns ``retire_explored`` deleted,
+    which any number of vehicles may share."""
     x = np.zeros(handle.model.num_vars)
     counts: dict[tuple, int] = {}
     for v in assignment.vehicles:

@@ -12,10 +12,11 @@ The feedback has one encoding, over the routing model's x columns: the
 ``RshmState`` keeps each iteration's history as arrays over those pairs,
 and a cost table is a price per pair, priced in one array pass and written
 into the model in one slice.  Work that does not change between
-iterations is done once per run: the routing model is built at iteration
-1 and only re-priced afterwards, and a scheduling component (see
-``scheduling.components``) already solved to optimality is neither
-contracted nor solved again.
+iterations is done once per run: the routing model is built once, at
+iteration 1, and re-priced and shrunk afterwards (the platoon columns and
+rows of explored edges are deleted: ``routing.retire_explored``), and a
+scheduling component (see ``scheduling.components``) already solved to
+optimality is neither contracted nor solved again.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ class RshmResult:
     objective, its time, and the status, search nodes and relative gap
     (``mip.MipSolution``'s) of its routing and its scheduling solve
     (``rdp_status``, ``rdp_nodes``, ``rdp_gap``, ``sp_status``,
-    ``sp_nodes``, ``sp_gap``), and how many scheduling components the
+    ``sp_nodes``, ``sp_gap``), the size of the routing model it solved
+    (``rdp_rows``, ``rdp_cols``), and how many scheduling components the
     model solved, were pairs scheduled in closed form, and were known from
     an earlier iteration (``sp_milp``, ``sp_pairs``, ``sp_reused``; see
     ``scheduling.Schedule``).
@@ -283,7 +285,11 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     The routing model is built once, at iteration 1, and seeded with the
     greedy assignment.  Each later iteration re-prices it, warm-starts its
     root LP from the previous root basis and seeds it with the previous
-    optimum, which stays feasible because only the objective changed.
+    optimum, which stays feasible because only the objective changed.  An
+    iteration whose table marks edges with platoon columns explored first
+    deletes those columns and their rows (``routing.retire_explored``);
+    its root LP then starts from the basis HiGHS keeps after the deletion,
+    seeded with the previous optimum on the kept columns.
     Scheduling splits the routes into runs, schedules only the components
     no earlier iteration solved to optimality, and contracts and models
     only the new ones of three or more vehicles (see
@@ -324,8 +330,12 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
                 state = RshmState(inst, handle.pairs)
                 seed, root_start = routing.initial_solution(handle), None
             else:
+                kept = routing.retire_explored(handle, state.tables[n])
                 routing.set_rdp_costs(handle, state.tables[n])
                 seed, root_start = rdp_sol.x, rdp_sol.root_basis
+                if kept is not None:
+                    seed = seed[kept]
+                    root_start = handle.model.compiled_rows().held
             rdp_sol = mip.solve_mip(handle.model, rel_gap=opts.rel_gap,
                                     time_limit_s=time_limit(),
                                     initial_solution=seed,
@@ -348,6 +358,8 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
         trace.append({"iteration": n, "z": z, "presumed": presumed,
                       "runtime_s": runtime, "rdp_status": rdp_sol.status,
                       "rdp_nodes": rdp_sol.nodes, "rdp_gap": rdp_sol.gap,
+                      "rdp_rows": handle.model.num_constraints,
+                      "rdp_cols": handle.model.num_vars,
                       "sp_status": sp_sol.status, "sp_nodes": sp_sol.nodes,
                       "sp_gap": sp_sol.gap, "sp_milp": schedule.milp,
                       "sp_pairs": schedule.pairs,

@@ -16,7 +16,9 @@ a short spare list, and the next matrix to solve takes it and replaces its
 model.  A matrix made of another's rows with rows appended takes over the
 other's instance, which gets only the new rows; HiGHS then holds the
 other's last basis with the new rows basic, and a cut round restarts from
-it without handing HiGHS a basis.
+it without handing HiGHS a basis.  So does a matrix made of another's rows
+and columns with some deleted: HiGHS deletes them from the instance and
+keeps what is left of its basis, a start for the smaller LP.
 """
 
 from __future__ import annotations
@@ -128,13 +130,16 @@ class Matrix:
     same columns.  The new matrix takes over its instance, with the column
     data and the basis HiGHS holds, and sends HiGHS only the rows below
     (``addRows``, which makes them basic); ``base`` is left without one and
-    loads its rows again if it is solved again.  ``ValueError`` unless
-    there is one bound of each kind per row, or for a ``base`` of other
-    columns or more rows."""
+    loads its rows again if it is solved again.  With ``deleted``, a pair
+    ``(rows, cols)`` of ascending index arrays, ``A`` is ``base.a`` without
+    those rows and columns instead, and HiGHS deletes them (``deleteRows``,
+    ``deleteCols``).  ``ValueError`` unless there is one bound of each
+    kind per row, or for a ``base`` whose shape does not fit."""
     __slots__ = ("a", "rlo", "rhi", "_csc", "_h", "_c", "_lo", "_hi",
                  "_held")
 
-    def __init__(self, a: sp.spmatrix, rlo, rhi, base: Matrix | None = None):
+    def __init__(self, a: sp.spmatrix, rlo, rhi, base: Matrix | None = None,
+                 deleted: tuple | None = None):
         self._h = None
         self._held = None      # the HighsBasis HiGHS holds from its last run
         self.a = a
@@ -144,7 +149,7 @@ class Matrix:
             raise ValueError(f"need {a.shape[0]} row bounds of each kind")
         self._csc = a if a.format == "csc" else None
         if base is not None:
-            self._take(base)
+            self._take(base, deleted)
 
     def __del__(self, spare=_SPARE):
         """Leave the instance to a later matrix (``spare`` is bound here,
@@ -152,9 +157,14 @@ class Matrix:
         if self._h is not None:
             spare.append(self._h)
 
-    def _take(self, base: Matrix) -> None:
-        m0, (m, n) = base.a.shape[0], self.a.shape
-        if base.a.shape[1] != n or m0 > m:
+    def _take(self, base: Matrix, deleted) -> None:
+        (m0, n0), (m, n) = base.a.shape, self.a.shape
+        rows, cols = deleted or ((), ())
+        if deleted is not None and (m0 - len(rows), n0 - len(cols)) != (m, n):
+            raise ValueError(f"a {base.a.shape} matrix without {len(rows)} "
+                             f"rows and {len(cols)} columns is not "
+                             f"{self.a.shape}")
+        if deleted is None and (n0 != n or m0 > m):
             raise ValueError(f"rows of a {base.a.shape} matrix cannot head "
                              f"a {self.a.shape} one")
         if base._h is None:
@@ -162,19 +172,29 @@ class Matrix:
         self._h, self._c, self._lo, self._hi, self._held = (
             base._h, base._c, base._lo, base._hi, base._held)
         base._h = base._held = None
-        if m > m0:
+        if deleted is not None:
+            keep = np.ones(n0, dtype=bool)
+            keep[cols] = False
+            self._c, self._lo, self._hi = (_held(v[keep]) for v in
+                                           (self._c, self._lo, self._hi))
+            self._h.deleteRows(len(rows), np.asarray(rows, dtype=np.int32))
+            self._h.deleteCols(len(cols), np.asarray(cols, dtype=np.int32))
+        elif m > m0:
             new = sp.csr_matrix(self.a[m0:])
             self._h.addRows(m - m0, self.rlo[m0:], self.rhi[m0:], new.nnz,
                             new.indptr[:-1].astype(np.int32),
                             new.indices.astype(np.int32), new.data)
-            if self._held is not None:
-                self._held = self._h.getBasis()
+        else:
+            return
+        if self._held is not None:
+            self._held = self._h.getBasis()
 
     @property
     def held(self):
         """The ``HighsBasis`` HiGHS holds, a start that costs no
         ``setBasis``: that of the last solve if it was optimal, with the
-        rows appended since (see ``base``) basic; else None."""
+        rows appended since (see ``base``) basic, or without the rows and
+        columns deleted since; else None."""
         return self._held
 
     @property

@@ -97,9 +97,10 @@ def build_rdp(inst, costs, full: bool = False) -> routing.RdpModelHandle:
             model.add_constraint({col[k]: c for k, c in coeffs.items()},
                                  sense, rhs, name=name)
 
+    pairs = routing.CandidatePairs(inst, cand)
     handle = routing.RdpModelHandle(model, x_col, y_col, yp_col, w_col, cand,
-                                    edge_vehicles, inst,
-                                    routing.CandidatePairs(inst, cand))
+                                    edge_vehicles, inst, pairs,
+                                    pairs.shared | full)
     if not full:
         routing.set_rdp_costs(handle, costs)
         return handle

@@ -82,6 +82,9 @@ class TestRshmCommand:
             iter_cap=3, per_solve_time_s=0.0, sp_cuts="none")).trace
         assert [t["sp_gap"] for t in trace] == [float("inf"), 0.0,
                                                 float("inf")]
+        # the size of each iteration's routing model
+        assert [(t["rdp_rows"], t["rdp_cols"]) for t in doc["trace"]] == \
+            [(t["rdp_rows"], t["rdp_cols"]) for t in trace]
 
     def test_spent_time_budget_exits_with_limit_code(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -745,6 +745,49 @@ def test_appended_rows_compile_as_from_scratch(odd, objective, sense, first,
                                           first).compiled_rows())
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(objective=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       sense=st.sampled_from(["min", "max"]), rows=st.lists(_ROW, max_size=6),
+       cols=st.sets(st.integers(0, 3), max_size=3),
+       also=st.lists(st.booleans(), min_size=6, max_size=6))
+def test_a_model_without_columns_and_rows_is_built_without_them(
+        objective, sense, rows, cols, also):
+    # the rows that hold a deleted column go, and some others
+    columns = [(0.0, np.inf), (-1.0, 3.0), (0.0, 1.0), (0.0, 2.0)]
+    model = _model_with(columns, objective, sense, rows)
+    mip.solve_lp(model)
+    h = model.compiled_rows()._h
+    gone = [i for i, (coeffs, _, _) in enumerate(rows)
+            if also[i] or set(coeffs) & cols]
+    out = model.without(sorted(cols), gone)
+    kept = [j for j in range(4) if j not in cols]
+    new = dict(zip(kept, range(len(kept))))
+    ref = _model_with([columns[j] for j in kept],
+                      [objective[j] for j in kept], sense,
+                      [({new[j]: v for j, v in coeffs.items()}, rs, rhs)
+                       for i, (coeffs, rs, rhs) in enumerate(rows)
+                       if i not in gone])
+    _assert_same_rows(out.compiled_rows(), ref.compiled_rows())
+    assert out.names == [model.names[j] for j in kept]
+    assert out.row_names == [r for i, r in enumerate(model.row_names)
+                             if i not in gone]
+    for name in ("lb", "ub", "kind", "c"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    assert out.obj_sense == sense
+    # the copy's rows took over the instance, and solve as the reference's
+    assert out.compiled_rows()._h is h and model.compiled_rows()._h is None
+    _assert_matches_reference(mip.solve_lp(out, out.compiled_rows().held),
+                              out)
+
+
+def test_a_model_without_a_column_that_a_kept_row_holds_is_refused():
+    model = _model_with([(0.0, 1.0)] * 3, [1, 1, 1], "min",
+                        [({0: 1, 2: 1}, mip.LE, 1), ({1: 1}, mip.LE, 1)])
+    with pytest.raises(mip.ModelError, match="holds column x2"):
+        model.without([2], [1])
+    assert model.without([1, 2], [0, 1]).num_vars == 1
+
+
 def _reference(model):
     """Status and objective of the model's LP relaxation by the reference
     simplex, on rows and columns read straight off the model."""

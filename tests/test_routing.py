@@ -1,6 +1,7 @@
 """Routing model: objective variants, hull system, extraction."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -395,3 +396,103 @@ def test_the_reduced_model_has_the_full_models_optima(spec):
         assert sol.status == "optimal"
         assert mip.check_solution(full.model, _lifted(h, full, sol.x)) == \
             pytest.approx(sol.objective, rel=1e-12, abs=1e-9)
+
+
+class TestRetirement:
+    """Explored shared edges lose their platoon columns and per-edge rows
+    (``routing.retire_explored``), which changes no optimum."""
+
+    def test_a_table_that_unexplores_a_retired_edge_is_rejected(
+            self, small_grid):
+        inst = nm.generate_two_cluster(small_grid, 6, seed=0)
+        h = routing.build_rdp(inst)
+        e = list(h.y_col)[1]
+        costs = EdgeCostTable(h.pairs, h.pairs.fuel, frozenset([e]))
+        assert routing.retire_explored(h, costs) is not None
+        assert e not in h.y_col
+        routing.set_rdp_costs(h, costs)
+        c = h.model.c.copy()
+        for table in (EdgeCostTable.initial(h.pairs),
+                      EdgeCostTable(h.pairs, h.pairs.fuel,
+                                    frozenset(h.y_col))):
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                routing.set_rdp_costs(h, table)
+            assert np.array_equal(h.model.c, c)     # not priced
+
+    def test_a_table_without_newly_explored_edges_retires_nothing(
+            self, small_grid):
+        inst = nm.generate_distributed(small_grid, 6, seed=2)
+        h = routing.build_rdp(inst)
+        single, shared = _single_and_shared(h)
+        assert single and shared
+        model, y_col = h.model, dict(h.y_col)
+        for explored in (frozenset(), frozenset(single)):
+            table = EdgeCostTable(h.pairs, h.pairs.fuel, explored)
+            assert routing.retire_explored(h, table) is None
+            assert h.model is model and h.y_col == y_col
+        # nor does one whose explored edges were retired before
+        table = EdgeCostTable(h.pairs, h.pairs.fuel, frozenset(shared[:1]))
+        assert routing.retire_explored(h, table) is not None
+        model = h.model
+        assert routing.retire_explored(h, table) is None
+        assert h.model is model
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(["distributed", "two_cluster"]),
+           st.integers(4, 6), st.integers(4, 12), st.integers(0, 30),
+           st.integers(0, 2 ** 16))
+    def test_the_retired_model_has_the_full_models_optima(
+            self, generator, k, n, seed, price_seed):
+        net = nm.make_grid_network(k, k, spacing_km=40, jitter=0.25,
+                                   seed=seed)
+        try:
+            inst = getattr(nm, f"generate_{generator}")(net, n, seed)
+        except (nm.NoHubPair, nm.NoNodeInRadius):
+            assume(False)
+        h, full = routing.build_rdp(inst), routing.build_rdp(inst)
+        mip.solve_lp(h.model)           # HiGHS holds the model, as in a run
+        # a later iteration's table: some shared edges explored, at
+        # adjusted prices
+        rng = np.random.default_rng(price_seed)
+        pairs = h.pairs
+        explored = [e for e in h.y_col if rng.random() < 0.5]
+        prices = pairs.fuel * rng.uniform(1 - inst.sigma_f, 1.0,
+                                          len(pairs.keys))
+        costs = EdgeCostTable(pairs, prices, frozenset(explored))
+        kept = routing.retire_explored(h, costs)
+        event(f"edges retired: {bool(explored)}")
+        assert (kept is None) == (not explored)
+        if kept is None:
+            kept = np.ones(full.model.num_vars, dtype=bool)
+        for handle in (h, full):
+            routing.set_rdp_costs(handle, costs)
+        # the full model without the retired edges' columns and rows
+        assert h.model.names == [name for name, keep in
+                                 zip(full.model.names, kept) if keep]
+        assert h.model.num_constraints == full.model.num_constraints - sum(
+            len(full.edge_vehicles[e]) + 4 for e in explored)
+        assert list(h.y_col) == [e for e in full.y_col if e not in explored]
+        assert [h.model.names[j] for j in h.w_col.values()] == \
+            [full.model.names[full.w_col[e]] for e in h.w_col]
+        # the LP optimum, from the basis HiGHS kept, against HiGHS on the
+        # full model
+        lp = mip.solve_lp(h.model, h.model.compiled_rows().held)
+        want = reference_mip.solve(reference_mip.load(full.model), True)
+        assert lp.status == want[0] == "optimal"
+        assert lp.objective == pytest.approx(want[1], rel=1e-9, abs=1e-9)
+        sol = mip.solve_mip(h.model,
+                            initial_solution=routing.initial_solution(h))
+        ref = mip.solve_mip(full.model,
+                            initial_solution=routing.initial_solution(full))
+        assert sol.status == ref.status == "optimal"
+        assert abs(sol.objective - ref.objective) <= \
+            mip.DEFAULT_REL_GAP * abs(ref.objective)
+        # its point with (y, y', w) = (max x, 0, 0) on each retired edge
+        # is the full model's, of the same objective
+        x = np.zeros(full.model.num_vars)
+        x[kept] = sol.x
+        for e in explored:
+            x[full.y_col[e]] = max(sol.x[h.x_col[(v, e)]]
+                                   for v in full.edge_vehicles[e])
+        assert mip.check_solution(full.model, x) == \
+            mip.check_solution(h.model, sol.x)

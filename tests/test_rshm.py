@@ -622,9 +622,11 @@ def _reference_run(inst, opts):
 
 
 class TestIncrementalRouting:
-    """The loop builds the routing model once and warm-starts each root LP
-    from the previous iteration's basis; a cold solve from scratch of every
-    iteration's cost table must give the routes the loop used."""
+    """The loop builds the routing model once, deletes the platoon columns
+    and rows of explored edges from it, and warm-starts each root LP from
+    the previous iteration's basis or the one HiGHS keeps after a
+    deletion; a cold solve from scratch of every iteration's cost table
+    must give the routes the loop used."""
 
     def test_each_iteration_matches_a_cold_rebuild(self, small_grid):
         opts = RshmOptions(iter_cap=8)
@@ -652,33 +654,69 @@ class TestIncrementalRouting:
             return build(*args, **kwargs)
 
         def recording_solve(model, **kwargs):
+            held = model.compiled_rows().held
             sol = solve(model, **kwargs)
             if model.name == "rdp":
                 starts.append((kwargs.get("root_start"),
-                               kwargs["initial_solution"], sol))
+                               kwargs["initial_solution"], sol, held))
             return sol
 
         monkeypatch.setattr(routing, "build_rdp", counting_build)
         monkeypatch.setattr(mip, "solve_mip", recording_solve)
-        greedy = []
+        greedy, kept = [], []
         initial_solution = routing.initial_solution
+        retire_explored = routing.retire_explored
 
         def recording_seed(handle):
             greedy.append(initial_solution(handle))
             return greedy[-1]
 
+        def recording_retire(handle, costs):
+            kept.append(retire_explored(handle, costs))
+            return kept[-1]
+
         monkeypatch.setattr(routing, "initial_solution", recording_seed)
+        monkeypatch.setattr(routing, "retire_explored", recording_retire)
         inst = nm.generate_two_cluster(small_grid, 4, seed=1)
         res = rshm.run(inst, RshmOptions(iter_cap=8))
         assert res.iterations >= 2
         assert len(builds) == 1
-        assert len(starts) == res.iterations
+        assert len(starts) == res.iterations == len(kept) + 1
         # iteration 1 starts cold from the greedy seed; each later one
-        # from the previous root basis, seeded with the previous optimum
+        # from the previous root basis, seeded with the previous optimum,
+        # or, after a retirement, from the basis HiGHS holds, seeded with
+        # the previous optimum on the kept columns
         assert starts[0][0] is None and len(greedy) == 1
         assert starts[0][1] is greedy[0]
-        for (_, _, prev), (root, seed, _) in zip(starts, starts[1:]):
-            assert root is prev.root_basis and seed is prev.x
+        assert any(k is not None for k in kept)
+        for (_, _, prev, _), (root, seed, _, held), k in zip(
+                starts, starts[1:], kept):
+            if k is None:
+                assert root is prev.root_basis and seed is prev.x
+            else:
+                assert root is held and root is not None
+                assert np.array_equal(seed, prev.x[k])
+
+    def test_the_trace_gives_the_routing_model_size(self, small_grid):
+        # iteration n solves the built model without the platoon columns
+        # (3 per edge) and the per-edge rows (k + 4 for an edge of k
+        # vehicles) of the shared edges its table marks explored
+        for generator, seed in (("two_cluster", 0), ("two_cluster", 3),
+                                ("distributed", 1)):
+            inst = getattr(nm, f"generate_{generator}")(small_grid, 6, seed)
+            res = rshm.run(inst, RshmOptions(iter_cap=8))
+            built = routing.build_rdp(inst)
+            size = [(t["rdp_rows"], t["rdp_cols"]) for t in res.trace]
+            assert size[0] == (built.model.num_constraints,
+                               built.model.num_vars)
+            assert size == sorted(size, reverse=True)
+            assert size[-1] < size[0]
+            for t in res.trace:
+                explored = res.state.tables[t["iteration"]].explored
+                gone = [e for e in built.y_col if e in explored]
+                assert t["rdp_cols"] == built.model.num_vars - 3 * len(gone)
+                assert t["rdp_rows"] == built.model.num_constraints - sum(
+                    len(built.edge_vehicles[e]) + 4 for e in gone)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(["two_cluster", "distributed"]),
@@ -759,9 +797,11 @@ class TestIncrementalRouting:
             return handles[-1]
 
         def recording_solve(model, *args, **kwargs):
+            mat = model.compiled_rows()
+            before = mat._h
             sol = solve_mip(model, *args, **kwargs)
             if model.name == "rdp":
-                matrices.append(model.compiled_rows())
+                matrices.append((model, mat, before, mat._h))
             return sol
 
         monkeypatch.setattr(routing, "build_rdp", counting_build)
@@ -769,11 +809,18 @@ class TestIncrementalRouting:
         inst = nm.generate_two_cluster(small_grid, 4, seed=1)
         res = rshm.run(inst, RshmOptions(iter_cap=8))
         assert res.iterations >= 2 and len(handles) == 1
-        # every routing solve ran on the one matrix of the model's rows
+        # the rows are compiled once, for the first routing solve; each
+        # later solve runs on the previous solve's matrix, or on one of the
+        # model's rows with explored edges' rows deleted, which took over
+        # the previous matrix's HiGHS instance, so it loads no model
         assert len(matrices) == res.iterations
-        assert all(mat is matrices[0] for mat in matrices)
-        assert matrices[0].a.shape == (handles[0].model.num_constraints,
-                                       handles[0].model.num_vars)
+        assert matrices[0][2] is None
+        for (_, prev, _, h), (model, mat, before, _) in zip(matrices,
+                                                            matrices[1:]):
+            assert mat.a.shape == (model.num_constraints, model.num_vars)
+            assert mat is prev or (before is h is not None
+                                   and prev._h is None)
+        assert len({id(mat) for _, mat, _, _ in matrices}) > 1
 
     def test_one_pair_index_and_one_state_per_run(self, small_grid,
                                                   monkeypatch):

@@ -694,9 +694,21 @@ def _lp_pool():
             "cglp": (cglp.a, cglp.rlo, cglp.rhi, cc, clo, chi, None)}
 
 
+class _Calls:
+    """A HiGHS instance that records the names of the methods called."""
+
+    def __init__(self, h):
+        self.h, self.names = h, []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(self.h, name)
+
+
 class TestInstances:
     """A dropped matrix leaves its HiGHS instance to the next one, and a
-    matrix with rows appended takes over the instance of the rows above."""
+    matrix with rows appended takes over the instance of the rows above,
+    as does one with rows and columns deleted."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from(["sp", "sp-child", "rdp", "rdp-repriced",
@@ -742,6 +754,42 @@ class TestInstances:
         assert np.array_equal(again.x, first.x)
         assert again.basis.row_status == first.basis.row_status
 
+    def test_a_matrix_without_rows_and_columns_takes_over_the_instance(
+            self):
+        # the routing LP without the columns and per-edge rows of the
+        # shared edges its second iteration has explored
+        grid = nm.make_grid_network(4, 4, spacing_km=30, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 4, seed=0)
+        table = rshm.run(inst, rshm.RshmOptions(iter_cap=1)).state.tables[2]
+        handle = routing.build_rdp(inst)
+        gone = [e for e in handle.y_col if e in table.explored]
+        assert gone
+        cols = sorted(j for e in gone for j in (
+            handle.y_col[e], handle.yp_col[e], handle.w_col[e]))
+        rows = [i for i, name in enumerate(handle.model.row_names)
+                if name.endswith(tuple(f"_{e}" for e in gone))]
+        old = handle.model.compiled_rows()
+        c, lo, hi, _ = mip._columns(handle.model)
+        simplex.solve(old, c, lo, hi)
+        calls = _Calls(old._h)
+        old._h = calls
+        keep_rows = np.setdiff1d(np.arange(old.a.shape[0]), rows)
+        keep = np.setdiff1d(np.arange(old.a.shape[1]), cols)
+        a = sp.csr_matrix(old.a[keep_rows][:, keep])
+        new = simplex.Matrix(a, old.rlo[keep_rows], old.rhi[keep_rows], old,
+                             (np.array(rows), np.array(cols)))
+        assert new._h is calls and old._h is None and old.held is None
+        routing.set_rdp_costs(handle, table)
+        c = mip._columns(handle.model)[0][keep]
+        got = simplex.solve(new, c, lo[keep], hi[keep], new.held)
+        assert got.warm and not {"passModel", "setBasis"} & set(calls.names)
+        new._h = calls.h
+        want = simplex.solve(simplex.Matrix(a, new.rlo, new.rhi), c,
+                             lo[keep], hi[keep])
+        assert got.status == want.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.iterations < want.iterations
+
     def test_a_failed_constructor_hands_nothing_back(self, monkeypatch):
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -753,6 +801,9 @@ class TestInstances:
         with pytest.raises(ValueError, match="cannot head"):
             simplex.Matrix(sp.csr_matrix(np.ones((2, 2))), [0.0, 0.0],
                            [1.0, 1.0], base)
+        with pytest.raises(ValueError, match="without 1 rows"):
+            simplex.Matrix(sp.csr_matrix(np.ones((1, 3))), [0.0], [1.0],
+                           base, (np.array([0]), np.array([], dtype=int)))
         assert base._h is h
         gc.collect()
         assert unraisable == []

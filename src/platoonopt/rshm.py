@@ -221,8 +221,8 @@ class RshmResult:
     (``rdp_status``, ``rdp_nodes``, ``rdp_gap``, ``sp_status``,
     ``sp_nodes``, ``sp_gap``), the size of the routing model it solved
     (``rdp_rows``, ``rdp_cols``), and how many scheduling components the
-    model solved, were pairs scheduled in closed form, and were known from
-    an earlier iteration (``sp_milp``, ``sp_pairs``, ``sp_reused``; see
+    model solved, were scheduled in closed form, and were known from an
+    earlier iteration (``sp_milp``, ``sp_closed``, ``sp_reused``; see
     ``scheduling.Schedule``).
     """
     routes: RouteAssignment
@@ -292,7 +292,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     seeded with the previous optimum on the kept columns.
     Scheduling splits the routes into runs, schedules only the components
     no earlier iteration solved to optimality, and contracts and models
-    only the new ones of three or more vehicles (see
+    only the new ones of four or more vehicles (see
     ``scheduling.solve_schedule``); it gives the schedule a solve of the
     whole assignment gives.  Each solve gets
     ``per_solve_time_s`` or the time left of ``total_time_s``, whichever is
@@ -362,7 +362,7 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
                       "rdp_cols": handle.model.num_vars,
                       "sp_status": sp_sol.status, "sp_nodes": sp_sol.nodes,
                       "sp_gap": sp_sol.gap, "sp_milp": schedule.milp,
-                      "sp_pairs": schedule.pairs,
+                      "sp_closed": schedule.closed,
                       "sp_reused": schedule.reused})
         state.tables[n + 1] = update_cost_table(state, n)
         if prev_routes is not None and routes == prev_routes:

@@ -18,8 +18,8 @@ windows are apart.  They close most searches at the root.
 The model splits into independent components (``components``), each
 depending on its vehicles' runs alone.  ``solve_schedule`` finds them on
 the shared runs, takes those solved before from a map, schedules a new
-one of two vehicles in closed form (``pair_platoons``), and contracts
-and models only the new ones of three or more vehicles.
+one of two or three vehicles in closed form (``closed_form``), and
+contracts and models only the new ones of four or more vehicles.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class RunView:
     """A route assignment as runs, each keyed ``(tail, head, run)`` with
     ``run`` its tuple of original edges: what ``time_bounds``,
     ``platoonable_and_bigM``, ``components``, ``component_key`` and
-    ``pair_platoons`` read of ``contract``'s routes, without a ``CEdge``
+    ``closed_form`` read of ``contract``'s routes, without a ``CEdge``
     (``run`` orders the runs joining two nodes as ``contract``'s serial
     does), but ``vehicles_by_edge`` holds the shared runs only.  Routes are
     simple paths, so every vehicle on a run drives all of it, and one walk
@@ -590,36 +590,79 @@ def component_key(routes, vehicles) -> tuple:
     return tuple((v, routes.runs(v)) for v in vehicles)
 
 
-def pair_platoons(contracted: ContractedRoutes, bounds: TimeBounds, params,
-                  v: int, u: int, keys) -> tuple[float, list[tuple]]:
-    """The optimal savings and platoons of a component of two vehicles
-    ``v < u``, whose pairs that can still meet lie on the contracted edges
-    ``keys``.
+def closed_form(routes, bounds: TimeBounds, params,
+                meet: dict) -> tuple[float, list[tuple]] | None:
+    """The optimal savings and platoons of a component of two or three
+    vehicles, whose pairs ``x < y`` can still meet on the edges ``meet[(x,
+    y)]`` (a pair absent from ``meet`` never can), or None when tolerances
+    make two of three pairs meet on an edge without the third: the model
+    then takes the component.
 
-    On edge ``key`` the two enter together only when ``dep_u - dep_v =
-    offset[v, tail] - offset[u, tail]``, and ``platoonable_and_bigM`` kept
-    the edge because that difference fits both departure windows.  So the
-    optimum takes the edges of one difference (equal within
-    ``PRUNE_TOL``, grouped from the smallest): the group with the largest
-    savings ``(sigma_l + sigma_f) * cost``, summed in key order, ties to
-    the group holding the lowest key.  v leads u on each of its edges, as
-    in the model, whose leader is the lowest vehicle of a platoon.
-    Returns ``(savings, [(key, (v, (u,)))])`` by key."""
+    On edge ``key`` x and y enter together only when ``dep_y - dep_x =
+    offset[x, tail] - offset[y, tail]``; each pair's differences are
+    grouped as equal within ``PRUNE_TOL``, from the smallest.  A schedule
+    fixes the difference of no pair, of one (a group: its edges), or of
+    all three (a group of each of two pairs, whose sum or difference gives
+    the third, which then meets where its difference lies within
+    ``PRUNE_TOL`` of that); with all fixed, the three departure windows
+    must meet within ``PRUNE_TOL`` at those differences.  On each edge the
+    pairs that meet form one platoon led by its lowest vehicle, all three
+    up to ``max_platoon``, and save ``(sigma_l + sigma_f * followers) *
+    cost``, summed in key order.  The first schedule of the largest
+    savings wins, in the order of its listing ``[(key, (leader,
+    followers))]`` by key, which it returns with the savings: on a pair,
+    the group holding the lowest key."""
     offset = bounds.offset
-    rate = params.sigma_l + params.sigma_f
-    groups: list[tuple[float, list]] = []      # (first difference, keys)
-    for gap, key in sorted((offset[(v, k[0])] - offset[(u, k[0])], k)
-                           for k in keys):
-        if groups and gap - groups[-1][0] <= PRUNE_TOL:
-            groups[-1][1].append(key)
+    gap_at: dict[tuple, float] = {}         # (x, y, key) -> difference
+    groups = []                             # (pair, first difference, keys)
+    for (x, y), keys in meet.items():
+        first = None
+        for gap, key in sorted((offset[(x, k[0])] - offset[(y, k[0])], k)
+                               for k in keys):
+            gap_at[(x, y, key)] = gap
+            if first is None or gap - first > PRUNE_TOL:
+                first = gap
+                groups.append(((x, y), gap, set()))
+            groups[-1][2].add(key)
+    vs = sorted({v for pair in meet for v in pair})
+    window = [bounds.window(v, bounds.origin[v]) for v in vs]
+    runs = sorted({key for keys in meet.values() for key in keys})
+    cands = [[(key, (x, (y,))) for key in sorted(ks)]
+             for (x, y), _gap, ks in groups]
+    for (p, gap_p, ks_p), (q, gap_q, ks_q) in combinations(groups, 2):
+        if p == q:
+            continue
+        shift = {p[0]: 0.0, p[1]: gap_p}    # departure after p[0]'s
+        if q[0] in shift:
+            shift[q[1]] = shift[q[0]] + gap_q
         else:
-            groups.append((gap, [key]))
-    best, best_keys = 0.0, []
-    for ks in sorted((sorted(ks) for _gap, ks in groups), key=min):
-        savings = sum(rate * contracted.edge_cost(k) for k in ks)
+            shift[q[0]] = shift[q[1]] - gap_q
+        s = [shift[v] for v in vs]
+        if max(lo - d for (lo, _hi), d in zip(window, s)) > \
+                min(hi - d for (_lo, hi), d in zip(window, s)) + PRUNE_TOL:
+            continue
+        (r,) = set(combinations(vs, 2)) - {p, q}
+        gap_r = shift[r[1]] - shift[r[0]]
+        plist = []
+        for key in runs:
+            met = [pair for pair, ks in ((p, ks_p), (q, ks_q)) if key in ks]
+            if abs(gap_at.get((*r, key), np.inf) - gap_r) <= PRUNE_TOL:
+                met.append(r)
+            if len(met) == 1:
+                plist.append((key, (met[0][0], (met[0][1],))))
+            elif len(met) == 3:
+                plist.append((key, (vs[0], tuple(vs[1:params.max_platoon]))))
+            elif met:
+                return None
+        cands.append(plist)
+    cost = {key: routes.edge_cost(key) for key in runs}
+    best, best_plist = 0.0, []
+    for plist in sorted(cands):
+        savings = sum((params.sigma_l + params.sigma_f * len(p[1])) * cost[key]
+                      for key, p in plist)
         if savings > best:
-            best, best_keys = savings, ks
-    return best, [(k, (v, (u,))) for k in best_keys]
+            best, best_plist = savings, plist
+    return best, best_plist
 
 
 def earliest_departures(contracted: ContractedRoutes, platoons: dict,
@@ -656,21 +699,22 @@ def earliest_departures(contracted: ContractedRoutes, platoons: dict,
 
 @dataclass
 class Schedule:
-    """What a ``solve_schedule`` call scheduled: the model of its new
-    components of three or more vehicles (None without one), the answer
-    over all its new components (the model's, with the savings of the pairs
-    scheduled in closed form added), the whole assignment's platoons on the
-    original edges, and every vehicle's time bounds.  ``milp``, ``pairs``
-    and ``reused`` count the components that the model took, that were
-    pairs, and that ``solved`` held.  ``contracted``, the contracted routes
-    of the ``new`` components' vehicles, pairs included, is built from
-    their runs in ``view`` on first read."""
+    """What a ``solve_schedule`` call scheduled: the model of the new
+    components that no closed form took (None without one), the answer
+    over all its new components (the model's, with the savings of the
+    components scheduled in closed form added), the whole assignment's
+    platoons on the original edges, and every vehicle's time bounds.
+    ``milp``, ``closed`` and ``reused`` count the components that the model
+    took, that ``closed_form`` scheduled, and that ``solved`` held.
+    ``contracted``, the contracted routes of the ``new`` components'
+    vehicles, those in closed form included, is built from their runs in
+    ``view`` on first read."""
     handle: SpModelHandle | None
     solution: mip.MipSolution
     platoons: PlatoonConfiguration
     bounds: TimeBounds
     milp: int
-    pairs: int
+    closed: int
     reused: int
     view: RunView
     new: list
@@ -701,22 +745,23 @@ def solve_schedule(routes, inst, cuts: str, *,
                    solved: dict | None = None) -> Schedule:
     """Schedule fixed routes: bound every vehicle on its runs (a
     ``RunView``), find the ``components`` on the shared runs, and schedule
-    those that ``solved`` does not hold: each of two vehicles in closed
-    form (``pair_platoons``), those of three or more in one model over
-    their contracted routes, with the rows of cut mode ``cuts`` (see
+    those that ``solved`` does not hold: each of two or three vehicles in
+    closed form (``closed_form``), the others in one model over their
+    contracted routes, with the rows of cut mode ``cuts`` (see
     ``CUT_MODES``), solved from the no-platoon incumbent, so a solve
     stopped by ``time_limit_s`` ends ``feasible``.  The returned solution
-    is the model's with the pairs' savings added to its objective and
-    bounds (``optimal`` in 0 nodes, with no values, without a model); the
-    pairs stay out of the model, so its search and its ``rel_gap`` pruning
-    see its own components alone.  ``inst`` supplies the missions and the
-    savings parameters.  ``cut_log`` receives ``(bound before, cut)`` for
-    each disjunctive cut the root rounds add, the pairs' savings added.
+    is the model's with the closed forms' savings added to its objective
+    and bounds (``optimal`` in 0 nodes, with no values, without a model);
+    those components stay out of the model, so its search and its
+    ``rel_gap`` pruning see its own components alone.  ``inst`` supplies
+    the missions and the savings parameters.  ``cut_log`` receives
+    ``(bound before, cut)`` for each disjunctive cut the root rounds add,
+    the closed forms' savings added.
 
     ``solved`` maps a ``component_key`` to the component's platoons with
-    followers, as ``(run, (leader, followers))`` pairs; each pair, and a
-    model whose solve ends ``optimal``, adds its components.  One map serves
-    one instance, cut mode and gap.  Platoons are listed run by run in
+    followers, as ``(run, (leader, followers))`` pairs; each closed form,
+    and a model whose solve ends ``optimal``, adds its components.  One map
+    serves one instance, cut mode and gap.  Platoons are listed run by run in
     ``(tail, head, run)`` order, then by original edge, and departures are
     ``earliest_departures``, so the schedule does not depend on which
     components were known."""
@@ -733,22 +778,28 @@ def solve_schedule(routes, inst, cuts: str, *,
         else:
             reused.extend(known)
             n_reused += 1
-    # a component's vehicles are sorted, so a pair is (leader, follower)
-    twos = {tuple(vs): key for key, vs in new if len(vs) == 2}
-    meet: dict[tuple, list] = {p: [] for p in twos}
+    # the runs on which each pair of a new component of two or three
+    # vehicles can meet, one map per component, reached by its vehicles
+    meets: dict[int, dict] = {}
+    for _key, vs in new:
+        if len(vs) < 4:
+            meets.update(dict.fromkeys(vs, {}))
     for u, v, key in big_m:
-        if (v, u) in meet:
-            meet[(v, u)].append(key)
-    fresh, pair_savings = [], 0.0
-    for (v, u), key in twos.items():
-        savings, plist = pair_platoons(view, bounds, inst, v, u, meet[(v, u)])
-        found = [(k[2], p) for k, p in plist]
-        pair_savings += savings
+        if v in meets:
+            meets[v].setdefault((v, u), []).append(key)
+    fresh, closed_savings, milp = [], 0.0, []
+    for key, vs in new:
+        got = None if len(vs) > 3 else closed_form(view, bounds, inst,
+                                                    meets[vs[0]])
+        if got is None:
+            milp.append((key, vs))
+            continue
+        found = [(k[2], p) for k, p in got[1]]
+        closed_savings += got[0]
         fresh += found
         if solved is not None:
             solved[key] = tuple(found)
 
-    milp = [(key, vs) for key, vs in new if len(vs) > 2]
     handle = None
     if milp:
         keep = {v for _key, vs in milp for v in vs}
@@ -778,11 +829,12 @@ def solve_schedule(routes, inst, cuts: str, *,
                 solved[key] = tuple(f for f in found if f[1][0] in vs)
         fresh += found
         if cut_log is not None:
-            cut_log.extend((before + pair_savings, cut) for before, cut in log)
-        sol = _with_savings(sol, pair_savings)
+            cut_log.extend((before + closed_savings, cut)
+                           for before, cut in log)
+        sol = _with_savings(sol, closed_savings)
     else:
-        sol = mip.MipSolution("optimal", pair_savings, np.zeros(0),
-                              pair_savings, 0.0, 0, 0.0)
+        sol = mip.MipSolution("optimal", closed_savings, np.zeros(0),
+                              closed_savings, 0.0, 0, 0.0)
     by_key: dict[tuple, list[tuple]] = {}   # run key -> its platoons
     for run, p in reused + fresh:
         by_key.setdefault((run[0][0], run[-1][1], run), []).append(p)
@@ -799,7 +851,7 @@ def solve_schedule(routes, inst, cuts: str, *,
     departures = earliest_departures(view, dict(sorted(by_key.items())),
                                      bounds)
     return Schedule(handle, sol, PlatoonConfiguration(listed, departures),
-                    bounds, len(milp), len(twos), n_reused, view,
+                    bounds, len(milp), len(new) - len(milp), n_reused, view,
                     sorted(v for _key, vs in new for v in vs))
 
 

@@ -1,12 +1,14 @@
 """Scheduling of a whole route assignment, contracted and bounded in full
 on every call: the reference of ``scheduling.solve_schedule``, which works
 on runs of original edges and contracts only the routes of new components
-of three or more vehicles.
+of four or more vehicles (or of three, where the closed form hands one
+back).
 
 ``solve_schedule`` contracts all routes, bounds every vehicle, tests every
-pair, builds the model of the new components of three or more vehicles
-(one without columns when there is none), lists the platoons by contracted
-key and takes every departure from the whole assignment."""
+pair, schedules each new component of two or three vehicles with
+``scheduling.closed_form`` on the contracted routes, builds the model of
+the others (one without columns when there is none), lists the platoons
+by contracted key and takes every departure from the whole assignment."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ class ReferenceSchedule:
     contracted: sched.ContractedRoutes
     bounds: sched.TimeBounds
     milp: int
-    pairs: int
+    closed: int
     reused: int
 
 
@@ -64,22 +66,26 @@ def solve_schedule(routes, inst, cuts: str, *,
         else:
             reused.extend(known)
             n_reused += 1
-    twos = {tuple(vs): key for key, vs in new if len(vs) == 2}
-    meet: dict = {p: [] for p in twos}
+    meets: dict = {}
+    for _key, vs in new:
+        if len(vs) < 4:
+            meets.update(dict.fromkeys(vs, {}))
     for u, v, key in big_m:
-        if (v, u) in meet:
-            meet[(v, u)].append(key)
-    fresh, pair_savings = [], 0.0
-    for (v, u), key in twos.items():
-        savings, plist = sched.pair_platoons(contracted, bounds, inst, v, u,
-                                             meet[(v, u)])
-        found = [(contracted.cedges[k].original, p) for k, p in plist]
-        pair_savings += savings
+        if v in meets:
+            meets[v].setdefault((v, u), []).append(key)
+    fresh, closed_savings, milp = [], 0.0, []
+    for key, vs in new:
+        got = None if len(vs) > 3 else sched.closed_form(
+            contracted, bounds, inst, meets[vs[0]])
+        if got is None:
+            milp.append((key, vs))
+            continue
+        found = [(contracted.cedges[k].original, p) for k, p in got[1]]
+        closed_savings += got[0]
         fresh += found
         if solved is not None:
             solved[key] = tuple(found)
 
-    milp = [(key, vs) for key, vs in new if len(vs) > 2]
     keep = {v for _key, vs in milp for v in vs}
     pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
              [p for p in pruned if p[0] in keep and p[1] in keep])
@@ -102,11 +108,12 @@ def solve_schedule(routes, inst, cuts: str, *,
                 solved[key] = tuple(f for f in found if f[1][0] in vs)
         fresh += found
         if cut_log is not None:
-            cut_log.extend((before + pair_savings, cut) for before, cut in log)
-        sol = sched._with_savings(sol, pair_savings)
+            cut_log.extend((before + closed_savings, cut)
+                           for before, cut in log)
+        sol = sched._with_savings(sol, closed_savings)
     else:
-        sol = mip.MipSolution("optimal", pair_savings, np.zeros(0),
-                              pair_savings, 0.0, 0, 0.0)
+        sol = mip.MipSolution("optimal", closed_savings, np.zeros(0),
+                              closed_savings, 0.0, 0, 0.0)
     platooned: dict = {}
     for run, p in reused + fresh:
         platooned.setdefault(run, []).append(p)
@@ -123,5 +130,5 @@ def solve_schedule(routes, inst, cuts: str, *,
     scheduled = restricted(contracted, {v for _key, vs in new for v in vs})
     return ReferenceSchedule(handle, sol,
                              sched.expand_platoons(config, contracted),
-                             scheduled, bounds, len(milp), len(twos),
-                             n_reused)
+                             scheduled, bounds, len(milp),
+                             len(new) - len(milp), n_reused)

@@ -32,10 +32,12 @@ class TestRshmCommand:
         assert doc["fuel_cost"] == doc["fuel_baseline"]
 
     def test_limited_solves_are_reported(self, tmp_path, capsys):
+        # the bare scheduling model of a component of four vehicles is
+        # fractional at the root at iterations 1 and 3
         grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
         inst_path = tmp_path / "inst.json"
         out_path = tmp_path / "result.json"
-        nm.save_instance(nm.generate_two_cluster(grid, 6, seed=2),
+        nm.save_instance(nm.generate_two_cluster(grid, 12, seed=16),
                          str(inst_path))
         args = ["rshm", "--instance", str(inst_path), "--iter-cap", "3",
                 "--per-solve", "0", "--out", str(out_path)]
@@ -55,9 +57,10 @@ class TestRshmCommand:
     def test_search_facts_are_written_as_json(self, tmp_path):
         # per-solve limit 0 on the bare scheduling model: iterations 1 and
         # 3 keep the no-platoon seed, whose gap against the bound is
-        # infinite; iteration 2 has no new scheduling component
+        # infinite; iteration 2's new scheduling components are in closed
+        # form
         grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
-        inst = nm.generate_two_cluster(grid, 6, seed=2)
+        inst = nm.generate_two_cluster(grid, 12, seed=16)
         inst_path = tmp_path / "inst.json"
         out_path = tmp_path / "result.json"
         nm.save_instance(inst, str(inst_path))
@@ -74,10 +77,10 @@ class TestRshmCommand:
                  for t in doc["trace"]]
         assert facts == [(1, 0.0, 1, None), (1, 0.0, 0, 0.0),
                          (1, 0.0, 1, None)]
-        # one component of three or more vehicles at iterations 1 and 3,
-        # none at iteration 2
-        assert [(t["sp_milp"], t["sp_pairs"], t["sp_reused"])
-                for t in doc["trace"]] == [(1, 0, 0), (0, 0, 0), (1, 0, 0)]
+        # one component of four vehicles at iterations 1 and 3; a pair and
+        # one of three vehicles at iteration 2
+        assert [(t["sp_milp"], t["sp_closed"], t["sp_reused"])
+                for t in doc["trace"]] == [(1, 0, 0), (0, 2, 0), (1, 0, 0)]
         trace = rshm.run(inst, rshm.RshmOptions(
             iter_cap=3, per_solve_time_s=0.0, sp_cuts="none")).trace
         assert [t["sp_gap"] for t in trace] == [float("inf"), 0.0,
@@ -387,8 +390,12 @@ class TestSolveSpCommand:
         inst = nm.generate_two_cluster(grid, 6, seed=2)
         return (inst, *_routes_file(tmp_path, inst))
 
-    def test_time_limit_keeps_the_solo_schedule(self, tmp_path, cluster):
-        inst, inst_path, routes_path = cluster
+    def test_time_limit_keeps_the_solo_schedule(self, tmp_path):
+        # the routing model's routes: one scheduling component, of four
+        # vehicles, whose bare model is fractional at the root
+        grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
+        inst = nm.generate_two_cluster(grid, 12, seed=16)
+        inst_path, routes_path = _routes_file(tmp_path, inst)
         out = tmp_path / "schedule.json"
         code = cli.main(["solve-sp", "--instance", inst_path,
                          "--routes", routes_path, "--cuts", "none",

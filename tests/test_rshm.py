@@ -440,30 +440,36 @@ class TestRun:
         assert res.saving_rate() == 0.0
 
     def test_timed_out_schedule_keeps_the_loop_going(self):
-        # per-solve limit 0: without star rows this instance's scheduling
-        # root LP is fractional, so the solve stops at once and keeps its
-        # no-platoon incumbent instead of failing the run
+        # per-solve limit 0: without star rows the scheduling root LP of
+        # this instance's one component, of four vehicles, is fractional,
+        # so the solve stops at once and keeps its no-platoon incumbent
+        # instead of failing the run
         grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
-        inst = nm.generate_two_cluster(grid, 6, seed=2)
+        inst = nm.generate_two_cluster(grid, 12, seed=16)
         res = rshm.run(inst, RshmOptions(iter_cap=1, per_solve_time_s=0.0,
                                          sp_cuts="none"))
         assert res.termination == "iter_cap"
         assert res.iterations == 1
+        assert [(t["sp_status"], t["sp_milp"], t["sp_closed"])
+                for t in res.trace] == [("feasible", 1, 0)]
         assert res.z_hat == pytest.approx(res.routes.total_cost())
         assert res.departures == {m.id: m.t_earliest for m in inst.missions}
 
     def test_limited_solves_are_in_the_trace_and_counted(self):
-        # per-solve limit 0: the scheduling roots of the bare model are
-        # fractional at iterations 1 and 3, which end feasible; iteration
-        # 2's root is integral and ends optimal, and so does every
-        # routing solve
+        # per-solve limit 0: the scheduling roots of the bare model of a
+        # component of four vehicles are fractional at iterations 1 and 3,
+        # which end feasible; iteration 2 schedules a pair and a component
+        # of three vehicles in closed form and ends optimal, and so does
+        # every routing solve
         grid = nm.make_grid_network(5, 5, spacing_km=30, jitter=0.25, seed=9)
-        inst = nm.generate_two_cluster(grid, 6, seed=2)
+        inst = nm.generate_two_cluster(grid, 12, seed=16)
         res = rshm.run(inst, RshmOptions(iter_cap=3, per_solve_time_s=0.0,
                                          sp_cuts="none"))
         assert [(t["rdp_status"], t["sp_status"]) for t in res.trace] == [
             ("optimal", "feasible"), ("optimal", "optimal"),
             ("optimal", "feasible")]
+        assert [(t["sp_milp"], t["sp_closed"]) for t in res.trace] == [
+            (1, 0), (0, 2), (1, 0)]
         assert res.limited == 2
         # the departure-window rows close the same scheduling roots
         res = rshm.run(inst, RshmOptions(iter_cap=3, per_solve_time_s=0.0))
@@ -479,7 +485,7 @@ class TestRun:
         assert res.iterations == 11
         assert [t["sp_milp"] for t in res.trace] == [0] * 11
         assert [t["sp_nodes"] for t in res.trace] == [0] * 11
-        assert [(t["sp_pairs"], t["sp_reused"]) for t in res.trace] == [
+        assert [(t["sp_closed"], t["sp_reused"]) for t in res.trace] == [
             (1, 0), (1, 0), (0, 1), (2, 0), (1, 0), (0, 1), (1, 1), (0, 2),
             (0, 2), (0, 2), (0, 2)]
         # the counts are those of the components of each assignment
@@ -494,8 +500,19 @@ class TestRun:
                      for vs in scheduling.components(con, big_m)}
             assert set(comps.values()) <= {2}
             assert t["sp_reused"] == len(comps.keys() & seen)
-            assert t["sp_pairs"] == len(comps.keys() - seen)
+            assert t["sp_closed"] == len(comps.keys() - seen)
             seen |= comps.keys()
+
+    def test_components_of_three_build_no_scheduling_model(self):
+        # rshm-cluster's instance: its 37 new scheduling components are
+        # pairs and components of three vehicles, all in closed form
+        grid = nm.make_grid_network(7, 7, spacing_km=40, jitter=0.25, seed=5)
+        inst = nm.generate_two_cluster(grid, 12, 1)
+        res = rshm.run(inst, RshmOptions(iter_cap=30, freq_threshold=3))
+        assert res.iterations == 30
+        assert [t["sp_milp"] for t in res.trace] == [0] * 30
+        assert [t["sp_nodes"] for t in res.trace] == [0] * 30
+        assert sum(t["sp_closed"] for t in res.trace) == 37
 
     def test_each_solve_gets_at_most_the_time_left(self, small_grid,
                                                    monkeypatch):
@@ -509,17 +526,18 @@ class TestRun:
             return solve(model, **kwargs)
 
         monkeypatch.setattr(mip, "solve_mip", recording_solve)
-        inst = nm.generate_two_cluster(small_grid, 6, seed=6)
+        inst = nm.generate_two_cluster(small_grid, 8, seed=25)
         budget = 30.0
         t0 = time.perf_counter()
         res = rshm.run(inst, RshmOptions(iter_cap=4, total_time_s=budget))
         assert res.iterations >= 2 and len(limits) >= 3
         # one routing solve per iteration, then one scheduling solve of the
-        # new components of three or more vehicles: iterations 1 and 2 have
-        # one each, 3 only iteration 1's, known, and 4 none, so 3 and 4
-        # solve no scheduling model
-        assert [(t["sp_milp"], t["sp_reused"]) for t in res.trace] == [
-            (1, 0), (1, 0), (0, 1), (0, 0)]
+        # new components of four or more vehicles: iterations 1 and 2 have
+        # one each (and 1 a pair in closed form), 3 and 4 only known ones,
+        # so they solve no scheduling model
+        assert [(t["sp_milp"], t["sp_closed"], t["sp_reused"])
+                for t in res.trace] == [(1, 1, 0), (1, 0, 1), (0, 0, 2),
+                                        (0, 0, 2)]
         assert names == ["rdp", "sp", "rdp", "sp", "rdp", "rdp"]
         assert all(n > 0 for name, n in zip(names, columns) if name == "sp")
         for limit, at in limits:

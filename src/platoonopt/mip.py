@@ -35,14 +35,9 @@ from the previous one's basis with the new rows basic, the basis HiGHS
 holds once it has the rows, and each node LP from its parent's optimal
 basis, so the dual simplex repairs the violated cut or branching bound.
 
-After the root the search splits by block: the columns linked through the
-last root LP's rows.  A block that is integral at the root keeps its root
-values; every other block is searched on its own tree and its own rows,
-from the root's values and basis restricted to it.  Independent blocks
-then cost a sum of trees rather than a product, and each node LP is as
-small as its block.  ``solve_mip`` states the gap rule that keeps the
-assembled answer within ``rel_gap``, and what ``nodes`` and ``bound``
-count.
+The search runs on one tree over the whole model.  Independent parts are
+split by the caller: ``scheduling.solve_schedule`` builds one model per
+component.
 """
 
 from __future__ import annotations
@@ -694,10 +689,9 @@ def _pruned(bound: float, incumbent, rel_gap: float, minimize: bool) -> bool:
 
 @dataclass
 class Relaxation:
-    """The LP relaxation of a model or of one of its blocks: min ``c.x``
-    over ``rows`` and the column bounds ``lo``/``hi``, each solution
-    reported as ``sign * c.x + offset``; ``int_idx`` are the integer
-    columns."""
+    """The LP relaxation of a model: min ``c.x`` over ``rows`` and the
+    column bounds ``lo``/``hi``, each solution reported as ``sign * c.x +
+    offset``; ``int_idx`` are the integer columns."""
     rows: simplex.Matrix
     c: np.ndarray
     lo: np.ndarray
@@ -757,97 +751,6 @@ class Relaxation:
         return root, added
 
 
-class _Budget:
-    """The node and time limits of one solve, shared by its block searches.
-    ``nodes`` counts the root and every node taken up below it."""
-
-    def __init__(self, t0: float, time_limit_s, node_limit):
-        self.deadline = math.inf if time_limit_s is None else t0 + time_limit_s
-        self.node_limit = math.inf if node_limit is None else node_limit
-        self.nodes = 1
-
-    def spent(self) -> str | None:
-        """The limit reached, if one is."""
-        if time.perf_counter() > self.deadline:
-            return "time_limit"
-        return "node_limit" if self.nodes >= self.node_limit else None
-
-
-def column_blocks(rows: simplex.Matrix) -> np.ndarray:
-    """The block of each column of ``rows``: the lowest column of its
-    connected component in the graph that links each row with its columns.
-    Min-label propagation: each row takes the lowest label of its columns,
-    each column the lowest label of its rows, and each label the label of
-    the column it names, until no label changes."""
-    a, csc = rows.a, rows.csc
-    label = np.arange(a.shape[1])
-    linked_rows = np.diff(a.indptr) > 0         # rows with a column
-    linked_cols = np.diff(csc.indptr) > 0       # columns in a row
-    row_start = a.indptr[:-1][linked_rows]
-    col_start = csc.indptr[:-1][linked_cols]
-    row_label = np.empty(a.shape[0], dtype=label.dtype)
-    while row_start.size:
-        row_label[linked_rows] = np.minimum.reduceat(label[a.indices],
-                                                     row_start)
-        new = label.copy()
-        new[linked_cols] = np.minimum.reduceat(row_label[csc.indices],
-                                               col_start)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    return label
-
-
-def _split(rel: Relaxation, root: LpSolution,
-           frac_cols) -> tuple[list[tuple], np.ndarray]:
-    """The blocks of ``rel`` that hold a column of ``frac_cols``, each as
-    ``(cols, relaxation, root)``: its columns in the model (ascending), its
-    relaxation, its rows and columns sliced from ``rel``, and ``root``
-    restricted to it, values and basis.  Also the columns of the other
-    blocks.  A model of one block is that block, unsliced.  The model's
-    objective offset goes with the first block."""
-    label = column_blocks(rel.rows)
-    if not label.any():
-        return [(np.arange(len(label)), rel, root)], np.empty(0, np.int64)
-    a, csc = rel.rows.a, rel.rows.csc
-    nonempty = np.diff(a.indptr) > 0
-    row_label = np.full(a.shape[0], -1)
-    row_label[nonempty] = label[a.indices[a.indptr[:-1][nonempty]]]
-    integer = np.zeros(len(label), dtype=bool)
-    integer[rel.int_idx] = True
-    col_status, row_status = root.basis.col_status, root.basis.row_status
-    local_row = np.empty(len(row_label), dtype=np.int32)
-    searched = np.zeros(len(label), dtype=bool)
-    blocks = []
-    for b in np.unique(label[frac_cols]).tolist():
-        cols = np.flatnonzero(label == b)
-        rows = np.flatnonzero(row_label == b)
-        searched[cols] = True
-        local_row[rows] = np.arange(len(rows))
-        # the entries of its columns, which lie in its rows
-        lengths = csc.indptr[cols + 1] - csc.indptr[cols]
-        ptr = row_pointers(lengths)
-        at = np.repeat(csc.indptr[cols] - ptr[:-1], lengths) + \
-            np.arange(ptr[-1])
-        block_rows = simplex.Matrix(
-            sp.csc_matrix((csc.data[at], local_row[csc.indices[at]], ptr),
-                          shape=(len(rows), len(cols))),
-            rel.rows.rlo[rows], rel.rows.rhi[rows])
-        c, lo, hi = _frozen(rel.c[cols], rel.lo[cols], rel.hi[cols])
-        block = Relaxation(block_rows, c, lo, hi,
-                           np.flatnonzero(integer[cols]), rel.sign,
-                           0.0 if blocks else rel.offset)
-        x = root.x[cols]
-        # The optimal basis of a block-diagonal LP is block-diagonal, and
-        # each of its diagonal blocks is a basis of that block's LP.
-        start = simplex.make_basis([col_status[j] for j in cols.tolist()],
-                                   [row_status[i] for i in rows.tolist()])
-        blocks.append((cols, block, LpSolution(
-            "optimal", block.sign * float(c @ x) + block.offset, x, start)))
-    return blocks, np.flatnonzero(~searched)
-
-
 def _node_lp(rel: Relaxation, overrides, start) -> LpSolution:
     """The LP of ``rel`` with the column bounds tightened by ``overrides``
     (column -> ``(lo, hi)``), from ``start``."""
@@ -862,18 +765,22 @@ def _node_lp(rel: Relaxation, overrides, start) -> LpSolution:
 
 
 def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
-            minimize: bool, rel_gap: float, budget: _Budget):
+            minimize: bool, rel_gap: float, deadline: float, node_limit):
     """Best-bound branch and bound on ``rel`` from ``root``, its solved LP
     without branching bounds, with most-fractional branching (ties to the
     lowest column).  A node is pruned by :func:`_pruned` with ``rel_gap``.
     Each node LP restarts from its parent's optimal basis, the very
     ``HighsBasis`` of the parent's result, under the node's column bounds;
     both children of a node share that one start.  Returns ``(status,
-    incumbent, incumbent_x, bound)``: ``optimal`` when the tree is
-    exhausted, else the limit of ``budget`` that stopped it; the bound is
-    the best over the open nodes, the pruned ones and the incumbent, or
+    incumbent, incumbent_x, bound, nodes)``: ``optimal`` when the tree is
+    exhausted, else ``time_limit`` once ``time.perf_counter()`` passes
+    ``deadline``, or ``node_limit`` once ``nodes``, which counts the root
+    and every node LP, reaches ``node_limit`` (None: no limit); the bound
+    is the best over the open nodes, the pruned ones and the incumbent, or
     the root's objective when there is none."""
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    node_limit = math.inf if node_limit is None else node_limit
+    nodes = 1
     counter = 0
     heap: list = []
     pruned_bounds: list[float] = []
@@ -892,9 +799,11 @@ def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
     first = True
     status = "optimal"
     while heap:
-        limit = budget.spent()
-        if limit:
-            status = limit
+        if time.perf_counter() > deadline:
+            status = "time_limit"
+            break
+        if nodes >= node_limit:
+            status = "node_limit"
             break
         key, cnt, bound, overrides, start = heapq.heappop(heap)
         if _pruned(bound, incumbent, rel_gap, minimize):
@@ -905,7 +814,7 @@ def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
             first = False
         else:
             lp = _node_lp(rel, overrides, start)
-            budget.nodes += 1
+            nodes += 1
         if lp.status != "optimal":
             continue
         if _pruned(lp.objective, incumbent, rel_gap, minimize):
@@ -936,9 +845,9 @@ def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
     if incumbent is not None:
         bounds.append(incumbent)
     if not bounds:
-        return status, incumbent, incumbent_x, root.objective
+        return status, incumbent, incumbent_x, root.objective, nodes
     return (status, incumbent, incumbent_x,
-            min(bounds) if minimize else max(bounds))
+            min(bounds) if minimize else max(bounds), nodes)
 
 
 def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
@@ -946,8 +855,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
               node_limit: int | None = None,
               root_cut_hook=None,
               initial_solution=None, root_start=None) -> MipSolution:
-    """Branch and bound with best-bound node selection, one search per
-    block of the model.
+    """Branch and bound with best-bound node selection on one tree.
 
     The LPs are solved on the model's compiled rows with its current
     bounds and objective.  ``root_cut_hook(lp_solution)`` may return a
@@ -963,42 +871,20 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     :func:`seed_start` can turn it into a basis, so the simplex starts at
     the seed's vertex.  A start that does not fit is ignored (see
     ``simplex.solve``).  The solve ends at the root when the root LP is
-    integral, or within ``rel_gap`` of the seed by :func:`_pruned`.
+    integral, or within ``rel_gap`` of the seed by :func:`_pruned`;
+    otherwise :func:`_search` runs from the final root LP, with the seed
+    as its first incumbent.  ``nodes`` counts the root and every node LP.
 
-    Otherwise the search splits by block (:func:`column_blocks` of the
-    final root rows, cut rows included).  A block whose integer columns are
-    integral at the root keeps its root values.  Each other block, in the
-    order of its lowest column, is searched on its own (:func:`_search`):
-    on a ``simplex.Matrix`` of its own rows and columns, from the root's
-    values and basis restricted to it, so its first children start from
-    that basis, with the seed restricted to it as its first incumbent.  A
-    model of one block is searched whole.  The objective is the sum of the
-    block incumbents and the other blocks' root values; ``bound`` is that
-    sum with each searched block's bound in place of its incumbent; and
-    ``nodes`` counts the root and every node of every block's search.
-
-    Gap rule.  A block prunes a node whose bound is within ``rel_gap *
-    max(|v|, 1e-10)`` of its incumbent value ``v`` (its part of the
-    objective; the model's constant goes with the first searched block).
-    For ``rel_gap`` at most 1 that slack only grows as ``v`` improves, so
-    each pruned bound ends within it of the final ``v``.  When the block
-    incumbents and the other blocks' root values share a sign and are at
-    least 1e-10 in size, these slacks add up to at most ``rel_gap`` times
-    the objective, and so does the gap.  Should the assembled gap exceed
-    ``rel_gap`` all the same, each block whose bound differs from its
-    incumbent is searched again from its root with no slack, keeping its
-    incumbent: its bound then is its incumbent, and the gap 0.  A search
-    that runs to its end thus has a gap within ``rel_gap``.
-
-    ``time_limit_s`` and ``node_limit`` are one budget across the blocks.
-    A limit stops the search: the blocks not searched yet keep their seed
-    part and their root value as their bound.  The status is then
-    ``feasible`` or ``optimal`` by the assembled gap when every block has
-    an incumbent, and ``time_limit`` or ``node_limit`` otherwise.  A block
-    whose search ends without an incumbent makes the model ``infeasible``.
-    An unbounded root relaxation gives status ``unbounded``, with or
-    without an incumbent.  ``ValueError`` for a ``rel_gap`` that is
-    negative or not finite, or a NaN ``time_limit_s``.
+    A search that runs to its end is ``optimal``: for ``rel_gap`` at most
+    1 the slack of :func:`_pruned` only grows as the incumbent improves, so
+    every pruned bound ends within ``rel_gap`` of the final incumbent.
+    ``time_limit_s`` and ``node_limit`` stop the search; the status is then
+    ``optimal`` or ``feasible`` by the gap when there is an incumbent, and
+    ``time_limit`` or ``node_limit`` otherwise.  A search that ends
+    without an incumbent makes the model ``infeasible``.  An unbounded
+    root relaxation gives status ``unbounded``, with or without an
+    incumbent.  ``ValueError`` for a ``rel_gap`` that is negative or not
+    finite, or a NaN ``time_limit_s``.
     """
     _check_limits(rel_gap, time_limit_s)
     model.validate()
@@ -1028,8 +914,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     root_bound = root.objective
     root_basis = root.basis
 
-    frac = _fractional(root.x, rel.int_idx)
-    if not frac:
+    if not _fractional(root.x, rel.int_idx):
         if incumbent is None or (root.objective < incumbent if minimize
                                  else root.objective > incumbent):
             incumbent, incumbent_x = root.objective, root.x.copy()
@@ -1041,41 +926,15 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
                            relative_gap(incumbent, root.objective),
                            1, wall(), cuts_added, root_bound, root_basis)
 
-    budget = _Budget(t0, time_limit_s, node_limit)
-    blocks, rest = _split(rel, root, [j for j, _ in frac])
-    # each block's incumbent value and point, and its bound
-    found = [[None, None, block_root.objective]
-             for _cols, _rel, block_root in blocks]
-    if incumbent_x is not None:
-        for (cols, block, _root), f in zip(blocks, found):
-            f[:2] = (_objective(model.c[cols], incumbent_x[cols],
-                                block.offset), incumbent_x[cols])
-    rest_value = [_objective(model.c[rest], root.x[rest], 0.0)] \
-        if rest.size else []
-    status = "optimal"
-    for slack in (rel_gap, 0.0):
-        for (_cols, block, block_root), f in zip(blocks, found):
-            if status != "optimal":
-                break
-            if slack == 0.0 and f[0] == f[2]:
-                continue        # searched to no gap already
-            status, f[0], f[1], f[2] = _search(block, block_root, f[0], f[1],
-                                               minimize, slack, budget)
-            if status == "optimal" and f[0] is None:
-                return MipSolution("infeasible", None, None, root_bound,
-                                   None, budget.nodes, wall(), cuts_added,
-                                   root_bound, root_basis)
-        bound = math.fsum([f[2] for f in found] + rest_value)
-        if any(f[0] is None for f in found):
-            return MipSolution(status, None, None, bound, None, budget.nodes,
-                               wall(), cuts_added, root_bound, root_basis)
-        objective = math.fsum([f[0] for f in found] + rest_value)
-        gap = relative_gap(objective, bound)
-        if status != "optimal" or gap <= rel_gap:
-            break
-    x = root.x.copy()
-    for (cols, _rel, _root), f in zip(blocks, found):
-        x[cols] = f[1]
-    return MipSolution("feasible" if gap > rel_gap else "optimal", objective,
-                       x, bound, gap, budget.nodes, wall(), cuts_added,
-                       root_bound, root_basis)
+    deadline = math.inf if time_limit_s is None else t0 + time_limit_s
+    status, incumbent, incumbent_x, bound, nodes = _search(
+        rel, root, incumbent, incumbent_x, minimize, rel_gap, deadline,
+        node_limit)
+    if incumbent is None:
+        return MipSolution("infeasible" if status == "optimal" else status,
+                           None, None, bound, None, nodes, wall(),
+                           cuts_added, root_bound, root_basis)
+    gap = relative_gap(incumbent, bound)
+    return MipSolution("feasible" if status != "optimal" and gap > rel_gap
+                       else "optimal", incumbent, incumbent_x, bound, gap,
+                       nodes, wall(), cuts_added, root_bound, root_basis)

@@ -19,12 +19,15 @@ The model splits into independent components (``components``), each
 depending on its vehicles' runs alone.  ``solve_schedule`` finds them on
 the shared runs, takes those solved before from a map, schedules a new
 one of two or three vehicles in closed form (``closed_form``), and
-contracts and models only the new ones of four or more vehicles.
+contracts and models each new one of four or more vehicles on its own.
+This is the one place where the scheduling problem is decomposed: each
+model is one component, and ``mip.solve_mip`` searches it on one tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, combinations, groupby
 from operator import add
@@ -699,25 +702,29 @@ def earliest_departures(contracted: ContractedRoutes, platoons: dict,
 
 @dataclass
 class Schedule:
-    """What a ``solve_schedule`` call scheduled: the model of the new
-    components that no closed form took (None without one), the answer
-    over all its new components (the model's, with the savings of the
-    components scheduled in closed form added), the whole assignment's
-    platoons on the original edges, and every vehicle's time bounds.
-    ``milp``, ``closed`` and ``reused`` count the components that the model
-    took, that ``closed_form`` scheduled, and that ``solved`` held.
-    ``contracted``, the contracted routes of the ``new`` components'
-    vehicles, those in closed form included, is built from their runs in
-    ``view`` on first read."""
-    handle: SpModelHandle | None
+    """What a ``solve_schedule`` call scheduled: the handles of the models
+    of the new components that no closed form took, one per component (an
+    empty tuple without one), the answer over all its new components (the
+    models' answers summed, with the savings of the components scheduled in
+    closed form added), the whole assignment's platoons on the original
+    edges, and every vehicle's time bounds.  ``milp``, ``closed`` and
+    ``reused`` count the components that a model took, that
+    ``closed_form`` scheduled, and that ``solved`` held.  ``contracted``,
+    the contracted routes of the ``new`` components' vehicles, those in
+    closed form included, is built from their runs in ``view`` on first
+    read."""
+    handles: tuple[SpModelHandle, ...]
     solution: mip.MipSolution
     platoons: PlatoonConfiguration
     bounds: TimeBounds
-    milp: int
     closed: int
     reused: int
     view: RunView
     new: list
+
+    @property
+    def milp(self) -> int:
+        return len(self.handles)
 
     @cached_property
     def contracted(self) -> ContractedRoutes:
@@ -725,17 +732,30 @@ class Schedule:
                            self.view.times, self.view.costs)
 
 
-def _with_savings(sol: mip.MipSolution, savings: float) -> mip.MipSolution:
-    """``sol`` with ``savings`` added to its objective and bounds, and its
-    gap taken again."""
-    if not savings:
-        return sol
-    plus = (lambda a: None if a is None else a + savings)
-    objective, bound = plus(sol.objective), plus(sol.bound)
-    gap = sol.gap if None in (objective, bound) else mip.relative_gap(
-        objective, bound)
-    return replace(sol, objective=objective, bound=bound, gap=gap,
-                   root_bound=plus(sol.root_bound))
+def _summed(sols: list, savings: float) -> mip.MipSolution:
+    """The answer over the models' solutions ``sols`` and the components
+    of ``savings`` in closed form: the objective, the bound and the root
+    bound are the sums (None when one is None) plus ``savings``, ``nodes``,
+    ``cuts_added`` and the time are sums, the gap is ``mip.relative_gap``
+    of the sums, the point is the models' points one after the other, and
+    the status is ``optimal`` unless a model's is not: then it is the
+    first such model's."""
+    def total(values):
+        return None if None in values else math.fsum([savings, *values])
+
+    objective = total([s.objective for s in sols])
+    bound = total([s.bound for s in sols])
+    status = next((s.status for s in sols if s.status != "optimal"),
+                  "optimal")
+    return mip.MipSolution(
+        status, objective,
+        None if objective is None else np.concatenate(
+            [np.zeros(0), *(s.x for s in sols)]),
+        bound, None if None in (objective, bound)
+        else mip.relative_gap(objective, bound),
+        sum(s.nodes for s in sols), math.fsum(s.wall_time for s in sols),
+        sum(s.cuts_added for s in sols),
+        total([s.root_bound for s in sols]))
 
 
 def solve_schedule(routes, inst, cuts: str, *,
@@ -746,25 +766,31 @@ def solve_schedule(routes, inst, cuts: str, *,
     """Schedule fixed routes: bound every vehicle on its runs (a
     ``RunView``), find the ``components`` on the shared runs, and schedule
     those that ``solved`` does not hold: each of two or three vehicles in
-    closed form (``closed_form``), the others in one model over their
-    contracted routes, with the rows of cut mode ``cuts`` (see
+    closed form (``closed_form``), each other one in a model of its own
+    over its contracted routes, with the rows of cut mode ``cuts`` (see
     ``CUT_MODES``), solved from the no-platoon incumbent, so a solve
-    stopped by ``time_limit_s`` ends ``feasible``.  The returned solution
-    is the model's with the closed forms' savings added to its objective
-    and bounds (``optimal`` in 0 nodes, with no values, without a model);
-    those components stay out of the model, so its search and its
-    ``rel_gap`` pruning see its own components alone.  ``inst`` supplies
-    the missions and the savings parameters.  ``cut_log`` receives
-    ``(bound before, cut)`` for each disjunctive cut the root rounds add,
-    the closed forms' savings added.
+    stopped by the time limit ends ``feasible``.  The models are solved in
+    the order of their components' smallest vehicles; ``time_limit_s``
+    bounds their solves together, each solve getting what those before it
+    left.  A model's search and its ``rel_gap`` pruning thus see its own
+    component alone.  The returned solution sums the models' solutions
+    and the closed forms' savings (``_summed``).  ``inst`` supplies the
+    missions and the savings parameters.
+
+    ``cut_log`` receives ``(bound before, cut)`` for each disjunctive cut
+    the models' root rounds add, model by model: a model's root bounds
+    are shifted by the closed forms' savings, the final root bounds of
+    the models solved before it and the first root bounds of those solved
+    after it, so the entries read as one chain of root bounds of the
+    returned solution, ending at its ``root_bound``.
 
     ``solved`` maps a ``component_key`` to the component's platoons with
     followers, as ``(run, (leader, followers))`` pairs; each closed form,
-    and a model whose solve ends ``optimal``, adds its components.  One map
-    serves one instance, cut mode and gap.  Platoons are listed run by run in
-    ``(tail, head, run)`` order, then by original edge, and departures are
-    ``earliest_departures``, so the schedule does not depend on which
-    components were known."""
+    and each model whose solve ends ``optimal``, adds its component.  One
+    map serves one instance, cut mode and gap.  Platoons are listed run by
+    run in ``(tail, head, run)`` order, then by original edge, and
+    departures are ``earliest_departures``, so the schedule does not
+    depend on which components were known."""
     cut_options, disjunctive = cut_mode(cuts)
     view = RunView(routes, routes.edge_times, routes.edge_costs)
     bounds = time_bounds(view, inst.missions)
@@ -800,41 +826,50 @@ def solve_schedule(routes, inst, cuts: str, *,
         if solved is not None:
             solved[key] = tuple(found)
 
-    handle = None
-    if milp:
-        keep = {v for _key, vs in milp for v in vs}
-        contracted = _contracted({v: view.runs(v) for v in sorted(keep)},
-                                 view.times, view.costs)
+    # each modelled component's pairs; both of a pair that can meet are in
+    # one component, so its first vehicle decides
+    of = {v: i for i, (_key, vs) in enumerate(milp) for v in vs}
+    comp_pairs = [({}, []) for _ in milp]
+    for (u, v, k), m in big_m.items():
+        if u in of:
+            comp_pairs[of[u]][0][(u, v, k)] = m
+    for u, v, k in pruned:
+        if u in of and of[u] == of.get(v):
+            comp_pairs[of[u]][1].append((u, v, k))
+    handles, sols, logs = [], [], []
+    for (key, vs), (comp_m, comp_pruned) in zip(milp, comp_pairs):
+        contracted = _contracted({v: view.runs(v) for v in vs}, view.times,
+                                 view.costs)
         at = {s.original: s.key for s in contracted.cedges.values()}
-        # the pairs of kept vehicles; both of a pair that can meet are in
-        # one component, so its first vehicle decides
-        pairs = ({(u, v, at[k[2]]): m for (u, v, k), m in big_m.items()
-                  if u in keep},
-                 [(u, v, at[k[2]]) for u, v, k in pruned
-                  if u in keep and v in keep])
-        handle = build_sp(contracted, inst, bounds, cut_options, pairs)
+        handle = build_sp(contracted, inst, bounds, cut_options,
+                          ({(u, v, at[k[2]]): m
+                            for (u, v, k), m in comp_m.items()},
+                           [(u, v, at[k[2]]) for u, v, k in comp_pruned]))
         hook, log = None, []
         if disjunctive:
             from . import cuts as _cuts
             hook = _cuts.make_disjunctive_hook(handle, log=log)
+        left = time_limit_s if time_limit_s is None else max(
+            0.0, time_limit_s - math.fsum(s.wall_time for s in sols))
         sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
-                            time_limit_s=time_limit_s, root_cut_hook=hook,
+                            time_limit_s=left, root_cut_hook=hook,
                             initial_solution=solo_schedule(handle))
         config = extract_platoons(handle, sol)
-        found = [(contracted.cedges[key].original, p)
-                 for key, plist in config.platoons.items()
+        found = [(contracted.cedges[k].original, p)
+                 for k, plist in config.platoons.items()
                  for p in plist if p[1]]
         if solved is not None and sol.status == "optimal":
-            for key, vs in milp:
-                solved[key] = tuple(f for f in found if f[1][0] in vs)
+            solved[key] = tuple(found)
         fresh += found
-        if cut_log is not None:
-            cut_log.extend((before + closed_savings, cut)
-                           for before, cut in log)
-        sol = _with_savings(sol, closed_savings)
-    else:
-        sol = mip.MipSolution("optimal", closed_savings, np.zeros(0),
-                              closed_savings, 0.0, 0, 0.0)
+        handles.append(handle)
+        sols.append(sol)
+        logs.append(log)
+    if cut_log is not None:
+        final = [s.root_bound for s in sols]
+        first = [log[0][0] if log else b for log, b in zip(logs, final)]
+        for i, log in enumerate(logs):
+            shift = math.fsum([closed_savings, *final[:i], *first[i + 1:]])
+            cut_log.extend((before + shift, cut) for before, cut in log)
     by_key: dict[tuple, list[tuple]] = {}   # run key -> its platoons
     for run, p in reused + fresh:
         by_key.setdefault((run[0][0], run[-1][1], run), []).append(p)
@@ -850,8 +885,9 @@ def solve_schedule(routes, inst, cuts: str, *,
             listed[e] = list(plist)
     departures = earliest_departures(view, dict(sorted(by_key.items())),
                                      bounds)
-    return Schedule(handle, sol, PlatoonConfiguration(listed, departures),
-                    bounds, len(milp), len(new) - len(milp), n_reused, view,
+    return Schedule(tuple(handles), _summed(sols, closed_savings),
+                    PlatoonConfiguration(listed, departures), bounds,
+                    len(new) - len(milp), n_reused, view,
                     sorted(v for _key, vs in new for v in vs))
 
 

@@ -234,9 +234,13 @@ class Matrix:
         self._c, self._lo, self._hi = c, lo, hi
 
     def _start(self, basis) -> bool:
-        """Give HiGHS the basis; False if it does not fit."""
-        return basis is self._held or \
-            self._h.setBasis(basis) == _hs.HighsStatus.kOk
+        """Give HiGHS the basis; False if it does not fit.  Unless it is
+        the basis HiGHS holds, the solver is cleared first, so that the run
+        depends on the start alone and not on what earlier runs left."""
+        if basis is self._held:
+            return True
+        self._h.clearSolver()
+        return self._h.setBasis(basis) == _hs.HighsStatus.kOk
 
     def _run(self, c, lo, hi, warm: bool) -> SimplexResult | None:
         """One HiGHS run, from the basis it holds or from scratch; None when
@@ -285,9 +289,10 @@ def solve(mat: Matrix, c, lo, hi, start=None) -> SimplexResult:
     """Solve from ``start``, the ``basis`` of an earlier result on the same
     rows (the costs and column bounds may differ) or ``mat.held``, else
     from scratch.  A start that does not fit, or whose run ends without an
-    answer, is dropped for a run from scratch, and ``warm`` is False; a
-    solve without a start never depends on the ones before it.  A run that cannot tell
-    unbounded from infeasible is settled by a run with a zero objective.
+    answer, is dropped for a run from scratch, and ``warm`` is False.  A
+    solve without a start, or from a start other than ``mat.held``, never
+    depends on the ones before it.  A run that cannot tell unbounded from
+    infeasible is settled by a run with a zero objective.
     The matrix keeps ``c``, ``lo`` and ``hi`` for its next solve: an array
     that is read-only and owns its data as it is, any other as a copy.  A
     later solve compares each with the one kept, unless it is that very

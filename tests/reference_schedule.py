@@ -6,22 +6,21 @@ back).
 
 ``solve_schedule`` contracts all routes, bounds every vehicle, tests every
 pair, schedules each new component of two or three vehicles with
-``scheduling.closed_form`` on the contracted routes, builds the model of
-the others (one without columns when there is none), lists the platoons
-by contracted key and takes every departure from the whole assignment."""
+``scheduling.closed_form`` on the contracted routes, builds and solves one
+model for each of the others on the contracted routes restricted to its
+vehicles, lists the platoons by contracted key and takes every departure
+from the whole assignment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from platoonopt import mip, scheduling as sched
 
 
 @dataclass
 class ReferenceSchedule:
-    handle: sched.SpModelHandle
+    handles: tuple
     solution: mip.MipSolution
     platoons: sched.PlatoonConfiguration
     contracted: sched.ContractedRoutes
@@ -50,8 +49,6 @@ def restricted(contracted, keep: set) -> sched.ContractedRoutes:
 
 def solve_schedule(routes, inst, cuts: str, *,
                    rel_gap: float = mip.DEFAULT_REL_GAP,
-                   time_limit_s: float | None = None,
-                   cut_log: list | None = None,
                    solved: dict | None = None) -> ReferenceSchedule:
     cut_options, disjunctive = sched.cut_mode(cuts)
     contracted = sched.contract(routes, routes.edge_times, routes.edge_costs)
@@ -86,34 +83,28 @@ def solve_schedule(routes, inst, cuts: str, *,
         if solved is not None:
             solved[key] = tuple(found)
 
-    keep = {v for _key, vs in milp for v in vs}
-    pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
-             [p for p in pruned if p[0] in keep and p[1] in keep])
-    handle = sched.build_sp(restricted(contracted, keep), inst, bounds,
-                            cut_options, pairs)
-    if milp:
-        hook, log = None, []
+    handles, sols = [], []
+    for key, vs in milp:
+        keep = set(vs)
+        pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
+                 [p for p in pruned if p[0] in keep and p[1] in keep])
+        handle = sched.build_sp(restricted(contracted, keep), inst, bounds,
+                                cut_options, pairs)
+        hook = None
         if disjunctive:
             from platoonopt import cuts as _cuts
-            hook = _cuts.make_disjunctive_hook(handle, log=log)
-        sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
-                            time_limit_s=time_limit_s, root_cut_hook=hook,
+            hook = _cuts.make_disjunctive_hook(handle)
+        sol = mip.solve_mip(handle.model, rel_gap=rel_gap, root_cut_hook=hook,
                             initial_solution=sched.solo_schedule(handle))
         config = sched.extract_platoons(handle, sol)
-        found = [(handle.contracted.cedges[key].original, p)
-                 for key, plist in config.platoons.items()
+        found = [(handle.contracted.cedges[k].original, p)
+                 for k, plist in config.platoons.items()
                  for p in plist if p[1]]
         if solved is not None and sol.status == "optimal":
-            for key, vs in milp:
-                solved[key] = tuple(f for f in found if f[1][0] in vs)
+            solved[key] = tuple(found)
         fresh += found
-        if cut_log is not None:
-            cut_log.extend((before + closed_savings, cut)
-                           for before, cut in log)
-        sol = sched._with_savings(sol, closed_savings)
-    else:
-        sol = mip.MipSolution("optimal", closed_savings, np.zeros(0),
-                              closed_savings, 0.0, 0, 0.0)
+        handles.append(handle)
+        sols.append(sol)
     platooned: dict = {}
     for run, p in reused + fresh:
         platooned.setdefault(run, []).append(p)
@@ -128,7 +119,8 @@ def solve_schedule(routes, inst, cuts: str, *,
     config = sched.PlatoonConfiguration(
         by_key, sched.earliest_departures(contracted, by_key, bounds))
     scheduled = restricted(contracted, {v for _key, vs in new for v in vs})
-    return ReferenceSchedule(handle, sol,
+    return ReferenceSchedule(tuple(handles),
+                             sched._summed(sols, closed_savings),
                              sched.expand_platoons(config, contracted),
                              scheduled, bounds, len(milp),
                              len(new) - len(milp), n_reused)

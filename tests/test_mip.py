@@ -456,37 +456,18 @@ def test_node_lps_restart_from_their_parent_basis(monkeypatch):
     (root_start, root, _cold), *nodes = calls
     assert root_start is None
     assert len(nodes) == sol.nodes - 1
-    # The root basis restricted to each block: its columns' and its rows'
-    # statuses.
-    rows = model.compiled_rows()
-    label = mip.column_blocks(rows)
-    row_label = label[rows.a.indices[rows.a.indptr[:-1]]]
-    restricted = [
-        ([root.basis.col_status[j] for j in np.flatnonzero(label == b)],
-         [root.basis.row_status[i] for i in np.flatnonzero(row_label == b)])
-        for b in np.unique(label)]
     # Each node starts from the very HighsBasis of an earlier result, its
-    # parent's, and a parent has two children; the two first children of
-    # a block start from one basis, the root's restricted to the block.
+    # parent's, and a parent has at most two children; the first node
+    # is a child of the root.
+    assert nodes[0][0] is root.basis
     children = [0] * len(calls)
-    firsts = []
     for k, (start, res, cold) in enumerate(nodes, 1):
         parents = [i for i in range(k) if calls[i][1].basis is start]
-        assert len(parents) <= 1
-        if parents:
-            children[parents[0]] += 1
-        else:
-            firsts.append(start)
+        assert len(parents) == 1
+        children[parents[0]] += 1
         assert res.warm
         _same_lp_answer(res, cold)
     assert max(children) == 2
-    blocks = []
-    for start in firsts:
-        if not any(start is b for b in blocks):
-            blocks.append(start)
-    assert len(blocks) == 3 and len(firsts) <= 2 * len(blocks)
-    for start in blocks:
-        assert (start.col_status, start.row_status) in restricted
     assert sum(res.iterations for _, res, _ in nodes) < \
         sum(cold.iterations for _, _, cold in nodes)
 
@@ -550,7 +531,7 @@ def test_solve_mip_rejects_bad_limits(kwargs):
         mip.solve_mip(branching_sp_model(), **kwargs)
 
 
-# --- search per block -----------------------------------------------------
+# --- search ---------------------------------------------------------------
 
 _KIND_BOUNDS = {mip.BINARY: (0.0, 1.0), mip.INTEGER: (-2.0, 3.0),
                 mip.CONTINUOUS: (-1.0, 2.5)}
@@ -585,15 +566,25 @@ def _block_diagonal_milps(draw):
     return model
 
 
+def _fractional_blocks(model, x) -> str:
+    """How many of the model's blocks, the connected components of the
+    graph linking each row with its columns, hold a fractional integer
+    column at ``x``."""
+    a = model.compiled_rows().a.tocoo()
+    m, n = a.shape
+    graph = sp.coo_matrix((np.ones(a.nnz), (a.row, m + a.col)),
+                          shape=(m + n, m + n))
+    label = csgraph.connected_components(graph, directed=False)[1][m:]
+    frac = {label[j] for j, _ in mip._fractional(x, model.integer_indices())}
+    return f"{len(frac)} of {len(set(label))} blocks fractional"
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_block_diagonal_milps(), st.sampled_from([0.0, 1e-4, 0.05]))
-def test_block_search_agrees_with_highs(model, rel_gap):
+def test_search_agrees_with_highs(model, rel_gap):
     root = mip.solve_lp(model)
     if root.status == "optimal":
-        label = mip.column_blocks(model.compiled_rows())
-        frac = {label[j] for j, _ in mip._fractional(
-            root.x, model.integer_indices())}
-        event(f"{len(frac)} of {len(set(label))} blocks fractional")
+        event(_fractional_blocks(model, root.x))
     want, ref = reference_mip.solve_milp(model)
     sol = mip.solve_mip(model, rel_gap=rel_gap)
     assert sol.status == want
@@ -604,62 +595,49 @@ def test_block_search_agrees_with_highs(model, rel_gap):
             pytest.approx(sol.objective, abs=1e-9)
 
 
-def test_mixed_sign_blocks_are_searched_again_without_slack():
-    # Block {x, y}: its root x = 1, y = 0.5 bounds it by 110; its child
-    # y = 0 gives the incumbent 100, and at rel_gap 0.3 the child y = 1 is
-    # pruned on its parent's bound 110.  Block {z} has the incumbent -99
-    # and no gap.  Together: incumbent 1, bound 11, a gap of 10, so the
-    # block {x, y} is searched again with no slack (2 more node LPs).
-    m = mip.LinearModel()
-    x, y, z = (m.add_var(name, kind=mip.BINARY) for name in "xyz")
-    m.add_constraint({x: 1, y: 1}, "<=", 1.5)
-    m.add_constraint({z: 1}, ">=", 0.5)
-    m.set_objective({x: 100, y: 20, z: -99}, sense="max")
-    s = mip.solve_mip(m, rel_gap=0.3)
-    assert s.status == "optimal" and s.nodes == 6
-    assert s.objective == s.bound == 1.0 and s.gap == 0.0
-    assert s.x.tolist() == [1.0, 0.0, 1.0]
-    assert mip.solve_mip(m, rel_gap=0.05).nodes == 5
+_SP_GRIDS = {k: netmodel.make_grid_network(k, k, spacing_km=40, jitter=0.25,
+                                          seed=5) for k in (5, 6, 7)}
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.integers(0, 10), st.integers(1, 12), st.data())
-def test_column_blocks_are_the_connected_components(m, n, data):
-    entries = sorted(data.draw(st.sets(st.tuples(
-        st.integers(0, max(m - 1, 0)), st.integers(0, n - 1)),
-        max_size=2 * n))) if m else []
-    rows = [i for i, _ in entries]
-    cols = [j for _, j in entries]
-    a = sp.csr_matrix((np.ones(len(entries)), (rows, cols)), shape=(m, n))
-    label = mip.column_blocks(simplex.Matrix(a, np.zeros(m), np.zeros(m)))
-    # rows are nodes 0..m-1 of the graph, columns m..m+n-1
-    graph = sp.coo_matrix((np.ones(len(entries)), (rows, [m + j for j in cols])),
-                          shape=(m + n, m + n))
-    comp = csgraph.connected_components(graph, directed=False)[1][m:]
-    assert label.tolist() == [int(np.flatnonzero(comp == k)[0]) for k in comp]
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rows=st.sampled_from(sorted(_SP_GRIDS)),
+       generator=st.sampled_from(["two_cluster", "distributed"]),
+       vehicles=st.integers(8, 18), seed=st.integers(0, 10_000))
+def test_a_model_solved_again_is_searched_the_same(rows, generator,
+                                                   vehicles, seed):
+    # a scheduling model on fuel-shortest routes without the window rows,
+    # so that it branches; between its two seeded solves a solve without
+    # the seed leaves HiGHS on another path
+    inst = getattr(netmodel, f"generate_{generator}")(_SP_GRIDS[rows],
+                                                       vehicles, seed)
+    ra = routing.shortest_path_assignment(inst)
+    con = scheduling.contract(ra, ra.edge_times, ra.edge_costs)
+    handle = scheduling.build_sp(con, inst,
+                                 scheduling.time_bounds(con, inst.missions),
+                                 scheduling.CutOptions(window=False))
+    solo = scheduling.solo_schedule(handle)
+    first = mip.solve_mip(handle.model, node_limit=100,
+                          initial_solution=solo)
+    mip.solve_mip(handle.model, node_limit=100)
+    second = mip.solve_mip(handle.model, node_limit=100,
+                           initial_solution=solo)
+    event(f"nodes > 1: {first.nodes > 1}")
+    assert (first.status, first.nodes) == (second.status, second.nodes)
+    assert np.array_equal(first.x, second.x)
+    assert first.root_basis.col_status == second.root_basis.col_status
+    assert first.root_basis.row_status == second.root_basis.row_status
 
 
-def test_a_column_in_no_row_is_a_block_of_its_own():
-    m = mip.LinearModel()
-    x = m.add_var("x", 0.0, 2.5, kind=mip.INTEGER)
-    y = m.add_var("y", kind=mip.BINARY)
-    z = m.add_var("z", kind=mip.BINARY)
-    m.add_constraint({y: 2, z: 2}, "<=", 3)
-    m.set_objective({x: 1, y: 1, z: 1}, sense="max")
-    assert mip.column_blocks(m.compiled_rows()).tolist() == [0, 1, 1]
-    s = mip.solve_mip(m)
-    assert s.status == "optimal" and s.objective == s.bound == 3.0
-    assert s.x[x] == 2.0 and s.x[y] + s.x[z] == 1.0
-
-
-def test_limits_stop_the_block_searches_together():
+def test_limits_stop_the_search():
     handle = blocked_sp_handle()
     model, seed = handle.model, scheduling.solo_schedule(handle)
     full = mip.solve_mip(model, initial_solution=seed)
     assert full.status == "optimal" and full.gap == 0.0 and full.nodes > 20
-    for limit in range(1, full.nodes):
-        # One budget for all blocks; with the seed every block has an
-        # incumbent, so the status follows the gap.
+    # every eighth limit and the last one: the tree is too large to stop
+    # at each of its nodes in a unit test
+    for limit in [*range(1, full.nodes, 8), full.nodes - 1]:
+        # with the seed there is an incumbent, so the status follows the
+        # gap
         s = mip.solve_mip(model, node_limit=limit, initial_solution=seed)
         assert s.nodes == limit
         assert s.objective <= full.objective <= s.bound + 1e-9
@@ -674,8 +652,8 @@ def test_limits_stop_the_block_searches_together():
             assert bare.status == "node_limit" and bare.x is None
         else:
             assert bare.status in ("feasible", "optimal")
-    # No time at all: no block is searched, and each keeps its root value
-    # as its bound.
+    # No time at all: the search stops at the root, whose value is the
+    # bound.
     timed = mip.solve_mip(model, time_limit_s=0.0, initial_solution=seed)
     assert timed.status == "feasible" and timed.nodes == 1
     assert timed.bound == pytest.approx(timed.root_bound)

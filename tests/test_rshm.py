@@ -772,7 +772,7 @@ class TestIncrementalRouting:
             comps = {scheduling.component_key(new, vs)
                      for vs in scheduling.components(new, big_m)}
             solved.append((routes, result.solution.status, comps,
-                           result.handle is None))
+                           result.handles == ()))
             return result
 
         monkeypatch.setattr(scheduling, "solve_schedule", recording_schedule)

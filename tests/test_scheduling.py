@@ -392,14 +392,33 @@ class TestSolveSchedule:
         # the departure-window rows in the model, and with a pair
         # scheduled in closed form, whose savings every bound includes
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
-        inst = nm.generate_two_cluster(grid, 14, seed=2)
-        ra = routing.shortest_path_assignment(inst)
+        inst, ra = _cluster_case(grid, 14, 2)
         log = []
         res = sched.solve_schedule(ra, inst, "star+disj", cut_log=log)
         assert len(log) == res.solution.cuts_added > 0
         assert (res.milp, res.closed) == (1, 1)
         bounds = [before for before, _cut in log] + [res.solution.root_bound]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+        # with instance seed 11 after it: three models, whose roots take
+        # two, no and two cuts, and still one chain, from the closed form's
+        # savings plus each model's first root bound to the returned root
+        # bound, the sum of their final ones
+        inst, ra = _joined((inst, ra), _cluster_case(grid, 14, 11))
+        log = []
+        res = sched.solve_schedule(ra, inst, "star+disj", cut_log=log)
+        assert (res.milp, res.closed) == (3, 1)
+        assert len(log) == res.solution.cuts_added == 4
+        bounds = [before for before, _cut in log] + [res.solution.root_bound]
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+        alone = [mip.solve_mip(h.model, initial_solution=sched.solo_schedule(h),
+                               root_cut_hook=cuts_module.make_disjunctive_hook(h))
+                 for h in res.handles]
+        assert [s.cuts_added for s in alone] == [2, 0, 2]
+        closed = res.solution.objective - sum(s.objective for s in alone)
+        assert log[0][0] == pytest.approx(closed + sum(
+            mip.solve_lp(h.model).objective for h in res.handles), rel=1e-12)
+        assert res.solution.root_bound == pytest.approx(
+            closed + sum(s.root_bound for s in alone), rel=1e-12)
 
     @pytest.mark.parametrize("shares", [False, True])
     def test_a_route_that_misses_its_window_is_named(self, shares):
@@ -461,6 +480,28 @@ def _scheduling_case(rows, generator, vehicles, seed, route_kind,
     if route_kind == "shortest":
         return inst, shortest, greedy
     return inst, greedy, shortest
+
+
+def _cluster_case(grid, vehicles, seed):
+    """A two-cluster instance on ``grid`` and its fuel-shortest routes."""
+    inst = nm.generate_two_cluster(grid, vehicles, seed)
+    return inst, routing.shortest_path_assignment(inst)
+
+
+def _joined(first, second):
+    """One instance and its routes of two ``(instance, routes)`` pairs on
+    one network: the second's vehicles take ids after the first's, and
+    their windows open after all of the first's close, so that no vehicle
+    of one meets a vehicle of the other."""
+    (a, ra), (b, rb) = first, second
+    top = max(m.id for m in a.missions)
+    shift = max(m.t_latest for m in a.missions) - \
+        min(m.t_earliest for m in b.missions) + 1.0
+    later = [replace(m, id=m.id + top, t_earliest=m.t_earliest + shift,
+                     t_latest=m.t_latest + shift) for m in b.missions]
+    routes = {**ra.routes, **{v + top: r for v, r in rb.routes.items()}}
+    return (replace(a, missions=a.missions + later),
+            RouteAssignment(routes, ra.edge_times, ra.edge_costs))
 
 
 _CASES = dict(rows=st.integers(3, 6),
@@ -613,7 +654,7 @@ class TestComponents:
             con, sched.time_bounds(con, inst.missions))
         assert sched.components(con, big_m) == []
         res = sched.solve_schedule(ra, inst, "star")
-        assert res.handle is None
+        assert res.handles == ()
         assert res.solution.status == "optimal"
         assert res.platoons.departures == {1: 0.0, 2: 10.0}
 
@@ -624,14 +665,15 @@ class TestComponents:
         ra = routing.shortest_path_assignment(inst)
         solved = {}
         fresh = sched.solve_schedule(ra, inst, cuts, solved=solved)
-        assert fresh.handle.model.num_vars > 0 and solved
+        assert fresh.handles and solved
+        assert all(h.model.num_vars > 0 for h in fresh.handles)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved a model of known components")
 
         monkeypatch.setattr(mip, "solve_mip", no_solve)
         again = sched.solve_schedule(ra, inst, cuts, solved=solved)
-        assert again.handle is None
+        assert again.handles == ()
         sol = again.solution
         assert (sol.status, sol.objective, sol.x.size, sol.nodes) == \
             ("optimal", 0.0, 0, 0)
@@ -639,6 +681,83 @@ class TestComponents:
         fuel = inst.network.fuel_table()
         assert sched.total_fuel(ra, again.platoons, fuel, inst) == \
             sched.total_fuel(ra, fresh.platoons, fuel, inst)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=st.integers(4, 6),
+           generator=st.sampled_from(["two_cluster", "distributed"]),
+           vehicles=st.integers(8, 14), seed=st.integers(0, 10_000),
+           route_kind=st.sampled_from(["shortest", "greedy", "walks"]),
+           flexibility=st.sampled_from([1.0, 4.0]),
+           cuts=st.sampled_from(["star", "star+disj"]))
+    def test_a_component_is_scheduled_as_if_alone(
+            self, rows, generator, vehicles, seed, route_kind, flexibility,
+            cuts):
+        # the instance with a later copy of itself, so that each
+        # component is there twice
+        inst, ra, _ = _scheduling_case(rows, generator, vehicles, seed,
+                                       route_kind, flexibility)
+        inst, ra = _joined((inst, ra), (inst, ra))
+        solved, models = {}, []
+        solve = mip.solve_mip
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mip, "solve_mip", lambda model, **kwargs:
+                          models.append(solve(model, **kwargs)) or models[-1])
+            whole = sched.solve_schedule(ra, inst, cuts, solved=solved)
+        assume(whole.milp >= 2)
+        assert len(models) == whole.milp
+        assert whole.solution.nodes == sum(s.nodes for s in models)
+        for handle, model in zip(whole.handles, models):
+            # the component is the only new one: its listing, savings and
+            # nodes are those it has beside the others
+            key = sched.component_key(whole.view, handle.contracted.vehicles)
+            others = {k: p for k, p in solved.items() if k != key}
+            alone = sched.solve_schedule(ra, inst, cuts, solved=others)
+            assert (alone.milp, alone.closed) == (1, 0)
+            assert others[key] == solved[key]
+            assert alone.platoons == whole.platoons
+            sol = alone.solution
+            assert (sol.status, sol.objective, sol.nodes) == \
+                (model.status, model.objective, model.nodes)
+        event(f"models: {min(whole.milp, 4)}"
+              f"{'+' if whole.milp >= 4 else ''}")
+
+    def test_a_limited_model_leaves_the_others_solved(self, monkeypatch):
+        # three models; the first stops at its time limit, with the seed
+        grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=9)
+        inst, ra = _joined(_cluster_case(grid, 14, 2),
+                           _cluster_case(grid, 14, 11))
+        fresh = sched.solve_schedule(ra, inst, "star")
+        assert fresh.milp == 3 and fresh.solution.status == "optimal"
+        keys = [sched.component_key(fresh.view, h.contracted.vehicles)
+                for h in fresh.handles]
+        limits = []
+        solve = mip.solve_mip
+
+        def first_limited(model, **kwargs):
+            limits.append(kwargs["time_limit_s"])
+            sol = solve(model, **kwargs)
+            if len(limits) > 1:
+                return sol
+            seed = kwargs["initial_solution"]
+            return replace(
+                sol, status="feasible", objective=0.0, x=seed,
+                gap=mip.relative_gap(0.0, sol.bound))
+
+        monkeypatch.setattr(mip, "solve_mip", first_limited)
+        solved = {}
+        res = sched.solve_schedule(ra, inst, "star", time_limit_s=30.0,
+                                   solved=solved)
+        assert res.milp == 3 and res.solution.status == "feasible"
+        assert set(keys[1:]) <= set(solved) and keys[0] not in solved
+        assert res.solution.objective < fresh.solution.objective
+        assert res.solution.bound == pytest.approx(fresh.solution.bound)
+        # each solve gets what the solves before it left of the 30 s
+        assert limits[0] == 30.0
+        assert all(b < a for a, b in zip(limits, limits[1:]))
+        # the first component's vehicles drive alone
+        members = set(fresh.handles[0].contracted.vehicles)
+        assert not any(p[1] for plist in res.platoons.platoons.values()
+                       for p in plist if p[0] in members)
 
     def test_pairs_that_can_meet_are_found_once(self, monkeypatch):
         # solve_schedule hands build_sp the pairs of the components it
@@ -659,7 +778,7 @@ class TestComponents:
         find = sched.platoonable_and_bigM
         monkeypatch.setattr(sched, "platoonable_and_bigM",
                             lambda *args: calls.append(args) or find(*args))
-        got = sched.solve_schedule(ra, inst, "star", solved=solved).handle
+        (got,) = sched.solve_schedule(ra, inst, "star", solved=solved).handles
         assert len(calls) == 1
         monkeypatch.undo()
         own = sched._contracted({v: con.runs(v) for v in comps[0]},
@@ -700,7 +819,7 @@ class TestComponents:
                                 recording(name, getattr(module, name)))
         known = sched.solve_schedule(ra, inst, "star", solved=solved)
         assert calls == []
-        assert known.handle is None
+        assert known.handles == ()
         assert (known.milp, known.closed, known.reused) == (0, 0, 3)
         assert known.platoons == fresh.platoons
         # new components of two and three vehicles: one closed form each,
@@ -711,7 +830,7 @@ class TestComponents:
         assert [name for name, _args in calls] == ["closed_form"] * 2
         assert [sorted({v for pair in args[3] for v in pair})
                 for _name, args in calls] == [[2, 3], [5, 6, 13]]
-        assert again.handle is None
+        assert again.handles == ()
         assert (again.milp, again.closed, again.reused) == (0, 2, 1)
         assert again.platoons == fresh.platoons
         # one new component of four vehicles: contracted edges for its
@@ -724,7 +843,8 @@ class TestComponents:
         runs = calls[0][1][0]
         assert list(runs) == [7, 8, 10, 11]
         assert runs == {v: con.runs(v) for v in (7, 8, 10, 11)}
-        contracted = again.handle.contracted
+        (handle,) = again.handles
+        contracted = handle.contracted
         assert contracted.vehicles == [7, 8, 10, 11]
         assert all(s.vehicles <= {7, 8, 10, 11}
                    for s in contracted.cedges.values())
@@ -762,7 +882,7 @@ class TestComponents:
             sched.total_fuel(ra, fresh.platoons, fuel, inst)
         # every component of the assignment is known now
         third = sched.solve_schedule(ra, inst, cuts, solved=solved)
-        assert third.handle is None
+        assert third.handles == ()
         assert third.platoons == fresh.platoons
         assert comps <= set(solved)
         event(f"{route_kind}: components {len(comps)}, "
@@ -846,7 +966,9 @@ def _same_schedule(got, want, inst, routes):
             sol.root_bound, sol.cuts_added) == \
         (ref.status, ref.objective, ref.bound, ref.gap, ref.nodes,
          ref.root_bound, ref.cuts_added)
-    assert (got.handle is None) == (want.handle.model.num_vars == 0)
+    assert [(h.model.num_vars, h.model.num_constraints)
+            for h in got.handles] == \
+        [(h.model.num_vars, h.model.num_constraints) for h in want.handles]
 
 
 class TestRuns:
@@ -1112,7 +1234,7 @@ class TestTriples:
         monkeypatch.setattr(sched, "closed_form", lambda *args: None)
         modeled = sched.solve_schedule(ra, inst, "star")
         assert (modeled.milp, modeled.closed) == (1, 0)
-        assert modeled.handle.contracted.vehicles == [3, 4, 5]
+        assert [h.contracted.vehicles for h in modeled.handles] == [[3, 4, 5]]
         assert modeled.solution.objective == pytest.approx(
             closed.solution.objective, rel=1e-9)
 

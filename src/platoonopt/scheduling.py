@@ -27,6 +27,7 @@ model is one component, and ``mip.solve_mip`` searches it on one tree.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, combinations, groupby
@@ -770,12 +771,13 @@ def solve_schedule(routes, inst, cuts: str, *,
     over its contracted routes, with the rows of cut mode ``cuts`` (see
     ``CUT_MODES``), solved from the no-platoon incumbent, so a solve
     stopped by the time limit ends ``feasible``.  The models are solved in
-    the order of their components' smallest vehicles; ``time_limit_s``
-    bounds their solves together, each solve getting what those before it
-    left.  A model's search and its ``rel_gap`` pruning thus see its own
-    component alone.  The returned solution sums the models' solutions
-    and the closed forms' savings (``_summed``).  ``inst`` supplies the
-    missions and the savings parameters.
+    the order of their components' smallest vehicles; ``time_limit_s``,
+    counted from the first model's build, bounds their builds and solves
+    together, each solve getting what is left of it.  A model's search
+    and its ``rel_gap`` pruning thus see its own component alone.  The
+    returned solution sums the models' solutions and the closed forms'
+    savings (``_summed``).  ``inst`` supplies the missions and the
+    savings parameters.
 
     ``cut_log`` receives ``(bound before, cut)`` for each disjunctive cut
     the models' root rounds add, model by model: a model's root bounds
@@ -837,6 +839,8 @@ def solve_schedule(routes, inst, cuts: str, *,
         if u in of and of[u] == of.get(v):
             comp_pairs[of[u]][1].append((u, v, k))
     handles, sols, logs = [], [], []
+    deadline = None if time_limit_s is None else \
+        time.perf_counter() + time_limit_s
     for (key, vs), (comp_m, comp_pruned) in zip(milp, comp_pairs):
         contracted = _contracted({v: view.runs(v) for v in vs}, view.times,
                                  view.costs)
@@ -849,8 +853,8 @@ def solve_schedule(routes, inst, cuts: str, *,
         if disjunctive:
             from . import cuts as _cuts
             hook = _cuts.make_disjunctive_hook(handle, log=log)
-        left = time_limit_s if time_limit_s is None else max(
-            0.0, time_limit_s - math.fsum(s.wall_time for s in sols))
+        left = None if deadline is None else max(
+            0.0, deadline - time.perf_counter())
         sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
                             time_limit_s=left, root_cut_hook=hook,
                             initial_solution=solo_schedule(handle))

@@ -125,15 +125,21 @@ def branching_sp_model():
     return branching_sp_handle().model
 
 
-def blocked_sp_handle():
+def blocked_sp_handle(vehicles=None):
     """Scheduling model handle of an 8x8 two-cluster instance with 16
     vehicles on fuel-shortest routes (instance seed 9), built without the
     departure-window rows: 133 columns, and three blocks that are
-    fractional at the root, of 28, 21 and 18 columns."""
+    fractional at the root, of 28, 21 and 18 columns.  ``vehicles`` keeps
+    those vehicles' routes alone: vehicles 1, 4, 8 and 12 give the block
+    of 28 columns, whose search takes 37 nodes."""
     grid = nm.make_grid_network(8, 8, spacing_km=40, jitter=0.25, seed=5)
     inst = nm.generate_two_cluster(grid, 16, seed=9)
     ra = routing.shortest_path_assignment(inst)
     contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    if vehicles is not None:
+        contracted = sched._contracted(
+            {v: contracted.runs(v) for v in vehicles}, ra.edge_times,
+            ra.edge_costs)
     bounds = sched.time_bounds(contracted, inst.missions)
     return sched.build_sp(contracted, SavingsParams.from_instance(inst),
                           bounds, sched.CutOptions(window=False))

@@ -629,13 +629,13 @@ def test_a_model_solved_again_is_searched_the_same(rows, generator,
 
 
 def test_limits_stop_the_search():
-    handle = blocked_sp_handle()
+    # one component of blocked_sp_handle's model: a tree small enough to
+    # stop at each of its nodes
+    handle = blocked_sp_handle(vehicles=(1, 4, 8, 12))
     model, seed = handle.model, scheduling.solo_schedule(handle)
     full = mip.solve_mip(model, initial_solution=seed)
     assert full.status == "optimal" and full.gap == 0.0 and full.nodes > 20
-    # every eighth limit and the last one: the tree is too large to stop
-    # at each of its nodes in a unit test
-    for limit in [*range(1, full.nodes, 8), full.nodes - 1]:
+    for limit in range(1, full.nodes):
         # with the seed there is an incumbent, so the status follows the
         # gap
         s = mip.solve_mip(model, node_limit=limit, initial_solution=seed)

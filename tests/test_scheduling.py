@@ -1,5 +1,6 @@
 """Scheduling: time bounds, pruning, contraction, the MILP, extraction."""
 
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -738,10 +739,12 @@ class TestComponents:
             sol = solve(model, **kwargs)
             if len(limits) > 1:
                 return sol
+            # it takes a while, but reports no time
+            time.sleep(0.05)
             seed = kwargs["initial_solution"]
             return replace(
                 sol, status="feasible", objective=0.0, x=seed,
-                gap=mip.relative_gap(0.0, sol.bound))
+                gap=mip.relative_gap(0.0, sol.bound), wall_time=0.0)
 
         monkeypatch.setattr(mip, "solve_mip", first_limited)
         solved = {}
@@ -751,8 +754,9 @@ class TestComponents:
         assert set(keys[1:]) <= set(solved) and keys[0] not in solved
         assert res.solution.objective < fresh.solution.objective
         assert res.solution.bound == pytest.approx(fresh.solution.bound)
-        # each solve gets what the solves before it left of the 30 s
-        assert limits[0] == 30.0
+        # each solve gets what is left of the 30 s by the clock, not by
+        # the times the solves before it report
+        assert limits[0] <= 30.0 and limits[1] <= 30.0 - 0.05
         assert all(b < a for a, b in zip(limits, limits[1:]))
         # the first component's vehicles drive alone
         members = set(fresh.handles[0].contracted.vehicles)

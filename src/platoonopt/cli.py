@@ -448,8 +448,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (netmodel.ParseError, netmodel.ValidationError,
-            netmodel.NoHubPair, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+            netmodel.NoHubPair, netmodel.NoNodeInRadius, export.IoError,
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (netmodel.Unreachable, routing.InfeasibleMission,

@@ -76,7 +76,7 @@ class ActiveSets:
     """Vehicles and constraints active at a fractional scheduling point."""
     v1: list[int]
     v2: list[int]
-    star: tuple                      # (u*, v*, edge_key)
+    star: tuple                      # (u*, v*, run key)
     f_star: float
     u1: list[int] = field(default_factory=list)   # departure lower bound tight
     u2: list[int] = field(default_factory=list)   # departure upper bound tight
@@ -374,11 +374,12 @@ def make_disjunctive_hook(handle: SpModelHandle, log: list | None = None):
 
 def bound_improvement_report(contracted, params, bounds) -> dict:
     """Root-relaxation bounds (maximization: lower is tighter) of the
-    paper's model, without the departure-window rows: plain, after
-    ``solve_mip``'s root cut rounds with the disjunctive hook
+    paper's model over the runs of ``contracted`` (a
+    ``scheduling.RunView``), without the departure-window rows: plain,
+    after ``solve_mip``'s root cut rounds with the disjunctive hook
     (``mip.Relaxation.cut_rounds``), and after the star rows as well,
-    appended below the cuts and solved from the last basis with them basic,
-    which HiGHS holds once it has the rows."""
+    appended below the cuts and solved from the last basis with them
+    basic, which HiGHS holds once it has the rows."""
     from . import scheduling as sched
     t0 = time.perf_counter()
     handle = sched.build_sp(contracted, params, bounds,

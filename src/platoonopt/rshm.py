@@ -16,7 +16,7 @@ iterations is done once per run: the routing model is built once, at
 iteration 1, and re-priced and shrunk afterwards (the platoon columns and
 rows of explored edges are deleted: ``routing.retire_explored``), and a
 scheduling component (see ``scheduling.components``) already solved to
-optimality is neither contracted nor solved again.
+optimality is neither modelled nor solved again.
 """
 
 from __future__ import annotations
@@ -290,15 +290,16 @@ def run(inst, opts: RshmOptions | None = None) -> RshmResult:
     deletes those columns and their rows (``routing.retire_explored``);
     its root LP then starts from the basis HiGHS keeps after the deletion,
     seeded with the previous optimum on the kept columns.
-    Scheduling splits the routes into runs, schedules only the components
-    no earlier iteration solved to optimality, and contracts and models
-    only the new ones of four or more vehicles (see
-    ``scheduling.solve_schedule``); it gives the schedule a solve of the
-    whole assignment gives.  Each solve gets
-    ``per_solve_time_s`` or the time left of ``total_time_s``, whichever is
-    less; a solve cut short keeps its incumbent (every solve has one), its
-    status in the trace says so (``RshmResult.limited`` counts it), and the
-    loop goes on until a stop rule or the time budget ends it."""
+    Scheduling splits the routes into runs (``scheduling.contract``),
+    schedules only the components no earlier iteration solved to
+    optimality, and models only the new ones of four or more vehicles,
+    each over its own vehicles' runs (see ``scheduling.solve_schedule``);
+    it gives the schedule a solve of the whole assignment gives.  Each
+    solve gets ``per_solve_time_s`` or the time left of ``total_time_s``,
+    whichever is less; a solve cut short keeps its incumbent (every solve
+    has one), its status in the trace says so (``RshmResult.limited``
+    counts it), and the loop goes on until a stop rule or the time budget
+    ends it."""
     opts = opts or RshmOptions()
     inst.validate()
     scheduling.cut_mode(opts.sp_cuts)   # an unknown mode fails here

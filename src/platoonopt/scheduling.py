@@ -1,12 +1,14 @@
 """Scheduling problem: phase two of each heuristic iteration.
 
 Given fixed routes, splits them into runs, the maximal stretches of a
-route whose edges carry one vehicle set (``RunView``; ``contract`` merges
-each into one edge), bounds each vehicle's arrival time at every node it
-visits, prunes vehicle pairs whose time windows cannot overlap, and builds
-the departure-time/platooning MILP (maximizing fuel savings).  A vehicle
-reaches a node at its departure time plus the travel time to the node
-(summed once per route, by ``time_bounds``), so the only continuous
+route whose edges carry one vehicle set, each keyed ``(tail, head, run)``
+with ``run`` its tuple of original edges (``contract`` gives the
+``RunView`` of an assignment, the one description of routes here).  It
+bounds each vehicle's arrival time at every node it visits, prunes vehicle
+pairs whose time windows cannot overlap, and builds the
+departure-time/platooning MILP (maximizing fuel savings) over the runs.  A
+vehicle reaches a node at its departure time plus the travel time to the
+node (summed once per route, by ``time_bounds``), so the only continuous
 decision per vehicle is its departure time.
 
 Besides the paper's rows, the model holds departure-window rows in every
@@ -18,10 +20,12 @@ windows are apart.  They close most searches at the root.
 The model splits into independent components (``components``), each
 depending on its vehicles' runs alone.  ``solve_schedule`` finds them on
 the shared runs, takes those solved before from a map, schedules a new
-one of two or three vehicles in closed form (``closed_form``), and
-contracts and models each new one of four or more vehicles on its own.
-This is the one place where the scheduling problem is decomposed: each
-model is one component, and ``mip.solve_mip`` searches it on one tree.
+one of two or three vehicles in closed form (``closed_form``), and models
+each new one of four or more vehicles on its own, over the view of its
+vehicles' runs.  This is the one place where the scheduling problem is
+decomposed: each model is one component, and ``mip.solve_mip`` searches
+it on one tree.  Platoons are keyed by run from the model to the
+schedule; only the returned schedule lists them by original edge.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ class TimeBounds:
 
 def time_bounds(routes, missions) -> TimeBounds:
     """Prefix/suffix time sums along each route, which the model, the cuts
-    and the departures read.  ``routes`` may be a raw assignment, runs or
-    contracted routes; it only needs ``vehicles`` and ``route_edges(v) ->
+    and the departures read.  ``routes`` may be a raw assignment or a
+    ``RunView``; it only needs ``vehicles`` and ``route_edges(v) ->
     [(edge_key, time)]``."""
     by_id = {m.id: m for m in missions}
     lower, upper, offset, origin = {}, {}, {}, {}
@@ -137,108 +141,34 @@ def platoonable_and_bigM(routes, bounds: TimeBounds):
     return big_m, pruned
 
 
-@dataclass(frozen=True)
-class CEdge:
-    """Contracted edge: one or more consecutive original edges carrying the
-    same vehicle set."""
-    tail: object
-    head: object
-    serial: int
-    time: float
-    cost: float
-    vehicles: frozenset
-    original: tuple
-
-    @property
-    def key(self):
-        return (self.tail, self.head, self.serial)
-
-
-class ContractedRoutes:
-    def __init__(self, routes: dict[int, list[CEdge]]):
-        self.routes = routes
-        self.cedges: dict[tuple, CEdge] = {}
-        for segs in routes.values():
-            for s in segs:
-                self.cedges[s.key] = s
-
-    @property
-    def vehicles(self) -> list[int]:
-        return sorted(self.routes)
-
-    def route_edges(self, v):
-        return [(s.key, s.time) for s in self.routes[v]]
-
-    def vehicles_by_edge(self) -> dict[tuple, list[int]]:
-        return {key: sorted(s.vehicles) for key, s in self.cedges.items()}
-
-    def edge_cost(self, key) -> float:
-        return self.cedges[key].cost
-
-    def runs(self, v) -> tuple:
-        return tuple(s.original for s in self.routes[v])
-
-
-def contract(routes, times: dict, costs: dict) -> ContractedRoutes:
-    """Merge each maximal run of consecutive route edges whose vehicle sets
-    coincide into one edge, summing travel time and fuel cost from left to
-    right (the runs of a ``RunView``)."""
-    return _contracted(RunView(routes, times, costs).route_runs, times, costs)
-
-
-def _contracted(runs: dict, times: dict, costs: dict) -> ContractedRoutes:
-    """One ``CEdge`` per distinct run of original edges in ``runs`` (vehicle
-    -> its route as runs), carrying the vehicles whose routes hold it.  The
-    runs joining the same two nodes are numbered in the order of their
-    original edges."""
-    vehicles: dict[tuple, set] = {}
-    for v, rs in runs.items():
-        for run in rs:
-            vehicles.setdefault(run, set()).add(v)
-    serial: dict[tuple, int] = {}
-    cedges = {}
-    for run in sorted(vehicles,
-                      key=lambda r: (str(r[0][0]), str(r[-1][1]), r)):
-        k = (run[0][0], run[-1][1])
-        serial[k] = serial.get(k, -1) + 1
-        cedges[run] = CEdge(k[0], k[1], serial[k],
-                            reduce(add, (times[e] for e in run)),
-                            reduce(add, (costs[e] for e in run)),
-                            frozenset(vehicles[run]), run)
-    return ContractedRoutes({v: [cedges[run] for run in rs]
-                             for v, rs in runs.items()})
-
-
 class RunView:
-    """A route assignment as runs, each keyed ``(tail, head, run)`` with
-    ``run`` its tuple of original edges: what ``time_bounds``,
-    ``platoonable_and_bigM``, ``components``, ``component_key`` and
-    ``closed_form`` read of ``contract``'s routes, without a ``CEdge``
-    (``run`` orders the runs joining two nodes as ``contract``'s serial
-    does), but ``vehicles_by_edge`` holds the shared runs only.  Routes are
-    simple paths, so every vehicle on a run drives all of it, and one walk
-    along each route finds the runs."""
+    """Routes as runs, the one description of routes in scheduling.  A run
+    is keyed ``(tail, head, run)``, with ``run`` its tuple of original
+    edges; its travel time and fuel cost are those of its edges summed
+    from left to right.  ``route_runs`` maps each vehicle to its route as
+    runs (``contract`` builds it from routes; ``restricted`` keeps some
+    vehicles' routes), and ``cedges`` maps every run key to the vehicles
+    of ``route_runs`` that drive it, in vehicle order.  Routes are simple
+    paths, so every vehicle on a run drives all of it.
+    ``vehicles_by_edge`` holds the shared runs only."""
 
-    def __init__(self, routes, times: dict, costs: dict):
+    def __init__(self, runs: dict, times: dict, costs: dict):
+        self.route_runs = runs
         self.times, self.costs = times, costs
-        edges = {v: routes.edges(v) for v in routes.vehicles}
-        on_edge: dict[tuple, list] = {}
-        for v, es in edges.items():
-            for e in es:
-                on_edge.setdefault(e, []).append(v)
-        self.route_runs: dict[int, tuple] = {}   # vehicle -> its runs
-        self.on_run: dict[tuple, list] = {}      # run key -> its vehicles
-        for v, es in edges.items():
-            route = []
-            for vs, group in groupby(es, on_edge.__getitem__):
-                run = tuple(group)
-                route.append(run)
-                self.on_run[(run[0][0], run[-1][1], run)] = vs
-            self.route_runs[v] = tuple(route)
-        self.vehicles = list(self.route_runs)
+        self.vehicles = sorted(runs)
+        self.cedges: dict[tuple, list] = {}     # run key -> its vehicles
+        for v in self.vehicles:
+            for run in runs[v]:
+                self.cedges.setdefault((run[0][0], run[-1][1], run),
+                                       []).append(v)
 
     def runs(self, v) -> tuple:
         return self.route_runs[v]
+
+    def restricted(self, vehicles) -> RunView:
+        """The view of the routes of ``vehicles`` alone."""
+        return RunView({v: self.route_runs[v] for v in vehicles}, self.times,
+                       self.costs)
 
     def route_edges(self, v):
         times = self.times
@@ -247,21 +177,47 @@ class RunView:
                 for run in self.route_runs[v]]
 
     def vehicles_by_edge(self) -> dict[tuple, list[int]]:
-        return {key: vs for key, vs in self.on_run.items() if len(vs) > 1}
+        return {key: vs for key, vs in self.cedges.items() if len(vs) > 1}
 
     def edge_cost(self, key) -> float:
         return reduce(add, map(self.costs.__getitem__, key[2]))
+
+    @cached_property
+    def labels(self) -> dict[tuple, str]:
+        """Each run's name in a model: ``(tail, head, i)``, with ``i``
+        numbering the runs of the view that join the same two nodes, in
+        the order of their edges."""
+        serial: dict[tuple, int] = {}
+        labels = {}
+        for run in sorted(key[2] for key in self.cedges):
+            ends = (run[0][0], run[-1][1])
+            serial[ends] = i = serial.get(ends, -1) + 1
+            labels[(*ends, run)] = str((*ends, i))
+        return labels
+
+
+def contract(routes, times: dict, costs: dict) -> RunView:
+    """The runs of ``routes``: one walk along each route groups its
+    consecutive edges by the vehicles that drive them."""
+    edges = {v: routes.edges(v) for v in routes.vehicles}
+    on_edge: dict[tuple, list] = {}
+    for v, es in edges.items():
+        for e in es:
+            on_edge.setdefault(e, []).append(v)
+    return RunView({v: tuple(tuple(run) for _vs, run
+                             in groupby(es, on_edge.__getitem__))
+                    for v, es in edges.items()}, times, costs)
 
 
 @dataclass
 class SpModelHandle:
     model: mip.LinearModel
     dep_col: dict[int, int]                 # vehicle -> departure column
-    f_col: dict[tuple, int]                 # (u, v, edge_key) -> column
-    l_col: dict[tuple, int]                 # (v, edge_key) -> column
+    f_col: dict[tuple, int]                 # (u, v, run key) -> column
+    l_col: dict[tuple, int]                 # (v, run key) -> column
     big_m: dict[tuple, float]
     pruned: list[tuple]
-    contracted: ContractedRoutes
+    contracted: RunView
     bounds: TimeBounds
     max_platoon: int
 
@@ -270,25 +226,24 @@ class SpModelHandle:
         return float(x[self.dep_col[v]]) + self.bounds.offset[(v, node)]
 
 
-def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
-             cut_options: CutOptions | None = None,
-             pairs: tuple | None = None) -> SpModelHandle:
+def build_sp(contracted: RunView, params, bounds: TimeBounds,
+             cut_options: CutOptions | None = None) -> SpModelHandle:
     """Assemble the scheduling MILP (a maximization of fuel savings).
 
     ``params`` carries sigma_l, sigma_f and max_platoon attributes (a
     ``ProblemInstance`` does).  Columns: each vehicle's departure, then for
-    each shared edge in key order its vehicles' leader columns and the
-    follower column of each pair that can still meet.  Rows, shared edge by
-    shared edge: the two big-M rows of each such pair, then for each
-    vehicle its lead-or-follow, size-cap and nonempty-platoon rows; then
-    the rows of :func:`partition_rows`, and the departure-window rows of
+    each shared run in key order its vehicles' leader columns and the
+    follower column of each pair that can still meet
+    (``platoonable_and_bigM``).  Rows, shared run by shared run: the two
+    big-M rows of each such pair, then for each vehicle its
+    lead-or-follow, size-cap and nonempty-platoon rows; then the rows of
+    :func:`partition_rows`, and the departure-window rows of
     :func:`window_rows` unless ``cut_options.window`` is off.  Windows and
     times after departure come from ``bounds``, which the handle keeps.
-    ``pairs`` is what ``platoonable_and_bigM(contracted, bounds)`` returns,
-    if known.
+    Columns and rows are named by the runs' ``labels``.
     """
     opts = cut_options or CutOptions()
-    big_m, pruned = pairs or platoonable_and_bigM(contracted, bounds)
+    big_m, pruned = platoonable_and_bigM(contracted, bounds)
     pruned_set = set(pruned)
 
     model = mip.LinearModel("sp")
@@ -297,13 +252,13 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     hi = [bounds.upper[(v, bounds.origin[v])] for v in vehicles]
     dep_col = dict(zip(vehicles, range(len(vehicles))))
 
-    shared = [(key, vs) for key, vs in
-              sorted(contracted.vehicles_by_edge().items()) if len(vs) >= 2]
+    shared = sorted(contracted.vehicles_by_edge().items())
+    labels = contracted.labels
     names = [f"dep_{v}" for v in vehicles]
     obj = [0.0] * len(vehicles)
     l_col, f_col = {}, {}
     for key, vs in shared:
-        label = str(key)
+        label = labels[key]
         cost = contracted.edge_cost(key)
         for v in vs:
             l_col[(v, key)] = len(names)
@@ -325,7 +280,7 @@ def build_sp(contracted: ContractedRoutes, params, bounds: TimeBounds,
     rows = RowBlock()
     lam, offset = params.max_platoon, bounds.offset
     for key, vs in shared:
-        tail, label = key[0], str(key)
+        tail, label = key[0], labels[key]
         for a, v in enumerate(vs):
             for u in vs[a + 1:]:
                 fc = f_col.get((u, v, key))
@@ -387,16 +342,14 @@ class RowBlock:
 def partition_rows(handle: SpModelHandle, opts: CutOptions,
                    rows: RowBlock) -> None:
     """Add to ``rows`` the star-partition rows and the size facets that
-    ``opts`` asks for, shared edge by shared edge in key order, each row
+    ``opts`` asks for, shared run by shared run in key order, each row
     over the follower columns the model of ``handle`` holds (a row left
     without any is dropped)."""
     if not (opts.star_partition or opts.size_facets):
         return
     from . import cuts as _cuts
-    f_col = handle.f_col
+    f_col, labels = handle.f_col, handle.contracted.labels
     for key, vs in sorted(handle.contracted.vehicles_by_edge().items()):
-        if len(vs) < 2:
-            continue
         families = []
         if opts.star_partition:
             families.append(("star", _cuts.star_partition_constraints(vs)))
@@ -404,7 +357,7 @@ def partition_rows(handle: SpModelHandle, opts: CutOptions,
             families.append(("facet", _cuts.platoon_size_facets(
                 vs, handle.max_platoon)))
         for tag, family in families:
-            name = f"{tag}_{key}"
+            name = f"{tag}_{labels[key]}"
             for coeffs, sense, rhs in family:
                 held = [(f_col[(u, v, key)], c) for (u, v), c in coeffs.items()
                         if (u, v, key) in f_col]
@@ -441,7 +394,7 @@ def window_rows(handle: SpModelHandle, rows: RowBlock) -> None:
 
     Each row holds, within ``PRUNE_TOL``, at every integer point of the
     model without them."""
-    bounds = handle.bounds
+    bounds, labels = handle.bounds, handle.contracted.labels
     offset = bounds.offset
     own = {v: bounds.window(v, bounds.origin[v]) for v in handle.dep_col}
     by_vehicle: dict[int, list[tuple]] = {v: [] for v in handle.dep_col}
@@ -453,7 +406,7 @@ def window_rows(handle: SpModelHandle, rows: RowBlock) -> None:
                  (v, max(lo_v, lo_u + c), min(hi_v, hi_u + c), None))
         if any(a > b for _w, a, b, _e in sides):
             continue
-        label = f"{u}_{v}_{key}"
+        label = f"{u}_{v}_{labels[key]}"
         for w, a, b, follows in sides:
             lo, hi = own[w]
             dep = handle.dep_col[w]
@@ -479,8 +432,9 @@ def window_rows(handle: SpModelHandle, rows: RowBlock) -> None:
 
 @dataclass
 class PlatoonConfiguration:
-    """Realized platoons per edge plus the departure times that admit them."""
-    platoons: dict[tuple, list[tuple]]   # edge key -> [(leader, followers)]
+    """Realized platoons per run or per original edge, plus the departure
+    times that admit them."""
+    platoons: dict[tuple, list[tuple]]   # key -> [(leader, followers)]
     departures: dict[int, float]
 
     def savings(self, edge_costs, sigma_l, sigma_f) -> float:
@@ -504,19 +458,19 @@ def solo_schedule(handle: SpModelHandle) -> np.ndarray:
 
 
 def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
-    """Decode leader/follower variables, auditing the structure rules."""
+    """Decode leader/follower variables, auditing the structure rules:
+    the platoons on every run of ``handle``'s view, by run key."""
     if sol.x is None:
         raise InconsistentPlatoon("no solution to extract")
     x = sol.x
     lam = handle.max_platoon
-    by_edge = handle.contracted.vehicles_by_edge()
-    links: dict[tuple, list[tuple]] = {}     # edge key -> [(follower, leader)]
+    links: dict[tuple, list[tuple]] = {}     # run key -> [(follower, leader)]
     for (u, v, k), col in handle.f_col.items():
         if x[col] < 0.5:
             continue
         links.setdefault(k, []).append((u, v))
     platoons: dict[tuple, list[tuple]] = {}
-    for key, vs in sorted(by_edge.items()):
+    for key, vs in sorted(handle.contracted.cedges.items()):
         if len(vs) < 2:
             platoons[key] = [(v, ()) for v in vs]
             continue
@@ -558,16 +512,18 @@ def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
 
 
 def expand_platoons(config: PlatoonConfiguration,
-                    contracted: ContractedRoutes) -> PlatoonConfiguration:
-    """Map a configuration on contracted edges back to the original edges."""
+                    contracted: RunView) -> PlatoonConfiguration:
+    """Map a configuration on the runs of ``contracted`` back to the
+    original edges.  A run key holds its edges (``key[2]``), so the view
+    itself is not read."""
     out: dict[tuple, list[tuple]] = {}
     for key, plist in config.platoons.items():
-        for orig in contracted.cedges[key].original:
+        for orig in key[2]:
             out[orig] = list(plist)
     return PlatoonConfiguration(out, dict(config.departures))
 
 
-def components(contracted: ContractedRoutes, big_m: dict) -> list[list[int]]:
+def components(contracted: RunView, big_m: dict) -> list[list[int]]:
     """The vehicle sets, sorted, of two or more vehicles linked directly or
     through others by pairs that can still meet (the keys of ``big_m``),
     by smallest vehicle.  A vehicle in no such pair drives alone."""
@@ -589,27 +545,27 @@ def components(contracted: ContractedRoutes, big_m: dict) -> list[list[int]]:
 
 def component_key(routes, vehicles) -> tuple:
     """All that the model of component ``vehicles`` depends on, within one
-    instance: each vehicle's route as runs of original edges (``routes`` is
-    a ``ContractedRoutes`` or a ``RunView``)."""
+    instance: each vehicle's route as runs of original edges, read from
+    the ``RunView`` ``routes``."""
     return tuple((v, routes.runs(v)) for v in vehicles)
 
 
 def closed_form(routes, bounds: TimeBounds, params,
                 meet: dict) -> tuple[float, list[tuple]] | None:
     """The optimal savings and platoons of a component of two or three
-    vehicles, whose pairs ``x < y`` can still meet on the edges ``meet[(x,
+    vehicles, whose pairs ``x < y`` can still meet on the runs ``meet[(x,
     y)]`` (a pair absent from ``meet`` never can), or None when tolerances
-    make two of three pairs meet on an edge without the third: the model
+    make two of three pairs meet on a run without the third: the model
     then takes the component.
 
-    On edge ``key`` x and y enter together only when ``dep_y - dep_x =
+    On run ``key`` x and y enter together only when ``dep_y - dep_x =
     offset[x, tail] - offset[y, tail]``; each pair's differences are
     grouped as equal within ``PRUNE_TOL``, from the smallest.  A schedule
-    fixes the difference of no pair, of one (a group: its edges), or of
+    fixes the difference of no pair, of one (a group: its runs), or of
     all three (a group of each of two pairs, whose sum or difference gives
     the third, which then meets where its difference lies within
     ``PRUNE_TOL`` of that); with all fixed, the three departure windows
-    must meet within ``PRUNE_TOL`` at those differences.  On each edge the
+    must meet within ``PRUNE_TOL`` at those differences.  On each run the
     pairs that meet form one platoon led by its lowest vehicle, all three
     up to ``max_platoon``, and save ``(sigma_l + sigma_f * followers) *
     cost``, summed in key order.  The first schedule of the largest
@@ -669,12 +625,13 @@ def closed_form(routes, bounds: TimeBounds, params,
     return best, best_plist
 
 
-def earliest_departures(contracted: ContractedRoutes, platoons: dict,
+def earliest_departures(contracted: RunView, platoons: dict,
                         bounds: TimeBounds) -> dict[int, float]:
-    """Departures realizing ``platoons`` (key of a contracted edge or a run
-    -> ``[(leader, followers)]``): the vehicles that platoons tie together
-    leave at the earliest common shift their windows allow, a lone vehicle
-    at its window start.  Times and windows come from ``bounds``."""
+    """Departures of the vehicles of ``contracted`` realizing ``platoons``
+    (run key -> ``[(leader, followers)]``): the vehicles that platoons tie
+    together leave at the earliest common shift their windows allow, a
+    lone vehicle at its window start.  Times and windows come from
+    ``bounds``."""
     offset = bounds.offset
     links: dict[int, list[tuple]] = {v: [] for v in contracted.vehicles}
     for key, plist in platoons.items():
@@ -710,10 +667,10 @@ class Schedule:
     closed form added), the whole assignment's platoons on the original
     edges, and every vehicle's time bounds.  ``milp``, ``closed`` and
     ``reused`` count the components that a model took, that
-    ``closed_form`` scheduled, and that ``solved`` held.  ``contracted``,
-    the contracted routes of the ``new`` components' vehicles, those in
-    closed form included, is built from their runs in ``view`` on first
-    read."""
+    ``closed_form`` scheduled, and that ``solved`` held.  ``view`` holds
+    the whole assignment's runs, and ``contracted``, the view of the
+    ``new`` components' vehicles (those in closed form included), is
+    restricted from it on first read."""
     handles: tuple[SpModelHandle, ...]
     solution: mip.MipSolution
     platoons: PlatoonConfiguration
@@ -728,9 +685,8 @@ class Schedule:
         return len(self.handles)
 
     @cached_property
-    def contracted(self) -> ContractedRoutes:
-        return _contracted({v: self.view.runs(v) for v in self.new},
-                           self.view.times, self.view.costs)
+    def contracted(self) -> RunView:
+        return self.view.restricted(self.new)
 
 
 def _summed(sols: list, savings: float) -> mip.MipSolution:
@@ -764,20 +720,20 @@ def solve_schedule(routes, inst, cuts: str, *,
                    time_limit_s: float | None = None,
                    cut_log: list | None = None,
                    solved: dict | None = None) -> Schedule:
-    """Schedule fixed routes: bound every vehicle on its runs (a
-    ``RunView``), find the ``components`` on the shared runs, and schedule
-    those that ``solved`` does not hold: each of two or three vehicles in
-    closed form (``closed_form``), each other one in a model of its own
-    over its contracted routes, with the rows of cut mode ``cuts`` (see
-    ``CUT_MODES``), solved from the no-platoon incumbent, so a solve
-    stopped by the time limit ends ``feasible``.  The models are solved in
-    the order of their components' smallest vehicles; ``time_limit_s``,
-    counted from the first model's build, bounds their builds and solves
-    together, each solve getting what is left of it.  A model's search
-    and its ``rel_gap`` pruning thus see its own component alone.  The
-    returned solution sums the models' solutions and the closed forms'
-    savings (``_summed``).  ``inst`` supplies the missions and the
-    savings parameters.
+    """Schedule fixed routes: bound every vehicle on its runs (the
+    ``RunView`` of ``contract``), find the ``components`` on the shared
+    runs, and schedule those that ``solved`` does not hold: each of two or
+    three vehicles in closed form (``closed_form``), each other one in a
+    model of its own over the view of its vehicles' runs, with the rows of
+    cut mode ``cuts`` (see ``CUT_MODES``), solved from the no-platoon
+    incumbent, so a solve stopped by the time limit ends ``feasible``.
+    The models are solved in the order of their components' smallest
+    vehicles; ``time_limit_s``, counted from the first model's build,
+    bounds their builds and solves together, each solve getting what is
+    left of it.  A model's search and its ``rel_gap`` pruning thus see its
+    own component alone.  The returned solution sums the models'
+    solutions and the closed forms' savings (``_summed``).  ``inst``
+    supplies the missions and the savings parameters.
 
     ``cut_log`` receives ``(bound before, cut)`` for each disjunctive cut
     the models' root rounds add, model by model: a model's root bounds
@@ -787,16 +743,16 @@ def solve_schedule(routes, inst, cuts: str, *,
     returned solution, ending at its ``root_bound``.
 
     ``solved`` maps a ``component_key`` to the component's platoons with
-    followers, as ``(run, (leader, followers))`` pairs; each closed form,
-    and each model whose solve ends ``optimal``, adds its component.  One
-    map serves one instance, cut mode and gap.  Platoons are listed run by
-    run in ``(tail, head, run)`` order, then by original edge, and
-    departures are ``earliest_departures``, so the schedule does not
-    depend on which components were known."""
+    followers, as ``(run key, (leader, followers))`` pairs; each closed
+    form, and each model whose solve ends ``optimal``, adds its component.
+    One map serves one instance, cut mode and gap.  Platoons are listed run
+    by run in key order, then by original edge, and departures are
+    ``earliest_departures``, so the schedule does not depend on which
+    components were known."""
     cut_options, disjunctive = cut_mode(cuts)
-    view = RunView(routes, routes.edge_times, routes.edge_costs)
+    view = contract(routes, routes.edge_times, routes.edge_costs)
     bounds = time_bounds(view, inst.missions)
-    big_m, pruned = platoonable_and_bigM(view, bounds)
+    big_m, _pruned = platoonable_and_bigM(view, bounds)
     reused, new, n_reused = [], [], 0
     for vs in components(view, big_m):
         key = component_key(view, vs)
@@ -822,33 +778,16 @@ def solve_schedule(routes, inst, cuts: str, *,
         if got is None:
             milp.append((key, vs))
             continue
-        found = [(k[2], p) for k, p in got[1]]
         closed_savings += got[0]
-        fresh += found
+        fresh += got[1]
         if solved is not None:
-            solved[key] = tuple(found)
+            solved[key] = tuple(got[1])
 
-    # each modelled component's pairs; both of a pair that can meet are in
-    # one component, so its first vehicle decides
-    of = {v: i for i, (_key, vs) in enumerate(milp) for v in vs}
-    comp_pairs = [({}, []) for _ in milp]
-    for (u, v, k), m in big_m.items():
-        if u in of:
-            comp_pairs[of[u]][0][(u, v, k)] = m
-    for u, v, k in pruned:
-        if u in of and of[u] == of.get(v):
-            comp_pairs[of[u]][1].append((u, v, k))
     handles, sols, logs = [], [], []
     deadline = None if time_limit_s is None else \
         time.perf_counter() + time_limit_s
-    for (key, vs), (comp_m, comp_pruned) in zip(milp, comp_pairs):
-        contracted = _contracted({v: view.runs(v) for v in vs}, view.times,
-                                 view.costs)
-        at = {s.original: s.key for s in contracted.cedges.values()}
-        handle = build_sp(contracted, inst, bounds, cut_options,
-                          ({(u, v, at[k[2]]): m
-                            for (u, v, k), m in comp_m.items()},
-                           [(u, v, at[k[2]]) for u, v, k in comp_pruned]))
+    for key, vs in milp:
+        handle = build_sp(view.restricted(vs), inst, bounds, cut_options)
         hook, log = None, []
         if disjunctive:
             from . import cuts as _cuts
@@ -858,9 +797,8 @@ def solve_schedule(routes, inst, cuts: str, *,
         sol = mip.solve_mip(handle.model, rel_gap=rel_gap,
                             time_limit_s=left, root_cut_hook=hook,
                             initial_solution=solo_schedule(handle))
-        config = extract_platoons(handle, sol)
-        found = [(contracted.cedges[k].original, p)
-                 for k, plist in config.platoons.items()
+        found = [(k, p) for k, plist in
+                 extract_platoons(handle, sol).platoons.items()
                  for p in plist if p[1]]
         if solved is not None and sol.status == "optimal":
             solved[key] = tuple(found)
@@ -875,16 +813,16 @@ def solve_schedule(routes, inst, cuts: str, *,
             shift = math.fsum([closed_savings, *final[:i], *first[i + 1:]])
             cut_log.extend((before + shift, cut) for before, cut in log)
     by_key: dict[tuple, list[tuple]] = {}   # run key -> its platoons
-    for run, p in reused + fresh:
-        by_key.setdefault((run[0][0], run[-1][1], run), []).append(p)
+    for key, p in reused + fresh:
+        by_key.setdefault(key, []).append(p)
     for key, plist in by_key.items():
         members = {v for leader, followers in plist
                    for v in (leader, *followers)}
-        plist += [(v, ()) for v in view.on_run[key] if v not in members]
+        plist += [(v, ()) for v in view.cedges[key] if v not in members]
         plist.sort()
     listed: dict[tuple, list[tuple]] = {}   # original edge -> platoons
-    for key in sorted(view.on_run):
-        plist = by_key.get(key) or [(v, ()) for v in view.on_run[key]]
+    for key in sorted(view.cedges):
+        plist = by_key.get(key) or [(v, ()) for v in view.cedges[key]]
         for e in key[2]:
             listed[e] = list(plist)
     departures = earliest_departures(view, dict(sorted(by_key.items())),

@@ -137,9 +137,7 @@ def blocked_sp_handle(vehicles=None):
     ra = routing.shortest_path_assignment(inst)
     contracted = sched.contract(ra, ra.edge_times, ra.edge_costs)
     if vehicles is not None:
-        contracted = sched._contracted(
-            {v: contracted.runs(v) for v in vehicles}, ra.edge_times,
-            ra.edge_costs)
+        contracted = contracted.restricted(vehicles)
     bounds = sched.time_bounds(contracted, inst.missions)
     return sched.build_sp(contracted, SavingsParams.from_instance(inst),
                           bounds, sched.CutOptions(window=False))
@@ -152,7 +150,7 @@ def blocked_sp_model():
 
 @pytest.fixture
 def appendix_example():
-    """The worked four-vehicle example: routes, missions, contracted
+    """The worked four-vehicle example: routes, missions, their runs, the
     scheduling model, and the fractional point with f = 3/4."""
     A, B, C, D, E, F, G, H, I, J, K, L = range(1, 13)
     routes = {1: (A, B, C, D, E), 2: (F, C, D, G, H),

@@ -6,9 +6,13 @@ reference of the row blocks that ``routing.build_rdp``,
 
 ``build_sp`` here also keeps the explicit formulation with one time column
 per vehicle and route node (``keep_time_vars``), chained along each route by
-equality rows; the program substitutes those columns out.  ``uncontracted``
-gives the routes without contraction, one edge per original edge, on which
-the scheduling optimum must be the one of the contracted routes."""
+equality rows; the program substitutes those columns out.  Its names
+carry each run's label, counted here (``run_labels``).
+
+``merged_runs`` contracts routes into runs by repeated pairwise merging,
+the reference of ``scheduling.contract``'s one walk, and ``uncontracted``
+gives the routes without contraction, each original edge a run of its
+own, on which the scheduling optimum must be the one of the runs."""
 
 from __future__ import annotations
 
@@ -39,11 +43,54 @@ def candidate_edge_set(net, m, sigma_f: float) -> set:
     return out
 
 
-def uncontracted(routes) -> scheduling.ContractedRoutes:
-    """Wrap raw routes in the contracted container without merging."""
-    return scheduling._contracted({v: [(e,) for e in routes.edges(v)]
-                                   for v in routes.vehicles},
-                                  routes.edge_times, routes.edge_costs)
+def merged_runs(routes) -> dict[int, tuple]:
+    """Each vehicle's route as runs, contracted by repeated pairwise
+    merging of two consecutive segments of one vehicle set, rescanning
+    from the start after each merge."""
+    veh_sets = {e: frozenset(vs)
+                for e, vs in routes.vehicles_by_edge().items()}
+
+    class Seg:
+        def __init__(self, vehicles, original):
+            self.vehicles, self.original = vehicles, original
+
+    seg_by_edge = {e: Seg(veh_sets[e], (e,)) for e in routes.all_edges()}
+    work = {v: [seg_by_edge[e] for e in routes.edges(v)]
+            for v in routes.vehicles}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(work):
+            segs = work[v]
+            for s1, s2 in zip(segs, segs[1:]):
+                if s1.vehicles == s2.vehicles:
+                    merged = Seg(s1.vehicles, s1.original + s2.original)
+                    for u in sorted(s1.vehicles):
+                        pos = work[u].index(s1)
+                        assert work[u][pos + 1] is s2
+                        work[u][pos:pos + 2] = [merged]
+                    changed = True
+                    break
+            if changed:
+                break
+    return {v: tuple(s.original for s in work[v]) for v in sorted(work)}
+
+
+def uncontracted(routes) -> scheduling.RunView:
+    """The runs of raw routes without merging: each edge a run."""
+    return scheduling.RunView({v: tuple((e,) for e in routes.edges(v))
+                               for v in routes.vehicles},
+                              routes.edge_times, routes.edge_costs)
+
+
+def run_labels(routes) -> dict[tuple, str]:
+    """Each run key of ``routes`` (a ``scheduling.RunView``) with its name
+    in a model, ``(tail, head, i)``: ``i`` runs of ``routes`` join the same
+    two nodes and have edges that sort first."""
+    keys = list(routes.cedges)
+    return {k: str((k[0], k[1], sum(o[:2] == k[:2] and o[2] < k[2]
+                                    for o in keys)))
+            for k in keys}
 
 
 def build_rdp(inst, costs, full: bool = False) -> routing.RdpModelHandle:
@@ -139,6 +186,7 @@ class ReferenceSp:
     t_col: dict[tuple, int] = field(default_factory=dict)
     prefix: dict[tuple, float] = field(default_factory=dict)
     origin: dict[int, object] = field(default_factory=dict)
+    labels: dict[tuple, str] = field(default_factory=dict)
 
 
 def build_sp(contracted, params, bounds, star_partition: bool = False,
@@ -146,6 +194,7 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
              window: bool = True) -> ReferenceSp:
     big_m, pruned = platoonable_and_bigM(contracted, bounds)
     pruned_set = set(pruned)
+    labels = run_labels(contracted)
 
     model = mip.LinearModel("sp")
     dep_col, f_col, l_col, t_col = {}, {}, {}, {}
@@ -177,7 +226,7 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
             for (key, t) in contracted.route_edges(v):
                 model.add_constraint({t_col[(v, key[1])]: 1.0,
                                       t_col[(v, key[0])]: -1.0}, "==", t,
-                                     name=f"chain_{v}_{key}")
+                                     name=f"chain_{v}_{labels[key]}")
 
     by_edge = contracted.vehicles_by_edge()
     shared_edges = {k: vs for k, vs in sorted(by_edge.items())
@@ -186,14 +235,15 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
     obj: dict[int, float] = {}
     for key, vs in shared_edges.items():
         cost = contracted.edge_cost(key)
+        label = labels[key]
         for v in vs:
-            l_col[(v, key)] = model.add_var(f"l_{v}_{key}", kind=mip.BINARY)
+            l_col[(v, key)] = model.add_var(f"l_{v}_{label}", kind=mip.BINARY)
             obj[l_col[(v, key)]] = params.sigma_l * cost
         for a, v in enumerate(vs):
             for u in vs[a + 1:]:
                 if (u, v, key) in pruned_set:
                     continue
-                f_col[(u, v, key)] = model.add_var(f"f_{u}_{v}_{key}",
+                f_col[(u, v, key)] = model.add_var(f"f_{u}_{v}_{label}",
                                                    kind=mip.BINARY)
                 obj[f_col[(u, v, key)]] = params.sigma_f * cost
     model.set_objective(obj, sense="max")
@@ -205,7 +255,7 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
 
     lam = params.max_platoon
     for key, vs in shared_edges.items():
-        tail = key[0]
+        tail, label = key[0], labels[key]
         for a, v in enumerate(vs):
             for u in vs[a + 1:]:
                 if (u, v, key) not in f_col:
@@ -221,11 +271,11 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
                 up = dict(row)
                 up[fc] = up.get(fc, 0.0) + m_uv
                 model.add_constraint(up, "<=", m_uv - const,
-                                     name=f"meet_ub_{u}_{v}_{key}")
+                                     name=f"meet_ub_{u}_{v}_{label}")
                 lo = dict(row)
                 lo[fc] = lo.get(fc, 0.0) - m_uv
                 model.add_constraint(lo, ">=", -m_uv - const,
-                                     name=f"meet_lb_{u}_{v}_{key}")
+                                     name=f"meet_lb_{u}_{v}_{label}")
         for v in vs:
             lead = l_col[(v, key)]
             follows = {f_col[(v, w, key)]: 1.0 for w in vs
@@ -233,17 +283,19 @@ def build_sp(contracted, params, bounds, star_partition: bool = False,
             row = dict(follows)
             row[lead] = row.get(lead, 0.0) + 1.0
             model.add_constraint(row, "<=", 1.0,
-                                 name=f"lead_xor_follow_{v}_{key}")
+                                 name=f"lead_xor_follow_{v}_{label}")
             followers = {f_col[(u, v, key)]: 1.0 for u in vs
                          if u > v and (u, v, key) in f_col}
             row = dict(followers)
             row[lead] = row.get(lead, 0.0) - (lam - 1.0)
-            model.add_constraint(row, "<=", 0.0, name=f"cap_{v}_{key}")
+            model.add_constraint(row, "<=", 0.0, name=f"cap_{v}_{label}")
             row = dict(followers)
             row[lead] = row.get(lead, 0.0) - 1.0
-            model.add_constraint(row, ">=", 0.0, name=f"nonempty_{v}_{key}")
+            model.add_constraint(row, ">=", 0.0,
+                                 name=f"nonempty_{v}_{label}")
 
-    ref = ReferenceSp(model, dep_col, f_col, l_col, t_col, prefix, origin)
+    ref = ReferenceSp(model, dep_col, f_col, l_col, t_col, prefix, origin,
+                      labels)
     add_partition_rows(ref, contracted, params.max_platoon, star_partition,
                        size_facets)
     if window:
@@ -269,7 +321,8 @@ def add_partition_rows(ref: ReferenceSp, contracted, max_platoon: int,
                 row = {f_col[(u, v, key)]: c for (u, v), c in coeffs.items()
                        if (u, v, key) in f_col}
                 if row:
-                    model.add_constraint(row, sense, rhs, name=f"{tag}_{key}")
+                    model.add_constraint(row, sense, rhs,
+                                         name=f"{tag}_{ref.labels[key]}")
     return model.num_constraints - before
 
 
@@ -296,14 +349,16 @@ def add_window_rows(ref: ReferenceSp, bounds) -> int:
                    v: (max(lo_v, lo_u + shift), min(hi_v, hi_u + shift))}
         if any(a > b for a, b in implied.values()):
             continue
+        label = ref.labels[key]
         for w in (u, v):
             (a, b), (lo, hi) = implied[w], owns[w]
             if hi - b > tol:
                 model.add_constraint({ref.dep_col[w]: 1.0, col: hi - b}, "<=",
-                                     hi, name=f"win_ub_{w}_{u}_{v}_{key}")
+                                     hi, name=f"win_ub_{w}_{u}_{v}_{label}")
             if a - lo > tol:
                 model.add_constraint({ref.dep_col[w]: 1.0, col: -(a - lo)},
-                                     ">=", lo, name=f"win_lb_{w}_{u}_{v}_{key}")
+                                     ">=", lo,
+                                     name=f"win_lb_{w}_{u}_{v}_{label}")
             seen[w].append((col, a, b, key if w == u else None))
 
     held: set = set()

@@ -1,20 +1,18 @@
 """Scheduling of a whole route assignment, contracted and bounded in full
-on every call: the reference of ``scheduling.solve_schedule``, which works
-on runs of original edges and contracts only the routes of new components
-of four or more vehicles (or of three, where the closed form hands one
-back).
+on every call: the reference of ``scheduling.solve_schedule``.
 
-``solve_schedule`` contracts all routes, bounds every vehicle, tests every
+``solve_schedule`` contracts all routes by pairwise merging
+(``reference_models.merged_runs``), bounds every vehicle, tests every
 pair, schedules each new component of two or three vehicles with
-``scheduling.closed_form`` on the contracted routes, builds and solves one
-model for each of the others on the contracted routes restricted to its
-vehicles, lists the platoons by contracted key and takes every departure
-from the whole assignment."""
+``scheduling.closed_form``, builds and solves one model for each of the
+others on the runs of its vehicles alone, lists the platoons by run key
+and takes every departure from the whole assignment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+import reference_models
 from platoonopt import mip, scheduling as sched
 
 
@@ -23,37 +21,26 @@ class ReferenceSchedule:
     handles: tuple
     solution: mip.MipSolution
     platoons: sched.PlatoonConfiguration
-    contracted: sched.ContractedRoutes
+    contracted: sched.RunView
     bounds: sched.TimeBounds
     milp: int
     closed: int
     reused: int
 
 
-def restricted(contracted, keep: set) -> sched.ContractedRoutes:
-    """The routes of the vehicles in ``keep``, each edge carrying only
-    them; edges keep their keys in ``contracted``."""
-    cedges: dict = {}
-
-    def edge(s):
-        if s.key not in cedges:
-            inside = s.vehicles & keep
-            cedges[s.key] = s if inside == s.vehicles else replace(
-                s, vehicles=inside)
-        return cedges[s.key]
-
-    return sched.ContractedRoutes({v: [edge(s) for s in segs]
-                                   for v, segs in contracted.routes.items()
-                                   if v in keep})
-
-
 def solve_schedule(routes, inst, cuts: str, *,
                    rel_gap: float = mip.DEFAULT_REL_GAP,
                    solved: dict | None = None) -> ReferenceSchedule:
     cut_options, disjunctive = sched.cut_mode(cuts)
-    contracted = sched.contract(routes, routes.edge_times, routes.edge_costs)
+    runs = reference_models.merged_runs(routes)
+
+    def view(keep):
+        return sched.RunView({v: runs[v] for v in sorted(keep)},
+                             routes.edge_times, routes.edge_costs)
+
+    contracted = view(runs)
     bounds = sched.time_bounds(contracted, inst.missions)
-    big_m, pruned = sched.platoonable_and_bigM(contracted, bounds)
+    big_m, _pruned = sched.platoonable_and_bigM(contracted, bounds)
     reused, new, n_reused = [], [], 0
     for vs in sched.components(contracted, big_m):
         key = sched.component_key(contracted, vs)
@@ -77,19 +64,14 @@ def solve_schedule(routes, inst, cuts: str, *,
         if got is None:
             milp.append((key, vs))
             continue
-        found = [(contracted.cedges[k].original, p) for k, p in got[1]]
         closed_savings += got[0]
-        fresh += found
+        fresh += got[1]
         if solved is not None:
-            solved[key] = tuple(found)
+            solved[key] = tuple(got[1])
 
     handles, sols = [], []
     for key, vs in milp:
-        keep = set(vs)
-        pairs = ({p: m for p, m in big_m.items() if p[0] in keep},
-                 [p for p in pruned if p[0] in keep and p[1] in keep])
-        handle = sched.build_sp(restricted(contracted, keep), inst, bounds,
-                                cut_options, pairs)
+        handle = sched.build_sp(view(vs), inst, bounds, cut_options)
         hook = None
         if disjunctive:
             from platoonopt import cuts as _cuts
@@ -97,8 +79,7 @@ def solve_schedule(routes, inst, cuts: str, *,
         sol = mip.solve_mip(handle.model, rel_gap=rel_gap, root_cut_hook=hook,
                             initial_solution=sched.solo_schedule(handle))
         config = sched.extract_platoons(handle, sol)
-        found = [(handle.contracted.cedges[k].original, p)
-                 for k, plist in config.platoons.items()
+        found = [(k, p) for k, plist in config.platoons.items()
                  for p in plist if p[1]]
         if solved is not None and sol.status == "optimal":
             solved[key] = tuple(found)
@@ -106,19 +87,18 @@ def solve_schedule(routes, inst, cuts: str, *,
         handles.append(handle)
         sols.append(sol)
     platooned: dict = {}
-    for run, p in reused + fresh:
-        platooned.setdefault(run, []).append(p)
+    for key, p in reused + fresh:
+        platooned.setdefault(key, []).append(p)
     by_key: dict = {}
     for key in sorted(contracted.cedges):
-        s = contracted.cedges[key]
-        plist = platooned.get(s.original, [])
+        plist = platooned.get(key, [])
         members = {v for leader, followers in plist
                    for v in (leader, *followers)}
-        by_key[key] = sorted(plist + [(v, ()) for v in s.vehicles
+        by_key[key] = sorted(plist + [(v, ()) for v in contracted.cedges[key]
                                       if v not in members])
     config = sched.PlatoonConfiguration(
         by_key, sched.earliest_departures(contracted, by_key, bounds))
-    scheduled = restricted(contracted, {v for _key, vs in new for v in vs})
+    scheduled = view({v for _key, vs in new for v in vs})
     return ReferenceSchedule(tuple(handles),
                              sched._summed(sols, closed_savings),
                              sched.expand_platoons(config, contracted),

@@ -13,7 +13,7 @@ import pytest
 from platoonopt import (cli, cuts, export, netmodel as nm, routing, rshm,
                         scheduling as sched)
 
-from conftest import shared_edge_instance
+from conftest import make_net, shared_edge_instance
 
 
 class TestRshmCommand:
@@ -166,6 +166,18 @@ def test_sp_export_is_the_papers_model(tmp_path):
                       for w in (False, True))
     assert out.read_text(encoding="utf-8") == export._to_lp(bare)
     assert windowed.num_constraints == bare.num_constraints + 2
+
+
+@pytest.mark.parametrize("problem", ["sp", "rdp"])
+def test_export_to_a_path_it_cannot_write_exits_with_usage_code(
+        tmp_path, capsys, problem):
+    inst_path = tmp_path / "inst.json"
+    nm.save_instance(shared_edge_instance(), str(inst_path))
+    out = tmp_path / "missing" / "model.mps"
+    assert cli.main(["export-mps", "--instance", str(inst_path), "--problem",
+                     problem, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 class TestHostileFiles:
@@ -350,6 +362,21 @@ class TestBadIntegers:
                          "1", "--out", str(out)])
         assert code == cli.EXIT_USAGE and not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("model", ["two-cluster", "distributed"])
+    def test_gen_where_no_origin_reaches_a_destination_exits_with_usage_code(
+            self, tmp_path, capsys, model):
+        # three nodes and one edge, from 2 to 1: neither generator can draw
+        # an origin from which its destination is reachable
+        net = make_net({1: (0, 0), 2: (10, 0), 3: (50, 50)}, [(2, 1, 10.0)])
+        net_path, out = tmp_path / "net.json", tmp_path / "inst.json"
+        nm.save_instance(nm.ProblemInstance(net, []), str(net_path))
+        code = cli.main(["gen", "--net", str(net_path), "--model", model,
+                         "--n", "3", "--out", str(out)])
+        assert code == cli.EXIT_USAGE and not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: could not draw a connected origin/destination" \
+            " pair\n"
 
     @pytest.mark.parametrize("option,value", [
         ("--iter-cap", "-1"), ("--iter-cap", "-3"), ("--iter-cap", "1.5"),

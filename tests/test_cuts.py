@@ -139,8 +139,8 @@ class TestActiveSets:
         x = ex["point"].x.copy()
         x[h.dep_col[1]] = 3.0
         x[h.dep_col[2]] = 2.5   # entry gap at C becomes 0.5 < M(1-f) = 1
-        x[h.f_col[(3, 1, (n["B"], n["C"], 0))]] = 0.0
-        x[h.f_col[(4, 2, (n["D"], n["G"], 0))]] = 0.0
+        x[h.f_col[(3, 1, (n["B"], n["C"], ((n["B"], n["C"]),)))]] = 0.0
+        x[h.f_col[(4, 2, (n["D"], n["G"], ((n["D"], n["G"]),)))]] = 0.0
         point = mip.LpSolution("optimal", None, x)
         assert cuts.collect_active_sets(point, h) is None
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from platoonopt import (cuts as cuts_module, mip, netmodel as nm, oracle,
@@ -14,12 +14,11 @@ from platoonopt import (cuts as cuts_module, mip, netmodel as nm, oracle,
 from platoonopt.netmodel import VehicleMission
 from platoonopt.routing import RouteAssignment
 from platoonopt.rshm import SavingsParams
-from platoonopt.scheduling import CEdge, ContractedRoutes
 
 import reference_mip
 import reference_models
 import reference_schedule
-from reference_models import uncontracted
+from reference_models import merged_runs, run_labels, uncontracted
 from conftest import make_net, shared_edge_instance
 
 
@@ -98,49 +97,6 @@ class TestBigM:
             assert all(not f for _l, f in plist)
 
 
-def _contract_by_merging(routes, times, costs):
-    """Contraction by repeated pairwise merging, rescanning from the start
-    after each merge: the reference for ``sched.contract``."""
-    veh_sets = {e: frozenset(vs) for e, vs in routes.vehicles_by_edge().items()}
-
-    class Seg:
-        def __init__(self, tail, head, time, cost, vehicles, original):
-            self.tail, self.head, self.time, self.cost = tail, head, time, cost
-            self.vehicles, self.original = vehicles, original
-
-    seg_by_edge = {e: Seg(e[0], e[1], times[e], costs[e], veh_sets[e], (e,))
-                   for e in routes.all_edges()}
-    work = {v: [seg_by_edge[e] for e in routes.edges(v)]
-            for v in routes.vehicles}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(work):
-            segs = work[v]
-            for s1, s2 in zip(segs, segs[1:]):
-                if s1.vehicles == s2.vehicles:
-                    merged = Seg(s1.tail, s2.head, s1.time + s2.time,
-                                 s1.cost + s2.cost, s1.vehicles,
-                                 s1.original + s2.original)
-                    for u in sorted(s1.vehicles):
-                        pos = work[u].index(s1)
-                        assert work[u][pos + 1] is s2
-                        work[u][pos:pos + 2] = [merged]
-                    changed = True
-                    break
-            if changed:
-                break
-    final = {id(s): s for v in sorted(work) for s in work[v]}.values()
-    serial, out = {}, {}
-    for s in sorted(final, key=lambda s: (str(s.tail), str(s.head),
-                                          s.original)):
-        k = (s.tail, s.head)
-        serial[k] = serial.get(k, -1) + 1
-        out[id(s)] = CEdge(s.tail, s.head, serial[k], s.time, s.cost,
-                           s.vehicles, s.original)
-    return ContractedRoutes({v: [out[id(s)] for s in work[v]] for v in work})
-
-
 _CONTRACT_GRIDS = {k: nm.make_grid_network(k, k, spacing_km=40, jitter=0.25,
                                            seed=k) for k in range(3, 7)}
 
@@ -183,25 +139,43 @@ class TestContract:
                         for m in inst.missions}
                 ra = routing.greedy_assignment(inst, cand)
         con = sched.contract(ra, ra.edge_times, ra.edge_costs)
-        ref = _contract_by_merging(ra, ra.edge_times, ra.edge_costs)
-        assert list(con.routes) == list(ref.routes)
-        assert con.routes == ref.routes
+        ref = merged_runs(ra)
+        assert list(con.route_runs.items()) == list(ref.items())
+        assert con.vehicles == ra.vehicles
         veh_sets = ra.vehicles_by_edge()
         for v in ra.vehicles:
-            segs = con.routes[v]
-            assert [e for s in segs for e in s.original] == ra.edges(v)
-            for s in segs:
-                assert all(frozenset(veh_sets[e]) == s.vehicles
-                           for e in s.original)
-            for a, b in zip(segs, segs[1:]):
-                assert a.vehicles != b.vehicles
+            runs = con.runs(v)
+            assert [e for run in runs for e in run] == ra.edges(v)
+            for run in runs:
+                # every edge of a run carries its vehicles, in order
+                key = (run[0][0], run[-1][1], run)
+                assert all(veh_sets[e] == con.cedges[key] for e in run)
+            for a, b in zip(runs, runs[1:]):
+                assert veh_sets[a[0]] != veh_sets[b[0]]
+            # times and costs summed from left to right
+            want = []
+            for run in runs:
+                time = cost = 0.0
+                for e in run:
+                    time += ra.edge_times[e]
+                    cost += ra.edge_costs[e]
+                want.append(((run[0][0], run[-1][1], run), time, cost))
+            assert [(key, t, con.edge_cost(key))
+                    for key, t in con.route_edges(v)] == want
+        assert {key: vs for key, vs in con.cedges.items() if len(vs) > 1} \
+            == con.vehicles_by_edge()
+        assert con.labels == run_labels(con)
         raw = uncontracted(ra)
         for v in ra.vehicles:
-            assert raw.routes[v] == [
-                CEdge(e[0], e[1], 0, ra.edge_times[e], ra.edge_costs[e],
-                      frozenset(veh_sets[e]), (e,)) for e in ra.edges(v)]
+            assert [(key, t, raw.edge_cost(key))
+                    for key, t in raw.route_edges(v)] == [
+                ((*e, (e,)), ra.edge_times[e], ra.edge_costs[e])
+                for e in ra.edges(v)]
+        assert raw.cedges == {(*e, (e,)): veh_sets[e] for e in veh_sets}
+        assert raw.labels == {(*e, (e,)): str((*e, 0)) for e in veh_sets}
+        parallel = len({key[:2] for key in con.cedges}) < len(con.cedges)
         event(f"{route_kind}: merged {len(con.cedges) < len(raw.cedges)}, "
-              f"parallel runs {any(k[2] for k in con.cedges)}")
+              f"parallel runs {parallel}")
 
     def test_single_vehicle_collapses_to_one_edge(self):
         nodes = tuple(range(1, 7))
@@ -209,10 +183,10 @@ class TestContract:
         costs = {k: 2.0 * t for k, t in times.items()}
         ra = RouteAssignment({1: nodes}, times, costs)
         con = sched.contract(ra, times, costs)
-        assert len(con.routes[1]) == 1
-        seg = con.routes[1][0]
-        assert seg.time == pytest.approx(sum(times.values()))
-        assert seg.cost == pytest.approx(sum(costs.values()))
+        ((key, time),) = con.route_edges(1)
+        assert key == (1, 6, tuple(times))
+        assert time == pytest.approx(sum(times.values()))
+        assert con.edge_cost(key) == pytest.approx(sum(costs.values()))
 
     def test_overlapping_middle_merges(self):
         # two vehicles share C->D->E; those two edges contract into one
@@ -222,15 +196,14 @@ class TestContract:
         costs = {k: 1.0 for k in keys}
         ra = RouteAssignment(routes, times, costs)
         con = sched.contract(ra, times, costs)
-        shared = [s for s in con.cedges.values() if len(s.vehicles) == 2]
-        assert len(shared) == 1
-        assert shared[0].original == ((3, 4), (4, 5))
-        assert shared[0].time == pytest.approx(2.0)
-        # consecutive contracted edges never carry identical vehicle sets
+        key = (3, 5, ((3, 4), (4, 5)))
+        assert con.vehicles_by_edge() == {key: [1, 2]}
+        assert dict(con.route_edges(1))[key] == pytest.approx(2.0)
+        # consecutive runs never carry identical vehicle sets
         for v in con.vehicles:
-            segs = con.routes[v]
-            for a, b in zip(segs, segs[1:]):
-                assert a.vehicles != b.vehicles
+            keys = [k for k, _t in con.route_edges(v)]
+            for a, b in zip(keys, keys[1:]):
+                assert con.cedges[a] != con.cedges[b]
 
     def test_sp_optimum_invariant_under_contraction(self, small_grid):
         mismatches = []
@@ -292,6 +265,35 @@ class TestBuildSp:
         sol = mip.solve_mip(h.model)
         # platoon vs not: 0.02*10 + 0.1*10 = 1.2 beats 0
         assert sol.objective == pytest.approx(1.2)
+
+    def test_runs_joining_the_same_nodes_are_named_in_run_order(self):
+        # vehicles 1 and 2 drive 1 -> 2 -> 3, vehicles 3 and 4 1 -> 4 -> 3:
+        # two shared runs from 1 to 3, named (1, 3, 0) and (1, 3, 1) in the
+        # order of their edges, and (1, 3, 0) in a view that holds one
+        net = make_net({1: (0, 0), 2: (5, 3), 3: (10, 0), 4: (5, -3)},
+                       [(1, 2, 6.0), (2, 3, 6.0), (1, 4, 6.0), (4, 3, 6.0)])
+        ra = RouteAssignment({1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 4, 3),
+                              4: (1, 4, 3)}, net.time_table(),
+                             net.fuel_table())
+        missions = [VehicleMission(v, 1, 3, 0.0, 2.0) for v in range(1, 5)]
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        upper, lower = (1, 3, ((1, 2), (2, 3))), (1, 3, ((1, 4), (4, 3)))
+        assert con.labels == {upper: "(1, 3, 0)", lower: "(1, 3, 1)"}
+        assert con.restricted([3, 4]).labels == {lower: "(1, 3, 0)"}
+        h = sched.build_sp(con, PARAMS, sched.time_bounds(con, missions),
+                           sched.CutOptions(star_partition=True))
+        assert h.model.names[4:] == [
+            "l_1_(1, 3, 0)", "l_2_(1, 3, 0)", "f_2_1_(1, 3, 0)",
+            "l_3_(1, 3, 1)", "l_4_(1, 3, 1)", "f_4_3_(1, 3, 1)"]
+        assert [n for n in h.model.row_names if n.startswith("star_")] == \
+            ["star_(1, 3, 0)", "star_(1, 3, 1)"]
+        assert list(h.f_col) == [(2, 1, upper), (4, 3, lower)]
+        # both pairs platoon, each on its own run
+        cfg = sched.extract_platoons(h, mip.solve_mip(h.model))
+        assert cfg.platoons == {upper: [(1, (2,))], lower: [(3, (4,))]}
+        assert sched.expand_platoons(cfg, con).platoons == {
+            (1, 2): [(1, (2,))], (2, 3): [(1, (2,))],
+            (1, 4): [(3, (4,))], (4, 3): [(3, (4,))]}
 
     def test_appendix_matches_bruteforce_both_ways(self, appendix_example):
         ex = appendix_example
@@ -520,8 +522,8 @@ def _model_point(handle, platoons, departures):
     x = np.zeros(handle.model.num_vars)
     for v, col in handle.dep_col.items():
         x[col] = departures[v]
-    for key, s in handle.contracted.cedges.items():
-        for leader, followers in platoons[s.original[0]]:
+    for key in handle.contracted.cedges:
+        for leader, followers in platoons[key[2][0]]:
             if followers:
                 first, *rest = sorted((leader, *followers))
                 x[handle.l_col[(first, key)]] = 1.0
@@ -542,14 +544,15 @@ class TestWindowRows:
         ra = routing.shortest_path_assignment(inst)
         con = sched.contract(ra, ra.edge_times, ra.edge_costs)
         h = sched.build_sp(con, PARAMS, sched.time_bounds(con, inst.missions))
-        key = (3, 4, 0)
-        f = h.f_col[(2, 1, key)]
+        f = h.f_col[(2, 1, (3, 4, ((3, 4),)))]
         rows = [(c.name, c.coeffs, c.sense, c.rhs)
                 for c in h.model.constraints if c.name.startswith("win_")]
         assert rows == [
-            (f"win_ub_2_2_1_{key}", {h.dep_col[2]: 1.0, f: pytest.approx(1.0)},
+            ("win_ub_2_2_1_(3, 4, 0)", {h.dep_col[2]: 1.0,
+                                        f: pytest.approx(1.0)},
              "<=", pytest.approx(1.775)),
-            (f"win_lb_1_2_1_{key}", {h.dep_col[1]: 1.0, f: pytest.approx(-0.5)},
+            ("win_lb_1_2_1_(3, 4, 0)", {h.dep_col[1]: 1.0,
+                                        f: pytest.approx(-0.5)},
              ">=", 0.0)]
         bare = sched.build_sp(con, PARAMS, sched.time_bounds(
             con, inst.missions), sched.CutOptions(window=False))
@@ -763,10 +766,10 @@ class TestComponents:
         assert not any(p[1] for plist in res.platoons.platoons.values()
                        for p in plist if p[0] in members)
 
-    def test_pairs_that_can_meet_are_found_once(self, monkeypatch):
-        # solve_schedule hands build_sp the pairs of the components it
-        # solves; the model is the one build_sp builds finding them itself
-        # on the contracted routes of the component's runs
+    def test_a_components_model_is_built_on_its_own_runs(self):
+        # the model of a component is the one build_sp builds on the runs
+        # of its vehicles alone, contracted by merging, and finds its pairs
+        # there
         grid = nm.make_grid_network(6, 6, spacing_km=40, jitter=0.25, seed=5)
         inst = nm.generate_two_cluster(grid, 14, seed=1)
         ra = routing.shortest_path_assignment(inst)
@@ -778,25 +781,52 @@ class TestComponents:
         solved = {}
         sched.solve_schedule(ra, inst, "star", solved=solved)
         del solved[sched.component_key(con, comps[0])]
-        calls = []
-        find = sched.platoonable_and_bigM
-        monkeypatch.setattr(sched, "platoonable_and_bigM",
-                            lambda *args: calls.append(args) or find(*args))
         (got,) = sched.solve_schedule(ra, inst, "star", solved=solved).handles
-        assert len(calls) == 1
-        monkeypatch.undo()
-        own = sched._contracted({v: con.runs(v) for v in comps[0]},
-                                ra.edge_times, ra.edge_costs)
+        runs = merged_runs(ra)
+        own = sched.RunView({v: runs[v] for v in comps[0]}, ra.edge_times,
+                            ra.edge_costs)
         want = sched.build_sp(own, inst, bounds,
                               sched.CutOptions(star_partition=True))
+        assert got.contracted.labels == run_labels(own)
         assert (got.big_m, got.pruned) == (want.big_m, want.pruned)
         assert list(got.big_m) == list(want.big_m)
         assert got.model.names == want.model.names
+        assert got.model.row_names == want.model.row_names
         for a, b in zip(mip._columns(got.model), mip._columns(want.model)):
             assert np.array_equal(a, b)
         ga, wa = got.model.compiled_rows(), want.model.compiled_rows()
         assert (ga.a != wa.a).nnz == 0
         assert np.array_equal(ga.rlo, wa.rlo) and np.array_equal(ga.rhi, wa.rhi)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rows=st.integers(4, 6),
+           generator=st.sampled_from(["two_cluster", "distributed"]),
+           vehicles=st.integers(4, 14), seed=st.integers(0, 10_000),
+           route_kind=st.sampled_from(["shortest", "greedy", "walks"]),
+           flexibility=st.sampled_from([1.0, 4.0]))
+    def test_a_components_runs_give_its_pairs_of_the_whole_assignment(
+            self, rows, generator, vehicles, seed, route_kind, flexibility):
+        # what lets each model find its own pairs: on the view of a
+        # component's runs, the pairs that can meet and the pruned ones are
+        # the whole assignment's of that component, in the same order
+        inst, ra, _ = _scheduling_case(rows, generator, vehicles, seed,
+                                       route_kind, flexibility)
+        con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+        bounds = sched.time_bounds(con, inst.missions)
+        big_m, pruned = sched.platoonable_and_bigM(con, bounds)
+        comps = sched.components(con, big_m)
+        assume(comps)
+        for vs in comps:
+            own_m, own_pruned = sched.platoonable_and_bigM(
+                con.restricted(vs), bounds)
+            assert list(own_m.items()) == [
+                (pair, m) for pair, m in big_m.items() if pair[0] in vs]
+            assert own_pruned == [pair for pair in pruned
+                                  if pair[0] in vs and pair[1] in vs]
+        largest = max(map(len, comps))
+        inside = any(p[0] in vs and p[1] in vs for p in pruned for vs in comps)
+        event(f"{route_kind}: largest component {min(largest, 4)}"
+              f"{'+' if largest >= 4 else ''}, pruned in one {inside}")
 
     def test_known_components_cost_no_work_of_their_own(self, monkeypatch):
         # shortest routes: components [2, 3], [5, 6, 13], [7, 8, 10, 11]
@@ -817,8 +847,9 @@ class TestComponents:
                 return real(*args, **kwargs)
             return call
 
-        for module, name in ((sched, "_contracted"), (sched, "build_sp"),
-                             (mip, "solve_mip"), (sched, "closed_form")):
+        for module, name in ((sched.RunView, "restricted"),
+                             (sched, "build_sp"), (mip, "solve_mip"),
+                             (sched, "closed_form")):
             monkeypatch.setattr(module, name,
                                 recording(name, getattr(module, name)))
         known = sched.solve_schedule(ra, inst, "star", solved=solved)
@@ -827,7 +858,7 @@ class TestComponents:
         assert (known.milp, known.closed, known.reused) == (0, 0, 3)
         assert known.platoons == fresh.platoons
         # new components of two and three vehicles: one closed form each,
-        # and no contracted edges, model or solve
+        # and no view of their runs, model or solve
         for vs in ([2, 3], [5, 6, 13]):
             del solved[sched.component_key(con, vs)]
         again = sched.solve_schedule(ra, inst, "star", solved=solved)
@@ -837,21 +868,21 @@ class TestComponents:
         assert again.handles == ()
         assert (again.milp, again.closed, again.reused) == (0, 2, 1)
         assert again.platoons == fresh.platoons
-        # one new component of four vehicles: contracted edges for its
-        # vehicles' routes alone, one model and one solve
+        # one new component of four vehicles: a view of its vehicles'
+        # runs alone, one model and one solve
         calls.clear()
         del solved[sched.component_key(con, [7, 8, 10, 11])]
         again = sched.solve_schedule(ra, inst, "star", solved=solved)
         assert [name for name, _args in calls] == \
-            ["_contracted", "build_sp", "solve_mip"]
-        runs = calls[0][1][0]
-        assert list(runs) == [7, 8, 10, 11]
-        assert runs == {v: con.runs(v) for v in (7, 8, 10, 11)}
+            ["restricted", "build_sp", "solve_mip"]
+        assert calls[0][1][1] == [7, 8, 10, 11]
         (handle,) = again.handles
         contracted = handle.contracted
+        assert list(contracted.route_runs.items()) == [
+            (v, con.runs(v)) for v in (7, 8, 10, 11)]
         assert contracted.vehicles == [7, 8, 10, 11]
-        assert all(s.vehicles <= {7, 8, 10, 11}
-                   for s in contracted.cedges.values())
+        assert all(set(vs) <= {7, 8, 10, 11}
+                   for vs in contracted.cedges.values())
         assert (again.milp, again.closed, again.reused) == (1, 0, 2)
         assert again.platoons == fresh.platoons
 
@@ -950,7 +981,7 @@ def _two_segment_instance(flip, second=10.0):
 
 
 def _pair_edges(big_m, v, u):
-    """The contracted edges on which the pair ``v < u`` can still meet."""
+    """The runs on which the pair ``v < u`` can still meet."""
     return [key for (a, b, key) in big_m if (b, a) == (v, u)]
 
 
@@ -1007,6 +1038,8 @@ class TestRuns:
         want = reference_schedule.solve_schedule(ra, inst, cuts)
         _same_schedule(got, want, inst, ra)
         assert got.contracted.vehicles == want.contracted.vehicles
+        assert list(got.contracted.cedges.items()) == \
+            list(want.contracted.cedges.items())
         assert got.bounds == want.bounds
         if got.contracted.vehicles:
             params = SavingsParams.from_instance(inst)
@@ -1042,7 +1075,7 @@ class TestPairs:
                 for k in keys}
         assert max(gaps) - min(gaps) == pytest.approx(0.05)
         savings, plist = sched.closed_form(con, bounds, inst, {(1, 2): keys})
-        assert plist == [(edge + (0,), (1, (2,)))]
+        assert plist == [((*edge, (edge,)), (1, (2,)))]
         assert savings == pytest.approx(0.12 * max(10.0, second))
         # the model's optimum takes one edge too
         whole = mip.solve_mip(sched.build_sp(con, inst, bounds).model,
@@ -1093,15 +1126,12 @@ class TestPairs:
             savings, plist = sched.closed_form(
                 con, bounds, inst, {(v, u): _pair_edges(big_m, v, u)})
             alone = mip.solve_mip(sched.build_sp(
-                sched._contracted({w: con.runs(w) for w in (v, u)},
-                                  ra.edge_times, ra.edge_costs),
-                inst, bounds).model,
-                rel_gap=0.0)
+                con.restricted((v, u)), inst, bounds).model, rel_gap=0.0)
             assert alone.status == "optimal"
             assert savings == pytest.approx(alone.objective, rel=1e-12,
                                             abs=1e-12)
             total += savings
-            edges = {e for key, _p in plist for e in con.cedges[key].original}
+            edges = {e for key, _p in plist for e in key[2]}
             assert {e for e, ps in res.platoons.platoons.items()
                     if (v, (u,)) in ps} == edges
             for e in edges:
@@ -1144,7 +1174,9 @@ class TestPairs:
 
 
 class TestTriples:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    # most generated cases hold no component of three vehicles
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
     @given(rows=st.integers(3, 6),
            generator=st.sampled_from(["two_cluster", "distributed"]),
            vehicles=st.integers(4, 14), seed=st.integers(0, 10_000),
@@ -1168,9 +1200,7 @@ class TestTriples:
                     for v, u in combinations(vs, 2)}
             savings, plist = sched.closed_form(con, bounds, inst, meet)
             alone = mip.solve_mip(sched.build_sp(
-                sched._contracted({w: con.runs(w) for w in vs},
-                                  ra.edge_times, ra.edge_costs),
-                inst, bounds).model, rel_gap=0.0)
+                con.restricted(vs), inst, bounds).model, rel_gap=0.0)
             assert alone.status == "optimal"
             assert savings == pytest.approx(alone.objective, rel=1e-9,
                                             abs=1e-9)
@@ -1192,13 +1222,12 @@ class TestTriples:
                     assert abs(deps[u] + bounds.offset[(u, key[0])] - entry) \
                         <= sched.EQUAL_ENTRY_TOL
                 # solve_schedule lists it on each original edge of the run
-                for e in con.cedges[key].original:
+                for e in key[2]:
                     assert (leader, followers) in res.platoons.platoons[e]
             three = RouteAssignment({v: ra.routes[v] for v in vs},
                                     ra.edge_times, ra.edge_costs)
-            shared = [key for key, ws in sched.contract(
-                three, ra.edge_times, ra.edge_costs).vehicles_by_edge().items()
-                if len(ws) > 1]
+            shared = list(sched.contract(
+                three, ra.edge_times, ra.edge_costs).vehicles_by_edge())
             if len(shared) <= 4:
                 want, _platoons, _deps = oracle.brute_force_sp(
                     three, [m for m in inst.missions if m.id in vs], inst)

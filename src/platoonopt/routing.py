@@ -46,17 +46,17 @@ class NonPathSolution(Exception):
 class EdgeCostTable:
     """The routing objective's price of each pair of ``pairs`` (a
     ``CandidatePairs``; price ``j`` is x column ``j``'s) and the explored
-    edges.  A pair on an explored edge costs ``prices[j]``, its adjusted
-    cost, any other its edge's fuel; ``edge_explored`` marks the explored
-    candidate edges.  ``adjusted`` lists the adjusted costs by (vehicle,
-    edge), edge by edge."""
+    edges, ``explored``, a mask over ``pairs.edges`` (none when omitted).
+    A pair on an explored edge costs ``prices[j]``, its adjusted cost, any
+    other its edge's fuel.  ``adjusted`` lists the adjusted costs by
+    (vehicle, edge), edge by edge."""
 
     def __init__(self, pairs: "CandidatePairs", prices,
-                 explored: frozenset = frozenset()):
-        self.pairs, self.explored = pairs, explored
-        self.edge_explored = np.fromiter((e in explored for e in pairs.edges),
-                                         bool, len(pairs.edges))
-        on = self.edge_explored[pairs.edge]
+                 explored: np.ndarray | None = None):
+        self.pairs = pairs
+        self.explored = np.zeros(len(pairs.edges), dtype=bool) \
+            if explored is None else explored
+        on = self.explored[pairs.edge]
         self.prices = np.where(on, prices, pairs.fuel)
         self._order = pairs.by_edge[on[pairs.by_edge]]
         self._adjusted = None
@@ -340,25 +340,25 @@ def _add_hull_rows(model, edges, k, x, vehicles, y) -> None:
 
 def set_rdp_costs(handle: RdpModelHandle, costs: EdgeCostTable) -> None:
     """Re-price a routing model at a table over its pairs: the x columns
-    at the table's prices, y' and w of each unexplored edge with platoon
-    columns at the presumed leader and follower savings.  Only the
-    objective depends on the cost table; columns, rows and bounds stay as
-    they are, so the previous iteration's LP basis remains primal feasible.
+    at the table's prices, y' and w of each edge with platoon columns that
+    the table's mask leaves unexplored at the presumed leader and follower
+    savings.  Only the objective depends on the cost table; columns, rows
+    and bounds stay as they are, so the previous iteration's LP basis
+    remains primal feasible.
     ``ValueError`` for a table over other pairs, or one that leaves a
     shared edge unexplored after ``retire_explored`` deleted its savings
     columns, naming the edge."""
     inst, pairs = handle.instance, handle.pairs
     if costs.pairs is not pairs and costs.pairs.keys != pairs.keys:
         raise ValueError("cost table is not over the model's x columns")
-    lost = pairs.shared & ~handle.platoon & ~costs.edge_explored
+    lost = pairs.shared & ~handle.platoon & ~costs.explored
     if lost.any():
         raise ValueError(f"edge {pairs.edges[int(np.argmax(lost))]} is "
                          "unexplored, but its savings columns were retired")
     n = len(pairs.keys)
     c = np.zeros(handle.model.num_vars)
     c[:n] = costs.prices
-    fuel = np.where(costs.edge_explored, 0.0,
-                    pairs.edge_fuel)[handle.platoon]
+    fuel = np.where(costs.explored, 0.0, pairs.edge_fuel)[handle.platoon]
     c[n + 1::3] = -inst.sigma_l * fuel
     c[n + 2::3] = -inst.sigma_f * fuel
     handle.model.set_objective(c, sense="min")
@@ -373,7 +373,7 @@ def retire_explored(handle: RdpModelHandle,
     Neither the LP bound nor the optimum changes (see the module
     docstring).  Returns the old model's kept columns as a mask, or None,
     leaving the model as it is, when no such edge is explored."""
-    drop = handle.platoon & costs.edge_explored
+    drop = handle.platoon & costs.explored
     if not drop.any():
         return None
     pairs, model = handle.pairs, handle.model
@@ -426,13 +426,15 @@ def presumed_objective(assignment: RouteAssignment, costs: EdgeCostTable,
                        inst: ProblemInstance) -> float:
     """Routing objective value at a given route assignment (the model's own
     estimate of total fuel, before scheduling realizes it): the route
-    costs added one by one, vehicle by vehicle along each route."""
+    costs added one by one, vehicle by vehicle along each route, less the
+    presumed savings of each edge two or more routes share that the
+    table's mask leaves unexplored."""
     keys = [(v, e) for v in assignment.vehicles for e in assignment.edges(v)]
     index, fuel = costs.pairs.index, inst.network.fuel_table()
     total = float(np.cumsum(costs.prices[[index[k] for k in keys]])[-1]) \
         if keys else 0.0
     for e, m in Counter(e for _v, e in keys).items():
-        if e not in costs.explored and m >= 2:
+        if m >= 2 and not costs.explored[costs.pairs.edge_index[e]]:
             c = fuel[e]
             total -= inst.sigma_l * c + inst.sigma_f * (m - 1) * c
     return total

@@ -9,14 +9,16 @@ same platoon configuration there (in which case its price is reused).
 
 The feedback has one encoding, over the routing model's x columns: the
 (vehicle, candidate edge) pairs of its ``routing.CandidatePairs``.
-``RshmState`` keeps each iteration's history as arrays over those pairs,
-and a cost table is a price per pair, priced in one array pass and written
-into the model in one slice.  Work that does not change between
-iterations is done once per run: the routing model is built once, at
-iteration 1, and re-priced and shrunk afterwards (the platoon columns and
-rows of explored edges are deleted: ``routing.retire_explored``), and a
-scheduling component (see ``scheduling.components``) already solved to
-optimality is neither modelled nor solved again.
+``RshmState`` keeps each iteration's facts once, as arrays over those
+pairs, and the explored edges as one mask; a cost table is a price per
+pair, priced in one array pass from those arrays (a copied price comes
+from the iteration that paid it) and written into the model in one slice.
+Work that does not change between iterations is done once per run: the
+routing model is built once, at iteration 1, and re-priced and shrunk
+afterwards (the platoon columns and rows of explored edges are deleted:
+``routing.retire_explored``), and a scheduling component (see
+``scheduling.components``) already solved to optimality is neither
+modelled nor solved again.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .simplex import NumericalFailure
 
 class SubproblemFailure(Exception):
     """A routing or scheduling solve failed inside the loop."""
-
-
-class MissingHistory(Exception):
-    """Recurrence referenced an unstored cost table (internal bug signal)."""
 
 
 class NotApplicableError(Exception):
@@ -77,12 +75,15 @@ class RshmState:
     at, as arrays over ``pairs`` (``routing.CandidatePairs``), pair ``j``
     being the routing model's x column ``j``: the only (vehicle, edge)
     pairs a cost table prices.  Per iteration ``n``: the pairs it routes
-    (``routed[n]``), their platoon sizes (``size[n]``), and an id of its
-    platoon configuration on each candidate edge (``conf[n]``; equal sets
-    of vehicle sets get equal ids, none gets 0).  ``similar[k, j]`` is
-    ``conf[k]`` on pair ``j``'s edge if iteration ``k + 1`` routes the
-    pair, else -1.  ``tables[n]`` prices iteration ``n``'s routing model
-    over ``pairs``; ``routes_freq`` counts each route assignment seen."""
+    (``routed[n]``), the price it charged each pair (``paid[n]``, its
+    platoon-averaged cost ``c_plat(size, fuel) / size``; a pair alone or
+    not routed pays its fuel), and an id of its platoon configuration on
+    each candidate edge (``conf[n]``; equal sets of vehicle sets get equal
+    ids, none gets 0).  ``explored`` marks the candidate edges some route
+    so far drives, a mask over ``pairs.edges``; ``record`` replaces it, so
+    a table keeps the mask it was priced with.  ``tables[n]`` prices
+    iteration ``n``'s routing model over ``pairs``; ``routes_freq`` counts
+    each route assignment seen."""
 
     def __init__(self, inst, pairs: routing.CandidatePairs):
         self.instance = inst
@@ -91,10 +92,9 @@ class RshmState:
         self.records: dict[int, IterationRecord] = {}
         self.tables: dict[int, EdgeCostTable] = {
             1: EdgeCostTable.initial(pairs)}
-        self.explored: set = set()
-        self.routed, self.size, self.conf = {}, {}, {}
+        self.explored = np.zeros(len(pairs.edges), dtype=bool)
+        self.routed, self.paid, self.conf = {}, {}, {}
         self._conf_ids, self._conf_of = {frozenset(): 0}, {}
-        self.similar = np.full((1, len(pairs.keys)), -1, dtype=np.int32)
         self.routes_freq: dict[RouteAssignment, int] = {}
         self.best_z = float("inf")
         self.best: IterationRecord | None = None
@@ -105,11 +105,14 @@ class RshmState:
 
     def record(self, rec: IterationRecord) -> None:
         """Store iteration ``rec.index``; iterations arrive in order from 1.
-        The routed pairs are the pairs of ``pairs`` the routes drive."""
+        The routed pairs are the pairs of ``pairs`` the routes drive; the
+        explored edges gain every route edge that is a candidate edge."""
         n, pairs = rec.index, self.pairs
         self.records[n] = rec
-        self.explored |= rec.routes.all_edges()
         keys = [(v, e) for v in rec.routes.routes for e in rec.routes.edges(v)]
+        on = [pairs.edge_index.get(e) for _v, e in keys]
+        self.explored = self.explored.copy()
+        self.explored[[g for g in on if g is not None]] = True
         routed = np.zeros(len(pairs.keys), dtype=bool)
         routed[[j for j in map(pairs.index.get, keys) if j is not None]] = True
         platoons = [(e, plist) for e, plist in rec.platoons.platoons.items()
@@ -123,10 +126,8 @@ class RshmState:
                 if followers:
                     size[[pairs.index[(v, e)] for v in (leader, *followers)
                           if (v, e) in pairs.index]] = 1 + len(followers)
-        self.routed[n], self.size[n], self.conf[n] = routed, size, conf
-        if n > 1:
-            self.similar = np.vstack([self.similar, np.where(
-                routed, self.conf[n - 1][pairs.edge], -1)])
+        self.routed[n], self.conf[n] = routed, conf
+        self.paid[n] = c_plat(size, pairs.fuel, self.params) / size
         self.routes_freq[rec.routes] = self.routes_freq.get(rec.routes, 0) + 1
         if rec.z < self.best_z:
             self.best_z = rec.z
@@ -150,9 +151,14 @@ class RshmState:
 def _similar(state: RshmState, n: int, j=slice(None)) -> np.ndarray:
     """For each pair of ``j``, the newest iteration ``k <= n - 2`` whose
     platoon configuration on the pair's edge is iteration ``n``'s and after
-    which iteration ``k + 1`` routes the pair; 0 where there is none."""
-    match = state.similar[1:n - 1, j] == state.conf[n][state.pairs.edge[j]]
-    return (match * np.arange(1, n - 1)[:, None]).max(0, initial=0)
+    which iteration ``k + 1`` routes the pair; 0 where there is none.
+    Reads only the per-iteration ``conf`` and ``routed`` arrays."""
+    edge = state.pairs.edge[j]
+    target = state.conf[n][edge]
+    k = np.zeros(len(edge), dtype=np.int64)
+    for i in range(1, n - 1):       # a newer match overwrites an older one
+        k[state.routed[i + 1][j] & (state.conf[i][edge] == target)] = i
+    return k
 
 
 def similarity_index(state: RshmState, n: int, v: int, edge) -> int | None:
@@ -170,30 +176,20 @@ def update_cost_table(state: RshmState, n: int) -> EdgeCostTable:
     """Adjusted costs feeding the next routing objective, priced in one
     pass over ``state.pairs``.
 
-    A pair iteration ``n`` routes gets its platoon-averaged cost; any other
-    the price table ``k + 2`` gave it, ``k`` its ``similarity_index``, or
-    else the optimistic follower cost.  Only pairs on explored edges are
-    read: by the routing model, its greedy seed and
-    ``routing.presumed_objective``.  ``MissingHistory`` when the table a
-    price is copied from is not stored."""
-    pairs, params = state.pairs, state.params
-    routed, size, fuel = state.routed[n], state.size[n], pairs.fuel
-    price = np.where(routed, c_plat(size, fuel, params) / size,
-                     (1 - params.sigma_f) * fuel)
-    k = np.where(routed, 0, _similar(state, n))     # copied from table k + 2
-    copied = np.flatnonzero(k)
-    if len(copied):     # a table not stored reads NaN
-        nan = np.full(len(price), np.nan)
-        stored = np.array([nan if t is None else t.prices
-                           for t in map(state.tables.get, range(n + 1))])
-        price[copied] = stored[k[copied] + 2, copied]
-    lost = np.isnan(price)
-    if lost.any():      # the first pair edge by edge, as ``adjusted`` lists
-        j = pairs.by_edge[np.argmax(lost[pairs.by_edge])]
-        v, e = pairs.keys[j]
-        raise MissingHistory(f"no stored cost for vehicle {v}, edge {e}, "
-                             f"iteration {k[j] + 2}")
-    table = EdgeCostTable(pairs, price, frozenset(state.explored))
+    A pair iteration ``n`` routes pays its platoon-averaged cost,
+    ``paid[n]``.  Any other pair with a ``similarity_index`` ``k`` copies
+    ``paid[k + 1]``: iteration ``k + 1`` routed it on an explored edge, so
+    that is the price table ``k + 2`` gave it.  The rest get the
+    optimistic follower cost.  Only pairs on explored edges are read: by
+    the routing model, its greedy seed and ``routing.presumed_objective``.
+    """
+    pairs, params, routed = state.pairs, state.params, state.routed[n]
+    price = np.where(routed, state.paid[n], (1 - params.sigma_f) * pairs.fuel)
+    k = np.where(routed, 0, _similar(state, n))
+    for i in np.unique(k[k > 0]).tolist():
+        at = k == i
+        price[at] = state.paid[i + 1][at]
+    table = EdgeCostTable(pairs, price, state.explored)
     table.validate(params.sigma_f)
     return table
 

@@ -5,7 +5,10 @@ of the per-column history that ``rshm.RshmState`` keeps.
 ``rdp_costs`` and ``presumed_objective`` compute what the program's
 ``record``, ``similarity_index``, ``update_cost_table``, ``set_rdp_costs``
 and ``presumed_objective`` compute, one (vehicle, edge) pair at a time.
-Its tables are ``ReferenceTable`` dicts keyed by (vehicle, edge)."""
+Its tables are ``ReferenceTable`` dicts keyed by (vehicle, edge).  It
+copies a price from the stored table ``k + 2``, as the recurrence states
+it, where the program reads the price iteration ``k + 1`` paid;
+``MissingTable`` when that table is not stored."""
 
 from __future__ import annotations
 
@@ -30,6 +33,10 @@ class ReferenceTable:
             if c < (1.0 - sigma_f) * self.base[e] - 1e-9:
                 raise ValueError(
                     f"adjusted cost below follower floor for {v},{e}")
+
+
+class MissingTable(Exception):
+    """A price is copied from a table the state does not hold."""
 
 
 def platoon_sets(platoons, edge) -> set:
@@ -125,7 +132,7 @@ def update_cost_table(state: ReferenceState, n: int) -> ReferenceTable:
                 else:
                     src = state.tables.get(k + 2)
                     if src is None or (v, e) not in src.adjusted:
-                        raise rshm.MissingHistory(
+                        raise MissingTable(
                             f"no stored cost for vehicle {v}, edge {e}, "
                             f"iteration {k + 2}")
                     adjusted[(v, e)] = src.adjusted[(v, e)]

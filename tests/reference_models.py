@@ -153,7 +153,7 @@ def build_rdp(inst, costs, full: bool = False) -> routing.RdpModelHandle:
         return handle
     c = {x_col[key]: costs.cost(*key) for key in x_col}
     for e in platooned:
-        if e not in costs.explored:
+        if not costs.explored[costs.pairs.edge_index[e]]:
             c[yp_col[e]] = -inst.sigma_l * net.edge(*e).fuel
             c[w_col[e]] = -inst.sigma_f * net.edge(*e).fuel
     model.set_objective(c, sense="min")

@@ -17,6 +17,12 @@ from platoonopt.routing import EdgeCostTable, RouteAssignment
 from conftest import hull_rows, make_net, shared_edge_instance
 
 
+def _mask(pairs, edges):
+    """The mask over ``pairs.edges`` that marks ``edges`` explored."""
+    return np.isin(np.arange(len(pairs.edges)),
+                   [pairs.edge_index[e] for e in edges])
+
+
 def _eval_row(row, assign):
     coeffs, sense, rhs, _name = row
     lhs = sum(c * assign[k] for k, c in coeffs.items())
@@ -132,7 +138,6 @@ class TestBuildRdp:
                                         for v in (1, 2)], 0.02, 0.1, 10)
         inst.validate()
         shared = (1, 2)
-        explored = frozenset([shared])
         # realized platoon of size 2 on the shared edge
         plat_avg = ((1 - 0.02) * 10 + (1 - 0.1) * 10) / 2
         adjusted = {(v, shared): plat_avg for v in (1, 2)}
@@ -140,7 +145,8 @@ class TestBuildRdp:
         prices = h.pairs.fuel.copy()
         for key, c in adjusted.items():
             prices[h.pairs.index[key]] = c
-        routing.set_rdp_costs(h, EdgeCostTable(h.pairs, prices, explored))
+        routing.set_rdp_costs(
+            h, EdgeCostTable(h.pairs, prices, _mask(h.pairs, [shared])))
         obj = h.model.obj_coeffs
         assert obj[h.x_col[(1, shared)]] == pytest.approx(18.8 / 2)
         # explored edges lose their y'/w objective terms
@@ -258,7 +264,7 @@ def test_cost_table_invariants(small_grid):
     for scale in (1.5, 0.5):
         prices = pairs.fuel.copy()
         prices[0] *= scale
-        bad = EdgeCostTable(pairs, prices, frozenset([e]))
+        bad = EdgeCostTable(pairs, prices, _mask(pairs, [e]))
         with pytest.raises(ValueError):
             bad.validate(inst.sigma_f)
         # off the explored edges a pair costs its fuel, whatever its price
@@ -270,7 +276,8 @@ def test_initial_table_prices_every_pair_at_its_fuel(small_grid):
     h = routing.build_rdp(inst)
     table = EdgeCostTable.initial(h.pairs)
     fuel = inst.network.fuel_table()
-    assert table.explored == frozenset() and table.adjusted == {}
+    assert table.explored.tolist() == [False] * len(h.pairs.edges)
+    assert table.adjusted == {}
     assert table.prices.tobytes() == np.array(
         [fuel[e] for _v, e in h.pairs.keys]).tobytes()
     assert all(table.cost(v, e) == fuel[e] for v, e in h.pairs.keys)
@@ -305,7 +312,7 @@ def test_cost_table_of_pairs_names_the_first_bad_cost_edge_by_edge(
     assert first != pairs.keys[bad[0]]
     prices = pairs.fuel.copy()
     prices[bad] *= scale
-    table = EdgeCostTable(pairs, prices, frozenset(pairs.edges))
+    table = EdgeCostTable(pairs, prices, _mask(pairs, pairs.edges))
     with pytest.raises(ValueError) as err:
         table.validate(inst.sigma_f)
     assert str(err.value) == f"adjusted cost {what} for {first[0]},{first[1]}"
@@ -377,7 +384,7 @@ def test_the_reduced_model_has_the_full_models_optima(spec):
     event(f"edges one vehicle can take: {bool(single)}")
     # a later iteration's table: some edges explored, at adjusted prices
     rng = np.random.default_rng(price_seed)
-    explored = frozenset(e for e in pairs.edges if rng.random() < 0.5)
+    explored = _mask(pairs, [e for e in pairs.edges if rng.random() < 0.5])
     prices = pairs.fuel * rng.uniform(1 - inst.sigma_f, 1.0, len(pairs.keys))
     for costs in (EdgeCostTable.initial(pairs),
                   EdgeCostTable(pairs, prices, explored)):
@@ -407,14 +414,14 @@ class TestRetirement:
         inst = nm.generate_two_cluster(small_grid, 6, seed=0)
         h = routing.build_rdp(inst)
         e = list(h.y_col)[1]
-        costs = EdgeCostTable(h.pairs, h.pairs.fuel, frozenset([e]))
+        costs = EdgeCostTable(h.pairs, h.pairs.fuel, _mask(h.pairs, [e]))
         assert routing.retire_explored(h, costs) is not None
         assert e not in h.y_col
         routing.set_rdp_costs(h, costs)
         c = h.model.c.copy()
         for table in (EdgeCostTable.initial(h.pairs),
                       EdgeCostTable(h.pairs, h.pairs.fuel,
-                                    frozenset(h.y_col))):
+                                    _mask(h.pairs, h.y_col))):
             with pytest.raises(ValueError, match=re.escape(str(e))):
                 routing.set_rdp_costs(h, table)
             assert np.array_equal(h.model.c, c)     # not priced
@@ -426,12 +433,14 @@ class TestRetirement:
         single, shared = _single_and_shared(h)
         assert single and shared
         model, y_col = h.model, dict(h.y_col)
-        for explored in (frozenset(), frozenset(single)):
-            table = EdgeCostTable(h.pairs, h.pairs.fuel, explored)
+        for explored in ([], single):
+            table = EdgeCostTable(h.pairs, h.pairs.fuel,
+                                  _mask(h.pairs, explored))
             assert routing.retire_explored(h, table) is None
             assert h.model is model and h.y_col == y_col
         # nor does one whose explored edges were retired before
-        table = EdgeCostTable(h.pairs, h.pairs.fuel, frozenset(shared[:1]))
+        table = EdgeCostTable(h.pairs, h.pairs.fuel,
+                              _mask(h.pairs, shared[:1]))
         assert routing.retire_explored(h, table) is not None
         model = h.model
         assert routing.retire_explored(h, table) is None
@@ -458,7 +467,7 @@ class TestRetirement:
         explored = [e for e in h.y_col if rng.random() < 0.5]
         prices = pairs.fuel * rng.uniform(1 - inst.sigma_f, 1.0,
                                           len(pairs.keys))
-        costs = EdgeCostTable(pairs, prices, frozenset(explored))
+        costs = EdgeCostTable(pairs, prices, _mask(pairs, explored))
         kept = routing.retire_explored(h, costs)
         event(f"edges retired: {bool(explored)}")
         assert (kept is None) == (not explored)

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from platoonopt import mip, netmodel as nm, oracle, routing, rshm, scheduling
@@ -47,7 +47,15 @@ def _state(inst, candidates):
 def _on_columns(table, pairs):
     """``table`` over ``pairs``, pairs that ``table.pairs`` all hold."""
     prices = table.prices[[table.pairs.index[k] for k in pairs.keys]]
-    return EdgeCostTable(pairs, prices, table.explored)
+    explored = table.explored[[table.pairs.edge_index[e]
+                               for e in pairs.edges]]
+    return EdgeCostTable(pairs, prices, explored)
+
+
+def _explored(x) -> list:
+    """The edges a state's or a table's mask marks explored, in key
+    order."""
+    return [x.pairs.edges[g] for g in np.flatnonzero(x.explored).tolist()]
 
 
 def _state_with_history(inst, records):
@@ -144,7 +152,7 @@ class TestSimilarityIndex:
         assert state.iterations >= 10
         hits = 0
         for n in state.records:
-            for e in sorted(state.explored):
+            for e in _explored(state):
                 for m in inst.missions:
                     k = similarity_index(state, n, m.id, e)
                     assert k == _rescan(state, n, m.id, e)
@@ -159,12 +167,13 @@ class TestSimilarityIndex:
         inst = getattr(nm, f"generate_{generator}")(_GRID, vehicles, seed)
         state = rshm.run(inst, RshmOptions(iter_cap=iter_cap,
                                            freq_threshold=99)).state
+        explored = _explored(state)
         unexplored = [e for e in sorted(inst.network.edges)
-                      if e not in state.explored][:1]
+                      if e not in explored][:1]
         ids = [m.id for m in inst.missions]
         hits = 0
         for n in range(state.iterations + 2):
-            for e in sorted(state.explored) + unexplored:
+            for e in explored + unexplored:
                 for v in ids + [max(ids) + 1]:
                     k = similarity_index(state, n, v, e)
                     assert k == _rescan(state, n, v, e)
@@ -228,18 +237,12 @@ class TestCostTable:
             state.tables[n + 1] = update_cost_table(state, n)
             ref.tables[n + 1] = reference_feedback.update_cost_table(ref, n)
         assert similarity_index(state, 3, 2, (3, 4)) == 1
-        table4 = update_cost_table(state, 3)  # all history present: fine
+        table4 = update_cost_table(state, 3)
         assert table4.cost(2, (3, 4)) == state.tables[3].cost(2, (3, 4))
         assert table4.cost(2, (3, 4)) != (1 - inst.sigma_f) * 10.0
-        del state.tables[3], ref.tables[3]
-        with pytest.raises(rshm.MissingHistory) as got:
-            update_cost_table(state, 3)
-        # the first of the three edge by edge
-        assert str(got.value) == (
-            "no stored cost for vehicle 2, edge (3, 4), iteration 3")
-        with pytest.raises(rshm.MissingHistory) as want:
-            reference_feedback.update_cost_table(ref, 3)
-        assert str(got.value) == str(want.value)
+        # the reference reads the three copies from stored table 3
+        assert _priced(table4) == _priced(
+            reference_feedback.update_cost_table(ref, 3))
 
 
 def _record_on(n, inst, routes):
@@ -263,7 +266,7 @@ class TestCandidatePricing:
         state.record(_record(1, inst, True))
         table = update_cost_table(state, 1)
         assert set(table.adjusted) == {(v, e) for v in cand
-                                       for e in table.explored
+                                       for e in _explored(table)
                                        if e in cand[v]}
         assert (2, (1, 3)) not in table.adjusted
         assert table.cost(1, (1, 3)) == pytest.approx(
@@ -286,12 +289,12 @@ class TestCandidatePricing:
         full = _replayed_state(inst, state.records, _every_edge(inst)).tables
         for n in range(2, state.iterations + 2):
             table = state.tables[n]
-            assert table.explored == full[n].explored
+            assert _explored(table) == _explored(full[n])
             assert table.adjusted == {
                 (v, e): c for (v, e), c in full[n].adjusted.items()
                 if e in h.candidates[v]}
             for v, e in h.x_col:
-                if e in table.explored:
+                if table.explored[h.pairs.edge_index[e]]:
                     assert (v, e) in table.adjusted
                 assert table.cost(v, e) == full[n].cost(v, e)
 
@@ -337,17 +340,18 @@ class TestFeedbackReference:
             ref.tables[n + 1] = reference_feedback.update_cost_table(ref, n)
         assert sorted(state.tables) == sorted(ref.tables)
         for n, table in state.tables.items():
-            assert table.explored == ref.tables[n].explored
+            assert _explored(table) == sorted(ref.tables[n].explored)
             assert _priced(table) == _priced(ref.tables[n])
             routing.set_rdp_costs(handle, _on_columns(table, handle.pairs))
             assert mip._columns(handle.model)[0].tobytes() == \
                 reference_feedback.rdp_costs(handle, ref.tables[n]).tobytes()
+        explored = _explored(state)
         unexplored = [e for e in sorted(inst.network.edges)
-                      if e not in state.explored][:2]
+                      if e not in explored][:2]
         ids = [m.id for m in inst.missions]
         hits = 0
         for n in range(state.iterations + 2):
-            for e in sorted(state.explored) + unexplored:
+            for e in explored + unexplored:
                 for v in ids + [max(ids) + 1]:
                     k = similarity_index(state, n, v, e)
                     assert k == reference_feedback.similarity_index(
@@ -355,6 +359,44 @@ class TestFeedbackReference:
                     hits += k is not None
         event(f"{state.iterations} iterations, every edge: {every_edge}, "
               f"hits: {hits > 0}")
+
+
+class TestCopiedPrices:
+    """A price the feedback copies is the one the iteration after the
+    similar one paid, and the one its table stored; the explored mask is
+    the union of the route edges recorded so far."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["two_cluster", "distributed"]),
+           st.integers(5, 8), st.integers(2, 16), st.integers(0, 10_000))
+    def test_a_copied_price_is_the_one_paid_and_the_one_stored(
+            self, generator, k, vehicles, seed):
+        net = nm.make_grid_network(k, k, spacing_km=40, jitter=0.25,
+                                   seed=seed)
+        try:
+            inst = getattr(nm, f"generate_{generator}")(net, vehicles, seed)
+        except (nm.NoHubPair, nm.NoNodeInRadius):
+            assume(False)
+        state = rshm.run(inst, RshmOptions(iter_cap=15,
+                                           freq_threshold=99)).state
+        pairs, seen, copied = state.pairs, set(), 0
+        for n in sorted(state.records):
+            seen |= state.records[n].routes.all_edges()
+            table = state.tables[n + 1]
+            assert _explored(table) == sorted(seen)
+            # a similar pair was routed after the similar iteration, so
+            # its edge is explored
+            for j in np.flatnonzero(table.explored[pairs.edge]
+                                    & ~state.routed[n]).tolist():
+                sim = similarity_index(state, n, *pairs.keys[j])
+                if sim is None:
+                    continue
+                copied += 1
+                assert _bits(table.prices[j]) == \
+                    _bits(state.paid[sim + 1][j]) == \
+                    _bits(state.tables[sim + 2].prices[j])
+        assert _explored(state) == sorted(seen)
+        event(f"{state.iterations} iterations, copied prices: {copied > 0}")
 
 
 def _replayed_state(inst, records, candidates):
@@ -735,7 +777,7 @@ class TestIncrementalRouting:
             assert size == sorted(size, reverse=True)
             assert size[-1] < size[0]
             for t in res.trace:
-                explored = res.state.tables[t["iteration"]].explored
+                explored = _explored(res.state.tables[t["iteration"]])
                 gone = [e for e in built.y_col if e in explored]
                 assert t["rdp_cols"] == built.model.num_vars - 3 * len(gone)
                 assert t["rdp_rows"] == built.model.num_constraints - sum(

@@ -762,7 +762,8 @@ class TestInstances:
         inst = nm.generate_two_cluster(grid, 4, seed=0)
         table = rshm.run(inst, rshm.RshmOptions(iter_cap=1)).state.tables[2]
         handle = routing.build_rdp(inst)
-        gone = [e for e in handle.y_col if e in table.explored]
+        gone = [e for e in handle.y_col
+                if table.explored[table.pairs.edge_index[e]]]
         assert gone
         cols = sorted(j for e in gone for j in (
             handle.y_col[e], handle.yp_col[e], handle.w_col[e]))

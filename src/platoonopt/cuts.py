@@ -377,9 +377,9 @@ def bound_improvement_report(contracted, params, bounds) -> dict:
     paper's model over the runs of ``contracted`` (a
     ``scheduling.RunView``), without the departure-window rows: plain,
     after ``solve_mip``'s root cut rounds with the disjunctive hook
-    (``mip.Relaxation.cut_rounds``), and after the star rows as well,
-    appended below the cuts and solved from the last basis with them
-    basic, which HiGHS holds once it has the rows."""
+    (``mip.Relaxation.cut_rounds``, without a deadline), and after the
+    star rows as well, appended below the cuts and solved from the last
+    basis with them basic, which HiGHS holds once it has the rows."""
     from . import scheduling as sched
     t0 = time.perf_counter()
     handle = sched.build_sp(contracted, params, bounds,

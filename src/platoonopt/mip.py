@@ -28,7 +28,10 @@ Branch and bound uses best-bound node selection, most-fractional branching
 called with every fractional root LP solution.  A solve's LPs run on its
 :class:`Relaxation`; the root cut rounds (:meth:`Relaxation.cut_rounds`,
 which the scheduling bound report runs too) append their rows to it, so
-the model is left as it was.  The first root LP starts from a given basis,
+the model is left as it was.  The final root LP is the search's first
+node, pruned, kept or branched on as every node is, and one deadline,
+counted from the solve's start, stops the cut rounds and the search
+alike.  The first root LP starts from a given basis,
 or else from a basis built at the seeded incumbent (:func:`seed_start`),
 and cold only without either.  Each root LP after a cut round restarts
 from the previous one's basis with the new rows basic, the basis HiGHS
@@ -46,7 +49,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,7 +113,9 @@ class LinearModel:
     ``rlo``/``rhi`` of each row (``(-inf, rhs]`` for ``<=``, ``[rhs, inf)``
     for ``>=``, ``[rhs, rhs]`` for ``==``) and the names in ``row_names``.
     :meth:`add_rows` appends rows; rows never change once appended.
-    ``constraints`` reads them back as :class:`Constraint` views."""
+    ``constraints`` reads them back as :class:`Constraint` views.  Each
+    array has exactly one entry per column, row or coefficient; appending
+    concatenates into new arrays, so an array read before keeps its size."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -129,8 +134,9 @@ class LinearModel:
         self.obj_sense = "min"
         self._rows: simplex.Matrix | None = None    # see compiled_rows
 
-    def _view(self, a: np.ndarray, n: int | None = None) -> np.ndarray:
-        v = a[:self.num_vars if n is None else n]
+    @staticmethod
+    def _view(a: np.ndarray) -> np.ndarray:
+        v = a.view()
         v.flags.writeable = False
         return v
 
@@ -153,11 +159,11 @@ class LinearModel:
 
     @property
     def rlo(self) -> np.ndarray:
-        return self._view(self._rlo, self.num_constraints)
+        return self._view(self._rlo)
 
     @property
     def rhi(self) -> np.ndarray:
-        return self._view(self._rhi, self.num_constraints)
+        return self._view(self._rhi)
 
     @property
     def obj_coeffs(self) -> dict[int, float]:
@@ -171,13 +177,11 @@ class LinearModel:
         """Each row as a read-only :class:`Constraint`, built on each read:
         its coefficients in the order they were given, its sense and
         right-hand side read off its bounds."""
-        m = self.num_constraints
-        ptr = self._indptr[:m + 1].tolist()
-        cols = self._indices[:ptr[-1]].tolist()
-        vals = self._data[:ptr[-1]].tolist()
+        ptr = self._indptr.tolist()
+        cols, vals = self._indices.tolist(), self._data.tolist()
         out = []
-        for i, (lo, hi, name) in enumerate(zip(self._rlo[:m].tolist(),
-                                               self._rhi[:m].tolist(),
+        for i, (lo, hi, name) in enumerate(zip(self._rlo.tolist(),
+                                               self._rhi.tolist(),
                                                self.row_names)):
             s, e = ptr[i], ptr[i + 1]
             sense = LE if lo == -math.inf else GE if hi == math.inf else EQ
@@ -214,10 +218,10 @@ class LinearModel:
             if isinstance(k, np.integer):
                 k = KINDS[k] if code[i] >= 0 else k.item()
             _checked_column(names[i], float(lb[i]), float(ub[i]), k)
-        self._lb = _put(self._lb, j, lo)
-        self._ub = _put(self._ub, j, hi)
-        self._kind = _put(self._kind, j, code)
-        self._c = _put(self._c, j, np.zeros(n))
+        self._lb = np.concatenate([self._lb, lo])
+        self._ub = np.concatenate([self._ub, hi])
+        self._kind = np.concatenate([self._kind, code])
+        self._c = np.concatenate([self._c, np.zeros(n)])
         self.names += names
         return range(j, j + n)
 
@@ -247,12 +251,12 @@ class LinearModel:
         new rows' indices."""
         ptr, cols, vals, rlo, rhi = _checked_rows(
             indptr, indices, data, sense, rhs, names, self.num_vars)
-        i, nnz = self.num_constraints, int(self._indptr[self.num_constraints])
-        self._indices = _put(self._indices, nnz, cols)
-        self._data = _put(self._data, nnz, vals)
-        self._indptr = _put(self._indptr, i + 1, ptr[1:] + nnz)
-        self._rlo = _put(self._rlo, i, rlo)
-        self._rhi = _put(self._rhi, i, rhi)
+        i, nnz = self.num_constraints, len(self._data)
+        self._indices = np.concatenate([self._indices, cols])
+        self._data = np.concatenate([self._data, vals])
+        self._indptr = np.concatenate([self._indptr, ptr[1:] + nnz])
+        self._rlo = np.concatenate([self._rlo, rlo])
+        self._rhi = np.concatenate([self._rhi, rhi])
         self.row_names += names
         return range(i, i + len(names))
 
@@ -288,7 +292,7 @@ class LinearModel:
             if not finite.all():
                 raise ModelError("non-finite objective coefficient "
                                  f"{c[np.argmin(finite)]}")
-        self._c[:nv] = c + 0.0          # -0.0 becomes 0.0
+        self._c[:] = c + 0.0            # -0.0 becomes 0.0
         self.obj_constant = float(constant)
         self.obj_sense = sense
 
@@ -332,12 +336,10 @@ class LinearModel:
 
     def _csr(self) -> sp.csr_matrix:
         """The row block over the columns, on read-only views."""
-        m = self.num_constraints
-        ptr = self._view(self._indptr, m + 1)
-        nnz = int(ptr[-1])
-        return sp.csr_matrix((self._view(self._data, nnz),
-                              self._view(self._indices, nnz), ptr),
-                             shape=(m, self.num_vars))
+        return sp.csr_matrix((self._view(self._data),
+                              self._view(self._indices),
+                              self._view(self._indptr)),
+                             shape=(self.num_constraints, self.num_vars))
 
     def without(self, cols, rows) -> "LinearModel":
         """A copy without the columns ``cols`` and the rows ``rows``
@@ -348,10 +350,9 @@ class LinearModel:
         m, nv = self.num_constraints, self.num_vars
         keep_row, keep_col = np.ones(m, dtype=bool), np.ones(nv, dtype=bool)
         keep_row[rows], keep_col[cols] = False, False
-        lengths = np.diff(self._indptr[:m + 1])
+        lengths = np.diff(self._indptr)
         entry = np.repeat(keep_row, lengths)
-        nnz = len(entry)
-        col = self._indices[:nnz][entry]
+        col = self._indices[entry]
         if not keep_col[col].all():
             j = int(col[np.argmin(keep_col[col])])
             raise ModelError(f"a kept row holds column {self.names[j]}")
@@ -359,11 +360,10 @@ class LinearModel:
         out.names = list(compress(self.names, keep_col))
         out.row_names = list(compress(self.row_names, keep_row))
         out._lb, out._ub, out._kind, out._c = (
-            a[:nv][keep_col] for a in (self._lb, self._ub, self._kind,
-                                       self._c))
+            a[keep_col] for a in (self._lb, self._ub, self._kind, self._c))
         out._indptr = row_pointers(lengths[keep_row]).astype(np.int32)
         out._indices = (np.cumsum(keep_col, dtype=np.int32) - 1)[col]
-        out._data = self._data[:nnz][entry]
+        out._data = self._data[entry]
         out._rlo, out._rhi = self.rlo[keep_row], self.rhi[keep_row]
         out.obj_constant, out.obj_sense = self.obj_constant, self.obj_sense
         if self._rows is not None and self._rows.a.shape == (m, nv):
@@ -374,33 +374,17 @@ class LinearModel:
 
     def copy(self) -> "LinearModel":
         m = LinearModel(self.name)
-        nnz = int(self._indptr[self.num_constraints])
         m.names, m.row_names = list(self.names), list(self.row_names)
-        m._lb, m._ub = self.lb.copy(), self.ub.copy()
-        m._kind, m._c = self.kind.copy(), self.c.copy()
-        m._indptr = self._indptr[:self.num_constraints + 1].copy()
-        m._indices = self._indices[:nnz].copy()
-        m._data = self._data[:nnz].copy()
-        m._rlo, m._rhi = self.rlo.copy(), self.rhi.copy()
+        (m._lb, m._ub, m._kind, m._c, m._indptr, m._indices, m._data,
+         m._rlo, m._rhi) = (a.copy() for a in (
+            self._lb, self._ub, self._kind, self._c, self._indptr,
+            self._indices, self._data, self._rlo, self._rhi))
         m.obj_constant = self.obj_constant
         m.obj_sense = self.obj_sense
         return m
 
 
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
-
-
-def _put(buf: np.ndarray, at: int, values) -> np.ndarray:
-    """``buf`` with ``values`` written from index ``at`` on, moved to a
-    buffer twice as large when it is full.  Entries before ``at`` keep
-    their values; arrays already read from ``buf`` are left as they were."""
-    end = at + len(values)
-    if end > len(buf):
-        grown = np.empty(max(end, 2 * len(buf), 8), dtype=buf.dtype)
-        grown[:at] = buf[:at]
-        buf = grown
-    buf[at:end] = values
-    return buf
 
 
 def _checked_column(name: str, lb: float, ub: float,
@@ -651,11 +635,14 @@ def check_solution(model: LinearModel, x, tol: float = 1e-6) -> float:
     return _objective(model.c, xv, model.obj_constant)
 
 
-def _check_limits(rel_gap: float, time_limit_s: float | None) -> None:
+def _check_limits(rel_gap: float, time_limit_s: float | None,
+                  node_limit: int | None) -> None:
     if not (math.isfinite(rel_gap) and rel_gap >= 0.0):
         raise ValueError(f"rel_gap must be finite and >= 0, got {rel_gap}")
-    if time_limit_s is not None and math.isnan(time_limit_s):
-        raise ValueError("time_limit_s is NaN")
+    if time_limit_s is not None and not time_limit_s >= 0.0:
+        raise ValueError(f"time_limit_s must be >= 0, got {time_limit_s}")
+    if node_limit is not None and node_limit < 1:
+        raise ValueError(f"node_limit must be >= 1, got {node_limit}")
 
 
 def relative_gap(incumbent: float, bound: float) -> float:
@@ -732,17 +719,19 @@ class Relaxation:
             np.concatenate([self.rows.rhi, rhi]), self.rows)
         return len(rlo)
 
-    def cut_rounds(self, root: LpSolution, hook) -> tuple[LpSolution, int]:
+    def cut_rounds(self, root: LpSolution, hook,
+                   deadline: float = math.inf) -> tuple[LpSolution, int]:
         """Root cut rounds from ``root``, the last LP solved on ``rows``:
         at most ``DEFAULT_CUT_ROUNDS`` times, while the LP is optimal and
-        fractional and ``hook(lp)`` (if given) returns cuts, append their
-        rows and solve again from the LP's basis with them basic, the one
-        HiGHS holds (``rows.held``).  Returns the last LP and the number of
-        cuts."""
+        fractional, ``time.perf_counter()`` has not passed ``deadline`` and
+        ``hook(lp)`` (if given) returns cuts, append their rows and solve
+        again from the LP's basis with them basic, the one HiGHS holds
+        (``rows.held``).  Returns the last LP and the number of cuts."""
         added = 0
         for _ in range(DEFAULT_CUT_ROUNDS):
             cuts = hook and root.status == "optimal" and \
-                _fractional(root.x, self.int_idx) and hook(root)
+                _fractional(root.x, self.int_idx) and \
+                time.perf_counter() <= deadline and hook(root)
             if not cuts:
                 break
             added += self.add_rows(*_cut_rows(cuts, len(self.c),
@@ -766,65 +755,41 @@ def _node_lp(rel: Relaxation, overrides, start) -> LpSolution:
 
 def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
             minimize: bool, rel_gap: float, deadline: float, node_limit):
-    """Best-bound branch and bound on ``rel`` from ``root``, its solved LP
-    without branching bounds, with most-fractional branching (ties to the
-    lowest column).  A node is pruned by :func:`_pruned` with ``rel_gap``.
-    Each node LP restarts from its parent's optimal basis, the very
-    ``HighsBasis`` of the parent's result, under the node's column bounds;
-    both children of a node share that one start.  Returns ``(status,
-    incumbent, incumbent_x, bound, nodes)``: ``optimal`` when the tree is
-    exhausted, else ``time_limit`` once ``time.perf_counter()`` passes
-    ``deadline``, or ``node_limit`` once ``nodes``, which counts the root
-    and every node LP, reaches ``node_limit`` (None: no limit); the bound
-    is the best over the open nodes, the pruned ones and the incumbent, or
-    the root's objective when there is none."""
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    """Best-bound branch and bound on ``rel`` from ``root``, its optimal
+    LP without branching bounds, with most-fractional branching (ties to
+    the lowest column).  An integral root that beats ``incumbent`` replaces
+    it, even within ``rel_gap`` of it.  Then each node, the root first, is
+    pruned if its LP is within ``rel_gap`` of the incumbent by
+    :func:`_pruned` (before its integrality is read), kept as the
+    incumbent if integral, else branched on.  A node LP restarts from the
+    parent's ``HighsBasis``, which both children share.  Returns
+    ``(status, incumbent, incumbent_x, bound, nodes)``: ``optimal`` when
+    the tree is exhausted, else ``time_limit`` once ``time.perf_counter()``
+    passes ``deadline``, or ``node_limit`` once ``nodes`` (the root and
+    every node LP) reaches ``node_limit`` (None: no limit), neither before
+    the root's step.  The bound is the best over the open nodes, the
+    pruned ones and the incumbent, or, with none, the root's objective."""
     node_limit = math.inf if node_limit is None else node_limit
     nodes = 1
-    counter = 0
+    order = count()     # ties in the heap go to the node pushed first
     heap: list = []
     pruned_bounds: list[float] = []
-
-    def push(bound, overrides, start):
-        nonlocal counter
-        key = bound if minimize else -bound
-        heapq.heappush(heap, (key, counter, bound, overrides, start))
-        counter += 1
 
     # A child tightens the bound of a variable that is fractional, hence
     # basic, in its parent's LP: the parent's optimal basis stays dual
     # feasible but is primal infeasible, so the node LP runs the dual
     # simplex from it.
-    push(root.objective, {}, None)
-    first = True
-    status = "optimal"
-    while heap:
-        if time.perf_counter() > deadline:
-            status = "time_limit"
-            break
-        if nodes >= node_limit:
-            status = "node_limit"
-            break
-        key, cnt, bound, overrides, start = heapq.heappop(heap)
-        if _pruned(bound, incumbent, rel_gap, minimize):
-            pruned_bounds.append(bound)
-            continue
-        if first:
-            lp = root
-            first = False
-        else:
-            lp = _node_lp(rel, overrides, start)
-            nodes += 1
+    def visit(lp: LpSolution, overrides: dict) -> None:
+        nonlocal incumbent, incumbent_x
         if lp.status != "optimal":
-            continue
+            return
         if _pruned(lp.objective, incumbent, rel_gap, minimize):
             pruned_bounds.append(lp.objective)
-            continue
+            return
         frac = _fractional(lp.x, rel.int_idx)
-        if not frac:
-            if incumbent is None or better(lp.objective, incumbent):
-                incumbent, incumbent_x = lp.objective, lp.x.copy()
-            continue
+        if not frac:    # not pruned, so better than the incumbent
+            incumbent, incumbent_x = lp.objective, lp.x.copy()
+            return
         # Most fractional, ties to lowest index.
         jbest, fbest = -1, -1.0
         for j, xj in frac:
@@ -833,21 +798,39 @@ def _search(rel: Relaxation, root: LpSolution, incumbent, incumbent_x,
             if score > fbest + 1e-12:
                 jbest, fbest = j, score
         xj = lp.x[jbest]
-        own = (float(rel.lo[jbest]), float(rel.hi[jbest]))
-        down = dict(overrides)
-        down[jbest] = (down.get(jbest, own)[0], float(np.floor(xj)))
-        up = dict(overrides)
-        up[jbest] = (float(np.ceil(xj)), up.get(jbest, own)[1])
-        push(lp.objective, down, lp.basis)
-        push(lp.objective, up, lp.basis)
+        lo, hi = overrides.get(jbest, (float(rel.lo[jbest]),
+                                       float(rel.hi[jbest])))
+        key = lp.objective if minimize else -lp.objective
+        for child in ((lo, float(np.floor(xj))), (float(np.ceil(xj)), hi)):
+            heapq.heappush(heap, (key, next(order), lp.objective,
+                                  {**overrides, jbest: child}, lp.basis))
+
+    # an integral root is optimal: it beats a worse seed even within rel_gap
+    if not _fractional(root.x, rel.int_idx) and (
+            incumbent is None or (root.objective < incumbent if minimize
+                                  else root.objective > incumbent)):
+        incumbent, incumbent_x = root.objective, root.x.copy()
+    visit(root, {})
+    status = "optimal"
+    while heap:
+        if time.perf_counter() > deadline:
+            status = "time_limit"
+            break
+        if nodes >= node_limit:
+            status = "node_limit"
+            break
+        _key, _cnt, bound, overrides, start = heapq.heappop(heap)
+        if _pruned(bound, incumbent, rel_gap, minimize):
+            pruned_bounds.append(bound)
+            continue
+        nodes += 1
+        visit(_node_lp(rel, overrides, start), overrides)
 
     bounds = [entry[2] for entry in heap] + pruned_bounds
     if incumbent is not None:
         bounds.append(incumbent)
-    if not bounds:
-        return status, incumbent, incumbent_x, root.objective, nodes
     return (status, incumbent, incumbent_x,
-            min(bounds) if minimize else max(bounds), nodes)
+            (min if minimize else max)(bounds, default=root.objective), nodes)
 
 
 def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
@@ -870,25 +853,28 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     one, the first root LP starts from ``initial_solution`` when
     :func:`seed_start` can turn it into a basis, so the simplex starts at
     the seed's vertex.  A start that does not fit is ignored (see
-    ``simplex.solve``).  The solve ends at the root when the root LP is
-    integral, or within ``rel_gap`` of the seed by :func:`_pruned`;
-    otherwise :func:`_search` runs from the final root LP, with the seed
-    as its first incumbent.  ``nodes`` counts the root and every node LP.
+    ``simplex.solve``).  :func:`_search` then runs from the final root LP,
+    its first node, with the seed as its incumbent.  ``nodes`` counts the
+    root and every node LP.
 
     A search that runs to its end is ``optimal``: for ``rel_gap`` at most
     1 the slack of :func:`_pruned` only grows as the incumbent improves, so
     every pruned bound ends within ``rel_gap`` of the final incumbent.
-    ``time_limit_s`` and ``node_limit`` stop the search; the status is then
-    ``optimal`` or ``feasible`` by the gap when there is an incumbent, and
-    ``time_limit`` or ``node_limit`` otherwise.  A search that ends
+    One deadline, ``time_limit_s`` after the solve starts, stops the cut
+    rounds and the search; the first root LP and the root's own step
+    always run.  It and ``node_limit`` stop the search with the status
+    ``optimal`` or ``feasible`` by the gap when there is an incumbent,
+    and ``time_limit`` or ``node_limit`` otherwise.  A search that ends
     without an incumbent makes the model ``infeasible``.  An unbounded
     root relaxation gives status ``unbounded``, with or without an
     incumbent.  ``ValueError`` for a ``rel_gap`` that is negative or not
-    finite, or a NaN ``time_limit_s``.
+    finite, a ``time_limit_s`` that is negative or NaN, or a
+    ``node_limit`` below 1.
     """
-    _check_limits(rel_gap, time_limit_s)
+    _check_limits(rel_gap, time_limit_s, node_limit)
     model.validate()
     t0 = time.perf_counter()
+    deadline = math.inf if time_limit_s is None else t0 + time_limit_s
     minimize = model.obj_sense == "min"
     wall = lambda: time.perf_counter() - t0
 
@@ -903,7 +889,7 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     if start is None and incumbent_x is not None:
         start = seed_start(rel.rows, rel.lo, rel.hi, incumbent_x)
     root, cuts_added = rel.cut_rounds(rel.solve(rel.lo, rel.hi, start),
-                                      root_cut_hook)
+                                      root_cut_hook, deadline)
 
     if root.status == "infeasible" and incumbent is not None:
         raise NumericalFailure("root LP reported infeasible, but the "
@@ -911,30 +897,15 @@ def solve_mip(model: LinearModel, rel_gap: float = DEFAULT_REL_GAP,
     if root.status in ("infeasible", "unbounded"):
         return MipSolution(root.status, None, None, None, None, 1, wall(),
                            cuts_added)
-    root_bound = root.objective
-    root_basis = root.basis
 
-    if not _fractional(root.x, rel.int_idx):
-        if incumbent is None or (root.objective < incumbent if minimize
-                                 else root.objective > incumbent):
-            incumbent, incumbent_x = root.objective, root.x.copy()
-        return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           0.0, 1, wall(), cuts_added, root_bound,
-                           root_basis)
-    if _pruned(root.objective, incumbent, rel_gap, minimize):
-        return MipSolution("optimal", incumbent, incumbent_x, root.objective,
-                           relative_gap(incumbent, root.objective),
-                           1, wall(), cuts_added, root_bound, root_basis)
-
-    deadline = math.inf if time_limit_s is None else t0 + time_limit_s
     status, incumbent, incumbent_x, bound, nodes = _search(
         rel, root, incumbent, incumbent_x, minimize, rel_gap, deadline,
         node_limit)
     if incumbent is None:
         return MipSolution("infeasible" if status == "optimal" else status,
                            None, None, bound, None, nodes, wall(),
-                           cuts_added, root_bound, root_basis)
+                           cuts_added, root.objective, root.basis)
     gap = relative_gap(incumbent, bound)
     return MipSolution("feasible" if status != "optimal" and gap > rel_gap
                        else "optimal", incumbent, incumbent_x, bound, gap,
-                       nodes, wall(), cuts_added, root_bound, root_basis)
+                       nodes, wall(), cuts_added, root.objective, root.basis)

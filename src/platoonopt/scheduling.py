@@ -514,8 +514,9 @@ def extract_platoons(handle: SpModelHandle, sol) -> PlatoonConfiguration:
 def expand_platoons(config: PlatoonConfiguration,
                     contracted: RunView) -> PlatoonConfiguration:
     """Map a configuration on the runs of ``contracted`` back to the
-    original edges.  A run key holds its edges (``key[2]``), so the view
-    itself is not read."""
+    original edges, in the order of its runs, each run's edges in route
+    order.  A run key holds its edges (``key[2]``), so the view itself is
+    not read."""
     out: dict[tuple, list[tuple]] = {}
     for key, plist in config.platoons.items():
         for orig in key[2]:
@@ -820,15 +821,12 @@ def solve_schedule(routes, inst, cuts: str, *,
                    for v in (leader, *followers)}
         plist += [(v, ()) for v in view.cedges[key] if v not in members]
         plist.sort()
-    listed: dict[tuple, list[tuple]] = {}   # original edge -> platoons
-    for key in sorted(view.cedges):
-        plist = by_key.get(key) or [(v, ()) for v in view.cedges[key]]
-        for e in key[2]:
-            listed[e] = list(plist)
-    departures = earliest_departures(view, dict(sorted(by_key.items())),
-                                     bounds)
+    on_runs = PlatoonConfiguration(
+        {key: by_key.get(key) or [(v, ()) for v in view.cedges[key]]
+         for key in sorted(view.cedges)},
+        earliest_departures(view, dict(sorted(by_key.items())), bounds))
     return Schedule(tuple(handles), _summed(sols, closed_savings),
-                    PlatoonConfiguration(listed, departures), bounds,
+                    expand_platoons(on_runs, view), bounds,
                     len(new) - len(milp), n_reused, view,
                     sorted(v for _key, vs in new for v in vs))
 

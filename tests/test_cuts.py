@@ -311,6 +311,28 @@ _GRIDS = {k: nm.make_grid_network(k, k, spacing_km=40, jitter=0.25, seed=5)
           for k in (6, 7, 8)}
 
 
+def test_no_cut_round_runs_after_the_deadline():
+    # without a limit this root takes two hook calls and one cut; with no
+    # time at all the solve stops at its first root LP, on the seed
+    inst = nm.generate_two_cluster(_GRIDS[8], 16, 9)
+    ra = routing.shortest_path_assignment(inst)
+    con = sched.contract(ra, ra.edge_times, ra.edge_costs)
+    handle = sched.build_sp(con, inst, sched.time_bounds(con, inst.missions),
+                            sched.CutOptions(star_partition=True))
+    hook, calls = cuts.make_disjunctive_hook(handle), []
+
+    def counting(lp):
+        calls.append(lp)
+        return hook(lp)
+
+    sol = mip.solve_mip(handle.model, time_limit_s=0.0,
+                        root_cut_hook=counting,
+                        initial_solution=sched.solo_schedule(handle))
+    assert calls == [] and sol.cuts_added == 0
+    assert sol.status == "feasible" and sol.nodes == 1
+    assert sol.objective == 0.0 and sol.bound == sol.root_bound
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(generator=st.sampled_from(["distributed", "two_cluster"]),
        k=st.sampled_from(sorted(_GRIDS)), n=st.integers(4, 14),

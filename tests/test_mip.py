@@ -392,6 +392,20 @@ def test_node_limit_with_incumbent_keeps_gap_logic():
     assert full.status == "optimal" and full.objective == pytest.approx(5.0)
 
 
+def test_an_integral_root_that_beats_the_seed_is_kept_within_the_gap():
+    # the root LP is the integral point x1 = 1, of value 1000; the seed
+    # x2 = 1 is worse by 1e-5 relative, inside the default rel_gap
+    m = mip.LinearModel()
+    a = m.add_var("x1", kind=mip.BINARY)
+    b = m.add_var("x2", kind=mip.BINARY)
+    m.add_constraint({a: 1, b: 1}, "==", 1)
+    m.set_objective({a: 1000.0, b: 1000.01})
+    s = mip.solve_mip(m, initial_solution=[0.0, 1.0])
+    assert s.status == "optimal" and s.nodes == 1
+    assert s.x.tolist() == [1.0, 0.0] and s.objective == 1000.0
+    assert s.bound == 1000.0 and s.gap == 0.0
+
+
 def test_gap_against_a_zero_incumbent_is_infinite():
     # a seed of value 0; one node leaves the root bound above it
     s = mip.solve_mip(_branching_knapsack(), node_limit=1,
@@ -525,7 +539,10 @@ def test_root_basis_warm_starts_a_repriced_model():
 
 @pytest.mark.parametrize("kwargs", [
     {"rel_gap": NAN}, {"rel_gap": INF}, {"rel_gap": -1e-4},
-    {"time_limit_s": NAN}], ids=["gap-nan", "gap-inf", "gap-neg", "time-nan"])
+    {"time_limit_s": NAN}, {"time_limit_s": -1.0}, {"node_limit": 0},
+    {"node_limit": -3}],
+    ids=["gap-nan", "gap-inf", "gap-neg", "time-nan", "time-neg", "nodes-0",
+         "nodes-neg"])
 def test_solve_mip_rejects_bad_limits(kwargs):
     with pytest.raises(ValueError):
         mip.solve_mip(branching_sp_model(), **kwargs)
